@@ -15,18 +15,19 @@
 // a fresh demand set:
 //
 //   - solve-contended: one client, one Solver with library defaults, each op
-//     one Solve of a fresh 768-demand instance on 3 random 1024-vertex trees
-//     (about 1510 items in one conflict component). Loads conflict
-//     construction, the Solver's instance hashing and its 128-entry LRU
-//     (warm-up fills it; every timed op misses and evicts), and the
-//     single-component engine path. Bypasses Session, serve and simnet.
-//   - serve-fleet: one serve.Registry with GOMAXPROCS pool workers hosting
-//     as many tenants, one client per tenant; each op submits 8 departures
-//     and 8 arrivals on one of the tenant's 16 disjoint networks and waits
-//     for Submit. Loads Session.Update/Apply, warm replay, components, merge
-//     and greedy, and the serve round and snapshot publication; conflict
-//     construction runs only at setup and compaction. Bypasses the Solver
-//     cache and simnet.
+//     one Solve of a fresh 384-demand instance on 3 random 256-vertex trees
+//     (about 770 items, in one conflict component in nine ops of ten).
+//     Loads conflict construction, the Solver's instance hashing and its
+//     128-entry LRU (warm-up fills it; every timed op misses and evicts),
+//     and the single-component engine path. Bypasses Session, serve and
+//     simnet.
+//   - serve-fleet: one serve.Registry with one pool worker hosting one
+//     tenant, whose rounds may use every CPU, and one client; each op
+//     submits 8 departures and 8 arrivals on one of the tenant's 16
+//     disjoint networks and waits for Submit. Loads Session.Update/Apply,
+//     warm replay, components, merge and greedy, and the serve round and
+//     snapshot publication; conflict construction runs only at setup and
+//     compaction. Bypasses the Solver cache and simnet.
 //   - dist-fleet: one client, one Solver with Simulate, each op a fresh
 //     2048-demand instance on 32 fixed 64-vertex networks, one network per
 //     demand. Loads the paper's message-passing protocol end to end (dist
@@ -35,18 +36,18 @@
 //     Session and serve. BENCHMARK.json does not gate it (see distFleet).
 //
 // End-to-end metrics come from untraced runs; endToEnd in metrics.go lists
-// the gated ones and why op_tail_ms and error_rate are printed ungated. A traced run (--trace 1) runs
-// the same workload twice: once untraced, for the overhead ratio and the
-// runtime.* counters, then with an obs.Recorder per Solver or tenant, read
-// after every op, and spans around every public call the benchmark makes,
-// which it writes to .bench_build/spans/ when it ends. Per-layer metrics
-// come from that second pass; perLayer in metrics.go records which
-// end-to-end metric each should move.
+// the gated ones, which are CPU times, and why the wall-clock ones are
+// printed ungated. A traced run (--trace 1) runs the same workload twice:
+// once untraced, for the overhead ratio and the runtime.* counters, then
+// with an obs.Recorder per Solver or tenant, read after every op, and spans
+// around every public call the benchmark makes, which it writes to
+// .bench_build/spans/ when it ends. Per-layer metrics come from that second
+// pass; perLayer in metrics.go records which end-to-end metric each should
+// move.
 package main
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -56,9 +57,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -75,6 +76,12 @@ type opSample struct {
 	profit, bound float64
 	failed        bool
 	phases        *phases // traced pass only
+	// published is when the op's serve snapshot was stamped (Snapshot.At,
+	// at the end of its publication), on the same clock as start and end.
+	published time.Duration
+	// cpu is the CPU time the whole process used from start to end. With
+	// one client, one op is in flight at a time, so it is that op's cost.
+	cpu time.Duration
 }
 
 func (o opSample) latency() time.Duration { return o.end - o.start }
@@ -132,9 +139,9 @@ var distFleet = workloadDef{name: "dist-fleet", make: newDistFleet, opsPerSecond
 // workloads are every workload the program runs; BENCHMARK.json gates the
 // first two.
 var workloads = []workloadDef{
-	{name: "solve-contended", make: newSolveContended, opsPerSecond: 40, setupReps: 3,
+	{name: "solve-contended", make: newSolveContended, opsPerSecond: 100, setupReps: 3,
 		probe: &distFleet, probeLayers: []string{"dist.", "simnet."}},
-	{name: "serve-fleet", make: newServeFleet, opsPerSecond: 3000, setupReps: 7},
+	{name: "serve-fleet", make: newServeFleet, opsPerSecond: 1400, setupReps: 15},
 	distFleet,
 }
 
@@ -205,11 +212,12 @@ type result struct {
 
 // pass is one setup plus timed region.
 type pass struct {
-	setup  []time.Duration
-	ops    []opSample
-	mem    [2]runtime.MemStats
-	digest uint64
-	err    error // a failed whole-run invariant
+	// setup and setupCPU are each set-up's wall and process CPU time.
+	setup, setupCPU []time.Duration
+	ops             []opSample
+	mem             [2]runtime.MemStats
+	digest          uint64
+	err             error // a failed whole-run invariant
 }
 
 func runPass(b bench, reps int, tr *tracer) (pass, error) {
@@ -217,11 +225,12 @@ func runPass(b bench, reps int, tr *tracer) (pass, error) {
 	for i := 0; i < reps; i++ {
 		b.close() // the previous repetition's system, so each set-up starts alike
 		runtime.GC()
-		start := time.Now()
+		cpu, start := cpuTime(), time.Now()
 		if err := b.setup(tr); err != nil {
 			return p, fmt.Errorf("setup: %w", err)
 		}
 		p.setup = append(p.setup, time.Since(start))
+		p.setupCPU = append(p.setupCPU, cpuTime()-cpu)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&p.mem[0])
@@ -282,24 +291,27 @@ func measure(w workloadDef, seed int64, ops int, traced bool, out io.Writer) (*r
 	lat := latenciesMs(final.ops)
 	p50 := median(lat)
 	label, beyond := tailLabel(len(lat))
+	fmt.Fprintf(out, "op_p50_ms %v ms (reported, not gated)\n", p50)
 	fmt.Fprintf(out, "op_tail_ms %v ms (%s of %d ops, %d beyond it; reported, not gated)\n", tailValue(lat), label, len(lat), beyond)
+	fmt.Fprintf(out, "demands_per_s %v 1/s (reported, not gated)\n", demandRate(final.ops))
 	q := quartiles(lat)
 	fmt.Fprintf(out, "# op latency quartiles %.4f %.4f %.4f ms\n", q[0], q[1], q[2])
 	fmt.Fprintf(out, "# certified ratio Σprofit=%v Σbound=%v\n", profit, bound)
 	m := res.metrics
 	if !traced {
-		setupS := make([]float64, len(plain.setup))
-		for i, d := range plain.setup {
-			setupS[i] = d.Seconds()
+		setupS, setupCPU := seconds(plain.setup), seconds(plain.setupCPU)
+		fmt.Fprintf(out, "# setup runs %v s, CPU %v s\n", setupS, setupCPU)
+		fmt.Fprintf(out, "setup_wall_s %v s (reported, not gated)\n", median(setupS))
+		cpuMs := make([]float64, len(final.ops))
+		for i, op := range final.ops {
+			cpuMs[i] = float64(op.cpu) / 1e6
 		}
-		fmt.Fprintf(out, "# setup runs %v s\n", setupS)
 		rss, err := peakRSSMiB()
 		if err != nil {
 			return nil, err
 		}
-		m["setup_s"] = median(setupS)
-		m["op_p50_ms"] = p50
-		m["demands_per_s"] = demandRate(final.ops)
+		m["setup_s"] = median(setupCPU)
+		m["op_cpu_p50_ms"] = median(cpuMs)
 		m["certified_ratio"] = profit / bound
 		m["peak_rss_mb"] = rss
 		return res, nil
@@ -311,6 +323,10 @@ func measure(w workloadDef, seed int64, ops int, traced bool, out io.Writer) (*r
 	phaseLayers(final.ops, tr, m)
 	b.layers(final.ops, m)
 	if w.probe != nil {
+		// Drop this workload's system first, so the probe's timings do not
+		// pay for marking a heap the probed workload never has.
+		b.close()
+		runtime.GC()
 		pres, err := measure(*w.probe, seed, probeOps, true, io.Discard)
 		if err != nil {
 			return nil, fmt.Errorf("layer probe %s: %w", w.probe.name, err)
@@ -335,31 +351,36 @@ func measure(w workloadDef, seed int64, ops int, traced bool, out io.Writer) (*r
 	return res, nil
 }
 
-// rateSlices is how many equal slices of the timed region demandRate takes
-// its median over.
-const rateSlices = 10
-
-// demandRate is demands solved per second of the timed region, counting
-// only time with at least one op in flight (so client-side work between
-// ops is excluded), as the median over rateSlices equal slices of the ops
-// in start order: a burst of interference from outside the process moves
-// one slice, not the reported rate.
+// demandRate is demands solved per second of the timed region, from the
+// first op's start to the last op's end.
 func demandRate(ops []opSample) float64 {
-	ops = slices.Clone(ops)
-	slices.SortFunc(ops, func(a, b opSample) int { return cmp.Compare(a.start, b.start) })
-	k := min(rateSlices, len(ops))
-	rates := make([]float64, k)
-	for i := range rates {
-		slice := ops[i*len(ops)/k : (i+1)*len(ops)/k]
-		spans := make([][2]time.Duration, len(slice))
-		demands := 0
-		for j, op := range slice {
-			spans[j] = [2]time.Duration{op.start, op.end}
-			demands += op.demands
-		}
-		rates[i] = float64(demands) / busyTime(spans).Seconds()
+	first, last := ops[0].start, ops[0].end
+	demands := 0
+	for _, op := range ops {
+		first, last = min(first, op.start), max(last, op.end)
+		demands += op.demands
 	}
-	return median(rates)
+	return float64(demands) / (last - first).Seconds()
+}
+
+// cpuTime is the CPU time the process has used so far, user and system, all
+// threads, to the microsecond. On a kernel with paravirtual steal accounting
+// (CONFIG_PARAVIRT_TIME_ACCOUNTING) it leaves out the time the hypervisor
+// ran something else on the vCPU, which wall time includes.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // RUSAGE_SELF with a valid pointer cannot fail
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+func seconds(ds []time.Duration) []float64 {
+	out := make([]float64, len(ds))
+	for i, d := range ds {
+		out[i] = d.Seconds()
+	}
+	return out
 }
 
 // latenciesMs lists the ops' client-visible latencies in milliseconds.

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"treesched/internal/workload"
 )
@@ -65,14 +64,6 @@ func TestMedianAndQuartiles(t *testing.T) {
 	}
 }
 
-func TestBusyTime(t *testing.T) {
-	ms := time.Millisecond
-	spans := [][2]time.Duration{{5 * ms, 7 * ms}, {0, 2 * ms}, {1 * ms, 3 * ms}, {6 * ms, 6 * ms}, {10 * ms, 11 * ms}}
-	if got := busyTime(spans); got != 6*ms {
-		t.Errorf("busyTime = %v, want 6ms", got)
-	}
-}
-
 // The naming rules of BENCHMARK.json: a metric name is a letter or digit
 // then at most 63 of [A-Za-z0-9_.-]; a unit is at most 16 of
 // [A-Za-z0-9_/%.-].
@@ -80,24 +71,6 @@ var (
 	validName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 	validUnit = regexp.MustCompile(`^[A-Za-z0-9_/%.-]{1,16}$`)
 )
-
-func TestDemandRate(t *testing.T) {
-	ms := time.Millisecond
-	var ops []opSample
-	for i := 0; i < 20; i++ {
-		// Two clients, each op 1ms busy with 10 demands, except one slow
-		// outlier pair; ops arrive out of start order.
-		d := ms
-		if i == 19 {
-			d = 50 * ms
-		}
-		start := time.Duration(19-i) * 10 * ms
-		ops = append(ops, opSample{start: start, end: start + d, demands: 10}, opSample{start: start, end: start + d, demands: 10})
-	}
-	if got := demandRate(ops); got != 20000 {
-		t.Errorf("demandRate = %v, want 20000 (20 demands per busy ms; the slow slice is not the median)", got)
-	}
-}
 
 func TestMetricNamesAndUnits(t *testing.T) {
 	seen := map[string]bool{}
@@ -235,8 +208,14 @@ func TestEveryMetricReported(t *testing.T) {
 					t.Errorf("%s traced=%v: no line for %s", w.name, traced, d.name)
 				}
 			}
-			if !strings.Contains(text, "\nerror_rate 0 ratio\n") || !strings.Contains(text, "\nop_tail_ms ") {
-				t.Errorf("%s traced=%v: no error_rate or op_tail_ms line", w.name, traced)
+			ungated := []string{"error_rate 0 ratio\n", "op_p50_ms ", "op_tail_ms ", "demands_per_s "}
+			if !traced {
+				ungated = append(ungated, "setup_wall_s ")
+			}
+			for _, line := range ungated {
+				if !strings.Contains(text, "\n"+line) {
+					t.Errorf("%s traced=%v: no %q line", w.name, traced, line)
+				}
 			}
 			if traced && w.probe != nil && r.Metrics["simnet.messages"].Value <= 0 {
 				t.Errorf("%s: the layer probe left simnet.messages at %v", w.name, r.Metrics["simnet.messages"].Value)

@@ -14,21 +14,32 @@ type metricDef struct {
 	moves string
 }
 
-// endToEnd are the metrics a user of the system sees, measured with tracing
-// off and gated by BENCHMARK.json. Two more are printed on every run but
-// not gated. error_rate is 0 whenever the benchmark is healthy, and the
-// result line carries it as failed ÷ attempted. op_tail_ms, the highest
-// percentile with at least ten samples beyond it, spread by 0.14-0.20 of
-// its median over ten seeds on both gated workloads: too close to the
-// largest bound allowed (0.25) to gate. The timing bounds sit at that
-// largest bound because on the 2-vCPU host the benchmark was tuned on, a
-// fixed CPU loop alone drifts by up to 8% within a minute.
+// endToEnd are the metrics BENCHMARK.json gates, measured with tracing off.
+// Their times are the process's CPU time (cpuTime), all threads counted, so
+// work moved onto another thread still shows: setup_s is the median CPU
+// seconds of one set-up, op_cpu_p50_ms the median CPU time of one op.
+// Wall-clock times cannot be gated on the shared 2-vCPU host the benchmark
+// was tuned on, whose steal time went from about 1% to 25% and back within
+// an hour. In five runs while it was high, solve-contended's op_p50_ms
+// spread by 0.25 of its median and its wall-clock set-up by 0.42, against
+// 0.04 for op_cpu_p50_ms and 0.07 for setup_s; its op_p50_ms median moved
+// by a quarter between two sets of runs of the same code. A mean CPU time
+// per op was tried too and spread by 0.10 on serve-fleet, where the cold
+// solves after compactions weigh on it. peak_rss_mb has the largest bound
+// because serve-fleet's small heap peaks higher when a slow host stretches
+// each GC cycle: its ten-seed spread reached 0.12.
+//
+// Five more are printed on every run but not gated: the wall-clock
+// setup_wall_s, op_p50_ms, op_tail_ms (the highest percentile with at least
+// ten samples beyond it) and demands_per_s (demands solved per second of
+// the timed region), which a client sees, and error_rate, 0 whenever the
+// benchmark is healthy, which the result line carries as failed ÷
+// attempted.
 var endToEnd = []metricDef{
 	{name: "setup_s", unit: "s", better: "lower", bound: 0.25},
-	{name: "op_p50_ms", unit: "ms", better: "lower", bound: 0.25},
-	{name: "demands_per_s", unit: "1/s", better: "higher", bound: 0.25},
+	{name: "op_cpu_p50_ms", unit: "ms", better: "lower", bound: 0.25},
 	{name: "certified_ratio", unit: "ratio", better: "higher", bound: 0.02},
-	{name: "peak_rss_mb", unit: "MiB", better: "lower", bound: 0.1},
+	{name: "peak_rss_mb", unit: "MiB", better: "lower", bound: 0.25},
 }
 
 // perLayer are the traced run's metrics, named after the module that does

@@ -63,12 +63,19 @@ type tenant struct {
 	epoch        uint64
 }
 
+// newServeFleet hosts one tenant on a one-worker registry, as schedserve
+// -workers 1 would, so a round may use every CPU (per-tenant Parallelism is
+// GOMAXPROCS ÷ pool width). With one tenant and client per CPU instead, two
+// clients' rounds share the host's two vCPUs: run interleaved with this
+// shape at five seeds on a shared 2-vCPU host, that version's op_p50_ms
+// spread by 0.153 of its median against 0.027 here, and its demands_per_s
+// by 0.175 against 0.086.
 func newServeFleet() bench {
 	return &serveBench{
 		shape:   workload.TreeConfig{Vertices: 256, Trees: 16, Demands: 768, ProfitRatio: 16, AccessMin: 1, AccessMax: 1},
 		churn:   8,
 		warmup:  64,
-		workers: runtime.NumCPU(),
+		workers: 1,
 	}
 }
 
@@ -221,11 +228,11 @@ func (t *tenant) drive(n, churn, opBase int, tr *tracer, parent int) []opSample 
 		for i, a := range t.arrivals[k*churn : (k+1)*churn] {
 			c.Add[i] = treesched.NewDemand{U: int(a.u), V: int(a.v), Profit: a.profit, Access: t.access[q]}
 		}
-		start := now()
+		cpu, start := cpuTime(), now()
 		ids, epoch, err := t.actor.Submit(c)
-		end := now()
+		end, cpu := now(), cpuTime()-cpu
 		tr.record("serve.Actor.Submit", opBase+j, parent, start, end)
-		op := opSample{start: start, end: end, demands: len(remove) + len(c.Add), phases: takePhases(t.rec)}
+		op := opSample{start: start, end: end, cpu: cpu, demands: len(remove) + len(c.Add), phases: takePhases(t.rec)}
 		if err != nil && !errors.Is(err, serve.ErrSolveFailed) {
 			op.failed = true // not applied: the client's view stands
 			ops[j] = op
@@ -246,6 +253,7 @@ func (t *tenant) drive(n, churn, opBase int, tr *tracer, parent int) []opSample 
 		}
 		t.epoch = epoch
 		op.profit, op.bound = snap.Result.Profit, snap.Result.DualBound
+		op.published = snap.At.Sub(clock)
 		ops[j] = op
 	}
 	return ops
@@ -356,16 +364,22 @@ func (b *serveBench) layers(ops []opSample, m map[string]float64) {
 		waitSum += h1.QueueWait.Sum - h0.QueueWait.Sum
 		waitN += h1.QueueWait.Count - h0.QueueWait.Count
 	}
-	var submit time.Duration
+	// A Submit span is queue wait, the round (ActorStats.TotalLatency:
+	// update, solve and accounting), publication (buildSnapshot, ending at
+	// Snapshot.At, and the pointer swap) and the handoff from Snapshot.At
+	// until the client has its reply. Publication is what remains.
+	var submit, handoff time.Duration
 	for _, op := range ops {
 		submit += op.latency()
+		handoff += op.end - op.published
 	}
+	n := float64(len(ops))
 	roundMs := float64(roundLat) / 1e6 / float64(rounds)
 	m["serve.round_ms"] = roundMs
 	m["treesched.session_solve_ms"] = solveSum * 1e3 / float64(solveN)
-	m["serve.publish_ms"] = roundMs - m["treesched.update_ms"] - m["treesched.session_solve_ms"]
 	m["serve.queue_wait_ms"] = waitSum * 1e3 / float64(waitN)
-	m["serve.handoff_ms"] = float64(submit)/1e6/float64(len(ops)) - roundMs
+	m["serve.handoff_ms"] = float64(handoff) / 1e6 / n
+	m["serve.publish_ms"] = float64(submit)/1e6/n - m["serve.handoff_ms"] - m["serve.queue_wait_ms"] - roundMs
 	m["serve.batch_mean"] = float64(subs) / float64(rounds)
 	m["treesched.reprepares"] = float64(reprepares)
 	m["engine.cold_solves"] = float64(cold)

@@ -23,8 +23,9 @@ type solverBench struct {
 	shape    workload.TreeConfig
 	simulate bool
 	// warmup is how many distinct instances setup solves. For the cached
-	// path it equals the Solver's prepared-cache capacity, so the cache is
-	// full before timing starts and every timed op evicts one entry.
+	// path it is the Solver's prepared-cache bound, so a cache of that bound
+	// or less is full before timing starts and every timed op evicts one
+	// entry. treesched.cache_entries reports how many entries it held.
 	warmup int
 
 	trees []*graph.Tree
@@ -38,12 +39,21 @@ type solverBench struct {
 }
 
 // solverCacheCapacity is the Solver's prepared-instance LRU bound
-// (maxCachedPrepared in solver.go).
+// (maxCachedPrepared in solver.go) when this benchmark was written. setup
+// does not require the cache to hold exactly this many entries, so a change
+// that shrinks, reshapes or removes the bound is measured, not refused.
 const solverCacheCapacity = 128
 
+// newSolveContended is half the demands of schedbench's unit-tree/m=768
+// shape, on smaller trees so most ops stay one conflict component. At the
+// full shape the filled cache held about 800 MiB of heap (1.4 GiB peak RSS)
+// and magnified the shared 2-vCPU host's drift: run in turns with a fixed
+// CPU loop, its op_p50_ms moved by 32% while the loop moved by 8% and this
+// shape by 11%, and its median moved by 30% between two sets of runs of the
+// same code. This shape peaks at about 510 MiB in a 30-second run.
 func newSolveContended() bench {
 	return &solverBench{
-		shape:  workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16, AccessMin: 1, AccessMax: 3},
+		shape:  workload.TreeConfig{Vertices: 256, Trees: 3, Demands: 384, ProfitRatio: 16, AccessMin: 1, AccessMax: 3},
 		warmup: solverCacheCapacity,
 	}
 }
@@ -112,9 +122,6 @@ func (b *solverBench) setup(tr *tracer) error {
 			return fmt.Errorf("warm-up solve %d: %w", k, err)
 		}
 	}
-	if n := b.solver.CacheStats().Prepared.Len; !b.simulate && n != b.warmup {
-		return fmt.Errorf("warm-up left %d prepared instances cached, want %d", n, b.warmup)
-	}
 	takePhases(b.rec) // drop the warm-up window
 	return nil
 }
@@ -127,11 +134,11 @@ func (b *solverBench) run(tr *tracer) []opSample {
 	timed := tr.begin("timed", -1, -1)
 	for k := range ops {
 		inst := b.instance(b.warmup + k)
-		start := now()
+		cpu, start := cpuTime(), now()
 		res, err := b.solver.Solve(inst)
-		end := now()
+		end, cpu := now(), cpuTime()-cpu
 		tr.record("treesched.Solver.Solve", k, timed, start, end)
-		ops[k] = opSample{start: start, end: end, demands: b.shape.Demands, failed: err != nil, phases: takePhases(b.rec)}
+		ops[k] = opSample{start: start, end: end, cpu: cpu, demands: b.shape.Demands, failed: err != nil, phases: takePhases(b.rec)}
 		if err == nil {
 			ops[k].profit, ops[k].bound = res.Profit, res.DualBound
 			b.results[k] = res

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"time"
 )
 
 // median returns the middle of xs (the mean of the two middle values for an
@@ -60,22 +58,4 @@ func tailValue(xs []float64) float64 {
 	s := slices.Clone(xs)
 	slices.Sort(s)
 	return s[tailIndex(len(s))]
-}
-
-// busyTime is the length of the union of the [start, end) intervals: the
-// time during which at least one op was in flight.
-func busyTime(spans [][2]time.Duration) time.Duration {
-	s := slices.Clone(spans)
-	slices.SortFunc(s, func(a, b [2]time.Duration) int { return cmp.Compare(a[0], b[0]) })
-	var total time.Duration
-	var curStart, curEnd time.Duration
-	for i, iv := range s {
-		if i == 0 || iv[0] > curEnd {
-			total += curEnd - curStart
-			curStart, curEnd = iv[0], iv[1]
-			continue
-		}
-		curEnd = max(curEnd, iv[1])
-	}
-	return total + curEnd - curStart
 }

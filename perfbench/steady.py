@@ -44,6 +44,12 @@ def main():
         for name, m in sorted(result["metrics"].items()):
             values.setdefault(name, []).append(m["value"])
             row.append(f"{name}={m['value']:.6g}")
+        # Metrics printed on their own lines but not gated.
+        for line in out.splitlines():
+            if "reported, not gated" in line:
+                name, v = line.split()[:2]
+                values.setdefault(name, []).append(float(v))
+                row.append(f"{name}={float(v):.6g}")
         print(f"seed {seed}: " + " ".join(row), flush=True)
     for name, vs in sorted(values.items()):
         med = statistics.median(vs)
