@@ -159,7 +159,7 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 		if err != nil {
 			return fmt.Errorf("bench %s: %w", sc.name, err)
 		}
-		components := len(engine.ConflictComponents(engine.BuildConflicts(items)))
+		components := len(engine.Prepare(items).Components())
 		var serialNs int64
 		for _, p := range []int{1, parallel} {
 			rec := benchRecorder(trace)
@@ -244,7 +244,7 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 		if err != nil {
 			return fmt.Errorf("bench parallel-sweep: %w", err)
 		}
-		components := len(engine.ConflictComponents(engine.BuildConflicts(items)))
+		components := len(engine.Prepare(items).Components())
 		var serialNs int64
 		for _, w := range []int{1, 2, 4, 8} {
 			rec := benchRecorder(trace)
@@ -769,7 +769,7 @@ func runDistSmoke(demands int, seed int64) error {
 
 // timeSolve measures the best-of-iters wall time of one engine solve. With
 // a non-nil rec the same prepare+run pipeline runs through the explicit
-// recorder seam (engine.RunParallel is exactly PrepareWorkers + prepared
+// recorder seam (engine.RunParallel is exactly Prepare + prepared
 // RunParallel), so traced rows time the same quantity plus the recorder's
 // gated overhead.
 func timeSolve(items []engine.Item, seed int64, parallelism, iters int, rec engine.Recorder) (int64, error) {

@@ -77,7 +77,7 @@ func timeSolvePrepared(items []engine.Item, seed int64, parallelism, iters int, 
 		if rec != nil {
 			tok = rec.StartSpan(engine.PhasePrepare)
 		}
-		prep := engine.PrepareWorkers(items, parallelism)
+		prep := engine.Prepare(items)
 		if rec != nil {
 			rec.EndSpan(engine.PhasePrepare, tok)
 			prep.SetRecorder(rec)
@@ -115,7 +115,7 @@ const recorderOverheadIters = 30
 func timeRecorderOverhead(items []engine.Item, seed int64, parallelism int) (noopNs, nilNs int64, err error) {
 	run := func(rec engine.Recorder, i int) (int64, error) {
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed + int64(i)}
-		prep := engine.PrepareWorkers(items, parallelism)
+		prep := engine.Prepare(items)
 		prep.SetRecorder(rec)
 		start := time.Now()
 		if _, err := prep.RunParallel(cfg, parallelism); err != nil {

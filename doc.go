@@ -16,9 +16,9 @@
 //     deadline windows (Theorems 7.1 and 7.2);
 //   - the sequential 3-approximation of Appendix A and exact solvers for
 //     small instances as baselines;
-//   - a faithful synchronous message-passing execution (one goroutine per
-//     processor) with honest round and message accounting, bit-identical to
-//     the fast in-process execution.
+//   - a faithful synchronous message-passing execution (one processor per
+//     demand, stepped by a batched round scheduler) with honest round and
+//     message accounting, bit-identical to the fast in-process execution.
 //
 // Quick start:
 //
@@ -38,13 +38,13 @@
 // preparation work at two levels, keyed by instance content. Per-tree
 // layered decompositions (keyed by network structure) are reused whenever
 // the same networks reappear; fully prepared item sets — the interned
-// dense dual layout plus the §2 conflict adjacency and its component
-// decomposition — are reused whenever the complete instance recurs, so the
-// steady state skips item building, interning and conflict construction
-// entirely and pays only for the schedule itself:
+// dense dual layout plus the member lists that encode the §2 conflict
+// graph, and its component decomposition — are reused whenever the
+// complete instance recurs, so the steady state skips item building and
+// interning entirely and pays only for the schedule itself:
 //
 //	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Parallelism: 8})
-//	res1, _ := s.Solve(inst1) // decomposes, interns, builds conflicts, caches
+//	res1, _ := s.Solve(inst1) // decomposes, interns, groups, caches
 //	res2, _ := s.Solve(inst2) // same instance: straight into the schedule
 //
 // Options.Parallelism sets the total worker budget of the solve pipeline;
@@ -57,11 +57,14 @@
 // of §2 decomposes into connected components that never exchange messages,
 // so the epoch/stage/step schedule runs per component on a worker pool and
 // the results are merged back into the serial execution exactly. Within a
-// component: the per-step kernels — the unsatisfied-scan, the conflict
-// subgraph refill, the Luby win-check, the batched raises of a step's MIS,
-// the greedy second phase's feasibility tests, and the λ fold — are
-// data-parallel over the dense index lists, so each component's engine
-// row-partitions them across an allocation-free lane pool. The cost model
+// component: the per-step kernels — the unsatisfied-scan, the batched
+// raises of a step's MIS, the greedy second phase's feasibility tests, and
+// the λ fold — are data-parallel over the dense index lists, so each
+// component's engine row-partitions them across an allocation-free lane
+// pool. The Luby election itself runs inline on the coordinator: over the
+// member-list form of the conflict graph one iteration costs
+// O(Σ (1 + |path|)) for the step's live items, and its draws are serial
+// per owner stream anyway. The cost model
 // is simple: a single-component instance puts the whole budget into lanes;
 // a fleet splits it as shard workers × (budget / shard workers), and lanes
 // are always clamped to the host's GOMAXPROCS (rows below a fixed grain
@@ -69,14 +72,12 @@
 //
 // Both levels are bitwise invisible. Lane kernels only read shared state
 // and write per-row slots; every cross-row decision — collecting scan hits,
-// eliminating Luby losers, committing greedy steps — happens on the
-// coordinator in ascending row order, identical to the serial loop. A
-// step's MIS members are pairwise conflict-free (disjoint demand slots,
-// disjoint edge sets), so its raises commute exactly; Luby winners are
-// provably pairwise non-adjacent, so marking them in any order is the
-// serial result; λ is a pure min, exact in any association; and the Luby
-// draws themselves stay sequential per owner stream, so draw order is
-// independent of worker count. Consequently any Parallelism (and the
+// committing greedy steps — happens on the coordinator in ascending row
+// order, identical to the serial loop. A step's MIS members are pairwise
+// conflict-free (disjoint demand slots, disjoint edge sets), so its raises
+// commute exactly; λ is a pure min, exact in any association; and the
+// Luby election never leaves the coordinator, so draw order is independent
+// of worker count. Consequently any Parallelism (and the
 // serial engine) produce bit-identical selections, profit, λ, dual bound
 // and trace — asserted across worker counts {1..8} × modes × seeds ×
 // decomposition shapes by the intra-parallelism suite — and warm-start
@@ -111,14 +112,16 @@
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
-// Preparation — interning the dense layout and building the §2 conflict
-// adjacency — is fused into one pass: the interned demand slots and edge
-// indices double as the conflict grouping (no second hashing of the same
-// keys), the serial build discovers each conflicting pair once at its
-// larger member (the smaller-neighbor prefix of every row is recovered by
-// mirroring the suffixes, never by sorting), and edge groups whose member
-// lists are identical — series edges traversed by exactly the same paths —
-// collapse to one representative before the quadratic scans.
+// Preparation is two linear passes: interning the dense layout, then
+// grouping the items by their interned demand slot and edge indices (no
+// second hashing of the same keys). Each demand slot and each edge index
+// gets the ascending list of the items it holds. By §2 two items conflict
+// iff they share a demand or an edge, so these member lists are a clique
+// cover of the conflict graph, and the engine stores nothing else: the
+// Luby and greedy elections compare priorities per group, and the
+// component decomposition walks from item to item through shared groups.
+// Preparation thus costs O(Σ |path|) rather than the O(Σ deg) of an
+// adjacency, which on a contended instance is an order of magnitude more.
 //
 // For churning workloads the prepared state is a value to update, not to
 // rebuild. Solver.Session pins a solver to one instance whose networks are
@@ -134,23 +137,24 @@
 //     cannot influence a raise, a satisfaction test, or the dual objective
 //     (which sums by sorted external key; adding a zero-valued stale slot
 //     is exact);
-//   - the member lists and adjacency rows of exactly the groups and items
-//     the churn reached: rows filter out departed neighbors (preserving
-//     their sort order) and merge in arriving ones (assigned in ascending
-//     id order), so nothing is re-sorted or rescanned from its groups;
+//   - the member lists of exactly the groups the churn reached: they filter
+//     out departed items (preserving their sort order) and merge in
+//     arriving ones (assigned in ascending id order), so nothing is
+//     re-sorted;
 //   - the lazy shard decomposition, which refreshes on the next parallel
 //     run reusing every component the churn never touched.
 //
 // Determinism is unchanged: a Session's solve is bitwise identical to
 // preparing its current item set from scratch, at every worker count — the
 // incremental-state suite (internal/engine delta tests and fuzz target)
-// asserts adjacency, components, layout semantics, and solve results after
-// arbitrary delta sequences. The delta path pays off in proportion to
-// churn locality: on a fleet of disjoint networks where a round churns one
-// network, the preparation update runs an order of magnitude faster than a
-// rebuild; on a single fully-contended component, churning 5% of the
-// demands changes most conflict rows, and the update's advantage narrows
-// to the constant-factor edit cost (~2x).
+// asserts member lists, components, layout semantics, and solve results after
+// arbitrary delta sequences. An update costs the total size of the member
+// lists the churned items belong to, so it pays off even without
+// locality: measured on a 2-vCPU host, BenchmarkApplyDelta (5% of a
+// 768-demand, single-component instance churned) runs about 10x faster
+// than BenchmarkPrepareCold rebuilding it, and on a fleet of disjoint
+// networks where a round churns one network the gap is about 20x
+// (BenchmarkApplyDeltaFleet vs BenchmarkPrepareColdFleet).
 //
 // Sessions are observable: Session.Stats reports the live set size, the
 // stale-slot accretion since the last full preparation, the compaction
@@ -192,10 +196,11 @@
 //
 // Cached component state invalidates exactly when its inputs change:
 //
-//   - a touched component — Apply marks every item whose row, content or
-//     id a delta reached — is re-solved (its neighbors are not: conflict
-//     edges are symmetric, so churn cannot reach a component without
-//     touching it);
+//   - a touched component — Apply marks every member of every group whose
+//     member list a delta changed, which covers every arrival — is
+//     re-solved (the others are not: a component none of whose groups
+//     changed is still closed, so churn cannot reach it without touching
+//     it);
 //   - a configuration change (different Options, ε, seed, mode, or trace
 //     setting) misses the cache by key and re-solves everything;
 //   - a re-prepare — Session compaction when stale interned slots
@@ -329,7 +334,8 @@
 // with only estimated communication costs. Setting Options.Simulate routes
 // the distributed algorithms through internal/dist instead, which executes
 // the same protocol over the synchronous message-passing simulator of
-// internal/simnet — one goroutine per processor, one processor per demand.
+// internal/simnet — one processor per demand, stepped by the batched round
+// scheduler (see "Distributed scale" below).
 // Each processor derives the fixed epoch/stage/step schedule of Figure 7
 // locally from common knowledge (the engine.Plan) and runs Luby-MIS step
 // elections over real messages. Both executions funnel every dual mutation
@@ -360,9 +366,11 @@
 // driver (dist.DriverBatched, the default) makes the same execution scale:
 //
 //   - Shared-layout nodes: every processor reads the engine's interned
-//     dense layout (views, critical sets, conflict adjacency) through one
-//     immutable run context instead of copying critical sets and conflict
-//     maps per node. Private per-node state shrinks to its dual slots,
+//     dense layout (views, critical sets, and the edge member lists its
+//     conflict test searches) through one immutable run context instead of
+//     copying critical sets and conflict maps per node. The run context
+//     derives each item's target nodes and the node topology from those
+//     member lists once, at setup. Private per-node state shrinks to its dual slots,
 //     PRNG stream, live-set bits and pooled message buffers — a few KB per
 //     demand, dominated by per-neighbor outbox buckets, and reported as
 //     Result.NodeStateBytes/SharedStateBytes.
@@ -411,10 +419,11 @@
 //     not allocate maps, call fmt, defer, or box concrete values into
 //     interfaces — locking in the allocation-free shape of the
 //     solve/merge/Apply loops (PRs 4–6). The raise primitives
-//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step
-//     scans (state.unsatisfied/subgraph), the greedy second phase, the
-//     shard merge, Prepared.Apply, and the row-partitioned lane kernels
-//     (state.raiseAll, mis.LubyPool, the partitioned greedy commit) are
+//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step scan
+//     (state.unsatisfied), the group-form elections
+//     (state.independentSet, mis.Luby, mis.Greedy), the greedy second
+//     phase, the shard merge, Prepared.Apply, and the row-partitioned lane
+//     kernels (state.raiseAll, the partitioned greedy commit) are
 //     annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is

@@ -10,7 +10,7 @@ import (
 
 // runContext is the read-only state one distributed run shares across all
 // of its processor nodes: the schedule, the engine's interned dense layout
-// (items, views, conflict adjacency), and the node-level projections of it
+// (items, views, group member lists), and the node-level projections of it
 // (ownership, topology, per-node edge numberings and local views). It is
 // built once per run from an engine.Prepared and never mutated afterwards,
 // so a million nodes can read it concurrently — this is what lets per-node
@@ -32,7 +32,10 @@ type runContext struct {
 
 	items []engine.Item     // shared with the Prepared; read-only
 	views []engine.ItemView // global dense views, aligned with items
-	adj   [][]int           // global conflict adjacency, rows sorted ascending
+	// edgeMembers[e] lists, ascending, the items whose path contains edge
+	// index e (shared with the Prepared). With the views' demand slots it
+	// is the §2 conflict relation.
+	edgeMembers [][]int32
 
 	itemNode  []int32   // item id -> owning node
 	nodeItems [][]int32 // node -> own item ids, ascending
@@ -68,8 +71,8 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 		totalSteps: plan.TotalSteps(),
 		items:      items,
 		views:      prep.Views(),
-		adj:        prep.Conflicts(),
 	}
+	_, ctx.edgeMembers = prep.Members()
 	ctx.lastRound = ScheduleLength(ctx.totalSteps, budget) - 1
 
 	// Owner/demand bijection (§2: one processor per demand, one demand per
@@ -111,7 +114,6 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 	})
 
 	ctx.buildTopology(n)
-	ctx.buildTargets()
 	ctx.buildLocalViews(n)
 	ctx.accountShared()
 	return ctx, nil
@@ -137,74 +139,33 @@ func fillRows32(counts []int32, fill func(emit func(node int32, v int32))) [][]i
 	return rows
 }
 
-// buildTopology connects two processors iff they hold conflicting items
-// (the §2 conflict graph projected onto processors): exactly the pairs that
-// ever need to exchange draws or raise announcements. Rows are sorted and
-// deduplicated in place over one arena.
+// buildTopology computes, per item, the distinct nodes holding an item
+// that conflicts with it — the recipients of its draws and raise
+// announcements — and connects two processors iff one holds such a
+// neighbor of the other (the §2 conflict graph projected onto processors):
+// exactly the pairs that ever need to exchange messages. The neighbors are
+// the owners of the other members of the item's edge groups. Its demand
+// group adds none, because the owner/demand bijection puts every item of a
+// demand on one node. Targets are finally stored as positions into the
+// owner's topology row (the per-neighbor outbox bucket); their order is
+// immaterial, since each target receives one entry per item.
 func (ctx *runContext) buildTopology(n int) {
-	counts := make([]int, n)
-	for v := range ctx.adj {
-		a := ctx.itemNode[v]
-		for _, w := range ctx.adj[v] {
-			if ctx.itemNode[w] != a {
-				counts[a]++
-			}
-		}
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	arena := make([]int, total)
-	rows := make([][]int, n)
-	off := 0
-	for i, c := range counts {
-		rows[i] = arena[off : off : off+c]
-		off += c
-	}
-	for v := range ctx.adj {
-		a := ctx.itemNode[v]
-		for _, w := range ctx.adj[v] {
-			if b := ctx.itemNode[w]; b != a {
-				rows[a] = append(rows[a], int(b))
-			}
-		}
-	}
-	for i := range rows {
-		slices.Sort(rows[i])
-		rows[i] = slices.Compact(rows[i])
-	}
-	ctx.topology = rows
-}
-
-// buildTargets computes, per item, the sorted distinct neighbor nodes that
-// hold a conflicting item, stored as positions into the owner's topology
-// row (the per-neighbor outbox bucket the draws and raises go to).
-func (ctx *runContext) buildTargets() {
 	m := len(ctx.items)
 	lens := make([]int32, m)
+	seen := make([]int32, n) // node -> 1 + the last item, later node, that listed it
 	var arena []int32
 	for v := 0; v < m; v++ {
 		a := ctx.itemNode[v]
 		start := len(arena)
-		for _, w := range ctx.adj[v] {
-			if b := ctx.itemNode[w]; b != a {
-				arena = append(arena, b)
+		for _, e := range ctx.views[v].Edges {
+			for _, w := range ctx.edgeMembers[e] {
+				if b := ctx.itemNode[w]; b != a && seen[b] != int32(v)+1 {
+					seen[b] = int32(v) + 1
+					arena = append(arena, b)
+				}
 			}
 		}
-		seg := arena[start:]
-		slices.Sort(seg)
-		seg = slices.Compact(seg)
-		arena = arena[:start+len(seg)]
-		row := ctx.topology[a]
-		for i, b := range seg {
-			pos, ok := slices.BinarySearch(row, int(b))
-			if !ok {
-				panic("dist: conflicting neighbor missing from topology row")
-			}
-			seg[i] = int32(pos)
-		}
-		lens[v] = int32(len(seg))
+		lens[v] = int32(len(arena) - start)
 	}
 	ctx.targets = make([][]int32, m)
 	off := 0
@@ -212,6 +173,35 @@ func (ctx *runContext) buildTargets() {
 		end := off + int(lens[v])
 		ctx.targets[v] = arena[off:end:end]
 		off = end
+	}
+	// A node's topology row is the sorted union of its items' targets, so
+	// the rows fit in one arena of len(arena) entries. Once a row is built,
+	// its items' targets turn from node ids into row positions.
+	clear(seen)
+	pos := make([]int32, n)
+	topo := make([]int, 0, len(arena))
+	ctx.topology = make([][]int, n)
+	for a := range ctx.topology {
+		start := len(topo)
+		for _, v := range ctx.nodeItems[a] {
+			for _, b := range ctx.targets[v] {
+				if seen[b] != int32(a)+1 {
+					seen[b] = int32(a) + 1
+					topo = append(topo, int(b))
+				}
+			}
+		}
+		row := topo[start:len(topo):len(topo)]
+		slices.Sort(row)
+		ctx.topology[a] = row
+		for i, b := range row {
+			pos[b] = int32(i)
+		}
+		for _, v := range ctx.nodeItems[a] {
+			for i, b := range ctx.targets[v] {
+				ctx.targets[v][i] = pos[b]
+			}
+		}
 	}
 }
 
@@ -297,27 +287,28 @@ func findIdx(sorted []int32, g int32) (int32, bool) {
 	return 0, false
 }
 
-// conflict reports whether items x and w conflict: binary search of x's
-// sorted global adjacency row. This replaces the per-node conflict maps of
-// the pre-compaction runtime — same predicate, zero per-node bytes.
+// conflict reports whether items x and w conflict by the §2 definition:
+// they share a demand, or w is a member of one of x's edge groups (binary
+// search of the ascending member lists). It reads only shared state, so it
+// costs no per-node bytes.
 //
 //schedvet:hot
 func (ctx *runContext) conflict(x, w int32) bool {
-	row := ctx.adj[x]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int32(row[mid]) < w {
-			lo = mid + 1
-		} else {
-			hi = mid
+	vx := &ctx.views[x]
+	if ctx.views[w].Slot == vx.Slot {
+		return true
+	}
+	for _, e := range vx.Edges {
+		if _, ok := findIdx(ctx.edgeMembers[e], w); ok {
+			return true
 		}
 	}
-	return lo < len(row) && int32(row[lo]) == w
+	return false
 }
 
 // accountShared sums the resident bytes of the context-owned arenas (the
-// engine-owned items/views/adj are accounted to the Prepared, not here).
+// engine-owned items, views and member lists are accounted to the
+// Prepared, not here).
 func (ctx *runContext) accountShared() {
 	b := int64(len(ctx.itemNode))*4 + int64(len(ctx.nodeOwner))*8
 	b += rowBytes32(ctx.nodeItems) + rowBytes32(ctx.targets) + rowBytes32(ctx.nodeEdges)

@@ -76,9 +76,8 @@ const (
 // Options tunes RunOpts beyond the engine Config.
 type Options struct {
 	Driver Driver
-	// Workers bounds the batched driver's stepping pool and the prepare
-	// step's conflict-build pool; ≤0 means GOMAXPROCS. Cannot affect
-	// results, only wall-clock.
+	// Workers bounds the batched driver's stepping pool; ≤0 means
+	// GOMAXPROCS. Cannot affect results, only wall-clock.
 	Workers int
 	// Recorder observes the run's phases — PhaseDistSetup (context build +
 	// node construction), PhaseDistSim (the simnet round loop),
@@ -142,7 +141,7 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhaseDistSetup)
 	}
-	prep := engine.PrepareWorkers(items, workers)
+	prep := engine.Prepare(items)
 	ctx, err := buildContext(prep, cfg, plan, budget)
 	if err != nil {
 		return nil, err

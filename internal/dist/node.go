@@ -250,8 +250,9 @@ func (n *node) sendDraws() []simnet.Message {
 // by item id — the engine's rule verbatim), performs the winners' raises
 // through the shared protocol core, and announces them. A draw received
 // for remote item w is exactly "w is live this iteration", so the
-// conjunction runs over the delivered draw entries filtered by the shared
-// adjacency — no per-node conflict sets needed. Any win clears the whole
+// conjunction runs over the delivered draw entries filtered by the §2
+// conflict test over the shared member lists (runContext.conflict) — no
+// per-node conflict sets needed. Any win clears the whole
 // live set: a node's items share its demand, so they all conflict with the
 // winner.
 //

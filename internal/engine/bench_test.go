@@ -24,15 +24,6 @@ func benchItems(b *testing.B, m int) []engine.Item {
 	return items
 }
 
-func BenchmarkBuildConflicts(b *testing.B) {
-	items := benchItems(b, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.BuildConflicts(items)
-	}
-}
-
 func BenchmarkRunByMISKind(b *testing.B) {
 	items := benchItems(b, 256)
 	for _, tc := range []struct {
@@ -54,7 +45,7 @@ func BenchmarkRunByMISKind(b *testing.B) {
 
 // BenchmarkRunPrepared measures the steady state of the Solver's
 // cross-solve cache: repeated solves over one prepared item set, where the
-// conflict adjacency and the dense dual layout are built once outside the
+// member lists and the dense dual layout are built once outside the
 // loop. Compare against BenchmarkRunByMISKind/luby (same workload, cold
 // prepare every op) for the cache's per-solve saving.
 func BenchmarkRunPrepared(b *testing.B) {

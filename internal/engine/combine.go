@@ -33,15 +33,15 @@ func RunArbitrary(items []Item, cfg Config) (*ArbitraryResult, error) {
 // the sharded parallel pipeline on `workers` goroutines. Results are
 // bit-identical to RunArbitrary at every worker count.
 func RunArbitraryParallel(items []Item, cfg Config, workers int) (*ArbitraryResult, error) {
-	return PrepareArbitraryWorkers(items, workers).RunParallel(cfg, workers)
+	return PrepareArbitrary(items).RunParallel(cfg, workers)
 }
 
 // ArbitraryPrepared is the Config-independent run state of the §6
 // arbitrary-height algorithm: the wide/narrow split of an item set with
-// each non-empty height class fully prepared (dense layout, conflict
-// adjacency, shard decomposition). Like Prepared, it is safe for concurrent
-// runs, so the root Solver caches it across solves — arbitrary-heights
-// re-solves skip conflict construction for both classes.
+// each non-empty height class fully prepared (dense layout, member lists,
+// shard decomposition). Like Prepared, it is safe for concurrent runs, so
+// the root Solver caches it across solves — arbitrary-heights re-solves
+// skip preparation for both classes.
 type ArbitraryPrepared struct {
 	items              []Item
 	delta              int
@@ -49,15 +49,9 @@ type ArbitraryPrepared struct {
 	wideIDs, narrowIDs []int
 }
 
-// PrepareArbitrary builds the arbitrary-height run state with serial
-// conflict builds.
+// PrepareArbitrary builds the arbitrary-height run state: the wide/narrow
+// split, each class prepared.
 func PrepareArbitrary(items []Item) *ArbitraryPrepared {
-	return PrepareArbitraryWorkers(items, 1)
-}
-
-// PrepareArbitraryWorkers is PrepareArbitrary with the per-class conflict
-// adjacencies built on a worker pool of the given size.
-func PrepareArbitraryWorkers(items []Item, workers int) *ArbitraryPrepared {
 	wide, narrow, wideIDs, narrowIDs := SplitWideNarrow(items)
 	ap := &ArbitraryPrepared{
 		items:   items,
@@ -65,10 +59,10 @@ func PrepareArbitraryWorkers(items []Item, workers int) *ArbitraryPrepared {
 		wideIDs: wideIDs, narrowIDs: narrowIDs,
 	}
 	if len(wide) > 0 {
-		ap.wide = PrepareWorkers(wide, workers)
+		ap.wide = Prepare(wide)
 	}
 	if len(narrow) > 0 {
-		ap.narrow = PrepareWorkers(narrow, workers)
+		ap.narrow = Prepare(narrow)
 	}
 	return ap
 }

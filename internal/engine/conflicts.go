@@ -1,34 +1,22 @@
 package engine
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-)
+import "slices"
 
-// This file implements the §2 conflict-adjacency construction: two items
-// conflict iff they share a demand or share an edge (which implies the same
-// resource, since edge keys embed the resource id).
+// This file holds the conflict structure of §2: two items conflict iff they
+// share a demand or share an edge (which implies the same resource, since
+// edge keys embed the resource id). Every demand and every edge is thus a
+// clique of the conflict graph, and the graph is exactly the union of those
+// cliques. The engine keeps only the cliques: per demand slot and per edge
+// index, the ascending list of member item ids. Those lists cost
+// Σ (1 + |path|) entries where an adjacency would cost Σ deg, and every
+// reader has an exact form over them — the MIS elections (package mis)
+// compare priorities per group, components traverse from item to item
+// through shared groups, and Prepared.Apply patches the lists in place.
 //
-// The construction is fused with the dense layout: buildLayout has already
+// The lists come straight from the dense layout: buildLayout has already
 // interned every demand to a slot and every path edge to an int32 index, so
-// grouping items by shared demand / shared edge is pure array indexing over
-// the precomputed ItemViews — no map[int] or map[model.EdgeKey] hashing and
-// no second traversal of items[i].Edges. The member lists double as the
-// incremental-update index of Prepared.Apply: when a delta adds or removes
-// items, the affected rows are rebuilt from exactly these lists.
-//
-// Member lists are ascending (items are scanned in id order), which the
-// serial path exploits to do the quadratic work once per unordered pair: the
-// scan at item w visits only members v < w of w's groups (early exit on the
-// ascending list) and emits both directions of the edge. Each row then
-// consists of an unsorted prefix of smaller ids written during its own scan
-// and an ascending suffix of larger ids appended by later scans, so one
-// prefix sort per row restores the globally sorted, deduplicated rows the
-// two-sided scan produced. The worker-pool path keeps the two-sided
-// row-partitioned scan (each worker owns the rows in its range and binary
-// searches into the member lists), so the adjacency is identical — and the
-// total work near-constant — at any worker count.
+// grouping is pure array indexing over the precomputed ItemViews — no
+// hashing and no second traversal of items[i].Edges.
 
 // buildMembers groups items by demand slot and by edge index: members[g] is
 // the ascending list of item ids in dense group g. Exact-sized in two passes
@@ -67,269 +55,79 @@ func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, ed
 	return demandMembers, edgeMembers
 }
 
-// dedupEdgeGroups maps every edge index to a representative with the exact
-// same member list, or to -1 when the group can produce no pairs (fewer than
-// two members). Series edges — consecutive tree edges traversed by exactly
-// the same paths — are common in practice and make the quadratic scans
-// re-discover the same pairs once per duplicate group; skipping everything
-// but the representative is sound because an item whose path contains a
-// duplicate edge necessarily contains the representative too (their member
-// lists are identical), so the pair is still discovered there. The dedup
-// itself is one linear hashing pass over the member lists.
-func dedupEdgeGroups(edgeMembers [][]int32) []int32 {
-	rep := make([]int32, len(edgeMembers))
-	buckets := make(map[uint64][]int32)
-	for e := range edgeMembers {
-		m := edgeMembers[e]
-		if len(m) < 2 {
-			rep[e] = -1
+// conflictComponents returns the connected components of the conflict graph
+// over the views: each component an ascending slice of item ids, components
+// ordered by smallest member. The traversal walks from an item to every
+// member of each of its groups, visiting each group once, so it costs
+// O(Σ (1 + |path|)).
+//
+// prev and touched refresh an earlier decomposition after churn: every
+// previous component none of whose members is touched is kept verbatim and
+// only the rest is traversed (nil prev traverses everything). The reuse is
+// sound because Apply marks every member of every group whose list changed
+// (delta.go). An untouched component's groups therefore hold exactly the
+// members they held before, all inside the component, so it is still
+// closed. A member id at or past len(views) departed when the set shrank;
+// such components are always traversed again. The output equals a
+// from-scratch decomposition.
+func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, prev [][]int, touched []bool) [][]int {
+	visited := make([]bool, len(views))
+	dSeen := make([]bool, len(demandMembers))
+	eSeen := make([]bool, len(edgeMembers))
+	out := make([][]int, 0, len(prev))
+	for _, members := range prev {
+		clean := true
+		for _, id := range members {
+			if id >= len(views) || touched[id] {
+				clean = false
+				break
+			}
+		}
+		if !clean {
 			continue
 		}
-		h := uint64(len(m))
-		for _, v := range m {
-			h ^= uint64(uint32(v))
-			h *= 0x9e3779b97f4a7c15
-			h ^= h >> 29
+		for _, id := range members {
+			visited[id] = true
 		}
-		r := int32(-1)
-		for _, cand := range buckets[h] {
-			if slices.Equal(edgeMembers[cand], m) {
-				r = cand
-				break
+		out = append(out, members)
+	}
+	var members []int
+	var stack []int32
+	visit := func(group []int32) {
+		for _, w := range group {
+			if !visited[w] {
+				visited[w] = true
+				members = append(members, int(w))
+				stack = append(stack, w)
 			}
 		}
-		if r < 0 {
-			r = int32(e)
-			buckets[h] = append(buckets[h], r)
+	}
+	for v := range views {
+		if visited[v] {
+			continue
 		}
-		rep[e] = r
-	}
-	return rep
-}
-
-// conflictsFromMembers builds the adjacency over n items from the dense
-// group member lists. Serial and worker-pool paths produce identical rows:
-// sorted, deduplicated, exact-sized.
-func conflictsFromMembers(n int, views []ItemView, demandMembers, edgeMembers [][]int32, workers int) [][]int {
-	// More workers than processors (or tiny inputs) would add pure
-	// scheduling overhead: the passes divide CPU-bound work, so cap at what
-	// the machine can actually run at once.
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 || n < 2*workers {
-		workers = 1
-	}
-	rep := dedupEdgeGroups(edgeMembers)
-	if workers == 1 {
-		return conflictsSerial(n, views, demandMembers, edgeMembers, rep)
-	}
-	return conflictsPartitioned(n, views, demandMembers, edgeMembers, rep, workers)
-}
-
-// conflictsSerial is the half-scan build: each unordered conflicting pair is
-// discovered exactly once, at its larger member. A row is laid out as the
-// ascending prefix of its smaller neighbors followed by the ascending suffix
-// of its larger neighbors. The suffix fills directly during the half-scan
-// (row v gains w in ascending w order), and the prefix never needs a sort:
-// it is the mirror of the suffixes — u is a smaller neighbor of w exactly
-// when w sits in u's suffix — so one linear sweep over the filled suffix
-// regions in ascending u emits every prefix already sorted.
-func conflictsSerial(n int, views []ItemView, demandMembers, edgeMembers [][]int32, rep []int32) [][]int {
-	adj := make([][]int, n)
-	last := make([]int32, n) // last w that saw each smaller member (dedup)
-	for i := range last {
-		last[i] = -1
-	}
-	// Count pass: pair (v < w) adds w to v's suffix and v to w's prefix.
-	counts := make([]int32, n)    // total degree
-	prefixCnt := make([]int32, n) // smaller-neighbor count
-	for w := 0; w < n; w++ {
-		vw := &views[w]
-		w32 := int32(w)
-		for _, v := range demandMembers[vw.Slot] {
-			if v >= w32 {
-				break
+		members = []int{v}
+		visited[v] = true
+		stack = append(stack[:0], int32(v))
+		for len(stack) > 0 {
+			x := &views[stack[len(stack)-1]]
+			stack = stack[:len(stack)-1]
+			if !dSeen[x.Slot] {
+				dSeen[x.Slot] = true
+				visit(demandMembers[x.Slot])
 			}
-			if last[v] != w32 {
-				last[v] = w32
-				counts[v]++
-				counts[w]++
-				prefixCnt[w]++
-			}
-		}
-		for _, e := range vw.Edges {
-			if rep[e] != e {
-				continue
-			}
-			for _, v := range edgeMembers[e] {
-				if v >= w32 {
-					break
-				}
-				if last[v] != w32 {
-					last[v] = w32
-					counts[v]++
-					counts[w]++
-					prefixCnt[w]++
+			for _, e := range x.Edges {
+				if !eSeen[e] {
+					eSeen[e] = true
+					visit(edgeMembers[e])
 				}
 			}
 		}
+		slices.Sort(members)
+		out = append(out, members)
 	}
-	offsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + int(counts[v])
+	if len(prev) > 0 {
+		slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
 	}
-	flat := make([]int, offsets[n])
-	next := make([]int, n) // suffix write cursor per row
-	for v := 0; v < n; v++ {
-		next[v] = offsets[v] + int(prefixCnt[v])
-	}
-	for i := range last {
-		last[i] = -1
-	}
-	// Suffix fill: the outer loop runs w ascending, so each row's larger
-	// neighbors arrive — and land — in ascending order.
-	for w := 0; w < n; w++ {
-		vw := &views[w]
-		w32 := int32(w)
-		for _, v := range demandMembers[vw.Slot] {
-			if v >= w32 {
-				break
-			}
-			if last[v] != w32 {
-				last[v] = w32
-				flat[next[v]] = w
-				next[v]++
-			}
-		}
-		for _, e := range vw.Edges {
-			if rep[e] != e {
-				continue
-			}
-			for _, v := range edgeMembers[e] {
-				if v >= w32 {
-					break
-				}
-				if last[v] != w32 {
-					last[v] = w32
-					flat[next[v]] = w
-					next[v]++
-				}
-			}
-		}
-	}
-	// Prefix fill by mirroring: sweeping u ascending appends u to each
-	// suffix partner's prefix in ascending order. The prefix cursors reuse
-	// next[]: row v's suffix is complete, so its cursor is rewound to the
-	// row start and counts up through the prefix region.
-	copy(next, offsets[:n])
-	for u := 0; u < n; u++ {
-		for _, w := range flat[offsets[u]+int(prefixCnt[u]) : offsets[u+1]] {
-			flat[next[w]] = u
-			next[w]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		adj[v] = flat[offsets[v]:offsets[v+1]:offsets[v+1]]
-	}
-	return adj
-}
-
-// conflictsPartitioned is the two-sided scan row-partitioned over a worker
-// pool: each worker owns the rows in its range, visits every item's groups,
-// and binary searches into the ascending member lists so its share of the
-// quadratic work is proportional to its rows. The last[]-dedup arrays are
-// safely shared: entry v is only ever touched by the worker owning row v.
-func conflictsPartitioned(n int, views []ItemView, demandMembers, edgeMembers [][]int32, rep []int32, workers int) [][]int {
-	adj := make([][]int, n)
-	last := make([]int32, n)
-	counts := make([]int32, n)
-	scanRange := func(members []int32, lo32, hi32, w32 int32, visit func(v int32)) {
-		i := 0
-		if lo32 > 0 {
-			i, _ = slices.BinarySearch(members, lo32)
-		}
-		for ; i < len(members) && members[i] < hi32; i++ {
-			if v := members[i]; v != w32 && last[v] != w32 {
-				last[v] = w32
-				visit(v)
-			}
-		}
-	}
-	pass := func(lo, hi int, visit func(v int32, w int)) {
-		lo32, hi32 := int32(lo), int32(hi)
-		for w := 0; w < n; w++ {
-			vw := &views[w]
-			w32 := int32(w)
-			scanRange(demandMembers[vw.Slot], lo32, hi32, w32, func(v int32) { visit(v, w) })
-			for _, e := range vw.Edges {
-				if rep[e] != e {
-					continue
-				}
-				scanRange(edgeMembers[e], lo32, hi32, w32, func(v int32) { visit(v, w) })
-			}
-		}
-	}
-	var offsets, flat, next []int
-	inParallel := func(visit func(v int32, w int)) {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				pass(lo, hi, visit)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	resetLast := func() {
-		for i := range last {
-			last[i] = -1
-		}
-	}
-	resetLast()
-	inParallel(func(v int32, w int) { counts[v]++ })
-	offsets = make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + int(counts[v])
-	}
-	flat = make([]int, offsets[n])
-	next = make([]int, n)
-	copy(next, offsets[:n])
-	resetLast()
-	// The outer loop runs w ascending, so each row fills with ascending w:
-	// rows come out sorted and need no per-row sort.
-	inParallel(func(v int32, w int) {
-		flat[next[v]] = w
-		next[v]++
-	})
-	for v := 0; v < n; v++ {
-		adj[v] = flat[offsets[v]:offsets[v+1]:offsets[v+1]]
-	}
-	return adj
-}
-
-// BuildConflicts constructs the conflict adjacency of §2 over the items:
-// two items conflict iff they share a demand or they share an edge (which
-// implies the same resource, since edge keys embed the resource id).
-func BuildConflicts(items []Item) [][]int {
-	return buildConflicts(items, 1)
-}
-
-// BuildConflictsWorkers is BuildConflicts computed on a worker pool of the
-// given size; the adjacency is identical at any worker count.
-func BuildConflictsWorkers(items []Item, workers int) [][]int {
-	return buildConflicts(items, workers)
-}
-
-// buildConflicts interns the items into a throwaway layout and builds the
-// adjacency from its dense indices. Callers that already hold a layout
-// (PrepareWorkers) call buildMembers/conflictsFromMembers directly and skip
-// the duplicate interning.
-func buildConflicts(items []Item, workers int) [][]int {
-	lay := buildLayout(items)
-	dm, em := buildMembers(lay.views, lay.ix.NumDemands(), lay.ix.NumEdges())
-	return conflictsFromMembers(len(items), lay.views, dm, em, workers)
+	return out
 }

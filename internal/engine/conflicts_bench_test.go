@@ -26,20 +26,8 @@ func conflictsBenchItems(b *testing.B) []engine.Item {
 	return items
 }
 
-func BenchmarkBuildConflictsWorkers(b *testing.B) {
-	items := conflictsBenchItems(b)
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.BuildConflictsWorkers(items, p)
-			}
-		})
-	}
-}
-
-// BenchmarkPrepareCold measures the full fused preparation — interning,
-// member lists, conflict adjacency — the fixed cost the delta path avoids.
+// BenchmarkPrepareCold measures the full preparation — interning and member
+// lists — the fixed cost the delta path avoids.
 func BenchmarkPrepareCold(b *testing.B) {
 	items := conflictsBenchItems(b)
 	b.ReportAllocs()
@@ -53,9 +41,9 @@ func BenchmarkPrepareCold(b *testing.B) {
 // size: 5% of the items depart and the same items re-arrive in a single
 // Apply. Compare against BenchmarkPrepareCold for the delta-vs-rebuild
 // ratio. This is the incremental path's worst case — one fully contended
-// component, where churning 5% of the demands dirties almost every
-// adjacency row — so the ratio here is modest; BenchmarkApplyDeltaFleet
-// measures the locality regime the path is built for.
+// component, where churning 5% of the demands touches most groups — so the
+// ratio here is modest; BenchmarkApplyDeltaFleet measures the locality
+// regime the path is built for.
 func BenchmarkApplyDelta(b *testing.B) {
 	items := conflictsBenchItems(b)
 	p := engine.Prepare(slices.Clone(items))
@@ -108,7 +96,7 @@ func BenchmarkPrepareColdFleet(b *testing.B) {
 // BenchmarkApplyDeltaFleet measures local churn on a fleet of disjoint
 // networks: each round churns ~3% of the demands, all attached to one
 // rotating network, the arrival pattern of a multi-tenant service. Only
-// the touched component's rows and shards rebuild, so the delta-vs-rebuild
+// the touched component's groups and shards rebuild, so the delta-vs-rebuild
 // ratio is what the incremental path is sized for (target ≥ 5×).
 func BenchmarkApplyDeltaFleet(b *testing.B) {
 	items := fleetBenchItems(b)
@@ -138,10 +126,10 @@ func BenchmarkApplyDeltaFleet(b *testing.B) {
 // the demands) followed by a full re-solve — with the warm-start cache on
 // or off. The warm/cold ns ratio is the replay win; the allocs/op drop
 // relative to cold also shows the pooled per-worker solve scratch (streams,
-// subgraph relabeling, step buffers) at work.
+// election buffers, step buffers) at work.
 func benchmarkSolveChurnFleet(b *testing.B, warm bool, workers int) {
 	items := fleetBenchItems(b)
-	p := engine.PrepareWorkers(slices.Clone(items), workers)
+	p := engine.Prepare(slices.Clone(items))
 	if warm {
 		p.EnableWarmStart()
 	}

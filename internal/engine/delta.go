@@ -19,7 +19,7 @@ import (
 //     the new length move down into freed slots, the remaining freed slots
 //     take the additions, and the rest appends. A displaced survivor is
 //     treated exactly like a removal at its old id plus an arrival at its
-//     new one, which keeps every patched row and member list sorted by
+//     new one, which keeps every patched member list sorted by
 //     construction (below);
 //   - the dense layout extends monotonically — removed items leave their
 //     interned demand slots and edge indices behind. Stale slots hold zero
@@ -29,18 +29,18 @@ import (
 //     stale slot is exact). This is what makes incremental solve results
 //     bitwise identical to a from-scratch Prepare over the same item slice,
 //     even though the slot numbering differs;
-//   - the group member lists and the conflict adjacency are patched, not
-//     rebuilt. Only the groups of departed (removed or displaced) and
-//     arriving items rewrite their member lists, and only rows that lose a
-//     departed neighbor or gain an arriving one are rewritten — by
-//     filtering (which preserves their sort order) and merging in the
-//     arrivals (whose new ids are assigned in ascending order), so no row
-//     or member list is ever re-sorted, let alone rescanned from its
-//     groups. Untouched rows are reused verbatim, which is where the
-//     delta-vs-rebuild speedup comes from;
-//   - the lazily-built shard decomposition is marked stale; the next
-//     ensureShards recomputes the components and reuses the relabeled shard
-//     of every component the churn never reached.
+//   - the group member lists — the whole conflict structure — are patched,
+//     not rebuilt. Only the groups of departed (removed or displaced) and
+//     arriving items change: they filter out departed ids (which preserves
+//     their sort order) and merge in the arrivals (whose new ids are
+//     assigned in ascending order), so no list is ever re-sorted. Untouched
+//     groups are reused verbatim;
+//   - the lazily-built shard decomposition is marked stale, together with
+//     the items the churn reached: every member of a group whose list
+//     changed. Those are exactly the items whose conflict neighborhood
+//     changed, plus the arrivals themselves. The next ensureShards
+//     recomputes the components and reuses the relabeled shard of every
+//     component the churn never reached.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
 // over) and must not overlap a Run/RunParallel or another Apply on the same
@@ -59,32 +59,24 @@ type Delta struct {
 // applyScratch holds Apply's transient O(n) bookkeeping, kept on the
 // Prepared and reused across Applies (which never overlap, per the contract
 // above). Steady churn rounds then allocate only what the post-churn state
-// retains — patched rows, member-list growth, the touched mark — instead of
-// ~a dozen set-sized marker arrays per round.
+// retains — member-list growth, the touched mark — instead of a handful of
+// set-sized marker arrays per round.
 type applyScratch struct {
-	removed    []bool
-	renum      []int
-	dirtyOld   []bool
-	dTouched   []bool
-	eTouched   []bool
-	dBound     []int32
-	eBound     []int32
-	isAdded    []bool
-	stamp      []int32
-	dirtyNew   []bool
-	extras     [][]int32 // entries are reset to length 0 (capacity kept) after use
-	extrasUsed []int32
-	movers     []int
-	free       []int
-	appendedD  []int32
-	appendedE  []int32
-	tail       []int32
-	buf        []int
+	removed   []bool
+	dTouched  []bool
+	eTouched  []bool
+	dBound    []int32
+	eBound    []int32
+	movers    []int
+	free      []int
+	appendedD []int32
+	appendedE []int32
+	tail      []int32
 }
 
 // scratch reslices *buf to length n, allocating only when capacity is
 // short. reset clears the reslice; callers that overwrite every entry
-// anyway (renum, the -1-filled bound and stamp arrays) skip it.
+// anyway (the -1-filled bound arrays) skip it.
 func scratch[T any](buf *[]T, n int, reset bool) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
@@ -129,10 +121,10 @@ func checkDelta(d Delta, n int, removed []bool) error {
 }
 
 // Apply updates the prepared state to the post-churn item set. On error the
-// Prepared is unchanged. The resulting state is equivalent to
-// PrepareWorkers over the resulting Items() slice: identical adjacency,
-// identical components, and bitwise-identical solve results at every worker
-// count.
+// Prepared is unchanged. The resulting state is equivalent to Prepare over
+// the resulting Items() slice: identical member lists (up to the numbering
+// of stale slots), identical components, and bitwise-identical solve
+// results at every worker count.
 //
 //schedvet:hot
 func (p *Prepared) Apply(d Delta) error {
@@ -158,8 +150,8 @@ func (p *Prepared) Apply(d Delta) error {
 	// free slots — including the appended range when the set grows — take
 	// the additions in order, so len(free) - len(movers) == len(d.Add)
 	// always, and every arriving id (mover or addition) exceeds no later
-	// one. drop marks the ids that disappear from rows and member lists:
-	// removals and the movers' old ids.
+	// one. drop marks the ids that disappear from member lists: removals
+	// and the movers' old ids.
 	movers, free := scr.movers[:0], scr.free[:0]
 	for i := newN; i < n; i++ {
 		if !removed[i] {
@@ -177,30 +169,8 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	scr.movers, scr.free = movers, free
 	drop := removed
-	renum := scratch(&scr.renum, n, false) // old id -> new id (-1 for removed); overwritten in full
-	for i := range renum {
-		renum[i] = i
-	}
-	for _, r := range d.Remove {
-		renum[r] = -1
-	}
-	for i, m := range movers {
-		renum[m] = free[i]
-		drop[m] = true
-	}
-
-	// Rows referencing a departed id must filter it out. Marked in old ids;
-	// departed items caught in the mark are filtered below.
-	dirtyOld := scratch(&scr.dirtyOld, n, true)
-	for _, r := range d.Remove {
-		for _, w := range p.adj[r] {
-			dirtyOld[w] = true
-		}
-	}
 	for _, m := range movers {
-		for _, w := range p.adj[m] {
-			dirtyOld[w] = true
-		}
+		drop[m] = true
 	}
 
 	// Mark the groups whose member lists change: those of the removed and
@@ -312,148 +282,28 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	scr.appendedD, scr.appendedE, scr.tail = appendedD, appendedE, tail
 
-	// Discover the arriving conflict pairs. A mover reuses its old neighbor
-	// set: its new id lands in each surviving neighbor's extras. An added
-	// item scans its (patched) group member lists once with stamp dedup;
-	// pairs among additions are covered by each side's own row build below.
-	// Extras target new ids and collect in ascending arriving-id order.
-	isAdded := scratch(&scr.isAdded, newN, true)
-	for _, id := range addSlots {
-		isAdded[id] = true
-	}
-	// extras entries keep their capacity across Applies: every entry an
-	// Apply touches is recorded in extrasUsed and reset to length 0 once the
-	// rows are patched, so entries are always empty on entry here.
-	extras := scratch(&scr.extras, newN, false)
-	extrasUsed := scr.extrasUsed[:0]
-	addExtra := func(m, v int32) {
-		if len(extras[m]) == 0 {
-			extrasUsed = append(extrasUsed, m)
-		}
-		extras[m] = append(extras[m], v)
-	}
-	for i, m := range movers {
-		nm := int32(free[i])
-		for _, w := range p.adj[m] {
-			if nw := renum[w]; nw >= 0 {
-				addExtra(int32(nw), nm)
-			}
-		}
-	}
-	stamp := scratch(&scr.stamp, newN, false)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for _, id := range addSlots {
-		v := &lay.views[id]
-		id32 := int32(id)
-		for _, m := range p.demandMembers[v.Slot] {
-			if m != id32 && !isAdded[m] && stamp[m] != id32 {
-				stamp[m] = id32
-				addExtra(m, id32)
-			}
-		}
-		for _, e := range v.Edges {
-			for _, m := range p.edgeMembers[e] {
-				if m != id32 && !isAdded[m] && stamp[m] != id32 {
-					stamp[m] = id32
-					addExtra(m, id32)
-				}
-			}
-		}
-	}
-
-	// Patch the adjacency. Clean rows (no departed neighbor, no extras)
-	// move to their new positions verbatim. A dirty survivor row filters
-	// out departed ids in place — surviving neighbors keep their ids, so
-	// order is preserved — and one backward merge folds in its ascending
-	// extras: O(degree), no sort, no group rescan. Only arriving additions
-	// build their rows from the member lists. dirtyNew doubles as the
-	// churn-reach set for shard reuse.
-	dirtyNew := scratch(&scr.dirtyNew, newN, true)
-	newAdj := make([][]int, newN)
-	for w := 0; w < n; w++ {
-		nw := renum[w]
-		if nw < 0 {
-			continue
-		}
-		row := p.adj[w]
-		if !dirtyOld[w] && len(extras[nw]) == 0 {
-			newAdj[nw] = row
-			continue
-		}
-		dirtyNew[nw] = true
-		k := 0
-		for _, x := range row {
-			if !drop[x] {
-				row[k] = x
-				k++
-			}
-		}
-		row = row[:k]
-		if ex := extras[nw]; len(ex) > 0 {
-			row = slices.Grow(row, len(ex))[:k+len(ex)]
-			i, j := k-1, len(ex)-1
-			for t := len(row) - 1; j >= 0; t-- {
-				if i >= 0 && row[i] > int(ex[j]) {
-					row[t] = row[i]
-					i--
-				} else {
-					row[t] = int(ex[j])
-					j--
-				}
-			}
-		}
-		newAdj[nw] = row
-	}
-	buf := scr.buf
-	for _, id := range addSlots {
-		dirtyNew[id] = true
-		v := &lay.views[id]
-		id32 := int32(id)
-		buf = buf[:0]
-		for _, m := range p.demandMembers[v.Slot] {
-			if m != id32 && stamp[m] != -2-id32 {
-				stamp[m] = -2 - id32 // fresh stamp space for the second scan
-				buf = append(buf, int(m))
-			}
-		}
-		for _, e := range v.Edges {
-			for _, m := range p.edgeMembers[e] {
-				if m != id32 && stamp[m] != -2-id32 {
-					stamp[m] = -2 - id32
-					buf = append(buf, int(m))
-				}
-			}
-		}
-		slices.Sort(buf)
-		newAdj[id] = slices.Clone(buf)
-	}
-	p.adj = newAdj
-	scr.buf = buf
-	for _, m := range extrasUsed {
-		extras[m] = extras[m][:0]
-	}
-	scr.extrasUsed = extrasUsed
-
 	// Invalidate the lazy shard decomposition, remembering which items the
-	// churn reached so the next ensureShards can keep untouched shards.
+	// churn reached so the next ensureShards can keep untouched shards: the
+	// members of every group whose list changed. Arrivals are members of
+	// the groups they joined. Marks carried over from earlier Applies keep
+	// their ids: every id that moved or departed below newN now holds an
+	// arrival, which is marked anyway.
 	p.shardMu.Lock()
 	if p.shardsBuilt {
 		p.shardsStale = true
 		nt := make([]bool, newN)
-		for w := 0; w < n; w++ {
-			if nw := renum[w]; nw >= 0 && w < len(p.touched) && p.touched[w] {
-				nt[nw] = true
+		copy(nt, p.touched)
+		markMembers(nt, p.demandMembers, dTouched)
+		markMembers(nt, p.edgeMembers, eTouched)
+		for _, s := range appendedD {
+			for _, m := range p.demandMembers[s] {
+				nt[m] = true
 			}
 		}
-		for i := range dirtyNew {
-			if dirtyNew[i] {
-				nt[i] = true
+		for _, e := range appendedE {
+			for _, m := range p.edgeMembers[e] {
+				nt[m] = true
 			}
-		}
-		for i := range movers {
-			nt[free[i]] = true
 		}
 		p.touched = nt
 	}
@@ -462,6 +312,17 @@ func (p *Prepared) Apply(d Delta) error {
 		rec.EndSpan(PhaseApply, tok)
 	}
 	return nil
+}
+
+// markMembers marks every member of the groups flagged in changed.
+func markMembers(marks []bool, members [][]int32, changed []bool) {
+	for g, c := range changed {
+		if c {
+			for _, m := range members[g] {
+				marks[m] = true
+			}
+		}
+	}
 }
 
 // filterDropped compacts a member list in place, removing dropped ids.

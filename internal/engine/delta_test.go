@@ -9,8 +9,8 @@ import (
 )
 
 // The incremental-state suite: any sequence of Apply deltas must leave a
-// Prepared indistinguishable from PrepareWorkers over the same item slice —
-// identical conflict adjacency and components, a layout that maps every
+// Prepared indistinguishable from Prepare over the same item slice —
+// identical member lists and components, a layout that maps every
 // item to the same external demand/edge/owner keys, member lists that match
 // a recomputation from the items, and bitwise-identical solve results at
 // every worker count.
@@ -44,15 +44,20 @@ func reindex(items []Item) []Item {
 
 func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	t.Helper()
-	scratch := PrepareWorkers(reindex(p.items), 1)
+	scratch := Prepare(reindex(p.items))
 
-	// Adjacency, element for element.
-	if len(p.adj) != len(scratch.adj) {
-		t.Fatalf("adjacency size %d, scratch %d", len(p.adj), len(scratch.adj))
+	// Member lists, group by group, matched through the external keys
+	// (slot numbering may differ from scratch: removals leave stale slots).
+	for s, want := range scratch.demandMembers {
+		got, ok := p.lay.ix.DemandSlot(scratch.lay.ix.DemandID(int32(s)))
+		if !ok || !slices.Equal(p.demandMembers[got], want) {
+			t.Fatalf("demand group %d: members diverge from scratch %v", s, want)
+		}
 	}
-	for i := range p.adj {
-		if !slices.Equal(p.adj[i], scratch.adj[i]) {
-			t.Fatalf("row %d: %v, scratch %v", i, p.adj[i], scratch.adj[i])
+	for e, want := range scratch.edgeMembers {
+		got, ok := p.lay.ix.EdgeSlot(scratch.lay.ix.EdgeKey(int32(e)))
+		if !ok || !slices.Equal(p.edgeMembers[got], want) {
+			t.Fatalf("edge group %d: members diverge from scratch %v", e, want)
 		}
 	}
 

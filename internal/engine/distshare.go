@@ -5,7 +5,7 @@ import "treesched/internal/dual"
 // This file is the read-only surface package dist shares with the engine.
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
-// engine already builds once per item set (views, conflict adjacency, dual
+// engine already builds once per item set (views, group member lists, dual
 // extents), and the dist coordinator reconstructs the global selection,
 // dual, λ and trace by replaying the collected raise history through the
 // very same prepared layout. Everything exported here is immutable during
@@ -16,6 +16,14 @@ import "treesched/internal/dual"
 // Strictly read-only: the dist nodes alias these slices directly instead of
 // copying path/critical sets per processor.
 func (p *Prepared) Views() []ItemView { return p.lay.views }
+
+// Members returns the prepared conflict structure: demandMembers[s] and
+// edgeMembers[e] list, ascending, the items whose demand interned to slot s
+// and whose path contains edge index e. Two items conflict iff they share
+// a list. Strictly read-only.
+func (p *Prepared) Members() (demandMembers, edgeMembers [][]int32) {
+	return p.demandMembers, p.edgeMembers
+}
 
 // DemandSlots returns the number of interned demand slots (α extent) of the
 // prepared layout.

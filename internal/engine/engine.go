@@ -131,18 +131,14 @@ type state struct {
 	lay   *layout
 	cfg   Config
 	plan  *Plan
-	adj   [][]int // conflict adjacency over items
 	core  *Core
 	scr   *solveScratch
 	stack []step
 	trace *Trace
 	steps int
 	// pool row-partitions the per-step kernels (intrapar.go); nil runs every
-	// kernel inline. misPool is the same pool behind the mis.Pool interface,
-	// stored once so the hot loop never re-boxes it (a nil pool leaves
-	// misPool nil too, keeping Luby on its serial path).
-	pool    *intraPool
-	misPool mis.Pool
+	// kernel inline.
+	pool *intraPool
 }
 
 // solveScratch bundles a state's reusable per-run buffers, split out so the
@@ -155,18 +151,15 @@ type solveScratch struct {
 	// streams holds one splitmix64 priority stream per owner slot, re-seeded
 	// by newState exactly as the dist nodes seed theirs (NewStream).
 	streams []Stream
-	// index is the scratch used by subgraph to relabel item ids to dense
-	// positions within the current unsatisfied set; -1 = absent. It replaces
-	// a per-step map rebuild on the hot path. Invariant between uses: all
-	// entries are -1 (subgraph resets the entries it touched on exit).
-	index []int
-	// sub is the reusable subgraph adjacency backing; sub[i] slices are
-	// truncated and refilled each step.
-	sub [][]int
 	// uBuf and slotBuf are per-step scratch for the unsatisfied set and its
 	// owner slots.
 	uBuf    []int
 	slotBuf []int
+	// cover is the step's conflict graph as mis reads it: the unsatisfied
+	// items' demand slots and edge-index lists, by position in u. mis holds
+	// the election's per-vertex and per-group buffers.
+	cover mis.Cover
+	mis   mis.Scratch
 	// flags is the shared per-row output of the partitioned kernels: each
 	// lane writes verdicts at its own row indices, and the coordinating
 	// goroutine collects them in ascending row order (intrapar.go). Only
@@ -248,14 +241,15 @@ func Run(items []Item, cfg Config) (*Result, error) {
 	return Prepare(items).Run(cfg)
 }
 
-// newState assembles run state over a prepared plan, conflict adjacency and
-// dense layout. The layout is read-only: concurrent states (the Solver's
-// cached Prepared, shard workers) may share one. scr may be a pooled
-// scratch (nil allocates a private one); its streams are re-seeded here, so
-// a recycled scratch starts every run from the same stream positions a
-// fresh one would. pool (nil = inline) row-partitions the per-step kernels;
+// newState assembles run state over a prepared plan and dense layout. The
+// layout is read-only: concurrent states (the Solver's cached Prepared,
+// shard workers) may share one. Its views are also the conflict graph: an
+// item's demand slot and edge indices are the groups it belongs to. scr
+// may be a pooled scratch (nil allocates a private one); its streams are
+// re-seeded here, so a recycled scratch starts every run from the same
+// stream positions a fresh one would. pool (nil = inline) row-partitions the per-step kernels;
 // the state borrows it for the run and must be its only user while running.
-func newState(items []Item, lay *layout, cfg Config, plan *Plan, adj [][]int, scr *solveScratch, pool *intraPool) *state {
+func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch, pool *intraPool) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
@@ -264,13 +258,9 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, adj [][]int, sc
 		lay:   lay,
 		cfg:   cfg,
 		plan:  plan,
-		adj:   adj,
 		core:  lay.newCore(cfg.Mode),
 		scr:   scr,
 		pool:  pool,
-	}
-	if pool != nil {
-		st.misPool = pool
 	}
 	if cap(scr.streams) < len(lay.ownerID) {
 		scr.streams = make([]Stream, len(lay.ownerID))
@@ -302,7 +292,7 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 		rec.Count(CounterIntraLanes, int64(lanes))
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	st := newState(p.items, p.lay, cfg, plan, p.adj, scr, pool)
+	st := newState(p.items, p.lay, cfg, plan, scr, pool)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	res.Delta = MaxCritical(p.items)
 	if err := st.firstPhase(res); err != nil {
@@ -486,62 +476,34 @@ func (st *state) unsatisfiedPar(members []int, thresh float64) []int {
 
 // independentSet computes a maximal independent set within u (item ids) and
 // returns the selected ids ascending plus the number of Luby iterations.
+// mis reads the conflict graph among u as its clique cover: each item's
+// demand slot and path edge indices, the groups whose shared membership is
+// the §2 conflict relation.
+//
+//schedvet:hot
 func (st *state) independentSet(u []int) ([]int, int) {
-	sub := st.subgraph(u)
+	scr := st.scr
+	c := &scr.cover
+	c.Demand, c.Edges = c.Demand[:0], c.Edges[:0]
+	slots := scr.slotBuf[:0]
+	views := st.lay.views
+	for _, id := range u {
+		v := &views[id]
+		c.Demand = append(c.Demand, v.Slot)
+		c.Edges = append(c.Edges, v.Edges)
+		slots = append(slots, int(st.lay.ownerSlot[id]))
+	}
+	scr.slotBuf = slots
+	c.NumDemands, c.NumEdges = st.lay.ix.NumDemands(), st.lay.ix.NumEdges()
 	if st.cfg.MIS == GreedyMIS {
-		return pick(u, mis.Greedy(len(u), sub)), 1
+		return pick(u, mis.Greedy(c, &scr.mis)), 1
 	}
 	// Luby receives owner *slots*; st.draw resolves a slot to its stream.
 	// The engine controls both sides of the Drawer contract, so passing
 	// slots instead of external owner ids is invisible to mis — and the
 	// streams themselves are seeded from the external ids, matching dist.
-	slots := st.scr.slotBuf[:0]
-	for _, id := range u {
-		slots = append(slots, int(st.lay.ownerSlot[id]))
-	}
-	st.scr.slotBuf = slots
-	in, iters := mis.LubyPool(slots, sub, st.draw, st.misPool)
+	in, iters := mis.Luby(c, slots, st.draw, &scr.mis)
 	return pick(u, in), iters
-}
-
-// subgraph restricts the conflict adjacency to u, relabeling to 0..len(u)-1.
-// It reuses a dense item-id → position scratch instead of rebuilding a map
-// every step; the scratch is reset on exit so later steps (and later runs
-// recycling the same pooled scratch) see a clean slate.
-//
-//schedvet:hot
-func (st *state) subgraph(u []int) [][]int {
-	scr := st.scr
-	for len(scr.index) < len(st.items) {
-		scr.index = append(scr.index, -1)
-	}
-	for i, id := range u {
-		scr.index[id] = i
-	}
-	if cap(scr.sub) < len(u) {
-		scr.sub = make([][]int, len(u))
-	}
-	sub := scr.sub[:len(u)]
-	scr.sub = sub
-	// The row refill is read-only over adj and the just-built index, and
-	// each lane writes only its own sub rows, so partitioning it cannot
-	// reorder anything observable: rows are keyed by position, not by
-	// completion time.
-	st.pool.Run(len(u), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := sub[i][:0]
-			for _, w := range st.adj[u[i]] {
-				if j := scr.index[w]; j >= 0 {
-					row = append(row, j)
-				}
-			}
-			sub[i] = row
-		}
-	})
-	for _, id := range u {
-		scr.index[id] = -1
-	}
-	return sub
 }
 
 func pick(u []int, in []bool) []int {

@@ -352,6 +352,11 @@ func TestEmptyItems(t *testing.T) {
 	}
 }
 
+// TestBuildConflictsMatchesDefinition checks the engine's conflict
+// structure against the model's definition of conflicting demand
+// instances: two items share a member list iff model.Conflicting holds,
+// and the components the engine derives from its lists are those of the
+// definitional adjacency.
 func TestBuildConflictsMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	in, err := workload.RandomTreeInstance(workload.TreeConfig{
@@ -364,22 +369,36 @@ func TestBuildConflictsMatchesDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := engine.BuildConflicts(items)
-	dis := in.Expand()
-	for a := range dis {
-		want := map[int]bool{}
-		for b := range dis {
-			if model.Conflicting(&dis[a], &dis[b]) {
-				want[b] = true
+	prep := engine.Prepare(items)
+	shared := make([][]bool, len(items))
+	for i := range shared {
+		shared[i] = make([]bool, len(items))
+	}
+	dm, em := prep.Members()
+	for _, lists := range [][][]int32{dm, em} {
+		for _, list := range lists {
+			for _, a := range list {
+				for _, b := range list {
+					shared[a][b] = a != b
+				}
 			}
 		}
-		got := map[int]bool{}
-		for _, w := range adj[a] {
-			got[w] = true
+	}
+	dis := in.Expand()
+	adj := make([][]int, len(dis))
+	for a := range dis {
+		for b := range dis {
+			want := model.Conflicting(&dis[a], &dis[b])
+			if want {
+				adj[a] = append(adj[a], b)
+			}
+			if shared[a][b] != want {
+				t.Fatalf("items %d and %d: share a member list %v, conflicting %v", a, b, shared[a][b], want)
+			}
 		}
-		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-			t.Fatalf("conflicts of %d = %v, want %v", a, adj[a], want)
-		}
+	}
+	if got, want := prep.Components(), oracleComponents(adj); !reflect.DeepEqual(got, want) {
+		t.Fatalf("components %v, oracle %v", got, want)
 	}
 }
 

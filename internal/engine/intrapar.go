@@ -13,12 +13,6 @@ import (
 // are embarrassingly data-parallel over dense index rows:
 //
 //   - the unsatisfied scan evaluates one threshold test per group member,
-//   - the subgraph restriction refills one adjacency row per unsatisfied
-//     item,
-//   - the Luby election checks one win predicate per candidate (the draws
-//     themselves stay serial: a splitmix64 stream is a sequential object,
-//     and the per-owner draw order is the bit-compatibility contract with
-//     package dist),
 //   - the greedy second phase evaluates one feasibility predicate per
 //     step member,
 //   - the λ scan folds one constraint ratio per item.
@@ -38,6 +32,13 @@ import (
 // β ranges (see raiseAll). Partitioning choices — lane count, grain, chunk
 // boundaries — therefore never reach the results, which is what makes the
 // worker count a pure performance knob at both levels.
+//
+// The Luby election is not partitioned. Its group form (package mis) costs
+// O(Σ (1 + |path|)) per iteration over the step's live items, too little to
+// pay for lane handoffs: a partitioned win-check measured no faster than
+// the inline one on a contended single component. Its draws are serial
+// anyway: a splitmix64 stream is a sequential object, and the per-owner
+// draw order is the bit-compatibility contract with package dist.
 
 // intraGrain is the minimum number of dense rows a lane must receive before
 // a kernel is worth partitioning; below 2×grain every kernel runs inline on
@@ -129,9 +130,6 @@ func (p *intraPool) close() {
 // function of (n, lanes, grain) alone — but nothing downstream may depend
 // on them: kernels write per-row outputs, and the caller merges rows in
 // ascending order after Run returns.
-//
-// Run satisfies mis.Pool, which is how the Luby win-check partitions
-// without the mis package importing the engine.
 func (p *intraPool) Run(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

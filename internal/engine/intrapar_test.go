@@ -128,8 +128,8 @@ func intraParCases(t *testing.T, mode Mode, seed int64) map[string][]Item {
 // counts {1,2,3,4,8} × seeds × unit/narrow modes × single/multi-component
 // decompositions × traced/untraced runs, RunParallel equals the serial
 // Prepared.Run exactly. Grain 4 and lane cap 8 force every partitioned
-// kernel (unsatisfied, subgraph, Luby win-check, raiseAll, greedy steps,
-// λ fold) onto multiple lanes.
+// kernel (unsatisfied, raiseAll, greedy steps, λ fold) onto multiple
+// lanes.
 func TestIntraParallelMatchesSerial(t *testing.T) {
 	SetIntraTuningForTest(t, 4, 8)
 	for _, mode := range []Mode{Unit, Narrow} {
@@ -142,7 +142,7 @@ func TestIntraParallelMatchesSerial(t *testing.T) {
 						t.Fatalf("%v/%s/seed=%d serial: %v", mode, name, seed, err)
 					}
 					for _, w := range []int{1, 2, 3, 4, 8} {
-						p := PrepareWorkers(slices.Clone(items), w)
+						p := Prepare(slices.Clone(items))
 						got, err := p.RunParallel(cfg, w)
 						if err != nil {
 							t.Fatalf("%v/%s/seed=%d w=%d: %v", mode, name, seed, w, err)
@@ -166,7 +166,7 @@ func TestIntraParallelWarmReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := PrepareWorkers(slices.Clone(items), 8)
+	warm := Prepare(slices.Clone(items))
 	warm.EnableWarmStart()
 	for i, w := range []int{8, 1, 3, 2, 4} {
 		got, err := warm.RunParallel(cfg, w)
@@ -187,7 +187,7 @@ func TestIntraParallelWarmReplay(t *testing.T) {
 func TestIntraKernelsExercised(t *testing.T) {
 	SetIntraTuningForTest(t, 4, 8)
 	items := chainItems(64, 1)
-	p := PrepareWorkers(slices.Clone(items), 8)
+	p := Prepare(slices.Clone(items))
 	plan, err := PlanFor(p.items, &Config{Mode: Unit, Epsilon: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

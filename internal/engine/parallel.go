@@ -34,41 +34,6 @@ import (
 // warm-start cache enabled (warm.go), shards untouched by churn reuse their
 // previous outcome instead of re-running the schedule.
 
-// ConflictComponents returns the connected components of a conflict
-// adjacency (as produced by BuildConflicts): each component is an ascending
-// slice of item ids, and components are ordered by smallest member.
-func ConflictComponents(adj [][]int) [][]int {
-	comp := make([]int, len(adj))
-	for i := range comp {
-		comp[i] = -1
-	}
-	var out [][]int
-	var stack []int
-	for v := range adj {
-		if comp[v] >= 0 {
-			continue
-		}
-		id := len(out)
-		members := []int{v}
-		comp[v] = id
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[x] {
-				if comp[w] < 0 {
-					comp[w] = id
-					members = append(members, w)
-					stack = append(stack, w)
-				}
-			}
-		}
-		slices.Sort(members)
-		out = append(out, members)
-	}
-	return out
-}
-
 // shardOut is one conflict component's completed first-phase execution:
 // exactly what mergeShards consumes and nothing transient — the raise stack
 // with schedule stamps, the shard-local dense dual assignment, the trace
@@ -100,7 +65,7 @@ type shardOut struct {
 // Result is bit-identical to Run(items, cfg) at every worker count; with
 // workers ≤ 1 the serial engine runs directly.
 func RunParallel(items []Item, cfg Config, workers int) (*Result, error) {
-	return PrepareWorkers(items, workers).RunParallel(cfg, workers)
+	return Prepare(items).RunParallel(cfg, workers)
 }
 
 // RunParallel executes the sharded pipeline over the prepared state,
@@ -160,7 +125,7 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 // is bitwise identical at every lane count, which is what keeps warm-start
 // replays valid no matter how the budget that produced them was split.
 func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout, pool *intraPool) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, pre.adj, scr, pool)
+	st := newState(pre.items, pre.lay, cfg, plan, scr, pool)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err

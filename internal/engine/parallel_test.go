@@ -3,6 +3,7 @@ package engine_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"treesched/internal/engine"
@@ -108,8 +109,10 @@ func TestRunArbitraryParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConflictComponents checks the component decomposition: a partition of
-// the item ids, no conflict edge crossing components, sorted members.
+// TestConflictComponents checks the component decomposition the engine
+// derives from its member lists against the components of the definitional
+// adjacency oracle: the same partition, ascending members, components
+// ordered by smallest member.
 func TestConflictComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -119,51 +122,65 @@ func TestConflictComponents(t *testing.T) {
 			AccessMin: 1, AccessMax: 1 + rng.Intn(3),
 		}
 		items := treeItems(t, cfg, int64(trial))
-		adj := engine.BuildConflicts(items)
-		comps := engine.ConflictComponents(adj)
-		which := make([]int, len(items))
-		for i := range which {
-			which[i] = -1
-		}
-		total := 0
-		for c, comp := range comps {
-			for i, id := range comp {
-				if i > 0 && comp[i-1] >= id {
-					t.Fatalf("trial %d: component %d not strictly ascending", trial, c)
-				}
-				if which[id] != -1 {
-					t.Fatalf("trial %d: item %d in two components", trial, id)
-				}
-				which[id] = c
-				total++
-			}
-		}
-		if total != len(items) {
-			t.Fatalf("trial %d: components cover %d of %d items", trial, total, len(items))
-		}
-		for v := range adj {
-			for _, w := range adj[v] {
-				if which[v] != which[w] {
-					t.Fatalf("trial %d: conflict edge %d-%d crosses components", trial, v, w)
-				}
-			}
+		got := engine.Prepare(items).Components()
+		want := oracleComponents(definitionalConflicts(items))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: components %v, oracle %v", trial, got, want)
 		}
 	}
 }
 
-// TestBuildConflictsParallelMatchesSerial pins the worker-pool conflict
-// build to the serial construction.
-func TestBuildConflictsParallelMatchesSerial(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		items := treeItems(t, workload.TreeConfig{
-			Vertices: 64, Trees: 3, Demands: 80, ProfitRatio: 16,
-		}, seed)
-		want := engine.BuildConflicts(items)
-		for _, workers := range []int{2, 4, 7} {
-			got := engine.BuildConflictsWorkers(items, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d workers %d: adjacency diverged", seed, workers)
+// definitionalConflicts is the test oracle of the conflict graph: the §2
+// definition applied to every pair — two items conflict iff they share a
+// demand or an edge. Rows ascending.
+func definitionalConflicts(items []engine.Item) [][]int {
+	adj := make([][]int, len(items))
+	for a := range items {
+		for b := range items {
+			if a != b && conflicting(&items[a], &items[b]) {
+				adj[a] = append(adj[a], b)
 			}
 		}
 	}
+	return adj
+}
+
+func conflicting(a, b *engine.Item) bool {
+	if a.Demand == b.Demand {
+		return true
+	}
+	for _, e := range a.Edges {
+		if slices.Contains(b.Edges, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// oracleComponents is a plain depth-first decomposition of an adjacency:
+// ascending members, components ordered by smallest member.
+func oracleComponents(adj [][]int) [][]int {
+	seen := make([]bool, len(adj))
+	var out [][]int
+	for v := range adj {
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		comp, stack := []int{v}, []int{v}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range adj[x] {
+				if !seen[w] {
+					seen[w] = true
+					comp = append(comp, w)
+					stack = append(stack, w)
+				}
+			}
+		}
+		slices.Sort(comp)
+		out = append(out, comp)
+	}
+	return out
 }

@@ -10,13 +10,14 @@ import (
 // This file implements run preparation: everything about an item set that
 // is independent of the Config and can therefore be built once and reused
 // across solves — the dense dual layout (interned demand slots and edge
-// indices plus per-item views), the conflict adjacency of §2, and, for the
-// sharded pipeline, the per-component relabelings. The root Solver caches
-// Prepared values keyed by instance content, so the steady state of a
-// scheduling service re-solving a fixed network set skips conflict
-// construction and interning entirely and goes straight into the schedule.
-// For churning workloads — demands arriving and departing on an unchanged
-// network — Prepared.Apply (delta.go) updates the same state incrementally.
+// indices plus per-item views), the demand and edge member lists that are
+// the whole conflict structure of §2 (conflicts.go), and, for the sharded
+// pipeline, the per-component relabelings. The root Solver caches Prepared
+// values keyed by instance content, so the steady state of a scheduling
+// service re-solving a fixed network set skips interning entirely and goes
+// straight into the schedule. For churning workloads — demands arriving and
+// departing on an unchanged network — Prepared.Apply (delta.go) updates the
+// same state incrementally.
 
 // layout is the dense dual addressing of one item set: a frozen dual.Index
 // plus per-item views and per-owner stream bookkeeping. Built once; strictly
@@ -66,28 +67,26 @@ func (lay *layout) newCore(mode Mode) *Core {
 }
 
 // Prepared is an item set with its Config-independent run state: dense
-// layout, dense group member lists, conflict adjacency, and (lazily) the
-// connected components and per-shard relabelings of the sharded pipeline.
-// A Prepared is immutable during runs apart from the lazily-built shard
-// structures (guarded by shardMu), so it is safe for concurrent
-// Run/RunParallel calls — the property the root Solver's cross-solve cache
-// relies on. Apply (delta.go) mutates the state between runs; it must never
-// overlap a run or another Apply on the same Prepared.
+// layout, dense group member lists, and (lazily) the connected components
+// and per-shard relabelings of the sharded pipeline. A Prepared is
+// immutable during runs apart from the lazily-built shard structures
+// (guarded by shardMu), so it is safe for concurrent Run/RunParallel calls
+// — the property the root Solver's cross-solve cache relies on. Apply
+// (delta.go) mutates the state between runs; it must never overlap a run or
+// another Apply on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
-	adj   [][]int
 	// demandMembers[s] / edgeMembers[e] list the item ids (ascending) whose
-	// demand interned to slot s / whose path contains edge index e — the
-	// grouping the adjacency is built from, retained so Apply can rebuild
-	// only the rows a delta touches.
+	// demand interned to slot s / whose path contains edge index e. Each
+	// list is a clique of the conflict graph, and the graph is their union.
 	demandMembers [][]int32
 	edgeMembers   [][]int32
 
 	shardMu     sync.Mutex
 	shardsBuilt bool
 	shardsStale bool   // an Apply ran since the last shard build
-	touched     []bool // items whose row/content/id changed since then
+	touched     []bool // items a delta reached since then (delta.go)
 	comps       [][]int
 	shards      []*preShard
 
@@ -105,40 +104,46 @@ type Prepared struct {
 }
 
 // preShard is one conflict component relabeled to dense shard-local ids.
+// Its layout's views carry the component's conflict structure as they do
+// globally: each view's slot and edge indices are its groups.
 type preShard struct {
 	comp  []int   // global item ids, ascending
 	items []Item  // re-indexed copies (ID = position in comp)
-	adj   [][]int // adjacency relabeled to shard-local ids
 	lay   *layout // shard-local dense layout
 }
 
-// Prepare builds the Config-independent run state of an item set with a
-// serial conflict build.
-func Prepare(items []Item) *Prepared { return PrepareWorkers(items, 1) }
-
-// PrepareWorkers is Prepare with the conflict adjacency built on a worker
-// pool of the given size (identical adjacency at any worker count). The
-// build is a single fused pass: the layout's interned demand slots and edge
-// indices double as the conflict grouping, so the items are traversed and
-// hashed exactly once.
-func PrepareWorkers(items []Item, workers int) *Prepared {
+// Prepare builds the Config-independent run state of an item set: one pass
+// interns the dense layout, and one pass over its views groups the items
+// into member lists.
+func Prepare(items []Item) *Prepared {
 	lay := buildLayout(items)
 	dm, em := buildMembers(lay.views, lay.ix.NumDemands(), lay.ix.NumEdges())
 	return &Prepared{
 		items:         items,
 		lay:           lay,
-		adj:           conflictsFromMembers(len(items), lay.views, dm, em, workers),
 		demandMembers: dm,
 		edgeMembers:   em,
 	}
 }
 
+// PrepareWorkers is Prepare. The worker count is ignored: preparation is
+// linear in the total path length and has nothing left to split. It is
+// kept so existing callers compile unchanged.
+func PrepareWorkers(items []Item, workers int) *Prepared { return Prepare(items) }
+
 // Items returns the prepared item set. Callers must not mutate it.
 func (p *Prepared) Items() []Item { return p.items }
 
-// Conflicts returns the prepared conflict adjacency. Callers must not
-// mutate it.
-func (p *Prepared) Conflicts() [][]int { return p.adj }
+// Components returns the connected components of the prepared item set's
+// conflict graph: each an ascending slice of item ids, ordered by smallest
+// member. It is the decomposition the sharded pipeline runs on, built on
+// first use. Callers must not mutate it.
+func (p *Prepared) Components() [][]int {
+	p.ensureShards()
+	p.shardMu.Lock()
+	defer p.shardMu.Unlock()
+	return p.comps
+}
 
 // Run executes the serial engine over the prepared state: one goroutine,
 // no row partitioning — the ground truth every parallel configuration is
@@ -164,9 +169,9 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 // ensureShards builds the component decomposition and per-shard relabelings,
 // reusing both across runs. After an Apply, the decomposition is refreshed
 // incrementally: components untouched by any delta since the last build —
-// same member ids, no member's row, content or id changed — keep their
-// relabeled shard (items, adjacency and shard-local layout) verbatim, and
-// only components the churn actually reached are relabeled again.
+// same member ids, no member reached by the churn — keep their relabeled
+// shard (items and shard-local layout) verbatim, and only components the
+// churn actually reached are relabeled again.
 func (p *Prepared) ensureShards() {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
@@ -177,12 +182,11 @@ func (p *Prepared) ensureShards() {
 	if p.rec != nil {
 		tok = p.rec.StartSpan(PhaseComponents)
 	}
-	var comps [][]int
-	if p.shardsStale && len(p.touched) == len(p.adj) {
-		comps = refreshComponents(p.adj, p.comps, p.touched)
-	} else {
-		comps = ConflictComponents(p.adj)
+	var prev [][]int
+	if p.shardsStale && len(p.touched) == len(p.items) {
+		prev = p.comps
 	}
+	comps := conflictComponents(p.lay.views, p.demandMembers, p.edgeMembers, prev, p.touched)
 	var reusable map[int]*preShard // previous shards by smallest member id
 	if p.shardsStale && len(p.shards) > 0 {
 		reusable = make(map[int]*preShard, len(p.shards))
@@ -204,27 +208,17 @@ func (p *Prepared) ensureShards() {
 		}
 		return
 	}
-	local := make([]int, len(p.items))
 	p.shards = make([]*preShard, len(comps))
 	for s, comp := range comps {
 		if sh := reusable[comp[0]]; sh != nil && slices.Equal(sh.comp, comp) && !anyTouched(touched, comp) {
 			p.shards[s] = sh
 			continue
 		}
-		for i, id := range comp {
-			local[id] = i
-		}
 		sh := &preShard{comp: comp}
 		sh.items = make([]Item, len(comp))
-		sh.adj = make([][]int, len(comp))
 		for i, id := range comp {
 			sh.items[i] = p.items[id]
 			sh.items[i].ID = i
-			row := make([]int, len(p.adj[id]))
-			for j, w := range p.adj[id] {
-				row[j] = local[w]
-			}
-			sh.adj[i] = row
 		}
 		sh.lay = buildLayout(sh.items)
 		p.shards[s] = sh
@@ -246,64 +240,6 @@ func (p *Prepared) knownSingleComponent() bool {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
 	return p.shardsBuilt && len(p.comps) <= 1
-}
-
-// refreshComponents recomputes the component decomposition after churn,
-// keeping the member slice of every previous component no touched item
-// belongs to and traversing only the rest. The reuse is sound for exactly
-// the reason shard reuse is: an untouched item keeps its id and its
-// adjacency row verbatim (Apply marks every rewritten, moved or added row),
-// and conflict edges are symmetric — a new edge reaching into a
-// fully-untouched component would have rewritten the row of the member it
-// lands on, marking it touched. A previous component whose members are all
-// untouched is therefore closed in the new graph with the same member set.
-// A member id at or past len(adj) means that member departed when the set
-// shrank; such components are always re-traversed. The output is identical
-// to ConflictComponents(adj): same partition, ascending members, components
-// ordered by smallest member.
-func refreshComponents(adj [][]int, prev [][]int, touched []bool) [][]int {
-	visited := make([]bool, len(adj))
-	out := make([][]int, 0, len(prev))
-	for _, members := range prev {
-		clean := true
-		for _, id := range members {
-			if id >= len(adj) || touched[id] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		for _, id := range members {
-			visited[id] = true
-		}
-		out = append(out, members)
-	}
-	var stack []int
-	for v := range adj {
-		if visited[v] {
-			continue
-		}
-		members := []int{v}
-		visited[v] = true
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[x] {
-				if !visited[w] {
-					visited[w] = true
-					members = append(members, w)
-					stack = append(stack, w)
-				}
-			}
-		}
-		slices.Sort(members)
-		out = append(out, members)
-	}
-	slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
-	return out
 }
 
 func anyTouched(touched []bool, comp []int) bool {

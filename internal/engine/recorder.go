@@ -26,9 +26,9 @@ const (
 	// arbitrary-heights solve brackets each non-empty height class
 	// separately, so it emits up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
-	// PhasePrepare brackets layout + conflict construction
-	// (PrepareWorkers), emitted by the owners of preparation: the root
-	// Solver, Session compaction, and the dist setup.
+	// PhasePrepare brackets layout + member-list construction (Prepare),
+	// emitted by the owners of preparation: the root Solver, Session
+	// compaction, and the dist setup.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance
 	// expansion, and the incremental Apply.

@@ -59,7 +59,7 @@ func TestRecorderSpansBalanced(t *testing.T) {
 	for name, items := range shardedCases(t, engine.Unit, 3) {
 		for _, workers := range []int{1, 4} {
 			rec := newCountingRecorder()
-			prep := engine.PrepareWorkers(items, workers)
+			prep := engine.Prepare(items)
 			prep.SetRecorder(rec)
 			if _, err := prep.RunParallel(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 3}, workers); err != nil {
 				t.Fatalf("%s p=%d: %v", name, workers, err)
@@ -110,7 +110,7 @@ func TestRecorderObservesNeverSteers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d p=%d: bare: %v", name, seed, workers, err)
 				}
-				prep := engine.PrepareWorkers(items, workers)
+				prep := engine.Prepare(items)
 				prep.SetRecorder(newCountingRecorder())
 				attached, err := prep.RunParallel(cfg, workers)
 				if err != nil {
@@ -138,7 +138,7 @@ func TestRecorderArbitraryHeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := newCountingRecorder()
-	prep := engine.PrepareArbitraryWorkers(items, 4)
+	prep := engine.PrepareArbitrary(items)
 	prep.SetRecorder(rec)
 	attached, err := prep.RunParallel(cfg, 4)
 	if err != nil {

@@ -4,7 +4,7 @@ import "sync"
 
 // This file implements the warm-started incremental dual cache of the
 // sharded pipeline. The epoch/stage/step schedule is component-local: a
-// shard's execution reads nothing outside its preShard (items, adjacency,
+// shard's execution reads nothing outside its preShard (items and
 // shard-local layout) and the run configuration, and its per-owner priority
 // streams are re-seeded from scratch every run (NewStream over the external
 // owner id) — so two runs of the same preShard under the same configuration
@@ -18,8 +18,8 @@ import "sync"
 //
 // Invalidation rides on ensureShards' existing reuse discipline: a cache
 // entry is keyed by preShard pointer identity, and ensureShards only reuses
-// a preShard for a component whose member ids, rows and contents are all
-// unchanged since the last build. Components touched (or renumbered) by a
+// a preShard for a component whose member ids are unchanged and none of
+// whose members a delta reached since the last build. Components touched (or renumbered) by a
 // delta get fresh preShard values and therefore miss; a full re-preparation
 // (Solver compaction) builds a fresh Prepared and starts cold. Stream
 // positions cannot drift across rounds because streams are not carried

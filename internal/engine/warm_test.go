@@ -74,7 +74,7 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			pool := warmPoolItems(t, seed, 56, mode.heights)
 			start := len(pool) * 2 / 3
-			warm := PrepareWorkers(reindex(pool[:start]), 2)
+			warm := Prepare(reindex(pool[:start]))
 			warm.EnableWarmStart()
 			order := make([]int, start)
 			for i := range order {
@@ -116,7 +116,7 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 // and component-local churn replaying everything but the touched component.
 func TestWarmReplayCounters(t *testing.T) {
 	pool := warmPoolItems(t, 5, 48, workload.UnitHeights)
-	p := PrepareWorkers(reindex(pool[:40]), 4)
+	p := Prepare(reindex(pool[:40]))
 	p.EnableWarmStart()
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 7}
 	solve := func() {

@@ -10,16 +10,13 @@ func BenchmarkLuby(b *testing.B) {
 	for _, n := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			adj := randomGraph(n, 10.0/float64(n), rng) // ~avg degree 10
-			owners := make([]int, n)
-			for i := range owners {
-				owners[i] = i
-			}
+			c := randomCover(coverShape{n: n, demands: n, edges: n, maxPath: 4}, rng)
+			o := owners(n, n)
+			var s Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				draw := singleStream(int64(i))
-				Luby(owners, adj, draw)
+				Luby(c, o, singleStream(int64(i)), &s)
 			}
 		})
 	}
@@ -28,10 +25,11 @@ func BenchmarkLuby(b *testing.B) {
 func BenchmarkGreedy(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 5000
-	adj := randomGraph(n, 10.0/float64(n), rng)
+	c := randomCover(coverShape{n: n, demands: n, edges: n, maxPath: 4}, rng)
+	var s Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Greedy(n, adj)
+		Greedy(c, &s)
 	}
 }

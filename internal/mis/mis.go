@@ -3,6 +3,12 @@
 // choice [14]) in a form shared verbatim between the in-process engine and
 // the message-passing protocol, plus a deterministic greedy fallback.
 //
+// The graph is never materialized: both algorithms read it as the clique
+// cover it comes from. By §2 two demand instances conflict iff they share a
+// demand or an edge, so every demand and every edge is a clique of the
+// conflict graph and the graph is exactly the union of those cliques. An
+// adjacency list costs Σ deg; the cover costs Σ (1 + |path|).
+//
 // The decisive design point is the draw schedule: priorities are drawn from
 // per-owner PRNG streams in increasing item order, exactly the order in
 // which a distributed processor draws for its own items. This makes the
@@ -10,57 +16,106 @@
 // independent sets for identical seeds.
 package mis
 
-import (
-	"maps"
-	"slices"
-)
+import "math"
 
 // Drawer supplies random priorities; the engine passes per-owner PRNG
 // streams so distributed and local runs agree.
 type Drawer func(owner int) float64
 
-// Pool partitions rows [0,n) into contiguous chunks and runs fn over them,
-// returning when all chunks are done; fn must tolerate concurrent calls on
-// disjoint ranges. LubyPool uses it to spread the win-check — the O(Σ deg)
-// part of an iteration — across worker lanes. The engine's intra-component
-// pool satisfies it; a nil Pool runs everything inline.
-type Pool interface {
-	Run(n int, fn func(lo, hi int))
+// Cover is a conflict graph on the vertices 0..len(Demand)-1, given as a
+// clique cover in the shape of §2: vertex v lies in the demand group
+// Demand[v] and in the edge groups Edges[v], and two distinct vertices
+// conflict iff they share a group. Demand groups are numbered in
+// [0, NumDemands) and edge groups in [0, NumEdges), as two separate spaces.
+type Cover struct {
+	Demand     []int32
+	Edges      [][]int32
+	NumDemands int
+	NumEdges   int
 }
 
-// Luby computes a maximal independent set of the graph whose vertices are
-// 0..len(owners)-1 and whose adjacency is adj (symmetric, no self-loops).
-// Vertices must be visited in increasing index order when drawing, per the
-// contract above. It returns the membership vector and the number of Luby
-// iterations (each iteration costs two communication rounds in the
-// distributed implementation: one to exchange draws, one to announce
-// winners).
-func Luby(owners []int, adj [][]int, draw Drawer) (inMIS []bool, iterations int) {
-	return LubyPool(owners, adj, draw, nil)
+// Scratch holds the buffers of Luby and Greedy: per-vertex state, and per
+// group the current minimum and a stamp of the pass that last wrote it.
+// Stamps make the per-group arrays reusable without clearing them, so one
+// election per step costs O(Σ group memberships), not O(groups). A zero
+// Scratch is ready to use. Slices returned by Luby and Greedy alias the
+// scratch and are valid until its next use; a Scratch must not be used by
+// two calls at once.
+type Scratch struct {
+	inMIS, live  []bool
+	priority     []float64
+	dBest, eBest []int32  // per group: the minimum live vertex of this pass
+	dMark, eMark []uint32 // per group: the stamp of the pass that wrote it
+	tick         uint32
 }
 
-// LubyPool is Luby with the per-iteration win-check partitioned over a
-// worker pool (nil runs serially). The result is bitwise identical at any
-// pool width: draws happen serially in ascending vertex order (a PRNG
-// stream is sequential state — this order is the bit-compatibility contract
-// with the distributed protocol), the win predicate of each vertex reads
-// only the frozen live/priority arrays of the current iteration and writes
-// only its own win flag, and winners are applied serially in ascending
-// order. Two adjacent vertices can never both win (their win conditions
-// contradict), so winners are an independent set and elimination order
-// within an iteration is immaterial.
+// prepare sizes the scratch for n vertices over the cover's groups and
+// resets the per-vertex membership.
+func (s *Scratch) prepare(c *Cover) []bool {
+	n := len(c.Demand)
+	s.inMIS = grow(s.inMIS, n)
+	clear(s.inMIS)
+	if len(s.dMark) < c.NumDemands {
+		s.dBest = make([]int32, c.NumDemands)
+		s.dMark = make([]uint32, c.NumDemands)
+	}
+	if len(s.eMark) < c.NumEdges {
+		s.eBest = make([]int32, c.NumEdges)
+		s.eMark = make([]uint32, c.NumEdges)
+	}
+	return s.inMIS
+}
+
+// stamp returns a stamp no group carries yet. On wrap-around every mark is
+// cleared, so a stale mark can never equal a fresh stamp.
+func (s *Scratch) stamp() uint32 {
+	if s.tick == math.MaxUint32 {
+		clear(s.dMark)
+		clear(s.eMark)
+		s.tick = 0
+	}
+	s.tick++
+	return s.tick
+}
+
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Luby computes a maximal independent set of the cover's conflict graph.
+// Vertices draw in increasing index order, per the contract above. It
+// returns the membership vector and the number of Luby iterations (each
+// iteration costs two communication rounds in the distributed
+// implementation: one to exchange draws, one to announce winners). s may
+// be nil. Priorities must not be NaN.
+//
+// A live vertex wins an iteration iff its (priority, index) is the minimum
+// over the live members of every group it belongs to. That is the same
+// predicate as beating every live neighbor, because the neighbors of v are
+// exactly the other members of v's groups. A winner eliminates the live
+// members of its groups, which are exactly its live neighbors. So the
+// result and the iteration count are those of Luby over the adjacency
+// lists, for the same draws.
 //
 //schedvet:hot
-func LubyPool(owners []int, adj [][]int, draw Drawer, pool Pool) (inMIS []bool, iterations int) {
-	n := len(owners)
-	inMIS = make([]bool, n)
-	live := make([]bool, n)
-	liveCount := n
-	for i := range live {
-		live[i] = true
+func Luby(c *Cover, owners []int, draw Drawer, s *Scratch) (inMIS []bool, iterations int) {
+	if s == nil {
+		s = new(Scratch)
 	}
-	priority := make([]float64, n)
-	win := make([]bool, n)
+	inMIS = s.prepare(c)
+	n := len(c.Demand)
+	live := grow(s.live, n)
+	s.live = live
+	for v := range live {
+		live[v] = true
+	}
+	priority := grow(s.priority, n)
+	s.priority = priority
+	dBest, eBest, dMark, eMark := s.dBest, s.eBest, s.dMark, s.eMark
+	liveCount := n
 	for liveCount > 0 {
 		iterations++
 		for v := 0; v < n; v++ {
@@ -68,109 +123,106 @@ func LubyPool(owners []int, adj [][]int, draw Drawer, pool Pool) (inMIS []bool, 
 				priority[v] = draw(owners[v])
 			}
 		}
-		// A vertex wins if it beats all live neighbors (ties by index).
-		check := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !live[v] {
-					win[v] = false
-					continue
+		// Each group's minimum live vertex. The scan is ascending and
+		// replaces only on a strictly smaller priority, so a tie keeps the
+		// smaller index.
+		seen := s.stamp()
+		for v := 0; v < n; v++ {
+			if !live[v] {
+				continue
+			}
+			v32 := int32(v)
+			if g := c.Demand[v]; dMark[g] != seen {
+				dMark[g], dBest[g] = seen, v32
+			} else if priority[v] < priority[dBest[g]] {
+				dBest[g] = v32
+			}
+			for _, g := range c.Edges[v] {
+				if eMark[g] != seen {
+					eMark[g], eBest[g] = seen, v32
+				} else if priority[v] < priority[eBest[g]] {
+					eBest[g] = v32
 				}
-				wins := true
-				for _, w := range adj[v] {
-					if !live[w] {
-						continue
-					}
-					if priority[w] < priority[v] || (priority[w] == priority[v] && w < v) {
-						wins = false
-						break
-					}
-				}
-				win[v] = wins
 			}
 		}
-		if pool != nil {
-			pool.Run(n, check)
-		} else {
-			check(0, n)
-		}
+		// Winners are the minimum of all their groups; their groups are
+		// stamped as won. Marking does not disturb later verdicts, which
+		// read only the minima.
+		won := s.stamp()
 		for v := 0; v < n; v++ {
-			if !win[v] || !live[v] {
-				continue // eliminated by an earlier winner this iteration
+			if !live[v] || !minOfGroups(c, v, dBest, eBest) {
+				continue
 			}
 			inMIS[v] = true
-			live[v] = false
-			liveCount--
-			for _, w := range adj[v] {
-				if live[w] {
-					live[w] = false
-					liveCount--
-				}
+			dMark[c.Demand[v]] = won
+			for _, g := range c.Edges[v] {
+				eMark[g] = won
+			}
+		}
+		// A live vertex in a won group is a winner or a neighbor of one.
+		for v := 0; v < n; v++ {
+			if live[v] && inGroupMarked(c, v, won, dMark, eMark) {
+				live[v] = false
+				liveCount--
 			}
 		}
 	}
 	return inMIS, iterations
 }
 
+// minOfGroups reports whether v is the recorded minimum of all its groups.
+//
+//schedvet:hot
+func minOfGroups(c *Cover, v int, dBest, eBest []int32) bool {
+	v32 := int32(v)
+	if dBest[c.Demand[v]] != v32 {
+		return false
+	}
+	for _, g := range c.Edges[v] {
+		if eBest[g] != v32 {
+			return false
+		}
+	}
+	return true
+}
+
+// inGroupMarked reports whether any group of v carries the stamp.
+//
+//schedvet:hot
+func inGroupMarked(c *Cover, v int, stamp uint32, dMark, eMark []uint32) bool {
+	if dMark[c.Demand[v]] == stamp {
+		return true
+	}
+	for _, g := range c.Edges[v] {
+		if eMark[g] == stamp {
+			return true
+		}
+	}
+	return false
+}
+
 // Greedy computes the lexicographically-first maximal independent set:
-// scan vertices in increasing index order, adding each vertex whose
-// neighbors are all absent. Deterministic; used for ablations and as a
-// reference in tests.
-func Greedy(n int, adj [][]int) []bool {
-	inMIS := make([]bool, n)
-	blocked := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if blocked[v] {
+// scan vertices in increasing index order, adding each vertex that shares
+// no group with a vertex already added. Each group keeps one blocked flag
+// (a stamp), set when a member joins. Deterministic; used for ablations.
+// s may be nil.
+//
+//schedvet:hot
+func Greedy(c *Cover, s *Scratch) []bool {
+	if s == nil {
+		s = new(Scratch)
+	}
+	inMIS := s.prepare(c)
+	blocked := s.stamp()
+	for v := range c.Demand {
+		if inGroupMarked(c, v, blocked, s.dMark, s.eMark) {
 			continue
 		}
 		inMIS[v] = true
-		for _, w := range adj[v] {
-			blocked[w] = true
+		s.dMark[c.Demand[v]] = blocked
+		for _, g := range c.Edges[v] {
+			s.eMark[g] = blocked
 		}
 	}
 	return inMIS
-}
-
-// Verify checks that membership is an independent set (no two adjacent
-// members) and maximal (every non-member has a member neighbor). Used by
-// tests and the experiment harness.
-func Verify(adj [][]int, inMIS []bool) (independent, maximal bool) {
-	independent, maximal = true, true
-	for v := range adj {
-		if inMIS[v] {
-			for _, w := range adj[v] {
-				if inMIS[w] {
-					independent = false
-				}
-			}
-			continue
-		}
-		covered := false
-		for _, w := range adj[v] {
-			if inMIS[w] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			maximal = false
-		}
-	}
-	return independent, maximal
-}
-
-// Normalize sorts and deduplicates adjacency lists and drops self-loops,
-// returning a cleaned copy safe for Luby/Greedy.
-func Normalize(n int, adj [][]int) [][]int {
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		seen := make(map[int]struct{}, len(adj[v]))
-		for _, w := range adj[v] {
-			if w == v {
-				continue
-			}
-			seen[w] = struct{}{}
-		}
-		out[v] = slices.Sorted(maps.Keys(seen))
-	}
-	return out
 }

@@ -2,21 +2,59 @@ package mis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func randomGraph(n int, p float64, rng *rand.Rand) [][]int {
-	adj := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for w := v + 1; w < n; w++ {
-			if rng.Float64() < p {
-				adj[v] = append(adj[v], w)
-				adj[w] = append(adj[w], v)
+// coverShape tunes randomCover.
+type coverShape struct {
+	n          int     // vertices
+	demands    int     // demand groups; n gives mostly singletons
+	edges      int     // edge groups
+	maxPath    int     // most edge groups per vertex
+	twinChance float64 // chance an edge group gets a twin with identical members
+}
+
+// randomCover draws a clique cover of the given shape. Some edge groups are
+// twinned — every vertex joining group g also joins g+edges — so identical
+// member lists occur, as series edges produce them in the engine.
+func randomCover(shape coverShape, rng *rand.Rand) *Cover {
+	c := &Cover{
+		Demand:     make([]int32, shape.n),
+		Edges:      make([][]int32, shape.n),
+		NumDemands: max(shape.demands, 1),
+		NumEdges:   2 * max(shape.edges, 1),
+	}
+	twin := make([]bool, c.NumEdges/2)
+	for g := range twin {
+		twin[g] = rng.Float64() < shape.twinChance
+	}
+	for v := range c.Demand {
+		c.Demand[v] = int32(rng.Intn(c.NumDemands))
+		k := 0
+		if shape.maxPath > 0 {
+			k = rng.Intn(shape.maxPath + 1)
+		}
+		for _, g := range rng.Perm(c.NumEdges / 2)[:min(k, c.NumEdges/2)] {
+			c.Edges[v] = append(c.Edges[v], int32(g))
+			if twin[g] {
+				c.Edges[v] = append(c.Edges[v], int32(g+c.NumEdges/2))
 			}
 		}
 	}
-	return adj
+	return c
+}
+
+func randomShape(rng *rand.Rand) coverShape {
+	n := 1 + rng.Intn(80)
+	return coverShape{
+		n:          n,
+		demands:    1 + rng.Intn(n),
+		edges:      1 + rng.Intn(2*n),
+		maxPath:    rng.Intn(6),
+		twinChance: rng.Float64() / 2,
+	}
 }
 
 func singleStream(seed int64) Drawer {
@@ -24,28 +62,46 @@ func singleStream(seed int64) Drawer {
 	return func(int) float64 { return rng.Float64() }
 }
 
+// coarseStreams gives every owner its own stream of priorities from a
+// small set, so equal priorities are common and the index tie-break
+// decides.
+func coarseStreams(seed int64, levels int) Drawer {
+	streams := map[int]*rand.Rand{}
+	return func(owner int) float64 {
+		s, ok := streams[owner]
+		if !ok {
+			s = rand.New(rand.NewSource(seed*1000 + int64(owner)))
+			streams[owner] = s
+		}
+		return float64(s.Intn(levels)) / float64(levels)
+	}
+}
+
+func owners(n, k int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i % k
+	}
+	return out
+}
+
 func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(80)
-		adj := randomGraph(n, 0.15, rng)
-		owners := make([]int, n)
-		for i := range owners {
-			owners[i] = i % 7
-		}
-		got, iters := Luby(owners, adj, singleStream(int64(trial)))
-		ind, max := Verify(adj, got)
+		c := randomCover(randomShape(rng), rng)
+		got, iters := Luby(c, owners(len(c.Demand), 7), singleStream(int64(trial)), nil)
+		ind, max := Verify(coverAdjacency(c), got)
 		if !ind || !max {
-			t.Fatalf("n=%d trial=%d: independent=%v maximal=%v", n, trial, ind, max)
+			t.Fatalf("trial=%d: independent=%v maximal=%v", trial, ind, max)
 		}
 		if iters < 1 {
-			t.Fatalf("n=%d: Luby reported %d iterations", n, iters)
+			t.Fatalf("trial=%d: Luby reported %d iterations", trial, iters)
 		}
 	}
 }
 
 func TestLubyEmptyGraph(t *testing.T) {
-	got, iters := Luby(nil, nil, singleStream(1))
+	got, iters := Luby(&Cover{}, nil, singleStream(1), nil)
 	if len(got) != 0 || iters != 0 {
 		t.Errorf("empty graph: got %v, %d iterations", got, iters)
 	}
@@ -53,16 +109,8 @@ func TestLubyEmptyGraph(t *testing.T) {
 
 func TestLubyCompleteGraphPicksOne(t *testing.T) {
 	n := 10
-	adj := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for w := 0; w < n; w++ {
-			if w != v {
-				adj[v] = append(adj[v], w)
-			}
-		}
-	}
-	owners := make([]int, n)
-	got, _ := Luby(owners, adj, singleStream(3))
+	c := &Cover{Demand: make([]int32, n), Edges: make([][]int32, n), NumDemands: 1}
+	got, _ := Luby(c, make([]int, n), singleStream(3), nil)
 	count := 0
 	for _, in := range got {
 		if in {
@@ -76,9 +124,11 @@ func TestLubyCompleteGraphPicksOne(t *testing.T) {
 
 func TestLubyIsolatedVerticesAllIn(t *testing.T) {
 	n := 6
-	adj := make([][]int, n)
-	owners := make([]int, n)
-	got, iters := Luby(owners, adj, singleStream(5))
+	c := &Cover{Demand: make([]int32, n), Edges: make([][]int32, n), NumDemands: n}
+	for v := range c.Demand {
+		c.Demand[v] = int32(v) // singleton groups only
+	}
+	got, iters := Luby(c, make([]int, n), singleStream(5), nil)
 	for v, in := range got {
 		if !in {
 			t.Errorf("isolated vertex %d not in MIS", v)
@@ -94,39 +144,24 @@ func TestLubyDeterministicPerOwnerStreams(t *testing.T) {
 	// many times we run (this is what lets the local engine mirror the
 	// distributed protocol).
 	rng := rand.New(rand.NewSource(9))
-	n := 40
-	adj := randomGraph(n, 0.2, rng)
-	owners := make([]int, n)
-	for i := range owners {
-		owners[i] = i / 5
+	c := randomCover(coverShape{n: 40, demands: 8, edges: 30, maxPath: 4}, rng)
+	o := make([]int, 40)
+	for i := range o {
+		o[i] = i / 5
 	}
-	mk := func() Drawer {
-		streams := map[int]*rand.Rand{}
-		return func(owner int) float64 {
-			s, ok := streams[owner]
-			if !ok {
-				s = rand.New(rand.NewSource(1000 + int64(owner)))
-				streams[owner] = s
-			}
-			return s.Float64()
-		}
-	}
-	a, _ := Luby(owners, adj, mk())
-	b, _ := Luby(owners, adj, mk())
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("vertex %d differs between identical runs", v)
-		}
+	a, _ := Luby(c, o, coarseStreams(1, 1<<20), nil)
+	a = slices.Clone(a)
+	b, _ := Luby(c, o, coarseStreams(1, 1<<20), nil)
+	if !slices.Equal(a, b) {
+		t.Fatalf("identical runs differ: %v vs %v", a, b)
 	}
 }
 
 func TestGreedyIsMaximalIndependent(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(60)
-		adj := randomGraph(n, 0.25, rng)
-		got := Greedy(n, adj)
-		ind, max := Verify(adj, got)
+		c := randomCover(randomShape(rng), rng)
+		ind, max := Verify(coverAdjacency(c), Greedy(c, nil))
 		return ind && max
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -135,17 +170,89 @@ func TestGreedyIsMaximalIndependent(t *testing.T) {
 }
 
 func TestGreedyLexicographicallyFirst(t *testing.T) {
-	// Path 0-1-2-3: greedy takes {0,2}... vertex 3's neighbor 2 is in, so
-	// {0,2} only? 3 is adjacent to 2 which is in, so {0,2}. Wait: 0 in,
-	// blocks 1; 2 in, blocks 3. Result {0,2}.
-	adj := [][]int{{1}, {0, 2}, {1, 3}, {2}}
-	got := Greedy(4, adj)
-	want := []bool{true, false, true, false}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("Greedy path graph = %v, want %v", got, want)
-		}
+	// Path 0-1-2-3 as a cover: singleton demands, edge groups {0,1}, {1,2},
+	// {2,3}. 0 joins and blocks 1; 2 joins and blocks 3.
+	c := &Cover{
+		Demand:     []int32{0, 1, 2, 3},
+		Edges:      [][]int32{{0}, {0, 1}, {1, 2}, {2}},
+		NumDemands: 4, NumEdges: 3,
 	}
+	got := Greedy(c, nil)
+	want := []bool{true, false, true, false}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Greedy path graph = %v, want %v", got, want)
+	}
+}
+
+// checkMatchesAdjacency pins the group forms to the adjacency oracle on one
+// cover: identical Luby membership and iteration count for the same draws,
+// identical greedy membership, and both results maximal independent sets.
+func checkMatchesAdjacency(t *testing.T, c *Cover, own []int, draw func() Drawer, s *Scratch) {
+	t.Helper()
+	adj := coverAdjacency(c)
+	want, wantIters := lubyAdj(own, adj, draw())
+	got, iters := Luby(c, own, draw(), s)
+	if !slices.Equal(got, want) || iters != wantIters {
+		t.Fatalf("Luby: groups %v in %d iterations, adjacency %v in %d", got, iters, want, wantIters)
+	}
+	if ind, max := Verify(adj, got); !ind || !max {
+		t.Fatalf("Luby: independent=%v maximal=%v", ind, max)
+	}
+	if got, want := Greedy(c, s), greedyAdj(len(own), adj); !slices.Equal(got, want) {
+		t.Fatalf("Greedy: groups %v, adjacency %v", got, want)
+	}
+}
+
+// TestLubyGroupsMatchesAdjacency is the property behind the engine's group
+// form: on random clique covers — singleton groups, twin groups with
+// identical member lists, and coarse priorities that force the index
+// tie-break — group Luby and group Greedy equal their adjacency forms.
+// One Scratch serves every trial, so stale stamps and regrown group arrays
+// are exercised too.
+func TestLubyGroupsMatchesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var s Scratch
+	for trial := 0; trial < 300; trial++ {
+		c := randomCover(randomShape(rng), rng)
+		levels := []int{2, 4, 1 << 30}[trial%3]
+		seed := int64(trial)
+		own := owners(len(c.Demand), 1+rng.Intn(len(c.Demand)))
+		checkMatchesAdjacency(t, c, own, func() Drawer { return coarseStreams(seed, levels) }, &s)
+	}
+}
+
+// TestScratchStampWrap runs elections across the stamp wrap-around: marks
+// left by earlier passes must not read as fresh after the counter restarts.
+func TestScratchStampWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Scratch
+	for trial := 0; trial < 20; trial++ {
+		s.tick = ^uint32(0) - uint32(trial%4)
+		c := randomCover(coverShape{n: 30, demands: 10, edges: 20, maxPath: 3, twinChance: 0.3}, rng)
+		seed := int64(trial)
+		checkMatchesAdjacency(t, c, owners(30, 6), func() Drawer { return coarseStreams(seed, 3) }, &s)
+	}
+}
+
+// FuzzLubyGroups fuzzes the group ≡ adjacency property over cover shapes,
+// owner mappings and priority granularity.
+func FuzzLubyGroups(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(5), uint8(12), uint8(3), uint8(2), uint8(4))
+	f.Add(int64(2), uint8(64), uint8(64), uint8(1), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(3), uint8(40), uint8(1), uint8(60), uint8(5), uint8(5), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, n, demands, edges, maxPath, twins, ownerMod uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomCover(coverShape{
+			n:          int(n % 96),
+			demands:    int(demands),
+			edges:      int(edges),
+			maxPath:    int(maxPath % 8),
+			twinChance: float64(twins%6) / 5,
+		}, rng)
+		levels := 1 + int(seed&7)
+		own := owners(len(c.Demand), 1+int(ownerMod))
+		checkMatchesAdjacency(t, c, own, func() Drawer { return coarseStreams(seed, levels) }, nil)
+	})
 }
 
 func TestNormalize(t *testing.T) {

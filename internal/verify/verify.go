@@ -64,17 +64,7 @@ func Interference(items []engine.Item, trace *engine.Trace) error {
 	for i, ev := range trace.Events {
 		hist = append(hist, raised{item: ev.Item, order: i})
 	}
-	pathSets := make([]map[model.EdgeKey]bool, len(items))
-	pathSet := func(id int) map[model.EdgeKey]bool {
-		if pathSets[id] == nil {
-			s := make(map[model.EdgeKey]bool, len(items[id].Edges))
-			for _, e := range items[id].Edges {
-				s[e] = true
-			}
-			pathSets[id] = s
-		}
-		return pathSets[id]
-	}
+	pathSet := pathSets(items)
 	for a := 0; a < len(hist); a++ {
 		for b := a + 1; b < len(hist); b++ {
 			d1, d2 := &items[hist[a].item], &items[hist[b].item]
@@ -101,6 +91,22 @@ func Interference(items []engine.Item, trace *engine.Trace) error {
 		}
 	}
 	return nil
+}
+
+// pathSets returns a lookup of each item's path as an edge set, built on
+// first use.
+func pathSets(items []engine.Item) func(id int) map[model.EdgeKey]bool {
+	sets := make([]map[model.EdgeKey]bool, len(items))
+	return func(id int) map[model.EdgeKey]bool {
+		if sets[id] == nil {
+			s := make(map[model.EdgeKey]bool, len(items[id].Edges))
+			for _, e := range items[id].Edges {
+				s[e] = true
+			}
+			sets[id] = s
+		}
+		return sets[id]
+	}
 }
 
 func sharesEdge(set map[model.EdgeKey]bool, edges []model.EdgeKey) bool {
@@ -130,13 +136,14 @@ func LambdaAtLeast(items []engine.Item, a *dual.Assignment, mode engine.Mode, la
 
 // StackCoverage checks the key accounting fact in the proof of Lemma 3.1:
 // every raised item either belongs to the solution or conflicts with a
-// selected item raised strictly later (a selected successor). A failure
-// indicates a broken second phase.
+// selected item raised strictly later (a selected successor). Conflict is
+// checked by the §2 definition — a shared demand or a shared edge — not by
+// any engine structure. A failure indicates a broken second phase.
 func StackCoverage(items []engine.Item, trace *engine.Trace, selected []int) error {
 	if trace == nil {
 		return fmt.Errorf("verify: no trace recorded")
 	}
-	adj := engine.BuildConflicts(items)
+	pathSet := pathSets(items)
 	order := make(map[int]int, len(trace.Events))
 	for i, ev := range trace.Events {
 		order[ev.Item] = i
@@ -149,9 +156,13 @@ func StackCoverage(items []engine.Item, trace *engine.Trace, selected []int) err
 		if inSol[ev.Item] {
 			continue
 		}
+		d1 := &items[ev.Item]
 		covered := false
-		for _, w := range adj[ev.Item] {
-			if inSol[w] && order[w] > order[ev.Item] {
+		for _, w := range selected {
+			if w < 0 || w >= len(items) || order[w] <= order[ev.Item] {
+				continue
+			}
+			if d2 := &items[w]; d2.Demand == d1.Demand || sharesEdge(pathSet(ev.Item), d2.Edges) {
 				covered = true
 				break
 			}

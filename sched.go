@@ -153,9 +153,11 @@ type Options struct {
 	// values tighten the approximation ratio but add stages.
 	Epsilon float64
 	Seed    int64
-	// Simulate executes the algorithm over the synchronous message-passing
-	// simulator (one goroutine per processor) instead of the in-process
-	// engine. Results are identical; the simulator additionally reports
+	// Simulate additionally executes the algorithm over the synchronous
+	// message-passing simulator: one processor per demand, stepped by the
+	// batched round scheduler (dist.DriverBatched). The in-process engine
+	// still runs first and supplies the dual bound; the simulated run
+	// supplies the selection and profit, which are identical, and reports
 	// honest round and message counts.
 	Simulate bool
 	// SingleStage switches to the Panconesi–Sozio-style schedule
@@ -174,8 +176,9 @@ type Options struct {
 	// shard-independent, and partitioned kernels merge in row order; see
 	// doc.go, "Two-level parallelism"). Values below 1 resolve to
 	// runtime.GOMAXPROCS(0) at both levels; 1 runs the serial engine.
-	// Ignored by the Simulate execution path and the sequential/exact
-	// algorithms.
+	// Under Simulate it sizes the engine solve that runs first; the
+	// simulator's stepping pool always takes runtime.GOMAXPROCS(0). Ignored
+	// by the sequential/exact algorithms.
 	Parallelism int
 	// DisableWarmStart turns off the Session warm-start cache. By default a
 	// Session records per-component solve outcomes and replays them for
@@ -355,15 +358,15 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 
 // preparedFor builds the unit-pipeline prepared state with Options.Recorder
 // attached, bracketing the preparation in PhasePrepare like the caching
-// Solver does. engine.RunParallel is exactly PrepareWorkers + RunParallel,
-// so routing the one-shot path through here changes no result.
+// Solver does. engine.RunParallel is exactly Prepare + RunParallel, so
+// routing the one-shot path through here changes no result.
 func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	rec := opts.Recorder
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	prep := engine.PrepareWorkers(items, opts.Parallelism)
+	prep := engine.Prepare(items)
 	prep.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
@@ -394,14 +397,14 @@ func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) 
 }
 
 func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	// As in runUnit: RunArbitraryParallel ≡ PrepareArbitraryWorkers +
-	// RunParallel, re-routed so Options.Recorder reaches both height classes.
+	// As in runUnit: RunArbitraryParallel ≡ PrepareArbitrary + RunParallel,
+	// re-routed so Options.Recorder reaches both height classes.
 	rec := opts.Recorder
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	ap := engine.PrepareArbitraryWorkers(items, opts.Parallelism)
+	ap := engine.PrepareArbitrary(items)
 	ap.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)

@@ -168,7 +168,7 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	p := engine.PrepareWorkers(items, s.opts.Parallelism)
+	p := engine.Prepare(items)
 	p.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
@@ -299,7 +299,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		if rec != nil {
 			ptok = rec.StartSpan(engine.PhasePrepare)
 		}
-		sess.p = engine.PrepareWorkers(sess.p.Items(), sess.solver.opts.Parallelism)
+		sess.p = engine.Prepare(sess.p.Items())
 		sess.p.SetRecorder(rec) // the retired Prepared took the attachment with it
 		if rec != nil {
 			rec.EndSpan(engine.PhasePrepare, ptok)

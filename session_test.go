@@ -585,7 +585,7 @@ func TestSessionWarmStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := len(engine.ConflictComponents(engine.BuildConflicts(items)))
+	comps := len(engine.Prepare(items).Components())
 	if comps < 2 {
 		t.Fatalf("fleet instance decomposed into %d components; test needs several", comps)
 	}

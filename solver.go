@@ -19,15 +19,15 @@ import (
 //   - per-tree layered decompositions, keyed by network structure, reused
 //     whenever the same networks reappear under any demand set;
 //   - fully prepared item sets (engine.Prepared: interned dense dual
-//     indices, per-item views, the §2 conflict adjacency and its component
-//     decomposition), keyed by the complete instance content, so repeated
-//     solves on the same item set skip item building, interning AND
-//     conflict construction entirely and go straight into the sharded
-//     parallel pipeline (Options.Parallelism);
+//     indices, per-item views, the demand and edge member lists that
+//     encode the §2 conflict graph, and its component decomposition),
+//     keyed by the complete instance content, so repeated solves on the
+//     same item set skip item building and interning entirely and go
+//     straight into the sharded parallel pipeline (Options.Parallelism);
 //   - arbitrary-height preparations (engine.ArbitraryPrepared: the §6
 //     wide/narrow split with each height class prepared), keyed the same
-//     way, so DistributedArbitrary re-solves skip conflict construction for
-//     both classes too.
+//     way, so DistributedArbitrary re-solves skip preparation for both
+//     classes too.
 //
 // Repeated solves over identical instances — the steady state of a
 // scheduling service re-solving as schedules are re-evaluated — therefore
@@ -53,9 +53,10 @@ type Solver struct {
 // network structures, each O(vertices) to hold).
 const maxCachedLayouts = 1024
 
-// maxCachedPrepared bounds the Solver's prepared-instance caches. Prepared
-// entries carry the conflict adjacency (quadratic in the worst case), so
-// the bound is tighter than the decomposition cache's.
+// maxCachedPrepared bounds the Solver's prepared-instance caches. A
+// Prepared entry holds its items, views and member lists — linear in the
+// instance's total path length, but far larger than one network's
+// decomposition — so the bound is tighter than the decomposition cache's.
 const maxCachedPrepared = 128
 
 // NewSolver returns a Solver with the given options (normalized: ε defaults
@@ -286,7 +287,7 @@ func (s *Solver) prepare(m *model.Instance) (*engine.Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p = engine.PrepareWorkers(items, s.opts.Parallelism)
+	p = engine.Prepare(items)
 	p.SetRecorder(rec) // before publishing: SetRecorder must not overlap a run
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
@@ -315,7 +316,7 @@ func (s *Solver) prepareArbitrary(m *model.Instance) (*engine.ArbitraryPrepared,
 	if err != nil {
 		return nil, err
 	}
-	ap = engine.PrepareArbitraryWorkers(items, s.opts.Parallelism)
+	ap = engine.PrepareArbitrary(items)
 	ap.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
