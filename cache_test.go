@@ -2,7 +2,13 @@ package treesched
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"treesched/internal/engine"
+	"treesched/internal/graph"
+	"treesched/internal/model"
 )
 
 // The Solver's caches evict one least-recently-used entry on overflow (the
@@ -142,5 +148,55 @@ func TestSolverCacheStatsCounters(t *testing.T) {
 
 	if st := s.CacheStats(); st.Arbitrary != (CacheCounters{}) {
 		t.Fatalf("Arbitrary counters moved on the unit pipeline: %+v", st.Arbitrary)
+	}
+}
+
+// TestInstanceSignatureExact edits one field of an instance at a time:
+// every edit must change the content key (a shared key would serve one
+// instance's cached preparation to the other), an identical copy must not,
+// and tree keys must follow the networks alone.
+func TestInstanceSignatureExact(t *testing.T) {
+	star := graph.MustTree(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
+	base := func() *model.Instance {
+		path, _ := graph.NewPath(4)
+		return &model.Instance{NumVertices: 4, Trees: []*graph.Tree{path, star}, Demands: []model.Demand{
+			{ID: 0, U: 0, V: 3, Profit: 2.5, Height: 1, Access: []int{0, 1}},
+			{ID: 1, U: 1, V: 2, Profit: 1, Height: 0.5, Access: []int{1}},
+		}}
+	}
+	key, treeKeys := instanceSignature(base(), engine.IdealDecomp)
+	if again, _ := instanceSignature(base(), engine.IdealDecomp); again != key {
+		t.Fatal("identical instances got different keys")
+	}
+	if k, _ := instanceSignature(base(), engine.BalancingDecomp); k == key {
+		t.Error("decomposition kind does not change the key")
+	}
+	edits := map[string]func(m *model.Instance){
+		"endpoint":          func(m *model.Instance) { m.Demands[0].V = 2 },
+		"swapped endpoints": func(m *model.Instance) { m.Demands[1].U, m.Demands[1].V = 2, 1 },
+		"profit last bit":   func(m *model.Instance) { m.Demands[0].Profit = math.Nextafter(2.5, 3) },
+		"height":            func(m *model.Instance) { m.Demands[1].Height = 0.75 },
+		"access order":      func(m *model.Instance) { m.Demands[0].Access = []int{1, 0} },
+		"access subset":     func(m *model.Instance) { m.Demands[0].Access = []int{0} },
+		"extra demand": func(m *model.Instance) {
+			m.Demands = append(m.Demands, model.Demand{ID: 2, U: 0, V: 1, Profit: 1, Height: 1, Access: []int{0}})
+		},
+		"tree": func(m *model.Instance) {
+			m.Trees[0] = graph.MustTree(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
+		},
+	}
+	for name, edit := range edits {
+		m := base()
+		edit(m)
+		k, tk := instanceSignature(m, engine.IdealDecomp)
+		if k == key {
+			t.Errorf("%s: edited instance shares the key", name)
+		}
+		if name != "tree" && !slices.Equal(tk, treeKeys) {
+			t.Errorf("%s: tree keys changed with the demands", name)
+		}
+		if name == "tree" && (tk[0] == treeKeys[0] || tk[1] != treeKeys[1]) {
+			t.Errorf("tree keys do not follow the networks")
+		}
 	}
 }

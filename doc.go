@@ -41,7 +41,8 @@
 // dense dual layout plus the member lists that encode the §2 conflict
 // graph, and its component decomposition — are reused whenever the
 // complete instance recurs, so the steady state skips item building and
-// interning entirely and pays only for the schedule itself:
+// interning entirely and pays only validation, the content key and the
+// schedule:
 //
 //	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Parallelism: 8})
 //	res1, _ := s.Solve(inst1) // decomposes, interns, groups, caches
@@ -112,10 +113,15 @@
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
-// Preparation is two linear passes: interning the dense layout, then
-// grouping the items by their interned demand slot and edge indices (no
-// second hashing of the same keys). Each demand slot and each edge index
-// gets the ascending list of the items it holds. By §2 two items conflict
+// Preparation is three linear passes. Item building walks each demand
+// instance's path once (decomp.Layered.Walk, Lemma 4.2): one LCA, the
+// climbs from both endpoints writing the path's edge keys, µ(d) tracked on
+// the way and π(d)'s wings found by depth arithmetic, all into two arenas
+// shared by the item set (engine.DemandItems). Layout interning then
+// translates every item into its dense view, all views' index lists in one
+// slab. Grouping finally lists, per interned demand slot and per edge
+// index, the ascending items it holds, by array indexing over the views
+// (no second hashing of the same keys). By §2 two items conflict
 // iff they share a demand or an edge, so these member lists are a clique
 // cover of the conflict graph, and the engine stores nothing else: the
 // Luby and greedy elections compare priorities per group, and the
@@ -418,7 +424,8 @@
 //   - hotpath: a function whose doc comment carries //schedvet:hot may
 //     not allocate maps, call fmt, defer, or box concrete values into
 //     interfaces — locking in the allocation-free shape of the
-//     solve/merge/Apply loops (PRs 4–6). The raise primitives
+//     solve/merge/Apply loops (PRs 4–6). The item builder's walk
+//     (decomp.Layered.Walk and engine.DemandItems), the raise primitives
 //     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step scan
 //     (state.unsatisfied), the group-form elections
 //     (state.independentSet, mis.Luby, mis.Greedy), the greedy second

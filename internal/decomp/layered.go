@@ -12,11 +12,13 @@ import (
 type Layered struct {
 	H      *TreeDecomposition
 	Length int // number of groups ℓ
+
+	maxCritical int // ∆ = 2(θ+1), fixed by H
 }
 
 // NewLayered wraps a tree decomposition as a layered decomposition.
 func NewLayered(h *TreeDecomposition) *Layered {
-	return &Layered{H: h, Length: h.MaxDepth()}
+	return &Layered{H: h, Length: h.MaxDepth(), maxCritical: 2 * (h.PivotSize() + 1)}
 }
 
 // Assign computes the group index (1-based; 1 = processed first = captured
@@ -24,56 +26,107 @@ func NewLayered(h *TreeDecomposition) *Layered {
 // endpoints u, v, following the construction in the proof of Lemma 4.2:
 // π(d) contains the wings of the capture node µ(d) on path(d) plus, for
 // each pivot neighbor of C(µ(d)), the wings of the bending point of d with
-// respect to that neighbor. |π(d)| ≤ 2(θ+1).
+// respect to that neighbor. |π(d)| ≤ 2(θ+1). It is Walk with its own
+// buffers.
 func (l *Layered) Assign(u, v graph.Vertex) (group int, critical []graph.EdgeID) {
-	t := l.H.T
-	pathV := t.PathVertices(u, v)
-	pathE := t.PathEdges(u, v)
-	z := l.H.Capture(pathV)
-	group = l.Length - l.H.Depth[z] + 1
-
-	// Position of each path vertex, to find wings in O(1).
-	pos := make(map[graph.Vertex]int, len(pathV))
-	for i, x := range pathV {
-		pos[x] = i
-	}
-	seen := make(map[graph.EdgeID]bool, 2*(len(l.H.Pivot[z])+1))
-	addWings := func(y graph.Vertex) {
-		i := pos[y]
-		if i > 0 && !seen[pathE[i-1]] {
-			seen[pathE[i-1]] = true
-			critical = append(critical, pathE[i-1])
-		}
-		if i < len(pathE) && !seen[pathE[i]] {
-			seen[pathE[i]] = true
-			critical = append(critical, pathE[i])
-		}
-	}
-	addWings(z)
-	for _, nb := range l.H.Pivot[z] {
-		// Bending point of d with respect to nb: the unique path vertex
-		// closest to nb, i.e. the median of the endpoints and nb.
-		y := t.Median(u, v, nb)
-		addWings(y)
+	path := make([]model.EdgeKey, l.H.T.Dist(u, v))
+	crit := make([]model.EdgeKey, l.maxCritical)
+	group, _, n := l.Walk(u, v, 0, path, crit)
+	for _, k := range crit[:n] {
+		critical = append(critical, k.Edge())
 	}
 	return group, critical
 }
 
-// AssignInstance is Assign lifted to a model.DemandInstance, producing
-// critical edges as global EdgeKeys on the instance's tree.
-func (l *Layered) AssignInstance(di *model.DemandInstance) (group int, critical []model.EdgeKey) {
-	g, edges := l.Assign(di.U, di.V)
-	out := make([]model.EdgeKey, len(edges))
-	for i, e := range edges {
-		out[i] = model.MakeEdgeKey(di.Tree, e)
+// Walk computes Assign's result and the path itself in one pass over
+// path(d), as EdgeKeys of network q: the path's edges, ordered from u's
+// side to v's side, go to path and π(d) to crit, and it returns the group
+// and the number of entries written to each. path needs room for
+// Dist(u, v) keys and crit for MaxCriticalSize.
+//
+// Everything Lemma 4.2 needs is a position on the path. With lca the LCA
+// of u and v and du = depth(u) − depth(lca), the path's vertices in
+// u-to-v order are u's ancestors up to lca (position i at depth
+// depth(u) − i), then v's side (position i at depth depth(lca) + i − du).
+// A wing of the vertex at position i is the path edge before it and the
+// one after it, so µ(d) — tracked during the walk — and each bending
+// point need no vertex-to-position lookup, and π(d), at most 2(θ+1)
+// entries, is deduplicated by scanning what it already holds.
+//
+//schedvet:hot
+func (l *Layered) Walk(u, v graph.Vertex, q model.TreeID, path, crit []model.EdgeKey) (group, pathLen, critLen int) {
+	t, h := l.H.T, l.H
+	lca := t.LCA(u, v)
+	du := t.Depth(u) - t.Depth(lca)
+	n := du + t.Depth(v) - t.Depth(lca)
+	path = path[:n]
+
+	// µ(d) is the path vertex of least H-depth (TreeDecomposition.Capture);
+	// it is unique, since two path vertices of equal depth would have a
+	// shallower H-LCA on the path between them (property (i)), so the
+	// order in which the climbs meet the vertices cannot matter.
+	z, zPos := u, 0
+	x := u
+	for i := 0; i < du; i++ {
+		path[i] = model.MakeEdgeKey(q, x) // an edge is named by its deeper endpoint
+		x = t.Parent(x)
+		if h.Depth[x] < h.Depth[z] {
+			z, zPos = x, i+1
+		}
 	}
-	return g, out
+	x = v
+	for i := n; i > du; i-- { // x sits at position i
+		path[i-1] = model.MakeEdgeKey(q, x)
+		if h.Depth[x] < h.Depth[z] {
+			z, zPos = x, i
+		}
+		x = t.Parent(x)
+	}
+
+	c := addWings(path, crit, 0, zPos)
+	for _, nb := range h.Pivot[z] {
+		// The bending point of d with respect to nb is the path vertex
+		// closest to nb: the median of u, v and nb, which is the deepest of
+		// LCA(u,v), LCA(u,nb) and LCA(v,nb) (graph.Tree.Median). At most one
+		// of the last two lies below lca, on its endpoint's side.
+		pos := du
+		if a := t.LCA(u, nb); t.Depth(a) > t.Depth(lca) {
+			pos = t.Depth(u) - t.Depth(a)
+		} else if b := t.LCA(v, nb); t.Depth(b) > t.Depth(lca) {
+			pos = du + t.Depth(b) - t.Depth(lca)
+		}
+		c = addWings(path, crit, c, pos)
+	}
+	return l.Length - h.Depth[z] + 1, n, c
+}
+
+// addWings appends to crit[:c] the wings of the path vertex at position i
+// — the path edge before it, then the one after it — skipping any already
+// present, and returns the new count.
+//
+//schedvet:hot
+func addWings(path, crit []model.EdgeKey, c, i int) int {
+	if i > 0 {
+		c = addCritical(crit, c, path[i-1])
+	}
+	if i < len(path) {
+		c = addCritical(crit, c, path[i])
+	}
+	return c
+}
+
+func addCritical(crit []model.EdgeKey, c int, k model.EdgeKey) int {
+	for _, e := range crit[:c] {
+		if e == k {
+			return c
+		}
+	}
+	crit[c] = k
+	return c + 1
 }
 
 // MaxCriticalSize returns the guaranteed bound ∆ = 2(θ+1) of Lemma 4.2.
-func (l *Layered) MaxCriticalSize() int {
-	return 2 * (l.H.PivotSize() + 1)
-}
+func (l *Layered) MaxCriticalSize() int { return l.maxCritical }
 
 // LineAssign computes the group and critical slots for a line demand
 // instance per §7: groups partition instances by length into

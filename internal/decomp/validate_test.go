@@ -7,35 +7,7 @@ import (
 
 	"treesched/internal/graph"
 	"treesched/internal/graph/graphtest"
-	"treesched/internal/model"
 )
-
-func TestAssignInstanceWrapsEdgeKeys(t *testing.T) {
-	tr := graphtest.Fig6Tree()
-	l := NewLayered(Ideal(tr))
-	di := &model.DemandInstance{
-		ID: 0, Demand: 0, Tree: 3, U: 3, V: 12, Profit: 1, Height: 1,
-	}
-	group, critical := l.AssignInstance(di)
-	if group < 1 || group > l.Length {
-		t.Fatalf("group %d outside [1,%d]", group, l.Length)
-	}
-	if len(critical) == 0 || len(critical) > 6 {
-		t.Fatalf("|π| = %d", len(critical))
-	}
-	rawGroup, rawEdges := l.Assign(3, 12)
-	if rawGroup != group || len(rawEdges) != len(critical) {
-		t.Fatalf("AssignInstance diverged from Assign")
-	}
-	for i, k := range critical {
-		if k.Tree() != 3 {
-			t.Errorf("critical[%d] on tree %d, want 3", i, k.Tree())
-		}
-		if k.Edge() != rawEdges[i] {
-			t.Errorf("critical[%d] edge %d, want %d", i, k.Edge(), rawEdges[i])
-		}
-	}
-}
 
 // TestValidateCatchesCorruption corrupts each decomposition property in turn
 // and checks Validate reports it.

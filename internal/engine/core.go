@@ -67,21 +67,26 @@ type ItemView struct {
 // path edges into the core's dual index. Call once per item at setup; the
 // index must not be mutated while a run is in flight.
 func (c *Core) Intern(it *Item) ItemView {
-	return internItem(c.Dual.Index(), it)
+	return internItem(c.Dual.Index(), it, make([]int32, len(it.Edges)+len(it.Critical)))
 }
 
 // internItem is the one translation from Item to dense ItemView; the
 // engine's layouts and the dist nodes' views are both built through it, so
 // a change to the view shape or the interning rule cannot make the two
-// executions diverge.
-func internItem(ix *dual.Index, it *Item) ItemView {
-	return ItemView{
-		Slot:     ix.Demand(it.Demand),
-		Profit:   it.Profit,
-		Height:   it.Height,
-		Edges:    ix.Path(it.Edges),
-		Critical: ix.Path(it.Critical),
+// executions diverge. The view's index lists are written into buf, which
+// holds exactly len(it.Edges)+len(it.Critical) entries: path first, then
+// π(d), each capped at its own length.
+func internItem(ix *dual.Index, it *Item, buf []int32) ItemView {
+	slot := ix.Demand(it.Demand)
+	ne, n := len(it.Edges), len(it.Edges)+len(it.Critical)
+	edges, critical := buf[:ne:ne], buf[ne:n:n]
+	for j, k := range it.Edges {
+		edges[j] = ix.Edge(k)
 	}
+	for j, k := range it.Critical {
+		critical[j] = ix.Edge(k)
+	}
+	return ItemView{Slot: slot, Profit: it.Profit, Height: it.Height, Edges: edges, Critical: critical}
 }
 
 // Coeff returns the view's LHS coefficient: 1 under the unit rule, the

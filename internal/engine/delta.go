@@ -217,7 +217,7 @@ func (p *Prepared) Apply(d Delta) error {
 			lay.views = append(lay.views, ItemView{})
 			lay.ownerSlot = append(lay.ownerSlot, 0)
 		}
-		lay.views[id] = internItem(lay.ix, &p.items[id])
+		lay.views[id] = internItem(lay.ix, &p.items[id], make([]int32, len(it.Edges)+len(it.Critical)))
 		lay.ownerSlot[id] = lay.internOwner(it.Owner)
 	}
 

@@ -78,32 +78,69 @@ func BuildTreeItemsLayered(in *model.Instance, layered []*decomp.Layered) ([]Ite
 	if len(layered) != len(in.Trees) {
 		return nil, fmt.Errorf("engine: %d layered decompositions for %d trees", len(layered), len(in.Trees))
 	}
-	dis := in.Expand()
-	items := make([]Item, 0, len(dis))
-	for i := range dis {
-		items = append(items, TreeItemFromInstance(layered, &dis[i]))
-	}
-	return items, nil
+	return DemandItems(in.Demands, layered), nil
 }
 
-// TreeItemFromInstance translates one demand instance into a framework item
-// under the per-tree layered decompositions (layered[di.Tree] applies).
-// BuildTreeItemsLayered and the root package's incremental Session both
-// build items through it, so an arriving demand yields exactly the item a
+// DemandItems builds the items of already-validated demands under the
+// per-tree layered decompositions (layered[q] applies to network q): one
+// item per (demand, accessible network), by demand and then in Access
+// order, with ids counting up from 0 — the order of Instance.Expand. It is
+// the one tree-item builder: BuildTreeItemsLayered builds whole instances
+// through it and the root package's incremental Session builds its
+// arrivals through it, so an arriving demand yields exactly the item a
 // from-scratch build would.
-func TreeItemFromInstance(layered []*decomp.Layered, di *model.DemandInstance) Item {
-	group, critical := layered[di.Tree].AssignInstance(di)
-	return Item{
-		ID:       di.ID,
-		Demand:   di.Demand,
-		Owner:    di.Demand, // each processor owns exactly one demand (§2)
-		Resource: di.Tree,
-		Group:    group,
-		Profit:   di.Profit,
-		Height:   di.Height,
-		Edges:    di.Path,
-		Critical: critical,
+//
+// A counting pass sizes the arenas — path lengths from depths and the LCA,
+// π(d) by the bound 2(θ+1) — and then one Layered.Walk per item writes its
+// path and π(d) in place. The items of one call share one path arena and
+// one exact-size π arena (so any surviving item keeps its call's arenas
+// alive); every item's slices are capped at their own length, so
+// appending to one never reaches its neighbour.
+//
+//schedvet:hot
+func DemandItems(demands []model.Demand, layered []*decomp.Layered) []Item {
+	n, pathTotal, critBound := 0, 0, 0
+	for i := range demands {
+		d := &demands[i]
+		for _, q := range d.Access {
+			pathTotal += layered[q].H.T.Dist(d.U, d.V)
+			critBound += layered[q].MaxCriticalSize()
+			n++
+		}
 	}
+	items := make([]Item, n)
+	edges := make([]model.EdgeKey, pathTotal)
+	crit := make([]model.EdgeKey, critBound)
+	id, eo, co := 0, 0, 0
+	for i := range demands {
+		d := &demands[i]
+		for _, q := range d.Access {
+			group, ne, nc := layered[q].Walk(d.U, d.V, q, edges[eo:], crit[co:])
+			items[id] = Item{
+				ID:       id,
+				Demand:   d.ID,
+				Owner:    d.ID, // each processor owns exactly one demand (§2)
+				Resource: q,
+				Group:    group,
+				Profit:   d.Profit,
+				Height:   d.Height,
+				Edges:    edges[eo : eo+ne : eo+ne],
+				Critical: crit[co : co+nc : co+nc],
+			}
+			id, eo, co = id+1, eo+ne, co+nc
+		}
+	}
+	// π(d)'s size is known only after its walk; move the packed sets into
+	// an exact-size arena so the items hold no slack.
+	exact := make([]model.EdgeKey, co)
+	copy(exact, crit)
+	co = 0
+	for i := range items {
+		nc := len(items[i].Critical)
+		items[i].Critical = exact[co : co+nc : co+nc]
+		co += nc
+	}
+	return items
 }
 
 // BuildLineItems expands a line-network instance (with windows) into

@@ -33,7 +33,8 @@ type layout struct {
 	owners    map[int]int32
 }
 
-// buildLayout interns every item of the set into a fresh index.
+// buildLayout interns every item of the set into a fresh index, in item
+// order. All views' index lists share one slab.
 func buildLayout(items []Item) *layout {
 	lay := &layout{
 		ix:        dual.NewIndexSized(len(items)),
@@ -41,9 +42,16 @@ func buildLayout(items []Item) *layout {
 		views:     make([]ItemView, len(items)),
 		ownerSlot: make([]int32, len(items)),
 	}
+	total := 0
+	for i := range items {
+		total += len(items[i].Edges) + len(items[i].Critical)
+	}
+	slab := make([]int32, total)
 	for i := range items {
 		it := &items[i]
-		lay.views[i] = internItem(lay.ix, it)
+		n := len(it.Edges) + len(it.Critical)
+		lay.views[i] = internItem(lay.ix, it, slab[:n:n])
+		slab = slab[n:]
 		lay.ownerSlot[i] = lay.internOwner(it.Owner)
 	}
 	return lay

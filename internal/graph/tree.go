@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -239,11 +240,7 @@ func (t *Tree) LCA(u, v Vertex) Vertex {
 	if a > b {
 		a, b = b, a
 	}
-	span := b - a + 1
-	k := 0
-	for 1<<(k+1) <= span {
-		k++
-	}
+	k := bits.Len(uint(b-a+1)) - 1 // the largest k with 2^k ≤ b-a+1
 	x := t.lookup[k][a]
 	y := t.lookup[k][b-(1<<k)+1]
 	if t.depth[x] <= t.depth[y] {

@@ -8,6 +8,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"treesched/internal/graph"
 )
@@ -106,15 +107,19 @@ func ValidateDemand(d Demand, numVertices, numTrees int) error {
 	if len(d.Access) == 0 {
 		return fmt.Errorf("model: demand %d has no accessible networks", d.ID)
 	}
-	seen := map[TreeID]bool{}
-	for _, q := range d.Access {
+	// A network above every earlier one cannot repeat one, so an ascending
+	// list is checked in one pass; only a network at or below the running
+	// maximum is looked for among the earlier entries.
+	top := -1
+	for j, q := range d.Access {
 		if q < 0 || q >= numTrees {
 			return fmt.Errorf("model: demand %d accesses unknown network %d", d.ID, q)
 		}
-		if seen[q] {
+		if q > top {
+			top = q
+		} else if slices.Contains(d.Access[:j], q) {
 			return fmt.Errorf("model: demand %d lists network %d twice", d.ID, q)
 		}
-		seen[q] = true
 	}
 	return nil
 }
@@ -162,33 +167,23 @@ type DemandInstance struct {
 func (in *Instance) Expand() []DemandInstance {
 	var out []DemandInstance
 	for _, d := range in.Demands {
-		out = append(out, ExpandDemand(d, in.Trees, len(out))...)
-	}
-	return out
-}
-
-// ExpandDemand builds one demand's instances — one per accessible network,
-// in Access order, with ids counting up from firstID. Instance.Expand and
-// the root package's incremental Session both construct instances through
-// it, so an arriving demand expands exactly as a from-scratch build would.
-func ExpandDemand(d Demand, trees []*graph.Tree, firstID InstanceID) []DemandInstance {
-	out := make([]DemandInstance, 0, len(d.Access))
-	for _, q := range d.Access {
-		edges := trees[q].PathEdges(d.U, d.V)
-		path := make([]EdgeKey, len(edges))
-		for j, e := range edges {
-			path[j] = MakeEdgeKey(q, e)
+		for _, q := range d.Access {
+			edges := in.Trees[q].PathEdges(d.U, d.V)
+			path := make([]EdgeKey, len(edges))
+			for j, e := range edges {
+				path[j] = MakeEdgeKey(q, e)
+			}
+			out = append(out, DemandInstance{
+				ID:     len(out),
+				Demand: d.ID,
+				Tree:   q,
+				U:      d.U,
+				V:      d.V,
+				Profit: d.Profit,
+				Height: d.Height,
+				Path:   path,
+			})
 		}
-		out = append(out, DemandInstance{
-			ID:     firstID + len(out),
-			Demand: d.ID,
-			Tree:   q,
-			U:      d.U,
-			V:      d.V,
-			Profit: d.Profit,
-			Height: d.Height,
-			Path:   path,
-		})
 	}
 	return out
 }

@@ -263,15 +263,15 @@ func Solve(in *Instance, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveTreeItems(m, items, opts)
+	return solveTreeItems(items, opts)
 }
 
-// solveTreeItems runs the framework algorithms over items built from a tree
-// model instance; shared by Solve and the caching Solver.
-func solveTreeItems(m *model.Instance, items []engine.Item, opts Options) (*Result, error) {
-	dis := m.Expand()
+// solveTreeItems runs the framework algorithms over tree items; shared by
+// Solve and the caching Solver. An item carries its demand and network, so
+// selected ids map to assignments directly.
+func solveTreeItems(items []engine.Item, opts Options) (*Result, error) {
 	toAssignment := func(id int) Assignment {
-		return Assignment{Demand: dis[id].Demand, Network: dis[id].Tree}
+		return Assignment{Demand: items[id].Demand, Network: items[id].Resource}
 	}
 	return solveItems(items, opts, unitHeights(items), toAssignment)
 }

@@ -7,7 +7,6 @@ import (
 
 	"treesched/internal/decomp"
 	"treesched/internal/engine"
-	"treesched/internal/graph"
 	"treesched/internal/model"
 )
 
@@ -33,9 +32,8 @@ import (
 type Session struct {
 	solver  *Solver
 	mu      sync.Mutex
-	trees   []*graph.Tree
-	layered []*decomp.Layered
-	nv      int // vertex count
+	layered []*decomp.Layered // per network; len is the network count
+	nv      int               // vertex count
 	p       *engine.Prepared
 	live    map[int]bool // demand id -> currently present
 	next    int          // next demand id to assign
@@ -155,18 +153,19 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	default:
 		return nil, fmt.Errorf("treesched: sessions support DistributedUnit or unit-height Auto, not %v", s.opts.Algorithm)
 	}
-	layered, err := s.layeredFor(m)
+	_, treeKeys := instanceSignature(m, s.opts.Decomposition)
+	rec := s.opts.Recorder
+	var tok int64
+	if rec != nil {
+		tok = rec.StartSpan(engine.PhasePrepare)
+	}
+	layered, err := s.layeredFor(m, treeKeys)
 	if err != nil {
 		return nil, err
 	}
 	items, err := engine.BuildTreeItemsLayered(m, layered)
 	if err != nil {
 		return nil, err
-	}
-	rec := s.opts.Recorder
-	var tok int64
-	if rec != nil {
-		tok = rec.StartSpan(engine.PhasePrepare)
 	}
 	p := engine.Prepare(items)
 	p.SetRecorder(rec)
@@ -175,7 +174,6 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	}
 	sess := &Session{
 		solver:  s,
-		trees:   m.Trees,
 		layered: layered,
 		nv:      m.NumVertices,
 		p:       p,
@@ -226,7 +224,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	}
 
 	opts := sess.solver.opts
-	var add []engine.Item
+	arrivals := make([]model.Demand, 0, len(c.Add))
 	ids := make([]int, 0, len(c.Add))
 	for i, nd := range c.Add {
 		h := nd.Height
@@ -235,27 +233,25 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		}
 		access := nd.Access
 		if len(access) == 0 {
-			access = allTrees(len(sess.trees))
+			access = allTrees(len(sess.layered))
 		}
 		id := sess.next + len(ids)
 		// The acceptance rules are the model's own, so an arrival a
 		// from-scratch Instance build would reject is rejected here too.
 		d := model.Demand{ID: id, U: nd.U, V: nd.V, Profit: nd.Profit, Height: h, Access: access}
-		if err := model.ValidateDemand(d, sess.nv, len(sess.trees)); err != nil {
+		if err := model.ValidateDemand(d, sess.nv, len(sess.layered)); err != nil {
 			return nil, fmt.Errorf("treesched: arrival %d: %w", i, err)
 		}
 		if h < 1 && opts.Algorithm != DistributedUnit {
 			return nil, fmt.Errorf("treesched: arrival %d has height %v; Auto sessions need unit heights (pin DistributedUnit)", i, nd.Height)
 		}
 		ids = append(ids, id)
-		// Expansion and item construction go through the same helpers as a
-		// from-scratch build (Instance.Expand + BuildTreeItemsLayered), so
-		// the incremental path cannot drift from it. Apply assigns the item
-		// ids.
-		for _, di := range model.ExpandDemand(d, sess.trees, 0) {
-			add = append(add, engine.TreeItemFromInstance(sess.layered, &di))
-		}
+		arrivals = append(arrivals, d)
 	}
+	// Items are built by the same function as a from-scratch build
+	// (BuildTreeItemsLayered), so the incremental path cannot drift from
+	// it. Apply assigns the item ids.
+	add := engine.DemandItems(arrivals, sess.layered)
 
 	// Departures: every item (one per accessible network) of each removed
 	// demand, located by one scan of the current set.

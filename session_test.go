@@ -2,12 +2,14 @@ package treesched_test
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	treesched "treesched"
 	"treesched/internal/engine"
+	"treesched/internal/model"
 	"treesched/internal/workload"
 )
 
@@ -19,7 +21,14 @@ func buildInstance(t testing.TB, cfg workload.TreeConfig, seed int64) *treesched
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := treesched.NewInstance(cfg.Vertices)
+	return publicInstance(t, in, in.Demands)
+}
+
+// publicInstance builds the public form of a model instance's networks
+// carrying the given demands.
+func publicInstance(t testing.TB, in *model.Instance, demands []model.Demand) *treesched.Instance {
+	t.Helper()
+	inst := treesched.NewInstance(in.NumVertices)
 	for _, tr := range in.Trees {
 		edges := make([][2]int, 0, tr.N()-1)
 		for _, e := range tr.Edges() {
@@ -29,7 +38,7 @@ func buildInstance(t testing.TB, cfg workload.TreeConfig, seed int64) *treesched
 			t.Fatal(err)
 		}
 	}
-	for _, d := range in.Demands {
+	for _, d := range demands {
 		inst.AddDemand(d.U, d.V, d.Profit, treesched.Access(d.Access...), treesched.Height(d.Height))
 	}
 	return inst
@@ -646,5 +655,59 @@ func TestSessionWarmStats(t *testing.T) {
 	st = sessOff.Stats()
 	if st.WarmSolves != 0 || st.ColdSolves != 0 || st.ComponentsReplayed != 0 || st.ComponentsResolved != 0 {
 		t.Fatalf("DisableWarmStart session accounted warm state: %+v", st)
+	}
+}
+
+// TestSessionArrivalItemsMatchScratch checks that an arriving demand yields
+// exactly the item a from-scratch build of the same demand set would: same
+// demand, network, group, profit, height, path and critical set, field by
+// field. Only the item id, a position Apply assigns, may differ.
+func TestSessionArrivalItemsMatchScratch(t *testing.T) {
+	cfg := workload.TreeConfig{Vertices: 48, Trees: 3, Demands: 30, ProfitRatio: 8, AccessMin: 1, AccessMax: 3}
+	full, err := workload.RandomTreeInstance(cfg, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const initial = 20
+	inst := publicInstance(t, full, full.Demands[:initial])
+	sess, err := treesched.NewSolver(treesched.Options{Algorithm: treesched.DistributedUnit}).Session(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := treesched.Churn{Remove: []int{0, 7}}
+	for _, d := range full.Demands[initial:] {
+		c.Add = append(c.Add, treesched.NewDemand{U: d.U, V: d.V, Profit: d.Profit, Height: d.Height, Access: d.Access})
+	}
+	ids, err := sess.Update(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] != initial {
+		t.Fatalf("first arrival got id %d, want %d", ids[0], initial)
+	}
+	// Session ids continue the instance's, so the full instance built from
+	// scratch names every arrival by the same demand id.
+	scratch, err := engine.BuildTreeItems(full, engine.IdealDecomp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := func(items []engine.Item) []engine.Item {
+		var out []engine.Item
+		for _, it := range items {
+			if it.Demand >= initial {
+				it.ID = 0
+				out = append(out, it)
+			}
+		}
+		return out
+	}
+	got, want := arrivals(treesched.SessionItems(sess)), arrivals(scratch)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%d arrival items, scratch %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("arrival item %d\n got %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package treesched
 
 import (
+	"encoding/binary"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -29,11 +29,16 @@ import (
 //     way, so DistributedArbitrary re-solves skip preparation for both
 //     classes too.
 //
-// Repeated solves over identical instances — the steady state of a
-// scheduling service re-solving as schedules are re-evaluated — therefore
-// cost only the schedule itself. For churning demand sets on fixed
-// networks, Session offers the incremental path: Update applies demand
-// arrivals/departures as an engine delta instead of re-preparing.
+// A cold solve validates the instance, encodes its content key, walks each
+// demand instance's path once to build its item, interns the items into
+// the dense layout and groups them into member lists — each pass linear in
+// the total path length — decomposes any network not seen before, and then
+// runs the schedule. Repeated solves over identical instances — the steady
+// state of a scheduling service re-solving as schedules are re-evaluated —
+// pay only validation, the content key and the schedule. For churning
+// demand sets on fixed networks, Session offers the incremental path:
+// Update applies demand arrivals/departures as an engine delta instead of
+// re-preparing.
 //
 // A Solver is safe for concurrent use; each Solve call runs independently
 // and only the caches are shared (a cached preparation is immutable and
@@ -54,7 +59,8 @@ type Solver struct {
 const maxCachedLayouts = 1024
 
 // maxCachedPrepared bounds the Solver's prepared-instance caches. A
-// Prepared entry holds its items, views and member lists — linear in the
+// Prepared entry holds its items (paths and critical sets in two arenas),
+// views (index lists in one slab) and member lists — linear in the
 // instance's total path length, but far larger than one network's
 // decomposition — so the bound is tighter than the decomposition cache's.
 const maxCachedPrepared = 128
@@ -163,11 +169,12 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 		}
 	}
 
-	items, err := s.buildItems(m)
+	_, treeKeys := instanceSignature(m, s.opts.Decomposition)
+	items, err := s.buildItems(m, treeKeys)
 	if err != nil {
 		return nil, err
 	}
-	return solveTreeItems(m, items, s.opts)
+	return solveTreeItems(items, s.opts)
 }
 
 // resolveFast resolves Auto against the instance's heights and reports
@@ -245,9 +252,9 @@ func (s *Solver) arbitraryResultFromPrepared(ap *engine.ArbitraryPrepared) (*Res
 }
 
 // buildItems expands the instance into framework items over cached per-tree
-// decompositions.
-func (s *Solver) buildItems(m *model.Instance) ([]engine.Item, error) {
-	layered, err := s.layeredFor(m)
+// decompositions; treeKeys[q] is tree q's key from instanceSignature.
+func (s *Solver) buildItems(m *model.Instance, treeKeys []string) ([]engine.Item, error) {
+	layered, err := s.layeredFor(m, treeKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -255,10 +262,10 @@ func (s *Solver) buildItems(m *model.Instance) ([]engine.Item, error) {
 }
 
 // layeredFor returns the cached layered decomposition of every tree.
-func (s *Solver) layeredFor(m *model.Instance) ([]*decomp.Layered, error) {
+func (s *Solver) layeredFor(m *model.Instance, treeKeys []string) ([]*decomp.Layered, error) {
 	layered := make([]*decomp.Layered, len(m.Trees))
 	for q, t := range m.Trees {
-		l, err := s.layout(t)
+		l, err := s.layout(t, treeKeys[q])
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +278,7 @@ func (s *Solver) layeredFor(m *model.Instance) ([]*decomp.Layered, error) {
 // it on first sight. Two racing builders of the same key do redundant work
 // but converge on one cached value.
 func (s *Solver) prepare(m *model.Instance) (*engine.Prepared, error) {
-	key := instanceSignature(m, s.opts.Decomposition)
+	key, treeKeys := instanceSignature(m, s.opts.Decomposition)
 	s.mu.Lock()
 	p, ok := s.prepared.get(key)
 	s.mu.Unlock()
@@ -283,7 +290,7 @@ func (s *Solver) prepare(m *model.Instance) (*engine.Prepared, error) {
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	items, err := s.buildItems(m)
+	items, err := s.buildItems(m, treeKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +307,7 @@ func (s *Solver) prepare(m *model.Instance) (*engine.Prepared, error) {
 
 // prepareArbitrary is prepare for the §6 wide/narrow pipeline.
 func (s *Solver) prepareArbitrary(m *model.Instance) (*engine.ArbitraryPrepared, error) {
-	key := instanceSignature(m, s.opts.Decomposition)
+	key, treeKeys := instanceSignature(m, s.opts.Decomposition)
 	s.mu.Lock()
 	ap, ok := s.arbitrary.get(key)
 	s.mu.Unlock()
@@ -312,7 +319,7 @@ func (s *Solver) prepareArbitrary(m *model.Instance) (*engine.ArbitraryPrepared,
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	items, err := s.buildItems(m)
+	items, err := s.buildItems(m, treeKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -329,9 +336,8 @@ func (s *Solver) prepareArbitrary(m *model.Instance) (*engine.ArbitraryPrepared,
 
 // layout returns the layered decomposition of t under the solver's
 // decomposition kind, from cache when the same network structure was
-// decomposed before.
-func (s *Solver) layout(t *graph.Tree) (*decomp.Layered, error) {
-	key := treeSignature(t, s.opts.Decomposition)
+// decomposed before. key is t's key from instanceSignature.
+func (s *Solver) layout(t *graph.Tree, key string) (*decomp.Layered, error) {
 	s.mu.Lock()
 	l, ok := s.layouts.get(key)
 	s.mu.Unlock()
@@ -343,55 +349,63 @@ func (s *Solver) layout(t *graph.Tree) (*decomp.Layered, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.layouts.put(key, l)
+	s.layouts.put(strings.Clone(key), l) // key is a substring of an instance key
 	s.mu.Unlock()
 	return l, nil
 }
 
-// treeSignature is an exact structural key for a tree under a decomposition
-// kind: vertex count plus the canonical edge list. Two trees with equal
-// signatures have identical edge ids and hence identical decompositions, so
-// the cache also hits across distinct Instance values describing the same
-// network.
-func treeSignature(t *graph.Tree, kind engine.DecompKind) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(int(kind)))
-	b.WriteByte('#')
-	b.WriteString(strconv.Itoa(t.N()))
-	for _, e := range t.Edges() {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(e.U))
-		b.WriteByte('-')
-		b.WriteString(strconv.Itoa(e.V))
-	}
-	return b.String()
-}
-
 // instanceSignature is an exact content key for a full instance under a
-// decomposition kind: the tree signatures plus every demand's endpoints,
-// profit and height bits, and accessibility list. Items (and hence the
-// conflict graph, the dense layout, and every solve over them) are a pure
-// function of this content, so equal signatures may safely share one
-// prepared value.
-func instanceSignature(m *model.Instance, kind engine.DecompKind) string {
-	var b strings.Builder
+// decomposition kind, plus each tree's key as a substring of it. Items (and
+// hence the conflict structure, the dense layout, and every solve over
+// them) are a pure function of this content, so equal keys may safely
+// share one prepared value.
+//
+// The key is one binary encoding: the kind, the vertex count, each tree,
+// then each demand's endpoints, profit and height bits, and accessibility
+// list. A tree encodes as its vertex count and then the parent of every
+// vertex but the root; that is its whole structure, since edge ids and
+// every decomposition are functions of it. Every field is a varint or
+// fixed-width and every list is preceded by its length, so the encoding
+// decodes uniquely and distinct contents never share a key. A tree's key
+// omits the kind, which is fixed for a Solver and hence for its
+// decomposition cache.
+func instanceSignature(m *model.Instance, kind engine.DecompKind) (key string, treeKeys []string) {
+	size := 16
 	for _, t := range m.Trees {
-		b.WriteString(treeSignature(t, kind))
-		b.WriteByte('|')
+		size += 2 * t.N()
 	}
-	for _, d := range m.Demands {
-		b.WriteString(strconv.Itoa(d.U))
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(d.V))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatUint(math.Float64bits(d.Profit), 16))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatUint(math.Float64bits(d.Height), 16))
-		for _, q := range d.Access {
-			b.WriteByte('.')
-			b.WriteString(strconv.Itoa(q))
+	for i := range m.Demands {
+		size += 24 + len(m.Demands[i].Access)
+	}
+	b := make([]byte, 0, size)
+	b = binary.AppendVarint(b, int64(kind))
+	b = binary.AppendVarint(b, int64(m.NumVertices))
+	b = binary.AppendVarint(b, int64(len(m.Trees)))
+	spans := make([]int, len(m.Trees)+1)
+	for q, t := range m.Trees {
+		spans[q] = len(b)
+		b = binary.AppendVarint(b, int64(t.N()))
+		for v := 1; v < t.N(); v++ {
+			b = binary.AppendVarint(b, int64(t.Parent(v)))
 		}
-		b.WriteByte(';')
 	}
-	return b.String()
+	spans[len(m.Trees)] = len(b)
+	b = binary.AppendVarint(b, int64(len(m.Demands)))
+	for i := range m.Demands {
+		d := &m.Demands[i]
+		b = binary.AppendVarint(b, int64(d.U))
+		b = binary.AppendVarint(b, int64(d.V))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Profit))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Height))
+		b = binary.AppendVarint(b, int64(len(d.Access)))
+		for _, q := range d.Access {
+			b = binary.AppendVarint(b, int64(q))
+		}
+	}
+	key = string(b)
+	treeKeys = make([]string, len(m.Trees))
+	for q := range treeKeys {
+		treeKeys[q] = key[spans[q]:spans[q+1]]
+	}
+	return key, treeKeys
 }
