@@ -58,25 +58,27 @@
 // of §2 decomposes into connected components that never exchange messages,
 // so the epoch/stage/step schedule runs per component on a worker pool and
 // the results are merged back into the serial execution exactly. Within a
-// component: the per-step kernels — the unsatisfied-scan, the batched
-// raises of a step's MIS, the greedy second phase's feasibility tests, and
-// the λ fold — are data-parallel over the dense index lists, so each
-// component's engine row-partitions them across an allocation-free lane
-// pool. The Luby election itself runs inline on the coordinator: over the
-// member-list form of the conflict graph one iteration costs
-// O(Σ (1 + |path|)) for the step's live items, and its draws are serial
-// per owner stream anyway. The cost model
-// is simple: a single-component instance puts the whole budget into lanes;
-// a fleet splits it as shard workers × (budget / shard workers), and lanes
-// are always clamped to the host's GOMAXPROCS (rows below a fixed grain
-// run inline, so small components never pay partitioning overhead).
+// component: the batched raises of a step's MIS, the greedy second phase's
+// feasibility tests, and the λ fold are data-parallel over the dense index
+// lists, so each component's engine row-partitions them across an
+// allocation-free lane pool. The satisfaction scan and the Luby election
+// run inline on the coordinator. The scan is incremental (see "Dense
+// indexed dual state" below) and leaves too few rows per step to split.
+// One election iteration over the member-list form of the conflict graph
+// costs O(Σ (1 + |path|)) for the step's live items, and its draws are
+// serial per owner stream anyway. The cost model is simple: a
+// single-component instance puts the whole budget into lanes; a fleet
+// splits it as shard workers × (budget / shard workers), with lanes sized
+// by the largest component that runs, and lanes are always clamped to the
+// host's GOMAXPROCS (rows below a fixed grain run inline, so small
+// components never pay partitioning overhead).
 //
 // Both levels are bitwise invisible. Lane kernels only read shared state
-// and write per-row slots; every cross-row decision — collecting scan hits,
-// committing greedy steps — happens on the coordinator in ascending row
-// order, identical to the serial loop. A step's MIS members are pairwise
-// conflict-free (disjoint demand slots, disjoint edge sets), so its raises
-// commute exactly; λ is a pure min, exact in any association; and the
+// and write per-row slots; every cross-row decision — committing greedy
+// steps — happens on the coordinator in ascending row order, identical to
+// the serial loop. A step's MIS members are pairwise conflict-free
+// (disjoint demand slots, disjoint edge sets), so its raises commute
+// exactly; λ is a pure min, exact in any association; and the
 // Luby election never leaves the coordinator, so draw order is independent
 // of worker count. Consequently any Parallelism (and the
 // serial engine) produce bit-identical selections, profit, λ, dual bound
@@ -87,14 +89,20 @@
 // # Dense indexed dual state
 //
 // The inner loop of the two-phase framework tests ξ-satisfaction —
-// α(a) + h·Σ_{e∈path} β(e) ≥ ξ·p(d) — once per live demand instance per
-// step. The dual state backing that test is dense: every demand id and
-// every EdgeKey is interned once per item set into contiguous int32 slots
-// (internal/dual.Index over internal/model.EdgeInterner), α and β live in
-// flat []float64 slices, and each item carries precomputed index lists for
-// its path and critical set, so satisfaction scans, raises, the β-replay of
-// announced raises, and the greedy second phase are tight loops over int
-// slices with no map hashing. The invariants that keep the three
+// α(a) + h·Σ_{e∈path} β(e) ≥ ξ·p(d) — for the demand instances that can
+// still be unsatisfied. Raises only ever add to α and β, so an instance's
+// computed LHS never falls: the first step of each stage tests the epoch's
+// instances not yet satisfied at the plan's top threshold (and retires the
+// ones that are), and every later step re-tests only the previous step's
+// unsatisfied set. That selects exactly the sets a scan of every instance
+// at every step would (pinned against that full scan by a test oracle and
+// a fuzz target). The dual state backing the test is dense: every demand
+// id and every EdgeKey is interned once per item set into contiguous int32
+// slots (internal/dual.Index over internal/model.EdgeInterner), α and β
+// live in flat []float64 slices, and each item carries precomputed index
+// lists for its path and critical set, so satisfaction scans, raises, the
+// β-replay of announced raises, and the greedy second phase are tight loops
+// over int slices with no map hashing. The invariants that keep the three
 // executions — serial engine, sharded pipeline, message-passing simulation
 // — bitwise equal are unchanged: indices are a pure storage relabeling
 // (each execution owns its own index scope; values merge and compare by
@@ -426,8 +434,9 @@
 //     interfaces — locking in the allocation-free shape of the
 //     solve/merge/Apply loops (PRs 4–6). The item builder's walk
 //     (decomp.Layered.Walk and engine.DemandItems), the raise primitives
-//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the per-step scan
-//     (state.unsatisfied), the group-form elections
+//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the satisfaction
+//     verdict (dual.Meets), the compacted per-step scan (state.scanLive,
+//     state.retest), the group-form elections
 //     (state.independentSet, mis.Luby, mis.Greedy), the greedy second
 //     phase, the shard merge, Prepared.Apply, and the row-partitioned lane
 //     kernels (state.raiseAll, the partitioned greedy commit) are

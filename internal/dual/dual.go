@@ -7,9 +7,13 @@
 // # Dense indexed state
 //
 // The inner loop of the framework tests ξ-satisfaction —
-// α(a) + h·Σ_{e∈path} β(e) ≥ ξ·p(d) — once per live item per step, and the
-// map-backed representation paid an EdgeKey hash per path edge on every
-// test (BetaSum was a top profile entry). The assignment therefore keeps
+// α(a) + h·Σ_{e∈path} β(e) ≥ ξ·p(d) — for every item that can still be
+// unsatisfied, and the map-backed representation paid an EdgeKey hash per
+// path edge on every test (BetaSum was a top profile entry). Meets is the
+// one comparison every such test applies. The raise rules only ever add
+// non-negative amounts, so no computed LHS falls and Meets, monotone in
+// its LHS and its threshold, never revokes a verdict; the engine relies on
+// that to re-test only the items still unsatisfied. The assignment keeps
 // α and β in dense []float64 slices addressed through an Index that interns
 // demand ids and EdgeKeys to contiguous int32 slots once per item set; the
 // hot-path methods (BetaSum, LHS, Satisfied, RaiseUnit, RaiseNarrow,
@@ -274,7 +278,24 @@ func (a *Assignment) LHS(slot int32, coeff float64, path []int32) float64 {
 //
 //schedvet:hot
 func (a *Assignment) Satisfied(slot int32, coeff float64, path []int32, xi, profit float64) bool {
-	return a.LHS(slot, coeff, path) >= xi*profit-Tolerance*profit
+	return Meets(a.LHS(slot, coeff, path), xi, profit)
+}
+
+// Meets is the one ξ-satisfaction verdict: a dual constraint whose
+// left-hand side evaluates to lhs is ξ-satisfied for profit p when
+// lhs ≥ ξ·p − Tolerance·p. Satisfied and SatisfiedKeys apply it to the
+// LHS they compute; callers that already hold an LHS (the engine's
+// compacted scan classifies one LHS against two thresholds) call it
+// directly, so every satisfaction test in the library is this expression.
+//
+// For a positive profit the verdict is monotone in both arguments: IEEE
+// round-to-nearest multiplication by p and subtraction of the same
+// Tolerance·p are non-decreasing, so a larger lhs or a smaller ξ never
+// turns true into false.
+//
+//schedvet:hot
+func Meets(lhs, xi, profit float64) bool {
+	return lhs >= xi*profit-Tolerance*profit
 }
 
 // growAlpha ensures the α slice covers slot.
@@ -425,7 +446,7 @@ func (a *Assignment) LHSKeys(demand int, coeff float64, path []model.EdgeKey) fl
 
 // SatisfiedKeys is Satisfied over a demand id and edge keys.
 func (a *Assignment) SatisfiedKeys(demand int, coeff float64, path []model.EdgeKey, xi, profit float64) bool {
-	return a.LHSKeys(demand, coeff, path) >= xi*profit-Tolerance*profit
+	return Meets(a.LHSKeys(demand, coeff, path), xi, profit)
 }
 
 // RaiseUnitKeys is RaiseUnit over a demand id and edge keys, interning them

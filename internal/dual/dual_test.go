@@ -3,6 +3,7 @@ package dual
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -259,5 +260,82 @@ func BenchmarkAssignmentClone(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRaisesNeverLowerLHS is the monotonicity the engine's compacted
+// satisfaction scan rests on: over random sequences of RaiseUnit,
+// RaiseNarrow and AddBeta (with the non-negative gains the protocol uses,
+// and raise profits both above and below the current LHS), no tracked
+// constraint's computed LHS ever falls, a constraint satisfied at threshold
+// t stays satisfied at t for the rest of the sequence, and one satisfied at
+// t is satisfied at every t′ ≤ t.
+func TestRaisesNeverLowerLHS(t *testing.T) {
+	thresholds := []float64{0, 1.0 / 5.2, 0.5, 1 - 14.0/15, 0.9, 1 - 1e-9, 1}
+	slices.Sort(thresholds)
+	type constraint struct {
+		slot           int32
+		coeff, profit  float64
+		path, critical []int32
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nd, ne := 1+rng.Intn(6), 2+rng.Intn(12)
+		a := NewDense(nd, ne)
+		cons := make([]constraint, 16)
+		for i := range cons {
+			path := rng.Perm(ne)[:1+rng.Intn(ne)]
+			c := constraint{slot: int32(rng.Intn(nd)), coeff: 1, profit: 0.05 + 10*rng.Float64()}
+			for _, e := range path {
+				c.path = append(c.path, int32(e))
+			}
+			c.critical = c.path[:1+rng.Intn(len(c.path))]
+			if rng.Intn(2) == 0 {
+				c.coeff = 0.5 * (1 - rng.Float64()) // (0, 1/2]
+			}
+			cons[i] = c
+		}
+		lhs := make([]float64, len(cons))
+		sat := make([][]bool, len(cons))
+		for i := range sat {
+			sat[i] = make([]bool, len(thresholds))
+		}
+		for step := 0; step < 300; step++ {
+			c := &cons[rng.Intn(len(cons))]
+			profit := c.profit * 2 * rng.Float64()
+			switch rng.Intn(3) {
+			case 0:
+				a.RaiseUnit(c.slot, profit, c.path, c.critical)
+			case 1:
+				a.RaiseNarrow(c.slot, profit, 0.5*(1-rng.Float64()), c.path, c.critical)
+			default:
+				a.AddBeta(c.critical, rng.Float64()*rng.Float64())
+			}
+			for i := range cons {
+				c := &cons[i]
+				v := a.LHS(c.slot, c.coeff, c.path)
+				if v < lhs[i] {
+					t.Fatalf("seed %d step %d: constraint %d LHS fell %v → %v", seed, step, i, lhs[i], v)
+				}
+				lhs[i] = v
+				for k, th := range thresholds {
+					ok := a.Satisfied(c.slot, c.coeff, c.path, th, c.profit)
+					if ok != Meets(v, th, c.profit) {
+						t.Fatalf("seed %d step %d: Satisfied and Meets disagree", seed, step)
+					}
+					if sat[i][k] && !ok {
+						t.Fatalf("seed %d step %d: constraint %d fell out of %v-satisfaction", seed, step, i, th)
+					}
+					if ok {
+						for _, lower := range thresholds[:k] {
+							if !Meets(v, lower, c.profit) {
+								t.Fatalf("seed %d step %d: constraint %d satisfied at %v but not at %v", seed, step, i, th, lower)
+							}
+						}
+					}
+					sat[i][k] = ok
+				}
+			}
+		}
 	}
 }

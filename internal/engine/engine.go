@@ -15,6 +15,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"treesched/internal/dual"
@@ -151,6 +152,12 @@ type solveScratch struct {
 	// streams holds one splitmix64 priority stream per owner slot, re-seeded
 	// by newState exactly as the dist nodes seed theirs (NewStream).
 	streams []Stream
+	// live holds the item ids bucketed by group, ascending within a group;
+	// groupEnd[k] is where group k's bucket ends (group k starts at
+	// groupEnd[k-1]). During epoch k, firstPhase compacts that bucket in
+	// place to the members not yet satisfied at the plan's top threshold.
+	live     []int
+	groupEnd []int
 	// uBuf and slotBuf are per-step scratch for the unsatisfied set and its
 	// owner slots.
 	uBuf    []int
@@ -279,7 +286,10 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 // row-partitioning the per-step kernels over intra lanes (intrapar.go); the
 // result is bitwise identical at every lane count. The sharded pipeline
 // (RunParallel) runs firstPhase per component instead and merges, handing
-// each shard worker its own lane budget.
+// each shard worker its own lane budget. The dual is scored (λ and the
+// bound) right after the first phase, inside PhaseSerialSolve: scoring
+// reads only the dual and the greedy phase reads only the views and the
+// stack, so the order cannot reach any result.
 func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error) {
 	scr := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(scr)
@@ -298,6 +308,9 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
 	}
+	if len(p.items) > 0 {
+		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views, pool)
+	}
 	if rec != nil {
 		rec.EndSpan(PhaseSerialSolve, tok)
 		tok = rec.StartSpan(PhaseGreedy)
@@ -305,10 +318,6 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 	st.secondPhase(res)
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
-	}
-
-	if len(p.items) > 0 {
-		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views, pool)
 	}
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 	return res, nil
@@ -389,28 +398,58 @@ func MaxCritical(items []Item) int {
 }
 
 // firstPhase runs the epoch/stage/step schedule of Figure 7.
+//
+// The per-step satisfaction scan is incremental and exact. Each epoch keeps
+// a live list of its members not yet satisfied at the plan's top threshold
+// (the largest in Plan.Thresholds). The first step of a stage scans only
+// live: it computes each member's LHS once, collects U (the members below
+// the stage threshold), and drops from live the members at or above the
+// top threshold. Every later step of the stage re-tests only the previous
+// step's U. This selects exactly the U of a scan over all members at every
+// step, in the same ascending order:
+//
+//   - A raise only adds: RaiseUnit and RaiseNarrow add δ ≥ 0 to α and a
+//     non-negative multiple of δ to β on π(d), and write nothing when the
+//     slack s ≤ 0. No dual variable ever falls.
+//   - Round-to-nearest addition, and multiplication by a positive
+//     coefficient, are monotone, so the computed α + h·Σβ (summed in path
+//     order) of every item never decreases from one step to the next.
+//   - dual.Meets is monotone in the LHS and in the threshold, so an item
+//     satisfied at the stage threshold stays satisfied for the rest of the
+//     stage — U₍ᵢ₊₁₎ = {x ∈ Uᵢ : still unsatisfied} — and an item
+//     satisfied at the top threshold stays satisfied at every stage
+//     threshold for the rest of the run.
+//   - Items belong to exactly one epoch, so live never needs a dropped
+//     member back.
+//
+// The verdict on the scanned LHS is dual.Meets, the same comparison
+// Core.Unsatisfied applies in the dist nodes. The step cap is checked
+// ahead of each scan, so it fires at the iteration a full scan would.
 func (st *state) firstPhase(res *Result) error {
-	groups := make(map[int][]int)
-	for i := range st.items {
-		g := st.items[i].Group
-		groups[g] = append(groups[g], i)
-	}
-	res.Epochs = st.plan.MaxGroup
-	res.Stages = st.plan.Stages
+	plan := st.plan
+	live, groupEnd := st.groupMembers()
+	top := slices.Max(plan.Thresholds)
+	res.Epochs = plan.MaxGroup
+	res.Stages = plan.Stages
 
-	for k := 1; k <= st.plan.MaxGroup; k++ {
-		members := groups[k]
+	for k := 1; k <= plan.MaxGroup; k++ {
+		members := live[groupEnd[k-1]:groupEnd[k]]
 		if len(members) == 0 {
 			continue
 		}
-		for j := 0; j < st.plan.Stages; j++ {
-			thresh := st.plan.Thresholds[j]
+		for j := 0; j < plan.Stages; j++ {
+			thresh := plan.Thresholds[j]
+			var u []int
 			for iter := 0; ; iter++ {
-				if iter >= st.plan.StepCap {
+				if iter >= plan.StepCap {
 					return fmt.Errorf("engine: epoch %d stage %d exceeded %d steps (pmax/pmin=%v); Lemma 5.1 cap violated",
-						k, j+1, st.plan.StepCap, st.plan.PMax/st.plan.PMin)
+						k, j+1, plan.StepCap, plan.PMax/plan.PMin)
 				}
-				u := st.unsatisfied(members, thresh)
+				if iter == 0 {
+					u, members = st.scanLive(members, thresh, top)
+				} else {
+					u = st.retest(u, thresh)
+				}
 				if len(u) == 0 {
 					if iter > res.MaxStageSteps {
 						res.MaxStageSteps = iter
@@ -430,48 +469,79 @@ func (st *state) firstPhase(res *Result) error {
 	return nil
 }
 
-//
-//schedvet:hot
-func (st *state) unsatisfied(members []int, thresh float64) []int {
-	if st.pool != nil && len(members) >= 2*intraGrain {
-		return st.unsatisfiedPar(members, thresh)
-	}
-	u := st.scr.uBuf[:0]
-	views := st.lay.views
-	for _, id := range members {
-		if st.core.Unsatisfied(&views[id], thresh) {
-			u = append(u, id)
+// groupMembers buckets the item ids by group (a counting sort into the
+// scratch, ascending within each group) and returns the buckets with their
+// end offsets: group k is live[groupEnd[k-1]:groupEnd[k]] for
+// 1 ≤ k ≤ plan.MaxGroup. Groups are validated ≥ 1, so bucket 0 is empty.
+func (st *state) groupMembers() (live, groupEnd []int) {
+	scr := st.scr
+	g := st.plan.MaxGroup
+	// pos[k] counts group k-1, then holds bucket k's start, and after the
+	// fill has advanced it past every member, bucket k's end.
+	pos := slices.Grow(scr.groupEnd[:0], g+2)[:g+2]
+	clear(pos)
+	for i := range st.items {
+		if k := st.items[i].Group; k <= g {
+			pos[k+1]++
 		}
 	}
-	st.scr.uBuf = u
-	return u
+	for k := 1; k <= g+1; k++ {
+		pos[k] += pos[k-1]
+	}
+	n := pos[g+1]
+	live = slices.Grow(scr.live[:0], n)[:n]
+	for i := range st.items {
+		if k := st.items[i].Group; k <= g {
+			live[pos[k]] = i
+			pos[k]++
+		}
+	}
+	scr.live, scr.groupEnd = live, pos
+	return live, pos
 }
 
-// unsatisfiedPar is the row-partitioned unsatisfied scan: lanes evaluate
-// the threshold test per member into the shared flag row, then the
-// coordinating goroutine collects hits in ascending member order — the
-// exact order the serial scan appends them. The test itself reads only the
-// frozen dual state of the step (no raises happen during a scan), so every
-// float comparison sees the same operands as the serial scan.
+// scanLive is the first step of a stage over an epoch's live members: one
+// LHS per member, classified against the stage threshold (collected into
+// U, the step's unsatisfied set) and the top threshold (kept in live).
+// A member below the stage threshold is below the top one too, so U ⊆ the
+// compacted live. Both lists come back ascending; live is compacted in
+// place and U lives in the scratch.
 //
 //schedvet:hot
-func (st *state) unsatisfiedPar(members []int, thresh float64) []int {
-	flags := st.scr.growFlags(len(members))
+func (st *state) scanLive(live []int, thresh, top float64) (u, rest []int) {
+	u = st.scr.uBuf[:0]
 	views := st.lay.views
 	core := st.core
-	st.pool.Run(len(members), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			flags[i] = core.Unsatisfied(&views[members[i]], thresh)
-		}
-	})
-	u := st.scr.uBuf[:0]
-	for i, id := range members {
-		if flags[i] {
+	n := 0
+	for _, id := range live {
+		v := &views[id]
+		lhs := core.Dual.LHS(v.Slot, core.Coeff(v), v.Edges)
+		if !dual.Meets(lhs, thresh, v.Profit) {
 			u = append(u, id)
+		}
+		if !dual.Meets(lhs, top, v.Profit) {
+			live[n] = id
+			n++
 		}
 	}
 	st.scr.uBuf = u
-	return u
+	return u, live[:n]
+}
+
+// retest is every later step of a stage: the previous step's U, compacted
+// in place to the members still below the stage threshold.
+//
+//schedvet:hot
+func (st *state) retest(u []int, thresh float64) []int {
+	views := st.lay.views
+	n := 0
+	for _, id := range u {
+		if st.core.Unsatisfied(&views[id], thresh) {
+			u[n] = id
+			n++
+		}
+	}
+	return u[:n]
 }
 
 // independentSet computes a maximal independent set within u (item ids) and

@@ -12,10 +12,16 @@ import (
 // there the per-step hot loops are the only parallelism left. Those loops
 // are embarrassingly data-parallel over dense index rows:
 //
-//   - the unsatisfied scan evaluates one threshold test per group member,
+//   - a step's raise batch applies one raise rule per independent-set
+//     member,
 //   - the greedy second phase evaluates one feasibility predicate per
 //     step member,
 //   - the λ scan folds one constraint ratio per item.
+//
+// The satisfaction scan is not partitioned: it re-tests only the items that
+// can still be unsatisfied (engine.go's firstPhase). On a contended
+// 384-demand, three-network instance that is about ten rows per step on
+// average, too few to split.
 //
 // Determinism is preserved by construction, not by locking: a partitioned
 // kernel only ever *reads* shared state and writes per-row results into a

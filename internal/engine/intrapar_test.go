@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"treesched/internal/graph"
@@ -81,7 +82,7 @@ func TestIntraLanes(t *testing.T) {
 // The component is as large as the instance, but every MIS is ~half of the
 // unsatisfied set — the shape that drives the raiseAll and greedy-step
 // kernels past the partitioning grain (a dense component keeps its MIS and
-// steps tiny, exercising only the scan kernels).
+// steps tiny, exercising only the λ fold).
 func chainItems(n int, height float64) []Item {
 	items := make([]Item, n)
 	for i := range items {
@@ -128,8 +129,7 @@ func intraParCases(t *testing.T, mode Mode, seed int64) map[string][]Item {
 // counts {1,2,3,4,8} × seeds × unit/narrow modes × single/multi-component
 // decompositions × traced/untraced runs, RunParallel equals the serial
 // Prepared.Run exactly. Grain 4 and lane cap 8 force every partitioned
-// kernel (unsatisfied, raiseAll, greedy steps, λ fold) onto multiple
-// lanes.
+// kernel (raiseAll, greedy steps, λ fold) onto multiple lanes.
 func TestIntraParallelMatchesSerial(t *testing.T) {
 	SetIntraTuningForTest(t, 4, 8)
 	for _, mode := range []Mode{Unit, Narrow} {
@@ -198,5 +198,70 @@ func TestIntraKernelsExercised(t *testing.T) {
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 1}
 	if _, err := p.runSerial(cfg, plan, 8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoChains is two disjoint chain components of n items each, on networks
+// 0 and 1.
+func twoChains(n int) []Item {
+	items := append(chainItems(n, 1), chainItems(n, 1)...)
+	for i := n; i < 2*n; i++ {
+		it := &items[i]
+		it.ID, it.Demand, it.Owner, it.Resource = i, i, i, 1
+		it.Edges = []model.EdgeKey{model.MakeEdgeKey(1, it.Edges[0].Edge()), model.MakeEdgeKey(1, it.Edges[1].Edge())}
+		it.Critical = it.Edges[:1:1]
+	}
+	return items
+}
+
+// laneRecorder sums the counters of a run; shard workers may emit spans
+// concurrently, so it locks.
+type laneRecorder struct {
+	mu     sync.Mutex
+	counts [NumCounters]int64
+}
+
+func (r *laneRecorder) StartSpan(Phase) int64 { return 0 }
+func (r *laneRecorder) EndSpan(Phase, int64)  {}
+func (r *laneRecorder) Count(c Counter, n int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counts[c] += n
+}
+
+// TestShardLanesSizedByRunnableShards pins how the sharded pipeline sizes
+// its lanes: by the largest shard it runs, not by the whole instance. Two
+// 100-item components fill the default 2×grain (128 rows) only together,
+// so at workers 8 — two shard workers with an intra budget of 4 each, the
+// lane cap lifted to 8 — no shard can be partitioned: the solve must count
+// one lane, spawn no pool, and still equal the serial engine.
+func TestShardLanesSizedByRunnableShards(t *testing.T) {
+	SetIntraTuningForTest(t, 64, 8)
+	items := twoChains(100)
+	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 3}
+	want, err := Prepare(slices.Clone(items)).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Prepare(slices.Clone(items))
+	rec := &laneRecorder{}
+	p.SetRecorder(rec)
+	got, err := p.RunParallel(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "two chains, w=8", got, want)
+	if n := len(p.Components()); n != 2 {
+		t.Fatalf("%d components, want 2", n)
+	}
+	if w := rec.counts[CounterShardWorkers]; w != 2 {
+		t.Fatalf("shard workers %d, want 2", w)
+	}
+	lanes := int(rec.counts[CounterIntraLanes])
+	if lanes != 1 {
+		t.Fatalf("intra lanes %d, want 1: no shard reaches 2×grain rows", lanes)
+	}
+	if newIntraPool(lanes) != nil {
+		t.Fatal("one lane spawned a pool")
 	}
 }

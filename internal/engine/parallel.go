@@ -208,13 +208,21 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 		if workers > compWorkers {
 			intra = workers / compWorkers
 		}
+		// Lanes are sized by the largest shard that runs, as runSerial sizes
+		// them by its own rows: a worker can only ever partition one shard's
+		// rows, so the instance total would spawn helpers no shard can use.
+		rows := 0
+		for _, s := range todo {
+			rows = max(rows, len(p.shards[s].items))
+		}
+		lanes := intraLanes(intra, rows)
 		if rec != nil {
 			rec.Count(CounterShardWorkers, int64(compWorkers))
-			rec.Count(CounterIntraLanes, int64(intraLanes(intra, len(p.items))))
+			rec.Count(CounterIntraLanes, int64(lanes))
 		}
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
-			pool := newIntraPool(intraLanes(intra, len(p.items)))
+			pool := newIntraPool(lanes)
 			for i, s := range todo {
 				var stok int64
 				if rec != nil {
@@ -236,7 +244,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 					defer wg.Done()
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
-					pool := newIntraPool(intraLanes(intra, len(p.items)))
+					pool := newIntraPool(lanes)
 					defer pool.close()
 					for i := range work {
 						var stok int64

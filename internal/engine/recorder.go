@@ -44,8 +44,10 @@ const (
 	// the gap between CounterComponents and PhaseShardSolve's span count
 	// is the warm-replay saving.
 	PhaseShardSolve
-	// PhaseSerialSolve brackets the serial engine's first phase (the
-	// single-graph path taken at workers ≤ 1 or for one giant component).
+	// PhaseSerialSolve brackets the serial engine's first phase and dual
+	// scoring (λ and the bound) — the single-graph path taken at
+	// workers ≤ 1 or for one giant component. The sharded path's scoring
+	// (the λ fold) sits in PhaseMerge.
 	PhaseSerialSolve
 	// PhaseMerge brackets mergeShards' deterministic reassembly: stamp
 	// sort + grouping before the greedy phase, dual merge + λ fold after

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,22 +76,48 @@ func TestPlanSingleStage(t *testing.T) {
 	}
 }
 
+// TestPlanThresholdsReachEpsilon pins the stage ladder in unit and narrow
+// mode, at the paper's ξ and under an Xi override: the final threshold
+// reaches 1-ε and the thresholds strictly increase, so the last one is the
+// largest — the top threshold at which the engine's compacted scan retires
+// an item for the rest of its epoch.
 func TestPlanThresholdsReachEpsilon(t *testing.T) {
-	items := treeItems(t, workload.TreeConfig{Vertices: 8, Trees: 1, Demands: 3}, 5)
-	for _, eps := range []float64{0.5, 0.2, 0.05} {
-		cfg := engine.Config{Epsilon: eps}
-		plan, err := engine.PlanFor(items, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := plan.Thresholds[len(plan.Thresholds)-1]
-		if last < 1-eps {
-			t.Errorf("ε=%v: final threshold %v below 1-ε", eps, last)
-		}
-		// Thresholds strictly increase.
-		for j := 1; j < len(plan.Thresholds); j++ {
-			if plan.Thresholds[j] <= plan.Thresholds[j-1] {
-				t.Errorf("ε=%v: thresholds not increasing: %v", eps, plan.Thresholds)
+	unit := treeItems(t, workload.TreeConfig{Vertices: 8, Trees: 1, Demands: 3}, 5)
+	narrow := treeItems(t, workload.TreeConfig{
+		Vertices: 8, Trees: 1, Demands: 3, Heights: workload.NarrowHeights, HMin: 0.1,
+	}, 5)
+	for _, tc := range []struct {
+		name  string
+		items []engine.Item
+		mode  engine.Mode
+		xi    float64
+	}{
+		{"unit", unit, engine.Unit, 0},
+		{"narrow", narrow, engine.Narrow, 0},
+		{"unit/xi=0.5", unit, engine.Unit, 0.5},
+		{"narrow/xi=0.99", narrow, engine.Narrow, 0.99},
+	} {
+		for _, eps := range []float64{0.5, 0.2, 0.05} {
+			cfg := engine.Config{Mode: tc.mode, Epsilon: eps, Xi: tc.xi}
+			plan, err := engine.PlanFor(tc.items, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.xi != 0 && plan.Xi != tc.xi {
+				t.Errorf("%s ε=%v: plan ξ %v ignores the override", tc.name, eps, plan.Xi)
+			}
+			last := plan.Thresholds[len(plan.Thresholds)-1]
+			if last < 1-eps {
+				t.Errorf("%s ε=%v: final threshold %v below 1-ε", tc.name, eps, last)
+			}
+			for j := 1; j < len(plan.Thresholds); j++ {
+				if plan.Thresholds[j] <= plan.Thresholds[j-1] {
+					t.Fatalf("%s ε=%v: thresholds not increasing at stage %d: %v, %v",
+						tc.name, eps, j+1, plan.Thresholds[j-1], plan.Thresholds[j])
+				}
+			}
+			if top := slices.Max(plan.Thresholds); last != top {
+				t.Errorf("%s ε=%v: last threshold %v is not the largest %v", tc.name, eps, last, top)
 			}
 		}
 	}
