@@ -98,18 +98,32 @@
 // at every step would (pinned against that full scan by a test oracle and
 // a fuzz target). The dual state backing the test is dense: every demand
 // id and every EdgeKey is interned once per item set into contiguous int32
-// slots (internal/dual.Index over internal/model.EdgeInterner), α and β
-// live in flat []float64 slices, and each item carries precomputed index
-// lists for its path and critical set, so satisfaction scans, raises, the
-// β-replay of announced raises, and the greedy second phase are tight loops
-// over int slices with no map hashing. The invariants that keep the three
-// executions — serial engine, sharded pipeline, message-passing simulation
-// — bitwise equal are unchanged: indices are a pure storage relabeling
-// (each execution owns its own index scope; values merge and compare by
-// external key), the arithmetic applies the same deltas to the same
-// logical variables in the same order as the map-backed representation
-// (asserted by a shadow-replay determinism suite), and the dual objective
-// sums in sorted external-key order.
+// slots in first-seen order (internal/dual.Index), α and β live in flat
+// []float64 slices, and each item carries precomputed index lists for its
+// path and critical set, so satisfaction scans, raises, the β-replay of
+// announced raises, and the greedy second phase are tight loops over int
+// slices with no map hashing. Interning itself hashes only where the key
+// space is sparse. Edge keys go through one table per network, indexed by
+// edge id (internal/model.EdgeInterner): tree edge ids are below the
+// network's vertex count, so a lookup is two slice loads. The tables
+// together hold at most two int32 cells per path entry they index, the
+// bytes of the entries' own EdgeKeys; a key past that budget (a line slot
+// id is any int the caller picks) converts the interner once to a map,
+// keeping every index. Demand and owner ids go through
+// internal/model.IDInterner: a cold build's ids are 0..m−1 in order, so the
+// slot is the id, and the first other id (a shard's or a compacted
+// Session's sparse ids) converts it once to a map. The invariants that
+// keep the three executions — serial engine, sharded pipeline,
+// message-passing simulation — bitwise equal are unchanged: indices are a
+// pure storage relabeling (each execution owns its own index scope; values
+// merge and compare by external key), the arithmetic applies the same
+// deltas to the same logical variables in the same order as the map-backed
+// representation (asserted by a shadow-replay determinism suite), and the
+// dual objective sums in external-key order: identity demand slots in slot
+// order and tabled edges in a (network, edge) scan, which is that order
+// with no sort, and a side that converted to a map through a memoized sort
+// (pinned against the map-and-sort index by an oracle test and a fuzz
+// target).
 //
 // Luby election priorities come from per-owner splitmix64 streams
 // (engine.NewStream), replacing the earlier math/rand sources whose
@@ -149,8 +163,9 @@
 //     departures leave stale slots behind. A stale slot holds zero in
 //     every fresh per-run assignment and is referenced by no view, so it
 //     cannot influence a raise, a satisfaction test, or the dual objective
-//     (which sums by sorted external key; adding a zero-valued stale slot
-//     is exact);
+//     (which sums in external-key order; adding a zero-valued stale slot is
+//     exact). Arrivals take the next demand ids in order, so demand slots
+//     stay the identity until a compaction re-prepares the set;
 //   - the member lists of exactly the groups the churn reached: they filter
 //     out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is

@@ -15,21 +15,24 @@
 // its LHS and its threshold, never revokes a verdict; the engine relies on
 // that to re-test only the items still unsatisfied. The assignment keeps
 // α and β in dense []float64 slices addressed through an Index that interns
-// demand ids and EdgeKeys to contiguous int32 slots once per item set; the
-// hot-path methods (BetaSum, LHS, Satisfied, RaiseUnit, RaiseNarrow,
-// AddBeta) take precomputed index lists and run as tight loops over int32
-// slices. Key-addressed variants (the ...Keys methods) and the AlphaMap/
-// BetaMap views remain for cold callers — the sequential Appendix-A
-// algorithm, the verify package, and tests.
+// demand ids and EdgeKeys to contiguous int32 slots once per item set —
+// without hashing where the key space is dense (identity demand slots,
+// per-network edge tables); the hot-path methods (BetaSum, LHS, Satisfied,
+// RaiseUnit, RaiseNarrow, AddBeta) take precomputed index lists and run as
+// tight loops over int32 slices. Key-addressed variants (the ...Keys
+// methods) and the AlphaMap/BetaMap views remain for cold callers — the
+// sequential Appendix-A algorithm, the verify package, and tests.
 //
 // The arithmetic is operation-for-operation identical to the map-backed
 // representation: raises add the same deltas to the same logical variables
-// in the same order, and Value sums over sorted external keys, so dense runs
+// in the same order, and Value sums in external-key order (by a scan where
+// the index is dense, by a memoized sort where it hashes), so dense runs
 // are bitwise equal to map-state runs (asserted by the engine's shadow-replay
-// determinism test).
+// determinism test and, for the index alone, by a map-and-sort oracle).
 package dual
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -45,59 +48,65 @@ const Tolerance = 1e-9
 // preparing an item set (interning is not safe for concurrent use) and is
 // read-only during runs, so one frozen Index may back any number of
 // concurrent Assignments.
+//
+// Both sides keep first-seen numbering without hashing wherever the key
+// space is dense: demand ids through a model.IDInterner, whose slots are
+// the ids themselves on a cold build, and edge keys through a sized
+// model.EdgeInterner's per-network tables. Value then sums each such side
+// in external-key order by a plain scan. A side that converted to a map —
+// sparse demand ids (shard layouts, compacted Sessions), edge keys too
+// sparse for the tables' budget, or an unsized index's edges — sums through
+// the memoized sorted order of orderFor instead.
 type Index struct {
-	demandSlot map[int]int32
-	demandIDs  []int
-	edges      *model.EdgeInterner
+	demands model.IDInterner
+	edges   *model.EdgeInterner
 
-	// orderMu guards the memoized Value summation orders below. Value sums
-	// in sorted-external-key order for bitwise determinism; the order is a
-	// pure function of the interned prefix, and re-sorting it on every call
-	// dominated steady-state solve profiles. Interning is single-threaded
-	// (between runs), but many concurrent Assignments share a frozen index
-	// and may call Value simultaneously, hence the lock. A published order
-	// slice is never mutated, only replaced, so callers may keep reading one
-	// while a grown index recomputes.
+	// orderMu guards the memoized Value summation orders of the sides that
+	// converted to a map. The order is a pure function of the interned
+	// prefix, and re-sorting it on every call dominated steady-state solve
+	// profiles. Interning is single-threaded (between runs), but many
+	// concurrent Assignments share a frozen index and may call Value
+	// simultaneously, hence the lock. A published order slice is never
+	// mutated, only replaced, so callers may keep reading one while a grown
+	// index recomputes.
 	orderMu     sync.Mutex
 	demandOrder []int32
 	edgeOrder   []int32
 }
 
-// valueOrders returns the sorted summation orders for the first nd demand
-// slots and ne edge indices, memoized for the largest extent seen. A
-// churning index grows a few slots per round; re-sorting the whole order
-// every solve would dominate the steady state, so growth merges the sorted
-// new tail into the cached permutation instead — sound because interning is
-// append-only, so existing entries never reorder.
-func (ix *Index) valueOrders(nd, ne int) (demands, edges []int32) {
+// sortedDemands returns the first n demand slots in ascending id order. Only
+// a demand side that converted to a map needs it.
+func (ix *Index) sortedDemands(n int) []int32 {
 	ix.orderMu.Lock()
 	defer ix.orderMu.Unlock()
-	demands = orderFor(&ix.demandOrder, nd, func(x, y int32) int {
-		return ix.DemandID(x) - ix.DemandID(y)
+	return orderFor(&ix.demandOrder, n, func(x, y int32) int {
+		return cmp.Compare(ix.DemandID(x), ix.DemandID(y))
 	})
-	edges = orderFor(&ix.edgeOrder, ne, func(x, y int32) int {
-		kx, ky := ix.EdgeKey(x), ix.EdgeKey(y)
-		switch {
-		case kx < ky:
-			return -1
-		case kx > ky:
-			return 1
-		default:
-			return 0
-		}
+}
+
+// sortedEdges returns the first n edge indices in ascending key order. Only
+// an edge side that converted to a map needs it.
+func (ix *Index) sortedEdges(n int) []int32 {
+	ix.orderMu.Lock()
+	defer ix.orderMu.Unlock()
+	return orderFor(&ix.edgeOrder, n, func(x, y int32) int {
+		return cmp.Compare(ix.EdgeKey(x), ix.EdgeKey(y))
 	})
-	return demands, edges
 }
 
 // orderFor serves the sorted order of the first n entries under cmp from
-// *cache, which always holds the order of the largest extent seen. The keys
-// behind cmp are distinct, so the sorted permutation is unique and growing
-// it by merging equals re-sorting bitwise. Published cached slices are
-// replaced, never mutated, so callers may keep iterating an old one while
-// the cache advances. A request below the cached extent (an assignment
-// created before the index last grew) filters the cached order — the sorted
-// order of a prefix of an append-only interning is a subsequence of the
-// full order — without disturbing the cache.
+// *cache, which always holds the order of the largest extent seen. A
+// churning index grows a few slots per round; re-sorting the whole order
+// every solve would dominate the steady state, so growth merges the sorted
+// new tail into the cached permutation instead — sound because interning is
+// append-only, so existing entries never reorder. The keys behind cmp are
+// distinct, so the sorted permutation is unique and growing it by merging
+// equals re-sorting bitwise. Published cached slices are replaced, never
+// mutated, so callers may keep iterating an old one while the cache
+// advances. A request below the cached extent (an assignment created before
+// the index last grew) filters the cached order — the sorted order of a
+// prefix of an append-only interning is a subsequence of the full order —
+// without disturbing the cache.
 func orderFor(cache *[]int32, n int, cmp func(x, y int32) int) []int32 {
 	cached := *cache
 	switch {
@@ -135,42 +144,37 @@ func orderFor(cache *[]int32, n int, cmp func(x, y int32) int) []int32 {
 	}
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index { return NewIndexSized(0) }
+// NewIndex returns an empty, unsized index. Its edge side keeps a map from
+// the start (see model.EdgeInterner); it serves cold callers such as the
+// sequential Appendix-A algorithm and tests.
+func NewIndex() *Index { return NewIndexSized(0, 0) }
 
-// NewIndexSized returns an empty index with map capacity hints for roughly
-// `demands` demand slots (and a proportional number of edges), so interning
-// a known-size item set does not rehash its way up from empty tables.
-func NewIndexSized(demands int) *Index {
+// NewIndexSized returns an empty index with room for `demands` demand ids,
+// whose edge tables may grow to the budget of pathEntries path entries (the
+// total length of the index lists it will serve; see
+// model.NewEdgeInternerSized).
+func NewIndexSized(demands, pathEntries int) *Index {
 	return &Index{
-		demandSlot: make(map[int]int32, demands),
-		demandIDs:  make([]int, 0, demands),
-		edges:      model.NewEdgeInternerSized(4 * demands),
+		demands: model.NewIDInterner(demands),
+		edges:   model.NewEdgeInternerSized(pathEntries),
 	}
 }
+
+// Hashed reports whether either side of the index converted to a map, so
+// its lookups hash and Value sorts it.
+func (ix *Index) Hashed() bool { return !ix.demands.Identity() || !ix.edges.Tabled() }
 
 // Demand returns the dense slot of a demand id, interning it when new.
-func (ix *Index) Demand(id int) int32 {
-	if s, ok := ix.demandSlot[id]; ok {
-		return s
-	}
-	s := int32(len(ix.demandIDs))
-	ix.demandSlot[id] = s
-	ix.demandIDs = append(ix.demandIDs, id)
-	return s
-}
+func (ix *Index) Demand(id int) int32 { return ix.demands.Intern(id) }
 
 // DemandSlot returns the slot of a demand id without interning.
-func (ix *Index) DemandSlot(id int) (int32, bool) {
-	s, ok := ix.demandSlot[id]
-	return s, ok
-}
+func (ix *Index) DemandSlot(id int) (int32, bool) { return ix.demands.Lookup(id) }
 
 // DemandID returns the external demand id of a slot.
-func (ix *Index) DemandID(slot int32) int { return ix.demandIDs[slot] }
+func (ix *Index) DemandID(slot int32) int { return ix.demands.ID(slot) }
 
 // NumDemands returns the number of interned demands.
-func (ix *Index) NumDemands() int { return len(ix.demandIDs) }
+func (ix *Index) NumDemands() int { return ix.demands.Len() }
 
 // Edge returns the dense index of an edge key, interning it when new.
 func (ix *Index) Edge(k model.EdgeKey) int32 { return ix.edges.Intern(k) }
@@ -485,18 +489,30 @@ func (a *Assignment) BetaMap() map[model.EdgeKey]float64 {
 	return m
 }
 
-// Value returns the dual objective Σα + Σβ. The sum runs over sorted
-// external keys so that equal assignments produce bitwise-equal values
-// regardless of slot numbering — the sharded parallel engine merges
-// per-component duals into a differently-indexed global assignment and must
-// reproduce the serial run's Bound exactly.
+// Value returns the dual objective Σα + Σβ. The sum runs in external-key
+// order (ascending demand id, then ascending edge key) so that equal
+// assignments produce bitwise-equal values regardless of slot numbering —
+// the sharded parallel engine merges per-component duals into a
+// differently-indexed global assignment and must reproduce the serial run's
+// Bound exactly. While the demand slots are the identity, slot order is id
+// order; while the edge side is tabled, its table scan is key order. Only a
+// side that converted to a map sorts (memoized per index).
 func (a *Assignment) Value() float64 {
-	demandOrder, edgeOrder := a.ix.valueOrders(len(a.alpha), len(a.beta))
+	ix := a.ix
 	v := 0.0
-	for _, s := range demandOrder {
-		v += a.alpha[s]
+	if ix.demands.Identity() {
+		for _, x := range a.alpha {
+			v += x
+		}
+	} else {
+		for _, s := range ix.sortedDemands(len(a.alpha)) {
+			v += a.alpha[s]
+		}
 	}
-	for _, i := range edgeOrder {
+	if ix.edges.Tabled() {
+		return ix.edges.SumInKeyOrder(v, a.beta)
+	}
+	for _, i := range ix.sortedEdges(len(a.beta)) {
 		v += a.beta[i]
 	}
 	return v

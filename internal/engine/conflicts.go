@@ -59,7 +59,10 @@ func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, ed
 // over the views: each component an ascending slice of item ids, components
 // ordered by smallest member. The traversal walks from an item to every
 // member of each of its groups, visiting each group once, so it costs
-// O(Σ (1 + |path|)).
+// O(Σ (1 + |path|)). It stops once the current component holds every item
+// not in an earlier one (on a contended instance, long before it has
+// visited every group), and a component of every item is 0..n−1 with no
+// sort.
 //
 // prev and touched refresh an earlier decomposition after churn: every
 // previous component none of whose members is touched is kept verbatim and
@@ -75,6 +78,7 @@ func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, 
 	dSeen := make([]bool, len(demandMembers))
 	eSeen := make([]bool, len(edgeMembers))
 	out := make([][]int, 0, len(prev))
+	seen := 0 // items already in a component of out
 	for _, members := range prev {
 		clean := true
 		for _, id := range members {
@@ -89,6 +93,7 @@ func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, 
 		for _, id := range members {
 			visited[id] = true
 		}
+		seen += len(members)
 		out = append(out, members)
 	}
 	var members []int
@@ -109,7 +114,9 @@ func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, 
 		members = []int{v}
 		visited[v] = true
 		stack = append(stack[:0], int32(v))
-		for len(stack) > 0 {
+		// Once the component holds every item no earlier one does, the
+		// rest of its traversal could only revisit: stop there.
+		for len(stack) > 0 && seen+len(members) < len(views) {
 			x := &views[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
 			if !dSeen[x.Slot] {
@@ -123,7 +130,14 @@ func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, 
 				}
 			}
 		}
-		slices.Sort(members)
+		seen += len(members)
+		if len(members) == len(views) {
+			for i := range members {
+				members[i] = i
+			}
+		} else {
+			slices.Sort(members)
+		}
 		out = append(out, members)
 	}
 	if len(prev) > 0 {

@@ -218,7 +218,7 @@ func (p *Prepared) Apply(d Delta) error {
 			lay.ownerSlot = append(lay.ownerSlot, 0)
 		}
 		lay.views[id] = internItem(lay.ix, &p.items[id], make([]int32, len(it.Edges)+len(it.Critical)))
-		lay.ownerSlot[id] = lay.internOwner(it.Owner)
+		lay.ownerSlot[id] = lay.owners.Intern(it.Owner)
 	}
 
 	// Patch the member lists in three steps, none of which disturbs their

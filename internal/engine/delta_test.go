@@ -82,7 +82,7 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 		if got := p.lay.ix.DemandID(v.Slot); got != it.Demand {
 			t.Fatalf("item %d: view demand %d, item demand %d", i, got, it.Demand)
 		}
-		if got := p.lay.ownerID[p.lay.ownerSlot[i]]; got != it.Owner {
+		if got := p.lay.owners.ID(p.lay.ownerSlot[i]); got != it.Owner {
 			t.Fatalf("item %d: view owner %d, item owner %d", i, got, it.Owner)
 		}
 		if v.Profit != it.Profit || v.Height != it.Height {

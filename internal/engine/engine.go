@@ -111,7 +111,7 @@ type Result struct {
 	Lambda   float64 // measured slackness min LHS/p over all items
 	Bound    float64 // weak-duality upper bound on Opt: Value/λ
 
-	Delta         int // max |π(d)| over raised items
+	Delta         int // ∆ = max |π(d)| over all items, as in the plan
 	Epochs        int // number of epochs executed (= number of groups)
 	Stages        int // stages per epoch
 	Steps         int // total steps (framework iterations) with non-empty U
@@ -213,16 +213,10 @@ type Plan struct {
 // PlanFor validates the items and configuration and computes the schedule.
 // cfg's zero-valued fields are resolved to paper defaults in place.
 func PlanFor(items []Item, cfg *Config) (*Plan, error) {
-	if err := validate(items, cfg); err != nil {
+	p, err := validate(items, cfg)
+	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Xi: cfg.Xi, Delta: MaxCritical(items)}
-	for i := range items {
-		if items[i].Group > p.MaxGroup {
-			p.MaxGroup = items[i].Group
-		}
-	}
-	p.PMin, p.PMax = profitRange(items)
 	p.StepCap = stepCap(p.PMin, p.PMax)
 	if cfg.SingleStage {
 		p.Stages = 1
@@ -269,11 +263,12 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 		scr:   scr,
 		pool:  pool,
 	}
-	if cap(scr.streams) < len(lay.ownerID) {
-		scr.streams = make([]Stream, len(lay.ownerID))
+	owners := lay.owners.IDs()
+	if cap(scr.streams) < len(owners) {
+		scr.streams = make([]Stream, len(owners))
 	}
-	scr.streams = scr.streams[:len(lay.ownerID)]
-	for s, owner := range lay.ownerID {
+	scr.streams = scr.streams[:len(owners)]
+	for s, owner := range owners {
 		scr.streams[s] = NewStream(cfg.Seed, owner)
 	}
 	if cfg.RecordTrace {
@@ -303,8 +298,7 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
 	st := newState(p.items, p.lay, cfg, plan, scr, pool)
-	res := &Result{Dual: st.core.Dual, Trace: st.trace}
-	res.Delta = MaxCritical(p.items)
+	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
 	}
@@ -323,51 +317,56 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 	return res, nil
 }
 
-func validate(items []Item, cfg *Config) error {
+// validate checks the items and the configuration and resolves a zero ξ
+// to the paper's default. The same pass over the items gathers the plan's
+// item statistics — ∆, ℓmax and the profit range (1 and 1 for no items) —
+// which it returns in an otherwise empty Plan.
+func validate(items []Item, cfg *Config) (*Plan, error) {
 	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
-		return fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
+		return nil, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
 	}
+	p := &Plan{PMin: 1, PMax: 1}
+	hmin := 1.0
 	for i := range items {
 		it := &items[i]
 		if it.ID != i {
-			return fmt.Errorf("engine: item %d has ID %d", i, it.ID)
+			return nil, fmt.Errorf("engine: item %d has ID %d", i, it.ID)
 		}
 		if it.Group < 1 {
-			return fmt.Errorf("engine: item %d has group %d < 1", i, it.Group)
+			return nil, fmt.Errorf("engine: item %d has group %d < 1", i, it.Group)
 		}
 		if len(it.Edges) == 0 || len(it.Critical) == 0 {
-			return fmt.Errorf("engine: item %d has empty path or critical set", i)
+			return nil, fmt.Errorf("engine: item %d has empty path or critical set", i)
 		}
 		if !(it.Profit > 0) {
-			return fmt.Errorf("engine: item %d has profit %v", i, it.Profit)
+			return nil, fmt.Errorf("engine: item %d has profit %v", i, it.Profit)
 		}
 		if !(it.Height > 0) || it.Height > 1 {
-			return fmt.Errorf("engine: item %d has height %v", i, it.Height)
+			return nil, fmt.Errorf("engine: item %d has height %v", i, it.Height)
 		}
 		if cfg.Mode == Narrow && it.Height > 0.5+dual.Tolerance {
-			return fmt.Errorf("engine: item %d has height %v > 1/2 in narrow mode", i, it.Height)
+			return nil, fmt.Errorf("engine: item %d has height %v > 1/2 in narrow mode", i, it.Height)
+		}
+		p.Delta = max(p.Delta, len(it.Critical))
+		p.MaxGroup = max(p.MaxGroup, it.Group)
+		hmin = min(hmin, it.Height)
+		if i == 0 {
+			p.PMin, p.PMax = it.Profit, it.Profit
+		} else {
+			p.PMin, p.PMax = min(p.PMin, it.Profit), max(p.PMax, it.Profit)
 		}
 	}
 	if cfg.Xi == 0 {
-		cfg.Xi = DefaultXi(cfg.Mode, MaxCritical(items), hmin(items, cfg.HMin))
+		if cfg.HMin > 0 {
+			hmin = cfg.HMin
+		}
+		cfg.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
 	}
 	if cfg.Xi <= 0 || cfg.Xi >= 1 {
-		return fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
+		return nil, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
 	}
-	return nil
-}
-
-func hmin(items []Item, override float64) float64 {
-	if override > 0 {
-		return override
-	}
-	h := 1.0
-	for i := range items {
-		if items[i].Height < h {
-			h = items[i].Height
-		}
-	}
-	return h
+	p.Xi = cfg.Xi
+	return p, nil
 }
 
 // DefaultXi returns the paper's stage-decay parameter: for the unit rule,
@@ -641,24 +640,6 @@ func (st *state) secondPhase(res *Result) {
 	}
 	res.Selected, res.Profit = selectGreedyPartitioned(st.lay.views, st.cfg.Mode, steps,
 		st.lay.ix.NumDemands(), st.lay.ix.NumEdges(), st.pool, st.scr)
-}
-
-func profitRange(items []Item) (pmin, pmax float64) {
-	pmin, pmax = 1, 1
-	for i := range items {
-		p := items[i].Profit
-		if i == 0 {
-			pmin, pmax = p, p
-			continue
-		}
-		if p < pmin {
-			pmin = p
-		}
-		if p > pmax {
-			pmax = p
-		}
-	}
-	return pmin, pmax
 }
 
 // stepCap bounds the steps per stage: Lemma 5.1 proves at most

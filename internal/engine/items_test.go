@@ -114,3 +114,29 @@ func cloneViews(views []ItemView) []ItemView {
 	}
 	return out
 }
+
+// TestColdLayoutIsUnhashed: a cold build at solve-contended's shape (384
+// demands on three 256-vertex trees, access 1–3) interns through the
+// per-network edge tables and identity demand and owner slots alone — no
+// side of its index or owner interning converts to a map.
+func TestColdLayoutIsUnhashed(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		in, err := workload.RandomTreeInstance(workload.TreeConfig{
+			Vertices: 256, Trees: 3, Demands: 384, ProfitRatio: 16, AccessMin: 1, AccessMax: 3,
+		}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := BuildTreeItems(in, IdealDecomp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay := Prepare(items).lay
+		if lay.ix.Hashed() || !lay.owners.Identity() {
+			t.Fatalf("seed %d: cold layout hashed (index %v, owners identity %v)", seed, lay.ix.Hashed(), lay.owners.Identity())
+		}
+		if lay.ix.NumDemands() != len(in.Demands) || lay.owners.Len() != len(in.Demands) {
+			t.Fatalf("seed %d: %d demand and %d owner slots for %d demands", seed, lay.ix.NumDemands(), lay.owners.Len(), len(in.Demands))
+		}
+	}
+}

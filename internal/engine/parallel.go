@@ -305,7 +305,7 @@ var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 //schedvet:hot
 func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
 	res := &Result{
-		Delta:  MaxCritical(p.items),
+		Delta:  plan.Delta,
 		Epochs: plan.MaxGroup,
 		Stages: plan.Stages,
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"treesched/internal/dual"
+	"treesched/internal/model"
 )
 
 // This file implements run preparation: everything about an item set that
@@ -27,24 +28,29 @@ import (
 // view, so they cannot affect results), and added items intern at the end.
 type layout struct {
 	ix        *dual.Index
-	views     []ItemView // dense view per item, aligned with items
-	ownerID   []int      // owner slot -> external owner id (stream seeding)
-	ownerSlot []int32    // item -> owner slot
-	owners    map[int]int32
+	views     []ItemView       // dense view per item, aligned with items
+	owners    model.IDInterner // owner slot <-> external owner id (stream seeding)
+	ownerSlot []int32          // item -> owner slot
 }
 
 // buildLayout interns every item of the set into a fresh index, in item
-// order. All views' index lists share one slab.
+// order. All views' index lists share one slab. The index is sized by what
+// it interns: demand ids by the runs of equal demand ids (the demand count
+// when, as on every build, a demand's instances are adjacent), its edge
+// tables by the slab's path entries.
 func buildLayout(items []Item) *layout {
-	lay := &layout{
-		ix:        dual.NewIndexSized(len(items)),
-		owners:    make(map[int]int32, len(items)),
-		views:     make([]ItemView, len(items)),
-		ownerSlot: make([]int32, len(items)),
-	}
-	total := 0
+	total, demands := 0, 0
 	for i := range items {
 		total += len(items[i].Edges) + len(items[i].Critical)
+		if i == 0 || items[i].Demand != items[i-1].Demand {
+			demands++
+		}
+	}
+	lay := &layout{
+		ix:        dual.NewIndexSized(demands, total),
+		owners:    model.NewIDInterner(demands),
+		views:     make([]ItemView, len(items)),
+		ownerSlot: make([]int32, len(items)),
 	}
 	slab := make([]int32, total)
 	for i := range items {
@@ -52,21 +58,9 @@ func buildLayout(items []Item) *layout {
 		n := len(it.Edges) + len(it.Critical)
 		lay.views[i] = internItem(lay.ix, it, slab[:n:n])
 		slab = slab[n:]
-		lay.ownerSlot[i] = lay.internOwner(it.Owner)
+		lay.ownerSlot[i] = lay.owners.Intern(it.Owner)
 	}
 	return lay
-}
-
-// internOwner returns the stream slot of an external owner id, interning it
-// when new.
-func (lay *layout) internOwner(owner int) int32 {
-	s, ok := lay.owners[owner]
-	if !ok {
-		s = int32(len(lay.ownerID))
-		lay.owners[owner] = s
-		lay.ownerID = append(lay.ownerID, owner)
-	}
-	return s
 }
 
 // newCore returns a fresh per-run core over the layout's frozen index.

@@ -82,7 +82,7 @@ func (in *Instance) build() (*model.Instance, error) {
 	if in.err != nil {
 		return nil, in.err
 	}
-	m := &model.Instance{NumVertices: in.numVertices, Trees: in.trees}
+	m := &model.Instance{NumVertices: in.numVertices, Trees: in.trees, Demands: make([]model.Demand, 0, len(in.demands))}
 	for _, d := range in.demands {
 		if len(d.Access) == 0 {
 			d.Access = allTrees(len(in.trees))

@@ -2,6 +2,8 @@ package treesched_test
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -250,5 +252,30 @@ func TestAutoAlgorithmSelection(t *testing.T) {
 	}
 	if arbRes.Guarantee <= unitRes.Guarantee {
 		t.Errorf("arbitrary-height guarantee %v should exceed unit %v", arbRes.Guarantee, unitRes.Guarantee)
+	}
+}
+
+// TestSolveLineSparseSlotsAllocateLittle: two jobs at opposite ends of a
+// 2²⁶-slot line touch a handful of slot ids. The dense dual index sizes
+// itself by the paths it interns, never by the slot ids, so the solve
+// allocates under 1 MiB and returns the schedule and bound it always has.
+func TestSolveLineSparseSlotsAllocateLittle(t *testing.T) {
+	const slots = 1 << 26
+	line := treesched.NewLineInstance(slots, 1)
+	line.AddJob(1, 3, 2, 3)
+	line.AddJob(slots-2, slots, 2, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := treesched.SolveLine(line, treesched.Options{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("solve allocated %d bytes, want under 1 MiB", grew)
+	}
+	want := []treesched.Assignment{{Demand: 0, Network: 0, Start: 2}, {Demand: 1, Network: 0, Start: slots - 2}}
+	if res.Profit != 8 || res.DualBound != 32.0/3 || !reflect.DeepEqual(res.Assignments, want) {
+		t.Errorf("profit %v, bound %v, assignments %+v; want 8, %v, %+v", res.Profit, res.DualBound, res.Assignments, 32.0/3, want)
 	}
 }

@@ -60,9 +60,11 @@ const maxCachedLayouts = 1024
 
 // maxCachedPrepared bounds the Solver's prepared-instance caches. A
 // Prepared entry holds its items (paths and critical sets in two arenas),
-// views (index lists in one slab) and member lists — linear in the
-// instance's total path length, but far larger than one network's
-// decomposition — so the bound is tighter than the decomposition cache's.
+// views (index lists in one slab), member lists and dual index (per-network
+// edge tables of at most two int32 cells per path entry, no maps on a cold
+// build) — linear in the instance's total path length, but far larger than
+// one network's decomposition — so the bound is tighter than the
+// decomposition cache's.
 const maxCachedPrepared = 128
 
 // NewSolver returns a Solver with the given options (normalized: ε defaults
