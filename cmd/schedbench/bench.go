@@ -20,10 +20,10 @@ import (
 // This file implements -bench-json: a machine-readable performance run of
 // the solve pipeline, emitted as one JSON document so the perf trajectory
 // can accumulate across commits (schema below). It times the engine-level
-// solve over prebuilt items — the quantity BenchmarkEngineUnitTree
-// measures — serial and through the sharded parallel pipeline, plus the
-// incremental churn workload (Session.Update + Solve per round of demand
-// arrivals/departures).
+// cold solve over prebuilt items — the quantity BenchmarkEngineUnitTree
+// measures, serial at every parallelism — plus the incremental churn
+// workload (Session.Update + Solve per round of demand arrivals/departures),
+// whose warm-start rounds run the sharded pipeline.
 
 // benchSchema identifies the report layout. Bump when fields change.
 const benchSchema = "treesched/bench/v1"
@@ -106,10 +106,13 @@ func benchScenarios(quick bool) []benchScenario {
 			},
 		})
 	}
-	// The sharded best case: a fleet of disjoint networks, every demand
-	// pinned to one, so the conflict graph splits into many components. The
-	// quick fleet is a smaller workload and carries a distinct scenario
-	// name, so -compare never matches a quick fleet against a full one.
+	// A fleet of disjoint networks, every demand pinned to one, so the
+	// conflict graph splits into many components. Solved cold, it runs the
+	// serial engine at both parallelisms (its two rows time the same
+	// engine.Run); the sharded pipeline serves only warm-start sessions (the
+	// churn-warm and serve-warm rows). The quick
+	// fleet is a smaller workload and carries a distinct scenario name, so
+	// -compare never matches a quick fleet against a full one.
 	if quick {
 		out = append(out, benchScenario{name: "unit-tree/fleet-quick", cfg: workload.TreeConfig{
 			Vertices: 64, Trees: 8, Demands: 192, ProfitRatio: 16,
@@ -163,7 +166,7 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 		var serialNs int64
 		for _, p := range []int{1, parallel} {
 			rec := benchRecorder(trace)
-			ns, err := timeSolve(items, seed, p, iters, engineRecorder(rec))
+			ns, err := timeSolve(items, seed, iters, engineRecorder(rec))
 			if err != nil {
 				return fmt.Errorf("bench %s p=%d: %w", sc.name, p, err)
 			}
@@ -193,8 +196,11 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 	// The recorder-overhead scenario: the headline workload solved with a
 	// no-op recorder attached versus none, interleaved in one process so the
 	// row is self-contained (NsPerOp = attached, SerialNsPerOp = nil
-	// baseline). -recorder-gate reads it back and enforces the budget; it
-	// runs in quick mode because that is what CI measures.
+	// baseline, Iters = pairs run). -recorder-gate reads it back and enforces
+	// the budget; it runs in quick mode because that is what CI measures.
+	// A cold solve runs the serial engine at every worker count, so one
+	// measurement serves both rows: the p=parallel row repeats the p=1 one
+	// and is kept only so reports keep their row set.
 	{
 		cfg := workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16}
 		rng := rand.New(rand.NewSource(seed + 1))
@@ -206,17 +212,17 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 		if err != nil {
 			return fmt.Errorf("bench %s: %w", recorderNoopScenario, err)
 		}
+		noopNs, nilNs, pairs, err := timeRecorderOverhead(items, seed)
+		if err != nil {
+			return fmt.Errorf("bench %s: %w", recorderNoopScenario, err)
+		}
 		for _, p := range []int{1, parallel} {
-			noopNs, nilNs, err := timeRecorderOverhead(items, seed, p)
-			if err != nil {
-				return fmt.Errorf("bench %s p=%d: %w", recorderNoopScenario, p, err)
-			}
 			report.Results = append(report.Results, BenchResult{
 				Name:            recorderNoopScenario,
 				Items:           len(items),
 				Mode:            engine.Unit.String(),
 				Parallelism:     p,
-				Iters:           recorderOverheadIters,
+				Iters:           pairs,
 				NsPerOp:         noopNs,
 				SolvesPerSec:    1e9 / float64(noopNs),
 				ItemsPerSec:     float64(len(items)) * 1e9 / float64(noopNs),
@@ -227,12 +233,10 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 	}
 
 	// The parallel sweep: the headline single-component instance (the same
-	// workload as unit-tree/m=768) solved at a ladder of worker counts. With
-	// one conflict component the whole budget becomes intra-component row
-	// partitioning (intrapar), so the per-worker-count rows chart exactly
-	// the scaling the two-level parallelism model adds over sharding. On a
-	// 1-CPU host the lane clamp keeps every row at the serial code path, so
-	// the sweep doubles as an overhead gate there.
+	// workload as unit-tree/m=768) solved cold at a ladder of worker counts.
+	// A cold solve runs the serial engine at every worker count, so every
+	// row times the same engine.Run; the rows are kept so the parallel-sweep
+	// gate keeps matching its snapshot.
 	{
 		sweepCfg := workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16}
 		rng := rand.New(rand.NewSource(seed + 1))
@@ -248,7 +252,7 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 		var serialNs int64
 		for _, w := range []int{1, 2, 4, 8} {
 			rec := benchRecorder(trace)
-			ns, err := timeSolve(items, seed, w, iters, engineRecorder(rec))
+			ns, err := timeSolve(items, seed, iters, engineRecorder(rec))
 			if err != nil {
 				return fmt.Errorf("bench parallel-sweep w=%d: %w", w, err)
 			}
@@ -767,20 +771,20 @@ func runDistSmoke(demands int, seed int64) error {
 	return nil
 }
 
-// timeSolve measures the best-of-iters wall time of one engine solve. With
-// a non-nil rec the same prepare+run pipeline runs through the explicit
-// recorder seam (engine.RunParallel is exactly Prepare + prepared
-// RunParallel), so traced rows time the same quantity plus the recorder's
-// gated overhead.
-func timeSolve(items []engine.Item, seed int64, parallelism, iters int, rec engine.Recorder) (int64, error) {
+// timeSolve measures the best-of-iters wall time of one cold engine solve,
+// which runs the serial engine whatever the row's parallelism. With a
+// non-nil rec the same prepare+run pipeline runs through the explicit
+// recorder seam (engine.Run is exactly Prepare + prepared Run), so traced
+// rows time the same quantity plus the recorder's gated overhead.
+func timeSolve(items []engine.Item, seed int64, iters int, rec engine.Recorder) (int64, error) {
 	if rec != nil {
-		return timeSolvePrepared(items, seed, parallelism, iters, rec)
+		return timeSolvePrepared(items, seed, iters, rec)
 	}
 	best := int64(0)
 	for i := 0; i < iters; i++ {
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed + int64(i)}
 		start := time.Now()
-		if _, err := engine.RunParallel(items, cfg, parallelism); err != nil {
+		if _, err := engine.Run(items, cfg); err != nil {
 			return 0, err
 		}
 		ns := time.Since(start).Nanoseconds()

@@ -165,6 +165,21 @@ type churnSpec struct {
 	Add    []demandSpec `json:"add,omitempty"`
 }
 
+// instanceParallelism resolves a new instance's Parallelism: the number of
+// shard goroutines each of its solve rounds may start, one per runnable
+// conflict component up to this value. The registry already runs up to
+// workers rounds at once, so each round's budget is an equal share of the
+// machine, max(1, procs/workers). An unset (below 1) request takes the
+// budget, and a larger one is clamped to it: taken as given, a client
+// value could start one goroutine per component every round.
+func instanceParallelism(requested, procs, workers int) int {
+	budget := max(1, procs/workers)
+	if requested < 1 || requested > budget {
+		return budget
+	}
+	return requested
+}
+
 func (s *server) createInstance(w http.ResponseWriter, r *http.Request) {
 	var spec instanceSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -174,15 +189,7 @@ func (s *server) createInstance(w http.ResponseWriter, r *http.Request) {
 	opts := treesched.Options{
 		Epsilon:     spec.Options.Epsilon,
 		Seed:        spec.Options.Seed,
-		Parallelism: spec.Options.Parallelism,
-	}
-	if opts.Parallelism < 1 {
-		// An unset per-instance parallelism would normalize to GOMAXPROCS,
-		// but the registry already runs up to Workers() rounds concurrently;
-		// both levels at full width would oversubscribe the host fleet-wide.
-		// Give each round an equal share of the machine instead. An explicit
-		// spec value is taken as-is.
-		opts.Parallelism = max(1, runtime.GOMAXPROCS(0)/s.reg.Workers())
+		Parallelism: instanceParallelism(spec.Options.Parallelism, runtime.GOMAXPROCS(0), s.reg.Workers()),
 	}
 	switch spec.Options.Algorithm {
 	case "", "auto":

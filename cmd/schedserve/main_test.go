@@ -55,6 +55,27 @@ func do(t *testing.T, method, url string, body any) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// TestInstanceParallelism pins how a client's parallelism resolves
+// against the per-instance budget max(1, GOMAXPROCS/registry workers).
+func TestInstanceParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		requested, procs, workers, want int
+	}{
+		{0, 8, 2, 4},       // unset: the budget
+		{-3, 8, 2, 4},      // below 1 reads as unset
+		{1, 8, 2, 1},       // under the budget: as given
+		{4, 8, 2, 4},       // exactly the budget
+		{1 << 30, 8, 2, 4}, // oversized: clamped
+		{0, 2, 4, 1},       // more workers than CPUs: at least 1
+		{1 << 30, 2, 4, 1},
+	} {
+		if got := instanceParallelism(tc.requested, tc.procs, tc.workers); got != tc.want {
+			t.Errorf("instanceParallelism(%d, %d, %d) = %d, want %d",
+				tc.requested, tc.procs, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestHTTPEndToEnd walks the whole API: create, churn, snapshot with an
 // advanced epoch, stats, metrics, list, delete.
 func TestHTTPEndToEnd(t *testing.T) {

@@ -30,7 +30,7 @@
 //	// res.Assignments: which demands run on which networks
 //	// res.DualBound:   certified upper bound on the optimum
 //
-// # The Solver batch API and the sharded parallel pipeline
+// # The Solver batch API
 //
 // Solve prepares an instance from scratch on every call. For batch use —
 // re-solving as demands arrive and depart on fixed networks — construct a
@@ -39,52 +39,62 @@
 // layered decompositions (keyed by network structure) are reused whenever
 // the same networks reappear; fully prepared item sets — the interned
 // dense dual layout plus the member lists that encode the §2 conflict
-// graph, and its component decomposition — are reused whenever the
-// complete instance recurs, so the steady state skips item building and
-// interning entirely and pays only validation, the content key and the
-// schedule:
+// graph — are reused whenever the complete instance recurs, so the steady
+// state skips item building and interning entirely and pays only
+// validation, the content key and the schedule:
 //
-//	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Parallelism: 8})
+//	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1})
 //	res1, _ := s.Solve(inst1) // decomposes, interns, groups, caches
 //	res2, _ := s.Solve(inst2) // same instance: straight into the schedule
 //
-// Options.Parallelism sets the total worker budget of the solve pipeline;
-// zero or negative means runtime.GOMAXPROCS(0). A Solver is safe for
-// concurrent use.
+// A Solver is safe for concurrent use.
 //
-// # Two-level parallelism: component shards × row partitions
+// # Component shards for replay; cold solves run serially
 //
-// The budget is spent at two levels. Across components: the conflict graph
-// of §2 decomposes into connected components that never exchange messages,
-// so the epoch/stage/step schedule runs per component on a worker pool and
-// the results are merged back into the serial execution exactly. Within a
-// component: the batched raises of a step's MIS, the greedy second phase's
-// feasibility tests, and the λ fold are data-parallel over the dense index
-// lists, so each component's engine row-partitions them across an
-// allocation-free lane pool. The satisfaction scan and the Luby election
-// run inline on the coordinator. The scan is incremental (see "Dense
-// indexed dual state" below) and leaves too few rows per step to split.
-// One election iteration over the member-list form of the conflict graph
-// costs O(Σ (1 + |path|)) for the step's live items, and its draws are
-// serial per owner stream anyway. The cost model is simple: a
-// single-component instance puts the whole budget into lanes; a fleet
-// splits it as shard workers × (budget / shard workers), with lanes sized
-// by the largest component that runs, and lanes are always clamped to the
-// host's GOMAXPROCS (rows below a fixed grain run inline, so small
-// components never pay partitioning overhead).
+// The conflict graph of §2 decomposes into connected components that never
+// exchange messages, so the epoch/stage/step schedule can run per
+// component and merge back into the serial execution exactly. The engine
+// uses that locality for one thing: replay. A Session keeps the warm-start
+// cache on (see "Warm-started solves" below), and its solves run the
+// sharded pipeline — the component decomposition, one relabeled layout per
+// component, the schedule of each component churn touched on
+// min(Options.Parallelism, runnable components) goroutines, the cached
+// outcome of every other, and the deterministic merge. A Session whose
+// last decomposition found one component (a contended instance) skips the
+// pass and solves serially at every Parallelism until a re-prepare: one
+// shard would be the serial execution plus a merge, and repeating the pass
+// every round to find one component again made contended rounds at
+// Parallelism 2 take 1.4–2.7 times as long as at Parallelism 1.
 //
-// Both levels are bitwise invisible. Lane kernels only read shared state
-// and write per-row slots; every cross-row decision — committing greedy
-// steps — happens on the coordinator in ascending row order, identical to
-// the serial loop. A step's MIS members are pairwise conflict-free
-// (disjoint demand slots, disjoint edge sets), so its raises commute
-// exactly; λ is a pure min, exact in any association; and the
-// Luby election never leaves the coordinator, so draw order is independent
-// of worker count. Consequently any Parallelism (and the
-// serial engine) produce bit-identical selections, profit, λ, dual bound
-// and trace — asserted across worker counts {1..8} × modes × seeds ×
-// decomposition shapes by the intra-parallelism suite — and warm-start
-// outcomes cached at one worker count replay bitwise at any other.
+// Every other solve is cold: Solver.Solve, the package-level Solve and
+// SolveLine, both §6 height classes, and the engine solve under Simulate. A
+// cold solve has nothing to replay, so it runs the serial engine on the
+// calling goroutine whatever its Parallelism.
+// Splitting one did not pay at any size measured. When cold solves still
+// split, sharding fleets across components and row-partitioning the
+// raises, greedy tests and λ fold of a single component across lanes,
+// Parallelism 2 lost to Parallelism 1 on every shape (cold Prepare +
+// RunParallel, 2 vCPUs, median of seven alternating runs, five for
+// fleets): contended instances of 736, 3,085, 12,202 and 49,222 items took
+// 0.42 vs 0.94, 2.5 vs 3.1, 8.8 vs 12.2 and 41 vs 66 ms, and fleets of
+// 768–32,768 items in 14–610 components took 2.9–3.3 times as long. The
+// component pass, the relabeled layouts and the merge cost more than the
+// first phase they parallelize, and a lane handoff more than the raises
+// and tests it splits. So a component runs whole on one goroutine, and
+// shards serve replay only.
+//
+// Sharding is bitwise invisible. Items in different components share no
+// demand and no edge, so their dual variables are disjoint and their raise
+// rules never read each other's state. Priorities come from per-owner
+// streams and every item of a demand lives in one component, so the Luby
+// draws are shard-independent. The serial step at a schedule position
+// raises the union of what the components raise there, its election takes
+// the most Luby iterations any of them took, and λ is a min, exact in any
+// association. So a sharded solve returns the serial engine's selections,
+// profit, λ, dual bound and trace bit for bit at every worker count —
+// asserted across worker counts × modes × seeds × shapes by the engine's
+// sharded-pipeline suites — and outcomes cached at one worker count replay
+// bitwise at any other.
 //
 // # Dense indexed dual state
 //
@@ -170,7 +180,7 @@
 //     out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is
 //     re-sorted;
-//   - the lazy shard decomposition, which refreshes on the next parallel
+//   - the lazy shard decomposition, which refreshes on the next sharded
 //     run reusing every component the churn never touched.
 //
 // Determinism is unchanged: a Session's solve is bitwise identical to
@@ -273,9 +283,9 @@
 // phases — prepare, update, apply, component decomposition, per-shard and
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
-// components, warm replays vs re-solves, granted shard workers and intra
-// lanes). Two rules keep the seam compatible with the determinism
-// contract:
+// components, warm replays vs re-solves, granted shard workers, and an
+// intra-lanes count that reads 1 per solve). Two rules keep the seam
+// compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
 //     state; every emission site is a plain nil check. Results are bitwise
@@ -326,29 +336,29 @@
 //     parallelism-1 run of the same scenario).
 //
 // Scenarios cover the contended single-component sizes of
-// BenchmarkEngineUnitTree (unit-tree/m=48..768), a sharded fleet of
-// disjoint networks (unit-tree/fleet; unit-tree/fleet-quick in -quick
-// runs), the pipeline's best case, the incremental churn workloads
-// (churn/m=768, churn-fleet/m=1024), whose ns_per_op is the average cost
-// of one Session (Update + Solve) round, the warm-start pair
+// BenchmarkEngineUnitTree (unit-tree/m=48..768), a fleet of disjoint
+// networks (unit-tree/fleet; unit-tree/fleet-quick in -quick runs), both
+// solved cold and hence serially at every parallelism, the incremental
+// churn workloads (churn/m=768, churn-fleet/m=1024), whose ns_per_op is the
+// average cost of one Session (Update + Solve) round, the warm-start pair
 // (churn-warm/m=768 and its ablation churn-cold/m=768: the same
 // component-local fleet churn with the warm cache on and off — snapshotted
 // in BENCH_warm_start.json), and the online serving workloads (serve/m=768,
 // serve-warm/m=768): an internal/serve session actor absorbing churn from
 // concurrent submitters, where ns_per_op is the mean coalesced round
 // latency and the additive coalesced_batch field reports the mean
-// submissions absorbed per round. The intra-component scaling matrix
-// (parallel-sweep/m=768: one contended single-component instance swept
-// across worker counts 1/2/4/8, snapshotted in BENCH_intrapar.json)
-// tracks the row-partitioned kernels; read its speedups against the
-// recorded gomaxprocs — on the 1-CPU CI host the lane clamp keeps every
-// worker count on the serial path, so the snapshot gates overhead, not
-// scaling. The recorder-noop/m=768 scenario measures the observability
-// seam itself: it interleaves no-op-recorder-attached and bare solves in
-// one process, reporting the attached cost as ns_per_op against the bare
-// cost in serial_ns_per_op (so its speedup column is the overhead ratio,
-// not a parallel speedup); `schedbench -recorder-gate REPORT
-// -max-overhead 0.02` turns that row into the in-run CI overhead gate.
+// submissions absorbed per round. parallel-sweep/m=768 solves one contended
+// single-component instance cold at worker counts 1/2/4/8 (snapshotted in
+// BENCH_intrapar.json); a cold solve runs the serial engine at every count,
+// so every row times the same engine.Run, as do the two rows of each
+// unit-tree scenario. The recorder-noop/m=768 scenario measures the
+// observability seam itself: it interleaves no-op-recorder-attached and
+// bare serial solves in one process, in pairs over a fixed time budget,
+// reporting the attached cost as ns_per_op against the bare cost in
+// serial_ns_per_op (so its speedup column is the overhead ratio, not a
+// parallel speedup); one measurement fills both of its rows. `schedbench
+// -recorder-gate REPORT -max-overhead 0.02` turns those rows into the
+// in-run CI overhead gate.
 //
 // `schedbench -compare OLD.json NEW.json` diffs two reports by
 // (scenario, parallelism) and prints per-size speedups;
@@ -453,9 +463,7 @@
 //     verdict (dual.Meets), the compacted per-step scan (state.scanLive,
 //     state.retest), the group-form elections
 //     (state.independentSet, mis.Luby, mis.Greedy), the greedy second
-//     phase, the shard merge, Prepared.Apply, and the row-partitioned lane
-//     kernels (state.raiseAll, the partitioned greedy commit) are
-//     annotated.
+//     phase, the shard merge and Prepared.Apply are annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is
 //     `//schedvet:ok <analyzer> <reason>` on the flagged line or the

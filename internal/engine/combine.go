@@ -26,14 +26,7 @@ type ArbitraryResult struct {
 // at most one instance per demand, and per-resource selection preserves the
 // bandwidth constraints.
 func RunArbitrary(items []Item, cfg Config) (*ArbitraryResult, error) {
-	return RunArbitraryParallel(items, cfg, 1)
-}
-
-// RunArbitraryParallel is RunArbitrary with each sub-run executed through
-// the sharded parallel pipeline on `workers` goroutines. Results are
-// bit-identical to RunArbitrary at every worker count.
-func RunArbitraryParallel(items []Item, cfg Config, workers int) (*ArbitraryResult, error) {
-	return PrepareArbitrary(items).RunParallel(cfg, workers)
+	return PrepareArbitrary(items).RunParallel(cfg, 1)
 }
 
 // ArbitraryPrepared is the Config-independent run state of the §6
@@ -73,10 +66,11 @@ func (ap *ArbitraryPrepared) Items() []Item { return ap.items }
 // MaxCritical returns ∆ = max |π(d)| over the full item set.
 func (ap *ArbitraryPrepared) MaxCritical() int { return ap.delta }
 
-// RunParallel executes the §6 algorithm over the prepared state on
-// `workers` goroutines: the unit rule on the wide class, the narrow rule on
-// the narrow class, then the per-resource combination. Bit-identical to
-// RunArbitrary at every worker count.
+// RunParallel executes the §6 algorithm over the prepared state: the unit
+// rule on the wide class, the narrow rule on the narrow class (each through
+// Prepared.RunParallel, so serial unless the class has the warm-start cache
+// on), then the per-resource combination. Bit-identical to RunArbitrary at
+// every worker count.
 func (ap *ArbitraryPrepared) RunParallel(cfg Config, workers int) (*ArbitraryResult, error) {
 	out := &ArbitraryResult{}
 	var wideItems, narrowItems []Item

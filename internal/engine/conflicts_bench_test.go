@@ -124,9 +124,9 @@ func BenchmarkApplyDeltaFleet(b *testing.B) {
 // benchmarkSolveChurnFleet measures one steady-state serving round on the
 // fleet workload — a component-local churn (one rotating network, ~3% of
 // the demands) followed by a full re-solve — with the warm-start cache on
-// or off. The warm/cold ns ratio is the replay win; the allocs/op drop
-// relative to cold also shows the pooled per-worker solve scratch (streams,
-// election buffers, step buffers) at work.
+// (the sharded pipeline, replaying untouched components) or off (the
+// serial engine, at every worker count). The warm/cold ns ratio is the
+// replay win.
 func benchmarkSolveChurnFleet(b *testing.B, warm bool, workers int) {
 	items := fleetBenchItems(b)
 	p := engine.Prepare(slices.Clone(items))

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"treesched/internal/dual"
 	"treesched/internal/model"
@@ -144,37 +143,13 @@ func BetaGain(mode Mode, criticalLen int, delta float64) float64 {
 // item order: λ = min(1, min LHS/p) and the weak-duality bound Value/λ
 // (Lemma 3.1). Dense counterpart of dual.Lambda/Bound over ConstraintViews;
 // items are validated to have positive profit, so no zero-profit guard is
-// needed here beyond the λ ≤ 0 check. pool (nil = inline) partitions the
-// constraint scan; λ is a pure min, so per-chunk minima merge bitwise.
-func (c *Core) lambdaBound(views []ItemView, pool *intraPool) (lambda, bound float64) {
-	lambda = c.lambdaPool(views, pool)
+// needed here beyond the λ ≤ 0 check.
+func (c *Core) lambdaBound(views []ItemView) (lambda, bound float64) {
+	lambda = c.lambdaOnly(views)
 	if lambda <= 0 {
 		return lambda, math.Inf(1)
 	}
 	return lambda, c.Dual.Value() / lambda
-}
-
-// lambdaPool is lambdaOnly with the constraint scan row-partitioned. Each
-// lane folds its chunk's min locally — every per-item ratio is computed on
-// the same operands as serially — and the chunk minima fold under the
-// merge mutex. min performs no arithmetic and is associative and
-// commutative over the total order of non-NaN floats, so the fold order
-// cannot reach the result.
-func (c *Core) lambdaPool(views []ItemView, pool *intraPool) float64 {
-	if pool == nil || len(views) < 2*intraGrain {
-		return c.lambdaOnly(views)
-	}
-	var mu sync.Mutex
-	lambda := 1.0
-	pool.Run(len(views), func(lo, hi int) {
-		local := c.lambdaOnly(views[lo:hi])
-		mu.Lock()
-		if local < lambda {
-			lambda = local
-		}
-		mu.Unlock()
-	})
-	return lambda
 }
 
 // lambdaOnly is the λ half of lambdaBound: min(1, min LHS/p) over views.
@@ -249,95 +224,20 @@ func selectGreedyViews(views []ItemView, mode Mode, steps [][]int, numSlots, num
 	usedDemand := make([]bool, numSlots)
 	usage := make([]float64, numEdges)
 	for s := len(steps) - 1; s >= 0; s-- {
-		selected, profit = greedyCommit(views, mode, steps[s], usedDemand, usage, selected, profit)
-	}
-	slices.Sort(selected)
-	return selected, profit
-}
-
-// greedyCommit runs one popped step through the greedy rule serially:
-// test-and-commit each id in ascending order against the accumulated
-// demand/edge usage.
-//
-//schedvet:hot
-func greedyCommit(views []ItemView, mode Mode, ids []int, usedDemand []bool, usage []float64, selected []int, profit float64) ([]int, float64) {
-	for _, id := range ids {
-		v := &views[id]
-		need := v.Height
-		if mode == Unit {
-			need = 1
-		}
-		if !greedyFeasible(v, need, usedDemand, usage) {
-			continue
-		}
-		usedDemand[v.Slot] = true
-		for _, e := range v.Edges {
-			usage[e] += need
-		}
-		selected = append(selected, id)
-		profit += v.Profit
-	}
-	return selected, profit
-}
-
-// greedyFeasible is the greedy admission predicate: the demand slot is
-// unused and every path edge retains capacity for need.
-//
-//schedvet:hot
-func greedyFeasible(v *ItemView, need float64, usedDemand []bool, usage []float64) bool {
-	if usedDemand[v.Slot] {
-		return false
-	}
-	for _, e := range v.Edges {
-		if usage[e]+need > 1+dual.Tolerance {
-			return false
-		}
-	}
-	return true
-}
-
-// selectGreedyPartitioned is selectGreedyViews with each large step's
-// feasibility tests row-partitioned (pool nil or small steps fall back to
-// the serial form). The split into a parallel test pass and a serial
-// ascending commit pass is exact, not approximate: a phase-1 step is an
-// independent set of the conflict graph, so its items have pairwise
-// distinct demand slots and disjoint edge sets — committing one item of a
-// step never changes the verdict of another item of the same step, which
-// makes testing all of them against the pre-step usage bitwise equal to
-// the serial interleaved test-and-commit. Cross-step ordering (later steps
-// see earlier commits) is untouched because usage and usedDemand are
-// updated before the next step is popped.
-func selectGreedyPartitioned(views []ItemView, mode Mode, steps [][]int, numSlots, numEdges int, pool *intraPool, scr *solveScratch) (selected []int, profit float64) {
-	if pool == nil {
-		return selectGreedyViews(views, mode, steps, numSlots, numEdges)
-	}
-	usedDemand := make([]bool, numSlots)
-	usage := make([]float64, numEdges)
-	for s := len(steps) - 1; s >= 0; s-- {
-		ids := steps[s]
-		if len(ids) < 2*intraGrain {
-			selected, profit = greedyCommit(views, mode, ids, usedDemand, usage, selected, profit)
-			continue
-		}
-		ok := scr.growFlags(len(ids))
-		pool.Run(len(ids), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := &views[ids[i]]
-				need := v.Height
-				if mode == Unit {
-					need = 1
-				}
-				ok[i] = greedyFeasible(v, need, usedDemand, usage)
-			}
-		})
-		for i, id := range ids {
-			if !ok[i] {
+	next:
+		for _, id := range steps[s] {
+			v := &views[id]
+			if usedDemand[v.Slot] {
 				continue
 			}
-			v := &views[id]
 			need := v.Height
 			if mode == Unit {
 				need = 1
+			}
+			for _, e := range v.Edges {
+				if usage[e]+need > 1+dual.Tolerance {
+					continue next
+				}
 			}
 			usedDemand[v.Slot] = true
 			for _, e := range v.Edges {

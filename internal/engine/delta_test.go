@@ -244,9 +244,10 @@ func TestApplyDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaShardReuse exercises the stale-shard path: solve in
-// parallel (building shards), churn, and solve again — the refreshed
-// decomposition must match scratch even when untouched shards are reused.
+// TestApplyDeltaShardReuse exercises the stale-shard path: solve through
+// the sharded pipeline (building shards), churn, and solve again — the
+// refreshed decomposition must match scratch even when untouched shards
+// are reused, and the sharded solves must match scratch's serial ones.
 func TestApplyDeltaShardReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in, err := workload.RandomTreeInstance(workload.TreeConfig{
@@ -266,9 +267,13 @@ func TestApplyDeltaShardReuse(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
+	p.EnableWarmStart() // cold solves run serially; the warm cache shards
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 5}
 	if _, err := p.RunParallel(cfg, 4); err != nil { // builds shards
 		t.Fatal(err)
+	}
+	if len(p.shards) < 2 || p.WarmStats().ComponentsResolved != len(p.shards) {
+		t.Fatalf("first solve ran %+v over %d shards: the sharded pipeline did not run", p.WarmStats(), len(p.shards))
 	}
 	for step := 0; step < 4; step++ {
 		order = applyRandomDelta(t, p, pool, order, rng)

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -81,10 +82,13 @@ func (m *mapDual) value() float64 {
 }
 
 // TestDenseMatchesMapGoldens is the determinism suite of the dense-state
-// refactor: across seeds × modes × parallelism, the engine's recorded raise
-// trace replayed through the map-backed golden implementation must
-// reproduce every δ bitwise, and the final dense assignment (via its map
-// views), the dual objective, and the run outputs must coincide exactly.
+// refactor: across seeds × modes × shapes × executions, the engine's
+// recorded raise trace replayed through the map-backed golden
+// implementation must reproduce every δ bitwise, and the final dense
+// assignment (via its map views), the dual objective, and the run outputs
+// must coincide exactly. The executions are the serial engine and the
+// sharded pipeline at several worker counts, which must really shard the
+// fleet shape.
 func TestDenseMatchesMapGoldens(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
 		heights := workload.UnitHeights
@@ -92,46 +96,60 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 			heights = workload.NarrowHeights
 		}
 		for seed := int64(0); seed < 8; seed++ {
-			items := treeItems(t, workload.TreeConfig{
-				Vertices: 36, Trees: 3, Demands: 42, ProfitRatio: 12,
-				Heights: heights, AccessMin: 1, AccessMax: 2,
-			}, seed)
-			cfg := engine.Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: true}
-			// The worker axis spans the two-level budget splits: 1 is serial,
-			// small counts shard components, and the larger counts spill into
-			// intra-component row partitioning (forced by the lowered tuning).
-			engine.SetIntraTuningForTest(t, 4, 8)
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				res, err := engine.RunParallel(items, cfg, workers)
-				if err != nil {
-					t.Fatalf("%v seed %d p=%d: %v", mode, seed, workers, err)
-				}
-				shadow := newMapDual()
-				for i, ev := range res.Trace.Events {
-					delta := shadow.raise(&items[ev.Item], mode)
-					if delta != ev.Delta {
-						t.Fatalf("%v seed %d p=%d: event %d (item %d): dense δ=%v, map-state δ=%v",
-							mode, seed, workers, i, ev.Item, ev.Delta, delta)
+			for _, shape := range []struct {
+				name      string
+				accessMax int
+			}{{"contended", 2}, {"fleet", 1}} {
+				items := treeItems(t, workload.TreeConfig{
+					Vertices: 36, Trees: 3, Demands: 42, ProfitRatio: 12,
+					Heights: heights, AccessMin: 1, AccessMax: shape.accessMax,
+				}, seed)
+				cfg := engine.Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: true}
+				for _, workers := range []int{0, 1, 2, 3, 4, 8} {
+					tag := fmt.Sprintf("%v/%s seed %d p=%d", mode, shape.name, seed, workers)
+					var res *engine.Result
+					var err error
+					if workers == 0 {
+						tag = fmt.Sprintf("%v/%s seed %d serial", mode, shape.name, seed)
+						res, err = engine.Run(items, cfg)
+					} else {
+						rec := newCountingRecorder()
+						res, err = sharded(items, rec).RunParallel(cfg, workers)
+						if err == nil && shape.name == "fleet" && rec.started[engine.PhaseShardSolve] == 0 {
+							t.Fatalf("%s: the sharded pipeline did not run", tag)
+						}
 					}
-				}
-				if !reflect.DeepEqual(res.Dual.AlphaMap(), shadow.alpha) {
-					t.Errorf("%v seed %d p=%d: α diverged from map-state golden", mode, seed, workers)
-				}
-				if !reflect.DeepEqual(res.Dual.BetaMap(), shadow.beta) {
-					t.Errorf("%v seed %d p=%d: β diverged from map-state golden", mode, seed, workers)
-				}
-				if got, want := res.Dual.Value(), shadow.value(); got != want {
-					t.Errorf("%v seed %d p=%d: Value %v != map-state %v", mode, seed, workers, got, want)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					shadow := newMapDual()
+					for i, ev := range res.Trace.Events {
+						delta := shadow.raise(&items[ev.Item], mode)
+						if delta != ev.Delta {
+							t.Fatalf("%s: event %d (item %d): dense δ=%v, map-state δ=%v",
+								tag, i, ev.Item, ev.Delta, delta)
+						}
+					}
+					if !reflect.DeepEqual(res.Dual.AlphaMap(), shadow.alpha) {
+						t.Errorf("%s: α diverged from map-state golden", tag)
+					}
+					if !reflect.DeepEqual(res.Dual.BetaMap(), shadow.beta) {
+						t.Errorf("%s: β diverged from map-state golden", tag)
+					}
+					if got, want := res.Dual.Value(), shadow.value(); got != want {
+						t.Errorf("%s: Value %v != map-state %v", tag, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestThreeExecutionsAgree sweeps seeds × modes and asserts the three
-// executions of the protocol — serial engine, sharded parallel pipeline,
-// and the message-passing simulation — return bitwise-identical selections
-// and profit under the splitmix64 priority streams.
+// TestThreeExecutionsAgree sweeps seeds × modes × shapes and asserts the
+// three executions of the protocol — serial engine, sharded pipeline, and
+// the message-passing simulation — return bitwise-identical selections and
+// profit under the splitmix64 priority streams. The fleet shape must
+// really shard.
 func TestThreeExecutionsAgree(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
 		heights := workload.UnitHeights
@@ -139,33 +157,41 @@ func TestThreeExecutionsAgree(t *testing.T) {
 			heights = workload.NarrowHeights
 		}
 		for seed := int64(0); seed < 5; seed++ {
-			items := treeItems(t, workload.TreeConfig{
-				Vertices: 24, Trees: 3, Demands: 18, ProfitRatio: 6,
-				Heights: heights, AccessMin: 1, AccessMax: 2,
-			}, 100+seed)
-			cfg := engine.Config{Mode: mode, Epsilon: 0.25, Seed: seed}
-			serial, err := engine.Run(items, cfg)
-			if err != nil {
-				t.Fatalf("%v seed %d: serial: %v", mode, seed, err)
-			}
-			engine.SetIntraTuningForTest(t, 4, 8)
-			for _, workers := range []int{2, 4, 8} {
-				par, err := engine.RunParallel(items, cfg, workers)
+			for _, shape := range []struct {
+				name      string
+				accessMax int
+			}{{"contended", 2}, {"fleet", 1}} {
+				items := treeItems(t, workload.TreeConfig{
+					Vertices: 24, Trees: 3, Demands: 18, ProfitRatio: 6,
+					Heights: heights, AccessMin: 1, AccessMax: shape.accessMax,
+				}, 100+seed)
+				cfg := engine.Config{Mode: mode, Epsilon: 0.25, Seed: seed}
+				serial, err := engine.Run(items, cfg)
 				if err != nil {
-					t.Fatalf("%v seed %d: parallel w=%d: %v", mode, seed, workers, err)
+					t.Fatalf("%v/%s seed %d: serial: %v", mode, shape.name, seed, err)
 				}
-				if !reflect.DeepEqual(serial.Selected, par.Selected) || serial.Profit != par.Profit {
-					t.Errorf("%v seed %d: parallel w=%d diverged: (%v, %v) vs (%v, %v)",
-						mode, seed, workers, par.Selected, par.Profit, serial.Selected, serial.Profit)
+				for _, workers := range []int{1, 2, 4, 8} {
+					rec := newCountingRecorder()
+					par, err := sharded(items, rec).RunParallel(cfg, workers)
+					if err != nil {
+						t.Fatalf("%v/%s seed %d: sharded w=%d: %v", mode, shape.name, seed, workers, err)
+					}
+					if shape.name == "fleet" && rec.started[engine.PhaseShardSolve] == 0 {
+						t.Fatalf("%v/%s seed %d w=%d: the sharded pipeline did not run", mode, shape.name, seed, workers)
+					}
+					if !reflect.DeepEqual(serial.Selected, par.Selected) || serial.Profit != par.Profit {
+						t.Errorf("%v/%s seed %d: sharded w=%d diverged: (%v, %v) vs (%v, %v)",
+							mode, shape.name, seed, workers, par.Selected, par.Profit, serial.Selected, serial.Profit)
+					}
 				}
-			}
-			sim, err := dist.Run(items, cfg)
-			if err != nil {
-				t.Fatalf("%v seed %d: dist: %v", mode, seed, err)
-			}
-			if !reflect.DeepEqual(serial.Selected, sim.Selected) || serial.Profit != sim.Profit {
-				t.Errorf("%v seed %d: dist diverged: (%v, %v) vs (%v, %v)",
-					mode, seed, sim.Selected, sim.Profit, serial.Selected, serial.Profit)
+				sim, err := dist.Run(items, cfg)
+				if err != nil {
+					t.Fatalf("%v/%s seed %d: dist: %v", mode, shape.name, seed, err)
+				}
+				if !reflect.DeepEqual(serial.Selected, sim.Selected) || serial.Profit != sim.Profit {
+					t.Errorf("%v/%s seed %d: dist diverged: (%v, %v) vs (%v, %v)",
+						mode, shape.name, seed, sim.Selected, sim.Profit, serial.Selected, serial.Profit)
+				}
 			}
 		}
 	}

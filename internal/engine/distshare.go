@@ -56,6 +56,6 @@ func (p *Prepared) ReplayDual(mode Mode, steps [][]int) (d *dual.Assignment, lam
 	if len(p.items) == 0 {
 		return core.Dual, 0, 0
 	}
-	lambda, bound = core.lambdaBound(p.lay.views, nil)
+	lambda, bound = core.lambdaBound(p.lay.views)
 	return core.Dual, lambda, bound
 }

@@ -137,9 +137,6 @@ type state struct {
 	stack []step
 	trace *Trace
 	steps int
-	// pool row-partitions the per-step kernels (intrapar.go); nil runs every
-	// kernel inline.
-	pool *intraPool
 }
 
 // solveScratch bundles a state's reusable per-run buffers, split out so the
@@ -167,21 +164,6 @@ type solveScratch struct {
 	// the election's per-vertex and per-group buffers.
 	cover mis.Cover
 	mis   mis.Scratch
-	// flags is the shared per-row output of the partitioned kernels: each
-	// lane writes verdicts at its own row indices, and the coordinating
-	// goroutine collects them in ascending row order (intrapar.go). Only
-	// meaningful between a kernel and its collection scan.
-	flags []bool
-}
-
-// growFlags returns the flag scratch sized to n rows. Contents are
-// unspecified on entry; partitioned kernels write every row they own.
-func (scr *solveScratch) growFlags(n int) []bool {
-	if cap(scr.flags) < n {
-		scr.flags = make([]bool, n)
-	}
-	scr.flags = scr.flags[:n]
-	return scr.flags
 }
 
 // scratchPool recycles solve scratch across runs; steady-state churn/serve
@@ -248,9 +230,8 @@ func Run(items []Item, cfg Config) (*Result, error) {
 // item's demand slot and edge indices are the groups it belongs to. scr
 // may be a pooled scratch (nil allocates a private one); its streams are
 // re-seeded here, so a recycled scratch starts every run from the same
-// stream positions a fresh one would. pool (nil = inline) row-partitions the per-step kernels;
-// the state borrows it for the run and must be its only user while running.
-func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch, pool *intraPool) *state {
+// stream positions a fresh one would.
+func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
@@ -261,7 +242,6 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 		plan:  plan,
 		core:  lay.newCore(cfg.Mode),
 		scr:   scr,
-		pool:  pool,
 	}
 	owners := lay.owners.IDs()
 	if cap(scr.streams) < len(owners) {
@@ -277,33 +257,34 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 	return st
 }
 
-// runSerial executes both phases over one conflict graph, optionally
-// row-partitioning the per-step kernels over intra lanes (intrapar.go); the
-// result is bitwise identical at every lane count. The sharded pipeline
-// (RunParallel) runs firstPhase per component instead and merges, handing
-// each shard worker its own lane budget. The dual is scored (λ and the
-// bound) right after the first phase, inside PhaseSerialSolve: scoring
-// reads only the dual and the greedy phase reads only the views and the
-// stack, so the order cannot reach any result.
-func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error) {
-	scr := scratchPool.Get().(*solveScratch)
-	defer scratchPool.Put(scr)
-	lanes := intraLanes(intra, len(p.items))
-	pool := newIntraPool(lanes)
-	defer pool.close()
+// runSerial plans and executes both phases over one conflict graph on the
+// calling goroutine. The sharded pipeline (RunParallel with the warm-start
+// cache on) runs firstPhase per component instead and merges.
+// PhaseSerialSolve opens before planning and the scratch fetch, so the
+// serial path leaves only the recorder calls of its PhaseSolve span
+// uninstrumented. The dual is scored (λ and the bound) right after the
+// first phase, inside PhaseSerialSolve: scoring reads only the dual and
+// the greedy phase reads only the views and the stack, so the order cannot
+// reach any result.
+func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	rec := p.rec
 	var tok int64
 	if rec != nil {
-		rec.Count(CounterIntraLanes, int64(lanes))
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	st := newState(p.items, p.lay, cfg, plan, scr, pool)
+	plan, err := PlanFor(p.items, &cfg) // resolves ξ and defaults
+	if err != nil {
+		return nil, err
+	}
+	scr := scratchPool.Get().(*solveScratch)
+	defer scratchPool.Put(scr)
+	st := newState(p.items, p.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
 	}
 	if len(p.items) > 0 {
-		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views, pool)
+		res.Lambda, res.Bound = st.core.lambdaBound(p.lay.views)
 	}
 	if rec != nil {
 		rec.EndSpan(PhaseSerialSolve, tok)
@@ -312,6 +293,7 @@ func (p *Prepared) runSerial(cfg Config, plan *Plan, intra int) (*Result, error)
 	st.secondPhase(res)
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
+		rec.Count(CounterIntraLanes, 1)
 	}
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 	return res, nil
@@ -459,9 +441,11 @@ func (st *state) firstPhase(res *Result) error {
 				res.Steps++
 				chosen, iters := st.independentSet(u)
 				res.MISIters += iters
-				raised := st.raiseAll(chosen)
-				res.Raised += len(raised)
-				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: raised, misIters: iters})
+				for _, id := range chosen {
+					st.raise(id)
+				}
+				res.Raised += len(chosen)
+				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
 	}
@@ -603,43 +587,14 @@ func (st *state) raise(id int) {
 	}
 }
 
-// raiseAll raises every chosen item of one step and returns the raised ids
-// (ascending — pick built them that way). A step is an independent set of
-// the conflict graph, and conflicting is exactly sharing a demand or an
-// edge, so the chosen items touch pairwise-disjoint α slots and disjoint
-// critical-edge β entries: their raises commute bitwise and may run on
-// separate lanes. Each raise reads only pre-step dual state on its own
-// item's rows (α of its slot, β of its path) — none of which another
-// chosen item writes — so partitioning changes no operand of any float op.
-// Tracing pins the serial raise order, so traced runs stay inline; the
-// prepared index is frozen, so lane raises never grow the dual slices.
-//
-//schedvet:hot
-func (st *state) raiseAll(chosen []int) []int {
-	if st.pool == nil || st.trace != nil || len(chosen) < 2*intraGrain {
-		for _, id := range chosen {
-			st.raise(id)
-		}
-		return chosen
-	}
-	views := st.lay.views
-	core := st.core
-	st.pool.Run(len(chosen), func(lo, hi int) {
-		for _, id := range chosen[lo:hi] {
-			core.Raise(&views[id])
-		}
-	})
-	return chosen
-}
-
 // secondPhase pops the stack through the shared greedy rule (dense form).
 func (st *state) secondPhase(res *Result) {
 	steps := make([][]int, len(st.stack))
 	for i := range st.stack {
 		steps[i] = st.stack[i].items
 	}
-	res.Selected, res.Profit = selectGreedyPartitioned(st.lay.views, st.cfg.Mode, steps,
-		st.lay.ix.NumDemands(), st.lay.ix.NumEdges(), st.pool, st.scr)
+	res.Selected, res.Profit = selectGreedyViews(st.lay.views, st.cfg.Mode, steps,
+		st.lay.ix.NumDemands(), st.lay.ix.NumEdges())
 }
 
 // stepCap bounds the steps per stage: Lemma 5.1 proves at most

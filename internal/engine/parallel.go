@@ -2,21 +2,23 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
 	"treesched/internal/dual"
 )
 
-// This file implements the sharded parallel solve pipeline. The conflict
-// graph of §2 decomposes into connected components that never exchange
-// messages: items in different components share no demand and no edge, so
-// their dual variables are disjoint, their raise rules never read each
-// other's state, and — because priorities come from per-owner PRNG streams
-// (NewStream) and every item of a demand lives in one component — their
-// Luby draws are shard-independent. RunParallel therefore runs the full
-// epoch/stage/step schedule per component on a worker pool and reassembles
-// the global serial execution exactly:
+// This file implements the sharded solve pipeline, the execution a
+// warm-start Prepared (a Session's) runs so that it can replay components.
+// The conflict graph of §2 decomposes into connected components that never
+// exchange messages: items in different components share no demand and no
+// edge, so their dual variables are disjoint, their raise rules never read
+// each other's state, and — because priorities come from per-owner PRNG
+// streams (NewStream) and every item of a demand lives in one component —
+// their Luby draws are shard-independent. The pipeline therefore runs the
+// full epoch/stage/step schedule per component on a worker pool and
+// reassembles the global serial execution exactly:
 //
 //   - a serial step at schedule position (epoch, stage, iter) raises the
 //     union over components of the items each component raises at that same
@@ -33,6 +35,12 @@ import (
 // shard's execution is self-contained, it is also replayable: with the
 // warm-start cache enabled (warm.go), shards untouched by churn reuse their
 // previous outcome instead of re-running the schedule.
+//
+// Replay is the only reason to shard. A cold solve has nothing to replay,
+// and splitting one has not paid at any size measured on 2 vCPUs: the
+// component pass, a relabeled layout per shard and the merge cost more
+// than the first phase the shards run in parallel (doc.go, "Component
+// shards"). Without the cache, RunParallel runs the serial engine.
 
 // shardOut is one conflict component's completed first-phase execution:
 // exactly what mergeShards consumes and nothing transient — the raise stack
@@ -60,23 +68,15 @@ type shardOut struct {
 	gedge []int32
 }
 
-// RunParallel executes the same algorithm as Run, sharded over the
-// connected components of the conflict graph on `workers` goroutines. The
-// Result is bit-identical to Run(items, cfg) at every worker count; with
-// workers ≤ 1 the serial engine runs directly.
-func RunParallel(items []Item, cfg Config, workers int) (*Result, error) {
-	return Prepare(items).RunParallel(cfg, workers)
-}
-
-// RunParallel executes the sharded pipeline over the prepared state,
-// spending the worker budget on two levels: component shards first (they
-// parallelize whole schedules with zero per-step synchronization), then
-// row partitioning inside each shard (intrapar.go) with whatever budget
-// the component level cannot use. workers < 1 resolves to
-// runtime.GOMAXPROCS(0), matching Options.Parallelism at the root. With
-// the warm-start cache enabled it also shards at workers ≤ 1 (replay needs
-// per-component outcomes), except on instances known to be one single
-// component, where sharding can never pay for itself.
+// RunParallel solves the prepared state. With the warm-start cache off (the
+// default) it runs the serial engine, whatever workers is. With the cache
+// on it runs the sharded pipeline, replaying the components churn did not
+// touch and re-running the rest on min(workers, runnable components)
+// goroutines; workers < 1 resolves to runtime.GOMAXPROCS(0), matching
+// Options.Parallelism at the root. It still runs the serial engine when the
+// instance is one component, or the last decomposition found one: a single
+// shard would be the serial execution plus a merge. Every path returns the
+// Result of Run bit for bit.
 func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 	rec := p.rec
 	var tok int64
@@ -92,26 +92,29 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 }
 
 func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
+	if !p.warm.on() {
+		return p.runSerial(cfg)
+	}
+	shard := false
+	if !p.knownSingleComponent() {
+		p.ensureShards()
+		shard = len(p.comps) > 1
+	}
+	if !shard {
+		res, err := p.runSerial(cfg)
+		if err == nil {
+			p.warm.noteCold()
+		}
+		return res, err
+	}
 	plan, err := PlanFor(p.items, &cfg) // resolves ξ and defaults globally
 	if err != nil {
 		return nil, err
 	}
 	if workers < 1 {
-		workers = laneCap()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	warm := p.warm.on()
-	if workers <= 1 && (!warm || p.knownSingleComponent()) {
-		p.warm.noteCold()
-		return p.runSerial(cfg, plan, 1)
-	}
-	p.ensureShards()
-	if len(p.comps) <= 1 {
-		// One giant component: sharding cannot help, so the whole budget
-		// goes to row partitioning the per-step kernels inside it.
-		p.warm.noteCold()
-		return p.runSerial(cfg, plan, workers)
-	}
-	outs, err := p.runShards(cfg, plan, workers, warm)
+	outs, err := p.runShards(cfg, plan, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -120,12 +123,9 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 
 // runShard executes one component's first phase over (pooled) scratch and
 // captures its outcome, including the merge translations into the global
-// layout (glay is only read, so shards may build them concurrently). pool
-// (nil = inline) row-partitions the shard's per-step kernels; the outcome
-// is bitwise identical at every lane count, which is what keeps warm-start
-// replays valid no matter how the budget that produced them was split.
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout, pool *intraPool) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, scr, pool)
+// layout (glay is only read, so shards may build them concurrently).
+func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout) (*shardOut, error) {
+	st := newState(pre.items, pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
@@ -135,7 +135,7 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 		stack:         st.stack,
 		dual:          st.core.Dual,
 		trace:         st.trace,
-		lambda:        st.core.lambdaPool(pre.lay.views, pool),
+		lambda:        st.core.lambdaOnly(pre.lay.views),
 		raised:        res.Raised,
 		maxStageSteps: res.MaxStageSteps,
 	}
@@ -169,16 +169,12 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 
 // runShards produces every shard's first-phase outcome: cached outcomes are
 // replayed for shards whose preShard survived since the last solve under
-// the same configuration, the rest run on a worker pool with per-worker
-// pooled scratch. When warm, the full outcome set is recorded for the next
-// round.
-func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]*shardOut, error) {
-	var key warmKey
-	var cached map[*preShard]*shardOut
-	if warm {
-		key = warmKeyFor(&cfg, plan)
-		cached = p.warm.lookup(key)
-	}
+// the same configuration, the rest run on min(workers, runnable) goroutines
+// with per-worker pooled scratch. The full outcome set is recorded for the
+// next round.
+func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, error) {
+	key := warmKeyFor(&cfg, plan)
+	cached := p.warm.lookup(key)
 	outs := make([]*shardOut, len(p.shards))
 	todo := make([]int, 0, len(p.shards))
 	for s, pre := range p.shards {
@@ -193,47 +189,29 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 		rec.Count(CounterComponents, int64(len(p.shards)))
 		rec.Count(CounterComponentsReplayed, int64(len(p.shards)-len(todo)))
 		rec.Count(CounterComponentsResolved, int64(len(todo)))
+		rec.Count(CounterIntraLanes, 1)
 	}
 
 	if len(todo) > 0 {
 		errs := make([]error, len(todo))
-		// Split the budget: one shard worker per runnable component (up to
-		// workers), and the leftover budget becomes row-parallel lanes inside
-		// each worker's shards. Both splits are pure performance knobs — the
-		// per-shard outcome is bitwise fixed — so the cost model needs no
-		// determinism care, only the observation that component parallelism
-		// has no per-step synchronization and is therefore spent first.
+		// One goroutine per runnable component, up to workers. The count is a
+		// pure performance knob: each shard's outcome is bitwise fixed.
 		compWorkers := min(workers, len(todo))
-		intra := 1
-		if workers > compWorkers {
-			intra = workers / compWorkers
-		}
-		// Lanes are sized by the largest shard that runs, as runSerial sizes
-		// them by its own rows: a worker can only ever partition one shard's
-		// rows, so the instance total would spawn helpers no shard can use.
-		rows := 0
-		for _, s := range todo {
-			rows = max(rows, len(p.shards[s].items))
-		}
-		lanes := intraLanes(intra, rows)
 		if rec != nil {
 			rec.Count(CounterShardWorkers, int64(compWorkers))
-			rec.Count(CounterIntraLanes, int64(lanes))
 		}
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
-			pool := newIntraPool(lanes)
 			for i, s := range todo {
 				var stok int64
 				if rec != nil {
 					stok = rec.StartSpan(PhaseShardSolve)
 				}
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay, pool)
+				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay)
 				if rec != nil && errs[i] == nil {
 					rec.EndSpan(PhaseShardSolve, stok)
 				}
 			}
-			pool.close()
 			scratchPool.Put(scr)
 		} else {
 			work := make(chan int)
@@ -244,14 +222,12 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 					defer wg.Done()
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
-					pool := newIntraPool(lanes)
-					defer pool.close()
 					for i := range work {
 						var stok int64
 						if rec != nil {
 							stok = rec.StartSpan(PhaseShardSolve)
 						}
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay, pool)
+						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay)
 						if rec != nil && errs[i] == nil {
 							rec.EndSpan(PhaseShardSolve, stok)
 						}
@@ -270,9 +246,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int, warm bool) ([]
 			}
 		}
 	}
-	if warm {
-		p.warm.record(key, p.shards, outs, len(p.shards)-len(todo))
-	}
+	p.warm.record(key, p.shards, outs, len(p.shards)-len(todo))
 	return outs, nil
 }
 

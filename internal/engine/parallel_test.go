@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,8 +14,8 @@ import (
 // shardedCases are the instance shapes the determinism suite sweeps: a
 // fragmented multi-network workload (each demand pinned to one of several
 // networks, so the conflict graph splits into many components) and a
-// contended single-pool workload (one giant component, exercising the
-// serial fallback under parallel entry points).
+// contended single-pool workload (one giant component, where the sharded
+// pipeline falls back to the serial engine).
 func shardedCases(t *testing.T, mode engine.Mode, seed int64) map[string][]engine.Item {
 	t.Helper()
 	heights := workload.UnitHeights
@@ -33,10 +34,23 @@ func shardedCases(t *testing.T, mode engine.Mode, seed int64) map[string][]engin
 	}
 }
 
+// sharded returns a fresh Prepared over items that solves through the
+// sharded pipeline, with rec (nil for none) attached. Cold solves run the
+// serial engine at every worker count; only the warm-start cache shards,
+// and a fresh cache has nothing to replay, so the first solve runs every
+// component's schedule.
+func sharded(items []engine.Item, rec engine.Recorder) *engine.Prepared {
+	p := engine.Prepare(items)
+	p.EnableWarmStart()
+	p.SetRecorder(rec)
+	return p
+}
+
 // TestRunParallelBitIdentical is the determinism suite of the sharded
-// pipeline: across seeds × modes × parallelism, RunParallel must reproduce
-// the serial Run bit for bit — selections, profit, dual bound, λ, the full
-// dual assignment, every schedule counter, and the raise trace.
+// pipeline: across seeds × modes × worker counts, a sharded solve must
+// reproduce the serial Run bit for bit — selections, profit, dual bound,
+// λ, the full dual assignment, every schedule counter, and the raise
+// trace. The fragmented case must really shard.
 func TestRunParallelBitIdentical(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
 		for seed := int64(0); seed < 10; seed++ {
@@ -46,37 +60,39 @@ func TestRunParallelBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%s seed %d: serial: %v", mode, name, seed, err)
 				}
-				for _, workers := range []int{1, 4, 8} {
-					par, err := engine.RunParallel(items, cfg, workers)
+				for _, workers := range []int{1, 2, 3, 4, 8} {
+					tag := fmt.Sprintf("%v/%s seed %d p=%d", mode, name, seed, workers)
+					rec := newCountingRecorder()
+					par, err := sharded(items, rec).RunParallel(cfg, workers)
 					if err != nil {
-						t.Fatalf("%v/%s seed %d p=%d: %v", mode, name, seed, workers, err)
+						t.Fatalf("%s: sharded: %v", tag, err)
 					}
-					tag := func(field string) string {
-						return mode.String() + "/" + name + " seed " + string(rune('0'+seed)) + " " + field
+					if name == "fragmented" && rec.started[engine.PhaseShardSolve] == 0 {
+						t.Fatalf("%s: the sharded pipeline did not run", tag)
 					}
 					if !reflect.DeepEqual(par.Selected, serial.Selected) {
-						t.Errorf("%s: selected %v != serial %v (p=%d)", tag("selected"), par.Selected, serial.Selected, workers)
+						t.Errorf("%s: selected %v != serial %v", tag, par.Selected, serial.Selected)
 					}
 					if par.Profit != serial.Profit {
-						t.Errorf("%s: profit %v != serial %v (p=%d)", tag("profit"), par.Profit, serial.Profit, workers)
+						t.Errorf("%s: profit %v != serial %v", tag, par.Profit, serial.Profit)
 					}
 					if par.Bound != serial.Bound {
-						t.Errorf("%s: bound %v != serial %v (p=%d)", tag("bound"), par.Bound, serial.Bound, workers)
+						t.Errorf("%s: bound %v != serial %v", tag, par.Bound, serial.Bound)
 					}
 					if par.Lambda != serial.Lambda {
-						t.Errorf("%s: lambda %v != serial %v (p=%d)", tag("lambda"), par.Lambda, serial.Lambda, workers)
+						t.Errorf("%s: lambda %v != serial %v", tag, par.Lambda, serial.Lambda)
 					}
 					if !reflect.DeepEqual(par.Dual.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(par.Dual.BetaMap(), serial.Dual.BetaMap()) {
-						t.Errorf("%s: dual assignment diverged (p=%d)", tag("dual"), workers)
+						t.Errorf("%s: dual assignment diverged", tag)
 					}
 					if par.Steps != serial.Steps || par.MISIters != serial.MISIters ||
 						par.Raised != serial.Raised || par.MaxStageSteps != serial.MaxStageSteps ||
 						par.Epochs != serial.Epochs || par.Stages != serial.Stages ||
 						par.CommRounds != serial.CommRounds || par.Delta != serial.Delta {
-						t.Errorf("%s: counters diverged (p=%d): par %+v serial %+v", tag("counters"), workers, par, serial)
+						t.Errorf("%s: counters diverged: par %+v serial %+v", tag, par, serial)
 					}
 					if !reflect.DeepEqual(par.Trace, serial.Trace) {
-						t.Errorf("%s: raise trace diverged (p=%d)", tag("trace"), workers)
+						t.Errorf("%s: raise trace diverged", tag)
 					}
 				}
 			}
@@ -85,7 +101,8 @@ func TestRunParallelBitIdentical(t *testing.T) {
 }
 
 // TestRunArbitraryParallelBitIdentical covers the §6 wide/narrow split
-// under the sharded pipeline with mixed heights.
+// under the sharded pipeline with mixed heights: each height class shards
+// over its fleet of components and the combination equals the serial one.
 func TestRunArbitraryParallelBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		items := treeItems(t, workload.TreeConfig{
@@ -97,10 +114,17 @@ func TestRunArbitraryParallelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, workers := range []int{4, 8} {
-			par, err := engine.RunArbitraryParallel(items, cfg, workers)
+		for _, workers := range []int{1, 4, 8} {
+			ap := engine.PrepareArbitrary(items)
+			ap.EnableWarmStartForTest()
+			rec := newCountingRecorder()
+			ap.SetRecorder(rec)
+			par, err := ap.RunParallel(cfg, workers)
 			if err != nil {
 				t.Fatalf("seed %d p=%d: %v", seed, workers, err)
+			}
+			if rec.started[engine.PhaseShardSolve] == 0 {
+				t.Fatalf("seed %d p=%d: the sharded pipeline did not run", seed, workers)
 			}
 			if !reflect.DeepEqual(par.Selected, serial.Selected) || par.Profit != serial.Profit || par.Bound != serial.Bound {
 				t.Errorf("seed %d p=%d: diverged: profit %v vs %v", seed, workers, par.Profit, serial.Profit)

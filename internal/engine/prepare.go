@@ -147,21 +147,17 @@ func (p *Prepared) Components() [][]int {
 	return p.comps
 }
 
-// Run executes the serial engine over the prepared state: one goroutine,
-// no row partitioning — the ground truth every parallel configuration is
-// pinned bitwise against.
+// Run executes the serial engine over the prepared state on the calling
+// goroutine, warm-start cache or not: the ground truth the sharded pipeline
+// is pinned bitwise against.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
-	plan, err := PlanFor(p.items, &cfg)
-	if err != nil {
-		return nil, err
-	}
 	rec := p.rec
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(PhaseSolve)
 		rec.Count(CounterItems, int64(len(p.items)))
 	}
-	res, err := p.runSerial(cfg, plan, 1)
+	res, err := p.runSerial(cfg)
 	if rec != nil && err == nil {
 		rec.EndSpan(PhaseSolve, tok)
 	}
@@ -232,10 +228,10 @@ func (p *Prepared) ensureShards() {
 
 // knownSingleComponent reports whether the last shard build found at most
 // one conflict component, without refreshing a stale decomposition. It is a
-// heuristic gate for the warm path at workers ≤ 1: a contended instance
-// whose items all conflict stays one component across churn, and paying a
-// fresh component decomposition every round just to discover that again
-// would regress the serial hot path. The answer may be stale after an
+// heuristic gate for the warm path at every worker count: a contended
+// instance whose items all conflict stays one component across churn, and
+// paying a fresh component decomposition every round just to discover that
+// again would regress the serial hot path. The answer may be stale after an
 // Apply — the cost is only a missed warm opportunity, never a wrong result,
 // because the serial engine is exact on any instance.
 func (p *Prepared) knownSingleComponent() bool {

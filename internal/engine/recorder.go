@@ -44,10 +44,11 @@ const (
 	// the gap between CounterComponents and PhaseShardSolve's span count
 	// is the warm-replay saving.
 	PhaseShardSolve
-	// PhaseSerialSolve brackets the serial engine's first phase and dual
-	// scoring (λ and the bound) — the single-graph path taken at
-	// workers ≤ 1 or for one giant component. The sharded path's scoring
-	// (the λ fold) sits in PhaseMerge.
+	// PhaseSerialSolve brackets the serial engine's planning (validation
+	// and the stage thresholds), first phase and dual scoring (λ and the
+	// bound) — the single-graph path every cold solve takes, and a
+	// warm-start solve of one component. The sharded path plans outside
+	// any phase, and its scoring (the λ fold) sits in PhaseMerge.
 	PhaseSerialSolve
 	// PhaseMerge brackets mergeShards' deterministic reassembly: stamp
 	// sort + grouping before the greedy phase, dual merge + λ fold after
@@ -99,12 +100,12 @@ const (
 	// CounterComponentsResolved counts components that actually ran their
 	// first phase (CounterComponents − CounterComponentsReplayed).
 	CounterComponentsResolved
-	// CounterShardWorkers accumulates the component-level worker count
-	// granted per sharded solve.
+	// CounterShardWorkers accumulates the shard goroutines started per
+	// sharded solve: min(workers, components re-run).
 	CounterShardWorkers
-	// CounterIntraLanes accumulates the intra-component lane count granted
-	// per solve (after the GOMAXPROCS clamp), measuring how much of the
-	// two-level budget row partitioning actually absorbed.
+	// CounterIntraLanes counts 1 per solve: every component runs whole on
+	// one goroutine. It stays for the readers of its name (perfbench's
+	// engine.intra_lanes).
 	CounterIntraLanes
 
 	numCounters

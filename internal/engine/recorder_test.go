@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -51,48 +52,71 @@ func (r *countingRecorder) Count(c engine.Counter, n int64) {
 	r.counts[c] += n
 }
 
-// TestRecorderSpansBalanced runs the sharded pipeline with a counting
-// recorder attached and checks the emission protocol: on the success path
-// every started span ends exactly once with its own token, and the
-// headline counters carry the solve's actual dimensions.
+// TestRecorderSpansBalanced runs a cold solve and a sharded solve with a
+// counting recorder attached and checks the emission protocol: on the
+// success path every started span ends exactly once with its own token,
+// and the headline counters carry the solve's actual dimensions. A cold
+// solve runs the serial engine at every worker count; a sharded solve of
+// the fragmented case runs its components on min(workers, components)
+// goroutines.
 func TestRecorderSpansBalanced(t *testing.T) {
 	for name, items := range shardedCases(t, engine.Unit, 3) {
 		for _, workers := range []int{1, 4} {
-			rec := newCountingRecorder()
-			prep := engine.Prepare(items)
-			prep.SetRecorder(rec)
-			if _, err := prep.RunParallel(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 3}, workers); err != nil {
-				t.Fatalf("%s p=%d: %v", name, workers, err)
-			}
-			rec.mu.Lock()
-			defer rec.mu.Unlock()
-			if rec.bad != 0 {
-				t.Errorf("%s p=%d: %d spans ended with a foreign token", name, workers, rec.bad)
-			}
-			if len(rec.open) != 0 {
-				t.Errorf("%s p=%d: %d spans never ended: %v", name, workers, len(rec.open), rec.open)
-			}
-			for p := 0; p < engine.NumPhases; p++ {
-				if rec.started[p] != rec.ended[p] {
-					t.Errorf("%s p=%d: phase %v started %d ended %d",
-						name, workers, engine.Phase(p), rec.started[p], rec.ended[p])
+			for _, arm := range []string{"cold", "sharded"} {
+				tag := fmt.Sprintf("%s p=%d %s", name, workers, arm)
+				rec := newCountingRecorder()
+				prep := engine.Prepare(items)
+				if arm == "sharded" {
+					prep.EnableWarmStart()
+				}
+				prep.SetRecorder(rec)
+				if _, err := prep.RunParallel(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 3}, workers); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				checkBalanced(t, tag, rec)
+				if rec.started[engine.PhaseSolve] != 1 {
+					t.Errorf("%s: %d solve spans, want 1", tag, rec.started[engine.PhaseSolve])
+				}
+				if got := rec.counts[engine.CounterItems]; got != int64(len(items)) {
+					t.Errorf("%s: items counter %d, want %d", tag, got, len(items))
+				}
+				if got := rec.counts[engine.CounterIntraLanes]; got != 1 {
+					t.Errorf("%s: intra-lanes counter %d, want 1 per solve", tag, got)
+				}
+				comps := rec.counts[engine.CounterComponents]
+				if done := rec.counts[engine.CounterComponentsReplayed] + rec.counts[engine.CounterComponentsResolved]; done != comps {
+					t.Errorf("%s: replayed+resolved %d != components %d", tag, done, comps)
+				}
+				shards := rec.started[engine.PhaseShardSolve]
+				switch {
+				case arm == "cold" && (shards != 0 || rec.started[engine.PhaseComponents] != 0 || comps != 0):
+					t.Errorf("%s: a cold solve sharded: %d components, %d shard spans", tag, comps, shards)
+				case arm == "sharded" && name == "fragmented" && (comps <= 1 || shards != comps):
+					t.Errorf("%s: %d components, %d shard spans: the sharded pipeline did not run them all", tag, comps, shards)
+				}
+				if w := rec.counts[engine.CounterShardWorkers]; w != min(int64(workers), comps) && shards > 0 {
+					t.Errorf("%s: shard workers %d, want min(%d, %d)", tag, w, workers, comps)
 				}
 			}
-			if rec.started[engine.PhaseSolve] != 1 {
-				t.Errorf("%s p=%d: %d solve spans, want 1", name, workers, rec.started[engine.PhaseSolve])
-			}
-			if got := rec.counts[engine.CounterItems]; got != int64(len(items)) {
-				t.Errorf("%s p=%d: items counter %d, want %d", name, workers, got, len(items))
-			}
-			if comps := rec.counts[engine.CounterComponents]; comps > 0 {
-				done := rec.counts[engine.CounterComponentsReplayed] + rec.counts[engine.CounterComponentsResolved]
-				if done != comps {
-					t.Errorf("%s p=%d: replayed+resolved %d != components %d", name, workers, done, comps)
-				}
-			}
-			if rec.started[engine.PhaseShardSolve] > 0 && rec.counts[engine.CounterShardWorkers] <= 0 {
-				t.Errorf("%s p=%d: sharded solve without a shard-worker count", name, workers)
-			}
+		}
+	}
+}
+
+// checkBalanced asserts the recorder's span protocol held: every span
+// ended once, with the token its start returned.
+func checkBalanced(t *testing.T, tag string, rec *countingRecorder) {
+	t.Helper()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.bad != 0 {
+		t.Errorf("%s: %d spans ended with a foreign token", tag, rec.bad)
+	}
+	if len(rec.open) != 0 {
+		t.Errorf("%s: %d spans never ended: %v", tag, len(rec.open), rec.open)
+	}
+	for p := 0; p < engine.NumPhases; p++ {
+		if rec.started[p] != rec.ended[p] {
+			t.Errorf("%s: phase %v started %d ended %d", tag, engine.Phase(p), rec.started[p], rec.ended[p])
 		}
 	}
 }
@@ -100,25 +124,36 @@ func TestRecorderSpansBalanced(t *testing.T) {
 // TestRecorderObservesNeverSteers is the recorder half of the determinism
 // contract: across seeds × workers, a run with a recorder attached must be
 // bitwise identical to the bare run — selections, profit, duals, counters
-// and trace.
+// and trace — on the cold path and on the sharded pipeline, which the
+// fragmented case must really run.
 func TestRecorderObservesNeverSteers(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		for name, items := range shardedCases(t, engine.Unit, seed) {
 			cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed, RecordTrace: true}
 			for _, workers := range []int{1, 2, 4, 8} {
-				bare, err := engine.RunParallel(items, cfg, workers)
-				if err != nil {
-					t.Fatalf("%s seed %d p=%d: bare: %v", name, seed, workers, err)
-				}
-				prep := engine.Prepare(items)
-				prep.SetRecorder(newCountingRecorder())
-				attached, err := prep.RunParallel(cfg, workers)
-				if err != nil {
-					t.Fatalf("%s seed %d p=%d: attached: %v", name, seed, workers, err)
-				}
-				if !reflect.DeepEqual(attached, bare) {
-					t.Errorf("%s seed %d p=%d: recorder changed the result:\nbare     %+v\nattached %+v",
-						name, seed, workers, bare, attached)
+				for _, arm := range []string{"cold", "sharded"} {
+					prepare := engine.Prepare
+					if arm == "sharded" {
+						prepare = func(items []engine.Item) *engine.Prepared { return sharded(items, nil) }
+					}
+					bare, err := prepare(items).RunParallel(cfg, workers)
+					if err != nil {
+						t.Fatalf("%s seed %d p=%d %s: bare: %v", name, seed, workers, arm, err)
+					}
+					prep := prepare(items)
+					rec := newCountingRecorder()
+					prep.SetRecorder(rec)
+					attached, err := prep.RunParallel(cfg, workers)
+					if err != nil {
+						t.Fatalf("%s seed %d p=%d %s: attached: %v", name, seed, workers, arm, err)
+					}
+					if !reflect.DeepEqual(attached, bare) {
+						t.Errorf("%s seed %d p=%d %s: recorder changed the result:\nbare     %+v\nattached %+v",
+							name, seed, workers, arm, bare, attached)
+					}
+					if arm == "sharded" && name == "fragmented" && rec.started[engine.PhaseShardSolve] == 0 {
+						t.Errorf("%s seed %d p=%d: the sharded pipeline did not run", name, seed, workers)
+					}
 				}
 			}
 		}
@@ -126,35 +161,44 @@ func TestRecorderObservesNeverSteers(t *testing.T) {
 }
 
 // TestRecorderArbitraryHeights covers the §6 wide/narrow split: the
-// recorder forwards into both sub-engines and stays observational.
+// recorder forwards into both sub-engines and stays observational, on a
+// fleet that both classes shard.
 func TestRecorderArbitraryHeights(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{
 		Vertices: 40, Trees: 3, Demands: 48, ProfitRatio: 16,
-		Heights: workload.MixedHeights,
+		Heights: workload.MixedHeights, AccessMin: 1, AccessMax: 1,
 	}, 11)
 	cfg := engine.Config{Epsilon: 0.1, Seed: 11}
-	bare, err := engine.RunArbitraryParallel(items, cfg, 4)
+	prepare := func(rec engine.Recorder) *engine.ArbitraryPrepared {
+		ap := engine.PrepareArbitrary(items)
+		ap.EnableWarmStartForTest()
+		ap.SetRecorder(rec)
+		return ap
+	}
+	bare, err := prepare(nil).RunParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := newCountingRecorder()
-	prep := engine.PrepareArbitrary(items)
-	prep.SetRecorder(rec)
-	attached, err := prep.RunParallel(cfg, 4)
+	attached, err := prepare(rec).RunParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(attached, bare) {
 		t.Errorf("recorder changed the arbitrary-heights result")
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.started[engine.PhaseSolve] == 0 {
-		t.Error("no solve spans through the arbitrary-heights path")
+	serial, err := engine.RunArbitrary(items, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for p := 0; p < engine.NumPhases; p++ {
-		if rec.started[p] != rec.ended[p] {
-			t.Errorf("phase %v started %d ended %d", engine.Phase(p), rec.started[p], rec.ended[p])
-		}
+	if !reflect.DeepEqual(attached.Selected, serial.Selected) || attached.Profit != serial.Profit {
+		t.Errorf("sharded arbitrary-heights solve diverged from the serial one")
+	}
+	checkBalanced(t, "arbitrary", rec)
+	if rec.started[engine.PhaseSolve] != 2 {
+		t.Errorf("%d solve spans through the arbitrary-heights path, want one per height class", rec.started[engine.PhaseSolve])
+	}
+	if rec.started[engine.PhaseShardSolve] == 0 {
+		t.Error("the sharded pipeline did not run")
 	}
 }

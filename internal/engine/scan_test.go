@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"treesched/internal/graph"
+	"treesched/internal/model"
 	"treesched/internal/workload"
 )
 
@@ -55,9 +57,11 @@ func fullScanFirstPhase(st *state, res *Result) error {
 				res.Steps++
 				chosen, iters := st.independentSet(u)
 				res.MISIters += iters
-				raised := st.raiseAll(chosen)
-				res.Raised += len(raised)
-				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: raised, misIters: iters})
+				for _, id := range chosen {
+					st.raise(id)
+				}
+				res.Raised += len(chosen)
+				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
 	}
@@ -81,7 +85,7 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		plan.StepCap = stepCap
 	}
 	run := func(phase func(*state, *Result) error, scr *solveScratch) (*state, *Result, error) {
-		st := newState(items, lay, cfg, plan, scr, nil)
+		st := newState(items, lay, cfg, plan, scr)
 		res := &Result{Dual: st.core.Dual, Trace: st.trace}
 		return st, res, phase(st, res)
 	}
@@ -124,6 +128,25 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		t.Fatalf("%s: trace diverged", tag)
 	}
 	return false
+}
+
+// chainItems builds one large sparse conflict component: item i occupies
+// edges {e_i, e_{i+1}}, so it conflicts exactly with its chain neighbors.
+// The component is as large as the instance, but every MIS is ~half of the
+// unsatisfied set, so its steps are large where a dense component's stay
+// tiny.
+func chainItems(n int, height float64) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
+		items[i] = Item{
+			ID: i, Demand: i, Owner: i, Resource: 0, Group: 1 + i%2,
+			Profit: 1 + float64(i%7), Height: height,
+			Edges:    []model.EdgeKey{e(i), e(i + 1)},
+			Critical: []model.EdgeKey{e(i)},
+		}
+	}
+	return items
 }
 
 // scanShape is one named instance of the suite.

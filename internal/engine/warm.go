@@ -91,12 +91,13 @@ type warmState struct {
 	stats   WarmStats
 }
 
-// EnableWarmStart turns on the warm-start cache for this Prepared: sharded
-// solves record per-component outcomes and replay them for components left
-// untouched by intervening Applies. Results are unaffected — warm solves
-// are bitwise identical to cold ones — only latency changes. The cache
-// retains the last solve's per-component state (duals, stacks, traces), so
-// enable it on long-lived session state, not on one-shot solves.
+// EnableWarmStart turns on the warm-start cache for this Prepared: from
+// then on RunParallel runs the sharded pipeline, which records
+// per-component outcomes and replays them for components left untouched by
+// intervening Applies. Results are unaffected — warm solves are bitwise
+// identical to cold ones — only latency changes. The cache retains the
+// last solve's per-component state (duals, stacks, traces), so enable it
+// on long-lived session state, not on one-shot solves.
 func (p *Prepared) EnableWarmStart() {
 	p.warm.mu.Lock()
 	p.warm.enabled = true
@@ -154,8 +155,8 @@ func (w *warmState) record(key warmKey, shards []*preShard, outs []*shardOut, re
 }
 
 // noteCold counts a solve that bypassed the sharded pipeline (serial path:
-// one component, or a single worker on a known-single-component instance),
-// so WarmSolves+ColdSolves always equals the number of solves run while the
+// one component, or a known-single-component instance), so
+// WarmSolves+ColdSolves always equals the number of solves run while the
 // cache was enabled.
 func (w *warmState) noteCold() {
 	w.mu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -210,19 +211,76 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 	}
 }
 
+// TestIntraParallelMatchesSerial is the bitwise property over every
+// decomposition shape — one sparse component as large as the instance
+// (chain), a contended tree workload (few components) and a fleet (many
+// components): across worker counts {1,2,3,4,8} × seeds × unit/narrow
+// modes × traced/untraced runs, a cold RunParallel and a sharded one (the
+// first solve of a warm-start cache, which runs every component) equal the
+// serial Prepared.Run exactly.
+func TestIntraParallelMatchesSerial(t *testing.T) {
+	for _, mode := range []Mode{Unit, Narrow} {
+		height, heights := 1.0, workload.UnitHeights
+		if mode == Narrow {
+			height, heights = 0.4, workload.NarrowHeights
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			treeIn, err := workload.RandomTreeInstance(workload.TreeConfig{
+				Vertices: 48, Trees: 2, Demands: 72, ProfitRatio: 8, Heights: heights,
+			}, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := BuildTreeItems(treeIn, IdealDecomp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes := map[string][]Item{
+				"chain": chainItems(64, height),
+				"tree":  tree,
+				"fleet": warmPoolItems(t, seed, 48, heights),
+			}
+			for name, items := range shapes {
+				for _, trace := range []bool{false, true} {
+					cfg := Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: trace}
+					want, err := Prepare(slices.Clone(items)).Run(cfg)
+					if err != nil {
+						t.Fatalf("%v/%s/seed=%d serial: %v", mode, name, seed, err)
+					}
+					for _, w := range []int{1, 2, 3, 4, 8} {
+						tag := fmt.Sprintf("%v/%s/seed=%d/trace=%v/w=%d", mode, name, seed, trace, w)
+						cold, err := Prepare(slices.Clone(items)).RunParallel(cfg, w)
+						if err != nil {
+							t.Fatalf("%s cold: %v", tag, err)
+						}
+						sameResult(t, tag+" cold", cold, want)
+						warm := Prepare(slices.Clone(items))
+						warm.EnableWarmStart()
+						shard, err := warm.RunParallel(cfg, w)
+						if err != nil {
+							t.Fatalf("%s sharded: %v", tag, err)
+						}
+						if name == "fleet" && len(warm.comps) <= 1 {
+							t.Fatalf("%s: the fleet did not shard", tag)
+						}
+						sameResult(t, tag+" sharded", shard, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzWarmChurn fuzzes churn schedules against the warm cache: after an
 // arbitrary Apply sequence with interleaved warm solves, the final solve
 // must match a from-scratch preparation bitwise at several worker counts.
 // The fuzzed worker axis picks which worker count runs the interleaved
-// solves — and, with it, how the budget splits into shard workers and
-// intra-component lanes — so the cache is populated under one parallelism
-// shape and replayed under the others (the intra tuning is lowered so the
-// row-partitioned kernels really run on these small instances).
+// solves — and, with it, how many shard workers run — so the cache is
+// populated under one worker count and replayed under the others.
 func FuzzWarmChurn(f *testing.F) {
 	f.Add(int64(1), []byte{0x03, 0x51, 0xa0}, byte(1))
 	f.Add(int64(7), []byte{0xff, 0x00, 0x42, 0x19}, byte(4))
 	f.Fuzz(func(t *testing.T, seed int64, steps []byte, widx byte) {
-		SetIntraTuningForTest(t, 4, 8)
 		workerAxis := []int{1, 2, 3, 4, 8}
 		warmW := workerAxis[int(widx)%len(workerAxis)]
 		if len(steps) > 5 {

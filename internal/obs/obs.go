@@ -80,7 +80,8 @@ type PhaseStat struct {
 // durations and span counts, and the solve-path counters. Within one
 // solve the engine's phases are disjoint and nested under the solve span,
 // so the non-solve phase totals sum to at most Wall; the gap is
-// uninstrumented work (plan resolution, validation, scratch handling).
+// uninstrumented work (a sharded solve's plan resolution and validation,
+// the recorder calls themselves).
 type SolveReport struct {
 	// Solves and Wall aggregate the PhaseSolve spans: one per
 	// Run/RunParallel call (an arbitrary-heights solve contributes one per
@@ -95,8 +96,9 @@ type SolveReport struct {
 	Components         int64 `json:"components"`
 	ComponentsReplayed int64 `json:"components_replayed"`
 	ComponentsResolved int64 `json:"components_resolved"`
-	// ShardWorkers and IntraLanes accumulate the two-level budget actually
-	// granted per sharded/serial solve; divide by Solves for the mean.
+	// ShardWorkers accumulates the shard goroutines started per sharded
+	// solve. IntraLanes accumulates 1 per solve (every component runs on
+	// one goroutine); divide either by Solves for the mean.
 	ShardWorkers int64 `json:"shard_workers"`
 	IntraLanes   int64 `json:"intra_lanes"`
 }

@@ -183,9 +183,9 @@ func TestSnapshotsScratchReproducible(t *testing.T) {
 	}
 	for _, snap := range snaps {
 		items := append([]engine.Item(nil), snap.Items()...)
-		eres, err := engine.RunParallel(items, engine.Config{
+		eres, err := engine.Run(items, engine.Config{
 			Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		}, opts.Parallelism)
+		})
 		if err != nil {
 			t.Fatalf("epoch %d: scratch run: %v", snap.Epoch, err)
 		}

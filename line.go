@@ -97,7 +97,7 @@ func SolveLine(in *LineInstance, opts Options) (*Result, error) {
 // SolveLine runs the solver's configured algorithm on a line-network
 // instance. Line instances carry no tree decomposition, so there is nothing
 // to cache — the call exists so batch users drive every workload through
-// one Solver (and its Parallelism setting).
+// one Solver (and its options).
 func (s *Solver) SolveLine(in *LineInstance) (*Result, error) {
 	return SolveLine(in, s.opts)
 }

@@ -167,29 +167,31 @@ type Options struct {
 	// decomposition (tree instances only); default is the paper's ideal
 	// decomposition.
 	Decomposition engine.DecompKind
-	// Parallelism is the worker budget of the solve pipeline, spent on two
-	// levels: the conflict graph is decomposed into connected components and
-	// the epoch/stage/step schedule runs per component on a worker pool, and
-	// any budget the component level cannot absorb (few components, or one
-	// giant one) row-partitions the per-step kernels inside each component.
-	// Results are bit-identical at every setting (per-owner PRNG streams are
-	// shard-independent, and partitioned kernels merge in row order; see
-	// doc.go, "Two-level parallelism"). Values below 1 resolve to
-	// runtime.GOMAXPROCS(0) at both levels; 1 runs the serial engine.
-	// Under Simulate it sizes the engine solve that runs first; the
-	// simulator's stepping pool always takes runtime.GOMAXPROCS(0). Ignored
-	// by the sequential/exact algorithms.
+	// Parallelism bounds the shard goroutines of a Session's solves: with
+	// the warm-start cache on, a round runs the schedule of each conflict
+	// component churn touched on min(Parallelism, runnable components)
+	// goroutines and replays the rest. Values below 1 resolve to
+	// runtime.GOMAXPROCS(0). Every other solve is cold — Solve, SolveLine,
+	// Solver.Solve, a Session under DisableWarmStart, and the engine solve
+	// that runs first under Simulate — and runs the serial engine whatever
+	// the value: a cold solve has no component outcomes to replay, and
+	// splitting one has cost more than it saved at every size measured
+	// (doc.go, "Component shards for replay"). The simulator's stepping pool
+	// always takes runtime.GOMAXPROCS(0). Results are bit-identical at every
+	// setting.
 	Parallelism int
 	// DisableWarmStart turns off the Session warm-start cache. By default a
 	// Session records per-component solve outcomes and replays them for
 	// components untouched by intervening Updates; results are bitwise
 	// identical either way (see doc.go, "Warm-started incremental duals"),
 	// so the switch exists for benchmarking cold baselines and for capping
-	// memory on sessions whose solves are rare relative to churn.
+	// memory on sessions whose solves are rare relative to churn. Without
+	// the cache a Session's solves are cold: they run the serial engine, and
+	// Parallelism has no effect.
 	DisableWarmStart bool
 	// Recorder observes solve-path phases (prepare, apply, component
 	// decomposition, per-shard schedules, merge, greedy) and counters (warm
-	// replays, granted workers/lanes); see doc.go, "Observability". Nil —
+	// replays, granted shard workers); see doc.go, "Observability". Nil —
 	// the default — costs a single pointer check per emission site.
 	// Recorders observe and never steer: results are bitwise identical
 	// with or without one attached. internal/obs supplies the timing
@@ -358,8 +360,9 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 
 // preparedFor builds the unit-pipeline prepared state with Options.Recorder
 // attached, bracketing the preparation in PhasePrepare like the caching
-// Solver does. engine.RunParallel is exactly Prepare + RunParallel, so
-// routing the one-shot path through here changes no result.
+// Solver does. engine.Run is exactly Prepare + Run, so routing the one-shot
+// path through here changes no result. The warm-start cache stays off, so
+// the solve runs the serial engine.
 func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	rec := opts.Recorder
 	var tok int64
@@ -397,7 +400,7 @@ func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) 
 }
 
 func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	// As in runUnit: RunArbitraryParallel ≡ PrepareArbitrary + RunParallel,
+	// As in runUnit: RunArbitrary ≡ PrepareArbitrary + RunParallel,
 	// re-routed so Options.Recorder reaches both height classes.
 	rec := opts.Recorder
 	var tok int64

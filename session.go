@@ -183,8 +183,10 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if !s.opts.DisableWarmStart {
 		// Sessions re-solve a churning instance, the workload the warm-start
 		// cache exists for: record per-component outcomes and replay them for
-		// components later Updates leave untouched. Solve results are bitwise
-		// unaffected (warm.go documents the invariant).
+		// components later Updates leave untouched. The cache is also what
+		// makes the session's solves shard, on Options.Parallelism workers.
+		// Solve results are bitwise unaffected (warm.go documents the
+		// invariant).
 		sess.p.EnableWarmStart()
 	}
 	for _, d := range m.Demands {

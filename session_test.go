@@ -440,9 +440,9 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 			for i := range items {
 				items[i].ID = i
 			}
-			eres, err := engine.RunParallel(items, engine.Config{
+			eres, err := engine.Run(items, engine.Config{
 				Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-			}, opts.Parallelism)
+			})
 			if err != nil {
 				t.Fatalf("solver %d capture %d: scratch run: %v", k, r, err)
 			}
@@ -552,9 +552,9 @@ func TestSessionMatchesEngineScratch(t *testing.T) {
 		for i := range items {
 			items[i].ID = i
 		}
-		eres, err := engine.RunParallel(items, engine.Config{
+		eres, err := engine.Run(items, engine.Config{
 			Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		}, opts.Parallelism)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

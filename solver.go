@@ -20,10 +20,10 @@ import (
 //     whenever the same networks reappear under any demand set;
 //   - fully prepared item sets (engine.Prepared: interned dense dual
 //     indices, per-item views, the demand and edge member lists that
-//     encode the §2 conflict graph, and its component decomposition),
-//     keyed by the complete instance content, so repeated solves on the
-//     same item set skip item building and interning entirely and go
-//     straight into the sharded parallel pipeline (Options.Parallelism);
+//     encode the §2 conflict graph), keyed by the complete instance
+//     content, so repeated solves on the same item set skip item building
+//     and interning entirely and go straight into the schedule, which a
+//     cold solve runs on the serial engine at every Options.Parallelism;
 //   - arbitrary-height preparations (engine.ArbitraryPrepared: the §6
 //     wide/narrow split with each height class prepared), keyed the same
 //     way, so DistributedArbitrary re-solves skip preparation for both
@@ -138,8 +138,7 @@ func (s *Solver) CacheStats() CacheStats {
 // Solve runs the configured algorithm on a tree-network instance, reusing
 // cached layered decompositions and prepared item sets for instances solved
 // before. Results are identical to the package-level Solve with the same
-// options — caching and parallelism change how fast the answer arrives,
-// never the answer.
+// options — caching changes how fast the answer arrives, never the answer.
 func (s *Solver) Solve(in *Instance) (*Result, error) {
 	m, err := in.build()
 	if err != nil {

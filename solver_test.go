@@ -1,11 +1,15 @@
 package treesched_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	treesched "treesched"
+	"treesched/internal/engine"
+	"treesched/internal/obs"
+	"treesched/internal/workload"
 )
 
 // batchInstance builds a fresh multi-network instance for batch tests; the
@@ -73,6 +77,126 @@ func TestSolverParallelismBitIdentical(t *testing.T) {
 			!reflect.DeepEqual(par.Assignments, serial.Assignments) {
 			t.Fatalf("parallelism %d diverged: %+v vs %+v", p, par, serial)
 		}
+	}
+}
+
+// TestColdSolvesRunSerial pins the parallelism policy. A cold solve — the
+// Solver's, the package-level Solve's, and both §6 height classes' — has no
+// component outcomes to replay, so it runs the serial engine at every
+// Parallelism: no component pass, no shard span, one lane per solve, and
+// the same Result. A Session, whose warm-start cache replays components,
+// still shards at Parallelism 2 and replays after a one-network Update;
+// on a contended instance it runs the component pass once, finds one
+// component, and solves serially from then on at Parallelism 2 too.
+func TestColdSolvesRunSerial(t *testing.T) {
+	mixed := func(cfg workload.TreeConfig) workload.TreeConfig {
+		cfg.Heights = workload.MixedHeights
+		return cfg
+	}
+	for _, shape := range []struct {
+		name string
+		cfg  workload.TreeConfig
+	}{
+		{"fleet", fleetCfg}, {"contended", contendedCfg},
+		{"fleet/arbitrary", mixed(fleetCfg)}, {"contended/arbitrary", mixed(contendedCfg)},
+	} {
+		paths := []struct {
+			name  string
+			solve func(treesched.Options) (*treesched.Result, error)
+		}{
+			{"Solver.Solve", func(opts treesched.Options) (*treesched.Result, error) {
+				return treesched.NewSolver(opts).Solve(buildInstance(t, shape.cfg, 5))
+			}},
+			{"Solve", func(opts treesched.Options) (*treesched.Result, error) {
+				return treesched.Solve(buildInstance(t, shape.cfg, 5), opts)
+			}},
+		}
+		var first *treesched.Result
+		for _, path := range paths {
+			var want *treesched.Result
+			for _, p := range []int{1, 2, 8} {
+				tag := fmt.Sprintf("%s %s p=%d", shape.name, path.name, p)
+				rec := obs.NewRecorder()
+				res, err := path.solve(treesched.Options{Epsilon: 0.1, Seed: 3, Parallelism: p, Recorder: rec})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				rep := rec.Report()
+				for _, ph := range rep.Phases {
+					if ph.Phase == engine.PhaseComponents.String() || ph.Phase == engine.PhaseShardSolve.String() {
+						t.Errorf("%s: a cold solve emitted %d %s spans", tag, ph.Spans, ph.Phase)
+					}
+				}
+				if rep.Solves == 0 || rep.IntraLanes != rep.Solves || rep.Components != 0 {
+					t.Errorf("%s: %d solves, %d lanes, %d components; want one lane per solve and no components",
+						tag, rep.Solves, rep.IntraLanes, rep.Components)
+				}
+				if want == nil {
+					want = res
+				} else if !reflect.DeepEqual(res, want) {
+					t.Errorf("%s: result differs from p=1:\n%+v\n%+v", tag, res, want)
+				}
+			}
+			if first == nil {
+				first = want
+			} else if want.Profit != first.Profit || want.DualBound != first.DualBound ||
+				!reflect.DeepEqual(want.Assignments, first.Assignments) {
+				t.Errorf("%s: %s differs from %s", shape.name, path.name, paths[0].name)
+			}
+		}
+	}
+
+	rec := obs.NewRecorder()
+	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Seed: 3, Parallelism: 2, Recorder: rec})
+	sess, err := s.Session(buildInstance(t, fleetCfg, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rec.Report(); rep.Components <= 1 || rep.ShardWorkers != 2 {
+		t.Errorf("session solve at p=2: %d components on %d shard workers, want a sharded solve on 2",
+			rep.Components, rep.ShardWorkers)
+	}
+	if _, err := sess.Update(treesched.Churn{
+		Add: []treesched.NewDemand{{U: 1, V: 3, Profit: 2, Access: []int{0}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.ComponentsReplayed == 0 {
+		t.Errorf("session did not replay after a one-network update: %+v", st)
+	}
+
+	rec = obs.NewRecorder()
+	s = treesched.NewSolver(treesched.Options{Epsilon: 0.1, Seed: 3, Parallelism: 2, Recorder: rec})
+	if sess, err = s.Session(buildInstance(t, contendedCfg, 5)); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			if _, err := sess.Update(treesched.Churn{
+				Add: []treesched.NewDemand{{U: 1, V: 3 + round, Profit: 2, Access: []int{0, 1}}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sess.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := map[string]int64{}
+	for _, ph := range rec.Report().Phases {
+		spans[ph.Phase] = ph.Spans
+	}
+	if spans[engine.PhaseComponents.String()] != 1 || spans[engine.PhaseShardSolve.String()] != 0 ||
+		spans[engine.PhaseSerialSolve.String()] != rounds {
+		t.Errorf("contended session at p=2 over %d rounds: %v; want one components span, no shard spans, a serial solve per round",
+			rounds, spans)
 	}
 }
 
