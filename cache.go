@@ -1,19 +1,18 @@
 package treesched
 
-// lru is the Solver's bounded cache: a map plus an intrusive doubly-linked
-// recency list. When a put overflows the capacity, only the least-recently
-// used entry is evicted — the earlier design reset the whole map, so one
-// burst of one-off instances would also evict the hot steady-state keys a
-// scheduling service re-solves forever. Not safe for concurrent use;
+// lru is the Solver's bounded decomposition cache: a map plus an intrusive
+// doubly-linked recency list. When a put overflows the capacity, only the
+// least-recently used entry is evicted — the earlier design reset the whole
+// map, so one burst of one-off networks would also evict the hot networks a
+// scheduling service solves on forever. Not safe for concurrent use;
 // callers hold the Solver's mutex.
 type lru[V any] struct {
 	capacity   int
 	entries    map[string]*lruEntry[V]
 	head, tail *lruEntry[V] // head = most recently used
 	// hits/misses count get outcomes since construction, surfaced through
-	// Solver.CacheStats so cache effectiveness (and hence warm-start
-	// regressions that show up as unexpected cold prepares) is observable
-	// without a profiler.
+	// Solver.CacheStats so cache effectiveness (a miss decomposes a
+	// network) is observable without a profiler.
 	hits   uint64
 	misses uint64
 }

@@ -2,18 +2,15 @@ package treesched
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
-	"treesched/internal/engine"
 	"treesched/internal/graph"
-	"treesched/internal/model"
 )
 
-// The Solver's caches evict one least-recently-used entry on overflow (the
-// earlier design wiped the whole map): a hot key that keeps being touched
-// must survive any amount of one-off cache pressure.
+// The Solver's decomposition cache evicts one least-recently-used entry on
+// overflow (the earlier design wiped the whole map): a hot key that keeps
+// being touched must survive any amount of one-off cache pressure.
 
 func TestLRUHotKeySurvivesPressure(t *testing.T) {
 	c := newLRU[int](4)
@@ -53,40 +50,52 @@ func TestLRUUpdateRefreshes(t *testing.T) {
 	}
 }
 
-// TestSolverCacheHotInstanceSurvives drives the real prepared cache past an
-// eviction and checks the hot instance still hits.
+// TestSolverCacheHotInstanceSurvives drives the real decomposition cache
+// past eviction with one-off networks, re-solving a hot network in between:
+// the hot network must keep hitting, and its result must not drift.
 func TestSolverCacheHotInstanceSurvives(t *testing.T) {
 	s := NewSolver(Options{Epsilon: 0.1, Seed: 1})
-	build := func(profit float64) *Instance {
-		in := NewInstance(6)
-		if _, err := in.AddTree([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}); err != nil {
+	build := func(edges [][2]int, profit float64) *Instance {
+		in := NewInstance(8)
+		if _, err := in.AddTree(edges); err != nil {
 			t.Fatal(err)
 		}
-		in.AddDemand(0, 3, profit)
-		in.AddDemand(2, 5, profit/2)
+		in.AddDemand(0, 7, profit)
+		in.AddDemand(3, 5, profit/2)
 		return in
 	}
-	hot := build(8)
-	want, err := s.Solve(hot)
+	// One-off network k gives vertex v the parent k's v-th digit in the
+	// mixed radix 1, 2, …, 7, so distinct k are distinct structures; the
+	// hot path's digits (0, 1, …, 6) are k = 5039, far past the ks used.
+	oneOff := func(k int) [][2]int {
+		edges := make([][2]int, 0, 7)
+		for v := 1; v < 8; v++ {
+			edges = append(edges, [2]int{k % v, v})
+			k /= v
+		}
+		return edges
+	}
+	path := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}}
+	want, err := s.Solve(build(path, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CachedPrepared(); got != 1 {
-		t.Fatalf("CachedPrepared = %d, want 1", got)
-	}
-	// Pressure: distinct instances, re-touching the hot one in between.
-	for i := 0; i < maxCachedPrepared+16; i++ {
-		if _, err := s.Solve(build(float64(i + 100))); err != nil {
+	for k := 0; k < maxCachedLayouts+16; k++ {
+		if _, err := s.Solve(build(oneOff(k), float64(k+100))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Solve(hot); err != nil {
+		before := s.CacheStats().Layouts
+		if _, err := s.Solve(build(path, 8)); err != nil {
 			t.Fatal(err)
 		}
+		if after := s.CacheStats().Layouts; after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Fatalf("hot network missed after %d one-off networks: %+v -> %+v", k+1, before, after)
+		}
 	}
-	if got := s.CachedPrepared(); got != maxCachedPrepared {
-		t.Fatalf("CachedPrepared = %d, want full cache %d", got, maxCachedPrepared)
+	if got := s.CachedLayouts(); got != maxCachedLayouts {
+		t.Fatalf("CachedLayouts = %d, want full cache %d", got, maxCachedLayouts)
 	}
-	got, err := s.Solve(hot)
+	got, err := s.Solve(build(path, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,107 +105,96 @@ func TestSolverCacheHotInstanceSurvives(t *testing.T) {
 }
 
 // TestSolverCacheStatsCounters pins the exact hit/miss accounting of the
-// preparation caches: first sight of an instance misses Prepared and
-// Layouts, re-solving it hits Prepared without touching Layouts, and a new
-// demand set on a known network structure misses Prepared but hits Layouts.
+// decomposition cache, one lookup per network per solve: first sight of a
+// network misses, re-solving the same instance hits, and new demand sets
+// on the known network hit, on the unit and the arbitrary-height pipeline
+// alike. The Prepared and Arbitrary counters stay zero: the Solver caches
+// no instances.
 func TestSolverCacheStatsCounters(t *testing.T) {
 	s := NewSolver(Options{Epsilon: 0.1, Seed: 1})
-	build := func(profit float64) *Instance {
+	build := func(profit float64, opts ...DemandOption) *Instance {
 		in := NewInstance(6)
 		if _, err := in.AddTree([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}); err != nil {
 			t.Fatal(err)
 		}
-		in.AddDemand(0, 3, profit)
+		in.AddDemand(0, 3, profit, opts...)
 		in.AddDemand(2, 5, profit/2)
 		return in
 	}
-	check := func(stage string, want CacheStats) {
+	check := func(stage string, in *Instance, want CacheCounters) {
 		t.Helper()
-		if got := s.CacheStats(); got != want {
-			t.Fatalf("%s: CacheStats = %+v, want %+v", stage, got, want)
+		if _, err := s.Solve(in); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheStats(); got != (CacheStats{Layouts: want}) {
+			t.Fatalf("%s: CacheStats = %+v, want layouts %+v and nothing else", stage, got, want)
 		}
 	}
-	check("fresh solver", CacheStats{})
-
-	if _, err := s.Solve(build(8)); err != nil {
-		t.Fatal(err)
+	if got := s.CacheStats(); got != (CacheStats{}) {
+		t.Fatalf("fresh solver: CacheStats = %+v, want zero", got)
 	}
-	check("first solve", CacheStats{
-		Layouts:  CacheCounters{Len: 1, Misses: 1},
-		Prepared: CacheCounters{Len: 1, Misses: 1},
-	})
+	check("first solve", build(8), CacheCounters{Len: 1, Misses: 1})
+	check("re-solve", build(8), CacheCounters{Len: 1, Hits: 1, Misses: 1})
+	check("new demands, known network", build(3), CacheCounters{Len: 1, Hits: 2, Misses: 1})
+	check("sub-unit heights, known network", build(3, Height(0.5)), CacheCounters{Len: 1, Hits: 3, Misses: 1})
+}
 
-	// Same instance content: the prepared fast path hits and skips the
-	// layout cache entirely.
-	if _, err := s.Solve(build(8)); err != nil {
-		t.Fatal(err)
-	}
-	check("re-solve", CacheStats{
-		Layouts:  CacheCounters{Len: 1, Misses: 1},
-		Prepared: CacheCounters{Len: 1, Hits: 1, Misses: 1},
-	})
-
-	// New demands on the same network structure: a prepared miss that
-	// reuses the cached tree decomposition.
-	if _, err := s.Solve(build(3)); err != nil {
-		t.Fatal(err)
-	}
-	check("new demands, known network", CacheStats{
-		Layouts:  CacheCounters{Len: 1, Hits: 1, Misses: 1},
-		Prepared: CacheCounters{Len: 2, Hits: 1, Misses: 2},
-	})
-
-	if st := s.CacheStats(); st.Arbitrary != (CacheCounters{}) {
-		t.Fatalf("Arbitrary counters moved on the unit pipeline: %+v", st.Arbitrary)
+// TestInstanceSignatureExact pins the decomposition cache's key, treeKey,
+// which is what remains of the instance signature: a structurally
+// identical tree shares its key however its edges are listed, and every
+// other tree does not (a shared key would serve one network's
+// decomposition to the other). It checks every labelled tree on 4 and 5
+// vertices, enumerated by Prüfer sequence.
+func TestInstanceSignatureExact(t *testing.T) {
+	owner := map[string]string{}
+	for n := 4; n <= 5; n++ {
+		trees := 1 // n^(n-2) labelled trees, one per Prüfer sequence
+		for range n - 2 {
+			trees *= n
+		}
+		seq := make([]int, n-2)
+		for code := 0; code < trees; code++ {
+			c := code
+			for i := range seq {
+				seq[i], c = c%n, c/n
+			}
+			edges := pruferEdges(n, seq)
+			name := fmt.Sprintf("n=%d %v", n, edges)
+			key := treeKey(graph.MustTree(n, edges))
+			if prev, ok := owner[key]; ok {
+				t.Fatalf("%s shares its key with %s", name, prev)
+			}
+			owner[key] = name
+			// The same structure, edges listed backwards and each reversed.
+			flipped := make([]graph.Edge, len(edges))
+			for i, e := range edges {
+				flipped[len(edges)-1-i] = graph.Edge{U: e.V, V: e.U}
+			}
+			if treeKey(graph.MustTree(n, flipped)) != key {
+				t.Fatalf("%s: relisting its edges changed the key", name)
+			}
+		}
 	}
 }
 
-// TestInstanceSignatureExact edits one field of an instance at a time:
-// every edit must change the content key (a shared key would serve one
-// instance's cached preparation to the other), an identical copy must not,
-// and tree keys must follow the networks alone.
-func TestInstanceSignatureExact(t *testing.T) {
-	star := graph.MustTree(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	base := func() *model.Instance {
-		path, _ := graph.NewPath(4)
-		return &model.Instance{NumVertices: 4, Trees: []*graph.Tree{path, star}, Demands: []model.Demand{
-			{ID: 0, U: 0, V: 3, Profit: 2.5, Height: 1, Access: []int{0, 1}},
-			{ID: 1, U: 1, V: 2, Profit: 1, Height: 0.5, Access: []int{1}},
-		}}
+// pruferEdges decodes a Prüfer sequence into the edges of its labelled tree
+// on n vertices.
+func pruferEdges(n int, seq []int) []graph.Edge {
+	degree := make([]int, n)
+	for i := range degree {
+		degree[i] = 1
 	}
-	key, treeKeys := instanceSignature(base(), engine.IdealDecomp)
-	if again, _ := instanceSignature(base(), engine.IdealDecomp); again != key {
-		t.Fatal("identical instances got different keys")
+	for _, x := range seq {
+		degree[x]++
 	}
-	if k, _ := instanceSignature(base(), engine.BalancingDecomp); k == key {
-		t.Error("decomposition kind does not change the key")
+	edges := make([]graph.Edge, 0, n-1)
+	for _, x := range seq {
+		leaf := slices.Index(degree, 1)
+		edges = append(edges, graph.Edge{U: leaf, V: x})
+		degree[leaf]--
+		degree[x]--
 	}
-	edits := map[string]func(m *model.Instance){
-		"endpoint":          func(m *model.Instance) { m.Demands[0].V = 2 },
-		"swapped endpoints": func(m *model.Instance) { m.Demands[1].U, m.Demands[1].V = 2, 1 },
-		"profit last bit":   func(m *model.Instance) { m.Demands[0].Profit = math.Nextafter(2.5, 3) },
-		"height":            func(m *model.Instance) { m.Demands[1].Height = 0.75 },
-		"access order":      func(m *model.Instance) { m.Demands[0].Access = []int{1, 0} },
-		"access subset":     func(m *model.Instance) { m.Demands[0].Access = []int{0} },
-		"extra demand": func(m *model.Instance) {
-			m.Demands = append(m.Demands, model.Demand{ID: 2, U: 0, V: 1, Profit: 1, Height: 1, Access: []int{0}})
-		},
-		"tree": func(m *model.Instance) {
-			m.Trees[0] = graph.MustTree(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
-		},
-	}
-	for name, edit := range edits {
-		m := base()
-		edit(m)
-		k, tk := instanceSignature(m, engine.IdealDecomp)
-		if k == key {
-			t.Errorf("%s: edited instance shares the key", name)
-		}
-		if name != "tree" && !slices.Equal(tk, treeKeys) {
-			t.Errorf("%s: tree keys changed with the demands", name)
-		}
-		if name == "tree" && (tk[0] == treeKeys[0] || tk[1] != treeKeys[1]) {
-			t.Errorf("tree keys do not follow the networks")
-		}
-	}
+	u := slices.Index(degree, 1)
+	v := u + 1 + slices.Index(degree[u+1:], 1)
+	return append(edges, graph.Edge{U: u, V: v})
 }

@@ -180,10 +180,31 @@ func instanceParallelism(requested, procs, workers int) int {
 	return requested
 }
 
+// maxBodyBytes bounds a create or churn request body. A 100,000-demand
+// instance spec is about 5 MB of JSON, so the bound leaves ample room while
+// keeping one request from making the server read without limit.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes the JSON request body, at most maxBodyBytes of it,
+// into v. On failure it writes the error response — 413 for an oversized
+// body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
 func (s *server) createInstance(w http.ResponseWriter, r *http.Request) {
 	var spec instanceSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	opts := treesched.Options{
@@ -258,8 +279,7 @@ func (s *server) churn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec churnSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	c := treesched.Churn{Remove: spec.Remove}

@@ -226,6 +226,46 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies streams create and churn one byte of whitespace past
+// maxBodyBytes and then a valid "{}": both must answer 413 instead of
+// reading on. The body is generated as it is sent, so the test allocates
+// nothing of its size.
+func TestOversizedBodies(t *testing.T) {
+	srv, _ := startTestServer(t)
+	if status, body := do(t, "POST", srv.URL+"/v1/instances", map[string]any{
+		"name": "big", "vertices": 4, "trees": [][][2]int{{{0, 1}, {1, 2}, {2, 3}}},
+		"demands": []map[string]any{{"u": 0, "v": 2, "profit": 1}},
+	}); status != http.StatusCreated {
+		t.Fatalf("create: status %d (%v)", status, body)
+	}
+	for _, path := range []string{"/v1/instances", "/v1/instances/big/churn"} {
+		body := io.MultiReader(io.LimitReader(spaces{}, maxBodyBytes+1), strings.NewReader("{}"))
+		resp, err := http.Post(srv.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%v), want 413", path, resp.StatusCode, out)
+		}
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // TestMetricsExposition scrapes /metrics exactly the way the CI smoke step
 // does — through validateMetricsURL — and then pins the histogram series a
 // single churn round must produce.

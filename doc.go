@@ -32,22 +32,23 @@
 //
 // # The Solver batch API
 //
-// Solve prepares an instance from scratch on every call. For batch use —
-// re-solving as demands arrive and depart on fixed networks — construct a
-// Solver instead: it carries one Options and caches the Config-independent
-// preparation work at two levels, keyed by instance content. Per-tree
-// layered decompositions (keyed by network structure) are reused whenever
-// the same networks reappear; fully prepared item sets — the interned
-// dense dual layout plus the member lists that encode the §2 conflict
-// graph — are reused whenever the complete instance recurs, so the steady
-// state skips item building and interning entirely and pays only
-// validation, the content key and the schedule:
+// Solve is NewSolver(opts).Solve(in): every solve builds its items,
+// interns them into the dense dual layout and groups them into the member
+// lists that encode the §2 conflict graph. For batch use — many demand
+// sets on fixed networks — keep one Solver: it carries one Options and
+// caches the one part of preparation that recurs, each network's layered
+// decomposition, keyed by network structure. Whole instances are not
+// cached: no caller re-solves an identical instance, so keying every solve
+// by its full content, and holding the prepared state, bought nothing.
 //
 //	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1})
-//	res1, _ := s.Solve(inst1) // decomposes, interns, groups, caches
-//	res2, _ := s.Solve(inst2) // same instance: straight into the schedule
+//	res1, _ := s.Solve(inst1) // decomposes the networks, caches them
+//	res2, _ := s.Solve(inst2) // same networks: decompositions from cache
 //
-// A Solver is safe for concurrent use.
+// A Solver is safe for concurrent use. For churn — demands arriving and
+// departing between solves — open a Session (Solver.Session): it applies
+// each Update as an engine delta and replays the conflict components the
+// churn left untouched (see "Warm-started solves" below).
 //
 // # Component shards for replay; cold solves run serially
 //

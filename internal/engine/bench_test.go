@@ -43,11 +43,11 @@ func BenchmarkRunByMISKind(b *testing.B) {
 	}
 }
 
-// BenchmarkRunPrepared measures the steady state of the Solver's
-// cross-solve cache: repeated solves over one prepared item set, where the
-// member lists and the dense dual layout are built once outside the
-// loop. Compare against BenchmarkRunByMISKind/luby (same workload, cold
-// prepare every op) for the cache's per-solve saving.
+// BenchmarkRunPrepared measures the schedule alone: repeated solves over
+// one prepared item set, where the member lists and the dense dual layout
+// are built once outside the loop. Compare against
+// BenchmarkRunByMISKind/luby (same workload, cold prepare every op) for
+// preparation's share of a cold solve.
 func BenchmarkRunPrepared(b *testing.B) {
 	items := benchItems(b, 256)
 	p := engine.Prepare(items)

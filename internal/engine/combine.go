@@ -32,9 +32,7 @@ func RunArbitrary(items []Item, cfg Config) (*ArbitraryResult, error) {
 // ArbitraryPrepared is the Config-independent run state of the §6
 // arbitrary-height algorithm: the wide/narrow split of an item set with
 // each non-empty height class fully prepared (dense layout, member lists,
-// shard decomposition). Like Prepared, it is safe for concurrent runs, so
-// the root Solver caches it across solves — arbitrary-heights re-solves
-// skip preparation for both classes.
+// shard decomposition). Like Prepared, it is safe for concurrent runs.
 type ArbitraryPrepared struct {
 	items              []Item
 	delta              int

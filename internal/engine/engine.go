@@ -225,7 +225,7 @@ func Run(items []Item, cfg Config) (*Result, error) {
 }
 
 // newState assembles run state over a prepared plan and dense layout. The
-// layout is read-only: concurrent states (the Solver's cached Prepared,
+// layout is read-only: concurrent states (runs over one Prepared,
 // shard workers) may share one. Its views are also the conflict graph: an
 // item's demand slot and edge indices are the groups it belongs to. scr
 // may be a pooled scratch (nil allocates a private one); its streams are

@@ -13,12 +13,10 @@ import (
 // across solves — the dense dual layout (interned demand slots and edge
 // indices plus per-item views), the demand and edge member lists that are
 // the whole conflict structure of §2 (conflicts.go), and, for the sharded
-// pipeline, the per-component relabelings. The root Solver caches Prepared
-// values keyed by instance content, so the steady state of a scheduling
-// service re-solving a fixed network set skips interning entirely and goes
-// straight into the schedule. For churning workloads — demands arriving and
-// departing on an unchanged network — Prepared.Apply (delta.go) updates the
-// same state incrementally.
+// pipeline, the per-component relabelings. The root Solver prepares every
+// solve afresh; a root Session keeps one Prepared across its solves, and
+// for churning workloads — demands arriving and departing on an unchanged
+// network — Prepared.Apply (delta.go) updates it incrementally.
 
 // layout is the dense dual addressing of one item set: a frozen dual.Index
 // plus per-item views and per-owner stream bookkeeping. Built once; strictly
@@ -72,10 +70,9 @@ func (lay *layout) newCore(mode Mode) *Core {
 // layout, dense group member lists, and (lazily) the connected components
 // and per-shard relabelings of the sharded pipeline. A Prepared is
 // immutable during runs apart from the lazily-built shard structures
-// (guarded by shardMu), so it is safe for concurrent Run/RunParallel calls
-// — the property the root Solver's cross-solve cache relies on. Apply
-// (delta.go) mutates the state between runs; it must never overlap a run or
-// another Apply on the same Prepared.
+// (guarded by shardMu), so it is safe for concurrent Run/RunParallel calls.
+// Apply (delta.go) mutates the state between runs; it must never overlap a
+// run or another Apply on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout

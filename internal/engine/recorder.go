@@ -26,9 +26,10 @@ const (
 	// arbitrary-heights solve brackets each non-empty height class
 	// separately, so it emits up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
-	// PhasePrepare brackets layout + member-list construction (Prepare),
-	// emitted by the owners of preparation: the root Solver, Session
-	// compaction, and the dist setup.
+	// PhasePrepare brackets preparation, emitted by the callers that
+	// prepare: a root Solver solve brackets its item building and then each
+	// Prepare (layout + member-list construction) in spans of their own,
+	// and a Session its initial build and each compaction.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance
 	// expansion, and the incremental Apply.

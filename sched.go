@@ -213,6 +213,17 @@ func (o *Options) normalize() {
 	}
 }
 
+// engineConfig is the engine Config of a solve under o, in the unit mode;
+// the arbitrary-height pipeline sets each height class's mode itself.
+func (o Options) engineConfig() engine.Config {
+	return engine.Config{
+		Mode:        engine.Unit,
+		Epsilon:     o.Epsilon,
+		Seed:        o.Seed,
+		SingleStage: o.SingleStage,
+	}
+}
+
 // slackFactor is the 1/λ factor of the schedule that ran: the multi-stage
 // ξ-ladder proves λ = 1-ε, while the single-stage Panconesi–Sozio-style
 // schedule only proves λ = 1/(5+ε) — its guarantee must scale by 5+ε, not
@@ -250,27 +261,16 @@ type Result struct {
 	MaxMessageSize int
 }
 
-// Solve runs the selected algorithm on a tree-network instance.
+// Solve runs the selected algorithm on a tree-network instance. It is
+// NewSolver(opts).Solve(in): a one-shot solve takes the Solver's path, with
+// a decomposition cache that lives for the one call.
 func Solve(in *Instance, opts Options) (*Result, error) {
-	m, err := in.build()
-	if err != nil {
-		return nil, err
-	}
-	opts.normalize()
-
-	if opts.Algorithm == SequentialTree {
-		return solveSequential(m)
-	}
-	items, err := engine.BuildTreeItems(m, opts.Decomposition)
-	if err != nil {
-		return nil, err
-	}
-	return solveTreeItems(items, opts)
+	return NewSolver(opts).Solve(in)
 }
 
-// solveTreeItems runs the framework algorithms over tree items; shared by
-// Solve and the caching Solver. An item carries its demand and network, so
-// selected ids map to assignments directly.
+// solveTreeItems runs the framework algorithms over tree items; the tree
+// path of every Solve. An item carries its demand and network, so selected
+// ids map to assignments directly.
 func solveTreeItems(items []engine.Item, opts Options) (*Result, error) {
 	toAssignment := func(id int) Assignment {
 		return Assignment{Demand: items[id].Demand, Network: items[id].Resource}
@@ -318,16 +318,11 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 			algo = DistributedArbitrary
 		}
 	}
-	cfg := engine.Config{
-		Epsilon:     opts.Epsilon,
-		Seed:        opts.Seed,
-		SingleStage: opts.SingleStage,
-	}
+	cfg := opts.engineConfig()
 	out := &Result{}
 	var selected []int
 	switch algo {
 	case DistributedUnit:
-		cfg.Mode = engine.Unit
 		var err error
 		selected, err = runUnit(items, cfg, opts, out)
 		if err != nil {
@@ -359,10 +354,10 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 }
 
 // preparedFor builds the unit-pipeline prepared state with Options.Recorder
-// attached, bracketing the preparation in PhasePrepare like the caching
-// Solver does. engine.Run is exactly Prepare + Run, so routing the one-shot
-// path through here changes no result. The warm-start cache stays off, so
-// the solve runs the serial engine.
+// attached, bracketing the preparation in PhasePrepare. engine.Run is
+// exactly Prepare + Run, so routing the solve through here changes no
+// result. The warm-start cache stays off, so the solve runs the serial
+// engine.
 func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	rec := opts.Recorder
 	var tok int64
@@ -377,16 +372,27 @@ func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	return prep
 }
 
-func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	eres, err := preparedFor(items, opts).RunParallel(cfg, opts.Parallelism)
+// runPrepared runs the unit-height schedule over prepared state, fills
+// out's Profit, DualBound and Guarantee, and returns the selected item ids.
+// runUnit and Session.Solve share it.
+func runPrepared(p *engine.Prepared, cfg engine.Config, opts Options, out *Result) ([]int, error) {
+	eres, err := p.RunParallel(cfg, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	out.Profit = eres.Profit
 	out.DualBound = eres.Bound
 	out.Guarantee = float64(eres.Delta+1) * opts.slackFactor()
+	return eres.Selected, nil
+}
+
+func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
+	selected, err := runPrepared(preparedFor(items, opts), cfg, opts, out)
+	if err != nil {
+		return nil, err
+	}
 	if !opts.Simulate {
-		return eres.Selected, nil
+		return selected, nil
 	}
 	dres, err := dist.RunOpts(items, cfg, dist.Options{Recorder: opts.Recorder})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 
 // Session is the incremental re-solve surface: a Solver pinned to one
 // evolving instance whose networks are fixed while demands arrive and
-// depart. Where Solver.Solve re-prepares (or cache-hits) a complete
-// instance, Session.Update applies the churn as an engine delta — only the
+// depart. Where Solver.Solve prepares a complete instance from scratch on
+// every call, Session.Update applies the churn as an engine delta — only the
 // conflict rows, layout slots and shard components the arrivals and
 // departures actually touch are rebuilt — and Session.Solve runs the
 // pipeline over the incrementally maintained state. Solve results are
@@ -131,9 +131,10 @@ type Churn struct {
 }
 
 // Session pins the solver to the given instance for incremental re-solving.
-// The instance is prepared once (through the solver's decomposition cache);
-// subsequent Update calls mutate the session's private prepared state and
-// never touch the solver's cross-solve caches.
+// The instance is prepared once, over the solver's cached decompositions;
+// the session keeps those decompositions, so subsequent Update calls build
+// arrivals over them, mutate only the session's private prepared state, and
+// never touch the solver's cache.
 func (s *Solver) Session(in *Instance) (*Session, error) {
 	if s.opts.Simulate {
 		return nil, fmt.Errorf("treesched: sessions do not support Simulate")
@@ -153,13 +154,12 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	default:
 		return nil, fmt.Errorf("treesched: sessions support DistributedUnit or unit-height Auto, not %v", s.opts.Algorithm)
 	}
-	_, treeKeys := instanceSignature(m, s.opts.Decomposition)
 	rec := s.opts.Recorder
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	layered, err := s.layeredFor(m, treeKeys)
+	layered, err := s.layeredFor(m)
 	if err != nil {
 		return nil, err
 	}
@@ -335,9 +335,16 @@ func (sess *Session) SolveWithItems() (*Result, []engine.Item, error) {
 func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	res, err := sess.solver.unitResultFromPrepared(sess.p)
+	opts := sess.solver.opts
+	res := &Result{}
+	selected, err := runPrepared(sess.p, opts.engineConfig(), opts, res)
 	if err != nil {
 		return nil, nil, err
+	}
+	items := sess.p.Items()
+	res.Assignments = make([]Assignment, 0, len(selected))
+	for _, id := range selected {
+		res.Assignments = append(res.Assignments, Assignment{Demand: items[id].Demand, Network: items[id].Resource})
 	}
 	sess.solves++
 	if !withItems {
@@ -346,5 +353,5 @@ func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, error)
 	// Shallow clone: engine code never mutates an item's inner slices after
 	// construction, and later Applies rewrite whole elements of the
 	// session's own slice, never the clone's.
-	return res, slices.Clone(sess.p.Items()), nil
+	return res, slices.Clone(items), nil
 }

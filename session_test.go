@@ -464,9 +464,9 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 	}
 }
 
-// TestSolverArbitraryPreparedCache checks the DistributedArbitrary fast
-// path: cached re-solves return exactly the uncached (package-level Solve)
-// result, and the cache is actually populated.
+// TestSolverArbitraryPreparedCache checks DistributedArbitrary (pinned or
+// resolved by Auto) on a Solver: repeated solves return exactly the
+// package-level Solve's result.
 func TestSolverArbitraryPreparedCache(t *testing.T) {
 	cfg := workload.TreeConfig{
 		Vertices: 24, Trees: 2, Demands: 18, ProfitRatio: 8,
@@ -492,12 +492,6 @@ func TestSolverArbitraryPreparedCache(t *testing.T) {
 			if !slices.Equal(got.Assignments, want.Assignments) {
 				t.Fatalf("%v trial %d: assignments diverged", algo, trial)
 			}
-		}
-		if got := s.CachedArbitrary(); got != 1 {
-			t.Fatalf("%v: CachedArbitrary = %d, want 1", algo, got)
-		}
-		if got := s.CachedPrepared(); got != 0 {
-			t.Fatalf("%v: CachedPrepared = %d, want 0 (unit cache untouched)", algo, got)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	treesched "treesched"
@@ -200,20 +201,16 @@ func TestColdSolvesRunSerial(t *testing.T) {
 	}
 }
 
-// TestSolverPreparedCache pins the cross-solve conflict cache: repeated
-// solves of the same instance share one engine.Prepared entry (item
-// building, interning and conflict construction happen once), distinct
-// instance content gets its own entry, and cached solves stay bit-identical
-// to fresh ones.
+// TestSolverPreparedCache pins repeated solves on one Solver: re-solving
+// the same instance content returns the first result bit for bit, and a
+// changed instance matches a one-shot Solve of it. (The Solver once cached
+// prepared instances by content; it now prepares every solve.)
 func TestSolverPreparedCache(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.1, Seed: 7, Parallelism: 2}
 	s := treesched.NewSolver(opts)
 	first, err := s.Solve(batchInstance(t))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := s.CachedPrepared(); n != 1 {
-		t.Fatalf("cached prepared after first solve = %d, want 1", n)
 	}
 	for round := 0; round < 3; round++ {
 		got, err := s.Solve(batchInstance(t))
@@ -222,23 +219,16 @@ func TestSolverPreparedCache(t *testing.T) {
 		}
 		if got.Profit != first.Profit || got.DualBound != first.DualBound ||
 			!reflect.DeepEqual(got.Assignments, first.Assignments) {
-			t.Fatalf("round %d: cached solve diverged: %+v vs %+v", round, got, first)
+			t.Fatalf("round %d: repeated solve diverged: %+v vs %+v", round, got, first)
 		}
 	}
-	if n := s.CachedPrepared(); n != 1 {
-		t.Errorf("cached prepared after repeats = %d, want 1 (identical instances share)", n)
-	}
 
-	// A changed profit is different instance content: new entry, and the
-	// answer must match a fresh one-shot Solve of the changed instance.
+	// A changed instance must match a fresh one-shot Solve of it.
 	changed := batchInstance(t)
 	changed.AddDemand(0, 9, 9.5, treesched.Access(1))
-	cachedChanged, err := s.Solve(changed)
+	gotChanged, err := s.Solve(changed)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := s.CachedPrepared(); n != 2 {
-		t.Errorf("cached prepared after changed instance = %d, want 2", n)
 	}
 	changed2 := batchInstance(t)
 	changed2.AddDemand(0, 9, 9.5, treesched.Access(1))
@@ -246,50 +236,90 @@ func TestSolverPreparedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cachedChanged.Profit != wantChanged.Profit ||
-		!reflect.DeepEqual(cachedChanged.Assignments, wantChanged.Assignments) {
-		t.Errorf("changed-instance solve diverged from one-shot: %+v vs %+v", cachedChanged, wantChanged)
+	if gotChanged.Profit != wantChanged.Profit ||
+		!reflect.DeepEqual(gotChanged.Assignments, wantChanged.Assignments) {
+		t.Errorf("changed-instance solve diverged from one-shot: %+v vs %+v", gotChanged, wantChanged)
 	}
 }
 
 // TestSolverPreparedCacheConcurrent hammers one Solver from several
-// goroutines over the same instance: all results must agree (the cached
-// Prepared is shared and immutable) and the cache must hold one entry.
+// goroutines over two instances on different networks, which share only
+// the decomposition cache: every result must equal a one-shot Solve, the
+// cache must hold one entry per distinct network structure and count one
+// lookup per network solved, and the prepared counters must stay zero.
 func TestSolverPreparedCacheConcurrent(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.1, Seed: 11, Parallelism: 2}
-	s := treesched.NewSolver(opts)
-	want, err := s.Solve(batchInstance(t))
-	if err != nil {
-		t.Fatal(err)
+	// batchInstance's three networks share one structure; this instance's
+	// two networks are a path and a star, neither of them that structure.
+	other := func() *treesched.Instance {
+		inst := treesched.NewInstance(12)
+		var path, star [][2]int
+		for v := 1; v < 12; v++ {
+			path = append(path, [2]int{v - 1, v})
+			star = append(star, [2]int{0, v})
+		}
+		for _, edges := range [][][2]int{path, star} {
+			if _, err := inst.AddTree(edges); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, e := range [][2]int{{0, 11}, {3, 7}, {5, 9}, {1, 4}, {2, 10}, {6, 8}} {
+			inst.AddDemand(e[0], e[1], float64(2+i%3))
+		}
+		return inst
 	}
+	instances := []struct {
+		build func() *treesched.Instance
+		trees int
+	}{
+		{func() *treesched.Instance { return batchInstance(t) }, 3},
+		{other, 2},
+	}
+	const structures = 3
+	want := make([]*treesched.Result, len(instances))
+	for i, in := range instances {
+		var err error
+		if want[i], err = treesched.Solve(in.build(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := treesched.NewSolver(opts)
 	const workers = 8
 	results := make([]*treesched.Result, workers)
 	errs := make([]error, workers)
-	done := make(chan int)
+	var wg sync.WaitGroup
+	lookups := uint64(0)
 	for w := 0; w < workers; w++ {
+		in := instances[w%len(instances)]
+		lookups += uint64(in.trees)
+		inst := in.build() // builders may t.Fatal: keep them on this goroutine
+		wg.Add(1)
 		go func(w int) {
-			results[w], errs[w] = s.Solve(batchInstance(t))
-			done <- w
+			defer wg.Done()
+			results[w], errs[w] = s.Solve(inst)
 		}(w)
 	}
-	for range [workers]struct{}{} {
-		<-done
-	}
+	wg.Wait()
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
-		if results[w].Profit != want.Profit || !reflect.DeepEqual(results[w].Assignments, want.Assignments) {
-			t.Errorf("worker %d diverged: %+v vs %+v", w, results[w], want)
+		if !reflect.DeepEqual(results[w], want[w%len(instances)]) {
+			t.Errorf("worker %d diverged from one-shot Solve: %+v vs %+v", w, results[w], want[w%len(instances)])
 		}
 	}
-	if n := s.CachedPrepared(); n != 1 {
-		t.Errorf("cached prepared = %d, want 1", n)
+	st := s.CacheStats()
+	if st.Layouts.Len != structures || st.Layouts.Hits+st.Layouts.Misses != lookups {
+		t.Errorf("layouts %+v: want %d entries and %d lookups", st.Layouts, structures, lookups)
+	}
+	if st.Prepared != (treesched.CacheCounters{}) || st.Arbitrary != (treesched.CacheCounters{}) {
+		t.Errorf("prepared counters moved: %+v", st)
 	}
 }
 
 // TestSolverSimulateUncached: the Simulate path measures real messages and
-// bypasses the prepared cache but must still agree with the engine.
+// must still agree with the engine.
 func TestSolverSimulateUncached(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.2, Seed: 2, Simulate: true}
 	s := treesched.NewSolver(opts)
@@ -299,9 +329,6 @@ func TestSolverSimulateUncached(t *testing.T) {
 	}
 	if sim.Rounds == 0 || sim.Messages == 0 {
 		t.Errorf("simulated solve reported no communication: %+v", sim)
-	}
-	if n := s.CachedPrepared(); n != 0 {
-		t.Errorf("Simulate solve populated the prepared cache: %d entries", n)
 	}
 	plain, err := treesched.Solve(batchInstance(t), treesched.Options{Epsilon: 0.2, Seed: 2})
 	if err != nil {
