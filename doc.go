@@ -311,8 +311,8 @@
 // histograms (doubling bounds, overflow bucket, atomic counts) behind the
 // serving layer's latency/solve/queue-wait/batch-size families. The
 // simulator keeps its own per-run histograms in simnet.Stats
-// (BusyNodeHist, MsgSizeHist — plain arrays, identical across both
-// drivers). Egress: cmd/schedserve exports Prometheus text exposition on
+// (BusyNodeHist, MsgSizeHist — plain arrays, deterministic per run).
+// Egress: cmd/schedserve exports Prometheus text exposition on
 // /metrics (validated end-to-end by serve.ValidateExposition, also
 // runnable as `schedserve -validate-metrics URL`), JSON on /debug/vars and
 // net/http/pprof under -pprof; `schedbench -trace-json` attaches recorders
@@ -399,11 +399,9 @@
 //
 // # Distributed scale: the batched million-demand runtime
 //
-// internal/dist executes under two interchangeable simnet drivers. The
-// original goroutine driver (dist.DriverGoroutine) runs one goroutine per
-// processor with a per-round channel handshake — faithful, but a million
-// demands means a million goroutines stepped every round. The batched
-// driver (dist.DriverBatched, the default) makes the same execution scale:
+// internal/dist executes over simnet's one round loop, Network.Run. It
+// does not run a goroutine per processor or step every processor every
+// round; three ideas make a million demands simulable:
 //
 //   - Shared-layout nodes: every processor reads the engine's interned
 //     dense layout (views, critical sets, and the edge member lists its
@@ -424,12 +422,11 @@
 //     idle stretches of the fixed schedule costs O(log components) per
 //     executed round rather than a full-network scan.
 //
-// Both drivers produce bit-identical Results and identical simnet Stats —
-// asserted pairwise (and against the in-process engine) by the equivalence
-// and fuzz suites of internal/dist. On fleet workloads the batched driver
+// The equivalence and fuzz suites of internal/dist assert bit-identical
+// Results against the in-process engine and pin the simnet Stats of every
+// equivalence case in a checked-in golden. On fleet workloads the runtime
 // solves 100k demands in seconds and a million demands in minutes
-// end-to-end (see BENCH_dist.json and `schedbench -dist-smoke`), a scale
-// at which the goroutine driver is not practical.
+// end-to-end (see BENCH_dist.json and `schedbench -dist-smoke`).
 //
 // # Determinism rules: the schedvet static-analysis suite
 //

@@ -15,7 +15,8 @@
 // for the same (items, Config) the two executions are bit-identical: same
 // raises, same δ values, same elections, same Selected set, same Profit,
 // same λ and dual bound. Experiment A3 and the package's equivalence tests
-// assert exactly this — under both simnet drivers.
+// assert exactly this, and pin the simulator's Stats for each case in
+// testdata/stats.golden.
 //
 // Since PR 9 the nodes share the engine's read-only interned dense layout
 // (engine.Prepared) through a runContext instead of copying critical sets
@@ -51,7 +52,6 @@ package dist
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"treesched/internal/dual"
@@ -59,25 +59,10 @@ import (
 	"treesched/internal/simnet"
 )
 
-// Driver selects the simnet execution strategy.
-type Driver int
-
-const (
-	// DriverBatched is the default: the batched round scheduler with
-	// per-component fast-forward and a bounded stepping pool — the driver
-	// that scales to a million processors.
-	DriverBatched Driver = iota
-	// DriverGoroutine is the original one-goroutine-per-node handshake
-	// driver, kept as a cross-check: same nodes, same Stats, radically
-	// different execution.
-	DriverGoroutine
-)
-
 // Options tunes RunOpts beyond the engine Config.
 type Options struct {
-	Driver Driver
-	// Workers bounds the batched driver's stepping pool; ≤0 means
-	// GOMAXPROCS. Cannot affect results, only wall-clock.
+	// Workers bounds the simulator's stepping pool; ≤0 means GOMAXPROCS.
+	// Cannot affect results, only wall-clock.
 	Workers int
 	// Recorder observes the run's phases — PhaseDistSetup (context build +
 	// node construction), PhaseDistSim (the simnet round loop),
@@ -109,14 +94,13 @@ type Result struct {
 	SharedStateBytes int64 // read-only context arenas shared by all nodes
 }
 
-// Run executes the protocol over the simulator (batched driver) and
-// returns the selection, which is bit-identical to engine.Run's for the
-// same items and Config.
+// Run executes the protocol over the simulator and returns the selection,
+// which is bit-identical to engine.Run's for the same items and Config.
 func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 	return RunOpts(items, cfg, Options{})
 }
 
-// RunOpts is Run with an explicit driver and worker budget.
+// RunOpts is Run with a worker budget and a recorder.
 func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, error) {
 	plan, err := engine.PlanFor(items, &cfg)
 	if err != nil {
@@ -132,10 +116,6 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 		return res, nil
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	rec := opts.Recorder
 	var tok int64
 	if rec != nil {
@@ -161,16 +141,10 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 		rec.EndSpan(engine.PhaseDistSetup, tok)
 		tok = rec.StartSpan(engine.PhaseDistSim)
 	}
-	var stats simnet.Stats
-	if opts.Driver == DriverGoroutine {
-		stats, err = nw.Run(res.ScheduleRounds + 2)
-	} else {
-		stats, err = nw.RunBatched(res.ScheduleRounds+2, simnet.BatchConfig{Workers: workers})
-	}
+	res.Stats, err = nw.Run(res.ScheduleRounds+2, simnet.BatchConfig{Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = stats
 	if rec != nil {
 		rec.EndSpan(engine.PhaseDistSim, tok)
 		tok = rec.StartSpan(engine.PhaseDistAssemble)

@@ -29,44 +29,48 @@ func treeItems(t testing.TB, wcfg workload.TreeConfig, instSeed int64, kind engi
 	return items
 }
 
-// runBoth executes the distributed protocol under BOTH simnet drivers and
-// asserts they agree on the full Result — selection, profit, λ, bound, the
-// replayed dual, the trace, and the communication Stats. The batched
-// scheduler executes radically differently from the goroutine handshake
-// (sparse stepping, worker-pool rounds, per-component fast-forward), so
-// exact Stats equality is the sharpest available probe that its round
-// semantics are unchanged. Returns the batched result.
-func runBoth(t *testing.T, tag string, items []engine.Item, cfg engine.Config) *dist.Result {
+// sameAsEngine reports every way dres differs from eres: selection,
+// profit, λ, dual bound, raise trace and the replayed dual.
+func sameAsEngine(t *testing.T, tag string, eres *engine.Result, dres *dist.Result) {
 	t.Helper()
-	batched, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverBatched})
+	if !reflect.DeepEqual(eres.Selected, dres.Selected) {
+		t.Errorf("%s: selections differ:\nengine %v\ndist   %v", tag, eres.Selected, dres.Selected)
+	}
+	if eres.Profit != dres.Profit || eres.Lambda != dres.Lambda || eres.Bound != dres.Bound {
+		t.Errorf("%s: profit/λ/bound differ: engine (%v, %v, %v) dist (%v, %v, %v)",
+			tag, eres.Profit, eres.Lambda, eres.Bound, dres.Profit, dres.Lambda, dres.Bound)
+	}
+	if !reflect.DeepEqual(eres.Trace, dres.Trace) {
+		t.Errorf("%s: traces differ", tag)
+	}
+	if !reflect.DeepEqual(eres.Dual.AlphaMap(), dres.Dual.AlphaMap()) ||
+		!reflect.DeepEqual(eres.Dual.BetaMap(), dres.Dual.BetaMap()) {
+		t.Errorf("%s: replayed dual differs from engine dual", tag)
+	}
+}
+
+// checkCase runs engine.Run and the protocol once each on the same items
+// and Config, requires identical results, and checks the protocol's Stats
+// against the golden line for tag.
+func checkCase(t *testing.T, tag string, items []engine.Item, cfg engine.Config, opts dist.Options) {
+	t.Helper()
+	eres, err := engine.Run(items, cfg)
 	if err != nil {
-		t.Fatalf("%s: batched driver: %v", tag, err)
+		t.Fatalf("%s: engine: %v", tag, err)
 	}
-	goro, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverGoroutine})
+	dres, err := dist.RunOpts(items, cfg, opts)
 	if err != nil {
-		t.Fatalf("%s: goroutine driver: %v", tag, err)
+		t.Fatalf("%s: dist: %v", tag, err)
 	}
-	if !reflect.DeepEqual(batched.Selected, goro.Selected) {
-		t.Errorf("%s: drivers disagree on selection:\nbatched   %v\ngoroutine %v", tag, batched.Selected, goro.Selected)
-	}
-	if batched.Profit != goro.Profit || batched.Lambda != goro.Lambda || batched.Bound != goro.Bound {
-		t.Errorf("%s: drivers disagree on profit/λ/bound: batched (%v, %v, %v) goroutine (%v, %v, %v)",
-			tag, batched.Profit, batched.Lambda, batched.Bound, goro.Profit, goro.Lambda, goro.Bound)
-	}
-	if !reflect.DeepEqual(batched.Trace, goro.Trace) {
-		t.Errorf("%s: drivers disagree on trace", tag)
-	}
-	if !reflect.DeepEqual(batched.Stats, goro.Stats) {
-		t.Errorf("%s: drivers disagree on Stats:\nbatched   %+v\ngoroutine %+v", tag, batched.Stats, goro.Stats)
-	}
-	return batched
+	sameAsEngine(t, tag, eres, dres)
+	checkStats(t, tag, dres.Stats)
 }
 
 // TestEngineEquivalence is the headline invariant: dist and engine.Run
 // return identical results for identical (items, Config) — selection,
 // profit, λ, dual bound, dual variables and raise trace — swept over
-// seeds × modes × decompositions, with the distributed execution checked
-// under both simnet drivers.
+// seeds × modes × decompositions, with the simulator's Stats pinned by the
+// golden.
 func TestEngineEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	decomps := []engine.DecompKind{engine.IdealDecomp, engine.BalancingDecomp, engine.RootFixingDecomp}
@@ -80,32 +84,7 @@ func TestEngineEquivalence(t *testing.T) {
 			items := treeItems(t, wcfg, 42+int64(mode), kind)
 			for _, seed := range seeds {
 				cfg := engine.Config{Mode: mode, Epsilon: 0.3, Seed: seed, RecordTrace: true}
-				eres, err := engine.Run(items, cfg)
-				if err != nil {
-					t.Fatalf("%v/%v/seed %d: engine: %v", mode, kind, seed, err)
-				}
-				tag := fmt.Sprintf("%v/%v/seed %d", mode, kind, seed)
-				dres := runBoth(t, tag, items, cfg)
-				if !reflect.DeepEqual(eres.Selected, dres.Selected) {
-					t.Errorf("%v/%v/seed %d: selections differ:\nengine %v\ndist   %v",
-						mode, kind, seed, eres.Selected, dres.Selected)
-				}
-				if eres.Profit != dres.Profit {
-					t.Errorf("%v/%v/seed %d: profit differs: engine %v dist %v",
-						mode, kind, seed, eres.Profit, dres.Profit)
-				}
-				if eres.Lambda != dres.Lambda || eres.Bound != dres.Bound {
-					t.Errorf("%v/%v/seed %d: λ/bound differ: engine (%v, %v) dist (%v, %v)",
-						mode, kind, seed, eres.Lambda, eres.Bound, dres.Lambda, dres.Bound)
-				}
-				if !reflect.DeepEqual(eres.Trace, dres.Trace) {
-					t.Errorf("%v/%v/seed %d: traces differ:\nengine %+v\ndist   %+v",
-						mode, kind, seed, eres.Trace.Events, dres.Trace.Events)
-				}
-				if !reflect.DeepEqual(eres.Dual.AlphaMap(), dres.Dual.AlphaMap()) ||
-					!reflect.DeepEqual(eres.Dual.BetaMap(), dres.Dual.BetaMap()) {
-					t.Errorf("%v/%v/seed %d: replayed dual differs from engine dual", mode, kind, seed)
-				}
+				checkCase(t, fmt.Sprintf("%v/%v/seed %d", mode, kind, seed), items, cfg, dist.Options{})
 			}
 		}
 	}
@@ -126,15 +105,7 @@ func TestEquivalenceLineItems(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.2, Seed: seed}
-		eres, err := engine.Run(items, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dres := runBoth(t, fmt.Sprintf("line/seed %d", seed), items, cfg)
-		if !reflect.DeepEqual(eres.Selected, dres.Selected) || eres.Profit != dres.Profit {
-			t.Errorf("seed %d: engine (%v, %v) vs dist (%v, %v)",
-				seed, eres.Selected, eres.Profit, dres.Selected, dres.Profit)
-		}
+		checkCase(t, fmt.Sprintf("line/seed %d", seed), items, cfg, dist.Options{})
 	}
 }
 
@@ -142,13 +113,35 @@ func TestEquivalenceLineItems(t *testing.T) {
 func TestEquivalenceSingleStage(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{Vertices: 14, Trees: 2, Demands: 9, ProfitRatio: 4}, 5, engine.IdealDecomp)
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.3, Seed: 3, SingleStage: true}
-	eres, err := engine.Run(items, cfg)
-	if err != nil {
-		t.Fatal(err)
+	checkCase(t, "single-stage", items, cfg, dist.Options{})
+}
+
+// TestEquivalencePoolFanOut runs the protocol where the simulator's
+// stepping pool fans out: each case has more processors than the pool's
+// grain, so the rounds that step many nodes split across workers. Every
+// case runs at Workers 1 and 4 and must equal engine.Run at both, with the
+// one golden line for its tag.
+func TestEquivalencePoolFanOut(t *testing.T) {
+	fleet := workload.TreeConfig{Vertices: 64, Trees: 8, Demands: 256, ProfitRatio: 8, AccessMin: 1, AccessMax: 1}
+	narrowFleet := fleet
+	narrowFleet.Heights, narrowFleet.HMin = workload.NarrowHeights, 0.2
+	cases := []struct {
+		tag  string
+		mode engine.Mode
+		wcfg workload.TreeConfig
+	}{
+		{"pool/fleet/unit", engine.Unit, fleet},
+		{"pool/fleet/narrow", engine.Narrow, narrowFleet},
+		{"pool/shared/unit", engine.Unit, workload.TreeConfig{Vertices: 64, Trees: 3, Demands: 192, ProfitRatio: 8, AccessMin: 1, AccessMax: 2}},
 	}
-	dres := runBoth(t, "single-stage", items, cfg)
-	if !reflect.DeepEqual(eres.Selected, dres.Selected) || eres.Profit != dres.Profit {
-		t.Errorf("engine (%v, %v) vs dist (%v, %v)", eres.Selected, eres.Profit, dres.Selected, dres.Profit)
+	for _, tc := range cases {
+		items := treeItems(t, tc.wcfg, 17, engine.IdealDecomp)
+		cfg := engine.Config{Mode: tc.mode, Epsilon: 0.3, Seed: 5, RecordTrace: true}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.tag, workers), func(t *testing.T) {
+				checkCase(t, tc.tag, items, cfg, dist.Options{Workers: workers})
+			})
+		}
 	}
 }
 
@@ -230,8 +223,10 @@ func TestGreedyMISRejected(t *testing.T) {
 
 // TestInvalidConfigRejected: PlanFor's validation surfaces unchanged.
 func TestInvalidConfigRejected(t *testing.T) {
-	if _, err := dist.Run(nil, engine.Config{Epsilon: 2}); err == nil {
-		t.Fatal("epsilon 2 accepted")
+	for _, eps := range []float64{2, math.NaN()} {
+		if _, err := dist.Run(nil, engine.Config{Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %v accepted", eps)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"treesched/internal/dist"
@@ -12,12 +11,12 @@ import (
 
 // FuzzEngineEquivalence cross-checks the message-passing protocol against
 // the in-process engine on randomized instances: for any instance the
-// builder accepts and the engine solves, the distributed execution — under
-// BOTH simnet drivers, which must additionally agree on the full Result
-// and the communication Stats — must return the identical selection,
-// profit, λ and dual bound. The seed corpus covers both raise modes,
-// several profit spreads and both ε regimes; `go test` replays the corpus,
-// `go test -fuzz=FuzzEngineEquivalence` explores further.
+// generator accepts and the engine solves, the distributed execution must
+// return the identical selection, profit, λ, dual bound and dual,
+// and its Stats must satisfy the simulator's accounting invariants. The
+// seed corpus covers both raise modes, several profit spreads and both ε
+// regimes; `go test` replays the corpus, `go test
+// -fuzz=FuzzEngineEquivalence` explores further.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(0), uint8(8), false)
 	f.Add(int64(2), int64(9), uint8(3), uint8(6), false)
@@ -52,31 +51,27 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip() // instances the engine rejects are out of scope
 		}
-		dres, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverBatched})
+		dres, err := dist.Run(items, cfg)
 		if err != nil {
-			t.Fatalf("engine succeeded but batched dist failed: %v", err)
+			t.Fatalf("engine succeeded but dist failed: %v", err)
 		}
-		gres, err := dist.RunOpts(items, cfg, dist.Options{Driver: dist.DriverGoroutine})
-		if err != nil {
-			t.Fatalf("engine succeeded but goroutine dist failed: %v", err)
+		sameAsEngine(t, "fuzz", eres, dres)
+
+		st := dres.Stats
+		if st.Rounds != dres.ScheduleRounds {
+			t.Errorf("Rounds = %d, want ScheduleRounds = %d", st.Rounds, dres.ScheduleRounds)
 		}
-		if !reflect.DeepEqual(eres.Selected, dres.Selected) {
-			t.Fatalf("selections diverged:\nengine %v\ndist   %v", eres.Selected, dres.Selected)
+		var busy, msgs int
+		for i := range st.BusyNodeHist {
+			busy += st.BusyNodeHist[i]
+			msgs += st.MsgSizeHist[i]
 		}
-		if eres.Profit != dres.Profit {
-			t.Fatalf("profit diverged: engine %v dist %v", eres.Profit, dres.Profit)
+		if busy != st.BusyRounds || msgs != st.Messages {
+			t.Errorf("ΣBusyNodeHist = %d, ΣMsgSizeHist = %d; want BusyRounds = %d, Messages = %d",
+				busy, msgs, st.BusyRounds, st.Messages)
 		}
-		if eres.Lambda != dres.Lambda || eres.Bound != dres.Bound {
-			t.Fatalf("λ/bound diverged: engine (%v, %v) dist (%v, %v)", eres.Lambda, eres.Bound, dres.Lambda, dres.Bound)
-		}
-		if !reflect.DeepEqual(dres.Selected, gres.Selected) || dres.Profit != gres.Profit ||
-			dres.Lambda != gres.Lambda || dres.Bound != gres.Bound {
-			t.Fatalf("drivers diverged:\nbatched   (%v, %v, %v, %v)\ngoroutine (%v, %v, %v, %v)",
-				dres.Selected, dres.Profit, dres.Lambda, dres.Bound,
-				gres.Selected, gres.Profit, gres.Lambda, gres.Bound)
-		}
-		if !reflect.DeepEqual(dres.Stats, gres.Stats) {
-			t.Fatalf("driver Stats diverged:\nbatched   %+v\ngoroutine %+v", dres.Stats, gres.Stats)
+		if st.BusyRounds > st.Rounds-st.SkippedRounds {
+			t.Errorf("BusyRounds = %d exceeds the %d executed rounds", st.BusyRounds, st.Rounds-st.SkippedRounds)
 		}
 	})
 }

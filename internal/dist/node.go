@@ -123,13 +123,13 @@ func (n *node) Round(round int, inbox []simnet.Message) []simnet.Message {
 // final round of the fixed schedule.
 func (n *node) Done() bool { return n.done }
 
-// NextActiveRound implements simnet.FastForwarder: with no messages in
-// flight the dual state is frozen, so the node can compute the next round
-// at which it would act spontaneously — the next sub-round of an election
-// it is still part of, else the first step of a future (epoch, stage) for
-// which it holds an unsatisfied item, else the schedule's final round
-// (where it must wake to terminate). The answer is a pure function of the
-// frozen state, satisfying the batched driver's stability contract.
+// NextActiveRound implements simnet.Node: with no messages in flight the
+// dual state is frozen, so the node can compute the next round at which it
+// would act spontaneously — the next sub-round of an election it is still
+// part of, else the first step of a future (epoch, stage) for which it
+// holds an unsatisfied item, else the schedule's final round (where it must
+// wake to terminate). The answer is a pure function of the frozen state,
+// satisfying the simulator's stability contract.
 //
 //schedvet:hot
 func (n *node) NextActiveRound(now int) int {

@@ -13,7 +13,7 @@ package dist
 // Payload structs are pooled per sender and per kind: a draw buffer written
 // in round r is read by its recipients in round r+1 and rewritten at the
 // earliest in round r+2 (the next draw sub-round), so reuse never races a
-// reader under the drivers' round barriers.
+// reader under the simulator's round barriers.
 
 // setupPayload is broadcast once, in round 0, to every topology neighbor:
 // the sender announces which items it owns. Conflict structure itself is

@@ -304,7 +304,9 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 // item statistics — ∆, ℓmax and the profit range (1 and 1 for no items) —
 // which it returns in an otherwise empty Plan.
 func validate(items []Item, cfg *Config) (*Plan, error) {
-	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
+	// Range checks are negated so that NaN, which fails every comparison,
+	// is rejected too.
+	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
 		return nil, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
 	}
 	p := &Plan{PMin: 1, PMax: 1}
@@ -344,7 +346,7 @@ func validate(items []Item, cfg *Config) (*Plan, error) {
 		}
 		cfg.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
 	}
-	if cfg.Xi <= 0 || cfg.Xi >= 1 {
+	if !(cfg.Xi > 0 && cfg.Xi < 1) {
 		return nil, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
 	}
 	p.Xi = cfg.Xi

@@ -316,6 +316,10 @@ func TestRunValidation(t *testing.T) {
 		{"epsilon zero", good, engine.Config{Epsilon: 0}},
 		{"epsilon one", good, engine.Config{Epsilon: 1}},
 		{"bad xi", good, engine.Config{Epsilon: 0.1, Xi: 1.5}},
+		{"epsilon NaN", good, engine.Config{Epsilon: math.NaN()}},
+		// No items: with items, NaN ξ used to fail only later, by accident,
+		// at the step cap.
+		{"xi NaN", nil, engine.Config{Epsilon: 0.1, Xi: math.NaN()}},
 		{"bad id", func() []engine.Item {
 			bad := append([]engine.Item(nil), good...)
 			bad[0].ID = 5

@@ -55,13 +55,8 @@ func (in *LineInstance) Validate() error {
 		if !(d.Height > 0) || d.Height > 1 {
 			return fmt.Errorf("model: line demand %d has invalid height %v", i, d.Height)
 		}
-		if len(d.Access) == 0 {
-			return fmt.Errorf("model: line demand %d has no accessible resources", i)
-		}
-		for _, q := range d.Access {
-			if q < 0 || q >= in.NumResources {
-				return fmt.Errorf("model: line demand %d accesses unknown resource %d", i, q)
-			}
+		if err := validateAccess("line demand", i, d.Access, in.NumResources, "resource"); err != nil {
+			return err
 		}
 	}
 	return nil

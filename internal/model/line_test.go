@@ -61,6 +61,7 @@ func TestLineValidateRejects(t *testing.T) {
 		{"bad height", func(in *LineInstance) { in.Demands[0].Height = 2 }},
 		{"no access", func(in *LineInstance) { in.Demands[0].Access = nil }},
 		{"unknown resource", func(in *LineInstance) { in.Demands[0].Access = []TreeID{5} }},
+		{"repeated resource", func(in *LineInstance) { in.Demands[0].Access = []TreeID{0, 0} }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -104,21 +104,29 @@ func ValidateDemand(d Demand, numVertices, numTrees int) error {
 	if !(d.Height > 0) || d.Height > 1 {
 		return fmt.Errorf("model: demand %d has invalid height %v", d.ID, d.Height)
 	}
-	if len(d.Access) == 0 {
-		return fmt.Errorf("model: demand %d has no accessible networks", d.ID)
+	return validateAccess("demand", d.ID, d.Access, numTrees, "network")
+}
+
+// validateAccess checks a demand's access list: non-empty, every entry in
+// [0, n), none listed twice. kind and unit name the demand and what it
+// accesses in the error ("demand" and "network", or "line demand" and
+// "resource").
+func validateAccess(kind string, id int, access []TreeID, n int, unit string) error {
+	if len(access) == 0 {
+		return fmt.Errorf("model: %s %d has no accessible %ss", kind, id, unit)
 	}
-	// A network above every earlier one cannot repeat one, so an ascending
-	// list is checked in one pass; only a network at or below the running
+	// An entry above every earlier one cannot repeat one, so an ascending
+	// list is checked in one pass; only an entry at or below the running
 	// maximum is looked for among the earlier entries.
 	top := -1
-	for j, q := range d.Access {
-		if q < 0 || q >= numTrees {
-			return fmt.Errorf("model: demand %d accesses unknown network %d", d.ID, q)
+	for j, q := range access {
+		if q < 0 || q >= n {
+			return fmt.Errorf("model: %s %d accesses unknown %s %d", kind, id, unit, q)
 		}
 		if q > top {
 			top = q
-		} else if slices.Contains(d.Access[:j], q) {
-			return fmt.Errorf("model: demand %d lists network %d twice", d.ID, q)
+		} else if slices.Contains(access[:j], q) {
+			return fmt.Errorf("model: %s %d lists %s %d twice", kind, id, unit, q)
 		}
 	}
 	return nil

@@ -6,9 +6,8 @@ import (
 	"sync"
 )
 
-// This file is the batched round scheduler — the driver that makes
-// million-node networks simulable. Three ideas, each preserving the
-// synchronous semantics of Run exactly:
+// This file is the simulator's round loop. Three ideas keep it exact and
+// fast on million-node networks:
 //
 //  1. Batched delivery: no per-node goroutines or channel handshakes.
 //     Each executed round steps the due nodes (mail in the inbox, or their
@@ -29,50 +28,32 @@ import (
 //     self-contained: the min over its members' NextActiveRound answers,
 //     plus any mail addressed into it.
 //
-// Stats are computed by the same rules as Run — same executed rounds, same
-// busy/skip accounting — so the two drivers must agree exactly, which the
-// dist equivalence suites assert.
+// Stats are a deterministic function of the executed schedule; the dist
+// equivalence suites pin them against checked-in goldens.
 
-// BatchConfig configures RunBatched.
+// BatchConfig configures Run.
 type BatchConfig struct {
 	// Workers bounds the node-stepping pool; ≤0 means GOMAXPROCS. The pool
 	// only partitions the due-node scan of a round — results are committed
 	// serially in ascending node order — so the worker count cannot affect
 	// results, only wall-clock.
 	Workers int
-	// Transport overrides the delivery seam; nil uses the in-process
-	// double-buffered memory transport.
-	Transport Transport
 }
 
-// RunBatched executes rounds on the batched scheduler until every node
-// reports Done and no messages are in flight, or maxRounds elapses (an
-// error). Every node must implement FastForwarder (with the stability
-// contract documented there); nodes must additionally only flip Done during
-// rounds in which they have mail or their reported next-active round has
-// arrived — true of any node whose Done transition is part of an action.
-func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
+// Run executes rounds until every node reports Done and no messages are in
+// flight, or maxRounds elapses (an error), and returns the communication
+// statistics. A network runs once.
+func (nw *Network) Run(maxRounds int, cfg BatchConfig) (Stats, error) {
 	if nw.started {
 		return Stats{}, fmt.Errorf("simnet: network already run")
 	}
 	nw.started = true
 	n := len(nw.nodes)
-	ffs := make([]FastForwarder, n)
-	for i, node := range nw.nodes {
-		ff, ok := node.(FastForwarder)
-		if !ok {
-			return Stats{}, fmt.Errorf("simnet: batched driver requires every node to implement FastForwarder; node %d does not", i)
-		}
-		ffs[i] = ff
-	}
 	comp, comps := nw.components()
-	tr := cfg.Transport
-	if tr == nil {
-		tr = NewMemTransport(n)
-	}
+	tr := NewMemTransport(n)
 	sched := newCompSchedule(len(comps))
 	// Every node is due at round 0: the model's setup round steps the whole
-	// network once, exactly as the goroutine driver does.
+	// network once.
 	nodeNext := make([]int, n)
 	for c := range comps {
 		sched.setSpontaneous(c, 0)
@@ -115,7 +96,7 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 		pool.run(len(due), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				i := due[k]
-				outs[k] = safeStep(i, nw.nodes[i], ffs[i], r, tr.Inbox(i))
+				outs[k] = safeStep(i, nw.nodes[i], r, tr.Inbox(i))
 			}
 		})
 		sent := 0
@@ -157,9 +138,9 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 				}
 				sched.setMail(comp[m.To], round+1)
 			}
-			// A node is busy when it received or sent this round — the same
-			// rule the goroutine driver applies to every node; non-due nodes
-			// are frozen (no mail, no send), so counting the due suffices.
+			// A node is busy when it received or sent this round; non-due
+			// nodes are frozen (no mail, no send), so counting the due
+			// suffices.
 			if dueMail[k] || len(out.outbox) > 0 {
 				busyNodes++
 			}
@@ -204,17 +185,25 @@ func (nw *Network) RunBatched(maxRounds int, cfg BatchConfig) (Stats, error) {
 	}
 }
 
+// roundOutput is one node's result for one executed round.
+type roundOutput struct {
+	outbox []Message
+	done   bool
+	next   int   // the node's NextActiveRound answer; -1 = never
+	err    error // non-nil if the node panicked
+}
+
 // safeStep invokes one node round plus its next-active query, converting a
 // panic into an error so a faulty node fails the run instead of poisoning
 // the pool.
-func safeStep(id int, node Node, ff FastForwarder, round int, inbox []Message) (out roundOutput) {
+func safeStep(id int, node Node, round int, inbox []Message) (out roundOutput) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = roundOutput{err: fmt.Errorf("simnet: node %d panicked in round %d: %v", id, round, r)}
 		}
 	}()
 	outbox := node.Round(round, inbox)
-	return roundOutput{outbox: outbox, done: node.Done(), next: ff.NextActiveRound(round)}
+	return roundOutput{outbox: outbox, done: node.Done(), next: node.NextActiveRound(round)}
 }
 
 // components labels the connected components of the topology: comp[i] is
@@ -309,7 +298,7 @@ func (s *compSchedule) setSpontaneous(c, round int) {
 }
 
 // setMail records that mail addressed into comp will be delivered at round.
-// The drivers call it only for round+1 of the currently executing round, so
+// Run calls it only for round+1 of the currently executing round, so
 // at most one mail round per comp is ever pending.
 //
 //schedvet:hot
@@ -322,8 +311,8 @@ func (s *compSchedule) setMail(c, round int) {
 
 // pop appends to dst the components scheduled at exactly `round` (each
 // once), consuming their entries, and discards stale entries below. Every
-// valid entry < round was consumed when its round executed — the driver
-// never advances past a valid entry — so anything older is stale.
+// valid entry < round was consumed when its round executed — Run never
+// advances past a valid entry — so anything older is stale.
 //
 //schedvet:hot
 func (s *compSchedule) pop(round int, dst []int) []int {

@@ -8,50 +8,22 @@ import (
 	"time"
 )
 
-// ffWrap upgrades any test Node to a FastForwarder with the conservative
-// schedule "active every round until Done": correct for every node, never
-// sparse. Used to drive the batched scheduler's error paths with the plain
-// test nodes.
-type ffWrap struct {
-	Node
-}
-
-func (w ffWrap) NextActiveRound(now int) int {
-	if w.Done() {
-		return -1
-	}
-	return now + 1
-}
-
-// ffEcho is echoNode plus a fast-forward schedule (active until it has run
-// its round-1 receive).
-type ffEcho struct {
-	echoNode
-}
-
-func (n *ffEcho) NextActiveRound(now int) int {
-	if n.Done() {
-		return -1
-	}
-	return now + 1
-}
-
 func TestBatchedRoundTripDelivery(t *testing.T) {
-	// Triangle topology: the batched scheduler must deliver each inbox in
-	// ascending sender order without any sorting (ascending-sender append
-	// order IS delivery order).
+	// Triangle topology: Run must deliver each inbox in ascending sender
+	// order without any sorting (ascending-sender append order IS delivery
+	// order).
 	topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
 	nodes := make([]Node, 3)
-	echoes := make([]*ffEcho, 3)
+	echoes := make([]*echoNode, 3)
 	for i := range nodes {
-		echoes[i] = &ffEcho{echoNode{id: i, neighbors: topo[i]}}
-		nodes[i] = echoes[i]
+		echoes[i] = &echoNode{id: i, neighbors: topo[i]}
+		nodes[i] = everyRound{echoes[i]}
 	}
 	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.RunBatched(10, BatchConfig{})
+	stats, err := nw.Run(10, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,54 +42,42 @@ func TestBatchedRoundTripDelivery(t *testing.T) {
 	}
 }
 
-// TestBatchedStatsMatchGoroutine is the driver-parity pin at the simnet
-// level: identical node programs under both drivers yield bit-identical
-// Stats — rounds, busy rounds, skipped rounds, messages, sizes.
+// TestBatchedStatsMatchGoroutine pins Run's Stats on a two-component
+// network to the values the goroutine-per-processor driver, since retired,
+// produced for the same node programs: rounds, busy rounds, skipped rounds,
+// messages, sizes and both histograms.
 func TestBatchedStatsMatchGoroutine(t *testing.T) {
-	build := func() ([]Node, [][]int) {
-		// Two components: a 5-node token chain (active every round until the
-		// token passes) and a pair of far-future sleepers exercising the
-		// fast-forward path.
-		n := 7
-		nodes := make([]Node, n)
-		topo := make([][]int, n)
-		for i := 0; i < 5; i++ {
-			nodes[i] = ffWrap{&chainNode{id: i, n: 5}}
-			if i > 0 {
-				topo[i] = append(topo[i], i-1)
-			}
-			if i < 4 {
-				topo[i] = append(topo[i], i+1)
-			}
+	// A 5-node token chain (active every round until the token passes) and
+	// a pair of far-future sleepers exercising the fast-forward path.
+	n := 7
+	nodes := make([]Node, n)
+	topo := make([][]int, n)
+	for i := 0; i < 5; i++ {
+		nodes[i] = everyRound{&chainNode{id: i, n: 5}}
+		if i > 0 {
+			topo[i] = append(topo[i], i-1)
 		}
-		nodes[5] = &sleeperNode{id: 5, wake: 400, peer: 6}
-		nodes[6] = &sleeperNode{id: 6, wake: 900, peer: 5}
-		topo[5] = []int{6}
-		topo[6] = []int{5}
-		return nodes, topo
+		if i < 4 {
+			topo[i] = append(topo[i], i+1)
+		}
 	}
-
-	gNodes, gTopo := build()
-	gnw, err := New(gNodes, gTopo)
+	nodes[5] = &sleeperNode{id: 5, wake: 400, peer: 6}
+	nodes[6] = &sleeperNode{id: 6, wake: 900, peer: 5}
+	topo[5] = []int{6}
+	topo[6] = []int{5}
+	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gStats, err := gnw.Run(2000)
+	stats, err := nw.Run(2000, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	bNodes, bTopo := build()
-	bnw, err := New(bNodes, bTopo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bStats, err := bnw.RunBatched(2000, BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gStats, bStats) {
-		t.Errorf("drivers disagree on Stats:\ngoroutine %+v\nbatched   %+v", gStats, bStats)
+	want := Stats{Rounds: 902, SkippedRounds: 891, BusyRounds: 9, Messages: 6, TotalSize: 6, MaxMessageSize: 1}
+	want.BusyNodeHist[0] = 9
+	want.MsgSizeHist[0] = 6
+	if stats != want {
+		t.Errorf("Stats = %+v, want %+v", stats, want)
 	}
 }
 
@@ -126,20 +86,20 @@ func TestBatchedStatsMatchGoroutine(t *testing.T) {
 // the run alive for hundreds of rounds.
 func TestBatchedComponentIsolation(t *testing.T) {
 	topo := [][]int{{1}, {0}, {3}, {2}}
-	early := []*ffEcho{
-		{echoNode{id: 0, neighbors: []int{1}}},
-		{echoNode{id: 1, neighbors: []int{0}}},
+	early := []*echoNode{
+		{id: 0, neighbors: []int{1}},
+		{id: 1, neighbors: []int{0}},
 	}
 	late := []*sleeperNode{
 		{id: 2, wake: 500, peer: 3},
 		{id: 3, wake: 600, peer: 2},
 	}
-	nodes := []Node{early[0], early[1], late[0], late[1]}
+	nodes := []Node{everyRound{early[0]}, everyRound{early[1]}, late[0], late[1]}
 	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.RunBatched(2000, BatchConfig{})
+	stats, err := nw.Run(2000, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,22 +126,12 @@ func TestBatchedComponentIsolation(t *testing.T) {
 	}
 }
 
-func TestBatchedRequiresFastForwarder(t *testing.T) {
-	nw, err := New([]Node{&idleNode{}}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.RunBatched(5, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "FastForwarder") {
-		t.Fatalf("want FastForwarder requirement error, got %v", err)
-	}
-}
-
 func TestBatchedDeadlockDetected(t *testing.T) {
 	nw, err := New([]Node{&stallerNode{}}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(100, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "deadlock") {
+	if _, err := nw.Run(100, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
 	}
 }
@@ -191,64 +141,52 @@ func TestBatchedRejectsPastRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(100, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "non-future") {
+	if _, err := nw.Run(100, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "non-future") {
 		t.Fatalf("want non-future error, got %v", err)
 	}
 }
 
 func TestBatchedTopologyEnforced(t *testing.T) {
-	nodes := []Node{ffWrap{&violatorNode{}}, ffWrap{&idleNode{}}}
+	nodes := []Node{everyRound{&violatorNode{}}, everyRound{&idleNode{}}}
 	nw, err := New(nodes, [][]int{{}, {}}) // no links
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(5, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "non-neighbor") {
+	if _, err := nw.Run(5, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "non-neighbor") {
 		t.Fatalf("expected topology violation, got %v", err)
 	}
 }
 
 func TestBatchedMaxRoundsExceeded(t *testing.T) {
-	nw, err := New([]Node{ffWrap{&neverDone{}}}, [][]int{{}})
+	nw, err := New([]Node{everyRound{&neverDone{}}}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(7, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "7 rounds") {
+	if _, err := nw.Run(7, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "7 rounds") {
 		t.Fatalf("expected round-limit error, got %v", err)
 	}
 }
 
 func TestBatchedNodePanicSurfacesAsError(t *testing.T) {
-	nw, err := New([]Node{ffWrap{&panicNode{}}}, [][]int{{}})
+	nw, err := New([]Node{everyRound{&panicNode{}}}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(10, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, err := nw.Run(10, BatchConfig{}); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("want panic error, got %v", err)
 	}
 }
 
 func TestBatchedRunTwiceFails(t *testing.T) {
-	mk := func() *Network {
-		nw, err := New([]Node{&sleeperNode{id: 0, wake: 1, peer: -1}}, [][]int{{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	nw := mk()
-	if _, err := nw.RunBatched(10, BatchConfig{}); err != nil {
+	nw, err := New([]Node{&sleeperNode{id: 0, wake: 1, peer: -1}}, [][]int{{}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(10, BatchConfig{}); err == nil {
-		t.Error("second RunBatched should fail")
-	}
-	// Mixing drivers on one network is also a double run.
-	nw = mk()
-	if _, err := nw.Run(10); err != nil {
+	if _, err := nw.Run(10, BatchConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunBatched(10, BatchConfig{}); err == nil {
-		t.Error("RunBatched after Run should fail")
+	if _, err := nw.Run(10, BatchConfig{}); err == nil {
+		t.Error("second Run should fail")
 	}
 }
 
@@ -275,7 +213,7 @@ func TestBatchedWorkerCountsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := nw.RunBatched(100, BatchConfig{Workers: workers})
+		stats, err := nw.Run(100, BatchConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,13 +231,13 @@ func TestBatchedNoGoroutineLeaks(t *testing.T) {
 		topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
 		nodes := make([]Node, 3)
 		for i := range nodes {
-			nodes[i] = &ffEcho{echoNode{id: i, neighbors: topo[i]}}
+			nodes[i] = everyRound{&echoNode{id: i, neighbors: topo[i]}}
 		}
 		nw, err := New(nodes, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.RunBatched(10, BatchConfig{}); err != nil {
+		if _, err := nw.Run(10, BatchConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}

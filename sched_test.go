@@ -223,6 +223,20 @@ func TestSolveValidationErrors(t *testing.T) {
 			t.Fatal("sequential with fractional heights accepted")
 		}
 	})
+	t.Run("NaN epsilon", func(t *testing.T) {
+		inst, tid := paperTree(t)
+		inst.AddDemand(3, 12, 5, treesched.Access(tid))
+		if res, err := treesched.Solve(inst, treesched.Options{Epsilon: math.NaN()}); err == nil {
+			t.Fatalf("ε = NaN accepted (Guarantee %v)", res.Guarantee)
+		}
+	})
+	t.Run("line repeated resource", func(t *testing.T) {
+		line := treesched.NewLineInstance(5, 1)
+		line.AddJob(1, 3, 2, 1, treesched.JobAccess(0, 0))
+		if _, err := treesched.SolveLine(line, treesched.Options{}); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("want repeated-resource error, got %v", err)
+		}
+	})
 	t.Run("line sequential", func(t *testing.T) {
 		line := treesched.NewLineInstance(5, 1)
 		line.AddJob(1, 3, 2, 1)
