@@ -202,10 +202,14 @@
 // watches to confirm a long-lived session's footprint stays proportional
 // to its live set. Update is atomic (a batch with one invalid arrival or
 // removal rejects as a whole, with no partial churn and no burned ids),
-// and Session.SolveWithItems returns the solve result together with a copy
-// of the item set it was computed from, captured under one lock
-// acquisition — the epoch-consistency primitive concurrent readers build
-// on.
+// and Session.SolveWithItems returns the solve result together with copies
+// of the item set it was computed from and of the live demand ids
+// (ascending), captured under one lock acquisition — the
+// epoch-consistency primitive concurrent readers build on. The session
+// keeps its live ids as that ascending list: initial ids are 0..n−1 and
+// every arrival takes an id above all earlier ones, so arrivals append,
+// departures filter against the batch's sorted removal ids, and a reader
+// splits the live set into admitted and rejected demands in one pass.
 //
 // # Warm-started solves: replaying untouched components across churn
 //
@@ -220,7 +224,15 @@
 // (mode, MIS budget, seed, ε, ξ, stage/step schedule, trace recording);
 // the next solve replays cached outcomes for components the churn never
 // reached and re-runs the schedule only where the item set changed, with
-// the shared deterministic merge reassembling the global Result.
+// the shared deterministic merge reassembling the global Result. The
+// greedy second phase is component-local too — an item's feasibility reads
+// only its own demand's and path edges' usage — so each re-run component
+// also pops its own stack through the greedy rule and its selection is
+// cached and replayed with the rest. The merge k-way merges the cached
+// stacks by schedule stamp (each already ascends), takes the selection
+// from the components, and re-sums its profit in the serial pop order
+// (global steps last to first, ids ascending within a step), which is the
+// serial pass's own sequence of additions.
 //
 // Warm results are bitwise identical to cold solves — same selections,
 // profit, λ, dual bound, and trace — because nothing on the replay path
@@ -284,9 +296,9 @@
 // phases — prepare, update, apply, component decomposition, per-shard and
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
-// components, warm replays vs re-solves, granted shard workers, and an
-// intra-lanes count that reads 1 per solve). Two rules keep the seam
-// compatible with the determinism contract:
+// components, warm replays vs re-solves, granted shard workers, greedy
+// feasibility tests, and an intra-lanes count that reads 1 per solve).
+// Two rules keep the seam compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
 //     state; every emission site is a plain nil check. Results are bitwise

@@ -214,47 +214,81 @@ func SelectGreedy(items []Item, mode Mode, steps [][]int) (selected []int, profi
 	return selected, profit
 }
 
-// selectGreedyViews is SelectGreedy over dense views: demand usage and edge
-// capacity live in flat slices indexed by dual slots. Bit-identical to the
+// selectGreedyViews is SelectGreedy over dense views. Bit-identical to the
 // key-addressed form (same pop order, same capacity sums in the same
-// accumulation order, same tie handling).
+// accumulation order, same tie handling, profit summed in pop order).
 //
 //schedvet:hot
 func selectGreedyViews(views []ItemView, mode Mode, steps [][]int, numSlots, numEdges int) (selected []int, profit float64) {
-	usedDemand := make([]bool, numSlots)
-	usage := make([]float64, numEdges)
+	g := newGreedy(views, mode, numSlots, numEdges)
 	for s := len(steps) - 1; s >= 0; s-- {
-	next:
-		for _, id := range steps[s] {
-			v := &views[id]
-			if usedDemand[v.Slot] {
-				continue
-			}
-			need := v.Height
-			if mode == Unit {
-				need = 1
-			}
-			for _, e := range v.Edges {
-				if usage[e]+need > 1+dual.Tolerance {
-					continue next
-				}
-			}
-			usedDemand[v.Slot] = true
-			for _, e := range v.Edges {
-				usage[e] += need
-			}
-			selected = append(selected, id)
-			profit += v.Profit
-		}
+		selected = g.take(steps[s], selected)
+	}
+	for _, id := range selected {
+		profit += views[id].Profit
 	}
 	slices.Sort(selected)
 	return selected, profit
+}
+
+// greedy is the dense second phase's state: demand usage and edge capacity
+// in flat slices indexed by dual slots.
+type greedy struct {
+	views      []ItemView
+	unit       bool
+	usedDemand []bool
+	usage      []float64
+}
+
+func newGreedy(views []ItemView, mode Mode, numSlots, numEdges int) greedy {
+	return greedy{
+		views:      views,
+		unit:       mode == Unit,
+		usedDemand: make([]bool, numSlots),
+		usage:      make([]float64, numEdges),
+	}
+}
+
+// take pops one step: it tests ids in order and appends to sel each one the
+// greedy rule selects, charging its demand and path edges.
+//
+//schedvet:hot
+func (g *greedy) take(ids, sel []int) []int {
+next:
+	for _, id := range ids {
+		v := &g.views[id]
+		if g.usedDemand[v.Slot] {
+			continue
+		}
+		need := v.Height
+		if g.unit {
+			need = 1
+		}
+		for _, e := range v.Edges {
+			if g.usage[e]+need > 1+dual.Tolerance {
+				continue next
+			}
+		}
+		g.usedDemand[v.Slot] = true
+		for _, e := range v.Edges {
+			g.usage[e] += need
+		}
+		sel = append(sel, id)
+	}
+	return sel
 }
 
 // TotalSteps returns T, the number of steps in the fixed synchronous
 // schedule: one step per (epoch, stage, step-slot) triple.
 func (p *Plan) TotalSteps() int {
 	return p.MaxGroup * p.Stages * p.StepCap
+}
+
+// stepIndex is StepAt's inverse: the flat step index of the schedule
+// position (epoch, stage, iter), so indices order positions as the
+// schedule runs them.
+func (p *Plan) stepIndex(epoch, stage, iter int) int {
+	return ((epoch-1)*p.Stages+stage-1)*p.StepCap + iter
 }
 
 // StepAt maps a flat step index t ∈ [0, TotalSteps) to its schedule

@@ -294,6 +294,7 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
 		rec.Count(CounterIntraLanes, 1)
+		rec.Count(CounterGreedyTests, int64(res.Raised))
 	}
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 	return res, nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -27,9 +28,12 @@ import (
 //   - a serial Luby election runs until every active component is decided,
 //     with decided vertices drawing nothing, so the serial iteration count
 //     at a position is the max over the shards active there;
-//   - the merged stack feeds the same greedy second phase, and the merged
-//     dual assignment (disjoint α and β, copied into the global dense
-//     layout by external key) yields the same λ and bound.
+//   - the greedy second phase decides an item by its own demand's and path
+//     edges' usage, all inside its component, so each shard's greedy pass
+//     over its own stack selects the serial selection restricted to the
+//     shard, and the merge re-sums the profit in the serial pop order;
+//   - the merged dual assignment (disjoint α and β, copied into the global
+//     dense layout by external key) yields the same λ and bound.
 //
 // The result is bit-identical to Run for every worker count. Because each
 // shard's execution is self-contained, it is also replayable: with the
@@ -42,12 +46,12 @@ import (
 // than the first phase the shards run in parallel (doc.go, "Component
 // shards"). Without the cache, RunParallel runs the serial engine.
 
-// shardOut is one conflict component's completed first-phase execution:
-// exactly what mergeShards consumes and nothing transient — the raise stack
-// with schedule stamps, the shard-local dense dual assignment, the trace
-// (when recorded), and the per-shard counters. The warm-start cache retains
-// these across solves and replays them verbatim for untouched components,
-// so a shardOut must never alias pooled scratch.
+// shardOut is one conflict component's completed execution: exactly what
+// mergeShards consumes and nothing transient — the raise stack with
+// schedule stamps, the greedy selection, the shard-local dense dual
+// assignment, the trace (when recorded), and the per-shard counters. The
+// warm-start cache retains these across solves and replays them verbatim
+// for untouched components, so a shardOut must never alias pooled scratch.
 type shardOut struct {
 	pre           *preShard
 	stack         []step
@@ -57,13 +61,16 @@ type shardOut struct {
 	raised        int
 	maxStageSteps int
 
+	// sel[pos] lists, as ascending global item ids, the items of stack
+	// position pos that the shard's greedy pass selected.
+	sel [][]int
+
 	// Merge translations, computed once when the shard runs and reused by
-	// every replay: global item ids per stack position, and the global
-	// demand slot / edge index for each shard-local one. Valid for the
-	// Prepared's lifetime because interning is append-only — Apply never
-	// renumbers existing slots — and a component's global ids are stable
-	// for as long as its preShard (and hence this shardOut) is reused.
-	gids  [][]int
+	// every replay: the global demand slot / edge index for each
+	// shard-local one. Valid for the Prepared's lifetime because interning
+	// is append-only — Apply never renumbers existing slots — and a
+	// component's global ids (sel's too) are stable for as long as its
+	// preShard (and hence this shardOut) is reused.
 	gslot []int32
 	gedge []int32
 }
@@ -121,9 +128,10 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 	return p.mergeShards(cfg, plan, outs)
 }
 
-// runShard executes one component's first phase over (pooled) scratch and
-// captures its outcome, including the merge translations into the global
-// layout (glay is only read, so shards may build them concurrently).
+// runShard executes one component's first phase over (pooled) scratch,
+// pops its stack through the greedy rule, and captures the outcome,
+// including the merge translations into the global layout (glay is only
+// read, so shards may build them concurrently).
 func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout) (*shardOut, error) {
 	st := newState(pre.items, pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
@@ -139,15 +147,21 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 		raised:        res.Raised,
 		maxStageSteps: res.MaxStageSteps,
 	}
-	out.gids = make([][]int, len(out.stack))
-	for pos := range out.stack {
-		ids := make([]int, len(out.stack[pos].items))
-		for i, id := range out.stack[pos].items {
-			ids[i] = pre.comp[id]
-		}
-		out.gids[pos] = ids
-	}
 	six := pre.lay.ix
+	// The serial pop order restricted to this shard: steps last to first,
+	// local ids ascending within a step, which comp maps to ascending
+	// global ids.
+	g := newGreedy(pre.lay.views, cfg.Mode, six.NumDemands(), six.NumEdges())
+	picked := make([]int, 0, out.raised) // never reallocates: sel aliases it
+	out.sel = make([][]int, len(out.stack))
+	for pos := len(out.stack) - 1; pos >= 0; pos-- {
+		start := len(picked)
+		picked = g.take(out.stack[pos].items, picked)
+		for i := start; i < len(picked); i++ {
+			picked[i] = pre.comp[picked[i]]
+		}
+		out.sel[pos] = picked[start:len(picked):len(picked)]
+	}
 	out.gslot = make([]int32, six.NumDemands())
 	for s := range out.gslot {
 		t, ok := glay.ix.DemandSlot(six.DemandID(int32(s)))
@@ -210,6 +224,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay)
 				if rec != nil && errs[i] == nil {
 					rec.EndSpan(PhaseShardSolve, stok)
+					rec.Count(CounterGreedyTests, int64(outs[s].raised))
 				}
 			}
 			scratchPool.Put(scr)
@@ -230,6 +245,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay)
 						if rec != nil && errs[i] == nil {
 							rec.EndSpan(PhaseShardSolve, stok)
+							rec.Count(CounterGreedyTests, int64(outs[todo[i]].raised))
 						}
 					}
 				}()
@@ -250,31 +266,54 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 	return outs, nil
 }
 
-// stamped is one shard step tagged with its schedule position.
-type stamped struct {
-	epoch, stage, iter int
-	shard              int
-	pos                int // position in the shard's stack (= step - 1)
-	items              []int
+// stamped is one shard step: position pos of shard shard's stack, whose
+// schedule stamp (epoch, stage, iter) has flat step index step.
+type stamped struct{ step, shard, pos int }
+
+// before reports whether a's step runs before b's in the serial schedule,
+// ties to the lower shard index.
+func (a stamped) before(b stamped) bool {
+	return a.step < b.step || a.step == b.step && a.shard < b.shard
 }
 
-// mergeScratch pools mergeShards' transient state: the stamped step
-// collection, the per-group structures, and one shared backing array for
-// the merged step id lists. Nothing in it survives the merge — steps are
-// consumed by the greedy second phase and the per-group records by the
-// trace merge, both inside mergeShards — so steady-state re-merges (the
-// warm replay path runs one every solve) allocate next to nothing.
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []stamped, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// mergeScratch pools mergeShards' transient state: the merge heap, the
+// shard steps in schedule order, their grouping into global steps, one
+// step's selection buffer and the selection bitset (all zero between
+// merges). Nothing in it survives the merge — the groups are consumed by
+// the profit re-sum and the trace merge, both inside mergeShards — so
+// steady-state re-merges (the warm replay path runs one every solve)
+// allocate next to nothing.
 type mergeScratch struct {
-	all      []stamped
-	steps    [][]int
-	perStep  [][]stamped
-	misIters []int
-	ids      []int
+	heap    []stamped
+	all     []stamped
+	perStep [][]stamped
+	sel     []int
+	marks   []uint64
 }
 
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// mergeShards reassembles the serial execution from per-shard first phases.
+// mergeShards reassembles the serial execution from per-shard outcomes:
+// it k-way merges the stacks into global steps, re-sums the shards'
+// selections in the serial pop order, and merges the duals.
 //
 //schedvet:hot
 func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
@@ -285,7 +324,7 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	}
 
 	// PhaseMerge is emitted as two segments disjoint from PhaseGreedy —
-	// stamp sort + grouping before it, dual merge + λ fold after — so the
+	// stamp merge + grouping before it, dual merge + λ fold after — so the
 	// per-phase durations of one solve never overlap.
 	rec := p.rec
 	var mtok int64
@@ -296,81 +335,105 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	scr := mergePool.Get().(*mergeScratch)
 	//schedvet:ok hotpath one pool-restore defer per merge, not per item; keeps the scratch returned on every error path
 	defer func() {
+		scr.heap = scr.heap[:0]
 		scr.all = scr.all[:0]
-		scr.steps = scr.steps[:0]
 		scr.perStep = scr.perStep[:0]
-		scr.misIters = scr.misIters[:0]
-		scr.ids = scr.ids[:0]
+		scr.sel = scr.sel[:0]
 		mergePool.Put(scr)
 	}()
 
-	// Collect every shard step with its schedule stamp and global item ids.
+	// Each shard's stack ascends by stamp, so a k-way merge of the stacks
+	// lists every shard step in serial schedule order.
+	stamp := func(s, pos int) stamped {
+		st := &outs[s].stack[pos]
+		return stamped{plan.stepIndex(st.epoch, st.stage, st.iter), s, pos}
+	}
+	heap := scr.heap[:0]
 	all := scr.all[:0]
 	for s, out := range outs {
 		res.Raised += out.raised
 		if out.maxStageSteps > res.MaxStageSteps {
 			res.MaxStageSteps = out.maxStageSteps
 		}
-		for pos := range out.stack {
-			st := &out.stack[pos]
-			all = append(all, stamped{st.epoch, st.stage, st.iter, s, pos, out.gids[pos]})
+		if len(out.stack) > 0 {
+			heap = append(heap, stamp(s, 0))
 		}
 	}
-	scr.all = all
-	slices.SortFunc(all, func(a, b stamped) int {
-		if a.epoch != b.epoch {
-			return a.epoch - b.epoch
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 0 {
+		top := heap[0]
+		all = append(all, top)
+		if top.pos+1 < len(outs[top.shard].stack) {
+			heap[0] = stamp(top.shard, top.pos+1)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
-		if a.stage != b.stage {
-			return a.stage - b.stage
-		}
-		if a.iter != b.iter {
-			return a.iter - b.iter
-		}
-		return a.shard - b.shard
-	})
+		siftDown(heap, 0)
+	}
+	scr.heap, scr.all = heap, all
 
 	// Group equal stamps into global steps: the serial step at a stamp
-	// raises the union of the shard steps there (ids ascending) and spends
-	// max-over-shards Luby iterations electing it. The merged id lists all
-	// live in one pooled backing array (a group's view stays valid when a
-	// later append reallocates it — reuse only converges faster).
-	steps := scr.steps[:0]
-	perStep := scr.perStep[:0] // contributing shard records, for the trace
-	misIters := scr.misIters[:0]
-	idbuf := scr.ids[:0]
+	// raises the union of the shard steps there and spends max-over-shards
+	// Luby iterations electing it.
+	perStep := scr.perStep[:0]
 	for i := 0; i < len(all); {
-		j := i
-		start := len(idbuf)
 		iters := 0
-		for ; j < len(all) && all[j].epoch == all[i].epoch && all[j].stage == all[i].stage && all[j].iter == all[i].iter; j++ {
-			idbuf = append(idbuf, all[j].items...)
-			if it := outs[all[j].shard].stack[all[j].pos].misIters; it > iters {
-				iters = it
-			}
+		j := i
+		for ; j < len(all) && all[j].step == all[i].step; j++ {
+			iters = max(iters, outs[all[j].shard].stack[all[j].pos].misIters)
 		}
-		ids := idbuf[start:]
-		slices.Sort(ids)
-		steps = append(steps, ids)
 		perStep = append(perStep, all[i:j])
-		misIters = append(misIters, iters)
+		res.MISIters += iters
 		i = j
 	}
-	scr.steps, scr.perStep, scr.misIters, scr.ids = steps, perStep, misIters, idbuf
-	res.Steps = len(steps)
-	for _, it := range misIters {
-		res.MISIters += it
-	}
+	scr.perStep = perStep
+	res.Steps = len(perStep)
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 
-	// Second phase over the merged stack, exactly as the serial run.
+	// The shards ran the greedy pass. Sum the selection's profit in the
+	// serial pop order — global steps last to first, ids ascending within
+	// a step — the serial pass's own sequence of additions, and collect
+	// the selection ascending through a bitset over item ids.
 	var gtok int64
 	if rec != nil {
 		rec.EndSpan(PhaseMerge, mtok)
 		gtok = rec.StartSpan(PhaseGreedy)
 	}
-	res.Selected, res.Profit = selectGreedyViews(p.lay.views, cfg.Mode, steps,
-		p.lay.ix.NumDemands(), p.lay.ix.NumEdges())
+	words := (len(p.items) + 63) / 64
+	if cap(scr.marks) < words {
+		scr.marks = make([]uint64, words)
+	}
+	marks := scr.marks[:words]
+	selected := 0
+	for g := len(perStep) - 1; g >= 0; g-- {
+		group := perStep[g]
+		ids := outs[group[0].shard].sel[group[0].pos]
+		if len(group) > 1 {
+			buf := scr.sel[:0]
+			for _, r := range group {
+				buf = append(buf, outs[r.shard].sel[r.pos]...)
+			}
+			slices.Sort(buf)
+			scr.sel, ids = buf, buf
+		}
+		for _, id := range ids {
+			res.Profit += p.lay.views[id].Profit
+			marks[id>>6] |= 1 << (id & 63)
+		}
+		selected += len(ids)
+	}
+	if selected > 0 {
+		res.Selected = make([]int, 0, selected)
+	}
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			res.Selected = append(res.Selected, w<<6|bits.TrailingZeros64(word))
+		}
+		marks[w] = 0
+	}
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, gtok)
 		mtok = rec.StartSpan(PhaseMerge)

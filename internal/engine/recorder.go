@@ -51,12 +51,16 @@ const (
 	// warm-start solve of one component. The sharded path plans outside
 	// any phase, and its scoring (the λ fold) sits in PhaseMerge.
 	PhaseSerialSolve
-	// PhaseMerge brackets mergeShards' deterministic reassembly: stamp
-	// sort + grouping before the greedy phase, dual merge + λ fold after
-	// it (two segments per merge, disjoint from PhaseGreedy).
+	// PhaseMerge brackets mergeShards' deterministic reassembly: the
+	// k-way stamp merge of the shard stacks + grouping before
+	// PhaseGreedy, dual merge + λ fold after it (two segments per merge,
+	// disjoint from PhaseGreedy).
 	PhaseMerge
-	// PhaseGreedy brackets the second phase: greedy selection over the
-	// merged (or serial) raise stack.
+	// PhaseGreedy brackets the second phase. On the serial path it is the
+	// greedy selection over the raise stack. On the sharded path the
+	// greedy pass runs per re-run shard inside PhaseShardSolve (replayed
+	// shards replay their selection), and PhaseGreedy brackets the merge's
+	// profit re-sum and selection collection.
 	PhaseGreedy
 	// PhaseDistSetup brackets the distributed runtime's preparation:
 	// shared context build and node construction.
@@ -108,6 +112,11 @@ const (
 	// one goroutine. It stays for the readers of its name (perfbench's
 	// engine.intra_lanes).
 	CounterIntraLanes
+	// CounterGreedyTests counts the items a greedy pass visits (one
+	// feasibility test each, the pass's raised items), emitted once per
+	// pass: by the serial pass, and by each re-run shard. A replayed shard
+	// tests nothing.
+	CounterGreedyTests
 
 	numCounters
 )
@@ -117,7 +126,7 @@ const NumCounters = int(numCounters)
 
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
-	"shard_workers", "intra_lanes",
+	"shard_workers", "intra_lanes", "greedy_tests",
 }
 
 func (c Counter) String() string {

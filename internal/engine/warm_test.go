@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"treesched/internal/graph"
@@ -112,22 +113,59 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 	}
 }
 
+// greedyTally is a Recorder that keeps only the greedy-work counter.
+type greedyTally struct {
+	mu    sync.Mutex
+	tests int64
+}
+
+func (*greedyTally) StartSpan(Phase) int64 { return 0 }
+func (*greedyTally) EndSpan(Phase, int64)  {}
+func (r *greedyTally) Count(c Counter, n int64) {
+	if c == CounterGreedyTests {
+		r.mu.Lock()
+		r.tests += n
+		r.mu.Unlock()
+	}
+}
+
+// take returns the greedy tests counted since the last take.
+func (r *greedyTally) take() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.tests
+	r.tests = 0
+	return n
+}
+
 // TestWarmReplayCounters pins the exact accounting: first solve cold,
 // steady-state repeat fully replayed, configuration change fully re-solved,
 // and component-local churn replaying everything but the touched component.
+// The greedy-work counter follows: a sharded solve tests the raised items
+// of the shards it re-runs and nothing for replayed ones.
 func TestWarmReplayCounters(t *testing.T) {
 	pool := warmPoolItems(t, 5, 48, workload.UnitHeights)
 	p := Prepare(reindex(pool[:40]))
 	p.EnableWarmStart()
+	tally := &greedyTally{}
+	p.SetRecorder(tally)
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 7}
-	solve := func() {
+	solve := func() *Result {
 		t.Helper()
-		if _, err := p.RunParallel(cfg, 4); err != nil {
+		res, err := p.RunParallel(cfg, 4)
+		if err != nil {
 			t.Fatal(err)
+		}
+		return res
+	}
+	greedyTests := func(step string, want int) {
+		t.Helper()
+		if got := tally.take(); got != int64(want) {
+			t.Fatalf("%s: %d greedy tests, want %d", step, got, want)
 		}
 	}
 
-	solve()
+	res := solve()
 	total := len(p.comps)
 	if total < 2 {
 		t.Fatalf("fleet instance decomposed into %d components; test needs several", total)
@@ -136,6 +174,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	if ws := p.WarmStats(); ws != want {
 		t.Fatalf("after first solve: %+v, want %+v", ws, want)
 	}
+	greedyTests("first solve", res.Raised)
 
 	// Steady state: no churn, every component replays.
 	solve()
@@ -143,25 +182,28 @@ func TestWarmReplayCounters(t *testing.T) {
 	if ws := p.WarmStats(); ws != want {
 		t.Fatalf("after repeat solve: %+v, want %+v", ws, want)
 	}
+	greedyTests("repeat solve", 0)
 
 	// Configuration change: the cache is keyed by the run fingerprint, so a
 	// new seed re-solves everything.
 	cfg.Seed = 8
-	solve()
+	res = solve()
 	want.ColdSolves++
 	want.ComponentsResolved += total
 	if ws := p.WarmStats(); ws != want {
 		t.Fatalf("after seed change: %+v, want %+v", ws, want)
 	}
+	greedyTests("seed change", res.Raised)
 
 	// Component-local churn: remove one item and re-submit it verbatim.
 	// Equal-size churn keeps every other component's ids stable, so exactly
 	// the victim's component re-runs.
+	before := p.warm.runs
 	victim := p.items[0]
 	if err := p.Apply(Delta{Remove: []int{0}, Add: []Item{victim}}); err != nil {
 		t.Fatal(err)
 	}
-	solve()
+	res = solve()
 	if len(p.comps) != total {
 		t.Fatalf("re-submitting an item changed the decomposition: %d components, want %d", len(p.comps), total)
 	}
@@ -171,6 +213,16 @@ func TestWarmReplayCounters(t *testing.T) {
 	if ws := p.WarmStats(); ws != want {
 		t.Fatalf("after local churn: %+v, want %+v", ws, want)
 	}
+	rerun := 0
+	for _, pre := range p.shards {
+		if before[pre] == nil {
+			rerun += p.warm.runs[pre].raised
+		}
+	}
+	if rerun == 0 || rerun == res.Raised {
+		t.Fatalf("re-run shard raised %d of %d items; the churn must re-run one component", rerun, res.Raised)
+	}
+	greedyTests("local churn", rerun)
 }
 
 // TestWarmSingleComponentSerial checks the serial bypass: on an instance

@@ -101,6 +101,9 @@ type SolveReport struct {
 	// one goroutine); divide either by Solves for the mean.
 	ShardWorkers int64 `json:"shard_workers"`
 	IntraLanes   int64 `json:"intra_lanes"`
+	// GreedyTests counts the items greedy passes visited: every raised
+	// item of a serial solve, and of each shard a sharded solve re-ran.
+	GreedyTests int64 `json:"greedy_tests"`
 }
 
 // PhaseTotal returns the accumulated duration of one phase.
@@ -150,6 +153,7 @@ func (r *Recorder) Report() SolveReport {
 	rep.ComponentsResolved = r.counters[engine.CounterComponentsResolved].Load()
 	rep.ShardWorkers = r.counters[engine.CounterShardWorkers].Load()
 	rep.IntraLanes = r.counters[engine.CounterIntraLanes].Load()
+	rep.GreedyTests = r.counters[engine.CounterGreedyTests].Load()
 	return rep
 }
 

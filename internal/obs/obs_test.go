@@ -96,6 +96,7 @@ func TestRecorderReportAndTake(t *testing.T) {
 	r.Count(engine.CounterComponents, 6)
 	r.Count(engine.CounterComponentsReplayed, 4)
 	r.Count(engine.CounterComponentsResolved, 2)
+	r.Count(engine.CounterGreedyTests, 17)
 
 	rep := r.Report()
 	if rep.Solves != 1 {
@@ -113,7 +114,7 @@ func TestRecorderReportAndTake(t *testing.T) {
 	if len(rep.Phases) != 2 {
 		t.Errorf("phases %+v, want solve and merge only", rep.Phases)
 	}
-	if rep.Items != 40 || rep.Components != 6 {
+	if rep.Items != 40 || rep.Components != 6 || rep.GreedyTests != 17 {
 		t.Errorf("counters: %+v", rep)
 	}
 	if got := rep.WarmHitRatio(); got != 4.0/6.0 {

@@ -27,10 +27,13 @@
 // writer, and a reader's view is always a complete, epoch-consistent round
 // — the Result, the set of accepted (scheduled) and rejected (live but
 // unscheduled) demand ids, and the engine item set the Result was computed
-// from, captured atomically by Session.SolveWithItems. The item set makes
-// the published contract checkable: every snapshot's Result is bitwise
-// reproducible by a from-scratch solve over Items() (asserted by this
-// package's tests).
+// from, captured atomically by Session.SolveWithItems together with the
+// ascending live demand ids. Publication splits those ids into accepted
+// and rejected in one pass, finding each assignment's demand by binary
+// search. The item set makes the published contract checkable: every
+// snapshot's Result is bitwise reproducible by a from-scratch solve over
+// Items(), and its accepted and rejected ids match a direct derivation from
+// Items() and the assignments (both asserted by this package's tests).
 //
 // # The registry
 //
@@ -45,7 +48,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,11 +235,11 @@ func newPooledActor(name string, sess *treesched.Session, sched func(*Actor)) (*
 }
 
 func (a *Actor) publishInitial() error {
-	res, items, err := a.sess.SolveWithItems()
+	res, items, live, err := a.sess.SolveWithItems()
 	if err != nil {
 		return fmt.Errorf("serve: initial solve of %q: %w", a.name, err)
 	}
-	a.snap.Store(buildSnapshot(0, res, items, 0, 0))
+	a.snap.Store(buildSnapshot(0, res, items, live, 0, 0))
 	return nil
 }
 
@@ -379,7 +382,7 @@ func (a *Actor) round(batch []*submission) {
 	}
 
 	solveStart := time.Now()
-	res, items, err := a.sess.SolveWithItems()
+	res, items, live, err := a.sess.SolveWithItems()
 	a.hists.solve.Observe(time.Since(solveStart).Seconds())
 	if err != nil {
 		// The demand set is updated but unsolved; keep the previous
@@ -411,7 +414,7 @@ func (a *Actor) round(batch []*submission) {
 	a.hists.latency.Observe(lat.Seconds())
 	a.hists.batch.Observe(float64(len(batch)))
 
-	snap := buildSnapshot(epoch, res, items, len(batch), lat)
+	snap := buildSnapshot(epoch, res, items, live, len(batch), lat)
 	a.snap.Store(snap)
 	if a.onPublish != nil {
 		a.onPublish(snap)
@@ -423,37 +426,39 @@ func (a *Actor) round(batch []*submission) {
 }
 
 // buildSnapshot derives the published admission view from one solve: which
-// live demands the round accepted (scheduled) and which it rejected.
-func buildSnapshot(epoch uint64, res *treesched.Result, items []engine.Item, batch int, lat time.Duration) *Snapshot {
-	accepted := make([]int, 0, len(res.Assignments))
-	in := make(map[int]bool, len(res.Assignments))
+// live demands the round accepted (scheduled) and which it rejected. live
+// is the session's ascending live id list, so one pass splits it.
+func buildSnapshot(epoch uint64, res *treesched.Result, items []engine.Item, live []int, batch int, lat time.Duration) *Snapshot {
+	in := make([]bool, len(live))
+	n := 0
 	for _, asg := range res.Assignments {
-		if !in[asg.Demand] {
-			in[asg.Demand] = true
-			accepted = append(accepted, asg.Demand)
+		i, ok := slices.BinarySearch(live, asg.Demand)
+		if !ok {
+			panic(fmt.Sprintf("serve: assigned demand %d is not live", asg.Demand))
+		}
+		if !in[i] {
+			in[i] = true
+			n++
 		}
 	}
-	sort.Ints(accepted)
-	// Live demand ids are the distinct Demand fields of the item set (one
-	// item per accessible network).
-	seen := make(map[int]bool, len(items))
+	accepted := make([]int, 0, n)
 	var rejected []int
-	for i := range items {
-		d := items[i].Demand
-		if !seen[d] {
-			seen[d] = true
-			if !in[d] {
-				rejected = append(rejected, d)
-			}
+	if n < len(live) {
+		rejected = make([]int, 0, len(live)-n)
+	}
+	for i, d := range live {
+		if in[i] {
+			accepted = append(accepted, d)
+		} else {
+			rejected = append(rejected, d)
 		}
 	}
-	sort.Ints(rejected)
 	return &Snapshot{
 		Epoch:    epoch,
 		Result:   res,
 		Accepted: accepted,
 		Rejected: rejected,
-		Live:     len(seen),
+		Live:     len(live),
 		Batch:    batch,
 		Latency:  lat,
 		At:       time.Now(),

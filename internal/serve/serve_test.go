@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -202,7 +204,38 @@ func TestSnapshotsScratchReproducible(t *testing.T) {
 				t.Fatalf("epoch %d: assignment %d diverged", snap.Epoch, i)
 			}
 		}
+		accepted, rejected, live := admissionOracle(snap.Result, snap.Items())
+		if !slices.Equal(snap.Accepted, accepted) || !slices.Equal(snap.Rejected, rejected) || snap.Live != live {
+			t.Fatalf("epoch %d: published accepted %v rejected %v live %d, oracle %v %v %d",
+				snap.Epoch, snap.Accepted, snap.Rejected, snap.Live, accepted, rejected, live)
+		}
 	}
+}
+
+// admissionOracle derives a snapshot's admission view the direct way: the
+// distinct assigned demands, and the distinct demands of the item set that
+// no assignment names, each sorted, plus the live count.
+func admissionOracle(res *treesched.Result, items []engine.Item) (accepted, rejected []int, live int) {
+	in := make(map[int]bool, len(res.Assignments))
+	for _, asg := range res.Assignments {
+		if !in[asg.Demand] {
+			in[asg.Demand] = true
+			accepted = append(accepted, asg.Demand)
+		}
+	}
+	sort.Ints(accepted)
+	seen := make(map[int]bool, len(items))
+	for i := range items {
+		d := items[i].Demand
+		if !seen[d] {
+			seen[d] = true
+			if !in[d] {
+				rejected = append(rejected, d)
+			}
+		}
+	}
+	sort.Ints(rejected)
+	return accepted, rejected, len(seen)
 }
 
 // TestRoundSurvivesInvalidSubmission holds the scheduler, queues one valid

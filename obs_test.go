@@ -106,6 +106,9 @@ func TestSolveReportWarmReplay(t *testing.T) {
 	if ratio := rep.WarmHitRatio(); ratio <= 0 || ratio >= 1 {
 		t.Errorf("warm hit ratio %v, want in (0, 1): %+v", ratio, rep)
 	}
+	if rep.GreedyTests <= 0 {
+		t.Errorf("the re-solved component's greedy pass tested no items: %+v", rep)
+	}
 	if rep.PhaseTotal(engine.PhaseUpdate) <= 0 {
 		t.Errorf("no update span: %+v", rep.Phases)
 	}

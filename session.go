@@ -35,8 +35,11 @@ type Session struct {
 	layered []*decomp.Layered // per network; len is the network count
 	nv      int               // vertex count
 	p       *engine.Prepared
-	live    map[int]bool // demand id -> currently present
-	next    int          // next demand id to assign
+	// live lists the live demand ids, ascending: the initial ids are
+	// 0..n−1 and every arrival takes an id above all earlier ones, so
+	// arrivals append and departures filter in place.
+	live []int
+	next int // next demand id to assign
 	// arrived counts the items interned since the last full preparation.
 	// Departed demands leave stale interned slots behind (see delta.go), so
 	// a session churning forever would accrete layout state proportional to
@@ -177,8 +180,11 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 		layered: layered,
 		nv:      m.NumVertices,
 		p:       p,
-		live:    make(map[int]bool, len(m.Demands)),
+		live:    make([]int, len(m.Demands)),
 		next:    len(m.Demands),
+	}
+	for i := range sess.live {
+		sess.live[i] = i // Instance ids are the demands' positions
 	}
 	if !s.opts.DisableWarmStart {
 		// Sessions re-solve a churning instance, the workload the warm-start
@@ -188,9 +194,6 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 		// Solve results are bitwise unaffected (warm.go documents the
 		// invariant).
 		sess.p.EnableWarmStart()
-	}
-	for _, d := range m.Demands {
-		sess.live[d.ID] = true
 	}
 	return sess, nil
 }
@@ -214,15 +217,13 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		utok = rec.StartSpan(engine.PhaseUpdate)
 	}
 
-	removing := make(map[int]bool, len(c.Remove))
-	for _, id := range c.Remove {
-		if !sess.live[id] {
-			return nil, fmt.Errorf("treesched: session has no live demand %d", id)
+	// Departures are checked as one sorted batch; on a fault removalError
+	// names the first offending id in batch order.
+	removing := slices.Sorted(slices.Values(c.Remove))
+	for i, id := range removing {
+		if _, ok := slices.BinarySearch(sess.live, id); !ok || i > 0 && removing[i-1] == id {
+			return nil, removalError(c.Remove, sess.live)
 		}
-		if removing[id] {
-			return nil, fmt.Errorf("treesched: demand %d removed twice", id)
-		}
-		removing[id] = true
 	}
 
 	opts := sess.solver.opts
@@ -261,7 +262,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	if len(removing) > 0 {
 		items := sess.p.Items()
 		for i := range items {
-			if removing[items[i].Demand] {
+			if _, ok := slices.BinarySearch(removing, items[i].Demand); ok {
 				remove = append(remove, i)
 			}
 		}
@@ -270,12 +271,19 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	if err := sess.p.Apply(engine.Delta{Remove: remove, Add: add}); err != nil {
 		return nil, err
 	}
-	for id := range removing {
-		delete(sess.live, id)
+	if len(removing) > 0 {
+		// Both lists ascend, so one merge pass drops the departures.
+		kept, k := sess.live[:0], 0
+		for _, id := range sess.live {
+			if k < len(removing) && removing[k] == id {
+				k++
+				continue
+			}
+			kept = append(kept, id)
+		}
+		sess.live = kept
 	}
-	for _, id := range ids {
-		sess.live[id] = true
-	}
+	sess.live = append(sess.live, ids...)
 	sess.next += len(ids)
 	sess.arrived += len(add)
 	sess.updates++
@@ -317,29 +325,31 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 // Solve runs the unit-height pipeline over the session's current demand
 // set. Assignments report the session's demand ids.
 func (sess *Session) Solve() (*Result, error) {
-	res, _, err := sess.solveLocked(false)
+	res, _, _, err := sess.solveLocked(false)
 	return res, err
 }
 
-// SolveWithItems is Solve plus a copy of the engine item set the result was
-// computed from, captured under the same lock acquisition — so the pair is
-// epoch-consistent even when other goroutines interleave Updates. This is
-// the primitive the internal/serve snapshot publisher builds on: a published
-// Result can always be re-derived, bitwise, from the items it claims. The
-// item type lives in an internal package; external modules should treat the
-// slice as opaque.
-func (sess *Session) SolveWithItems() (*Result, []engine.Item, error) {
+// SolveWithItems is Solve plus two copies captured under the same lock
+// acquisition: the engine item set the result was computed from, and the
+// live demand ids, ascending — so the triple is epoch-consistent even when
+// other goroutines interleave Updates. This is the primitive the
+// internal/serve snapshot publisher builds on: a published Result can
+// always be re-derived, bitwise, from the items it claims, and its
+// admission split needs no pass over the items. The live ids are the
+// distinct Demand fields of the items. The item type lives in an internal
+// package; external modules should treat the slice as opaque.
+func (sess *Session) SolveWithItems() (*Result, []engine.Item, []int, error) {
 	return sess.solveLocked(true)
 }
 
-func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, error) {
+func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, []int, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	opts := sess.solver.opts
 	res := &Result{}
 	selected, err := runPrepared(sess.p, opts.engineConfig(), opts, res)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	items := sess.p.Items()
 	res.Assignments = make([]Assignment, 0, len(selected))
@@ -348,10 +358,27 @@ func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, error)
 	}
 	sess.solves++
 	if !withItems {
-		return res, nil, nil
+		return res, nil, nil, nil
 	}
 	// Shallow clone: engine code never mutates an item's inner slices after
 	// construction, and later Applies rewrite whole elements of the
-	// session's own slice, never the clone's.
-	return res, slices.Clone(items), nil
+	// session's own slice, never the clone's. Update filters sess.live in
+	// place, so it is copied too.
+	return res, slices.Clone(items), slices.Clone(sess.live), nil
+}
+
+// removalError names the first id of remove, in batch order, that is not
+// live or repeats an earlier one. live is ascending.
+func removalError(remove, live []int) error {
+	seen := make(map[int]bool, len(remove))
+	for _, id := range remove {
+		if _, ok := slices.BinarySearch(live, id); !ok {
+			return fmt.Errorf("treesched: session has no live demand %d", id)
+		}
+		if seen[id] {
+			return fmt.Errorf("treesched: demand %d removed twice", id)
+		}
+		seen[id] = true
+	}
+	panic("treesched: removalError called on a valid batch")
 }

@@ -1,6 +1,7 @@
 package treesched_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -370,6 +371,110 @@ func TestSessionUpdateAtomic(t *testing.T) {
 	}
 }
 
+// distinctDemands returns the distinct Demand fields of items, ascending.
+func distinctDemands(items []engine.Item) []int {
+	ids := make([]int, len(items))
+	for i := range items {
+		ids[i] = items[i].Demand
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// TestSessionLiveIDs drives removals of initial and arrived ids, batches
+// rejected as a whole, and churn past a compaction re-prepare. After every
+// step the live ids SolveWithItems returns must ascend strictly, equal the
+// distinct demands of its items and the test's own model of the live set,
+// and agree with Demands and Stats().Live.
+func TestSessionLiveIDs(t *testing.T) {
+	cfg := workload.TreeConfig{Vertices: 16, Trees: 2, Demands: 12, ProfitRatio: 4}
+	sess, err := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Seed: 6}).Session(buildInstance(t, cfg, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := make([]int, cfg.Demands)
+	for i := range expect {
+		expect[i] = i
+	}
+	check := func(step string) {
+		t.Helper()
+		_, items, live, err := sess.SolveWithItems()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for i := 1; i < len(live); i++ {
+			if live[i-1] >= live[i] {
+				t.Fatalf("%s: live ids not strictly ascending: %v", step, live)
+			}
+		}
+		if want := distinctDemands(items); !slices.Equal(live, want) {
+			t.Fatalf("%s: live ids %v, items hold demands %v", step, live, want)
+		}
+		if !slices.Equal(live, expect) {
+			t.Fatalf("%s: live ids %v, want %v", step, live, expect)
+		}
+		if got := sess.Demands(); got != len(live) {
+			t.Fatalf("%s: Demands() = %d, want %d", step, got, len(live))
+		}
+		if got := sess.Stats().Live; got != len(live) {
+			t.Fatalf("%s: Stats().Live = %d, want %d", step, got, len(live))
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	arrivals := func(n int) []treesched.NewDemand {
+		add := make([]treesched.NewDemand, n)
+		for i := range add {
+			u := rng.Intn(cfg.Vertices)
+			add[i] = treesched.NewDemand{U: u, V: (u + 1 + rng.Intn(cfg.Vertices-1)) % cfg.Vertices, Profit: 1 + rng.Float64()*3}
+		}
+		return add
+	}
+	churn := func(step string, remove []int, add int) {
+		t.Helper()
+		ids, err := sess.Update(treesched.Churn{Remove: remove, Add: arrivals(add)})
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		expect = slices.DeleteFunc(expect, func(id int) bool { return slices.Contains(remove, id) })
+		expect = append(expect, ids...)
+		check(step)
+	}
+
+	check("initial")
+	churn("initial ids, unsorted", []int{7, 0, 3}, 2)
+	churn("arrived and initial ids", []int{13, 11}, 1)
+	churn("arrivals only", nil, 2)
+	churn("removals only", []int{12, 14}, 0)
+
+	for _, tc := range []struct {
+		remove []int
+		err    string
+	}{
+		{[]int{5, 99}, "treesched: session has no live demand 99"},
+		{[]int{0}, "treesched: session has no live demand 0"}, // removed above
+		{[]int{4, 4}, "treesched: demand 4 removed twice"},
+		{[]int{6, 77, 6}, "treesched: session has no live demand 77"},
+		{[]int{2, 9, 2, 88}, "treesched: demand 2 removed twice"},
+		{[]int{9, 2, 9, 2}, "treesched: demand 9 removed twice"},
+	} {
+		_, err := sess.Update(treesched.Churn{Remove: tc.remove, Add: arrivals(1)})
+		if err == nil || err.Error() != tc.err {
+			t.Fatalf("remove %v: error %v, want %q", tc.remove, err, tc.err)
+		}
+		check(fmt.Sprintf("rejected %v", tc.remove))
+	}
+
+	// Churn the oldest live ids until the accreted layout state has forced
+	// two compaction re-prepares, so rounds run before, between and right
+	// after them.
+	for round := 0; sess.Stats().Reprepares < 2; round++ {
+		if round == 200 {
+			t.Fatalf("no second compaction after %d rounds: %+v", round, sess.Stats())
+		}
+		churn(fmt.Sprintf("churn round %d", round), slices.Clone(expect[:3]), 3)
+	}
+}
+
 // TestSessionConcurrentChurnSolve hammers interleaved Update and
 // SolveWithItems from many goroutines (run under -race in CI) and then
 // asserts epoch consistency: every published (result, item set) pair is
@@ -390,6 +495,7 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 	type capture struct {
 		res   *treesched.Result
 		items []engine.Item
+		live  []int
 	}
 	captures := make([][]capture, solvers)
 	var wg sync.WaitGroup
@@ -420,12 +526,12 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			for r := 0; r < solves; r++ {
-				res, items, err := sess.SolveWithItems()
+				res, items, live, err := sess.SolveWithItems()
 				if err != nil {
 					t.Errorf("solver %d round %d: %v", k, r, err)
 					return
 				}
-				captures[k] = append(captures[k], capture{res, items})
+				captures[k] = append(captures[k], capture{res, items, live})
 			}
 		}(k)
 	}
@@ -436,6 +542,9 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 
 	for k := range captures {
 		for r, got := range captures[k] {
+			if want := distinctDemands(got.items); !slices.Equal(got.live, want) {
+				t.Fatalf("solver %d capture %d: live ids %v, items hold %v", k, r, got.live, want)
+			}
 			items := slices.Clone(got.items)
 			for i := range items {
 				items[i].ID = i
@@ -584,7 +693,7 @@ func TestSessionWarmStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, items, err := sess.SolveWithItems()
+	_, items, _, err := sess.SolveWithItems()
 	if err != nil {
 		t.Fatal(err)
 	}
