@@ -1,7 +1,8 @@
-// Benchmarks, one per experiment in DESIGN.md §4 (E1..E12, A1..A3). Each
-// benchmark exercises the code path that regenerates the corresponding
-// EXPERIMENTS.md table; `go test -bench=. -benchmem` therefore re-runs the
-// entire reproduction surface. Benchmarks use fixed seeds so allocations and
+// Benchmarks, one per experiment of internal/experiments (E1..E12,
+// A1..A3). Each benchmark exercises the code path that regenerates the
+// experiment's table (`go run ./cmd/schedbench -experiment ID` prints it);
+// `go test -bench=. -benchmem` therefore re-runs the entire reproduction
+// surface. Benchmarks use fixed seeds so allocations and
 // timings are comparable across runs.
 package treesched_test
 
@@ -91,7 +92,7 @@ func BenchmarkEngineUnitTree(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}); err != nil {
+				if _, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -120,7 +121,7 @@ func BenchmarkEngineUnitTreeParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("m=%d/p=%d", sz.m, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}); err != nil {
+					if _, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -154,7 +155,7 @@ func BenchmarkEngineShardedFleet(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prep := engine.Prepare(items)
 				prep.EnableWarmStart()
-				if _, err := prep.RunParallel(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, p); err != nil {
+				if _, err := prep.Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -108,8 +108,8 @@ func benchScenarios(quick bool) []benchScenario {
 	}
 	// A fleet of disjoint networks, every demand pinned to one, so the
 	// conflict graph splits into many components. Solved cold, it runs the
-	// serial engine at both parallelisms (its two rows time the same
-	// engine.Run); the sharded pipeline serves only warm-start sessions (the
+	// serial engine at both parallelisms (its two rows time the same serial
+	// Solve); the sharded pipeline serves only warm-start sessions (the
 	// churn-warm and serve-warm rows). The quick
 	// fleet is a smaller workload and carries a distinct scenario name, so
 	// -compare never matches a quick fleet against a full one.
@@ -235,7 +235,7 @@ func runBenchJSON(path string, seed int64, quick, trace bool) error {
 	// The parallel sweep: the headline single-component instance (the same
 	// workload as unit-tree/m=768) solved cold at a ladder of worker counts.
 	// A cold solve runs the serial engine at every worker count, so every
-	// row times the same engine.Run; the rows are kept so the parallel-sweep
+	// row times the same serial Solve; the rows are kept so the parallel-sweep
 	// gate keeps matching its snapshot.
 	{
 		sweepCfg := workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16}
@@ -773,9 +773,9 @@ func runDistSmoke(demands int, seed int64) error {
 
 // timeSolve measures the best-of-iters wall time of one cold engine solve,
 // which runs the serial engine whatever the row's parallelism. With a
-// non-nil rec the same prepare+run pipeline runs through the explicit
-// recorder seam (engine.Run is exactly Prepare + prepared Run), so traced
-// rows time the same quantity plus the recorder's gated overhead.
+// non-nil rec the same Prepare + Solve pipeline runs through the explicit
+// recorder seam, so traced rows time the same quantity plus the recorder's
+// gated overhead.
 func timeSolve(items []engine.Item, seed int64, iters int, rec engine.Recorder) (int64, error) {
 	if rec != nil {
 		return timeSolvePrepared(items, seed, iters, rec)
@@ -784,7 +784,7 @@ func timeSolve(items []engine.Item, seed int64, iters int, rec engine.Recorder) 
 	for i := 0; i < iters; i++ {
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed + int64(i)}
 		start := time.Now()
-		if _, err := engine.Run(items, cfg); err != nil {
+		if _, err := engine.Prepare(items).Solve(cfg, 1); err != nil {
 			return 0, err
 		}
 		ns := time.Since(start).Nanoseconds()

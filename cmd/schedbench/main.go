@@ -1,6 +1,6 @@
-// Command schedbench runs the reproduction experiment suite (DESIGN.md §4,
-// experiments E1..E12 and ablations A1..A3) and prints the result tables
-// recorded in EXPERIMENTS.md. With -bench-json it instead runs the solve
+// Command schedbench runs the reproduction experiment suite of
+// internal/experiments (experiments E1..E12 and ablations A1..A3) and
+// prints their result tables. With -bench-json it instead runs the solve
 // performance suite and writes a machine-readable treesched/bench/v1
 // report (see BenchReport) so perf can be tracked across commits; with
 // -compare it diffs two such reports and prints per-scenario speedups,

@@ -66,8 +66,8 @@ func solverOptions(seed int64, parallelism int, cold bool, rec *obs.Recorder) tr
 // timeSolvePrepared measures the best-of-iters prepared solve with rec
 // attached (rec may be nil). Unlike timeSolve it prepares once per
 // iteration through the explicit seam — the path a traced run reports
-// PhasePrepare for — so the timed quantity matches timeSolve's
-// (engine.Run is exactly prepare + run).
+// PhasePrepare for — so the timed quantity matches timeSolve's (both
+// Prepare, then Solve(cfg, 1)).
 func timeSolvePrepared(items []engine.Item, seed int64, iters int, rec engine.Recorder) (int64, error) {
 	best := int64(0)
 	for i := 0; i < iters; i++ {
@@ -82,7 +82,7 @@ func timeSolvePrepared(items []engine.Item, seed int64, iters int, rec engine.Re
 			rec.EndSpan(engine.PhasePrepare, tok)
 			prep.SetRecorder(rec)
 		}
-		if _, err := prep.Run(cfg); err != nil {
+		if _, err := prep.Solve(cfg, 1); err != nil {
 			return 0, err
 		}
 		ns := time.Since(start).Nanoseconds()
@@ -126,7 +126,7 @@ func timeRecorderOverhead(items []engine.Item, seed int64) (noopNs, nilNs int64,
 		prep := engine.Prepare(items)
 		prep.SetRecorder(rec)
 		start := time.Now()
-		if _, err := prep.Run(cfg); err != nil {
+		if _, err := prep.Solve(cfg, 1); err != nil {
 			return 0, err
 		}
 		return time.Since(start).Nanoseconds(), nil

@@ -121,7 +121,7 @@ func run(path, algorithm string, epsilon float64, seed int64, simulate bool, dec
 	switch algorithm {
 	case "unit":
 		cfg.Mode = engine.Unit
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func run(path, algorithm string, epsilon float64, seed int64, simulate bool, dec
 			return printSimulated(items, cfg)
 		}
 	case "arbitrary":
-		res, err := engine.RunArbitrary(items, cfg)
+		res, err := engine.SolveArbitrary(items, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -186,42 +186,27 @@ func printSimulated(items []engine.Item, cfg engine.Config) error {
 	return nil
 }
 
-// printSimulatedArbitrary mirrors the library's distributed arbitrary-height
-// execution (§6 overall algorithm): simulate the wide and narrow
-// sub-protocols separately, combine per resource, and report the summed
-// communication costs. The combined profit must equal the engine's.
+// printSimulatedArbitrary runs the library's distributed arbitrary-height
+// execution: the §6 rule of engine.SolveHeightClasses with each height
+// class simulated, reporting the summed communication costs. The combined
+// profit must equal the engine's.
 func printSimulatedArbitrary(items []engine.Item, cfg engine.Config, engineProfit float64) error {
-	wide, narrow, wideIDs, narrowIDs := engine.SplitWideNarrow(items)
-	var wideSel, narrowSel []int
 	procs, rounds, busy, msgs, maxMsg := 0, 0, 0, 0, 0
-	for _, sub := range []struct {
-		items []engine.Item
-		mode  engine.Mode
-		sel   *[]int
-	}{
-		{wide, engine.Unit, &wideSel},
-		{narrow, engine.Narrow, &narrowSel},
-	} {
-		if len(sub.items) == 0 {
-			continue
-		}
-		scfg := cfg
-		scfg.Mode = sub.mode
-		scfg.Xi = 0
-		res, err := dist.Run(sub.items, scfg)
+	_, profit, err := engine.SolveHeightClasses(items, cfg, func(class []engine.Item, ccfg engine.Config) ([]int, error) {
+		res, err := dist.Run(class, ccfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		*sub.sel = res.Selected
 		procs += res.Processors
 		rounds += res.ScheduleRounds
 		busy += res.Stats.BusyRounds
 		msgs += res.Stats.Messages
-		if res.Stats.MaxMessageSize > maxMsg {
-			maxMsg = res.Stats.MaxMessageSize
-		}
+		maxMsg = max(maxMsg, res.Stats.MaxMessageSize)
+		return res.Selected, nil
+	})
+	if err != nil {
+		return err
 	}
-	_, profit := engine.CombineSelections(wide, narrow, wideSel, narrowSel, wideIDs, narrowIDs)
 	if math.Abs(profit-engineProfit) > 1e-6*math.Max(1, engineProfit) {
 		return fmt.Errorf("internal error: simulated profit %v diverged from engine %v", profit, engineProfit)
 	}

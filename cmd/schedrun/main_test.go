@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,7 +11,9 @@ import (
 	"treesched/internal/workload"
 )
 
-func writeInstance(t *testing.T, kind string) string {
+// writeInstance writes a small instance of the given kind and height mix,
+// generated at a fixed seed, and returns its path.
+func writeInstance(t *testing.T, kind string, heights workload.HeightMix) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	path := filepath.Join(t.TempDir(), "inst.json")
@@ -24,7 +25,7 @@ func writeInstance(t *testing.T, kind string) string {
 	switch kind {
 	case "tree":
 		in, err := workload.RandomTreeInstance(workload.TreeConfig{
-			Vertices: 12, Trees: 2, Demands: 8, ProfitRatio: 4,
+			Vertices: 12, Trees: 2, Demands: 8, ProfitRatio: 4, Heights: heights,
 		}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +35,7 @@ func writeInstance(t *testing.T, kind string) string {
 		}
 	case "line":
 		in, err := workload.RandomLineInstance(workload.LineConfig{
-			Slots: 20, Resources: 2, Demands: 6, ProcMin: 2, ProcMax: 5,
+			Slots: 20, Resources: 2, Demands: 6, ProcMin: 2, ProcMax: 5, Heights: heights,
 		}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +48,7 @@ func writeInstance(t *testing.T, kind string) string {
 }
 
 func TestRunTreeAlgorithms(t *testing.T) {
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	for _, algo := range []string{"auto", "unit", "arbitrary", "sequential", "exact"} {
 		if err := run(path, algo, 0.1, 1, false, "ideal"); err != nil {
 			t.Errorf("algorithm %s: %v", algo, err)
@@ -59,27 +60,15 @@ func TestRunTreeAlgorithms(t *testing.T) {
 // it printed.
 func captureStdout(t *testing.T, f func() error) string {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	out, err := runOutput(t, f)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run failed: %v (output so far: %q)", err, out)
 	}
-	os.Stdout = w
-	ferr := f()
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ferr != nil {
-		t.Fatalf("run failed: %v (output so far: %q)", ferr, out)
-	}
-	return string(out)
+	return out
 }
 
 func TestRunTreeSimulated(t *testing.T) {
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	out := captureStdout(t, func() error {
 		return run(path, "unit", 0.3, 1, true, "ideal")
 	})
@@ -115,7 +104,7 @@ func TestRunTreeSimulated(t *testing.T) {
 
 // TestRunLineSimulated covers the -simulate path on the §7 line reduction.
 func TestRunLineSimulated(t *testing.T) {
-	path := writeInstance(t, "line")
+	path := writeInstance(t, "line", workload.UnitHeights)
 	out := captureStdout(t, func() error {
 		return run(path, "unit", 0.3, 1, true, "ideal")
 	})
@@ -126,7 +115,7 @@ func TestRunLineSimulated(t *testing.T) {
 
 // TestRunArbitrarySimulated covers -simulate on the §6 wide/narrow split.
 func TestRunArbitrarySimulated(t *testing.T) {
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	out := captureStdout(t, func() error {
 		return run(path, "arbitrary", 0.3, 1, true, "ideal")
 	})
@@ -138,7 +127,7 @@ func TestRunArbitrarySimulated(t *testing.T) {
 // TestRunSimulateRejectedForNonDistributed: -simulate with the sequential or
 // exact baselines is an error, not a silent no-op.
 func TestRunSimulateRejectedForNonDistributed(t *testing.T) {
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	for _, algo := range []string{"sequential", "exact"} {
 		err := run(path, algo, 0.1, 1, true, "ideal")
 		if err == nil || !strings.Contains(err.Error(), "-simulate") {
@@ -148,7 +137,7 @@ func TestRunSimulateRejectedForNonDistributed(t *testing.T) {
 }
 
 func TestRunLine(t *testing.T) {
-	path := writeInstance(t, "line")
+	path := writeInstance(t, "line", workload.UnitHeights)
 	for _, algo := range []string{"auto", "unit", "exact"} {
 		if err := run(path, algo, 0.1, 1, false, "ideal"); err != nil {
 			t.Errorf("algorithm %s: %v", algo, err)
@@ -160,7 +149,7 @@ func TestRunLine(t *testing.T) {
 }
 
 func TestRunDecompositionChoices(t *testing.T) {
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	for _, d := range []string{"ideal", "balancing", "rootfix"} {
 		if err := run(path, "unit", 0.2, 1, false, d); err != nil {
 			t.Errorf("decomp %s: %v", d, err)
@@ -176,7 +165,7 @@ func TestRunErrors(t *testing.T) {
 	if err := run(filepath.Join(t.TempDir(), "missing.json"), "auto", 0.1, 1, false, "ideal"); err == nil {
 		t.Error("missing file accepted")
 	}
-	path := writeInstance(t, "tree")
+	path := writeInstance(t, "tree", workload.UnitHeights)
 	if err := run(path, "quantum", 0.1, 1, false, "ideal"); err == nil {
 		t.Error("unknown algorithm accepted")
 	}

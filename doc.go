@@ -74,8 +74,8 @@
 // Splitting one did not pay at any size measured. When cold solves still
 // split, sharding fleets across components and row-partitioning the
 // raises, greedy tests and λ fold of a single component across lanes,
-// Parallelism 2 lost to Parallelism 1 on every shape (cold Prepare +
-// RunParallel, 2 vCPUs, median of seven alternating runs, five for
+// Parallelism 2 lost to Parallelism 1 on every shape (a cold Prepare and
+// Solve, 2 vCPUs, median of seven alternating runs, five for
 // fleets): contended instances of 736, 3,085, 12,202 and 49,222 items took
 // 0.42 vs 0.94, 2.5 vs 3.1, 8.8 vs 12.2 and 41 vs 66 ms, and fleets of
 // 768–32,768 items in 14–610 components took 2.9–3.3 times as long. The
@@ -363,7 +363,7 @@
 // submissions absorbed per round. parallel-sweep/m=768 solves one contended
 // single-component instance cold at worker counts 1/2/4/8 (snapshotted in
 // BENCH_intrapar.json); a cold solve runs the serial engine at every count,
-// so every row times the same engine.Run, as do the two rows of each
+// so every row times the same serial Solve, as do the two rows of each
 // unit-tree scenario. The recorder-noop/m=768 scenario measures the
 // observability seam itself: it interleaves no-op-recorder-attached and
 // bare serial solves in one process, in pairs over a fixed time budget,
@@ -395,7 +395,10 @@
 // identical per-processor PRNG streams, so the simulated run returns
 // bit-identical selections and profit — Simulate changes what is measured,
 // never what is computed. For arbitrary heights, the wide and narrow
-// sub-protocols are simulated separately and combined per resource (§6).
+// sub-protocols are simulated separately and combined per resource (§6),
+// through engine.SolveHeightClasses, the one §6 rule the in-process solve
+// runs too. SequentialTree and ExactSmall have no distributed execution,
+// so Solve and SolveLine reject Simulate with them.
 //
 // # Round accounting
 //

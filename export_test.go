@@ -13,3 +13,13 @@ func SessionItems(sess *Session) []engine.Item {
 	defer sess.mu.Unlock()
 	return slices.Clone(sess.p.Items())
 }
+
+// DemandHeights exposes the heights of the instance's demands, in demand id
+// order, to the external test package.
+func DemandHeights(in *Instance) []float64 {
+	hs := make([]float64, len(in.demands))
+	for i, d := range in.demands {
+		hs[i] = d.Height
+	}
+	return hs
+}

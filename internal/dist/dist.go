@@ -95,7 +95,8 @@ type Result struct {
 }
 
 // Run executes the protocol over the simulator and returns the selection,
-// which is bit-identical to engine.Run's for the same items and Config.
+// which is bit-identical to the engine's (engine.Prepare(items).Solve(cfg,
+// 1)) for the same items and Config.
 func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 	return RunOpts(items, cfg, Options{})
 }

@@ -49,12 +49,12 @@ func sameAsEngine(t *testing.T, tag string, eres *engine.Result, dres *dist.Resu
 	}
 }
 
-// checkCase runs engine.Run and the protocol once each on the same items
+// checkCase runs the engine and the protocol once each on the same items
 // and Config, requires identical results, and checks the protocol's Stats
 // against the golden line for tag.
 func checkCase(t *testing.T, tag string, items []engine.Item, cfg engine.Config, opts dist.Options) {
 	t.Helper()
-	eres, err := engine.Run(items, cfg)
+	eres, err := engine.Prepare(items).Solve(cfg, 1)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", tag, err)
 	}
@@ -66,7 +66,7 @@ func checkCase(t *testing.T, tag string, items []engine.Item, cfg engine.Config,
 	checkStats(t, tag, dres.Stats)
 }
 
-// TestEngineEquivalence is the headline invariant: dist and engine.Run
+// TestEngineEquivalence is the headline invariant: dist and the engine
 // return identical results for identical (items, Config) — selection,
 // profit, λ, dual bound, dual variables and raise trace — swept over
 // seeds × modes × decompositions, with the simulator's Stats pinned by the
@@ -119,7 +119,7 @@ func TestEquivalenceSingleStage(t *testing.T) {
 // TestEquivalencePoolFanOut runs the protocol where the simulator's
 // stepping pool fans out: each case has more processors than the pool's
 // grain, so the rounds that step many nodes split across workers. Every
-// case runs at Workers 1 and 4 and must equal engine.Run at both, with the
+// case runs at Workers 1 and 4 and must equal the engine at both, with the
 // one golden line for its tag.
 func TestEquivalencePoolFanOut(t *testing.T) {
 	fleet := workload.TreeConfig{Vertices: 64, Trees: 8, Demands: 256, ProfitRatio: 8, AccessMin: 1, AccessMax: 1}
@@ -199,7 +199,7 @@ func TestMaxMessageSize(t *testing.T) {
 // TestEmptyItems: the degenerate instance runs and matches the engine.
 func TestEmptyItems(t *testing.T) {
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.3}
-	eres, err := engine.Run(nil, cfg)
+	eres, err := engine.Prepare(nil).Solve(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestLubyBudgetMonotone(t *testing.T) {
 func TestDualBoundsAgree(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{Vertices: 16, Trees: 2, Demands: 10, ProfitRatio: 8}, 21, engine.IdealDecomp)
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.2, Seed: 6}
-	eres, err := engine.Run(items, cfg)
+	eres, err := engine.Prepare(items).Solve(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ func BenchmarkRunByMISKind(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(items, engine.Config{
+				if _, err := engine.Prepare(items).Solve(engine.Config{
 					Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i), MIS: tc.kind,
-				}); err != nil {
+				}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func BenchmarkRunPrepared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}); err != nil {
+		if _, err := p.Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkRunArbitrary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.RunArbitrary(items, engine.Config{Epsilon: 0.15, Seed: int64(i)}); err != nil {
+		if _, err := engine.SolveArbitrary(items, engine.Config{Epsilon: 0.15, Seed: int64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

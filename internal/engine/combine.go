@@ -5,103 +5,93 @@ import (
 	"slices"
 )
 
-// ArbitraryResult is the outcome of the §6 arbitrary-height algorithm: the
-// wide and narrow sub-runs plus the per-resource combination.
+// ArbitraryResult is the outcome of the §6 arbitrary-height algorithm run
+// in process.
 type ArbitraryResult struct {
 	Selected []int   // original item ids, ascending
 	Profit   float64 // profit of the combined solution
-	Bound    float64 // Opt ≤ Bound (sum of the sub-run bounds)
-
-	Wide   *Result // unit-rule run over wide items (nil if none)
-	Narrow *Result // narrow-rule run over narrow items (nil if none)
-
-	CommRounds int
+	Bound    float64 // Opt ≤ Bound (sum of the height classes' bounds)
 }
 
-// RunArbitrary implements the overall §6 algorithm (Theorem 6.3 for trees,
-// Theorem 7.2 for lines): run the unit-height algorithm on the wide
-// instances and the narrow algorithm on the narrow instances, then, for
-// each resource, keep whichever sub-solution earns more profit there. Since
-// every demand is entirely wide or entirely narrow, the combination selects
-// at most one instance per demand, and per-resource selection preserves the
-// bandwidth constraints.
-func RunArbitrary(items []Item, cfg Config) (*ArbitraryResult, error) {
-	return PrepareArbitrary(items).RunParallel(cfg, 1)
-}
-
-// ArbitraryPrepared is the Config-independent run state of the §6
-// arbitrary-height algorithm: the wide/narrow split of an item set with
-// each non-empty height class fully prepared (dense layout, member lists,
-// shard decomposition). Like Prepared, it is safe for concurrent runs.
-type ArbitraryPrepared struct {
-	items              []Item
-	delta              int
-	wide, narrow       *Prepared // nil when the class is empty
-	wideIDs, narrowIDs []int
-}
-
-// PrepareArbitrary builds the arbitrary-height run state: the wide/narrow
-// split, each class prepared.
-func PrepareArbitrary(items []Item) *ArbitraryPrepared {
-	wide, narrow, wideIDs, narrowIDs := SplitWideNarrow(items)
-	ap := &ArbitraryPrepared{
-		items:   items,
-		delta:   MaxCritical(items),
-		wideIDs: wideIDs, narrowIDs: narrowIDs,
+// SolveHeightClasses is the overall §6 algorithm (Theorem 6.3 for trees,
+// Theorem 7.2 for lines) over solve, an executor of one height class. It
+// splits the items into the wide class (h > 1/2, scheduled under the unit
+// rule) and the narrow class (h ≤ 1/2, under the narrow rule), re-indexes
+// each class densely, and hands each non-empty class to solve, wide first,
+// with the class's Mode set and ξ re-derived from the class. solve returns
+// the selected class-local ids. Then, for each resource in ascending order,
+// it keeps whichever class's selection earns more profit there. Every
+// demand is entirely wide or entirely narrow, so the combination selects
+// at most one instance per demand, and per-resource selection preserves
+// the bandwidth constraints.
+//
+// The in-process engine (SolveArbitrary) and the simulator executions
+// both run §6 through here, so the two cannot split or combine differently.
+func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg Config) ([]int, error)) (selected []int, profit float64, err error) {
+	// Index 0 is the wide class, 1 the narrow one.
+	var classes [2][]Item
+	var ids [2][]int // class-local id -> original id
+	for _, it := range items {
+		k := 1
+		if it.Height > 0.5 {
+			k = 0
+		}
+		ids[k] = append(ids[k], it.ID)
+		it.ID = len(classes[k])
+		classes[k] = append(classes[k], it)
 	}
-	if len(wide) > 0 {
-		ap.wide = Prepare(wide)
+	var byRes [2]map[int][]int
+	var profitByRes [2]map[int]float64
+	for k, mode := range [2]Mode{Unit, Narrow} {
+		byRes[k], profitByRes[k] = make(map[int][]int), make(map[int]float64)
+		class := classes[k]
+		if len(class) == 0 {
+			continue
+		}
+		ccfg := cfg
+		ccfg.Mode = mode
+		ccfg.Xi = 0 // re-derive from the class's items
+		sel, err := solve(class, ccfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, id := range sel {
+			r := class[id].Resource
+			byRes[k][r] = append(byRes[k][r], ids[k][id])
+			profitByRes[k][r] += class[id].Profit
+		}
 	}
-	if len(narrow) > 0 {
-		ap.narrow = Prepare(narrow)
-	}
-	return ap
+	selected, profit = combinePerResource(byRes[0], byRes[1], profitByRes[0], profitByRes[1])
+	return selected, profit, nil
 }
 
-// Items returns the full (unsplit) item set. Callers must not mutate it.
-func (ap *ArbitraryPrepared) Items() []Item { return ap.items }
-
-// MaxCritical returns ∆ = max |π(d)| over the full item set.
-func (ap *ArbitraryPrepared) MaxCritical() int { return ap.delta }
-
-// RunParallel executes the §6 algorithm over the prepared state: the unit
-// rule on the wide class, the narrow rule on the narrow class (each through
-// Prepared.RunParallel, so serial unless the class has the warm-start cache
-// on), then the per-resource combination. Bit-identical to RunArbitrary at
-// every worker count.
-func (ap *ArbitraryPrepared) RunParallel(cfg Config, workers int) (*ArbitraryResult, error) {
+// SolveArbitrary runs the §6 algorithm in process: SolveHeightClasses over
+// the serial engine. Each class is prepared inside a PhasePrepare span of
+// its own, with rec (nil for none) attached, and solved with Solve(cfg, 1);
+// the class bounds sum to the result's Bound.
+func SolveArbitrary(items []Item, cfg Config, rec Recorder) (*ArbitraryResult, error) {
 	out := &ArbitraryResult{}
-	var wideItems, narrowItems []Item
-	var wideSel, narrowSel []int
-	if ap.wide != nil {
-		wideItems = ap.wide.Items()
-		wcfg := cfg
-		wcfg.Mode = Unit
-		wcfg.Xi = 0 // re-derive from the wide item set
-		res, err := ap.wide.RunParallel(wcfg, workers)
+	selected, profit, err := SolveHeightClasses(items, cfg, func(class []Item, ccfg Config) ([]int, error) {
+		var tok int64
+		if rec != nil {
+			tok = rec.StartSpan(PhasePrepare)
+		}
+		p := Prepare(class)
+		p.SetRecorder(rec)
+		if rec != nil {
+			rec.EndSpan(PhasePrepare, tok)
+		}
+		res, err := p.Solve(ccfg, 1)
 		if err != nil {
 			return nil, err
 		}
-		out.Wide = res
 		out.Bound += res.Bound
-		out.CommRounds += res.CommRounds
-		wideSel = res.Selected
+		return res.Selected, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if ap.narrow != nil {
-		narrowItems = ap.narrow.Items()
-		ncfg := cfg
-		ncfg.Mode = Narrow
-		ncfg.Xi = 0
-		res, err := ap.narrow.RunParallel(ncfg, workers)
-		if err != nil {
-			return nil, err
-		}
-		out.Narrow = res
-		out.Bound += res.Bound
-		out.CommRounds += res.CommRounds
-		narrowSel = res.Selected
-	}
-	out.Selected, out.Profit = CombineSelections(wideItems, narrowItems, wideSel, narrowSel, ap.wideIDs, ap.narrowIDs)
+	out.Selected, out.Profit = selected, profit
 	return out, nil
 }
 
@@ -132,28 +122,4 @@ func combinePerResource(wideByRes, narrowByRes map[int][]int, profitW, profitN m
 	}
 	slices.Sort(selected)
 	return selected, profit
-}
-
-// CombineSelections applies the §6 per-resource combination to selections
-// produced by two sub-runs (wide items under the unit rule, narrow items
-// under the narrow rule). wideSel/narrowSel index into wide/narrow; the
-// wideIDs/narrowIDs maps translate back to original item ids, as returned by
-// SplitWideNarrow. Used by the distributed facade, which runs the two
-// sub-protocols itself.
-func CombineSelections(wide, narrow []Item, wideSel, narrowSel []int, wideIDs, narrowIDs []int) (selected []int, profit float64) {
-	wideByRes := make(map[int][]int)
-	narrowByRes := make(map[int][]int)
-	profitW := make(map[int]float64)
-	profitN := make(map[int]float64)
-	for _, id := range wideSel {
-		r := wide[id].Resource
-		wideByRes[r] = append(wideByRes[r], wideIDs[id])
-		profitW[r] += wide[id].Profit
-	}
-	for _, id := range narrowSel {
-		r := narrow[id].Resource
-		narrowByRes[r] = append(narrowByRes[r], narrowIDs[id])
-		profitN[r] += narrow[id].Profit
-	}
-	return combinePerResource(wideByRes, narrowByRes, profitW, profitN)
 }

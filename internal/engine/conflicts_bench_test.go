@@ -134,7 +134,7 @@ func benchmarkSolveChurnFleet(b *testing.B, warm bool, workers int) {
 		p.EnableWarmStart()
 	}
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 2}
-	if _, err := p.RunParallel(cfg, workers); err != nil { // prime shards+cache
+	if _, err := p.Solve(cfg, workers); err != nil { // prime shards+cache
 		b.Fatal(err)
 	}
 	trees := 16
@@ -154,7 +154,7 @@ func benchmarkSolveChurnFleet(b *testing.B, warm bool, workers int) {
 		if err := p.Apply(engine.Delta{Remove: remove, Add: add}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.RunParallel(cfg, workers); err != nil {
+		if _, err := p.Solve(cfg, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"treesched/internal/dual"
-	"treesched/internal/model"
 )
 
 // Core is the processor-local protocol core: the raise/settle rules of the
@@ -169,54 +168,16 @@ func (c *Core) lambdaOnly(views []ItemView) float64 {
 	return lambda
 }
 
-// SelectGreedy is the shared second phase: pop the phase-1 raise history
-// (last step first, item ids ascending within a step) and greedily build the
-// feasible solution — an item is added if its demand is unused and every
-// path edge retains capacity (edge-disjointness under the unit rule, height
-// sums ≤ 1 under the narrow rule). steps lists the raised item ids of each
-// phase-1 step in execution order. Both the engine and the dist runtime
-// reconstruct their selections through this one rule — the engine via the
-// dense selectGreedyViews below, the dist coordinator via this key-addressed
-// form — so identical raise histories yield identical selections and profit
-// (the per-edge capacity sums accumulate in the same order either way).
-func SelectGreedy(items []Item, mode Mode, steps [][]int) (selected []int, profit float64) {
-	usedDemand := make(map[int]bool)
-	usage := make(map[model.EdgeKey]float64)
-	for s := len(steps) - 1; s >= 0; s-- {
-		for _, id := range steps[s] {
-			it := &items[id]
-			if usedDemand[it.Demand] {
-				continue
-			}
-			need := it.Height
-			if mode == Unit {
-				need = 1 // unit rule schedules edge-disjointly even for wide h<1
-			}
-			ok := true
-			for _, e := range it.Edges {
-				if usage[e]+need > 1+dual.Tolerance {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			usedDemand[it.Demand] = true
-			for _, e := range it.Edges {
-				usage[e] += need
-			}
-			selected = append(selected, id)
-			profit += it.Profit
-		}
-	}
-	slices.Sort(selected)
-	return selected, profit
-}
-
-// selectGreedyViews is SelectGreedy over dense views. Bit-identical to the
-// key-addressed form (same pop order, same capacity sums in the same
-// accumulation order, same tie handling, profit summed in pop order).
+// selectGreedyViews is the shared second phase: pop the phase-1 raise
+// history (last step first, item ids ascending within a step) and greedily
+// build the feasible solution — an item is added if its demand is unused
+// and every path edge retains capacity (edge-disjointness under the unit
+// rule, height sums ≤ 1 under the narrow rule). steps lists the raised item
+// ids of each phase-1 step in execution order, and profit is summed in pop
+// order. The serial engine calls it directly and the dist coordinator
+// through Prepared.SelectGreedy, and each shard of the sharded pipeline
+// pops its own stack through the same greedy.take, so identical raise
+// histories yield identical selections and profit.
 //
 //schedvet:hot
 func selectGreedyViews(views []ItemView, mode Mode, steps [][]int, numSlots, numEdges int) (selected []int, profit float64) {

@@ -43,13 +43,12 @@ import (
 //     component the churn never reached.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
-// over) and must not overlap a Run/RunParallel or another Apply on the same
-// value. Between mutations the Prepared remains safe for concurrent runs.
+// over) and must not overlap a Solve or another Apply on the same value. Between mutations the Prepared remains safe for concurrent runs.
 
 // Delta describes demand-instance churn on an unchanged network: items to
 // remove, by their current ids, and items to add. Apply assigns the ID
 // field of every added item; the remaining fields must satisfy the same
-// invariants Run validates (group ≥ 1, non-empty path and critical set,
+// invariants Solve validates (group ≥ 1, non-empty path and critical set,
 // positive profit, height in (0,1]).
 type Delta struct {
 	Remove []int

@@ -127,11 +127,11 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	// Solve results, bitwise, at every worker count.
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: seed}
 	for _, w := range workers {
-		got, err := p.RunParallel(cfg, w)
+		got, err := p.Solve(cfg, w)
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
-		want, err := scratch.RunParallel(cfg, w)
+		want, err := scratch.Solve(cfg, w)
 		if err != nil {
 			t.Fatalf("workers %d scratch: %v", w, err)
 		}
@@ -269,7 +269,7 @@ func TestApplyDeltaShardReuse(t *testing.T) {
 	}
 	p.EnableWarmStart() // cold solves run serially; the warm cache shards
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 5}
-	if _, err := p.RunParallel(cfg, 4); err != nil { // builds shards
+	if _, err := p.Solve(cfg, 4); err != nil { // builds shards
 		t.Fatal(err)
 	}
 	if len(p.shards) < 2 || p.WarmStats().ComponentsResolved != len(p.shards) {

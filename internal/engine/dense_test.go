@@ -111,10 +111,10 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 					var err error
 					if workers == 0 {
 						tag = fmt.Sprintf("%v/%s seed %d serial", mode, shape.name, seed)
-						res, err = engine.Run(items, cfg)
+						res, err = engine.Prepare(items).Solve(cfg, 1)
 					} else {
 						rec := newCountingRecorder()
-						res, err = sharded(items, rec).RunParallel(cfg, workers)
+						res, err = sharded(items, rec).Solve(cfg, workers)
 						if err == nil && shape.name == "fleet" && rec.started[engine.PhaseShardSolve] == 0 {
 							t.Fatalf("%s: the sharded pipeline did not run", tag)
 						}
@@ -166,13 +166,13 @@ func TestThreeExecutionsAgree(t *testing.T) {
 					Heights: heights, AccessMin: 1, AccessMax: shape.accessMax,
 				}, 100+seed)
 				cfg := engine.Config{Mode: mode, Epsilon: 0.25, Seed: seed}
-				serial, err := engine.Run(items, cfg)
+				serial, err := engine.Prepare(items).Solve(cfg, 1)
 				if err != nil {
 					t.Fatalf("%v/%s seed %d: serial: %v", mode, shape.name, seed, err)
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
 					rec := newCountingRecorder()
-					par, err := sharded(items, rec).RunParallel(cfg, workers)
+					par, err := sharded(items, rec).Solve(cfg, workers)
 					if err != nil {
 						t.Fatalf("%v/%s seed %d: sharded w=%d: %v", mode, shape.name, seed, workers, err)
 					}
@@ -222,9 +222,9 @@ func FuzzDenseMapEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(items, engine.Config{
+		res, err := engine.Prepare(items).Solve(engine.Config{
 			Mode: mode, Epsilon: 0.2, Seed: seed, RecordTrace: true,
-		})
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

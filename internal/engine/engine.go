@@ -219,11 +219,6 @@ func PlanFor(items []Item, cfg *Config) (*Plan, error) {
 	return p, nil
 }
 
-// Run executes both phases and returns the result.
-func Run(items []Item, cfg Config) (*Result, error) {
-	return Prepare(items).Run(cfg)
-}
-
 // newState assembles run state over a prepared plan and dense layout. The
 // layout is read-only: concurrent states (runs over one Prepared,
 // shard workers) may share one. Its views are also the conflict graph: an
@@ -258,8 +253,8 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 }
 
 // runSerial plans and executes both phases over one conflict graph on the
-// calling goroutine. The sharded pipeline (RunParallel with the warm-start
-// cache on) runs firstPhase per component instead and merges.
+// calling goroutine. The sharded pipeline (Solve with the warm-start cache
+// on) runs firstPhase per component instead and merges.
 // PhaseSerialSolve opens before planning and the scratch fetch, so the
 // serial path leaves only the recorder calls of its PhaseSolve span
 // uninstrumented. The dual is scored (λ and the bound) right after the

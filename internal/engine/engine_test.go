@@ -47,7 +47,7 @@ func TestUnitTreeInvariants(t *testing.T) {
 			Vertices: 24, Trees: 2, Demands: 14, ProfitRatio: 16,
 		}, seed)
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed, RecordTrace: true}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestUnitTreeApproximationAgainstOptimum(t *testing.T) {
 			Vertices: 12, Trees: 2, Demands: 9, ProfitRatio: 8,
 		}, 100+seed)
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestNarrowTreeInvariants(t *testing.T) {
 			Heights: workload.NarrowHeights, HMin: 0.1,
 		}, seed)
 		cfg := engine.Config{Mode: engine.Narrow, Epsilon: 0.15, Seed: seed, RecordTrace: true}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestNarrowTreeAgainstOptimum(t *testing.T) {
 			Heights: workload.NarrowHeights, HMin: 0.15,
 		}, 300+seed)
 		cfg := engine.Config{Mode: engine.Narrow, Epsilon: 0.15, Seed: seed}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestLineUnitWithWindows(t *testing.T) {
 			t.Fatalf("seed %d: line ∆ = %d > 3", seed, d)
 		}
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed, RecordTrace: true}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestArbitraryHeightCombined(t *testing.T) {
 			Vertices: 12, Trees: 2, Demands: 9, ProfitRatio: 4,
 			Heights: workload.MixedHeights, HMin: 0.1,
 		}, 500+seed)
-		res, err := engine.RunArbitrary(items, engine.Config{Epsilon: 0.15, Seed: seed})
+		res, err := engine.SolveArbitrary(items, engine.Config{Epsilon: 0.15, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,18 +221,18 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		Vertices: 20, Trees: 3, Demands: 15, ProfitRatio: 10,
 	}, 7)
 	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 99}
-	a, err := engine.Run(items, cfg)
+	a, err := engine.Prepare(items).Solve(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.Run(items, cfg)
+	b, err := engine.Prepare(items).Solve(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Selected, b.Selected) || a.Profit != b.Profit || a.Steps != b.Steps {
 		t.Fatalf("identical configs diverged: %v vs %v", a.Selected, b.Selected)
 	}
-	c, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 100})
+	c, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 100}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestGreedyMISMode(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{
 		Vertices: 15, Trees: 2, Demands: 10, ProfitRatio: 4,
 	}, 11)
-	res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, MIS: engine.GreedyMIS, RecordTrace: true})
+	res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, MIS: engine.GreedyMIS, RecordTrace: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSingleStageAblation(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{
 		Vertices: 15, Trees: 2, Demands: 12, ProfitRatio: 8,
 	}, 13)
-	res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, SingleStage: true, RecordTrace: true})
+	res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, SingleStage: true, RecordTrace: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestStepCountLemma51(t *testing.T) {
 		items := treeItems(t, workload.TreeConfig{
 			Vertices: 20, Trees: 2, Demands: 20, ProfitRatio: ratio,
 		}, 17)
-		res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 1})
+		res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 1}, 1)
 		if err != nil {
 			t.Fatalf("ratio %v: %v", ratio, err)
 		}
@@ -339,7 +339,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := engine.Run(tc.items, tc.cfg); err == nil {
+			if _, err := engine.Prepare(tc.items).Solve(tc.cfg, 1); err == nil {
 				t.Fatal("Run succeeded, want error")
 			}
 		})
@@ -347,7 +347,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestEmptyItems(t *testing.T) {
-	res, err := engine.Run(nil, engine.Config{Epsilon: 0.1})
+	res, err := engine.Prepare(nil).Solve(engine.Config{Epsilon: 0.1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

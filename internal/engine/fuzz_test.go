@@ -36,9 +36,9 @@ func FuzzEngineRun(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Run(items, engine.Config{
+		res, err := engine.Prepare(items).Solve(engine.Config{
 			Mode: mode, Epsilon: 0.2, Seed: seed, RecordTrace: true,
-		})
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,22 +177,3 @@ func BuildLineItems(in *model.LineInstance) ([]Item, error) {
 	}
 	return items, nil
 }
-
-// SplitWideNarrow partitions items by the §6 height classes (wide: h > 1/2;
-// narrow: h ≤ 1/2) and reindexes each side densely, returning the mapping
-// back to original ids.
-func SplitWideNarrow(items []Item) (wide, narrow []Item, wideIDs, narrowIDs []int) {
-	for i := range items {
-		it := items[i]
-		if it.Height > 0.5 {
-			wideIDs = append(wideIDs, it.ID)
-			it.ID = len(wide)
-			wide = append(wide, it)
-		} else {
-			narrowIDs = append(narrowIDs, it.ID)
-			it.ID = len(narrow)
-			narrow = append(narrow, it)
-		}
-	}
-	return wide, narrow, wideIDs, narrowIDs
-}

@@ -35,7 +35,8 @@ import (
 //   - the merged dual assignment (disjoint α and β, copied into the global
 //     dense layout by external key) yields the same λ and bound.
 //
-// The result is bit-identical to Run for every worker count. Because each
+// The result is bit-identical to the serial engine's for every worker
+// count. Because each
 // shard's execution is self-contained, it is also replayable: with the
 // warm-start cache enabled (warm.go), shards untouched by churn reuse their
 // previous outcome instead of re-running the schedule.
@@ -44,7 +45,7 @@ import (
 // and splitting one has not paid at any size measured on 2 vCPUs: the
 // component pass, a relabeled layout per shard and the merge cost more
 // than the first phase the shards run in parallel (doc.go, "Component
-// shards"). Without the cache, RunParallel runs the serial engine.
+// shards"). Without the cache, Solve runs the serial engine.
 
 // shardOut is one conflict component's completed execution: exactly what
 // mergeShards consumes and nothing transient — the raise stack with
@@ -75,30 +76,26 @@ type shardOut struct {
 	gedge []int32
 }
 
-// RunParallel solves the prepared state. With the warm-start cache off (the
-// default) it runs the serial engine, whatever workers is. With the cache
-// on it runs the sharded pipeline, replaying the components churn did not
-// touch and re-running the rest on min(workers, runnable components)
-// goroutines; workers < 1 resolves to runtime.GOMAXPROCS(0), matching
-// Options.Parallelism at the root. It still runs the serial engine when the
-// instance is one component, or the last decomposition found one: a single
-// shard would be the serial execution plus a merge. Every path returns the
-// Result of Run bit for bit.
-func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
-	rec := p.rec
-	var tok int64
-	if rec != nil {
-		tok = rec.StartSpan(PhaseSolve)
+// Solve runs the schedule over the prepared state; it is the engine's one
+// solve entry. With the warm-start cache off (the default) it runs the
+// serial engine, whatever workers is, and Solve(cfg, 1) is the bitwise
+// reference. With the cache on it runs the sharded pipeline, replaying the
+// components churn did not touch and re-running the rest on
+// min(workers, runnable components) goroutines; workers < 1 resolves to
+// runtime.GOMAXPROCS(0), matching Options.Parallelism at the root. It
+// still runs the serial engine when the instance is one component, or the
+// last decomposition found one: a single shard would be the serial
+// execution plus a merge. Every path returns the serial Result bit for bit.
+func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
+	if rec := p.rec; rec != nil {
+		tok := rec.StartSpan(PhaseSolve)
 		rec.Count(CounterItems, int64(len(p.items)))
+		defer func() {
+			if err == nil {
+				rec.EndSpan(PhaseSolve, tok)
+			}
+		}()
 	}
-	res, err := p.runParallel(cfg, workers)
-	if rec != nil && err == nil {
-		rec.EndSpan(PhaseSolve, tok)
-	}
-	return res, err
-}
-
-func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 	if !p.warm.on() {
 		return p.runSerial(cfg)
 	}
@@ -108,7 +105,7 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 		shard = len(p.comps) > 1
 	}
 	if !shard {
-		res, err := p.runSerial(cfg)
+		res, err = p.runSerial(cfg)
 		if err == nil {
 			p.warm.noteCold()
 		}
@@ -126,6 +123,13 @@ func (p *Prepared) runParallel(cfg Config, workers int) (*Result, error) {
 		return nil, err
 	}
 	return p.mergeShards(cfg, plan, outs)
+}
+
+// RunParallel is Solve.
+//
+// Deprecated: use Solve.
+func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
+	return p.Solve(cfg, workers)
 }
 
 // runShard executes one component's first phase over (pooled) scratch,

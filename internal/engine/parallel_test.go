@@ -48,7 +48,7 @@ func sharded(items []engine.Item, rec engine.Recorder) *engine.Prepared {
 
 // TestRunParallelBitIdentical is the determinism suite of the sharded
 // pipeline: across seeds × modes × worker counts, a sharded solve must
-// reproduce the serial Run bit for bit — selections, profit, dual bound,
+// reproduce the serial Solve bit for bit — selections, profit, dual bound,
 // λ, the full dual assignment, every schedule counter, and the raise
 // trace. The fragmented case must really shard.
 func TestRunParallelBitIdentical(t *testing.T) {
@@ -56,14 +56,14 @@ func TestRunParallelBitIdentical(t *testing.T) {
 		for seed := int64(0); seed < 10; seed++ {
 			for name, items := range shardedCases(t, mode, seed) {
 				cfg := engine.Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: true}
-				serial, err := engine.Run(items, cfg)
+				serial, err := engine.Prepare(items).Solve(cfg, 1)
 				if err != nil {
 					t.Fatalf("%v/%s seed %d: serial: %v", mode, name, seed, err)
 				}
 				for _, workers := range []int{1, 2, 3, 4, 8} {
 					tag := fmt.Sprintf("%v/%s seed %d p=%d", mode, name, seed, workers)
 					rec := newCountingRecorder()
-					par, err := sharded(items, rec).RunParallel(cfg, workers)
+					par, err := sharded(items, rec).Solve(cfg, workers)
 					if err != nil {
 						t.Fatalf("%s: sharded: %v", tag, err)
 					}
@@ -101,8 +101,9 @@ func TestRunParallelBitIdentical(t *testing.T) {
 }
 
 // TestRunArbitraryParallelBitIdentical covers the §6 wide/narrow split
-// under the sharded pipeline with mixed heights: each height class shards
-// over its fleet of components and the combination equals the serial one.
+// under the sharded pipeline with mixed heights: SolveHeightClasses over a
+// warm-start Prepared per class shards each class over its fleet of
+// components, and the combination equals SolveArbitrary's bit for bit.
 func TestRunArbitraryParallelBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		items := treeItems(t, workload.TreeConfig{
@@ -110,24 +111,29 @@ func TestRunArbitraryParallelBitIdentical(t *testing.T) {
 			Heights: workload.MixedHeights, AccessMin: 1, AccessMax: 1,
 		}, seed)
 		cfg := engine.Config{Epsilon: 0.1, Seed: seed}
-		serial, err := engine.RunArbitrary(items, cfg)
+		serial, err := engine.SolveArbitrary(items, cfg, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			ap := engine.PrepareArbitrary(items)
-			ap.EnableWarmStartForTest()
 			rec := newCountingRecorder()
-			ap.SetRecorder(rec)
-			par, err := ap.RunParallel(cfg, workers)
+			bound := 0.0
+			selected, profit, err := engine.SolveHeightClasses(items, cfg, func(class []engine.Item, ccfg engine.Config) ([]int, error) {
+				res, err := sharded(class, rec).Solve(ccfg, workers)
+				if err != nil {
+					return nil, err
+				}
+				bound += res.Bound
+				return res.Selected, nil
+			})
 			if err != nil {
 				t.Fatalf("seed %d p=%d: %v", seed, workers, err)
 			}
 			if rec.started[engine.PhaseShardSolve] == 0 {
 				t.Fatalf("seed %d p=%d: the sharded pipeline did not run", seed, workers)
 			}
-			if !reflect.DeepEqual(par.Selected, serial.Selected) || par.Profit != serial.Profit || par.Bound != serial.Bound {
-				t.Errorf("seed %d p=%d: diverged: profit %v vs %v", seed, workers, par.Profit, serial.Profit)
+			if !reflect.DeepEqual(selected, serial.Selected) || profit != serial.Profit || bound != serial.Bound {
+				t.Errorf("seed %d p=%d: diverged: profit %v vs %v", seed, workers, profit, serial.Profit)
 			}
 		}
 	}

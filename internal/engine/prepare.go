@@ -68,11 +68,11 @@ func (lay *layout) newCore(mode Mode) *Core {
 
 // Prepared is an item set with its Config-independent run state: dense
 // layout, dense group member lists, and (lazily) the connected components
-// and per-shard relabelings of the sharded pipeline. A Prepared is
-// immutable during runs apart from the lazily-built shard structures
-// (guarded by shardMu), so it is safe for concurrent Run/RunParallel calls.
-// Apply (delta.go) mutates the state between runs; it must never overlap a
-// run or another Apply on the same Prepared.
+// and per-shard relabelings of the sharded pipeline. Solve is its one
+// solve entry. A Prepared is immutable during runs apart from the
+// lazily-built shard structures (guarded by shardMu), so it is safe for
+// concurrent Solve calls. Apply (delta.go) mutates the state between runs;
+// it must never overlap a run or another Apply on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
@@ -125,9 +125,9 @@ func Prepare(items []Item) *Prepared {
 	}
 }
 
-// PrepareWorkers is Prepare. The worker count is ignored: preparation is
-// linear in the total path length and has nothing left to split. It is
-// kept so existing callers compile unchanged.
+// PrepareWorkers is Prepare; the worker count is ignored.
+//
+// Deprecated: use Prepare.
 func PrepareWorkers(items []Item, workers int) *Prepared { return Prepare(items) }
 
 // Items returns the prepared item set. Callers must not mutate it.
@@ -142,23 +142,6 @@ func (p *Prepared) Components() [][]int {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
 	return p.comps
-}
-
-// Run executes the serial engine over the prepared state on the calling
-// goroutine, warm-start cache or not: the ground truth the sharded pipeline
-// is pinned bitwise against.
-func (p *Prepared) Run(cfg Config) (*Result, error) {
-	rec := p.rec
-	var tok int64
-	if rec != nil {
-		tok = rec.StartSpan(PhaseSolve)
-		rec.Count(CounterItems, int64(len(p.items)))
-	}
-	res, err := p.runSerial(cfg)
-	if rec != nil && err == nil {
-		rec.EndSpan(PhaseSolve, tok)
-	}
-	return res, err
 }
 
 // ensureShards builds the component decomposition and per-shard relabelings,

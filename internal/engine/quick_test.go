@@ -58,7 +58,7 @@ func TestEngineInvariantsQuick(t *testing.T) {
 		if r.Intn(5) == 0 {
 			cfg.SingleStage = true
 		}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Logf("seed %d: run: %v", seed, err)
 			return false
@@ -127,7 +127,7 @@ func TestEngineLineInvariantsQuick(t *testing.T) {
 			Seed:        r.Int63(),
 			RecordTrace: true,
 		}
-		res, err := engine.Run(items, cfg)
+		res, err := engine.Prepare(items).Solve(cfg, 1)
 		if err != nil {
 			t.Logf("seed %d: run: %v", seed, err)
 			return false
@@ -155,11 +155,11 @@ func TestEngineLineInvariantsQuick(t *testing.T) {
 // stages for ξ closer to 1.
 func TestXiOverride(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{Vertices: 12, Trees: 1, Demands: 6}, 31)
-	lo, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.5})
+	lo, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.97})
+	hi, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.97}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestHMinOverride(t *testing.T) {
 // TestCommRoundsConsistency: the engine's round estimate matches its parts.
 func TestCommRoundsConsistency(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{Vertices: 16, Trees: 2, Demands: 10, ProfitRatio: 8}, 41)
-	res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 2})
+	res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,15 @@ package engine
 type Phase uint8
 
 const (
-	// PhaseSolve brackets one full Run/RunParallel call. An
-	// arbitrary-heights solve brackets each non-empty height class
-	// separately, so it emits up to two PhaseSolve spans.
+	// PhaseSolve brackets one Prepared.Solve call. An arbitrary-heights
+	// solve brackets each non-empty height class separately, so it emits
+	// up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
 	// PhasePrepare brackets preparation, emitted by the callers that
 	// prepare: a root Solver solve brackets its item building and then each
-	// Prepare (layout + member-list construction) in spans of their own,
-	// and a Session its initial build and each compaction.
+	// Prepare (layout + member-list construction) in spans of their own —
+	// SolveArbitrary one per non-empty height class — and a Session its
+	// initial build and each compaction.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance
 	// expansion, and the incremental Apply.
@@ -160,13 +161,3 @@ func (p *Prepared) SetRecorder(rec Recorder) { p.rec = rec }
 
 // Recorder returns the attached recorder (nil when bare).
 func (p *Prepared) Recorder() Recorder { return p.rec }
-
-// SetRecorder attaches rec to both height classes' prepared states.
-func (ap *ArbitraryPrepared) SetRecorder(rec Recorder) {
-	if ap.wide != nil {
-		ap.wide.SetRecorder(rec)
-	}
-	if ap.narrow != nil {
-		ap.narrow.SetRecorder(rec)
-	}
-}

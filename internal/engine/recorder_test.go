@@ -70,7 +70,7 @@ func TestRecorderSpansBalanced(t *testing.T) {
 					prep.EnableWarmStart()
 				}
 				prep.SetRecorder(rec)
-				if _, err := prep.RunParallel(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 3}, workers); err != nil {
+				if _, err := prep.Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: 3}, workers); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				checkBalanced(t, tag, rec)
@@ -136,14 +136,14 @@ func TestRecorderObservesNeverSteers(t *testing.T) {
 					if arm == "sharded" {
 						prepare = func(items []engine.Item) *engine.Prepared { return sharded(items, nil) }
 					}
-					bare, err := prepare(items).RunParallel(cfg, workers)
+					bare, err := prepare(items).Solve(cfg, workers)
 					if err != nil {
 						t.Fatalf("%s seed %d p=%d %s: bare: %v", name, seed, workers, arm, err)
 					}
 					prep := prepare(items)
 					rec := newCountingRecorder()
 					prep.SetRecorder(rec)
-					attached, err := prep.RunParallel(cfg, workers)
+					attached, err := prep.Solve(cfg, workers)
 					if err != nil {
 						t.Fatalf("%s seed %d p=%d %s: attached: %v", name, seed, workers, arm, err)
 					}
@@ -161,44 +161,30 @@ func TestRecorderObservesNeverSteers(t *testing.T) {
 }
 
 // TestRecorderArbitraryHeights covers the §6 wide/narrow split: the
-// recorder forwards into both sub-engines and stays observational, on a
-// fleet that both classes shard.
+// recorder forwards into both height classes and stays observational, and
+// each class gets a PhasePrepare and a PhaseSolve span of its own.
 func TestRecorderArbitraryHeights(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{
 		Vertices: 40, Trees: 3, Demands: 48, ProfitRatio: 16,
 		Heights: workload.MixedHeights, AccessMin: 1, AccessMax: 1,
 	}, 11)
 	cfg := engine.Config{Epsilon: 0.1, Seed: 11}
-	prepare := func(rec engine.Recorder) *engine.ArbitraryPrepared {
-		ap := engine.PrepareArbitrary(items)
-		ap.EnableWarmStartForTest()
-		ap.SetRecorder(rec)
-		return ap
-	}
-	bare, err := prepare(nil).RunParallel(cfg, 4)
+	bare, err := engine.SolveArbitrary(items, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := newCountingRecorder()
-	attached, err := prepare(rec).RunParallel(cfg, 4)
+	attached, err := engine.SolveArbitrary(items, cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(attached, bare) {
 		t.Errorf("recorder changed the arbitrary-heights result")
 	}
-	serial, err := engine.RunArbitrary(items, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(attached.Selected, serial.Selected) || attached.Profit != serial.Profit {
-		t.Errorf("sharded arbitrary-heights solve diverged from the serial one")
-	}
 	checkBalanced(t, "arbitrary", rec)
-	if rec.started[engine.PhaseSolve] != 2 {
-		t.Errorf("%d solve spans through the arbitrary-heights path, want one per height class", rec.started[engine.PhaseSolve])
-	}
-	if rec.started[engine.PhaseShardSolve] == 0 {
-		t.Error("the sharded pipeline did not run")
+	for _, p := range []engine.Phase{engine.PhaseSolve, engine.PhasePrepare} {
+		if rec.started[p] != 2 {
+			t.Errorf("%d %v spans through the arbitrary-heights path, want one per height class", rec.started[p], p)
+		}
 	}
 }

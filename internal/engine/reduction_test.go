@@ -67,11 +67,11 @@ func TestLineReducesToPathTree(t *testing.T) {
 
 		// Both formulations' algorithms stay within their guarantees on
 		// the shared optimum.
-		lres, err := engine.Run(lineItems, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed})
+		lres, err := engine.Prepare(lineItems).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tres, err := engine.Run(treeItems, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed})
+		tres, err := engine.Prepare(treeItems).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

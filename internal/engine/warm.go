@@ -64,7 +64,7 @@ type warmKey struct {
 }
 
 // warmKeyFor fingerprints a resolved configuration. cfg must already be
-// resolved by PlanFor (Xi defaulted), which RunParallel guarantees.
+// resolved by PlanFor (Xi defaulted), which Solve guarantees.
 func warmKeyFor(cfg *Config, plan *Plan) warmKey {
 	return warmKey{
 		mode:        cfg.Mode,
@@ -92,7 +92,7 @@ type warmState struct {
 }
 
 // EnableWarmStart turns on the warm-start cache for this Prepared: from
-// then on RunParallel runs the sharded pipeline, which records
+// then on Solve runs the sharded pipeline, which records
 // per-component outcomes and replays them for components left untouched by
 // intervening Applies. Results are unaffected — warm solves are bitwise
 // identical to cold ones — only latency changes. The cache retains the

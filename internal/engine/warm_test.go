@@ -88,11 +88,11 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 				cold := Prepare(reindex(warm.items))
 				cfg := Config{Mode: mode.mode, Epsilon: 0.1, Seed: seed, RecordTrace: true}
 				for _, w := range []int{1, 2, 4} {
-					got, err := warm.RunParallel(cfg, w)
+					got, err := warm.Solve(cfg, w)
 					if err != nil {
 						t.Fatalf("mode %v seed %d round %d workers %d: %v", mode.mode, seed, round, w, err)
 					}
-					want, err := cold.RunParallel(cfg, w)
+					want, err := cold.Solve(cfg, w)
 					if err != nil {
 						t.Fatalf("mode %v seed %d round %d workers %d cold: %v", mode.mode, seed, round, w, err)
 					}
@@ -152,7 +152,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 7}
 	solve := func() *Result {
 		t.Helper()
-		res, err := p.RunParallel(cfg, 4)
+		res, err := p.Solve(cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 	cold := Prepare(slices.Clone(items))
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 3, RecordTrace: true}
 	for i := 0; i < 3; i++ {
-		got, err := warm.RunParallel(cfg, 1)
+		got, err := warm.Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.RunParallel(cfg, 1)
+		want, err := cold.Solve(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,9 +267,9 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 // decomposition shape — one sparse component as large as the instance
 // (chain), a contended tree workload (few components) and a fleet (many
 // components): across worker counts {1,2,3,4,8} × seeds × unit/narrow
-// modes × traced/untraced runs, a cold RunParallel and a sharded one (the
-// first solve of a warm-start cache, which runs every component) equal the
-// serial Prepared.Run exactly.
+// modes × traced/untraced runs, a cold Solve and a sharded one (the first
+// solve of a warm-start cache, which runs every component) equal the
+// serial Solve(cfg, 1) exactly.
 func TestIntraParallelMatchesSerial(t *testing.T) {
 	for _, mode := range []Mode{Unit, Narrow} {
 		height, heights := 1.0, workload.UnitHeights
@@ -295,20 +295,20 @@ func TestIntraParallelMatchesSerial(t *testing.T) {
 			for name, items := range shapes {
 				for _, trace := range []bool{false, true} {
 					cfg := Config{Mode: mode, Epsilon: 0.1, Seed: seed, RecordTrace: trace}
-					want, err := Prepare(slices.Clone(items)).Run(cfg)
+					want, err := Prepare(slices.Clone(items)).Solve(cfg, 1)
 					if err != nil {
 						t.Fatalf("%v/%s/seed=%d serial: %v", mode, name, seed, err)
 					}
 					for _, w := range []int{1, 2, 3, 4, 8} {
 						tag := fmt.Sprintf("%v/%s/seed=%d/trace=%v/w=%d", mode, name, seed, trace, w)
-						cold, err := Prepare(slices.Clone(items)).RunParallel(cfg, w)
+						cold, err := Prepare(slices.Clone(items)).Solve(cfg, w)
 						if err != nil {
 							t.Fatalf("%s cold: %v", tag, err)
 						}
 						sameResult(t, tag+" cold", cold, want)
 						warm := Prepare(slices.Clone(items))
 						warm.EnableWarmStart()
-						shard, err := warm.RunParallel(cfg, w)
+						shard, err := warm.Solve(cfg, w)
 						if err != nil {
 							t.Fatalf("%s sharded: %v", tag, err)
 						}
@@ -352,17 +352,17 @@ func FuzzWarmChurn(f *testing.F) {
 			order = applyRandomDelta(t, p, pool, order, rng)
 			// Interleaved warm solve: populates (and replays) the cache so
 			// the final comparison below exercises a genuinely warm state.
-			if _, err := p.RunParallel(cfg, warmW); err != nil {
+			if _, err := p.Solve(cfg, warmW); err != nil {
 				t.Fatal(err)
 			}
 		}
 		cold := Prepare(reindex(p.items))
 		for _, w := range workerAxis {
-			got, err := p.RunParallel(cfg, w)
+			got, err := p.Solve(cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := cold.RunParallel(cfg, w)
+			want, err := cold.Solve(cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -203,7 +203,7 @@ func runA1(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)})
+			res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)}, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -129,7 +129,7 @@ func runA3(cfg Config) ([]*stats.Table, error) {
 				return nil, err
 			}
 			rcfg := engine.Config{Mode: mode, Epsilon: 0.3, Seed: seed}
-			eres, err := engine.Run(items, rcfg)
+			eres, err := engine.Prepare(items).Solve(rcfg, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func runE8(cfg Config) ([]*stats.Table, error) {
 			if d := engine.MaxCritical(items); d > maxDelta {
 				maxDelta = d
 			}
-			res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)})
+			res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)}, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +108,7 @@ func runE9(cfg Config) ([]*stats.Table, error) {
 			if len(items) > seq.BruteForceLimit {
 				continue
 			}
-			res, err := engine.RunArbitrary(items, engine.Config{Epsilon: 0.15, Seed: cfg.Seed + int64(trial)})
+			res, err := engine.SolveArbitrary(items, engine.Config{Epsilon: 0.15, Seed: cfg.Seed + int64(trial)}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -166,9 +166,9 @@ func runA2(cfg Config) ([]*stats.Table, error) {
 			continue
 		}
 		for name, single := range map[string]bool{"multi-stage (paper)": false, "single-stage (PS-style)": true} {
-			res, err := engine.Run(items, engine.Config{
+			res, err := engine.Prepare(items).Solve(engine.Config{
 				Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial), SingleStage: single,
-			})
+			}, 1)
 			if err != nil {
 				return nil, err
 			}

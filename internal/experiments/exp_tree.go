@@ -48,7 +48,7 @@ func runE6(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)})
+			res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed + int64(trial)}, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -88,7 +88,7 @@ func runE6(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed})
+		res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed}, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +135,7 @@ func runE7(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := engine.RunArbitrary(items, engine.Config{Epsilon: 0.15, Seed: cfg.Seed + int64(trial)})
+			res, err := engine.SolveArbitrary(items, engine.Config{Epsilon: 0.15, Seed: cfg.Seed + int64(trial)}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -176,7 +176,7 @@ func runE10(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed})
+		res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: cfg.Seed}, 1)
 		if err != nil {
 			return nil, err
 		}

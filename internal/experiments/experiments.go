@@ -1,8 +1,10 @@
-// Package experiments implements the reproduction experiment suite defined
-// in DESIGN.md: every illustrated scenario (Figures 1–3, 6) and every
-// quantitative claim (Lemmas 4.1–4.3, 5.1, 6.1–6.2; Theorems 5.3, 6.3,
-// 7.1–7.2; Appendix A) is measured and rendered as a table. cmd/schedbench
-// drives this package; EXPERIMENTS.md records its output.
+// Package experiments implements the reproduction experiment suite: every
+// illustrated scenario (Figures 1–3, 6) and every quantitative claim
+// (Lemmas 4.1–4.3, 5.1, 6.1–6.2; Theorems 5.3, 6.3, 7.1–7.2; Appendix A)
+// is measured and rendered as a table. Each exp_*.go file registers its
+// experiments with their IDs and titles. cmd/schedbench drives this
+// package and prints the tables (`go run ./cmd/schedbench -experiment
+// all`).
 package experiments
 
 import (

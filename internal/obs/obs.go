@@ -84,7 +84,7 @@ type PhaseStat struct {
 // the recorder calls themselves).
 type SolveReport struct {
 	// Solves and Wall aggregate the PhaseSolve spans: one per
-	// Run/RunParallel call (an arbitrary-heights solve contributes one per
+	// Prepared.Solve call (an arbitrary-heights solve contributes one per
 	// non-empty height class).
 	Solves int64         `json:"solves"`
 	Wall   time.Duration `json:"wall_ns"`

@@ -185,9 +185,9 @@ func TestSnapshotsScratchReproducible(t *testing.T) {
 	}
 	for _, snap := range snaps {
 		items := append([]engine.Item(nil), snap.Items()...)
-		eres, err := engine.Run(items, engine.Config{
+		eres, err := engine.Prepare(items).Solve(engine.Config{
 			Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		})
+		}, 1)
 		if err != nil {
 			t.Fatalf("epoch %d: scratch run: %v", snap.Epoch, err)
 		}

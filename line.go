@@ -80,6 +80,9 @@ func SolveLine(in *LineInstance, opts Options) (*Result, error) {
 		return nil, err
 	}
 	opts.normalize()
+	if err := opts.checkSimulate(); err != nil {
+		return nil, err
+	}
 	if opts.Algorithm == SequentialTree {
 		return nil, fmt.Errorf("treesched: SequentialTree applies to tree instances; use a distributed algorithm for lines")
 	}

@@ -158,7 +158,9 @@ type Options struct {
 	// simnet's round loop. The in-process engine
 	// still runs first and supplies the dual bound; the simulated run
 	// supplies the selection and profit, which are identical, and reports
-	// honest round and message counts.
+	// honest round and message counts. Only the distributed algorithms
+	// have a distributed execution: with SequentialTree or ExactSmall,
+	// Simulate is an error.
 	Simulate bool
 	// SingleStage switches to the Panconesi–Sozio-style schedule
 	// (λ = 1/(5+ε)); it exists for ablation studies.
@@ -211,6 +213,15 @@ func (o *Options) normalize() {
 	if o.Parallelism < 1 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
+}
+
+// checkSimulate rejects Simulate under an algorithm that has no
+// distributed execution, rather than ignoring it.
+func (o Options) checkSimulate() error {
+	if o.Simulate && (o.Algorithm == SequentialTree || o.Algorithm == ExactSmall) {
+		return fmt.Errorf("treesched: Simulate applies to the distributed algorithms, not %v", o.Algorithm)
+	}
+	return nil
 }
 
 // engineConfig is the engine Config of a solve under o, in the unit mode;
@@ -354,10 +365,8 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 }
 
 // preparedFor builds the unit-pipeline prepared state with Options.Recorder
-// attached, bracketing the preparation in PhasePrepare. engine.Run is
-// exactly Prepare + Run, so routing the solve through here changes no
-// result. The warm-start cache stays off, so the solve runs the serial
-// engine.
+// attached, bracketing the preparation in PhasePrepare. The warm-start
+// cache stays off, so its Solve runs the serial engine.
 func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 	rec := opts.Recorder
 	var tok int64
@@ -376,7 +385,7 @@ func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
 // out's Profit, DualBound and Guarantee, and returns the selected item ids.
 // runUnit and Session.Solve share it.
 func runPrepared(p *engine.Prepared, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	eres, err := p.RunParallel(cfg, opts.Parallelism)
+	eres, err := p.Solve(cfg, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -406,19 +415,7 @@ func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) 
 }
 
 func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	// As in runUnit: RunArbitrary ≡ PrepareArbitrary + RunParallel,
-	// re-routed so Options.Recorder reaches both height classes.
-	rec := opts.Recorder
-	var tok int64
-	if rec != nil {
-		tok = rec.StartSpan(engine.PhasePrepare)
-	}
-	ap := engine.PrepareArbitrary(items)
-	ap.SetRecorder(rec)
-	if rec != nil {
-		rec.EndSpan(engine.PhasePrepare, tok)
-	}
-	ares, err := ap.RunParallel(cfg, opts.Parallelism)
+	ares, err := engine.SolveArbitrary(items, cfg, opts.Recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -429,36 +426,21 @@ func runArbitrary(items []engine.Item, cfg engine.Config, opts Options, out *Res
 	if !opts.Simulate {
 		return ares.Selected, nil
 	}
-	// Distributed execution: run the two sub-protocols over the simulator
-	// and combine per resource (§6 overall algorithm).
-	wide, narrow, wideIDs, narrowIDs := engine.SplitWideNarrow(items)
-	var wideSel, narrowSel []int
-	for _, sub := range []struct {
-		items []engine.Item
-		mode  engine.Mode
-		sel   *[]int
-	}{
-		{wide, engine.Unit, &wideSel},
-		{narrow, engine.Narrow, &narrowSel},
-	} {
-		if len(sub.items) == 0 {
-			continue
-		}
-		scfg := cfg
-		scfg.Mode = sub.mode
-		scfg.Xi = 0
-		dres, err := dist.RunOpts(sub.items, scfg, dist.Options{Recorder: opts.Recorder})
+	// Distributed execution: the same §6 rule, each height class run over
+	// the simulator.
+	selected, profit, err := engine.SolveHeightClasses(items, cfg, func(class []engine.Item, ccfg engine.Config) ([]int, error) {
+		dres, err := dist.RunOpts(class, ccfg, dist.Options{Recorder: opts.Recorder})
 		if err != nil {
 			return nil, err
 		}
-		*sub.sel = dres.Selected
 		out.Rounds += dres.Stats.Rounds
 		out.Messages += dres.Stats.Messages
-		if dres.Stats.MaxMessageSize > out.MaxMessageSize {
-			out.MaxMessageSize = dres.Stats.MaxMessageSize
-		}
+		out.MaxMessageSize = max(out.MaxMessageSize, dres.Stats.MaxMessageSize)
+		return dres.Selected, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	selected, profit := engine.CombineSelections(wide, narrow, wideSel, narrowSel, wideIDs, narrowIDs)
 	if math.Abs(profit-ares.Profit) > 1e-6*math.Max(1, ares.Profit) {
 		return nil, fmt.Errorf("treesched: internal error: simulated profit %v diverged from engine %v", profit, ares.Profit)
 	}

@@ -237,6 +237,30 @@ func TestSolveValidationErrors(t *testing.T) {
 			t.Fatalf("want repeated-resource error, got %v", err)
 		}
 	})
+	t.Run("simulate without a distributed algorithm", func(t *testing.T) {
+		inst, tid := paperTree(t)
+		inst.AddDemand(3, 12, 5, treesched.Access(tid))
+		line := treesched.NewLineInstance(5, 1)
+		line.AddJob(1, 3, 2, 1)
+		for _, tc := range []struct {
+			name  string
+			solve func() (*treesched.Result, error)
+		}{
+			{"tree exact", func() (*treesched.Result, error) {
+				return treesched.Solve(inst, treesched.Options{Algorithm: treesched.ExactSmall, Simulate: true})
+			}},
+			{"tree sequential", func() (*treesched.Result, error) {
+				return treesched.Solve(inst, treesched.Options{Algorithm: treesched.SequentialTree, Simulate: true})
+			}},
+			{"line exact", func() (*treesched.Result, error) {
+				return treesched.SolveLine(line, treesched.Options{Algorithm: treesched.ExactSmall, Simulate: true})
+			}},
+		} {
+			if _, err := tc.solve(); err == nil || !strings.Contains(err.Error(), "Simulate") {
+				t.Errorf("%s: got %v, want an error naming Simulate", tc.name, err)
+			}
+		}
+	})
 	t.Run("line sequential", func(t *testing.T) {
 		line := treesched.NewLineInstance(5, 1)
 		line.AddJob(1, 3, 2, 1)

@@ -204,7 +204,7 @@ func TestSessionLongChurnCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		items := treesched.SessionItems(sess)
-		eres, err := engine.Run(items, engine.Config{Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed})
+		eres, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,9 +549,9 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 			for i := range items {
 				items[i].ID = i
 			}
-			eres, err := engine.Run(items, engine.Config{
+			eres, err := engine.Prepare(items).Solve(engine.Config{
 				Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-			})
+			}, 1)
 			if err != nil {
 				t.Fatalf("solver %d capture %d: scratch run: %v", k, r, err)
 			}
@@ -655,9 +655,9 @@ func TestSessionMatchesEngineScratch(t *testing.T) {
 		for i := range items {
 			items[i].ID = i
 		}
-		eres, err := engine.Run(items, engine.Config{
+		eres, err := engine.Prepare(items).Solve(engine.Config{
 			Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		})
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,6 +107,9 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.opts.checkSimulate(); err != nil {
+		return nil, err
+	}
 	if s.opts.Algorithm == SequentialTree {
 		return solveSequential(m)
 	}

@@ -1,7 +1,9 @@
 package treesched_test
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,24 +130,48 @@ func TestVerifyLine(t *testing.T) {
 	}
 }
 
+// TestSolveArbitrarySimulated checks the §6 Simulate path, which runs each
+// height class over the simulator: on instances with demands on both sides
+// of h = 1/2 it must reproduce the in-process solve bitwise — assignments,
+// profit, dual bound and guarantee.
 func TestSolveArbitrarySimulated(t *testing.T) {
-	inst := randomAPIInstance(t, 11, true)
-	plain, err := treesched.Solve(inst, treesched.Options{Seed: 11, Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := treesched.Solve(inst, treesched.Options{Seed: 11, Epsilon: 0.3, Simulate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Profit != sim.Profit {
-		t.Fatalf("profits differ: %v vs %v", plain.Profit, sim.Profit)
-	}
-	if err := treesched.Verify(inst, sim); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Rounds == 0 {
-		t.Error("simulated arbitrary run reported no rounds")
+	for seed := int64(0); seed < 12; seed++ {
+		inst := randomAPIInstance(t, seed, true)
+		wide, narrow := 0, 0
+		for _, h := range treesched.DemandHeights(inst) {
+			if h > 0.5 {
+				wide++
+			} else {
+				narrow++
+			}
+		}
+		if wide == 0 || narrow == 0 {
+			t.Fatalf("seed %d: %d wide and %d narrow demands, want both height classes", seed, wide, narrow)
+		}
+		opts := treesched.Options{Seed: seed, Epsilon: 0.3}
+		plain, err := treesched.Solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Simulate = true
+		sim, err := treesched.Solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sim.Assignments, plain.Assignments) {
+			t.Errorf("seed %d: assignments differ:\nplain     %v\nsimulated %v", seed, plain.Assignments, sim.Assignments)
+		}
+		if math.Float64bits(sim.Profit) != math.Float64bits(plain.Profit) ||
+			sim.DualBound != plain.DualBound || sim.Guarantee != plain.Guarantee {
+			t.Errorf("seed %d: profit/bound/guarantee differ: plain (%v, %v, %v) simulated (%v, %v, %v)", seed,
+				plain.Profit, plain.DualBound, plain.Guarantee, sim.Profit, sim.DualBound, sim.Guarantee)
+		}
+		if err := treesched.Verify(inst, sim); err != nil {
+			t.Fatal(err)
+		}
+		if sim.Rounds == 0 {
+			t.Errorf("seed %d: simulated arbitrary run reported no rounds", seed)
+		}
 	}
 }
 
