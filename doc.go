@@ -130,11 +130,9 @@
 // merge and compare by external key), the arithmetic applies the same
 // deltas to the same logical variables in the same order as the map-backed
 // representation (asserted by a shadow-replay determinism suite), and the
-// dual objective sums in external-key order: identity demand slots in slot
-// order and tabled edges in a (network, edge) scan, which is that order
-// with no sort, and a side that converted to a map through a memoized sort
-// (pinned against the map-and-sort index by an oracle test and a fuzz
-// target).
+// dual objective adds its values exactly and rounds once, so its bits
+// depend on neither slot numbering nor order (pinned against a math/big sum
+// by an oracle test and two fuzz targets).
 //
 // Luby election priorities come from per-owner splitmix64 streams
 // (engine.NewStream), replacing the earlier math/rand sources whose
@@ -174,9 +172,9 @@
 //     departures leave stale slots behind. A stale slot holds zero in
 //     every fresh per-run assignment and is referenced by no view, so it
 //     cannot influence a raise, a satisfaction test, or the dual objective
-//     (which sums in external-key order; adding a zero-valued stale slot is
-//     exact). Arrivals take the next demand ids in order, so demand slots
-//     stay the identity until a compaction re-prepares the set;
+//     (an exact sum, which skips zeros). Arrivals take the next demand ids
+//     in order, so demand slots stay the identity until a compaction
+//     re-prepares the set;
 //   - the member lists of exactly the groups the churn reached: they filter
 //     out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is
@@ -238,12 +236,12 @@
 // profit, λ, dual bound, and trace — because nothing on the replay path
 // re-does arithmetic: the merged global λ is a min over per-shard minima
 // (order-independent, no arithmetic), merged dual values are exact copies
-// into disjoint global slots, and the dual objective sums in sorted
-// external-key order regardless of which components were replayed. Stream
-// drift cannot occur: per-owner PRNG streams are re-seeded per run from
-// (seed, owner), so a replayed component's recorded draws are exactly the
-// draws a re-run would make. The warm≡cold property is pinned by the
-// incremental-state suite across multi-round churn sequences, seeds,
+// into disjoint global slots, and the dual objective is an exact sum,
+// whatever slots the values landed in and whichever components were
+// replayed. Stream drift cannot occur: per-owner PRNG streams are re-seeded
+// per run from (seed, owner), so a replayed component's recorded draws are
+// exactly the draws a re-run would make. The warm≡cold property is pinned
+// by the incremental-state suite across multi-round churn sequences, seeds,
 // worker counts, and unit/arbitrary modes.
 //
 // Cached component state invalidates exactly when its inputs change:

@@ -23,3 +23,20 @@ func DemandHeights(in *Instance) []float64 {
 	}
 	return hs
 }
+
+// EngineInput exposes the engine items and the unit-mode engine Config
+// that a Solve of in under opts runs on, to tests that re-run a stage of
+// the pipeline themselves.
+func EngineInput(in *Instance, opts Options) ([]engine.Item, engine.Config, error) {
+	s := NewSolver(opts)
+	m, err := in.build()
+	if err != nil {
+		return nil, engine.Config{}, err
+	}
+	layered, err := s.layeredFor(m)
+	if err != nil {
+		return nil, engine.Config{}, err
+	}
+	items, err := engine.BuildTreeItemsLayered(m, layered)
+	return items, s.opts.engineConfig(), err
+}

@@ -25,17 +25,15 @@
 //
 // The arithmetic is operation-for-operation identical to the map-backed
 // representation: raises add the same deltas to the same logical variables
-// in the same order, and Value sums in external-key order (by a scan where
-// the index is dense, by a memoized sort where it hashes), so dense runs
-// are bitwise equal to map-state runs (asserted by the engine's shadow-replay
-// determinism test and, for the index alone, by a map-and-sort oracle).
+// in the same order. Value adds the values exactly and rounds once, so its
+// bits depend on neither slot numbering nor order. Dense runs are thus
+// bitwise equal to map-state runs (asserted by the engine's shadow-replay
+// determinism test and, for the index alone, by a map-backed oracle).
 package dual
 
 import (
-	"cmp"
 	"math"
 	"slices"
-	"sync"
 
 	"treesched/internal/model"
 )
@@ -52,96 +50,12 @@ const Tolerance = 1e-9
 // Both sides keep first-seen numbering without hashing wherever the key
 // space is dense: demand ids through a model.IDInterner, whose slots are
 // the ids themselves on a cold build, and edge keys through a sized
-// model.EdgeInterner's per-network tables. Value then sums each such side
-// in external-key order by a plain scan. A side that converted to a map —
-// sparse demand ids (shard layouts, compacted Sessions), edge keys too
-// sparse for the tables' budget, or an unsized index's edges — sums through
-// the memoized sorted order of orderFor instead.
+// model.EdgeInterner's per-network tables. A side whose keys are sparse —
+// shard layouts, compacted Sessions, edge keys past the tables' budget, or
+// an unsized index's edges — converts to a map and keeps every slot.
 type Index struct {
 	demands model.IDInterner
 	edges   *model.EdgeInterner
-
-	// orderMu guards the memoized Value summation orders of the sides that
-	// converted to a map. The order is a pure function of the interned
-	// prefix, and re-sorting it on every call dominated steady-state solve
-	// profiles. Interning is single-threaded (between runs), but many
-	// concurrent Assignments share a frozen index and may call Value
-	// simultaneously, hence the lock. A published order slice is never
-	// mutated, only replaced, so callers may keep reading one while a grown
-	// index recomputes.
-	orderMu     sync.Mutex
-	demandOrder []int32
-	edgeOrder   []int32
-}
-
-// sortedDemands returns the first n demand slots in ascending id order. Only
-// a demand side that converted to a map needs it.
-func (ix *Index) sortedDemands(n int) []int32 {
-	ix.orderMu.Lock()
-	defer ix.orderMu.Unlock()
-	return orderFor(&ix.demandOrder, n, func(x, y int32) int {
-		return cmp.Compare(ix.DemandID(x), ix.DemandID(y))
-	})
-}
-
-// sortedEdges returns the first n edge indices in ascending key order. Only
-// an edge side that converted to a map needs it.
-func (ix *Index) sortedEdges(n int) []int32 {
-	ix.orderMu.Lock()
-	defer ix.orderMu.Unlock()
-	return orderFor(&ix.edgeOrder, n, func(x, y int32) int {
-		return cmp.Compare(ix.EdgeKey(x), ix.EdgeKey(y))
-	})
-}
-
-// orderFor serves the sorted order of the first n entries under cmp from
-// *cache, which always holds the order of the largest extent seen. A
-// churning index grows a few slots per round; re-sorting the whole order
-// every solve would dominate the steady state, so growth merges the sorted
-// new tail into the cached permutation instead — sound because interning is
-// append-only, so existing entries never reorder. The keys behind cmp are
-// distinct, so the sorted permutation is unique and growing it by merging
-// equals re-sorting bitwise. Published cached slices are replaced, never
-// mutated, so callers may keep iterating an old one while the cache
-// advances. A request below the cached extent (an assignment created before
-// the index last grew) filters the cached order — the sorted order of a
-// prefix of an append-only interning is a subsequence of the full order —
-// without disturbing the cache.
-func orderFor(cache *[]int32, n int, cmp func(x, y int32) int) []int32 {
-	cached := *cache
-	switch {
-	case len(cached) == n:
-		return cached
-	case len(cached) < n:
-		tail := make([]int32, 0, n-len(cached))
-		for s := len(cached); s < n; s++ {
-			tail = append(tail, int32(s))
-		}
-		slices.SortFunc(tail, cmp)
-		merged := make([]int32, 0, n)
-		i, j := 0, 0
-		for i < len(cached) && j < len(tail) {
-			if cmp(cached[i], tail[j]) <= 0 {
-				merged = append(merged, cached[i])
-				i++
-			} else {
-				merged = append(merged, tail[j])
-				j++
-			}
-		}
-		merged = append(merged, cached[i:]...)
-		merged = append(merged, tail[j:]...)
-		*cache = merged
-		return merged
-	default:
-		out := make([]int32, 0, n)
-		for _, s := range cached {
-			if int(s) < n {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
 }
 
 // NewIndex returns an empty, unsized index. Its edge side keeps a map from
@@ -161,7 +75,7 @@ func NewIndexSized(demands, pathEntries int) *Index {
 }
 
 // Hashed reports whether either side of the index converted to a map, so
-// its lookups hash and Value sorts it.
+// its lookups hash.
 func (ix *Index) Hashed() bool { return !ix.demands.Identity() || !ix.edges.Tabled() }
 
 // Demand returns the dense slot of a demand id, interning it when new.
@@ -223,8 +137,8 @@ func NewWithIndex(ix *Index) *Assignment {
 // over its node-local edge numbering, so a million-processor run carries no
 // per-node interning maps at all. Such an assignment supports exactly the
 // index-free hot-path methods (Alpha, Beta, BetaSum, LHS, Satisfied,
-// RaiseUnit, RaiseNarrow, AddBeta, StateBytes); the key-addressed layer and
-// Value need an index and must not be called on it.
+// RaiseUnit, RaiseNarrow, AddBeta, StateBytes, Value); the key-addressed
+// layer needs an index and must not be called on it.
 func NewDense(demands, edges int) *Assignment {
 	return &Assignment{alpha: make([]float64, demands), beta: make([]float64, edges)}
 }
@@ -489,33 +403,24 @@ func (a *Assignment) BetaMap() map[model.EdgeKey]float64 {
 	return m
 }
 
-// Value returns the dual objective Σα + Σβ. The sum runs in external-key
-// order (ascending demand id, then ascending edge key) so that equal
-// assignments produce bitwise-equal values regardless of slot numbering —
-// the sharded parallel engine merges per-component duals into a
-// differently-indexed global assignment and must reproduce the serial run's
-// Bound exactly. While the demand slots are the identity, slot order is id
-// order; while the edge side is tabled, its table scan is key order. Only a
-// side that converted to a map sorts (memoized per index).
+// Value returns the dual objective Σα + Σβ: the exact sum of the nonzero
+// values, rounded once to nearest. So the bits depend on the multiset of
+// values alone, not on slot numbering or order — the sharded engine merges
+// per-component duals into a differently-indexed global assignment and
+// reproduces the serial run's Bound exactly. Every α and β is finite and
+// non-negative, since raises and merges only add non-negative amounts.
+//
+//schedvet:hot
 func (a *Assignment) Value() float64 {
-	ix := a.ix
-	v := 0.0
-	if ix.demands.Identity() {
-		for _, x := range a.alpha {
-			v += x
-		}
-	} else {
-		for _, s := range ix.sortedDemands(len(a.alpha)) {
-			v += a.alpha[s]
+	var s exactSum
+	for _, side := range [2][]float64{a.alpha, a.beta} {
+		for _, x := range side {
+			if x != 0 {
+				s.add(x)
+			}
 		}
 	}
-	if ix.edges.Tabled() {
-		return ix.edges.SumInKeyOrder(v, a.beta)
-	}
-	for _, i := range ix.sortedEdges(len(a.beta)) {
-		v += a.beta[i]
-	}
-	return v
+	return s.round()
 }
 
 // ConstraintView describes one dual constraint for Lambda/Bound computation.

@@ -1,8 +1,8 @@
 package dual
 
 import (
-	"cmp"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,10 +10,10 @@ import (
 	"treesched/internal/model"
 )
 
-// oracleIndex is the map-and-sort Index the per-network tables and identity
+// oracleIndex is the map-backed Index the per-network tables and identity
 // slots replaced, kept as the oracle: demand ids and edge keys intern
-// through maps in first-seen order, and the objective is summed over a
-// fresh sort of the external keys on every call.
+// through maps in first-seen order, and the objective is the math/big sum
+// of every value, exact at 2,200 bits and rounded once.
 type oracleIndex struct {
 	demandSlot map[int]int32
 	demandIDs  []int
@@ -45,26 +45,19 @@ func (o *oracleIndex) edge(k model.EdgeKey) int32 {
 	return i
 }
 
-// value is Σα + Σβ over the given slot extents, in ascending demand id and
-// then ascending edge key order.
+// value is Σα + Σβ over the given slot extents.
 func (o *oracleIndex) value(alpha, beta []float64) float64 {
-	ds := make([]int32, len(alpha))
-	for s := range ds {
-		ds[s] = int32(s)
+	return bigSum(slices.Concat(alpha, beta))
+}
+
+// bigSum is the exact sum of terms, rounded to nearest, ties to even: 2,200
+// bits hold any sum of fewer than 2^100 finite float64s.
+func bigSum(terms []float64) float64 {
+	sum := new(big.Float).SetPrec(2200)
+	for _, x := range terms {
+		sum.Add(sum, new(big.Float).SetFloat64(x))
 	}
-	slices.SortFunc(ds, func(x, y int32) int { return cmp.Compare(o.demandIDs[x], o.demandIDs[y]) })
-	es := make([]int32, len(beta))
-	for i := range es {
-		es[i] = int32(i)
-	}
-	slices.SortFunc(es, func(x, y int32) int { return cmp.Compare(o.edgeKeys[x], o.edgeKeys[y]) })
-	v := 0.0
-	for _, s := range ds {
-		v += alpha[s]
-	}
-	for _, i := range es {
-		v += beta[i]
-	}
+	v, _ := sum.Float64()
 	return v
 }
 
@@ -198,7 +191,7 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
 func (o *oracleIndex) nextID() int { return len(o.demandIDs) }
 
 // TestIndexMatchesOracle pins the tabled and identity Index to the
-// map-and-sort oracle: every slot, every lookup answer and the bits of every
+// map-backed oracle: every slot, every lookup answer and the bits of every
 // Value, over dense, sparse and mixed key spaces, identity broken at random
 // points or never, and indexes sized from far too small (converting early)
 // to roomy (staying tabled) as well as unsized.

@@ -1,0 +1,92 @@
+package dual
+
+import (
+	"math"
+	"math/bits"
+)
+
+// exactSum adds finite, non-negative float64 terms exactly and rounds the
+// total once, so the sum does not depend on the order or grouping of its
+// terms (Neal's small superaccumulator, arXiv:1505.05571). Every finite
+// float64 is an integer below 2^2098 times 2^-1074; the accumulator keeps
+// the sum of those integers in 32-bit digits, word i holding the digit of
+// 2^(32i-1074). A word is an int64 and takes a digit below 2^32 per term,
+// so add carries every carryEvery terms, and round carries once at the end.
+// The zero value is an empty sum.
+type exactSum struct {
+	w [68]int64
+	n int32 // terms added since the last carry
+}
+
+// carryEvery keeps every word below 2^63: after a carry each word is below
+// 2^32, and each term adds less than 2^32 to at most three of them.
+const carryEvery = 1<<31 - 2
+
+// add adds x, which must be finite and non-negative.
+//
+//schedvet:hot
+func (s *exactSum) add(x float64) {
+	b := math.Float64bits(x)
+	e, m := b>>52, b&(1<<52-1)
+	if e == 0 {
+		e = 1 // subnormal: no implicit bit, same scale as the least normal
+	} else {
+		m |= 1 << 52
+	}
+	// x = m·2^(sh-1074); m·2^r spans at most 84 bits, so three digits.
+	sh := e - 1
+	i, r := sh/32, sh%32
+	lo, hi := m<<r, m>>(64-r)
+	s.w[i] += int64(lo & (1<<32 - 1))
+	s.w[i+1] += int64(lo >> 32)
+	s.w[i+2] += int64(hi)
+	if s.n++; s.n == carryEvery {
+		s.carry()
+	}
+}
+
+// carry propagates every word's excess over 32 bits into the next word.
+func (s *exactSum) carry() {
+	for i := 0; i < len(s.w)-1; i++ {
+		s.w[i+1] += s.w[i] >> 32
+		s.w[i] &= 1<<32 - 1
+	}
+	s.n = 0
+}
+
+// round returns the sum rounded to nearest, ties to even: +Inf when it
+// rounds past math.MaxFloat64.
+func (s *exactSum) round() float64 {
+	s.carry()
+	top := len(s.w) - 1
+	for top >= 0 && s.w[top] == 0 {
+		top--
+	}
+	if top < 0 {
+		return 0
+	}
+	p := 32*top + bits.Len64(uint64(s.w[top])) - 1 // the sum's leading bit
+	switch {
+	case p <= 52: // below 2^-1021: exact, and its bits are the integer
+		return math.Float64frombits(uint64(s.w[0]) | uint64(s.w[1])<<32)
+	case p >= 2098: // at least 2^1024
+		return math.Inf(1)
+	}
+	// The 53 significant bits and the round bit below them, then the sticky
+	// bit of everything lower.
+	g := p - 53
+	i, r := g/32, uint(g%32)
+	v := uint64(s.w[i])>>r | uint64(s.w[i+1])<<(32-r) | uint64(s.w[i+2])<<(64-r)
+	sticky := uint64(s.w[i])&(1<<r-1) != 0
+	for _, x := range s.w[:i] {
+		sticky = sticky || x != 0
+	}
+	m := v >> 1
+	if v&1 != 0 && (sticky || m&1 != 0) {
+		m++
+	}
+	// m·2^(g+1-1074) with 2^52 ≤ m ≤ 2^53: the biased exponent is g+2, so
+	// the bits are (g+1)<<52 + m. A carry out of m bumps the exponent, and
+	// past the largest exponent it lands exactly on +Inf.
+	return math.Float64frombits(uint64(g+1)<<52 + m)
+}

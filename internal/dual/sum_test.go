@@ -1,0 +1,178 @@
+package dual
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"treesched/internal/model"
+)
+
+// decodeTerms reads one term per 9 bytes: a kind byte, then 8 payload
+// bytes (little-endian, zero-padded at the end). Each kind maps its payload
+// to a finite, non-negative float64:
+//
+//   - 0: any such bit pattern (the sign is dropped, and an all-ones
+//     exponent loses its top bit);
+//   - 1: a subnormal, or zero;
+//   - 2: a power of two from 2^-1074 to 2^1023, which with other terms
+//     lands sums exactly between two floats;
+//   - 3: a value in [2^1023, MaxFloat64], two of which overflow.
+func decodeTerms(data []byte) []float64 {
+	var terms []float64
+	for ; len(data) > 0; data = data[min(9, len(data)):] {
+		var buf [8]byte
+		copy(buf[:], data[1:min(9, len(data))])
+		u := binary.LittleEndian.Uint64(buf[:])
+		var b uint64
+		switch data[0] % 4 {
+		case 0:
+			b = u &^ (1 << 63)
+			if b>>52 == 0x7ff {
+				b &^= 1 << 62
+			}
+		case 1:
+			b = u & (1<<52 - 1)
+		case 2:
+			b = math.Float64bits(math.Ldexp(1, int(u%2098)-1074))
+		default:
+			b = 0x7fe<<52 | u&(1<<52-1)
+		}
+		terms = append(terms, math.Float64frombits(b))
+	}
+	return terms
+}
+
+// encodeTerm is the decodeTerms record of a term of the given kind.
+func encodeTerm(kind byte, payload uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{kind}, payload)
+}
+
+// exact sums terms in order through an exactSum, carrying early after every
+// term whose bit is set in carries: a carry may fall anywhere in a sum.
+func exact(terms []float64, carries uint64) float64 {
+	var s exactSum
+	for i, x := range terms {
+		s.add(x)
+		if carries>>(i%64)&1 != 0 {
+			s.carry()
+		}
+	}
+	return s.round()
+}
+
+// FuzzExactSum pins the accumulator to the math/big reference, bit for bit,
+// in the given order, reversed and shuffled.
+func FuzzExactSum(f *testing.F) {
+	pow2 := func(e int) []byte { return encodeTerm(2, uint64(e+1074)) }
+	bits := func(x float64) []byte { return encodeTerm(0, math.Float64bits(x)) }
+	f.Add(int64(0), []byte{})
+	f.Add(int64(1), slices.Concat(bits(1), pow2(-53)))                              // tie, down to even
+	f.Add(int64(2), slices.Concat(bits(1+0x1p-52), pow2(-53)))                      // tie, up to even
+	f.Add(int64(3), slices.Concat(bits(1), pow2(-53), pow2(-1074)))                 // sticky breaks the tie
+	f.Add(int64(4), slices.Concat(bits(math.MaxFloat64), pow2(970)))                // half an ulp past the top: +Inf
+	f.Add(int64(5), slices.Concat(bits(math.MaxFloat64), pow2(969)))                // a quarter ulp: MaxFloat64
+	f.Add(int64(6), slices.Concat(encodeTerm(3, 1), encodeTerm(3, 2)))              // overflow
+	f.Add(int64(7), slices.Concat(encodeTerm(1, 1<<52-1), encodeTerm(1, 1)))        // subnormals to the least normal
+	f.Add(int64(8), slices.Concat(bits(1e300), bits(1), bits(1e-300), pow2(-1074))) // wide span
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		terms := decodeTerms(data)
+		want := bigSum(terms)
+		carries := uint64(seed)
+		if got := exact(terms, carries); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sum of %v = %v, math/big %v", terms, got, want)
+		}
+		slices.Reverse(terms)
+		if got := exact(terms, carries>>1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reversed sum of %v = %v, math/big %v", terms, got, want)
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+		if got := exact(terms, 0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("shuffled sum of %v = %v, math/big %v", terms, got, want)
+		}
+	})
+}
+
+// TestValueIgnoresNumbering puts one multiset of dual values into two
+// assignments whose indexes number them differently: identity demand slots
+// and tabled edges interned in key order, against sparse demand ids and
+// map-backed edges interned in shuffled order, with stale zero slots mixed
+// in. Value must give the same bits, those of the exact sum.
+func TestValueIgnoresNumbering(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	value := func() float64 { return rng.Float64() * math.Pow(10, float64(rng.Intn(8)-4)) }
+	alphas, betas := make([]float64, 60), make([]float64, 90)
+	keys := make([]model.EdgeKey, len(betas))
+	for i := range alphas {
+		alphas[i] = value()
+	}
+	for j := range betas {
+		betas[j], keys[j] = value(), model.MakeEdgeKey(j/30, j%30)
+	}
+
+	dense := NewWithIndex(NewIndexSized(len(alphas), len(betas)))
+	for i, x := range alphas {
+		dense.AddAlphaOf(i, x)
+	}
+	for j, x := range betas {
+		dense.AddBetaOf(keys[j], x)
+	}
+
+	hashed := New()
+	for n, i := range rng.Perm(len(alphas)) {
+		hashed.Index().Demand(-1 - n) // a stale slot
+		hashed.AddAlphaOf(1000+7*i, alphas[i])
+	}
+	for _, j := range rng.Perm(len(betas)) {
+		hashed.Index().Edge(model.MakeEdgeKey(9, j)) // a stale index
+		hashed.AddBetaOf(keys[j], betas[j])
+	}
+	if dense.Index().Hashed() || !hashed.Index().Hashed() {
+		t.Fatalf("hashed: dense index %v, shuffled index %v", dense.Index().Hashed(), hashed.Index().Hashed())
+	}
+
+	fold := func(a *Assignment) float64 {
+		v := 0.0
+		for _, x := range slices.Concat(a.alpha, a.beta) {
+			v += x
+		}
+		return v
+	}
+	if fold(dense) == fold(hashed) {
+		t.Fatal("the two slot orders fold to the same bits, so they cannot tell an ordered sum from an exact one")
+	}
+	want := bigSum(slices.Concat(alphas, betas))
+	for _, a := range []*Assignment{dense, hashed} {
+		if got := a.Value(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Value over %d/%d slots = %v, exact sum %v", len(a.alpha), len(a.beta), got, want)
+		}
+	}
+}
+
+// TestValueAllocatesNothing calls Value on assignments over a hashed index
+// whose demand side grew since the previous call, as it does on every round
+// of a compacted Session that interns arrivals.
+func TestValueAllocatesNothing(t *testing.T) {
+	const runs = 50
+	ix := NewIndexSized(0, 64)
+	as := make([]*Assignment, runs+1) // AllocsPerRun calls once more to warm up
+	for k := range as {
+		a := NewWithIndex(ix)
+		a.AddAlphaOf(1000+3*k, float64(k+1))
+		a.AddBetaOf(model.MakeEdgeKey(0, k%8), 0.5)
+		as[k] = a
+	}
+	if !ix.Hashed() {
+		t.Fatal("index not hashed")
+	}
+	next, sink := 0, 0.0
+	allocs := testing.AllocsPerRun(runs, func() {
+		sink += as[next].Value()
+		next++
+	})
+	if allocs != 0 || next != len(as) {
+		t.Fatalf("Value allocated %v times per call over %d calls (sum %v)", allocs, next, sink)
+	}
+}

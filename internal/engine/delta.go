@@ -25,10 +25,10 @@ import (
 //     interned demand slots and edge indices behind. Stale slots hold zero
 //     in every fresh per-run assignment and are referenced by no view, so
 //     they cannot influence any raise, satisfaction test, or the dual
-//     objective (Value sums by sorted external key; adding a zero-valued
-//     stale slot is exact). This is what makes incremental solve results
-//     bitwise identical to a from-scratch Prepare over the same item slice,
-//     even though the slot numbering differs;
+//     objective (Value is an exact sum that skips zeros, so no numbering of
+//     the slots reaches its bits). This is what makes incremental solve
+//     results bitwise identical to a from-scratch Prepare over the same item
+//     slice, even though the slot numbering differs;
 //   - the group member lists — the whole conflict structure — are patched,
 //     not rebuilt. Only the groups of departed (removed or displaced) and
 //     arriving items change: they filter out departed ids (which preserves

@@ -2,10 +2,9 @@ package engine_test
 
 import (
 	"fmt"
-	"maps"
+	"math/big"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"treesched/internal/dist"
@@ -17,8 +16,8 @@ import (
 // mapDual is the pre-refactor map-backed dual state, kept here as the
 // golden reference semantics: the dense []float64 representation must be a
 // pure storage change, so replaying the engine's recorded raise history
-// through this implementation has to reproduce every δ and every final
-// dual value bitwise.
+// through this implementation has to reproduce every δ, every final dual
+// value and the objective, their exact sum, bitwise.
 type mapDual struct {
 	alpha map[int]float64
 	beta  map[model.EdgeKey]float64
@@ -68,16 +67,18 @@ func (m *mapDual) raise(it *engine.Item, mode engine.Mode) float64 {
 	return delta
 }
 
-// value is the pre-refactor deterministic dual objective: sum over sorted
-// present keys.
+// value is the dual objective: the math/big sum of every value, exact at
+// 2,200 bits (any sum of fewer than 2^100 finite float64s) and rounded once
+// to nearest, so map iteration order cannot reach it.
 func (m *mapDual) value() float64 {
-	v := 0.0
-	for _, k := range slices.Sorted(maps.Keys(m.alpha)) {
-		v += m.alpha[k]
+	sum := new(big.Float).SetPrec(2200)
+	for _, v := range m.alpha {
+		sum.Add(sum, new(big.Float).SetFloat64(v))
 	}
-	for _, k := range slices.Sorted(maps.Keys(m.beta)) {
-		v += m.beta[k]
+	for _, v := range m.beta {
+		sum.Add(sum, new(big.Float).SetFloat64(v))
 	}
+	v, _ := sum.Float64()
 	return v
 }
 

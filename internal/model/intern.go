@@ -10,9 +10,7 @@ package model
 //
 // Lookups go through one table per network, indexed by edge id and holding
 // 1 + the key's index (0 = absent). Tree edge ids are below the network's
-// vertex count, so on a tree the tables are dense: a hit is two slice loads,
-// and scanning the tables in (network, edge) order visits the keys in
-// ascending EdgeKey order with no sort (SumInKeyOrder).
+// vertex count, so on a tree the tables are dense: a hit is two slice loads.
 //
 // Edge ids come from outside, though: a line slot id is bounded only by the
 // caller's slot count, and a few demands on a huge tree touch few of its
@@ -20,11 +18,10 @@ package model
 // tableCellsPerEntry cells per path entry the interner was sized for: two
 // int32 cells are the 8 bytes each entry already costs as an EdgeKey in the
 // items, so the index never outweighs the paths it indexes. A key the budget
-// cannot table (or one with a negative network id, which would break the
-// scan's key order) converts the interner once, in place, to a map built
-// from the key slice, so every index stays. An unsized interner starts as
-// the map. The map is a memory-safety fallback for sparse key spaces, not a
-// second fast path.
+// cannot table, or one with a negative network id, converts the interner
+// once, in place, to a map built from the key slice, so every index stays.
+// An unsized interner starts as the map. The map is a memory-safety
+// fallback for sparse key spaces, not a second fast path.
 type EdgeInterner struct {
 	keys []EdgeKey
 	// tables[n][e] is 1 + the index of MakeEdgeKey(n, e), 0 if absent. nil
@@ -164,25 +161,10 @@ func (in *EdgeInterner) Lookup(k EdgeKey) (int32, bool) {
 	return in.probe(k)
 }
 
-// Tabled reports whether the interner still holds its tables, which
-// SumInKeyOrder needs. It turns false, for good, when a key converts the
-// interner to the map.
+// Tabled reports whether the interner still holds its tables, so a lookup
+// is two slice loads and no hash. It turns false, for good, when a key
+// converts the interner to the map.
 func (in *EdgeInterner) Tabled() bool { return in.idx == nil }
-
-// SumInKeyOrder returns v plus vals[i] for every index i < len(vals), added
-// in ascending key order — the order a sort of the keys would give: network
-// ids are non-negative and edge ids fit in the key's low 32 bits, so
-// (network, edge) order is EdgeKey order. Call it only while Tabled.
-func (in *EdgeInterner) SumInKeyOrder(v float64, vals []float64) float64 {
-	for _, t := range in.tables {
-		for _, c := range t {
-			if c != 0 && int(c) <= len(vals) {
-				v += vals[c-1]
-			}
-		}
-	}
-	return v
-}
 
 // Len returns the number of interned keys.
 func (in *EdgeInterner) Len() int { return len(in.keys) }
@@ -251,8 +233,8 @@ func (in *IDInterner) Lookup(id int) (int32, bool) {
 	return s, ok
 }
 
-// Identity reports whether every slot still equals its id, so slot order is
-// id order. It turns false, for good, at the first other id.
+// Identity reports whether every slot still equals its id, so a lookup
+// needs no map. It turns false, for good, at the first other id.
 func (in *IDInterner) Identity() bool { return in.slot == nil }
 
 // ID returns the id at slot s.

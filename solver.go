@@ -59,19 +59,6 @@ func (s *Solver) CachedLayouts() int {
 	return s.layouts.len()
 }
 
-// CachedPrepared reports 0: a Solver caches no prepared instances.
-//
-// Deprecated: a Solver caches only per-tree decompositions; see
-// CachedLayouts.
-func (s *Solver) CachedPrepared() int { return 0 }
-
-// CachedArbitrary reports 0: a Solver caches no prepared arbitrary-height
-// instances.
-//
-// Deprecated: a Solver caches only per-tree decompositions; see
-// CachedLayouts.
-func (s *Solver) CachedArbitrary() int { return 0 }
-
 // CacheCounters is one solver cache's size and lifetime hit/miss counts.
 type CacheCounters struct {
 	Len    int

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	treesched "treesched"
+	"treesched/internal/dist"
+	"treesched/internal/engine"
 )
 
 // randomAPIInstance builds a random instance through the public API.
@@ -171,6 +173,31 @@ func TestSolveArbitrarySimulated(t *testing.T) {
 		}
 		if sim.Rounds == 0 {
 			t.Errorf("seed %d: simulated arbitrary run reported no rounds", seed)
+		}
+		// The totals cover both height classes: each class's simulation,
+		// run here on its own, adds its rounds and messages.
+		items, cfg, err := treesched.EngineInput(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want treesched.Result
+		classes := 0
+		if _, _, err := engine.SolveHeightClasses(items, cfg, func(class []engine.Item, ccfg engine.Config) ([]int, error) {
+			res, err := dist.Run(class, ccfg)
+			if err != nil {
+				return nil, err
+			}
+			classes++
+			want.Rounds += res.Stats.Rounds
+			want.Messages += res.Stats.Messages
+			want.MaxMessageSize = max(want.MaxMessageSize, res.Stats.MaxMessageSize)
+			return res.Selected, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if classes != 2 || sim.Rounds != want.Rounds || sim.Messages != want.Messages || sim.MaxMessageSize != want.MaxMessageSize {
+			t.Errorf("seed %d: simulated rounds/messages/max size (%d, %d, %d), want the %d classes' (%d, %d, %d)", seed,
+				sim.Rounds, sim.Messages, sim.MaxMessageSize, classes, want.Rounds, want.Messages, want.MaxMessageSize)
 		}
 	}
 }
