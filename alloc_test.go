@@ -1,0 +1,119 @@
+package treesched_test
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	treesched "treesched"
+	"treesched/internal/workload"
+)
+
+// maxSessionRoundAllocs bounds the allocations of one warm Session round
+// at serve-fleet's shape (TestSessionRoundAllocs). It is the count
+// measured when the bound was set; a change that allocates more per round
+// must say why, and one that allocates less lowers it.
+const maxSessionRoundAllocs = 85
+
+// fleetChurn returns a Session over serve-fleet's shape — 16 networks of
+// 256 vertices and 768 demands, each pinned to one network — and the churn
+// of its first n rounds: round r departs the 8 oldest live demands of
+// network r mod 16 and brings 8 new ones to it. Departures never take the
+// demands holding the lowest and highest profit, and arrival profits fall
+// strictly between them, so the profit range, and with it the warm
+// cache's key, never moves.
+func fleetChurn(t testing.TB, opts treesched.Options, n int) (*treesched.Session, []treesched.Churn) {
+	t.Helper()
+	const nets, vertices, demands, churn = 16, 256, 768, 8
+	rng := rand.New(rand.NewSource(2301))
+	in, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: vertices, Trees: nets, Demands: demands, ProfitRatio: 16, AccessMin: 1, AccessMax: 1,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := treesched.NewSolver(opts).Session(publicInstance(t, in, in.Demands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo := make([][]int, nets) // per network the live ids, oldest first
+	lo, hi := 0, 0              // the ids of the lowest and highest profit
+	for _, d := range in.Demands {
+		fifo[d.Access[0]] = append(fifo[d.Access[0]], d.ID)
+		if d.Profit < in.Demands[lo].Profit {
+			lo = d.ID
+		}
+		if d.Profit > in.Demands[hi].Profit {
+			hi = d.ID
+		}
+	}
+	pmin, pmax := in.Demands[lo].Profit, in.Demands[hi].Profit
+	rounds := make([]treesched.Churn, n)
+	next := demands
+	for r := range rounds {
+		q := r % nets
+		var c treesched.Churn
+		var rest []int
+		for _, id := range fifo[q] {
+			if len(c.Remove) < churn && id != lo && id != hi {
+				c.Remove = append(c.Remove, id)
+			} else {
+				rest = append(rest, id)
+			}
+		}
+		for range churn {
+			u, v := rng.Intn(vertices), rng.Intn(vertices)
+			if u == v {
+				v = (v + 1) % vertices
+			}
+			p := pmin + (pmax-pmin)*(0.01+0.98*rng.Float64())
+			c.Add = append(c.Add, treesched.NewDemand{U: u, V: v, Profit: p, Access: []int{q}})
+			rest = append(rest, next)
+			next++
+		}
+		fifo[q], rounds[r] = rest, c
+	}
+	return sess, rounds
+}
+
+// raceEnabled reports whether the race detector is on (race_test.go).
+var raceEnabled = false
+
+// TestSessionRoundAllocs gates the allocations of one warm Session round
+// at serve-fleet's shape (fleetChurn): Update with 8 departures and 8
+// arrivals on one network, then SolveWithItems, at Parallelism 1. Every
+// round's churn is built before the measured region, and the 100 measured
+// rounds follow 50 warm-up rounds, all below the compaction threshold.
+func TestSessionRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	const warmup, runs = 50, 100
+	sess, rounds := fleetChurn(t, treesched.Options{Parallelism: 1}, warmup+runs+1) // AllocsPerRun runs once more
+	k := 0
+	round := func() {
+		if _, err := sess.Update(rounds[k]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := sess.SolveWithItems(); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	for k < warmup {
+		round()
+	}
+	// A collection in the measured region can drop pooled scratch, whose
+	// refill would count against the rounds, so collection is off while
+	// measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(runs, round)
+	st := sess.Stats()
+	if st.Reprepares != 0 || st.ColdSolves != 1 {
+		t.Fatalf("the measured rounds were not all warm: %+v", st)
+	}
+	if allocs > maxSessionRoundAllocs {
+		t.Fatalf("a warm Session round allocates %v times, bound %d", allocs, maxSessionRoundAllocs)
+	}
+	t.Logf("a warm Session round allocates %v times (bound %d)", allocs, maxSessionRoundAllocs)
+}

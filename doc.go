@@ -57,10 +57,13 @@
 // component and merge back into the serial execution exactly. The engine
 // uses that locality for one thing: replay. A Session keeps the warm-start
 // cache on (see "Warm-started solves" below), and its solves run the
-// sharded pipeline — the component decomposition, one relabeled layout per
-// component, the schedule of each component churn touched on
+// sharded pipeline — the component decomposition, one layout per
+// component relabeled from the global one through translation arrays (no
+// key is hashed), the schedule of each component churn touched on
 // min(Options.Parallelism, runnable components) goroutines, the cached
-// outcome of every other, and the deterministic merge. A Session whose
+// outcome of every other, and the deterministic merge. After churn, the
+// decomposition and the relabeling cost only the components the churn
+// reached. A Session whose
 // last decomposition found one component (a contended instance) skips the
 // pass and solves serially at every Parallelism until a re-prepare: one
 // shard would be the serial execution plus a merge, and repeating the pass
@@ -235,10 +238,11 @@
 // Warm results are bitwise identical to cold solves — same selections,
 // profit, λ, dual bound, and trace — because nothing on the replay path
 // re-does arithmetic: the merged global λ is a min over per-shard minima
-// (order-independent, no arithmetic), merged dual values are exact copies
-// into disjoint global slots, and the dual objective is an exact sum,
-// whatever slots the values landed in and whichever components were
-// replayed. Stream drift cannot occur: per-owner PRNG streams are re-seeded
+// (order-independent, no arithmetic), and the dual objective is the exact
+// sum of the components' exact partial sums, kept with each component's
+// outcome, which rounds to the same bits in any grouping and whichever
+// components were replayed. No global dual is assembled on this path; the
+// engine's tests assemble it on request and compare every α and β. Stream drift cannot occur: per-owner PRNG streams are re-seeded
 // per run from (seed, owner), so a replayed component's recorded draws are
 // exactly the draws a re-run would make. The warm≡cold property is pinned
 // by the incremental-state suite across multi-round churn sequences, seeds,
@@ -246,11 +250,12 @@
 //
 // Cached component state invalidates exactly when its inputs change:
 //
-//   - a touched component — Apply marks every member of every group whose
-//     member list a delta changed, which covers every arrival — is
-//     re-solved (the others are not: a component none of whose groups
-//     changed is still closed, so churn cannot reach it without touching
-//     it);
+//   - a touched component — Apply marks stale the component of every
+//     departed item and of every member of a group an arrival joined — is
+//     traversed again from its members and the arrivals, relabeled and
+//     re-solved (the others are not even visited: a component none of
+//     whose groups changed is still closed, so churn cannot reach it
+//     without touching it);
 //   - a configuration change (different Options, ε, seed, mode, or trace
 //     setting) misses the cache by key and re-solves everything;
 //   - a re-prepare — Session compaction when stale interned slots
@@ -295,7 +300,9 @@
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
 // components, warm replays vs re-solves, granted shard workers, greedy
-// feasibility tests, and an intra-lanes count that reads 1 per solve).
+// feasibility tests, an intra-lanes count that reads 1 per solve, and the
+// exact work of a warm round: items the component pass visits, items
+// relabeled into shard layouts, member-list groups Apply patches).
 // Two rules keep the seam compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
@@ -312,9 +319,8 @@
 //     abandoned span (error return between Start and End) is simply never
 //     accumulated: only EndSpan writes.
 //
-// Within one solve the non-solve phases nest disjointly under PhaseSolve
-// (PhaseMerge is emitted as two segments around PhaseGreedy to preserve
-// this), so per-phase totals sum to at most the solve wall; the gap is
+// Within one solve the non-solve phases nest disjointly under PhaseSolve,
+// so per-phase totals sum to at most the solve wall; the gap is
 // uninstrumented work. obs.Recorder turns the stream into a SolveReport
 // (per-phase durations/span counts, counters, WarmHitRatio) with
 // Report/Take/Reset windowing; obs also supplies the fixed-bucket log₂
@@ -470,7 +476,8 @@
 //     interfaces — locking in the allocation-free shape of the
 //     solve/merge/Apply loops (PRs 4–6). The item builder's walk
 //     (decomp.Layered.Walk and engine.DemandItems), the raise primitives
-//     (dual.RaiseUnit/RaiseNarrow/AddBeta/MergeSlots), the satisfaction
+//     (dual.RaiseUnit/RaiseNarrow/AddBeta), the exact sum (dual.Sum.Add
+//     and Merge, Assignment.Value and AddTo), the satisfaction
 //     verdict (dual.Meets), the compacted per-step scan (state.scanLive,
 //     state.retest), the group-form elections
 //     (state.independentSet, mis.Luby, mis.Greedy), the greedy second

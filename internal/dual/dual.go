@@ -324,11 +324,9 @@ func (a *Assignment) AddBetaOf(k model.EdgeKey, v float64) {
 // MergeSlots adds src's α/β into a through precomputed slot translations:
 // slotMap[s] (resp. edgeMap[i]) is the slot in a's index holding the same
 // external demand (edge) as src's slot s (index i). The sharded engine
-// merges disjoint per-component assignments this way — the tables are built
-// once when a component last ran and stay valid because interning is
+// assembles its global dual this way, on request: each component's tables
+// are built when it is relabeled and stay valid because interning is
 // append-only, replacing the per-entry key lookups of AddAlphaOf/AddBetaOf.
-//
-//schedvet:hot
 func (a *Assignment) MergeSlots(src *Assignment, slotMap, edgeMap []int32) {
 	for s, v := range src.alpha {
 		if v != 0 {
@@ -405,22 +403,29 @@ func (a *Assignment) BetaMap() map[model.EdgeKey]float64 {
 
 // Value returns the dual objective Σα + Σβ: the exact sum of the nonzero
 // values, rounded once to nearest. So the bits depend on the multiset of
-// values alone, not on slot numbering or order — the sharded engine merges
-// per-component duals into a differently-indexed global assignment and
-// reproduces the serial run's Bound exactly. Every α and β is finite and
-// non-negative, since raises and merges only add non-negative amounts.
+// values alone, not on slot numbering, order or grouping — the sharded
+// engine merges per-component partial sums (AddTo) and reproduces the
+// serial run's Bound exactly. Every α and β is finite and non-negative,
+// since raises and merges only add non-negative amounts.
 //
 //schedvet:hot
 func (a *Assignment) Value() float64 {
-	var s exactSum
+	var s Sum
+	a.AddTo(&s)
+	return s.Round()
+}
+
+// AddTo adds every nonzero α and β to s, exactly.
+//
+//schedvet:hot
+func (a *Assignment) AddTo(s *Sum) {
 	for _, side := range [2][]float64{a.alpha, a.beta} {
 		for _, x := range side {
 			if x != 0 {
-				s.add(x)
+				s.Add(x)
 			}
 		}
 	}
-	return s.round()
 }
 
 // ConstraintView describes one dual constraint for Lambda/Bound computation.

@@ -5,27 +5,30 @@ import (
 	"math/bits"
 )
 
-// exactSum adds finite, non-negative float64 terms exactly and rounds the
-// total once, so the sum does not depend on the order or grouping of its
-// terms (Neal's small superaccumulator, arXiv:1505.05571). Every finite
-// float64 is an integer below 2^2098 times 2^-1074; the accumulator keeps
-// the sum of those integers in 32-bit digits, word i holding the digit of
-// 2^(32i-1074). A word is an int64 and takes a digit below 2^32 per term,
-// so add carries every carryEvery terms, and round carries once at the end.
-// The zero value is an empty sum.
-type exactSum struct {
+// Sum adds finite, non-negative float64 terms exactly and rounds the total
+// once, so the sum does not depend on the order or grouping of its terms
+// (Neal's small superaccumulator, arXiv:1505.05571): partial sums of any
+// partition of the terms, merged in any order, round to the same bits as
+// one sum of them all. Every finite float64 is an integer below 2^2098
+// times 2^-1074; the accumulator keeps the sum of those integers in 32-bit
+// digits, word i holding the digit of 2^(32i-1074). A word is an int64 and
+// takes a digit below 2^32 per term or merged sum, so Add and Merge carry
+// every carryEvery of them, and Round carries once at the end. The zero
+// value is an empty sum.
+type Sum struct {
 	w [68]int64
-	n int32 // terms added since the last carry
+	n int32 // terms and merged sums added since the last carry
 }
 
 // carryEvery keeps every word below 2^63: after a carry each word is below
-// 2^32, and each term adds less than 2^32 to at most three of them.
+// 2^32, and each term adds less than 2^32 to at most three of them, each
+// merged (carried) sum less than 2^32 to every one.
 const carryEvery = 1<<31 - 2
 
-// add adds x, which must be finite and non-negative.
+// Add adds x, which must be finite and non-negative.
 //
 //schedvet:hot
-func (s *exactSum) add(x float64) {
+func (s *Sum) Add(x float64) {
 	b := math.Float64bits(x)
 	e, m := b>>52, b&(1<<52-1)
 	if e == 0 {
@@ -40,13 +43,43 @@ func (s *exactSum) add(x float64) {
 	s.w[i] += int64(lo & (1<<32 - 1))
 	s.w[i+1] += int64(lo >> 32)
 	s.w[i+2] += int64(hi)
+	s.count()
+}
+
+// Merge adds every term of t to s. t is not modified, so a cached partial
+// sum may be merged by concurrent readers; one that Carry normalized
+// merges without a copy.
+//
+//schedvet:hot
+func (s *Sum) Merge(t *Sum) {
+	if t.n != 0 {
+		u := *t
+		u.carry()
+		t = &u
+	}
+	for i, x := range t.w {
+		s.w[i] += x
+	}
+	s.count()
+}
+
+// Carry normalizes the sum, leaving its value unchanged. A partial sum
+// that will be merged many times is carried once, when it is complete.
+func (s *Sum) Carry() {
+	if s.n != 0 {
+		s.carry()
+	}
+}
+
+// count notes one term or merged sum, carrying every carryEvery of them.
+func (s *Sum) count() {
 	if s.n++; s.n == carryEvery {
 		s.carry()
 	}
 }
 
 // carry propagates every word's excess over 32 bits into the next word.
-func (s *exactSum) carry() {
+func (s *Sum) carry() {
 	for i := 0; i < len(s.w)-1; i++ {
 		s.w[i+1] += s.w[i] >> 32
 		s.w[i] &= 1<<32 - 1
@@ -54,9 +87,9 @@ func (s *exactSum) carry() {
 	s.n = 0
 }
 
-// round returns the sum rounded to nearest, ties to even: +Inf when it
-// rounds past math.MaxFloat64.
-func (s *exactSum) round() float64 {
+// Round returns the sum rounded to nearest, ties to even: +Inf when it
+// rounds past math.MaxFloat64. The sum stays usable: more terms may follow.
+func (s *Sum) Round() float64 {
 	s.carry()
 	top := len(s.w) - 1
 	for top >= 0 && s.w[top] == 0 {

@@ -50,34 +50,61 @@ func encodeTerm(kind byte, payload uint64) []byte {
 	return binary.LittleEndian.AppendUint64([]byte{kind}, payload)
 }
 
-// exact sums terms in order through an exactSum, carrying early after every
+// exact sums terms in order through a Sum, carrying early after every
 // term whose bit is set in carries: a carry may fall anywhere in a sum.
 func exact(terms []float64, carries uint64) float64 {
-	var s exactSum
+	var s Sum
 	for i, x := range terms {
-		s.add(x)
+		s.Add(x)
 		if carries>>(i%64)&1 != 0 {
 			s.carry()
 		}
 	}
-	return s.round()
+	return s.Round()
 }
 
+// grouped sums terms as the sharded engine sums a dual: term i goes to the
+// partial sum groups[i%len(groups)] % numGroups (group 0 when groups is
+// empty), and the partials merge into one Sum in the order perm gives.
+func grouped(terms []float64, groups []byte, perm []int) float64 {
+	var parts [numGroups]Sum
+	for i, x := range terms {
+		g := 0
+		if len(groups) > 0 {
+			g = int(groups[i%len(groups)]) % numGroups
+		}
+		parts[g].Add(x)
+	}
+	var s Sum
+	for k, g := range perm {
+		if k%2 == 0 {
+			parts[g].Carry() // merged both carried and not
+		}
+		s.Merge(&parts[g])
+	}
+	return s.Round()
+}
+
+// numGroups is the number of partial sums grouped splits terms into.
+const numGroups = 8
+
 // FuzzExactSum pins the accumulator to the math/big reference, bit for bit,
-// in the given order, reversed and shuffled.
+// in the given order, reversed and shuffled, and split into fuzz-chosen
+// groups whose partial sums merge in shuffled order.
 func FuzzExactSum(f *testing.F) {
 	pow2 := func(e int) []byte { return encodeTerm(2, uint64(e+1074)) }
 	bits := func(x float64) []byte { return encodeTerm(0, math.Float64bits(x)) }
-	f.Add(int64(0), []byte{})
-	f.Add(int64(1), slices.Concat(bits(1), pow2(-53)))                              // tie, down to even
-	f.Add(int64(2), slices.Concat(bits(1+0x1p-52), pow2(-53)))                      // tie, up to even
-	f.Add(int64(3), slices.Concat(bits(1), pow2(-53), pow2(-1074)))                 // sticky breaks the tie
-	f.Add(int64(4), slices.Concat(bits(math.MaxFloat64), pow2(970)))                // half an ulp past the top: +Inf
-	f.Add(int64(5), slices.Concat(bits(math.MaxFloat64), pow2(969)))                // a quarter ulp: MaxFloat64
-	f.Add(int64(6), slices.Concat(encodeTerm(3, 1), encodeTerm(3, 2)))              // overflow
-	f.Add(int64(7), slices.Concat(encodeTerm(1, 1<<52-1), encodeTerm(1, 1)))        // subnormals to the least normal
-	f.Add(int64(8), slices.Concat(bits(1e300), bits(1), bits(1e-300), pow2(-1074))) // wide span
-	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+	apart := []byte{0, 1, 2, 3} // one group per term
+	f.Add(int64(0), []byte{}, []byte{})
+	f.Add(int64(1), slices.Concat(bits(1), pow2(-53)), apart)                              // tie, down to even
+	f.Add(int64(2), slices.Concat(bits(1+0x1p-52), pow2(-53)), apart)                      // tie, up to even
+	f.Add(int64(3), slices.Concat(bits(1), pow2(-53), pow2(-1074)), apart)                 // sticky breaks the tie
+	f.Add(int64(4), slices.Concat(bits(math.MaxFloat64), pow2(970)), apart)                // half an ulp past the top: +Inf
+	f.Add(int64(5), slices.Concat(bits(math.MaxFloat64), pow2(969)), []byte{})             // a quarter ulp: MaxFloat64
+	f.Add(int64(6), slices.Concat(encodeTerm(3, 1), encodeTerm(3, 2)), apart)              // overflow
+	f.Add(int64(7), slices.Concat(encodeTerm(1, 1<<52-1), encodeTerm(1, 1)), apart)        // subnormals to the least normal
+	f.Add(int64(8), slices.Concat(bits(1e300), bits(1), bits(1e-300), pow2(-1074)), apart) // wide span
+	f.Fuzz(func(t *testing.T, seed int64, data, groups []byte) {
 		terms := decodeTerms(data)
 		want := bigSum(terms)
 		carries := uint64(seed)
@@ -88,9 +115,13 @@ func FuzzExactSum(f *testing.F) {
 		if got := exact(terms, carries>>1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("reversed sum of %v = %v, math/big %v", terms, got, want)
 		}
-		rand.New(rand.NewSource(seed)).Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
 		if got := exact(terms, 0); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("shuffled sum of %v = %v, math/big %v", terms, got, want)
+		}
+		if got := grouped(terms, groups, rng.Perm(numGroups)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sum of %v in groups %v = %v, math/big %v", terms, groups, got, want)
 		}
 	})
 }

@@ -55,93 +55,103 @@ func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, ed
 	return demandMembers, edgeMembers
 }
 
-// conflictComponents returns the connected components of the conflict graph
-// over the views: each component an ascending slice of item ids, components
-// ordered by smallest member. The traversal walks from an item to every
-// member of each of its groups, visiting each group once, so it costs
-// O(Σ (1 + |path|)). It stops once the current component holds every item
+// componentScratch is the component pass's reusable state, kept on the
+// Prepared and used under its shardMu: per item and per group the stamp of
+// the last pass that reached it, so each pass starts with every mark clear
+// by taking a new stamp instead of clearing arrays, plus the traversal
+// stack and ensureShards' start and kept-shard lists.
+type componentScratch struct {
+	stamp        uint32
+	item         []uint32
+	demand, edge []uint32
+	members      []int
+	stack        []int32
+	from         []int32
+	kept         []*preShard
+}
+
+// components returns the connected components of the conflict graph over
+// the views that contain an item of from, each an ascending slice of item
+// ids, ordered by smallest member. Entries of from at or past len(views)
+// are ignored.
+//
+// The traversal walks from an item to every member of each of its groups,
+// visiting each group once, so it costs O(Σ (1 + |path|)) over the
+// components it returns. outside is the number of items known to lie in
+// none of them: the pass stops once a component holds every other item
 // not in an earlier one (on a contended instance, long before it has
 // visited every group), and a component of every item is 0..n−1 with no
 // sort.
 //
-// prev and touched refresh an earlier decomposition after churn: every
-// previous component none of whose members is touched is kept verbatim and
-// only the rest is traversed (nil prev traverses everything). The reuse is
-// sound because Apply marks every member of every group whose list changed
-// (delta.go). An untouched component's groups therefore hold exactly the
-// members they held before, all inside the component, so it is still
-// closed. A member id at or past len(views) departed when the set shrank;
-// such components are always traversed again. The output equals a
-// from-scratch decomposition.
-func conflictComponents(views []ItemView, demandMembers, edgeMembers [][]int32, prev [][]int, touched []bool) [][]int {
-	visited := make([]bool, len(views))
-	dSeen := make([]bool, len(demandMembers))
-	eSeen := make([]bool, len(edgeMembers))
-	out := make([][]int, 0, len(prev))
-	seen := 0 // items already in a component of out
-	for _, members := range prev {
-		clean := true
-		for _, id := range members {
-			if id >= len(views) || touched[id] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		for _, id := range members {
-			visited[id] = true
-		}
-		seen += len(members)
-		out = append(out, members)
+// ensureShards passes as from the arrivals and the members of the stale
+// shards, and as outside the items of the kept ones. That is sound
+// because Apply marks stale the shard of every item that departed, and of
+// every member of a group an arrival joined (delta.go): a kept component
+// lost no member and none of its groups changed, so it is still closed,
+// and every item outside it is an arrival or was in a stale component.
+func (c *componentScratch) components(views []ItemView, demandMembers, edgeMembers [][]int32, from []int32, outside int) [][]int {
+	n := len(views)
+	if c.stamp++; c.stamp == 0 { // wrapped: clear every mark once
+		clear(c.item)
+		clear(c.demand)
+		clear(c.edge)
+		c.stamp = 1
 	}
-	var members []int
-	var stack []int32
+	stamp := c.stamp
+	visited := extend(&c.item, n, 0) // 0: never stamped
+	dSeen := extend(&c.demand, len(demandMembers), 0)
+	eSeen := extend(&c.edge, len(edgeMembers), 0)
+	var out [][]int
+	seen := outside // items already in a component of out, or outside
+	members, stack := c.members, c.stack
 	visit := func(group []int32) {
 		for _, w := range group {
-			if !visited[w] {
-				visited[w] = true
+			if visited[w] != stamp {
+				visited[w] = stamp
 				members = append(members, int(w))
 				stack = append(stack, w)
 			}
 		}
 	}
-	for v := range views {
-		if visited[v] {
+	for _, v32 := range from {
+		v := int(v32)
+		if v >= n || visited[v] == stamp {
 			continue
 		}
-		members = []int{v}
-		visited[v] = true
+		members = append(members[:0], v)
+		visited[v] = stamp
 		stack = append(stack[:0], int32(v))
 		// Once the component holds every item no earlier one does, the
 		// rest of its traversal could only revisit: stop there.
-		for len(stack) > 0 && seen+len(members) < len(views) {
+		for len(stack) > 0 && seen+len(members) < n {
 			x := &views[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			if !dSeen[x.Slot] {
-				dSeen[x.Slot] = true
+			if dSeen[x.Slot] != stamp {
+				dSeen[x.Slot] = stamp
 				visit(demandMembers[x.Slot])
 			}
 			for _, e := range x.Edges {
-				if !eSeen[e] {
-					eSeen[e] = true
+				if eSeen[e] != stamp {
+					eSeen[e] = stamp
 					visit(edgeMembers[e])
 				}
 			}
 		}
 		seen += len(members)
-		if len(members) == len(views) {
-			for i := range members {
-				members[i] = i
+		comp := make([]int, len(members))
+		if len(members) == n {
+			for i := range comp {
+				comp[i] = i
 			}
 		} else {
-			slices.Sort(members)
+			copy(comp, members)
+			slices.Sort(comp)
 		}
-		out = append(out, members)
+		out = append(out, comp)
 	}
-	if len(prev) > 0 {
-		slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
-	}
+	c.members, c.stack = members, stack
+	// Components come in discovery order; on a first build, whose from
+	// ascends, that is already the order of their smallest members.
+	slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
 	return out
 }

@@ -36,14 +36,21 @@ import (
 //     assigned in ascending order), so no list is ever re-sorted. Untouched
 //     groups are reused verbatim;
 //   - the lazily-built shard decomposition is marked stale, together with
-//     the items the churn reached: every member of a group whose list
-//     changed. Those are exactly the items whose conflict neighborhood
-//     changed, plus the arrivals themselves. The next ensureShards
-//     recomputes the components and reuses the relabeled shard of every
-//     component the churn never reached.
+//     the components the churn reached: the shard of every departed item,
+//     and of every member of a group an arrival joined. The members of a
+//     group a departure left shared a component with the departed item,
+//     so these are exactly the components whose conflict structure
+//     changed. The next ensureShards re-traverses from their members and
+//     the arrivals only, and reuses the relabeled shard of every component
+//     the churn never reached.
+//
+// Apply keeps the groups and items it touches as lists, so its work is
+// the size of the delta and of the member lists it patches, never the
+// number of items or groups.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
-// over) and must not overlap a Solve or another Apply on the same value. Between mutations the Prepared remains safe for concurrent runs.
+// over) and must not overlap a Solve or another Apply on the same value.
+// Between mutations the Prepared remains safe for concurrent runs.
 
 // Delta describes demand-instance churn on an unchanged network: items to
 // remove, by their current ids, and items to add. Apply assigns the ID
@@ -55,68 +62,73 @@ type Delta struct {
 	Add    []Item
 }
 
-// applyScratch holds Apply's transient O(n) bookkeeping, kept on the
-// Prepared and reused across Applies (which never overlap, per the contract
-// above). Steady churn rounds then allocate only what the post-churn state
-// retains — member-list growth, the touched mark — instead of a handful of
-// set-sized marker arrays per round.
+// applyScratch holds Apply's bookkeeping, kept on the Prepared and reused
+// across Applies (which never overlap, per the contract above). Its marks
+// are all clear between Applies — drop all false, the group states all
+// untouched — because Apply resets exactly the entries it set, from its
+// lists. Steady churn rounds then allocate only what the post-churn state
+// retains (member-list growth, the arrivals' views) and touch no entry the
+// delta did not reach.
 type applyScratch struct {
-	removed   []bool
-	dTouched  []bool
-	eTouched  []bool
-	dBound    []int32
-	eBound    []int32
+	drop      []bool  // ids leaving the member lists: removals, movers' old ids
+	dState    []int32 // per demand slot: untouched, filtered, or the arrivals' bound
+	eState    []int32 // per edge index, likewise
+	changedD  []int32 // demand slots whose member lists change
+	changedE  []int32 // edge indices whose member lists change
+	appendedD []int32 // demand slots arrivals joined, a subset of changedD
+	appendedE []int32
 	movers    []int
 	free      []int
-	appendedD []int32
-	appendedE []int32
 	tail      []int32
 }
 
-// scratch reslices *buf to length n, allocating only when capacity is
-// short. reset clears the reslice; callers that overwrite every entry
-// anyway (the -1-filled bound arrays) skip it.
-func scratch[T any](buf *[]T, n int, reset bool) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-		return *buf
-	}
-	s := (*buf)[:n]
-	if reset {
-		clear(s)
-	}
-	return s
-}
+// Group states during an Apply; a state ≥ 0 is the length of the group's
+// filtered list, where its arrivals start.
+const (
+	untouched = -1 // the list does not change
+	filtered  = -2 // the list loses members and has no arrivals yet
+)
 
 // checkDelta validates a delta against the current item count and marks
 // each removed id in the scratch — the cold prologue of Apply, kept out
-// of the hot body so the formatting error paths stay off the hot path.
+// of the hot body so the formatting error paths stay off the hot path. On
+// error it clears the marks it set.
 func checkDelta(d Delta, n int, removed []bool) error {
-	for _, id := range d.Remove {
-		if id < 0 || id >= n {
-			return fmt.Errorf("engine: delta removes unknown item %d (have %d)", id, n)
+	marked := 0
+	err := func() error {
+		for _, id := range d.Remove {
+			if id < 0 || id >= n {
+				return fmt.Errorf("engine: delta removes unknown item %d (have %d)", id, n)
+			}
+			if removed[id] {
+				return fmt.Errorf("engine: delta removes item %d twice", id)
+			}
+			removed[id] = true
+			marked++
 		}
-		if removed[id] {
-			return fmt.Errorf("engine: delta removes item %d twice", id)
+		for i := range d.Add {
+			it := &d.Add[i]
+			if it.Group < 1 {
+				return fmt.Errorf("engine: delta adds item %d with group %d < 1", i, it.Group)
+			}
+			if len(it.Edges) == 0 || len(it.Critical) == 0 {
+				return fmt.Errorf("engine: delta adds item %d with empty path or critical set", i)
+			}
+			if !(it.Profit > 0) {
+				return fmt.Errorf("engine: delta adds item %d with profit %v", i, it.Profit)
+			}
+			if !(it.Height > 0) || it.Height > 1 {
+				return fmt.Errorf("engine: delta adds item %d with height %v", i, it.Height)
+			}
 		}
-		removed[id] = true
+		return nil
+	}()
+	if err != nil {
+		for _, r := range d.Remove[:marked] {
+			removed[r] = false
+		}
 	}
-	for i := range d.Add {
-		it := &d.Add[i]
-		if it.Group < 1 {
-			return fmt.Errorf("engine: delta adds item %d with group %d < 1", i, it.Group)
-		}
-		if len(it.Edges) == 0 || len(it.Critical) == 0 {
-			return fmt.Errorf("engine: delta adds item %d with empty path or critical set", i)
-		}
-		if !(it.Profit > 0) {
-			return fmt.Errorf("engine: delta adds item %d with profit %v", i, it.Profit)
-		}
-		if !(it.Height > 0) || it.Height > 1 {
-			return fmt.Errorf("engine: delta adds item %d with height %v", i, it.Height)
-		}
-	}
-	return nil
+	return err
 }
 
 // Apply updates the prepared state to the post-churn item set. On error the
@@ -132,8 +144,8 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	scr := p.applyScr
 	n := len(p.items)
-	removed := scratch(&scr.removed, n, true)
-	if err := checkDelta(d, n, removed); err != nil {
+	drop := extend(&scr.drop, n, false)
+	if err := checkDelta(d, n, drop); err != nil {
 		return err
 	}
 	rec := p.rec
@@ -141,6 +153,9 @@ func (p *Prepared) Apply(d Delta) error {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseApply)
 	}
+	p.shardMu.Lock()
+	// Keep the component bookkeeping while the last shard build sharded.
+	track := p.shards != nil
 	newN := n - len(d.Remove) + len(d.Add)
 	lay := p.lay
 
@@ -153,7 +168,7 @@ func (p *Prepared) Apply(d Delta) error {
 	// and the movers' old ids.
 	movers, free := scr.movers[:0], scr.free[:0]
 	for i := newN; i < n; i++ {
-		if !removed[i] {
+		if !drop[i] {
 			movers = append(movers, i)
 		}
 	}
@@ -167,28 +182,36 @@ func (p *Prepared) Apply(d Delta) error {
 		free = append(free, i)
 	}
 	scr.movers, scr.free = movers, free
-	drop := removed
 	for _, m := range movers {
 		drop[m] = true
 	}
 
-	// Mark the groups whose member lists change: those of the removed and
-	// displaced items. The group universe may grow when additions intern
-	// new demands or edges; grown groups start empty.
-	oldD, oldE := lay.ix.NumDemands(), lay.ix.NumEdges()
-	dTouched := scratch(&scr.dTouched, oldD, true)
-	eTouched := scratch(&scr.eTouched, oldE, true)
-	markGroups := func(v *ItemView) {
-		dTouched[v.Slot] = true
+	// Mark the groups whose member lists lose members — those of the
+	// removed and displaced items — and the components those items leave.
+	dState := extend(&scr.dState, lay.demands, untouched)
+	eState := extend(&scr.eState, lay.edges, untouched)
+	changedD, changedE := scr.changedD[:0], scr.changedE[:0]
+	depart := func(id int) {
+		v := &lay.views[id]
+		if dState[v.Slot] == untouched {
+			dState[v.Slot] = filtered
+			changedD = append(changedD, v.Slot)
+		}
 		for _, e := range v.Edges {
-			eTouched[e] = true
+			if eState[e] == untouched {
+				eState[e] = filtered
+				changedE = append(changedE, e)
+			}
+		}
+		if track {
+			p.markStale(p.compOf[id])
 		}
 	}
 	for _, r := range d.Remove {
-		markGroups(&lay.views[r])
+		depart(r)
 	}
 	for _, m := range movers {
-		markGroups(&lay.views[m])
+		depart(m)
 	}
 
 	// Compact items, views and owner slots, then intern the additions.
@@ -205,6 +228,11 @@ func (p *Prepared) Apply(d Delta) error {
 		lay.ownerSlot = lay.ownerSlot[:newN]
 	}
 	addSlots := free[len(movers):]
+	total := 0
+	for i := range d.Add {
+		total += len(d.Add[i].Edges) + len(d.Add[i].Critical)
+	}
+	slab := make([]int32, total) // the additions' views' index lists
 	for i := range d.Add {
 		it := d.Add[i]
 		id := addSlots[i]
@@ -216,111 +244,129 @@ func (p *Prepared) Apply(d Delta) error {
 			lay.views = append(lay.views, ItemView{})
 			lay.ownerSlot = append(lay.ownerSlot, 0)
 		}
-		lay.views[id] = internItem(lay.ix, &p.items[id], make([]int32, len(it.Edges)+len(it.Critical)))
+		k := len(it.Edges) + len(it.Critical)
+		lay.views[id] = internItem(lay.ix, &p.items[id], slab[:k:k])
+		slab = slab[k:]
 		lay.ownerSlot[id] = lay.owners.Intern(it.Owner)
+	}
+	lay.sync()
+	if track {
+		// Every id in free holds an arrival, in no component yet.
+		compOf := p.compOf[:min(n, newN)]
+		for len(compOf) < newN {
+			compOf = append(compOf, nil)
+		}
+		for _, id := range free {
+			compOf[id] = nil
+			p.arrivals = append(p.arrivals, int32(id))
+		}
+		p.compOf = compOf
 	}
 
 	// Patch the member lists in three steps, none of which disturbs their
-	// ascending order: touched groups filter out departed ids in place;
+	// ascending order: changed groups filter out departed ids in place;
 	// grown groups appear empty; every arriving id — mover new ids first
 	// (ascending), then addition ids (ascending, all larger) — appends to
 	// its groups, and one backward merge per appended group folds the
 	// sorted tail back in. No member list is ever sorted.
-	for s := range dTouched {
-		if dTouched[s] {
-			p.demandMembers[s] = filterDropped(p.demandMembers[s], drop)
-		}
+	for _, s := range changedD {
+		p.demandMembers[s] = filterDropped(p.demandMembers[s], drop)
 	}
-	for e := range eTouched {
-		if eTouched[e] {
-			p.edgeMembers[e] = filterDropped(p.edgeMembers[e], drop)
-		}
+	for _, e := range changedE {
+		p.edgeMembers[e] = filterDropped(p.edgeMembers[e], drop)
 	}
-	for len(p.demandMembers) < lay.ix.NumDemands() {
+	for len(p.demandMembers) < lay.demands {
 		p.demandMembers = append(p.demandMembers, nil)
 	}
-	for len(p.edgeMembers) < lay.ix.NumEdges() {
+	for len(p.edgeMembers) < lay.edges {
 		p.edgeMembers = append(p.edgeMembers, nil)
 	}
+	dState = extend(&scr.dState, lay.demands, untouched)
+	eState = extend(&scr.eState, lay.edges, untouched)
 	appendedD, appendedE := scr.appendedD[:0], scr.appendedE[:0]
-	dBound := scratch(&scr.dBound, len(p.demandMembers), false)
-	eBound := scratch(&scr.eBound, len(p.edgeMembers), false)
-	for i := range dBound {
-		dBound[i] = -1
-	}
-	for i := range eBound {
-		eBound[i] = -1
-	}
 	arrive := func(id int) {
 		v := &lay.views[id]
-		if dBound[v.Slot] < 0 {
-			dBound[v.Slot] = int32(len(p.demandMembers[v.Slot]))
+		if st := dState[v.Slot]; st < 0 {
+			if st == untouched {
+				changedD = append(changedD, v.Slot)
+			}
+			dState[v.Slot] = int32(len(p.demandMembers[v.Slot]))
 			appendedD = append(appendedD, v.Slot)
 		}
 		p.demandMembers[v.Slot] = append(p.demandMembers[v.Slot], int32(id))
 		for _, e := range v.Edges {
-			if eBound[e] < 0 {
-				eBound[e] = int32(len(p.edgeMembers[e]))
+			if st := eState[e]; st < 0 {
+				if st == untouched {
+					changedE = append(changedE, e)
+				}
+				eState[e] = int32(len(p.edgeMembers[e]))
 				appendedE = append(appendedE, e)
 			}
 			p.edgeMembers[e] = append(p.edgeMembers[e], int32(id))
 		}
 	}
-	for _, f := range free[:len(movers)] {
-		arrive(f)
-	}
-	for _, id := range addSlots {
+	for _, id := range free {
 		arrive(id)
 	}
 	tail := scr.tail // scratch right run for the backward merges
 	for _, s := range appendedD {
-		tail = mergeTail(p.demandMembers[s], int(dBound[s]), tail)
+		tail = mergeTail(p.demandMembers[s], int(dState[s]), tail)
 	}
 	for _, e := range appendedE {
-		tail = mergeTail(p.edgeMembers[e], int(eBound[e]), tail)
+		tail = mergeTail(p.edgeMembers[e], int(eState[e]), tail)
 	}
-	scr.appendedD, scr.appendedE, scr.tail = appendedD, appendedE, tail
 
-	// Invalidate the lazy shard decomposition, remembering which items the
-	// churn reached so the next ensureShards can keep untouched shards: the
-	// members of every group whose list changed. Arrivals are members of
-	// the groups they joined. Marks carried over from earlier Applies keep
-	// their ids: every id that moved or departed below newN now holds an
-	// arrival, which is marked anyway.
-	p.shardMu.Lock()
-	if p.shardsBuilt {
-		p.shardsStale = true
-		nt := make([]bool, newN)
-		copy(nt, p.touched)
-		markMembers(nt, p.demandMembers, dTouched)
-		markMembers(nt, p.edgeMembers, eTouched)
+	// The components a group's arrivals join are stale too. (The other
+	// members of a group that only lost members shared a component with
+	// the departed item, which is marked already.)
+	if track {
 		for _, s := range appendedD {
-			for _, m := range p.demandMembers[s] {
-				nt[m] = true
-			}
+			p.markStaleMembers(p.demandMembers[s])
 		}
 		for _, e := range appendedE {
-			for _, m := range p.edgeMembers[e] {
-				nt[m] = true
-			}
+			p.markStaleMembers(p.edgeMembers[e])
 		}
-		p.touched = nt
+	}
+	if p.shardsBuilt {
+		p.shardsStale = true
 	}
 	p.shardMu.Unlock()
+
+	// Clear the marks for the next Apply.
+	for _, s := range changedD {
+		dState[s] = untouched
+	}
+	for _, e := range changedE {
+		eState[e] = untouched
+	}
+	for _, r := range d.Remove {
+		drop[r] = false
+	}
+	for _, m := range movers {
+		drop[m] = false
+	}
+	scr.changedD, scr.changedE, scr.appendedD, scr.appendedE, scr.tail = changedD, changedE, appendedD, appendedE, tail
 	if rec != nil {
+		rec.Count(CounterApplyGroups, int64(len(changedD)+len(changedE)))
 		rec.EndSpan(PhaseApply, tok)
 	}
 	return nil
 }
 
-// markMembers marks every member of the groups flagged in changed.
-func markMembers(marks []bool, members [][]int32, changed []bool) {
-	for g, c := range changed {
-		if c {
-			for _, m := range members[g] {
-				marks[m] = true
-			}
-		}
+// markStale marks sh, the shard of a component a delta reached; nil (an
+// item that arrived since the last build) marks nothing. Callers hold
+// shardMu.
+func (p *Prepared) markStale(sh *preShard) {
+	if sh != nil && !sh.stale {
+		sh.stale = true
+		p.staleShards = append(p.staleShards, sh)
+	}
+}
+
+// markStaleMembers marks the shards of the members of one group.
+func (p *Prepared) markStaleMembers(members []int32) {
+	for _, m := range members {
+		p.markStale(p.compOf[m])
 	}
 }
 

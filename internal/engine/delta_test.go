@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,6 +73,7 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 			t.Fatalf("component %d: %v, scratch %v", c, p.comps[c], scratch.comps[c])
 		}
 	}
+	checkShardLayouts(t, p)
 
 	// Layout semantics: every view resolves to the item's external keys.
 	// (Slot numbering may differ from scratch: removals leave stale interned
@@ -145,8 +147,39 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 		if got.Steps != want.Steps || got.MISIters != want.MISIters || got.Raised != want.Raised {
 			t.Fatalf("workers %d: schedule counters diverged", w)
 		}
-		if gv, wv := got.Dual.Value(), want.Dual.Value(); gv != wv {
-			t.Fatalf("workers %d: dual value %v, scratch %v", w, gv, wv)
+		sameDual(t, fmt.Sprintf("workers %d", w), got, want)
+	}
+}
+
+// checkShardLayouts checks every shard of p against buildLayout over the
+// shard's items: relabel must number demand slots, edge indices and owner
+// slots exactly as interning would, and its translations must lead each
+// local slot and edge index back to the global one of the same key.
+func checkShardLayouts(t *testing.T, p *Prepared) {
+	t.Helper()
+	for s, sh := range p.shards {
+		want := buildLayout(sh.items)
+		got := sh.lay
+		if got.demands != want.demands || got.edges != want.edges ||
+			!slices.Equal(got.ownerIDs, want.ownerIDs) || !slices.Equal(got.ownerSlot, want.ownerSlot) {
+			t.Fatalf("shard %d: layout extents or owners diverge from interning", s)
+		}
+		for i := range want.views {
+			g, w := &got.views[i], &want.views[i]
+			if g.Slot != w.Slot || g.Profit != w.Profit || g.Height != w.Height ||
+				!slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Critical, w.Critical) {
+				t.Fatalf("shard %d item %d: view %+v, interned %+v", s, i, *g, *w)
+			}
+		}
+		for l, gs := range sh.gslot {
+			if p.lay.ix.DemandID(gs) != want.ix.DemandID(int32(l)) {
+				t.Fatalf("shard %d: demand slot %d translates to the wrong global slot", s, l)
+			}
+		}
+		for l, ge := range sh.gedge {
+			if p.lay.ix.EdgeKey(ge) != want.ix.EdgeKey(int32(l)) {
+				t.Fatalf("shard %d: edge index %d translates to the wrong global index", s, l)
+			}
 		}
 	}
 }

@@ -131,13 +131,14 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 								tag, i, ev.Item, ev.Delta, delta)
 						}
 					}
-					if !reflect.DeepEqual(res.Dual.AlphaMap(), shadow.alpha) {
+					d := engine.MergedDual(res)
+					if !reflect.DeepEqual(d.AlphaMap(), shadow.alpha) {
 						t.Errorf("%s: α diverged from map-state golden", tag)
 					}
-					if !reflect.DeepEqual(res.Dual.BetaMap(), shadow.beta) {
+					if !reflect.DeepEqual(d.BetaMap(), shadow.beta) {
 						t.Errorf("%s: β diverged from map-state golden", tag)
 					}
-					if got, want := res.Dual.Value(), shadow.value(); got != want {
+					if got, want := d.Value(), shadow.value(); got != want {
 						t.Errorf("%s: Value %v != map-state %v", tag, got, want)
 					}
 				}

@@ -27,18 +27,18 @@ func (p *Prepared) Members() (demandMembers, edgeMembers [][]int32) {
 
 // DemandSlots returns the number of interned demand slots (α extent) of the
 // prepared layout.
-func (p *Prepared) DemandSlots() int { return p.lay.ix.NumDemands() }
+func (p *Prepared) DemandSlots() int { return p.lay.demands }
 
 // EdgeSlots returns the number of interned edge indices (β extent) of the
 // prepared layout.
-func (p *Prepared) EdgeSlots() int { return p.lay.ix.NumEdges() }
+func (p *Prepared) EdgeSlots() int { return p.lay.edges }
 
 // SelectGreedy runs the shared second phase over the prepared dense layout:
 // steps is the phase-1 raise history (item ids per step, execution order,
 // ascending within a step). Bit-identical to the serial engine's selection
 // for the same history.
 func (p *Prepared) SelectGreedy(mode Mode, steps [][]int) (selected []int, profit float64) {
-	return selectGreedyViews(p.lay.views, mode, steps, p.lay.ix.NumDemands(), p.lay.ix.NumEdges())
+	return selectGreedyViews(p.lay.views, mode, steps, p.lay.demands, p.lay.edges)
 }
 
 // ReplayDual replays a phase-1 raise history through a fresh core over the

@@ -107,9 +107,13 @@ type Trace struct {
 type Result struct {
 	Selected []int   // item IDs chosen by the second phase, ascending
 	Profit   float64 // Σ profit of selected items
-	Dual     *dual.Assignment
-	Lambda   float64 // measured slackness min LHS/p over all items
-	Bound    float64 // weak-duality upper bound on Opt: Value/λ
+	// Dual is the final dual assignment of a serial solve. A sharded solve
+	// (a warm-start Prepared's, parallel.go) scores the dual per component
+	// and leaves Dual nil; the engine's tests assemble it on request
+	// through MergedDual.
+	Dual   *dual.Assignment
+	Lambda float64 // measured slackness min LHS/p over all items
+	Bound  float64 // weak-duality upper bound on Opt: Value/λ
 
 	Delta         int // ∆ = max |π(d)| over all items, as in the plan
 	Epochs        int // number of epochs executed (= number of groups)
@@ -121,6 +125,11 @@ type Result struct {
 	CommRounds    int // estimated communication rounds: 2·MISIters + Steps (phase 1) + Steps (phase 2)
 
 	Trace *Trace // nil unless Config.RecordTrace
+
+	// A sharded solve's component outcomes and the global index they
+	// translate into, from which mergedDual assembles the dual.
+	shards []*shardOut
+	ix     *dual.Index
 }
 
 // state is the mutable run state shared by the phases. The dual raises,
@@ -238,7 +247,7 @@ func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScrat
 		core:  lay.newCore(cfg.Mode),
 		scr:   scr,
 	}
-	owners := lay.owners.IDs()
+	owners := lay.ownerIDs
 	if cap(scr.streams) < len(owners) {
 		scr.streams = make([]Stream, len(owners))
 	}
@@ -545,7 +554,7 @@ func (st *state) independentSet(u []int) ([]int, int) {
 		slots = append(slots, int(st.lay.ownerSlot[id]))
 	}
 	scr.slotBuf = slots
-	c.NumDemands, c.NumEdges = st.lay.ix.NumDemands(), st.lay.ix.NumEdges()
+	c.NumDemands, c.NumEdges = st.lay.demands, st.lay.edges
 	if st.cfg.MIS == GreedyMIS {
 		return pick(u, mis.Greedy(c, &scr.mis)), 1
 	}
@@ -591,8 +600,7 @@ func (st *state) secondPhase(res *Result) {
 	for i := range st.stack {
 		steps[i] = st.stack[i].items
 	}
-	res.Selected, res.Profit = selectGreedyViews(st.lay.views, st.cfg.Mode, steps,
-		st.lay.ix.NumDemands(), st.lay.ix.NumEdges())
+	res.Selected, res.Profit = selectGreedyViews(st.lay.views, st.cfg.Mode, steps, st.lay.demands, st.lay.edges)
 }
 
 // stepCap bounds the steps per stage: Lemma 5.1 proves at most

@@ -32,8 +32,12 @@ import (
 //     edges' usage, all inside its component, so each shard's greedy pass
 //     over its own stack selects the serial selection restricted to the
 //     shard, and the merge re-sums the profit in the serial pop order;
-//   - the merged dual assignment (disjoint α and β, copied into the global
-//     dense layout by external key) yields the same λ and bound.
+//   - the shards' duals are disjoint and together hold every nonzero α and
+//     β of the serial dual, so the min of their λ minima is the serial λ,
+//     and the exact sum of their partial sums (dual.Sum, kept with each
+//     shard's outcome) rounds to the serial dual value: the same bound,
+//     with no global α/β built. A caller that wants the dual itself asks
+//     for it (Result.mergedDual), and only then is it assembled.
 //
 // The result is bit-identical to the serial engine's for every worker
 // count. Because each
@@ -50,13 +54,16 @@ import (
 // shardOut is one conflict component's completed execution: exactly what
 // mergeShards consumes and nothing transient — the raise stack with
 // schedule stamps, the greedy selection, the shard-local dense dual
-// assignment, the trace (when recorded), and the per-shard counters. The
-// warm-start cache retains these across solves and replays them verbatim
-// for untouched components, so a shardOut must never alias pooled scratch.
+// assignment with its exact partial sum, the trace (when recorded), and
+// the per-shard counters. The warm-start cache retains these across
+// solves and replays them verbatim for untouched components, so a shardOut
+// must never alias pooled scratch, and nothing reads it mutably once
+// recorded.
 type shardOut struct {
 	pre           *preShard
 	stack         []step
 	dual          *dual.Assignment
+	sum           dual.Sum // every nonzero α and β of dual, added exactly
 	trace         *Trace
 	lambda        float64 // min(1, min LHS/p) over this shard's items
 	raised        int
@@ -65,15 +72,6 @@ type shardOut struct {
 	// sel[pos] lists, as ascending global item ids, the items of stack
 	// position pos that the shard's greedy pass selected.
 	sel [][]int
-
-	// Merge translations, computed once when the shard runs and reused by
-	// every replay: the global demand slot / edge index for each
-	// shard-local one. Valid for the Prepared's lifetime because interning
-	// is append-only — Apply never renumbers existing slots — and a
-	// component's global ids (sel's too) are stable for as long as its
-	// preShard (and hence this shardOut) is reused.
-	gslot []int32
-	gedge []int32
 }
 
 // Solve runs the schedule over the prepared state; it is the engine's one
@@ -133,10 +131,9 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 }
 
 // runShard executes one component's first phase over (pooled) scratch,
-// pops its stack through the greedy rule, and captures the outcome,
-// including the merge translations into the global layout (glay is only
-// read, so shards may build them concurrently).
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *layout) (*shardOut, error) {
+// pops its stack through the greedy rule, and captures the outcome with
+// its dual's λ minimum and exact partial sum.
+func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch) (*shardOut, error) {
 	st := newState(pre.items, pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
@@ -151,11 +148,12 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 		raised:        res.Raised,
 		maxStageSteps: res.MaxStageSteps,
 	}
-	six := pre.lay.ix
+	out.dual.AddTo(&out.sum)
+	out.sum.Carry() // every merge of the cached partial then adds it as is
 	// The serial pop order restricted to this shard: steps last to first,
 	// local ids ascending within a step, which comp maps to ascending
 	// global ids.
-	g := newGreedy(pre.lay.views, cfg.Mode, six.NumDemands(), six.NumEdges())
+	g := newGreedy(pre.lay.views, cfg.Mode, pre.lay.demands, pre.lay.edges)
 	picked := make([]int, 0, out.raised) // never reallocates: sel aliases it
 	out.sel = make([][]int, len(out.stack))
 	for pos := len(out.stack) - 1; pos >= 0; pos-- {
@@ -165,22 +163,6 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 			picked[i] = pre.comp[picked[i]]
 		}
 		out.sel[pos] = picked[start:len(picked):len(picked)]
-	}
-	out.gslot = make([]int32, six.NumDemands())
-	for s := range out.gslot {
-		t, ok := glay.ix.DemandSlot(six.DemandID(int32(s)))
-		if !ok {
-			panic("engine: shard demand missing from the global index")
-		}
-		out.gslot[s] = t
-	}
-	out.gedge = make([]int32, six.NumEdges())
-	for i := range out.gedge {
-		t, ok := glay.ix.EdgeSlot(six.EdgeKey(int32(i)))
-		if !ok {
-			panic("engine: shard edge missing from the global index")
-		}
-		out.gedge[i] = t
 	}
 	return out, nil
 }
@@ -192,15 +174,12 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, glay *la
 // next round.
 func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, error) {
 	key := warmKeyFor(&cfg, plan)
-	cached := p.warm.lookup(key)
 	outs := make([]*shardOut, len(p.shards))
-	todo := make([]int, 0, len(p.shards))
-	for s, pre := range p.shards {
-		if out := cached[pre]; out != nil {
-			outs[s] = out
-			continue
+	todo := make([]int, 0, len(p.shards)-p.warm.replay(key, p.shards, outs))
+	for s, out := range outs {
+		if out == nil {
+			todo = append(todo, s)
 		}
-		todo = append(todo, s)
 	}
 	rec := p.rec
 	if rec != nil {
@@ -225,7 +204,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 				if rec != nil {
 					stok = rec.StartSpan(PhaseShardSolve)
 				}
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, p.lay)
+				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr)
 				if rec != nil && errs[i] == nil {
 					rec.EndSpan(PhaseShardSolve, stok)
 					rec.Count(CounterGreedyTests, int64(outs[s].raised))
@@ -246,7 +225,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 						if rec != nil {
 							stok = rec.StartSpan(PhaseShardSolve)
 						}
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, p.lay)
+						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr)
 						if rec != nil && errs[i] == nil {
 							rec.EndSpan(PhaseShardSolve, stok)
 							rec.Count(CounterGreedyTests, int64(outs[todo[i]].raised))
@@ -316,8 +295,10 @@ type mergeScratch struct {
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // mergeShards reassembles the serial execution from per-shard outcomes:
-// it k-way merges the stacks into global steps, re-sums the shards'
-// selections in the serial pop order, and merges the duals.
+// it k-way merges the stacks into global steps, scores the dual from the
+// shards' λ minima and exact partial sums, and re-sums the shards'
+// selections in the serial pop order. It builds no global dual: the
+// Result keeps the outcomes, for mergedDual.
 //
 //schedvet:hot
 func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
@@ -325,11 +306,12 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 		Delta:  plan.Delta,
 		Epochs: plan.MaxGroup,
 		Stages: plan.Stages,
+		shards: outs,
+		ix:     p.lay.ix,
 	}
 
-	// PhaseMerge is emitted as two segments disjoint from PhaseGreedy —
-	// stamp merge + grouping before it, dual merge + λ fold after — so the
-	// per-phase durations of one solve never overlap.
+	// PhaseMerge is one segment, before PhaseGreedy, so the per-phase
+	// durations of one solve never overlap.
 	rec := p.rec
 	var mtok int64
 	if rec != nil {
@@ -397,6 +379,33 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	res.Steps = len(perStep)
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 
+	// Score the dual. The components partition the dual variables, so
+	// λ is the min of the shards' cached minima (order-independent and
+	// arithmetic-free), and the dual value is the exact sum of their
+	// cached partial sums, which rounds to the bits of the merged dual's
+	// Value in any grouping. Replayed shards cost one min and one merge.
+	if len(p.items) > 0 {
+		lambda := 1.0
+		for _, out := range outs {
+			if out.lambda < lambda {
+				lambda = out.lambda
+			}
+		}
+		res.Lambda = lambda
+		if lambda <= 0 {
+			res.Bound = math.Inf(1)
+		} else {
+			var sum dual.Sum
+			for _, out := range outs {
+				sum.Merge(&out.sum)
+			}
+			res.Bound = sum.Round() / lambda
+		}
+	}
+	if cfg.RecordTrace {
+		res.Trace = mergeTraces(outs, perStep)
+	}
+
 	// The shards ran the greedy pass. Sum the selection's profit in the
 	// serial pop order — global steps last to first, ids ascending within
 	// a step — the serial pass's own sequence of additions, and collect
@@ -440,43 +449,23 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	}
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, gtok)
-		mtok = rec.StartSpan(PhaseMerge)
-	}
-
-	// Merge the disjoint dual assignments into the global dense layout
-	// (components partition demands and edges, so every global slot is
-	// written by at most one shard) through each shard's cached slot
-	// translations, and score them globally.
-	core := p.lay.newCore(cfg.Mode)
-	for _, out := range outs {
-		core.Dual.MergeSlots(out.dual, out.gslot, out.gedge)
-	}
-	res.Dual = core.Dual
-	if len(p.items) > 0 {
-		// λ is a min — order-independent and arithmetic-free — so the min of
-		// the cached per-shard minima is bitwise the serial global λ, and warm
-		// replays skip the full constraint scan.
-		lambda := 1.0
-		for _, out := range outs {
-			if out.lambda < lambda {
-				lambda = out.lambda
-			}
-		}
-		res.Lambda = lambda
-		if lambda <= 0 {
-			res.Bound = math.Inf(1)
-		} else {
-			res.Bound = core.Dual.Value() / lambda
-		}
-	}
-
-	if cfg.RecordTrace {
-		res.Trace = mergeTraces(outs, perStep)
-	}
-	if rec != nil {
-		rec.EndSpan(PhaseMerge, mtok)
 	}
 	return res, nil
+}
+
+// mergedDual returns the solve's dual assignment: Dual, or, for a sharded
+// solve, which builds no global dual, a fresh assignment over the global
+// index holding every shard's α and β, copied through the slot
+// translations relabel recorded. Engine tests read it through MergedDual.
+func (r *Result) mergedDual() *dual.Assignment {
+	if r.Dual != nil || r.ix == nil {
+		return r.Dual
+	}
+	d := dual.NewWithIndex(r.ix)
+	for _, out := range r.shards {
+		d.MergeSlots(out.dual, out.pre.gslot, out.pre.gedge)
+	}
+	return d
 }
 
 // mergeTraces rebuilds the serial raise trace: shard events carry

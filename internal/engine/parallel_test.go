@@ -82,7 +82,7 @@ func TestRunParallelBitIdentical(t *testing.T) {
 					if par.Lambda != serial.Lambda {
 						t.Errorf("%s: lambda %v != serial %v", tag, par.Lambda, serial.Lambda)
 					}
-					if !reflect.DeepEqual(par.Dual.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(par.Dual.BetaMap(), serial.Dual.BetaMap()) {
+					if pd := engine.MergedDual(par); !reflect.DeepEqual(pd.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(pd.BetaMap(), serial.Dual.BetaMap()) {
 						t.Errorf("%s: dual assignment diverged", tag)
 					}
 					if par.Steps != serial.Steps || par.MISIters != serial.MISIters ||

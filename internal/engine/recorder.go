@@ -38,8 +38,9 @@ const (
 	// PhaseApply brackets Prepared.Apply — the in-place delta patch.
 	PhaseApply
 	// PhaseComponents brackets ensureShards when it actually (re)builds
-	// the component decomposition and shard relabelings; cached calls
-	// emit nothing.
+	// the component decomposition and shard relabelings — after churn,
+	// those of the components the churn reached; cached calls emit
+	// nothing.
 	PhaseComponents
 	// PhaseShardSolve brackets one conflict component's first-phase
 	// schedule execution (runShard). Replayed components emit nothing —
@@ -52,10 +53,11 @@ const (
 	// warm-start solve of one component. The sharded path plans outside
 	// any phase, and its scoring (the λ fold) sits in PhaseMerge.
 	PhaseSerialSolve
-	// PhaseMerge brackets mergeShards' deterministic reassembly: the
-	// k-way stamp merge of the shard stacks + grouping before
-	// PhaseGreedy, dual merge + λ fold after it (two segments per merge,
-	// disjoint from PhaseGreedy).
+	// PhaseMerge brackets mergeShards' deterministic reassembly, one
+	// segment before PhaseGreedy: the k-way stamp merge of the shard
+	// stacks and its grouping into global steps, the λ fold and the sum
+	// of the shards' partial dual sums, and the trace merge when a trace
+	// is recorded. No global dual is merged.
 	PhaseMerge
 	// PhaseGreedy brackets the second phase. On the serial path it is the
 	// greedy selection over the raise stack. On the sharded path the
@@ -118,6 +120,17 @@ const (
 	// pass: by the serial pass, and by each re-run shard. A replayed shard
 	// tests nothing.
 	CounterGreedyTests
+	// CounterComponentItems counts the items a component pass visits,
+	// emitted once per pass: every item on a first build, and after churn
+	// the items of the components the churn reached.
+	CounterComponentItems
+	// CounterRelabeledItems counts the items relabeled into shard layouts,
+	// emitted once per component pass: the items of its new shards.
+	CounterRelabeledItems
+	// CounterApplyGroups counts the member-list groups an Apply patches
+	// (demand slots and edge indices whose lists lose or gain members),
+	// emitted once per Apply.
+	CounterApplyGroups
 
 	numCounters
 )
@@ -127,7 +140,8 @@ const NumCounters = int(numCounters)
 
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
-	"shard_workers", "intra_lanes", "greedy_tests",
+	"shard_workers", "intra_lanes", "greedy_tests", "component_items",
+	"relabeled_items", "apply_groups",
 }
 
 func (c Counter) String() string {

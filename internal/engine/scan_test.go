@@ -112,13 +112,12 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		gst.steps != wst.steps {
 		t.Fatalf("%s: counters %+v, oracle %+v", tag, *got, *want)
 	}
-	ix := lay.ix
-	for s := int32(0); int(s) < ix.NumDemands(); s++ {
+	for s := int32(0); int(s) < lay.demands; s++ {
 		if g, w := got.Dual.Alpha(s), want.Dual.Alpha(s); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: α[%d] = %v, oracle %v", tag, s, g, w)
 		}
 	}
-	for e := int32(0); int(e) < ix.NumEdges(); e++ {
+	for e := int32(0); int(e) < lay.edges; e++ {
 		if g, w := got.Dual.Beta(e), want.Dual.Beta(e); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: β[%d] = %v, oracle %v", tag, e, g, w)
 		}

@@ -16,14 +16,13 @@ import "sync"
 // item set. The merged Result is built by the same deterministic shard
 // merge either way, so warm solves are bitwise identical to cold solves.
 //
-// Invalidation rides on ensureShards' existing reuse discipline: a cache
-// entry is keyed by preShard pointer identity, and ensureShards only reuses
-// a preShard for a component whose member ids are unchanged and none of
-// whose members a delta reached since the last build. Components touched (or renumbered) by a
-// delta get fresh preShard values and therefore miss; a full re-preparation
-// (Solver compaction) builds a fresh Prepared and starts cold. Stream
-// positions cannot drift across rounds because streams are not carried
-// across runs at all.
+// Invalidation rides on ensureShards' reuse discipline: a cache entry is
+// the outcome kept on its preShard, and ensureShards keeps a preShard only
+// for a component no delta reached since the last build. Components a
+// delta touched (or renumbered) get fresh preShard values, which hold no
+// outcome and therefore miss; a full re-preparation (Solver compaction)
+// builds a fresh Prepared and starts cold. Stream positions cannot drift
+// across rounds because streams are not carried across runs at all.
 
 // WarmStats is a snapshot of a Prepared's warm-start counters. Counters are
 // cumulative since the Prepared was built (a compaction re-prepare starts a
@@ -79,16 +78,16 @@ func warmKeyFor(cfg *Config, plan *Plan) warmKey {
 	}
 }
 
-// warmState is the cache attachment on a Prepared. The runs map is replaced
-// wholesale on every record and never mutated in place, so a map returned
-// by lookup stays valid for lock-free reads while concurrent solves record
-// new generations.
+// warmState is the cache attachment on a Prepared: the configuration the
+// outcomes kept on the shards (preShard.out) were recorded under, and the
+// counters. mu guards it and every preShard.out, so concurrent solves may
+// replay and record.
 type warmState struct {
-	mu      sync.Mutex
-	enabled bool
-	key     warmKey
-	runs    map[*preShard]*shardOut
-	stats   WarmStats
+	mu       sync.Mutex
+	enabled  bool
+	recorded bool // a sharded solve has recorded outcomes under key
+	key      warmKey
+	stats    WarmStats
 }
 
 // EnableWarmStart turns on the warm-start cache for this Prepared: from
@@ -119,32 +118,37 @@ func (w *warmState) on() bool {
 	return w.enabled
 }
 
-// lookup returns the cached outcomes valid under key, or nil when the cache
-// is empty or was recorded under a different configuration.
-func (w *warmState) lookup(key warmKey) map[*preShard]*shardOut {
+// replay fills outs[s] with the outcome recorded on shards[s], for every
+// shard that holds one recorded under key, and returns how many it filled.
+func (w *warmState) replay(key warmKey, shards []*preShard, outs []*shardOut) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.enabled || w.runs == nil || w.key != key {
-		return nil
+	if !w.enabled || !w.recorded || w.key != key {
+		return 0
 	}
-	return w.runs
+	n := 0
+	for s, pre := range shards {
+		if pre.out != nil {
+			outs[s] = pre.out
+			n++
+		}
+	}
+	return n
 }
 
-// record publishes a completed sharded solve: a fresh pointer-keyed map of
-// every shard's outcome (so entries for preShards dropped by ensureShards
-// are pruned automatically) plus the solve's replay accounting.
+// record publishes a completed sharded solve: every shard's outcome, kept
+// on the shard (shards ensureShards dropped go with theirs), plus the
+// solve's replay accounting.
 func (w *warmState) record(key warmKey, shards []*preShard, outs []*shardOut, replayed int) {
-	runs := make(map[*preShard]*shardOut, len(shards))
-	for s, pre := range shards {
-		runs[pre] = outs[s]
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.enabled {
 		return
 	}
-	w.key = key
-	w.runs = runs
+	w.key, w.recorded = key, true
+	for s, pre := range shards {
+		pre.out = outs[s]
+	}
 	w.stats.ComponentsReplayed += replayed
 	w.stats.ComponentsResolved += len(shards) - replayed
 	if replayed > 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -53,14 +54,26 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 			tag, got.Steps, got.MISIters, got.Raised, got.MaxStageSteps, got.CommRounds,
 			want.Steps, want.MISIters, want.Raised, want.MaxStageSteps, want.CommRounds)
 	}
-	if gv, wv := got.Dual.Value(), want.Dual.Value(); gv != wv {
-		t.Fatalf("%s: dual value %v, want %v", tag, gv, wv)
-	}
+	sameDual(t, tag, got, want)
 	if (got.Trace == nil) != (want.Trace == nil) {
 		t.Fatalf("%s: trace presence %v, want %v", tag, got.Trace != nil, want.Trace != nil)
 	}
 	if got.Trace != nil && !slices.Equal(got.Trace.Events, want.Trace.Events) {
 		t.Fatalf("%s: trace diverged (%d events, want %d)", tag, len(got.Trace.Events), len(want.Trace.Events))
+	}
+}
+
+// sameDual asserts that two results hold the same dual assignment: every
+// nonzero α and β at the same external demand id and edge key, bit for
+// bit. Value alone cannot see which slot a value landed in.
+func sameDual(t *testing.T, tag string, got, want *Result) {
+	t.Helper()
+	gd, wd := got.mergedDual(), want.mergedDual()
+	if !maps.Equal(gd.AlphaMap(), wd.AlphaMap()) {
+		t.Fatalf("%s: α diverged", tag)
+	}
+	if !maps.Equal(gd.BetaMap(), wd.BetaMap()) {
+		t.Fatalf("%s: β diverged", tag)
 	}
 }
 
@@ -113,28 +126,26 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 	}
 }
 
-// greedyTally is a Recorder that keeps only the greedy-work counter.
-type greedyTally struct {
-	mu    sync.Mutex
-	tests int64
+// counterTally is a Recorder that keeps only the counters.
+type counterTally struct {
+	mu     sync.Mutex
+	counts [NumCounters]int64
 }
 
-func (*greedyTally) StartSpan(Phase) int64 { return 0 }
-func (*greedyTally) EndSpan(Phase, int64)  {}
-func (r *greedyTally) Count(c Counter, n int64) {
-	if c == CounterGreedyTests {
-		r.mu.Lock()
-		r.tests += n
-		r.mu.Unlock()
-	}
+func (*counterTally) StartSpan(Phase) int64 { return 0 }
+func (*counterTally) EndSpan(Phase, int64)  {}
+func (r *counterTally) Count(c Counter, n int64) {
+	r.mu.Lock()
+	r.counts[c] += n
+	r.mu.Unlock()
 }
 
-// take returns the greedy tests counted since the last take.
-func (r *greedyTally) take() int64 {
+// take returns counter c's count since the last take of it.
+func (r *counterTally) take(c Counter) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.tests
-	r.tests = 0
+	n := r.counts[c]
+	r.counts[c] = 0
 	return n
 }
 
@@ -147,7 +158,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	pool := warmPoolItems(t, 5, 48, workload.UnitHeights)
 	p := Prepare(reindex(pool[:40]))
 	p.EnableWarmStart()
-	tally := &greedyTally{}
+	tally := &counterTally{}
 	p.SetRecorder(tally)
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 7}
 	solve := func() *Result {
@@ -160,7 +171,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	}
 	greedyTests := func(step string, want int) {
 		t.Helper()
-		if got := tally.take(); got != int64(want) {
+		if got := tally.take(CounterGreedyTests); got != int64(want) {
 			t.Fatalf("%s: %d greedy tests, want %d", step, got, want)
 		}
 	}
@@ -198,7 +209,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	// Component-local churn: remove one item and re-submit it verbatim.
 	// Equal-size churn keeps every other component's ids stable, so exactly
 	// the victim's component re-runs.
-	before := p.warm.runs
+	before := slices.Clone(p.shards)
 	victim := p.items[0]
 	if err := p.Apply(Delta{Remove: []int{0}, Add: []Item{victim}}); err != nil {
 		t.Fatal(err)
@@ -215,14 +226,163 @@ func TestWarmReplayCounters(t *testing.T) {
 	}
 	rerun := 0
 	for _, pre := range p.shards {
-		if before[pre] == nil {
-			rerun += p.warm.runs[pre].raised
+		if !slices.Contains(before, pre) {
+			rerun += pre.out.raised
 		}
 	}
 	if rerun == 0 || rerun == res.Raised {
 		t.Fatalf("re-run shard raised %d of %d items; the churn must re-run one component", rerun, res.Raised)
 	}
 	greedyTests("local churn", rerun)
+}
+
+// TestWarmWorkCounters pins the component pass's and Apply's work
+// counters exactly, and shows that they grow with the churn, not with the
+// fleet: the same one-network churn on a 4-network and a 16-network fleet
+// whose networks all hold the same content gives the same counts. The
+// first sharded solve visits and relabels every item; a solve with no
+// churn visits and relabels none; after the churn both count exactly the
+// items of the churned components, those of the new decomposition that
+// hold an arrival or are not components of the old one.
+func TestWarmWorkCounters(t *testing.T) {
+	const vertices, demands = 128, 24
+	// Each network holds demands[:24]; three of the rest arrive on
+	// network 0, under ids no network uses.
+	one, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: vertices, Trees: 1, Demands: demands + 3, ProfitRatio: 8, MaxDist: 3,
+	}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := BuildTreeItems(one, IdealDecomp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := slices.Clone(extra[demands:])
+	for i := range arrivals {
+		arrivals[i].Demand, arrivals[i].Owner = 1<<20+i, 1<<20+i
+	}
+	remove := []int{0, 5, 10} // items of network 0; equal-size churn moves no survivor
+
+	type work struct{ visited, relabeled, groups int64 }
+	run := func(nets int) work {
+		in := &model.Instance{NumVertices: vertices}
+		for q := 0; q < nets; q++ {
+			in.Trees = append(in.Trees, one.Trees[0])
+			for _, d := range one.Demands[:demands] {
+				d.ID, d.Access = len(in.Demands), []int{q}
+				in.Demands = append(in.Demands, d)
+			}
+		}
+		items, err := BuildTreeItems(in, IdealDecomp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Prepare(items)
+		p.EnableWarmStart()
+		tally := &counterTally{}
+		p.SetRecorder(tally)
+		cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 4}
+		solve := func() {
+			t.Helper()
+			if _, err := p.Solve(cfg, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(step string, c Counter, want int64) int64 {
+			t.Helper()
+			if got := tally.take(c); got != want {
+				t.Fatalf("%d networks, %s: %v %d, want %d", nets, step, c, got, want)
+			}
+			return want
+		}
+
+		solve()
+		if len(p.shards) < nets {
+			t.Fatalf("%d networks: %d shards", nets, len(p.shards))
+		}
+		check("first solve", CounterComponentItems, int64(len(items)))
+		check("first solve", CounterRelabeledItems, int64(len(items)))
+		solve()
+		check("no churn", CounterComponentItems, 0)
+		check("no churn", CounterRelabeledItems, 0)
+
+		before := Prepare(reindex(p.items)).Components()
+		if err := p.Apply(Delta{Remove: remove, Add: slices.Clone(arrivals)}); err != nil {
+			t.Fatal(err)
+		}
+		groups := tally.take(CounterApplyGroups)
+		if groups == 0 {
+			t.Fatalf("%d networks: Apply patched no group", nets)
+		}
+		solve()
+		after := Prepare(reindex(p.items)).Components()
+		old := make(map[string]bool, len(before))
+		for _, c := range before {
+			old[fmt.Sprint(c)] = true
+		}
+		churned := int64(0)
+		for _, c := range after {
+			if !old[fmt.Sprint(c)] || slices.ContainsFunc(c, func(id int) bool { return slices.Contains(remove, id) }) {
+				churned += int64(len(c))
+			}
+		}
+		if churned == 0 || churned >= demands {
+			t.Fatalf("%d networks: churned components hold %d of network 0's %d items", nets, churned, demands)
+		}
+		return work{
+			visited:   check("churn", CounterComponentItems, churned),
+			relabeled: check("churn", CounterRelabeledItems, churned),
+			groups:    groups,
+		}
+	}
+	w4, w16 := run(4), run(16)
+	if w4 != w16 {
+		t.Fatalf("work grew with the fleet: 4 networks %+v, 16 networks %+v", w4, w16)
+	}
+	t.Logf("churn round on 4 and 16 networks: %+v", w4)
+}
+
+// TestWarmConcurrentSolves runs warm solves of one Prepared from several
+// goroutines at once, after churn, so that they rebuild the shards, replay
+// and record outcomes concurrently (run under -race in CI); every result
+// must equal the cold one.
+func TestWarmConcurrentSolves(t *testing.T) {
+	pool := warmPoolItems(t, 2, 48, workload.UnitHeights)
+	p := Prepare(reindex(pool[:40]))
+	p.EnableWarmStart()
+	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 9, RecordTrace: true}
+	if _, err := p.Solve(cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, 40)
+	for i := range order {
+		order[i] = i
+	}
+	applyRandomDelta(t, p, pool, order, rand.New(rand.NewSource(4)))
+	want, err := Prepare(reindex(p.items)).Solve(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, 8)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Solve(cfg, 1+g%3)
+			if err != nil {
+				t.Error(err)
+			}
+			results[g] = res
+		}()
+	}
+	wg.Wait()
+	for g, res := range results {
+		if res != nil {
+			sameResult(t, fmt.Sprintf("solve %d", g), res, want)
+		}
+	}
 }
 
 // TestWarmSingleComponentSerial checks the serial bypass: on an instance
@@ -332,6 +492,7 @@ func TestIntraParallelMatchesSerial(t *testing.T) {
 func FuzzWarmChurn(f *testing.F) {
 	f.Add(int64(1), []byte{0x03, 0x51, 0xa0}, byte(1))
 	f.Add(int64(7), []byte{0xff, 0x00, 0x42, 0x19}, byte(4))
+	f.Add(int64(1), []byte("0*0"), byte('W')) // an empty delta between sharded solves
 	f.Fuzz(func(t *testing.T, seed int64, steps []byte, widx byte) {
 		workerAxis := []int{1, 2, 3, 4, 8}
 		warmW := workerAxis[int(widx)%len(workerAxis)]

@@ -219,7 +219,8 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 
 	// Departures are checked as one sorted batch; on a fault removalError
 	// names the first offending id in batch order.
-	removing := slices.Sorted(slices.Values(c.Remove))
+	removing := slices.Clone(c.Remove)
+	slices.Sort(removing)
 	for i, id := range removing {
 		if _, ok := slices.BinarySearch(sess.live, id); !ok || i > 0 && removing[i-1] == id {
 			return nil, removalError(c.Remove, sess.live)
@@ -257,14 +258,11 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	add := engine.DemandItems(arrivals, sess.layered)
 
 	// Departures: every item (one per accessible network) of each removed
-	// demand, located by one scan of the current set.
+	// demand, read off that demand's member list.
 	var remove []int
-	if len(removing) > 0 {
-		items := sess.p.Items()
-		for i := range items {
-			if _, ok := slices.BinarySearch(removing, items[i].Demand); ok {
-				remove = append(remove, i)
-			}
+	for _, id := range removing {
+		for _, i := range sess.p.ItemsOfDemand(id) {
+			remove = append(remove, int(i))
 		}
 	}
 
