@@ -9,7 +9,9 @@ package treesched_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	treesched "treesched"
 	"treesched/internal/decomp"
@@ -159,6 +161,45 @@ func BenchmarkEngineShardedFleet(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSessionRoundFleet times one warm Session round — Update with 8
+// departures and 8 arrivals on one network, then SolveWithItems — on
+// fleets of 16, 64 and 256 networks (fleetChurn: 256-vertex trees, 48
+// pinned demands per network), at Parallelism 1 and ε 0.1, so that its
+// rows show how a round grows with the fleet at fixed churn. Every round's
+// churn is built, and 50 warm-up rounds run, before the timer starts; the
+// compaction rounds that come every 2·items+64 arrivals are timed too.
+// Besides the mean (ns/op) it reports the median round as p50-ns.
+func BenchmarkSessionRoundFleet(b *testing.B) {
+	for _, nets := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("nets=%d", nets), func(b *testing.B) {
+			const warmup = 50
+			sess, rounds := fleetChurn(b, treesched.Options{Parallelism: 1}, nets, warmup+b.N)
+			round := func(c treesched.Churn) {
+				if _, err := sess.Update(c); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, _, err := sess.SolveWithItems(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, c := range rounds[:warmup] {
+				round(c)
+			}
+			lat := make([]time.Duration, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, c := range rounds[warmup:] {
+				start := time.Now()
+				round(c)
+				lat[i] = time.Since(start)
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
 		})
 	}
 }

@@ -203,10 +203,15 @@
 // watches to confirm a long-lived session's footprint stays proportional
 // to its live set. Update is atomic (a batch with one invalid arrival or
 // removal rejects as a whole, with no partial churn and no burned ids),
-// and Session.SolveWithItems returns the solve result together with copies
-// of the item set it was computed from and of the live demand ids
-// (ascending), captured under one lock acquisition — the
-// epoch-consistency primitive concurrent readers build on. The session
+// and Session.SolveWithItems returns the solve result together with an
+// immutable view of the item set it was computed from and a copy of the
+// live demand ids (ascending), captured under one lock acquisition — the
+// epoch-consistency primitive concurrent readers build on. Its second
+// result is an engine.ItemsView, no longer an item slice: the engine keeps
+// a base copy of the items and a log of the writes each Update makes after
+// it, so a view costs O(1) and copies items only to take a fresh base once
+// the log outgrows the set (O(1) amortized per written item), and it
+// materializes the items when asked (ItemsView.Items). The session
 // keeps its live ids as that ascending list: initial ids are 0..n−1 and
 // every arrival takes an id above all earlier ones, so arrivals append,
 // departures filter against the batch's sorted removal ids, and a reader
@@ -229,11 +234,16 @@
 // greedy second phase is component-local too — an item's feasibility reads
 // only its own demand's and path edges' usage — so each re-run component
 // also pops its own stack through the greedy rule and its selection is
-// cached and replayed with the rest. The merge k-way merges the cached
-// stacks by schedule stamp (each already ascends), takes the selection
-// from the components, and re-sums its profit in the serial pop order
-// (global steps last to first, ids ascending within a step), which is the
-// serial pass's own sequence of additions.
+// cached and replayed with the rest. The merge orders the cached stacks'
+// steps by a counting sort on their flat schedule index (ties to the
+// lower component), takes the selection from the components, and re-sums
+// its profit in the serial pop order (global steps last to first, ids
+// ascending within a step), which is the serial pass's own sequence of
+// additions and which a second counting sort, of the selection by global
+// step, yields. A warm solve reads no item to plan: the plan's item
+// statistics (∆, ℓmax, the profit and height ranges) are kept by each
+// Update's delta, and only a departure that takes the last holder of a
+// profit or height extreme makes the engine gather them again.
 //
 // Warm results are bitwise identical to cold solves — same selections,
 // profit, λ, dual bound, and trace — because nothing on the replay path

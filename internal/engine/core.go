@@ -52,9 +52,12 @@ func NewCoreWithIndex(mode Mode, ix *dual.Index) *Core {
 
 // ItemView is one item's dual constraint in dense form: the demand slot and
 // the β-index lists of its path and critical set, precomputed so the
-// per-step ξ-satisfaction tests and raises are pure slice arithmetic.
+// per-step ξ-satisfaction tests and raises are pure slice arithmetic, plus
+// the item's group, the epoch it raises in, so a run buckets its items
+// without reading them.
 type ItemView struct {
 	Slot     int32 // demand slot in the core's dual index
+	Group    int32 // layered-decomposition group, as Item.Group
 	Profit   float64
 	Height   float64
 	Edges    []int32 // β indices of the full path
@@ -84,7 +87,7 @@ func internItem(ix *dual.Index, it *Item, buf []int32) ItemView {
 	for j, k := range it.Critical {
 		critical[j] = ix.Edge(k)
 	}
-	return ItemView{Slot: slot, Profit: it.Profit, Height: it.Height, Edges: edges, Critical: critical}
+	return ItemView{Slot: slot, Group: int32(it.Group), Profit: it.Profit, Height: it.Height, Edges: edges, Critical: critical}
 }
 
 // Coeff returns the view's LHS coefficient: 1 under the unit rule, the

@@ -42,21 +42,29 @@ import (
 //     so these are exactly the components whose conflict structure
 //     changed. The next ensureShards re-traverses from their members and
 //     the arrivals only, and reuses the relabeled shard of every component
-//     the churn never reached.
+//     the churn never reached;
+//   - the plan statistics (planStats, engine.go) count every departed item
+//     out and every arriving one in. When the departures took the last
+//     holder of a profit or height extreme, no count can tell the new
+//     extreme, and Apply gathers the statistics again over every item;
+//   - once a caller took an item view (itemsview.go), every item Apply
+//     writes is logged for the views to come.
 //
 // Apply keeps the groups and items it touches as lists, so its work is
 // the size of the delta and of the member lists it patches, never the
-// number of items or groups.
+// number of items or groups, but for that one gather after an extreme's
+// departure.
 //
 // Apply mutates the Prepared (including the item slice it was constructed
 // over) and must not overlap a Solve or another Apply on the same value.
 // Between mutations the Prepared remains safe for concurrent runs.
 
 // Delta describes demand-instance churn on an unchanged network: items to
-// remove, by their current ids, and items to add. Apply assigns the ID
-// field of every added item; the remaining fields must satisfy the same
-// invariants Solve validates (group ≥ 1, non-empty path and critical set,
-// positive profit, height in (0,1]).
+// remove, by their current ids, and items to add. Apply stores a copy of
+// each added item with its ID field set to the item's position; the
+// caller's slice is left as it was. The remaining fields must satisfy the
+// same invariants Solve validates (group ≥ 1, non-empty path and critical
+// set, positive profit, height in (0,1]).
 type Delta struct {
 	Remove []int
 	Add    []Item
@@ -192,6 +200,7 @@ func (p *Prepared) Apply(d Delta) error {
 	eState := extend(&scr.eState, lay.edges, untouched)
 	changedD, changedE := scr.changedD[:0], scr.changedE[:0]
 	depart := func(id int) {
+		p.stats.remove(&p.items[id], id)
 		v := &lay.views[id]
 		if dState[v.Slot] == untouched {
 			dState[v.Slot] = filtered
@@ -219,6 +228,7 @@ func (p *Prepared) Apply(d Delta) error {
 		h := free[i]
 		p.items[h] = p.items[m]
 		p.items[h].ID = h
+		p.logWrite(h)
 		lay.views[h] = lay.views[m]
 		lay.ownerSlot[h] = lay.ownerSlot[m]
 	}
@@ -244,6 +254,7 @@ func (p *Prepared) Apply(d Delta) error {
 			lay.views = append(lay.views, ItemView{})
 			lay.ownerSlot = append(lay.ownerSlot, 0)
 		}
+		p.logWrite(id)
 		k := len(it.Edges) + len(it.Critical)
 		lay.views[id] = internItem(lay.ix, &p.items[id], slab[:k:k])
 		slab = slab[k:]
@@ -285,6 +296,7 @@ func (p *Prepared) Apply(d Delta) error {
 	eState = extend(&scr.eState, lay.edges, untouched)
 	appendedD, appendedE := scr.appendedD[:0], scr.appendedE[:0]
 	arrive := func(id int) {
+		p.stats.add(&p.items[id], id)
 		v := &lay.views[id]
 		if st := dState[v.Slot]; st < 0 {
 			if st == untouched {
@@ -331,6 +343,12 @@ func (p *Prepared) Apply(d Delta) error {
 		p.shardsStale = true
 	}
 	p.shardMu.Unlock()
+	if p.stats.stale() {
+		p.stats.gather(p.items)
+		if rec != nil {
+			rec.Count(CounterPlanItems, int64(len(p.items)))
+		}
+	}
 
 	// Clear the marks for the next Apply.
 	for _, s := range changedD {

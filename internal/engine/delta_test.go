@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"treesched/internal/graph"
+	"treesched/internal/model"
 	"treesched/internal/workload"
 )
 
@@ -61,6 +65,8 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 			t.Fatalf("edge group %d: members diverge from scratch %v", e, want)
 		}
 	}
+
+	checkPlanStats(t, p)
 
 	// Component decompositions (forces both lazy builds).
 	p.ensureShards()
@@ -151,6 +157,48 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	}
 }
 
+// checkPlanStats compares the plan statistics Apply kept with a gather
+// from scratch over p's items, and the plan or error they give, in unit and
+// in narrow mode, with PlanFor's over the same items.
+func checkPlanStats(t *testing.T, p *Prepared) {
+	t.Helper()
+	var want planStats
+	want.gather(p.items)
+	got := p.stats
+	trim := func(c []int) []int {
+		for len(c) > 0 && c[len(c)-1] == 0 {
+			c = c[:len(c)-1]
+		}
+		return c
+	}
+	if got.n != want.n || got.invalid != want.invalid ||
+		!slices.Equal(trim(got.byCritical), trim(want.byCritical)) || !slices.Equal(trim(got.byGroup), trim(want.byGroup)) ||
+		got.n > 0 && (got.pmin != want.pmin || got.pmax != want.pmax || got.hmin != want.hmin || got.hmax != want.hmax ||
+			got.npmin != want.npmin || got.npmax != want.npmax || got.nhmin != want.nhmin || got.nhmax != want.nhmax) {
+		t.Fatalf("plan statistics %+v, scratch %+v", got, want)
+	}
+	for _, mode := range []Mode{Unit, Narrow} {
+		gcfg := Config{Mode: mode, Epsilon: 0.1}
+		wcfg := gcfg
+		gplan, gerr := p.plan(&gcfg)
+		wplan, werr := PlanFor(p.Items(), &wcfg)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(gplan, wplan) || gcfg != wcfg {
+			t.Fatalf("%v: plan %+v (%v) under %+v, PlanFor %+v (%v) under %+v", mode, gplan, gerr, gcfg, wplan, werr, wcfg)
+		}
+	}
+}
+
+// shardItems rebuilds a shard's items from its component: the items of
+// comp, re-indexed by position.
+func shardItems(p *Prepared, sh *preShard) []Item {
+	items := make([]Item, len(sh.comp))
+	for i, id := range sh.comp {
+		items[i] = p.items[id]
+		items[i].ID = i
+	}
+	return items
+}
+
 // checkShardLayouts checks every shard of p against buildLayout over the
 // shard's items: relabel must number demand slots, edge indices and owner
 // slots exactly as interning would, and its translations must lead each
@@ -158,7 +206,7 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 func checkShardLayouts(t *testing.T, p *Prepared) {
 	t.Helper()
 	for s, sh := range p.shards {
-		want := buildLayout(sh.items)
+		want := buildLayout(shardItems(p, sh), new(planStats))
 		got := sh.lay
 		if got.demands != want.demands || got.edges != want.edges ||
 			!slices.Equal(got.ownerIDs, want.ownerIDs) || !slices.Equal(got.ownerSlot, want.ownerSlot) {
@@ -166,7 +214,7 @@ func checkShardLayouts(t *testing.T, p *Prepared) {
 		}
 		for i := range want.views {
 			g, w := &got.views[i], &want.views[i]
-			if g.Slot != w.Slot || g.Profit != w.Profit || g.Height != w.Height ||
+			if g.Slot != w.Slot || g.Group != w.Group || g.Profit != w.Profit || g.Height != w.Height ||
 				!slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Critical, w.Critical) {
 				t.Fatalf("shard %d item %d: view %+v, interned %+v", s, i, *g, *w)
 			}
@@ -361,10 +409,125 @@ func TestApplyDeltaDrainAndRefill(t *testing.T) {
 	checkAgainstScratch(t, p, 3, []int{1, 3})
 }
 
-// FuzzApplyDelta lets the fuzzer steer the churn sequence.
+// extremeItems is a fleet of six 4-item chains, one component each: item
+// i spans edges i+i/4 and i+i/4+1 of network 0, with π the first of them,
+// group 1 + i%2 and a profit in 2..6 that several items share. Four items
+// are unique: item lowProfit has the lowest profit, highProfit the
+// highest, deepGroup the only item of group 4, and widePi the only
+// two-edge critical set.
+func extremeItems() []Item {
+	const n = 24
+	e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
+	items := make([]Item, n)
+	for i := range items {
+		a := i + i/4
+		items[i] = Item{
+			ID: i, Demand: i, Owner: i, Group: 1 + i%2, Profit: float64(2 + i%5), Height: 1,
+			Edges: []model.EdgeKey{e(a), e(a + 1)}, Critical: []model.EdgeKey{e(a)},
+		}
+	}
+	items[lowProfit].Profit = 1
+	items[highProfit].Profit = 10
+	items[deepGroup].Group = 4
+	items[widePi].Critical = items[widePi].Edges
+	return items
+}
+
+const lowProfit, highProfit, deepGroup, widePi = 3, 9, 14, 21
+
+// TestApplyPlanStatsExtremes departs, alone and together with arrivals,
+// the unique holder of the lowest profit, of the highest profit, of the
+// deepest group and of the largest |π|. The profit departures leave an
+// extreme without a holder, so Apply gathers the statistics again over
+// every item (CounterPlanItems); ℓmax and ∆ fall with the counts alone.
+// Each plan must move as the departure says, and the Prepared must match
+// one built from scratch: statistics, plans, components and solves.
+func TestApplyPlanStatsExtremes(t *testing.T) {
+	e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
+	// Arrivals on the chains' edges, inside every range.
+	arrivals := []Item{
+		{Demand: 100, Owner: 100, Group: 1, Profit: 3.5, Height: 1, Edges: []model.EdgeKey{e(0), e(1)}, Critical: []model.EdgeKey{e(1)}},
+		{Demand: 101, Owner: 101, Group: 2, Profit: 4.5, Height: 1, Edges: []model.EdgeKey{e(11), e(12)}, Critical: []model.EdgeKey{e(11)}},
+	}
+	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 2}
+	for _, tc := range []struct {
+		name   string
+		victim int
+		rescan bool
+		moved  func(before, after *Plan) bool
+	}{
+		{"lowest profit", lowProfit, true, func(b, a *Plan) bool { return a.PMin == 2 && b.PMin == 1 }},
+		{"highest profit", highProfit, true, func(b, a *Plan) bool { return a.PMax == 6 && b.PMax == 10 }},
+		{"deepest group", deepGroup, false, func(b, a *Plan) bool { return a.MaxGroup == 2 && b.MaxGroup == 4 }},
+		{"largest critical set", widePi, false, func(b, a *Plan) bool { return a.Delta == 1 && b.Delta == 2 }},
+	} {
+		for _, add := range [][]Item{nil, arrivals} {
+			t.Run(fmt.Sprintf("%s/arrivals=%d", tc.name, len(add)), func(t *testing.T) {
+				p := Prepare(extremeItems())
+				p.EnableWarmStart()
+				tally := &counterTally{}
+				p.SetRecorder(tally)
+				before := cfg
+				bplan, err := p.plan(&before)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Solve(cfg, 2); err != nil { // shards, so the next solve replays
+					t.Fatal(err)
+				}
+				if err := p.Apply(Delta{Remove: []int{tc.victim}, Add: slices.Clone(add)}); err != nil {
+					t.Fatal(err)
+				}
+				want := int64(0)
+				if tc.rescan {
+					want = int64(len(p.items))
+				}
+				if got := tally.take(CounterPlanItems); got != want {
+					t.Fatalf("Apply read %d items to plan, want %d", got, want)
+				}
+				after := cfg
+				aplan, err := p.plan(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tc.moved(bplan, aplan) {
+					t.Fatalf("plan %+v, before the departure %+v", *aplan, *bplan)
+				}
+				if got := tally.take(CounterPlanItems); got != 0 {
+					t.Fatalf("planning read %d items", got)
+				}
+				checkAgainstScratch(t, p, 2, []int{1, 2})
+			})
+		}
+	}
+}
+
+// sameItems fails unless got holds want's items bitwise: every field, the
+// floats by their bits, and the path and critical slices entry by entry.
+func sameItems(t *testing.T, tag string, got, want []Item) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, want %d", tag, len(got), len(want))
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		if g.ID != w.ID || g.Demand != w.Demand || g.Owner != w.Owner || g.Resource != w.Resource || g.Group != w.Group ||
+			math.Float64bits(g.Profit) != math.Float64bits(w.Profit) || math.Float64bits(g.Height) != math.Float64bits(w.Height) ||
+			!slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Critical, w.Critical) {
+			t.Fatalf("%s: item %d is %+v, want %+v", tag, i, *g, *w)
+		}
+	}
+}
+
+// FuzzApplyDelta lets the fuzzer steer the churn sequence. Before every
+// Apply it takes an item view and a copy of the items; after the last,
+// every view must still materialize to its copy. The third seed's deltas
+// shrink the set three times and grow it three times, and its views take a
+// fresh base twice after the first, when the log outgrows the set.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{0x03, 0x51, 0xa0, 0x17})
 	f.Add(int64(9), []byte{0xff, 0x00, 0x42})
+	f.Add(int64(4), []byte{0xd2, 0x45, 0x1e, 0x71, 0xe3, 0x4d})
 	f.Fuzz(func(t *testing.T, seed int64, steps []byte) {
 		if len(steps) > 6 {
 			steps = steps[:6]
@@ -376,9 +539,18 @@ func FuzzApplyDelta(f *testing.F) {
 		for i := range order {
 			order[i] = i
 		}
+		var views []ItemsView
+		var clones [][]Item
 		for _, b := range steps {
+			views = append(views, p.ItemsView())
+			clones = append(clones, slices.Clone(p.items))
 			rng := rand.New(rand.NewSource(int64(b)*131 + seed))
 			order = applyRandomDelta(t, p, pool, order, rng)
+		}
+		views = append(views, p.ItemsView())
+		clones = append(clones, slices.Clone(p.items))
+		for i, v := range views {
+			sameItems(t, fmt.Sprintf("view %d", i), v.Items(), clones[i])
 		}
 		// One full check at the end keeps the fuzz iteration cheap.
 		checkAgainstScratch(t, p, seed, []int{1, 2})

@@ -137,7 +137,6 @@ type Result struct {
 // in-process run and the dist protocol cannot drift; all dual addressing
 // goes through the layout's precomputed dense views.
 type state struct {
-	items []Item
 	lay   *layout
 	cfg   Config
 	plan  *Plan
@@ -201,51 +200,34 @@ type Plan struct {
 	PMin, PMax float64
 }
 
-// PlanFor validates the items and configuration and computes the schedule.
+// PlanFor validates the items and configuration and computes the schedule:
+// one statistics pass over the items, then the plan built from it.
 // cfg's zero-valued fields are resolved to paper defaults in place.
 func PlanFor(items []Item, cfg *Config) (*Plan, error) {
-	p, err := validate(items, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.StepCap = stepCap(p.PMin, p.PMax)
-	if cfg.SingleStage {
-		p.Stages = 1
-		p.Thresholds = []float64{1 / (5 + cfg.Epsilon)}
-		return p, nil
-	}
-	b := 1
-	for x := p.Xi; x > cfg.Epsilon; x *= p.Xi {
-		b++
-	}
-	p.Stages = b
-	p.Thresholds = make([]float64, b)
-	x := 1.0
-	for j := 0; j < b; j++ {
-		x *= p.Xi
-		p.Thresholds[j] = 1 - x
-	}
-	return p, nil
+	var st planStats
+	st.gather(items)
+	plan, _, err := st.plan(items, cfg)
+	return plan, err
 }
 
 // newState assembles run state over a prepared plan and dense layout. The
 // layout is read-only: concurrent states (runs over one Prepared,
-// shard workers) may share one. Its views are also the conflict graph: an
-// item's demand slot and edge indices are the groups it belongs to. scr
-// may be a pooled scratch (nil allocates a private one); its streams are
-// re-seeded here, so a recycled scratch starts every run from the same
-// stream positions a fresh one would.
-func newState(items []Item, lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
+// shard workers) may share one. Its views are the whole item set a run
+// reads, and also the conflict graph: an item's demand slot and edge
+// indices are the groups it belongs to. scr may be a pooled scratch (nil
+// allocates a private one); its streams are re-seeded here, so a recycled
+// scratch starts every run from the same stream positions a fresh one
+// would.
+func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
 	st := &state{
-		items: items,
-		lay:   lay,
-		cfg:   cfg,
-		plan:  plan,
-		core:  lay.newCore(cfg.Mode),
-		scr:   scr,
+		lay:  lay,
+		cfg:  cfg,
+		plan: plan,
+		core: lay.newCore(cfg.Mode),
+		scr:  scr,
 	}
 	owners := lay.ownerIDs
 	if cap(scr.streams) < len(owners) {
@@ -276,13 +258,13 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	plan, err := PlanFor(p.items, &cfg) // resolves ξ and defaults
+	plan, err := p.plan(&cfg) // resolves ξ and defaults
 	if err != nil {
 		return nil, err
 	}
 	scr := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(scr)
-	st := newState(p.items, p.lay, cfg, plan, scr)
+	st := newState(p.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
@@ -304,46 +286,135 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// validate checks the items and the configuration and resolves a zero ξ
-// to the paper's default. The same pass over the items gathers the plan's
-// item statistics — ∆, ℓmax and the profit range (1 and 1 for no items) —
-// which it returns in an otherwise empty Plan.
-func validate(items []Item, cfg *Config) (*Plan, error) {
+// planStats is all a plan reads of an item set: the item counts per |π| and
+// per group, whose largest nonzero indices are ∆ and ℓmax, the extremes of
+// profit and height with the number of items holding each, and the number
+// of items that fail the item checks (itemOK), which are counted
+// nowhere else. A Prepared gathers them in Prepare's pass over the items,
+// and Apply keeps them from the delta (delta.go), so a solve plans without
+// reading an item.
+//
+// Each extreme is a bound on the counted items' values, held by exactly
+// as many items as its count says. A count of 0 — its last holder
+// departed — leaves the bound valid but no longer attained, and Apply
+// gathers the statistics again (stale).
+type planStats struct {
+	n          int // items that pass the checks
+	invalid    int // items that fail them
+	byCritical []int
+	byGroup    []int
+	pmin, pmax float64
+	hmin, hmax float64
+	// Items holding each extreme.
+	npmin, npmax, nhmin, nhmax int
+}
+
+// gather recomputes the statistics from every item, reusing the count
+// slices.
+func (s *planStats) gather(items []Item) {
+	clear(s.byCritical)
+	clear(s.byGroup)
+	s.n, s.invalid = 0, 0
+	for i := range items {
+		s.add(&items[i], i)
+	}
+}
+
+// add counts the item at position pos.
+func (s *planStats) add(it *Item, pos int) {
+	if !itemOK(it, pos) {
+		s.invalid++
+		return
+	}
+	// The counts grow in one allocation each, to 16 entries at first: the
+	// ideal decompositions of random trees of 64 to 4,096 vertices have 7
+	// to 12 groups and |π| ≤ 4.
+	k, g := len(it.Critical), it.Group
+	if k >= len(s.byCritical) {
+		extend(&s.byCritical, max(k+1, 16), 0)
+	}
+	if g >= len(s.byGroup) {
+		extend(&s.byGroup, max(g+1, 16), 0)
+	}
+	s.byCritical[k]++
+	s.byGroup[g]++
+	if s.n == 0 {
+		s.pmin, s.pmax, s.hmin, s.hmax = it.Profit, it.Profit, it.Height, it.Height
+		s.npmin, s.npmax, s.nhmin, s.nhmax = 1, 1, 1, 1
+	} else {
+		s.pmin, s.npmin = fold(s.pmin, s.npmin, it.Profit, it.Profit < s.pmin)
+		s.pmax, s.npmax = fold(s.pmax, s.npmax, it.Profit, it.Profit > s.pmax)
+		s.hmin, s.nhmin = fold(s.hmin, s.nhmin, it.Height, it.Height < s.hmin)
+		s.hmax, s.nhmax = fold(s.hmax, s.nhmax, it.Height, it.Height > s.hmax)
+	}
+	s.n++
+}
+
+// fold folds value v into an extreme x held by c items; beyond reports
+// that v passes x.
+func fold(x float64, c int, v float64, beyond bool) (float64, int) {
+	switch {
+	case beyond:
+		return v, 1
+	case v == x:
+		return x, c + 1
+	}
+	return x, c
+}
+
+// remove uncounts the item at position pos, which add counted there.
+func (s *planStats) remove(it *Item, pos int) {
+	if !itemOK(it, pos) {
+		s.invalid--
+		return
+	}
+	s.byCritical[len(it.Critical)]--
+	s.byGroup[it.Group]--
+	s.n--
+	if it.Profit == s.pmin {
+		s.npmin--
+	}
+	if it.Profit == s.pmax {
+		s.npmax--
+	}
+	if it.Height == s.hmin {
+		s.nhmin--
+	}
+	if it.Height == s.hmax {
+		s.nhmax--
+	}
+}
+
+// stale reports whether an extreme's last holder departed, so that only a
+// gather can tell the extreme again.
+func (s *planStats) stale() bool {
+	return s.n > 0 && (s.npmin == 0 || s.npmax == 0 || s.nhmin == 0 || s.nhmax == 0)
+}
+
+// plan checks the configuration and builds the schedule from the
+// statistics of items, resolving a zero ξ to the paper's default in place.
+// A set with an item that fails the checks, or a height over 1/2 in narrow
+// mode, goes to validate, which reads the items to name the first
+// offence; read is the number of items it read. Every error and its order
+// are those of a check of the configuration, then of the items in order,
+// then of ξ.
+func (s *planStats) plan(items []Item, cfg *Config) (p *Plan, read int, err error) {
 	// Range checks are negated so that NaN, which fails every comparison,
 	// is rejected too.
 	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
-		return nil, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
+		return nil, 0, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
 	}
-	p := &Plan{PMin: 1, PMax: 1}
+	if s.invalid > 0 || cfg.Mode == Narrow && s.n > 0 && s.hmax > 0.5+dual.Tolerance {
+		read, err := validate(items, cfg.Mode)
+		if err == nil {
+			panic("engine: plan statistics disagree with the items")
+		}
+		return nil, read, err
+	}
+	p = &Plan{PMin: 1, PMax: 1, Delta: lastNonzero(s.byCritical), MaxGroup: lastNonzero(s.byGroup)}
 	hmin := 1.0
-	for i := range items {
-		it := &items[i]
-		if it.ID != i {
-			return nil, fmt.Errorf("engine: item %d has ID %d", i, it.ID)
-		}
-		if it.Group < 1 {
-			return nil, fmt.Errorf("engine: item %d has group %d < 1", i, it.Group)
-		}
-		if len(it.Edges) == 0 || len(it.Critical) == 0 {
-			return nil, fmt.Errorf("engine: item %d has empty path or critical set", i)
-		}
-		if !(it.Profit > 0) {
-			return nil, fmt.Errorf("engine: item %d has profit %v", i, it.Profit)
-		}
-		if !(it.Height > 0) || it.Height > 1 {
-			return nil, fmt.Errorf("engine: item %d has height %v", i, it.Height)
-		}
-		if cfg.Mode == Narrow && it.Height > 0.5+dual.Tolerance {
-			return nil, fmt.Errorf("engine: item %d has height %v > 1/2 in narrow mode", i, it.Height)
-		}
-		p.Delta = max(p.Delta, len(it.Critical))
-		p.MaxGroup = max(p.MaxGroup, it.Group)
-		hmin = min(hmin, it.Height)
-		if i == 0 {
-			p.PMin, p.PMax = it.Profit, it.Profit
-		} else {
-			p.PMin, p.PMax = min(p.PMin, it.Profit), max(p.PMax, it.Profit)
-		}
+	if s.n > 0 {
+		p.PMin, p.PMax, hmin = s.pmin, s.pmax, s.hmin
 	}
 	if cfg.Xi == 0 {
 		if cfg.HMin > 0 {
@@ -352,10 +423,90 @@ func validate(items []Item, cfg *Config) (*Plan, error) {
 		cfg.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
 	}
 	if !(cfg.Xi > 0 && cfg.Xi < 1) {
-		return nil, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
+		return nil, 0, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
 	}
 	p.Xi = cfg.Xi
-	return p, nil
+	p.StepCap = stepCap(p.PMin, p.PMax)
+	if cfg.SingleStage {
+		p.Stages = 1
+		p.Thresholds = []float64{1 / (5 + cfg.Epsilon)}
+		return p, 0, nil
+	}
+	b := 1
+	for x := p.Xi; x > cfg.Epsilon; x *= p.Xi {
+		b++
+	}
+	p.Stages = b
+	p.Thresholds = make([]float64, b)
+	x := 1.0
+	for j := 0; j < b; j++ {
+		x *= p.Xi
+		p.Thresholds[j] = 1 - x
+	}
+	return p, 0, nil
+}
+
+// lastNonzero returns the largest index of a nonzero count, or 0.
+func lastNonzero(counts []int) int {
+	for k := len(counts) - 1; k > 0; k-- {
+		if counts[k] != 0 {
+			return k
+		}
+	}
+	return 0
+}
+
+// plan is planStats.plan over the Prepared's statistics, counting the
+// items a validate fallback reads.
+func (p *Prepared) plan(cfg *Config) (*Plan, error) {
+	plan, read, err := p.stats.plan(p.items, cfg)
+	if read > 0 && p.rec != nil {
+		p.rec.Count(CounterPlanItems, int64(read))
+	}
+	return plan, err
+}
+
+// validate reports the first item, in item order, that fails the item
+// checks or, in narrow mode, has a height over 1/2, with the number of
+// items it read.
+func validate(items []Item, mode Mode) (read int, err error) {
+	for i := range items {
+		if err := itemError(&items[i], i); err != nil {
+			return i + 1, err
+		}
+		if mode == Narrow && items[i].Height > 0.5+dual.Tolerance {
+			return i + 1, fmt.Errorf("engine: item %d has height %v > 1/2 in narrow mode", i, items[i].Height)
+		}
+	}
+	return len(items), nil
+}
+
+// itemOK reports whether the item at position i passes the item checks:
+// its ID is its position, its group is ≥ 1, its path and critical set are
+// non-empty, its profit is positive and its height is in (0,1]. NaN fails
+// every comparison, so it fails the checks.
+func itemOK(it *Item, i int) bool {
+	return it.ID == i && it.Group >= 1 && len(it.Edges) > 0 && len(it.Critical) > 0 &&
+		it.Profit > 0 && it.Height > 0 && it.Height <= 1
+}
+
+// itemError names the first check the item at position i fails, or
+// returns nil if it passes them all.
+func itemError(it *Item, i int) error {
+	switch {
+	case itemOK(it, i):
+		return nil
+	case it.ID != i:
+		return fmt.Errorf("engine: item %d has ID %d", i, it.ID)
+	case it.Group < 1:
+		return fmt.Errorf("engine: item %d has group %d < 1", i, it.Group)
+	case len(it.Edges) == 0 || len(it.Critical) == 0:
+		return fmt.Errorf("engine: item %d has empty path or critical set", i)
+	case !(it.Profit > 0):
+		return fmt.Errorf("engine: item %d has profit %v", i, it.Profit)
+	default:
+		return fmt.Errorf("engine: item %d has height %v", i, it.Height)
+	}
 }
 
 // DefaultXi returns the paper's stage-decay parameter: for the unit rule,
@@ -459,19 +610,21 @@ func (st *state) firstPhase(res *Result) error {
 	return nil
 }
 
-// groupMembers buckets the item ids by group (a counting sort into the
-// scratch, ascending within each group) and returns the buckets with their
-// end offsets: group k is live[groupEnd[k-1]:groupEnd[k]] for
-// 1 ≤ k ≤ plan.MaxGroup. Groups are validated ≥ 1, so bucket 0 is empty.
+// groupMembers buckets the item ids by their views' groups (a counting
+// sort into the scratch, ascending within each group) and returns the
+// buckets with their end offsets: group k is live[groupEnd[k-1]:groupEnd[k]]
+// for 1 ≤ k ≤ plan.MaxGroup. Groups are validated ≥ 1, so bucket 0 is
+// empty.
 func (st *state) groupMembers() (live, groupEnd []int) {
 	scr := st.scr
+	views := st.lay.views
 	g := st.plan.MaxGroup
 	// pos[k] counts group k-1, then holds bucket k's start, and after the
 	// fill has advanced it past every member, bucket k's end.
 	pos := slices.Grow(scr.groupEnd[:0], g+2)[:g+2]
 	clear(pos)
-	for i := range st.items {
-		if k := st.items[i].Group; k <= g {
+	for i := range views {
+		if k := int(views[i].Group); k <= g {
 			pos[k+1]++
 		}
 	}
@@ -480,8 +633,8 @@ func (st *state) groupMembers() (live, groupEnd []int) {
 	}
 	n := pos[g+1]
 	live = slices.Grow(scr.live[:0], n)[:n]
-	for i := range st.items {
-		if k := st.items[i].Group; k <= g {
+	for i := range views {
+		if k := int(views[i].Group); k <= g {
 			live[pos[k]] = i
 			pos[k]++
 		}

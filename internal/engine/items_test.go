@@ -78,7 +78,7 @@ func TestArenaSlicesDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := buildLayout(items)
+	lay := buildLayout(items, new(planStats))
 	want := cloneItems(items)
 	wantViews := cloneViews(lay.views)
 	for i := range items {

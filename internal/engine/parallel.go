@@ -23,15 +23,17 @@ import (
 //
 //   - a serial step at schedule position (epoch, stage, iter) raises the
 //     union over components of the items each component raises at that same
-//     position, so merging shard stacks by position reproduces the serial
-//     stack bit for bit;
+//     position, so ordering the shard steps by position — a counting sort
+//     on the flat step index, ties to the lower shard — reproduces the
+//     serial stack bit for bit;
 //   - a serial Luby election runs until every active component is decided,
 //     with decided vertices drawing nothing, so the serial iteration count
 //     at a position is the max over the shards active there;
 //   - the greedy second phase decides an item by its own demand's and path
 //     edges' usage, all inside its component, so each shard's greedy pass
 //     over its own stack selects the serial selection restricted to the
-//     shard, and the merge re-sums the profit in the serial pop order;
+//     shard, and the merge re-sums the profit in the serial pop order,
+//     which a counting sort of the selection by global step yields;
 //   - the shards' duals are disjoint and together hold every nonzero α and
 //     β of the serial dual, so the min of their λ minima is the serial λ,
 //     and the exact sum of their partial sums (dual.Sum, kept with each
@@ -109,7 +111,7 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 		}
 		return res, err
 	}
-	plan, err := PlanFor(p.items, &cfg) // resolves ξ and defaults globally
+	plan, err := p.plan(&cfg) // resolves ξ and defaults globally
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +136,7 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 // pops its stack through the greedy rule, and captures the outcome with
 // its dual's λ minimum and exact partial sum.
 func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch) (*shardOut, error) {
-	st := newState(pre.items, pre.lay, cfg, plan, scr)
+	st := newState(pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	if err := st.firstPhase(res); err != nil {
 		return nil, err
@@ -253,52 +255,33 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 // schedule stamp (epoch, stage, iter) has flat step index step.
 type stamped struct{ step, shard, pos int }
 
-// before reports whether a's step runs before b's in the serial schedule,
-// ties to the lower shard index.
-func (a stamped) before(b stamped) bool {
-	return a.step < b.step || a.step == b.step && a.shard < b.shard
-}
-
-// siftDown restores the min-heap order of h below index i.
-func siftDown(h []stamped, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// mergeScratch pools mergeShards' transient state: the merge heap, the
-// shard steps in schedule order, their grouping into global steps, one
-// step's selection buffer and the selection bitset (all zero between
-// merges). Nothing in it survives the merge — the groups are consumed by
-// the profit re-sum and the trace merge, both inside mergeShards — so
-// steady-state re-merges (the warm replay path runs one every solve)
-// allocate next to nothing.
+// mergeScratch pools mergeShards' transient state, all of it sized by the
+// plan's flat steps, the shard steps or the items: the counting sort's
+// step counts and occupancy bitset (both zero between merges), the shard
+// steps in schedule order and their grouping into global steps, and the
+// selection's step per item, per-step offsets and pop order. Nothing in
+// it survives the merge — the groups are consumed by the profit re-sum and
+// the trace merge, both inside mergeShards — so steady-state re-merges
+// (the warm replay path runs one every solve) allocate next to nothing.
 type mergeScratch struct {
-	heap    []stamped
+	count   []int32  // per flat step: shard steps there, then their offset
+	occ     []uint64 // flat steps with a shard step
 	all     []stamped
 	perStep [][]stamped
-	sel     []int
+	selStep []int32 // per selected item: its global step
+	selOff  []int32 // per global step: its offset in pop
+	pop     []int
 	marks   []uint64
 }
 
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // mergeShards reassembles the serial execution from per-shard outcomes:
-// it k-way merges the stacks into global steps, scores the dual from the
-// shards' λ minima and exact partial sums, and re-sums the shards'
-// selections in the serial pop order. It builds no global dual: the
-// Result keeps the outcomes, for mergedDual.
+// it counting-sorts the shard steps by flat step index into global steps,
+// scores the dual from the shards' λ minima and exact partial sums, and
+// re-sums the shards' selections in the serial pop order. It builds no
+// global dual and sorts nothing by comparison: the Result keeps the
+// outcomes, for mergedDual.
 //
 //schedvet:hot
 func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
@@ -319,63 +302,62 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	}
 
 	scr := mergePool.Get().(*mergeScratch)
-	//schedvet:ok hotpath one pool-restore defer per merge, not per item; keeps the scratch returned on every error path
-	defer func() {
-		scr.heap = scr.heap[:0]
-		scr.all = scr.all[:0]
-		scr.perStep = scr.perStep[:0]
-		scr.sel = scr.sel[:0]
-		mergePool.Put(scr)
-	}()
 
-	// Each shard's stack ascends by stamp, so a k-way merge of the stacks
-	// lists every shard step in serial schedule order.
-	stamp := func(s, pos int) stamped {
-		st := &outs[s].stack[pos]
-		return stamped{plan.stepIndex(st.epoch, st.stage, st.iter), s, pos}
-	}
-	heap := scr.heap[:0]
-	all := scr.all[:0]
-	for s, out := range outs {
+	// A counting sort by flat step index lists every shard step in serial
+	// schedule order: count the shard steps at each index, give each
+	// occupied index, in the order the occupancy bitset yields them, its
+	// offset, and place the shards in index order, so that within a step
+	// the lower shard comes first.
+	steps := plan.TotalSteps()
+	count := extend(&scr.count, steps, 0)
+	occ := extend(&scr.occ, (steps+63)/64, 0)[:(steps+63)/64]
+	total := 0
+	for _, out := range outs {
 		res.Raised += out.raised
 		if out.maxStageSteps > res.MaxStageSteps {
 			res.MaxStageSteps = out.maxStageSteps
 		}
-		if len(out.stack) > 0 {
-			heap = append(heap, stamp(s, 0))
+		for pos := range out.stack {
+			st := &out.stack[pos]
+			t := plan.stepIndex(st.epoch, st.stage, st.iter)
+			count[t]++
+			occ[t>>6] |= 1 << (t & 63)
 		}
+		total += len(out.stack)
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
-	}
-	for len(heap) > 0 {
-		top := heap[0]
-		all = append(all, top)
-		if top.pos+1 < len(outs[top.shard].stack) {
-			heap[0] = stamp(top.shard, top.pos+1)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(heap, 0)
-	}
-	scr.heap, scr.all = heap, all
-
-	// Group equal stamps into global steps: the serial step at a stamp
-	// raises the union of the shard steps there and spends max-over-shards
-	// Luby iterations electing it.
+	all := slices.Grow(scr.all[:0], total)[:total]
 	perStep := scr.perStep[:0]
-	for i := 0; i < len(all); {
-		iters := 0
-		j := i
-		for ; j < len(all) && all[j].step == all[i].step; j++ {
-			iters = max(iters, outs[all[j].shard].stack[all[j].pos].misIters)
+	off := int32(0)
+	for w, word := range occ {
+		for ; word != 0; word &= word - 1 {
+			t := w<<6 | bits.TrailingZeros64(word)
+			c := count[t]
+			count[t] = off
+			perStep = append(perStep, all[off:off+c:off+c])
+			off += c
 		}
-		perStep = append(perStep, all[i:j])
-		res.MISIters += iters
-		i = j
+		occ[w] = 0
 	}
-	scr.perStep = perStep
+	for s, out := range outs {
+		for pos := range out.stack {
+			st := &out.stack[pos]
+			t := plan.stepIndex(st.epoch, st.stage, st.iter)
+			all[count[t]] = stamped{t, s, pos}
+			count[t]++
+		}
+	}
+	scr.all, scr.perStep = all, perStep
+
+	// The serial step at a stamp raises the union of the shard steps there
+	// and spends max-over-shards Luby iterations electing it.
+	for _, group := range perStep {
+		count[group[0].step] = 0
+		iters := 0
+		for _, r := range group {
+			iters = max(iters, outs[r.shard].stack[r.pos].misIters)
+		}
+		res.MISIters += iters
+	}
 	res.Steps = len(perStep)
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 
@@ -406,47 +388,53 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 		res.Trace = mergeTraces(outs, perStep)
 	}
 
-	// The shards ran the greedy pass. Sum the selection's profit in the
-	// serial pop order — global steps last to first, ids ascending within
-	// a step — the serial pass's own sequence of additions, and collect
-	// the selection ascending through a bitset over item ids.
+	// The shards ran the greedy pass. A stable counting sort of the
+	// selection by global step gives the serial pop order — global steps
+	// last to first, ids ascending within a step — the serial pass's own
+	// sequence of additions, over which the profit is re-summed: each
+	// selected id notes its step while setting its bit, and one scan of
+	// the bitset writes Selected, ascending, and the pop order together.
 	var gtok int64
 	if rec != nil {
 		rec.EndSpan(PhaseMerge, mtok)
 		gtok = rec.StartSpan(PhaseGreedy)
 	}
-	words := (len(p.items) + 63) / 64
-	if cap(scr.marks) < words {
-		scr.marks = make([]uint64, words)
-	}
-	marks := scr.marks[:words]
-	selected := 0
+	marks := extend(&scr.marks, (len(p.items)+63)/64, 0)[:(len(p.items)+63)/64]
+	selStep := extend(&scr.selStep, len(p.items), 0)
+	selOff := extend(&scr.selOff, len(perStep), 0)
+	selected := int32(0)
 	for g := len(perStep) - 1; g >= 0; g-- {
-		group := perStep[g]
-		ids := outs[group[0].shard].sel[group[0].pos]
-		if len(group) > 1 {
-			buf := scr.sel[:0]
-			for _, r := range group {
-				buf = append(buf, outs[r.shard].sel[r.pos]...)
+		selOff[g] = selected
+		for _, r := range perStep[g] {
+			for _, id := range outs[r.shard].sel[r.pos] {
+				marks[id>>6] |= 1 << (id & 63)
+				selStep[id] = int32(g)
+				selected++
 			}
-			slices.Sort(buf)
-			scr.sel, ids = buf, buf
 		}
-		for _, id := range ids {
-			res.Profit += p.lay.views[id].Profit
-			marks[id>>6] |= 1 << (id & 63)
-		}
-		selected += len(ids)
 	}
 	if selected > 0 {
 		res.Selected = make([]int, 0, selected)
 	}
+	pop := slices.Grow(scr.pop[:0], int(selected))[:selected]
 	for w, word := range marks {
 		for ; word != 0; word &= word - 1 {
-			res.Selected = append(res.Selected, w<<6|bits.TrailingZeros64(word))
+			id := w<<6 | bits.TrailingZeros64(word)
+			res.Selected = append(res.Selected, id)
+			g := selStep[id]
+			pop[selOff[g]] = id
+			selOff[g]++
 		}
 		marks[w] = 0
 	}
+	for _, id := range pop {
+		res.Profit += p.lay.views[id].Profit
+	}
+	scr.pop = pop
+	// The scratch goes back only from here: a merge that panics leaves
+	// its counts set, and its scratch must not be reused.
+	//schedvet:ok hotpath boxing a pointer allocates nothing; one Put per merge, not per item
+	mergePool.Put(scr)
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, gtok)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"treesched/internal/dual"
@@ -41,14 +42,16 @@ type layout struct {
 // order. All views' index lists share one slab. The index is sized by what
 // it interns: demand ids by the runs of equal demand ids (the demand count
 // when, as on every build, a demand's instances are adjacent), its edge
-// tables by the slab's path entries.
-func buildLayout(items []Item) *layout {
+// tables by the slab's path entries. The sizing pass also gathers the
+// set's plan statistics into st.
+func buildLayout(items []Item, st *planStats) *layout {
 	total, demands := 0, 0
 	for i := range items {
 		total += len(items[i].Edges) + len(items[i].Critical)
 		if i == 0 || items[i].Demand != items[i-1].Demand {
 			demands++
 		}
+		st.add(&items[i], i)
 	}
 	lay := &layout{
 		ix:        dual.NewIndexSized(demands, total),
@@ -85,15 +88,22 @@ func (lay *layout) newCore(mode Mode) *Core {
 }
 
 // Prepared is an item set with its Config-independent run state: dense
-// layout, dense group member lists, and (lazily) the connected components
-// and per-shard relabelings of the sharded pipeline. Solve is its one
-// solve entry. A Prepared is immutable during runs apart from the
-// lazily-built shard structures (guarded by shardMu), so it is safe for
-// concurrent Solve calls. Apply (delta.go) mutates the state between runs;
-// it must never overlap a run or another Apply on the same Prepared.
+// layout, dense group member lists, plan statistics, and (lazily) the
+// connected components and per-shard relabelings of the sharded pipeline.
+// Solve is its one solve entry. A Prepared is immutable during runs apart
+// from the lazily-built shard structures (guarded by shardMu), so it is
+// safe for concurrent Solve calls. Apply (delta.go) mutates the state
+// between runs; it must never overlap a run, another Apply or an
+// ItemsView on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
+	// stats are the item set's plan statistics, gathered by Prepare and
+	// kept by Apply, so a solve plans without reading an item.
+	stats planStats
+	// published is what ItemsView shares with the views it returns
+	// (itemsview.go): off until the first call.
+	published itemLog
 	// demandMembers[s] / edgeMembers[e] list the item ids (ascending) whose
 	// demand interned to slot s / whose path contains edge index e. Each
 	// list is a clique of the conflict graph, and the graph is their union.
@@ -130,13 +140,13 @@ type Prepared struct {
 	rec Recorder
 }
 
-// preShard is one conflict component relabeled to dense shard-local ids.
-// Its layout's views carry the component's conflict structure as they do
-// globally: each view's slot and edge indices are its groups.
+// preShard is one conflict component relabeled to dense shard-local ids:
+// the item at position i of comp is the shard's item i. Its layout's views
+// carry the component's conflict structure as they do globally: each
+// view's slot and edge indices are its groups.
 type preShard struct {
-	comp  []int   // global item ids, ascending
-	items []Item  // re-indexed copies (ID = position in comp)
-	lay   *layout // shard-local dense layout
+	comp []int   // global item ids, ascending
+	lay  *layout // shard-local dense layout
 	// gslot[s] / gedge[e] is the global demand slot / edge index of local
 	// slot s / edge index e: relabel's numbering, read back when a caller
 	// asks for the merged dual. Valid for the Prepared's lifetime, because
@@ -152,17 +162,13 @@ type preShard struct {
 }
 
 // Prepare builds the Config-independent run state of an item set: one pass
-// interns the dense layout, and one pass over its views groups the items
-// into member lists.
+// interns the dense layout and gathers the plan statistics, and one pass
+// over its views groups the items into member lists.
 func Prepare(items []Item) *Prepared {
-	lay := buildLayout(items)
-	dm, em := buildMembers(lay.views, lay.demands, lay.edges)
-	return &Prepared{
-		items:         items,
-		lay:           lay,
-		demandMembers: dm,
-		edgeMembers:   em,
-	}
+	p := &Prepared{items: items}
+	p.lay = buildLayout(items, &p.stats)
+	p.demandMembers, p.edgeMembers = buildMembers(p.lay.views, p.lay.demands, p.lay.edges)
+	return p
 }
 
 // PrepareWorkers is Prepare; the worker count is ignored.
@@ -198,7 +204,7 @@ func (p *Prepared) Components() [][]int {
 // relabelings, reusing both across runs. After an Apply it refreshes them
 // from what the deltas reached: the components of the shards Apply marked
 // stale and of the arrivals are traversed again and relabeled, and every
-// other component keeps its shard — items, layout and warm-cache entry —
+// other component keeps its shard — layout and warm-cache entry —
 // untouched, without a pass over its members.
 func (p *Prepared) ensureShards() {
 	p.shardMu.Lock()
@@ -294,10 +300,13 @@ type relabelScratch struct {
 	owners            []int32
 }
 
-// extend extends *buf with fill entries to length n and returns it: the
-// scratch marks and translations that stay valid between uses and grow
-// only with the item set or the layout.
+// extend extends *buf with fill entries to length n, in at most one
+// allocation, and returns it: the scratch marks and translations that stay
+// valid between uses and grow only with the item set or the layout.
 func extend[T any](buf *[]T, n int, fill T) []T {
+	if len(*buf) < n {
+		*buf = slices.Grow(*buf, n-len(*buf))
+	}
 	for len(*buf) < n {
 		*buf = append(*buf, fill)
 	}
@@ -316,14 +325,15 @@ func number(tr []int32, x int32, back *[]int32) int32 {
 	return l
 }
 
-// relabel builds the shard of one component from the global layout: the
-// items re-indexed by position in comp, and a dense layout whose demand
-// slots, edge indices and owner slots number the global ones in the order
-// buildLayout would first see their keys over the shard's items (an item's
-// demand, its path, its critical edges, then its owner). So the shard's
-// numbering, and every bit of its runs, equal those of buildLayout over
-// the shard's items, with no key hashed or interned: global slots map to
-// keys one to one, so first-seen slots are first-seen keys.
+// relabel builds the shard of one component from the global layout alone,
+// copying no item: a dense layout over the items re-indexed by position in
+// comp, whose demand slots, edge indices and owner slots number the global
+// ones in the order buildLayout would first see their keys over the
+// shard's items (an item's demand, its path, its critical edges, then its
+// owner). So the shard's numbering, and every bit of its runs, equal those
+// of buildLayout over the shard's items, with no key hashed or interned:
+// global slots map to keys one to one, so first-seen slots are first-seen
+// keys.
 func (p *Prepared) relabel(comp []int) *preShard {
 	g, scr := p.lay, &p.relabelScr
 	slot := extend(&scr.slot, g.demands, -1)
@@ -342,11 +352,9 @@ func (p *Prepared) relabel(comp []int) *preShard {
 	gedge := slab[total : total : 2*total]
 	gslot := slab[2*total : 2*total : 2*total+n]
 	lay := &layout{views: make([]ItemView, n), ownerSlot: slab[2*total+n:]}
-	sh := &preShard{comp: comp, items: make([]Item, n), lay: lay}
+	sh := &preShard{comp: comp, lay: lay}
 	owners := scr.owners[:0]
 	for i, id := range comp {
-		sh.items[i] = p.items[id]
-		sh.items[i].ID = i
 		v := &g.views[id]
 		s := number(slot, v.Slot, &gslot)
 		ne, m := len(v.Edges), len(v.Edges)+len(v.Critical)
@@ -358,7 +366,7 @@ func (p *Prepared) relabel(comp []int) *preShard {
 		for j, e := range v.Critical {
 			critical[j] = number(edge, e, &gedge)
 		}
-		lay.views[i] = ItemView{Slot: s, Profit: v.Profit, Height: v.Height, Edges: edges, Critical: critical}
+		lay.views[i] = ItemView{Slot: s, Group: v.Group, Profit: v.Profit, Height: v.Height, Edges: edges, Critical: critical}
 		lay.ownerSlot[i] = number(owner, g.ownerSlot[id], &owners)
 	}
 	lay.ownerIDs = make([]int, len(owners))

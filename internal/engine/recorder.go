@@ -47,17 +47,18 @@ const (
 	// the gap between CounterComponents and PhaseShardSolve's span count
 	// is the warm-replay saving.
 	PhaseShardSolve
-	// PhaseSerialSolve brackets the serial engine's planning (validation
-	// and the stage thresholds), first phase and dual scoring (λ and the
-	// bound) — the single-graph path every cold solve takes, and a
-	// warm-start solve of one component. The sharded path plans outside
-	// any phase, and its scoring (the λ fold) sits in PhaseMerge.
+	// PhaseSerialSolve brackets the serial engine's planning (the stage
+	// thresholds, from the plan statistics Prepare gathered), first phase
+	// and dual scoring (λ and the bound) — the single-graph path every
+	// cold solve takes, and a warm-start solve of one component. The
+	// sharded path plans outside any phase, and its scoring (the λ fold)
+	// sits in PhaseMerge.
 	PhaseSerialSolve
 	// PhaseMerge brackets mergeShards' deterministic reassembly, one
-	// segment before PhaseGreedy: the k-way stamp merge of the shard
-	// stacks and its grouping into global steps, the λ fold and the sum
-	// of the shards' partial dual sums, and the trace merge when a trace
-	// is recorded. No global dual is merged.
+	// segment before PhaseGreedy: the counting sort of the shard steps
+	// into global steps, the λ fold and the sum of the shards' partial
+	// dual sums, and the trace merge when a trace is recorded. No global
+	// dual is merged.
 	PhaseMerge
 	// PhaseGreedy brackets the second phase. On the serial path it is the
 	// greedy selection over the raise stack. On the sharded path the
@@ -131,6 +132,13 @@ const (
 	// (demand slots and edge indices whose lists lose or gain members),
 	// emitted once per Apply.
 	CounterApplyGroups
+	// CounterPlanItems counts the items read to plan a Prepared's solves,
+	// emitted once per pass: by an Apply whose departures took the last
+	// holder of a profit or height extreme, which gathers the plan
+	// statistics again over every item, and by a solve that falls back to
+	// validating the items to name an invalid one. Prepare's own pass is
+	// not counted, so an ordinary warm round reads 0.
+	CounterPlanItems
 
 	numCounters
 )
@@ -141,7 +149,7 @@ const NumCounters = int(numCounters)
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
 	"shard_workers", "intra_lanes", "greedy_tests", "component_items",
-	"relabeled_items", "apply_groups",
+	"relabeled_items", "apply_groups", "plan_items",
 }
 
 func (c Counter) String() string {

@@ -19,11 +19,12 @@ import (
 // fail both with the same error.
 
 // fullScanFirstPhase is the first phase with its scan as it was before
-// compaction: every step re-tests every member of the epoch.
-func fullScanFirstPhase(st *state, res *Result) error {
+// compaction: every step re-tests every member of the epoch, which it reads
+// off the items' groups.
+func fullScanFirstPhase(items []Item, st *state, res *Result) error {
 	groups := make(map[int][]int)
-	for i := range st.items {
-		g := st.items[i].Group
+	for i := range items {
+		g := items[i].Group
 		groups[g] = append(groups[g], i)
 	}
 	res.Epochs = st.plan.MaxGroup
@@ -85,11 +86,11 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		plan.StepCap = stepCap
 	}
 	run := func(phase func(*state, *Result) error, scr *solveScratch) (*state, *Result, error) {
-		st := newState(items, lay, cfg, plan, scr)
+		st := newState(lay, cfg, plan, scr)
 		res := &Result{Dual: st.core.Dual, Trace: st.trace}
 		return st, res, phase(st, res)
 	}
-	wst, want, werr := run(fullScanFirstPhase, nil)
+	wst, want, werr := run(func(st *state, res *Result) error { return fullScanFirstPhase(items, st, res) }, nil)
 	gst, got, gerr := run((*state).firstPhase, scr)
 	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 		t.Fatalf("%s: error %v, oracle %v", tag, gerr, werr)
@@ -207,7 +208,7 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 							t.Fatalf("%s: first phase failed at the default step cap", tag)
 						}
 						for s, sh := range p.shards {
-							firstPhasesAgree(t, fmt.Sprintf("%s/shard=%d", tag, s), sh.items, sh.lay, cfg, -1, scr)
+							firstPhasesAgree(t, fmt.Sprintf("%s/shard=%d", tag, s), shardItems(p, sh), sh.lay, cfg, -1, scr)
 						}
 						for _, stepCap := range []int{0, 1, 2} {
 							failed := firstPhasesAgree(t, fmt.Sprintf("%s/cap=%d", tag, stepCap), p.items, p.lay, cfg, stepCap, scr)
@@ -263,7 +264,7 @@ func FuzzFirstPhaseCompaction(f *testing.F) {
 		firstPhasesAgree(t, "global", p.items, p.lay, rc, c, scr)
 		p.ensureShards()
 		for s, sh := range p.shards {
-			firstPhasesAgree(t, fmt.Sprintf("shard=%d", s), sh.items, sh.lay, rc, c, scr)
+			firstPhasesAgree(t, fmt.Sprintf("shard=%d", s), shardItems(p, sh), sh.lay, rc, c, scr)
 		}
 	})
 }

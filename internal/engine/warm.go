@@ -4,8 +4,8 @@ import "sync"
 
 // This file implements the warm-started incremental dual cache of the
 // sharded pipeline. The epoch/stage/step schedule is component-local: a
-// shard's execution reads nothing outside its preShard (items and
-// shard-local layout) and the run configuration, and its per-owner priority
+// shard's execution reads nothing outside its preShard (its shard-local
+// layout) and the run configuration, and its per-owner priority
 // streams are re-seeded from scratch every run (NewStream over the external
 // owner id) — so two runs of the same preShard under the same configuration
 // are the same computation, bit for bit. The cache exploits that: after a

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -243,7 +244,9 @@ func TestWarmReplayCounters(t *testing.T) {
 // first sharded solve visits and relabels every item; a solve with no
 // churn visits and relabels none; after the churn both count exactly the
 // items of the churned components, those of the new decomposition that
-// hold an arrival or are not components of the old one.
+// hold an arrival or are not components of the old one. Planning reads no
+// item (plan_items) but on a round that departs the last holder of the
+// highest profit, whose Apply reads every item once.
 func TestWarmWorkCounters(t *testing.T) {
 	const vertices, demands = 128, 24
 	// Each network holds demands[:24]; three of the rest arrive on
@@ -303,6 +306,7 @@ func TestWarmWorkCounters(t *testing.T) {
 		}
 		check("first solve", CounterComponentItems, int64(len(items)))
 		check("first solve", CounterRelabeledItems, int64(len(items)))
+		check("first solve", CounterPlanItems, 0)
 		solve()
 		check("no churn", CounterComponentItems, 0)
 		check("no churn", CounterRelabeledItems, 0)
@@ -330,11 +334,31 @@ func TestWarmWorkCounters(t *testing.T) {
 		if churned == 0 || churned >= demands {
 			t.Fatalf("%d networks: churned components hold %d of network 0's %d items", nets, churned, demands)
 		}
-		return work{
+		w := work{
 			visited:   check("churn", CounterComponentItems, churned),
 			relabeled: check("churn", CounterRelabeledItems, churned),
 			groups:    groups,
 		}
+		// The churn left every extreme a holder, so planning read no item.
+		check("churn", CounterPlanItems, 0)
+
+		// Departing every holder of the highest profit, one per network,
+		// leaves the profit range unknown to the plan statistics: Apply
+		// reads every item once, and the solve none.
+		pmax := slices.MaxFunc(p.items, func(a, b Item) int { return cmp.Compare(a.Profit, b.Profit) }).Profit
+		var top []int
+		for i := range p.items {
+			if p.items[i].Profit == pmax {
+				top = append(top, i)
+			}
+		}
+		if err := p.Apply(Delta{Remove: top}); err != nil {
+			t.Fatal(err)
+		}
+		check("max-profit departure", CounterPlanItems, int64(len(p.items)))
+		solve()
+		check("max-profit departure solve", CounterPlanItems, 0)
+		return w
 	}
 	w4, w16 := run(4), run(16)
 	if w4 != w16 {

@@ -28,12 +28,15 @@
 // — the Result, the set of accepted (scheduled) and rejected (live but
 // unscheduled) demand ids, and the engine item set the Result was computed
 // from, captured atomically by Session.SolveWithItems together with the
-// ascending live demand ids. Publication splits those ids into accepted
-// and rejected in one pass, finding each assignment's demand by binary
-// search. The item set makes the published contract checkable: every
-// snapshot's Result is bitwise reproducible by a from-scratch solve over
-// Items(), and its accepted and rejected ids match a direct derivation from
-// Items() and the assignments (both asserted by this package's tests).
+// ascending live demand ids. The item set is kept as an immutable view
+// that shares its items with later rounds, so publication copies no item;
+// Items() materializes it on first use. Publication sorts the assigned
+// demand ids, which are the accepted ones, and one merge pass with the
+// live ids leaves the rejected ones. The item set makes the published
+// contract checkable: every snapshot's Result is bitwise reproducible by a
+// from-scratch solve over Items(), and its accepted and rejected ids match
+// a direct derivation from Items() and the assignments (both asserted by
+// this package's tests).
 //
 // # The registry
 //
@@ -93,14 +96,22 @@ type Snapshot struct {
 	Latency time.Duration
 	At      time.Time
 
-	items []engine.Item
+	view      engine.ItemsView
+	itemsOnce sync.Once
+	items     []engine.Item
 }
 
 // Items returns the engine item set Result was computed from, captured in
 // the same critical section as the solve. Callers must not mutate it. It
 // exists so snapshot consumers (tests, verifiers) can re-derive the Result
-// from scratch and check bitwise equality.
-func (s *Snapshot) Items() []engine.Item { return s.items }
+// from scratch and check bitwise equality. The first call materializes the
+// snapshot's item view into a slice, in O(items), and every call returns
+// that slice; it is safe from any goroutine, while the actor goes on
+// publishing.
+func (s *Snapshot) Items() []engine.Item {
+	s.itemsOnce.Do(func() { s.items = s.view.Items() })
+	return s.items
+}
 
 // reply is what one submission's waiter receives.
 type reply struct {
@@ -426,32 +437,30 @@ func (a *Actor) round(batch []*submission) {
 }
 
 // buildSnapshot derives the published admission view from one solve: which
-// live demands the round accepted (scheduled) and which it rejected. live
-// is the session's ascending live id list, so one pass splits it.
-func buildSnapshot(epoch uint64, res *treesched.Result, items []engine.Item, live []int, batch int, lat time.Duration) *Snapshot {
-	in := make([]bool, len(live))
-	n := 0
-	for _, asg := range res.Assignments {
-		i, ok := slices.BinarySearch(live, asg.Demand)
-		if !ok {
-			panic(fmt.Sprintf("serve: assigned demand %d is not live", asg.Demand))
-		}
-		if !in[i] {
-			in[i] = true
-			n++
-		}
+// live demands the round accepted (scheduled) and which it rejected. The
+// accepted ids are the assigned demands, sorted; live is the session's
+// ascending live id list, so one merge pass with them leaves the rejected.
+func buildSnapshot(epoch uint64, res *treesched.Result, items engine.ItemsView, live []int, batch int, lat time.Duration) *Snapshot {
+	accepted := make([]int, len(res.Assignments))
+	for i, asg := range res.Assignments {
+		accepted[i] = asg.Demand
 	}
-	accepted := make([]int, 0, n)
+	slices.Sort(accepted)
+	accepted = slices.Compact(accepted)
 	var rejected []int
-	if n < len(live) {
-		rejected = make([]int, 0, len(live)-n)
+	if n := len(live) - len(accepted); n > 0 {
+		rejected = make([]int, 0, n)
 	}
-	for i, d := range live {
-		if in[i] {
-			accepted = append(accepted, d)
+	k := 0
+	for _, d := range live {
+		if k < len(accepted) && accepted[k] == d {
+			k++
 		} else {
 			rejected = append(rejected, d)
 		}
+	}
+	if k < len(accepted) {
+		panic(fmt.Sprintf("serve: assigned demand %d is not live", accepted[k]))
 	}
 	return &Snapshot{
 		Epoch:    epoch,
@@ -462,6 +471,6 @@ func buildSnapshot(epoch uint64, res *treesched.Result, items []engine.Item, liv
 		Batch:    batch,
 		Latency:  lat,
 		At:       time.Now(),
-		items:    items,
+		view:     items,
 	}
 }

@@ -184,31 +184,117 @@ func TestSnapshotsScratchReproducible(t *testing.T) {
 		t.Fatalf("only %d snapshots published", len(snaps))
 	}
 	for _, snap := range snaps {
-		items := append([]engine.Item(nil), snap.Items()...)
-		eres, err := engine.Prepare(items).Solve(engine.Config{
-			Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
-		}, 1)
-		if err != nil {
-			t.Fatalf("epoch %d: scratch run: %v", snap.Epoch, err)
+		checkSnapshot(t, snap, opts)
+	}
+}
+
+// checkSnapshot re-derives a snapshot's Result from scratch over the item
+// set it claims — bitwise-equal profit and dual bound, identical
+// assignments — and its admission view from the items and assignments.
+func checkSnapshot(t *testing.T, snap *Snapshot, opts treesched.Options) {
+	t.Helper()
+	items := append([]engine.Item(nil), snap.Items()...)
+	eres, err := engine.Prepare(items).Solve(engine.Config{
+		Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed,
+	}, 1)
+	if err != nil {
+		t.Fatalf("epoch %d: scratch run: %v", snap.Epoch, err)
+	}
+	if snap.Result.Profit != eres.Profit || snap.Result.DualBound != eres.Bound {
+		t.Fatalf("epoch %d: published (%v,%v), scratch (%v,%v)",
+			snap.Epoch, snap.Result.Profit, snap.Result.DualBound, eres.Profit, eres.Bound)
+	}
+	if len(snap.Result.Assignments) != len(eres.Selected) {
+		t.Fatalf("epoch %d: %d assignments, scratch %d", snap.Epoch, len(snap.Result.Assignments), len(eres.Selected))
+	}
+	for i, id := range eres.Selected {
+		asg := snap.Result.Assignments[i]
+		if asg.Demand != items[id].Demand || asg.Network != items[id].Resource {
+			t.Fatalf("epoch %d: assignment %d diverged", snap.Epoch, i)
 		}
-		if snap.Result.Profit != eres.Profit || snap.Result.DualBound != eres.Bound {
-			t.Fatalf("epoch %d: published (%v,%v), scratch (%v,%v)",
-				snap.Epoch, snap.Result.Profit, snap.Result.DualBound, eres.Profit, eres.Bound)
-		}
-		if len(snap.Result.Assignments) != len(eres.Selected) {
-			t.Fatalf("epoch %d: %d assignments, scratch %d", snap.Epoch, len(snap.Result.Assignments), len(eres.Selected))
-		}
-		for i, id := range eres.Selected {
-			asg := snap.Result.Assignments[i]
-			if asg.Demand != items[id].Demand || asg.Network != items[id].Resource {
-				t.Fatalf("epoch %d: assignment %d diverged", snap.Epoch, i)
+	}
+	accepted, rejected, live := admissionOracle(snap.Result, snap.Items())
+	if !slices.Equal(snap.Accepted, accepted) || !slices.Equal(snap.Rejected, rejected) || snap.Live != live {
+		t.Fatalf("epoch %d: published accepted %v rejected %v live %d, oracle %v %v %d",
+			snap.Epoch, snap.Accepted, snap.Rejected, snap.Live, accepted, rejected, live)
+	}
+}
+
+// TestSnapshotItemsConcurrentReaders materializes published snapshots'
+// item sets from reader goroutines while the actor goes on applying churn
+// (raced at GOMAXPROCS=4 in CI): the first Items call of a snapshot reads
+// its item view while the next rounds' Applies write the log it shares.
+// The rounds outgrow the log several times, so old views outlive their
+// base. Afterwards every snapshot must still reproduce from its items.
+func TestSnapshotItemsConcurrentReaders(t *testing.T) {
+	opts := treesched.Options{Epsilon: 0.1, Seed: 8}
+	sess := testSession(t, opts, smallCfg, 17)
+	a, err := NewActor("readers", sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	snaps := []*Snapshot{a.Snapshot()}
+	a.SetPublishHook(func(s *Snapshot) {
+		mu.Lock()
+		snaps = append(snaps, s)
+		mu.Unlock()
+	})
+
+	const readers, rounds = 3, 120
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seen := 0; ; {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				published := snaps[seen:]
+				mu.Unlock()
+				for _, s := range published {
+					if items := s.Items(); len(items) == 0 {
+						t.Errorf("epoch %d: no items", s.Epoch)
+					}
+				}
+				seen += len(published)
 			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(18))
+	live := make([]int, smallCfg.Demands)
+	for i := range live {
+		live[i] = i
+	}
+	for r := 0; r < rounds; r++ {
+		k := rng.Intn(len(live))
+		u, v := rng.Intn(smallCfg.Vertices), rng.Intn(smallCfg.Vertices)
+		if u == v {
+			v = (v + 1) % smallCfg.Vertices
 		}
-		accepted, rejected, live := admissionOracle(snap.Result, snap.Items())
-		if !slices.Equal(snap.Accepted, accepted) || !slices.Equal(snap.Rejected, rejected) || snap.Live != live {
-			t.Fatalf("epoch %d: published accepted %v rejected %v live %d, oracle %v %v %d",
-				snap.Epoch, snap.Accepted, snap.Rejected, snap.Live, accepted, rejected, live)
+		ids, _, err := a.Submit(treesched.Churn{
+			Remove: []int{live[k]},
+			Add:    []treesched.NewDemand{{U: u, V: v, Profit: 1 + 7*rng.Float64()}},
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
 		}
+		live[k] = ids[0]
+	}
+	close(done)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(snaps) != rounds+1 {
+		t.Fatalf("%d snapshots published, want %d", len(snaps), rounds+1)
+	}
+	for _, snap := range snaps {
+		checkSnapshot(t, snap, opts)
 	}
 }
 

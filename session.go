@@ -291,9 +291,12 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		// Compact the accreted stale layout state: re-prepare over the
 		// current (already densely-indexed) items. Solve results are
 		// unaffected — they are a pure function of the item slice. The warm
-		// cache dies with the retired Prepared (its component relabelings are
-		// invalid under the compacted layout), so the next solve runs cold;
-		// fold the retired counters into the session totals first.
+		// cache dies with the retired Prepared: the components and the shard
+		// layouts would carry over unchanged, but the shards' translations
+		// to global slots and edges (gslot, gedge) would not, and nothing
+		// rebuilds them, so the next solve runs cold. Views taken of the
+		// retired Prepared stay valid. Fold the retired counters into the
+		// session totals first.
 		w := sess.p.WarmStats()
 		sess.warmBase.WarmSolves += w.WarmSolves
 		sess.warmBase.ColdSolves += w.ColdSolves
@@ -327,27 +330,30 @@ func (sess *Session) Solve() (*Result, error) {
 	return res, err
 }
 
-// SolveWithItems is Solve plus two copies captured under the same lock
-// acquisition: the engine item set the result was computed from, and the
-// live demand ids, ascending — so the triple is epoch-consistent even when
-// other goroutines interleave Updates. This is the primitive the
-// internal/serve snapshot publisher builds on: a published Result can
-// always be re-derived, bitwise, from the items it claims, and its
-// admission split needs no pass over the items. The live ids are the
-// distinct Demand fields of the items. The item type lives in an internal
-// package; external modules should treat the slice as opaque.
-func (sess *Session) SolveWithItems() (*Result, []engine.Item, []int, error) {
+// SolveWithItems is Solve plus two captures under the same lock
+// acquisition: an immutable view of the engine item set the result was
+// computed from, and a copy of the live demand ids, ascending — so the
+// triple is epoch-consistent even when other goroutines interleave
+// Updates. This is the primitive the internal/serve snapshot publisher
+// builds on: a published Result can always be re-derived, bitwise, from
+// the items it claims, and its admission split needs no pass over the
+// items. The live ids are the distinct Demand fields of the items. The
+// view shares its items with the session's later rounds and costs O(1)
+// amortized per written item (engine.ItemsView); its Items method
+// materializes them on request. The view type lives in an internal
+// package; external modules should treat it as opaque.
+func (sess *Session) SolveWithItems() (*Result, engine.ItemsView, []int, error) {
 	return sess.solveLocked(true)
 }
 
-func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, []int, error) {
+func (sess *Session) solveLocked(withItems bool) (*Result, engine.ItemsView, []int, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	opts := sess.solver.opts
 	res := &Result{}
 	selected, err := runPrepared(sess.p, opts.engineConfig(), opts, res)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, engine.ItemsView{}, nil, err
 	}
 	items := sess.p.Items()
 	res.Assignments = make([]Assignment, 0, len(selected))
@@ -356,13 +362,10 @@ func (sess *Session) solveLocked(withItems bool) (*Result, []engine.Item, []int,
 	}
 	sess.solves++
 	if !withItems {
-		return res, nil, nil, nil
+		return res, engine.ItemsView{}, nil, nil
 	}
-	// Shallow clone: engine code never mutates an item's inner slices after
-	// construction, and later Applies rewrite whole elements of the
-	// session's own slice, never the clone's. Update filters sess.live in
-	// place, so it is copied too.
-	return res, slices.Clone(items), slices.Clone(sess.live), nil
+	// Update filters sess.live in place, so it is copied.
+	return res, sess.p.ItemsView(), slices.Clone(sess.live), nil
 }
 
 // removalError names the first id of remove, in batch order, that is not

@@ -3,6 +3,7 @@ package treesched_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	treesched "treesched"
@@ -17,9 +18,10 @@ import (
 // demand spans at most 3 of its edges, so the conflict graph splits into
 // many components and the session's solves shard and replay. Each byte of
 // steps sets one round's mix of departures and arrivals; rounds go on past
-// the session's first compaction. After every Update, Session.Solve must
+// the session's first compaction. After every Update, SolveWithItems must
 // equal a solve of the engine over the session's items prepared from
-// scratch, in the bits of Profit and DualBound and in the assignments.
+// scratch, in the bits of Profit and DualBound and in the assignments, and
+// its item view must hold exactly the session's items.
 func FuzzSessionChurn(f *testing.F) {
 	f.Add(int64(1), byte(0), []byte{0x31, 0x07, 0xf0})
 	f.Add(int64(5), byte(7), []byte{0xff, 0x10})
@@ -101,11 +103,14 @@ func FuzzSessionChurn(f *testing.F) {
 			}
 			live = append(kept, ids...)
 
-			got, err := sess.Solve()
+			got, view, _, err := sess.SolveWithItems()
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			items := treesched.SessionItems(sess)
+			if !reflect.DeepEqual(view.Items(), items) {
+				t.Fatalf("round %d: the solve's item view differs from the session's items", round)
+			}
 			for i := range items {
 				items[i].ID = i
 			}

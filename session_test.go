@@ -407,7 +407,7 @@ func TestSessionLiveIDs(t *testing.T) {
 				t.Fatalf("%s: live ids not strictly ascending: %v", step, live)
 			}
 		}
-		if want := distinctDemands(items); !slices.Equal(live, want) {
+		if want := distinctDemands(items.Items()); !slices.Equal(live, want) {
 			t.Fatalf("%s: live ids %v, items hold demands %v", step, live, want)
 		}
 		if !slices.Equal(live, expect) {
@@ -492,9 +492,11 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The item views are materialized only after every round: each must
+	// still hold the item set of its own round.
 	type capture struct {
 		res   *treesched.Result
-		items []engine.Item
+		items engine.ItemsView
 		live  []int
 	}
 	captures := make([][]capture, solvers)
@@ -542,10 +544,10 @@ func TestSessionConcurrentChurnSolve(t *testing.T) {
 
 	for k := range captures {
 		for r, got := range captures[k] {
-			if want := distinctDemands(got.items); !slices.Equal(got.live, want) {
+			items := got.items.Items()
+			if want := distinctDemands(items); !slices.Equal(got.live, want) {
 				t.Fatalf("solver %d capture %d: live ids %v, items hold %v", k, r, got.live, want)
 			}
-			items := slices.Clone(got.items)
 			for i := range items {
 				items[i].ID = i
 			}
@@ -697,7 +699,7 @@ func TestSessionWarmStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := len(engine.Prepare(items).Components())
+	comps := len(engine.Prepare(items.Items()).Components())
 	if comps < 2 {
 		t.Fatalf("fleet instance decomposed into %d components; test needs several", comps)
 	}
