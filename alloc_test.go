@@ -22,6 +22,15 @@ const (
 	maxSessionRoundBytes  = 37000
 )
 
+// maxColdSolveAllocs and maxColdSolveBytes bound the allocations and the
+// bytes allocated by one cold Solver.Solve at solve-contended's shape
+// (TestColdSolveAllocs). They are what was measured when the bounds were
+// set, 153 and 440,352 B, the bytes rounded up to the next 100, as above.
+const (
+	maxColdSolveAllocs = 153
+	maxColdSolveBytes  = 440400
+)
+
 // fleetChurn returns a Session over a fleet of nets networks of 256
 // vertices with 48 demands per network, each demand pinned to one network
 // (at nets = 16, serve-fleet's shape: 768 demands), and the churn of its
@@ -146,4 +155,33 @@ func perRun(runs int, f func()) (allocs, bytes uint64) {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestColdSolveAllocs gates the allocations and the bytes allocated per
+// cold Solver.Solve of a fixed-seed instance at solve-contended's shape
+// (workContended: 3 networks of 256 vertices, 384 demands, access 1–3), at
+// Parallelism 1. A first solve fills the Solver's decomposition cache
+// before the measured region, as perfbench's warm-up does.
+func TestColdSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	inst := buildInstance(t, workContended, 1)
+	s := treesched.NewSolver(treesched.Options{Parallelism: 1})
+	solve := func() {
+		if _, err := s.Solve(inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs, bytes := perRun(runs, solve)
+	if allocs > maxColdSolveAllocs || bytes > maxColdSolveBytes {
+		t.Fatalf("a cold solve allocates %d times and %d bytes, bounds %d and %d",
+			allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
+	}
+	t.Logf("a cold solve allocates %d times and %d bytes (bounds %d and %d)",
+		allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
 }

@@ -76,7 +76,9 @@ func BenchmarkIdealDecomposition(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineUnitTree measures the full two-phase run by instance size.
+// BenchmarkEngineUnitTree times one cold engine solve by instance size:
+// Prepare over prebuilt items (layout and member lists), then Solve(cfg, 1),
+// both phases of the serial engine.
 func BenchmarkEngineUnitTree(b *testing.B) {
 	for _, sz := range []struct{ n, m, r int }{{64, 48, 2}, {256, 192, 3}, {1024, 768, 3}} {
 		b.Run(fmt.Sprintf("m=%d", sz.m), func(b *testing.B) {
@@ -99,36 +101,6 @@ func BenchmarkEngineUnitTree(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEngineUnitTreeParallel measures a cold engine solve on the same
-// instances as BenchmarkEngineUnitTree. A cold solve runs the serial engine
-// whatever its Parallelism, so its p=1 and p=4 rows time the same code;
-// they are kept so earlier results stay comparable by name.
-func BenchmarkEngineUnitTreeParallel(b *testing.B) {
-	for _, sz := range []struct{ n, m, r int }{{256, 192, 3}, {1024, 768, 3}} {
-		rng := rand.New(rand.NewSource(2))
-		in, err := workload.RandomTreeInstance(workload.TreeConfig{
-			Vertices: sz.n, Trees: sz.r, Demands: sz.m, ProfitRatio: 16,
-		}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		items, err := engine.BuildTreeItems(in, engine.IdealDecomp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range []int{1, 4} {
-			b.Run(fmt.Sprintf("m=%d/p=%d", sz.m, p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -266,8 +238,7 @@ func BenchmarkDistributedProtocol(b *testing.B) {
 // BenchmarkDistFleet measures the batched distributed runtime on fleet
 // workloads (one accessible network per demand — the million-demand shape),
 // reporting the protocol's message count and the resident private node
-// state per demand alongside ns/op. The same scenarios are snapshotted in
-// BENCH_dist.json by cmd/schedbench and CI-gated there.
+// state per demand alongside ns/op.
 func BenchmarkDistFleet(b *testing.B) {
 	for _, sz := range []struct{ trees, m int }{{8, 512}, {32, 2048}} {
 		b.Run(fmt.Sprintf("m=%d", sz.m), func(b *testing.B) {

@@ -1,33 +1,27 @@
 // Command schedbench runs the reproduction experiment suite of
 // internal/experiments (experiments E1..E12 and ablations A1..A3) and
-// prints their result tables. With -bench-json it instead runs the solve
-// performance suite and writes a machine-readable treesched/bench/v1
-// report (see BenchReport) so perf can be tracked across commits; with
-// -compare it diffs two such reports and prints per-scenario speedups,
-// optionally gating on a maximum regression.
+// prints their result tables. With -dist-smoke it instead solves one large
+// fleet end to end over the simulator, and with -recorder-gate it checks
+// that a no-op recorder costs a solve at most 2% (obsbench.go).
 //
 // Usage:
 //
 //	schedbench [-experiment all|E1|...|A3] [-seed N] [-quick]
-//	schedbench -bench-json FILE [-seed N] [-quick] [-trace-json]
-//	schedbench -compare [-max-regression F] [-at SUBSTR] OLD.json NEW.json
-//	schedbench -recorder-gate FILE [-max-overhead F]
 //	schedbench -dist-smoke N [-seed S]
-//
-// -trace-json attaches an obs.Recorder to the engine, churn and dist
-// scenarios of a -bench-json run and embeds each row's per-phase wall-time
-// breakdown (additive "phases" field); -recorder-gate reads a report back
-// and fails if its recorder-noop rows show the instrumentation seam costing
-// more than -max-overhead over the nil-recorder baseline.
+//	schedbench -recorder-gate [-seed S]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"time"
 
+	"treesched/internal/dist"
+	"treesched/internal/engine"
 	"treesched/internal/experiments"
+	"treesched/internal/workload"
 )
 
 func main() {
@@ -35,49 +29,20 @@ func main() {
 		which     = flag.String("experiment", "all", "experiment id (E1..E12, A1..A3) or 'all'")
 		seed      = flag.Int64("seed", 1, "base random seed")
 		quick     = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
-		benchJSON = flag.String("bench-json", "", "run the solve perf suite and write a treesched/bench/v1 JSON report to this file")
-		compare   = flag.Bool("compare", false, "diff two treesched/bench/v1 reports (args: OLD.json NEW.json) and print per-scenario speedups")
-		maxRegr   = flag.Float64("max-regression", 0, "with -compare: exit nonzero if a gated scenario's ns/op grew by more than this fraction (0 = report only)")
-		at        = flag.String("at", "", "with -compare -max-regression: gate only scenarios whose name contains this substring")
 		distSmoke = flag.Int("dist-smoke", 0, "run one end-to-end distributed solve of this many demands (fleet workload, batched driver) and print the headline numbers")
-		traceJSON = flag.Bool("trace-json", false, "with -bench-json: attach a phase recorder and embed per-phase breakdowns in each row")
-		recGate   = flag.String("recorder-gate", "", "check a -bench-json report's recorder-noop rows against -max-overhead and exit")
-		maxOver   = flag.Float64("max-overhead", 0.02, "with -recorder-gate: maximum tolerated no-op recorder overhead fraction")
+		recGate   = flag.Bool("recorder-gate", false, "measure the no-op recorder's overhead on a solve and fail above 2%")
 	)
 	flag.Parse()
-	if *recGate != "" {
-		if err := runRecorderGate(*recGate, *maxOver); err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *recGate:
+		err = runRecorderGate(*seed)
+	case *distSmoke > 0:
+		err = runDistSmoke(*distSmoke, *seed)
+	default:
+		err = run(*which, *seed, *quick)
 	}
-	if *distSmoke > 0 {
-		if err := runDistSmoke(*distSmoke, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "schedbench: -compare needs exactly two report paths: OLD.json NEW.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *maxRegr, *at); err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *seed, *quick, *traceJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*which, *seed, *quick); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedbench:", err)
 		os.Exit(1)
 	}
@@ -106,5 +71,45 @@ func run(which string, seed int64, quick bool) error {
 		}
 		fmt.Printf("(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
+}
+
+// runDistSmoke is -dist-smoke N: one end-to-end distributed solve of an
+// N-demand fleet workload on the batched driver, printing the headline
+// numbers (wall clock, rounds, messages, per-demand state). The CI smoke
+// runs it at N ≥ 100000 to keep the million-demand path honest.
+func runDistSmoke(demands int, seed int64) error {
+	trees := demands / 64
+	if trees < 1 {
+		trees = 1
+	}
+	cfg := workload.TreeConfig{
+		Vertices: 64, Trees: trees, Demands: demands, ProfitRatio: 16,
+		AccessMin: 1, AccessMax: 1,
+	}
+	rng := rand.New(rand.NewSource(seed + 1))
+	buildStart := time.Now()
+	in, err := workload.RandomTreeInstance(cfg, rng)
+	if err != nil {
+		return err
+	}
+	items, err := engine.BuildTreeItems(in, engine.IdealDecomp)
+	if err != nil {
+		return err
+	}
+	buildNs := time.Since(buildStart)
+	solveStart := time.Now()
+	res, err := dist.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.3, Seed: seed})
+	if err != nil {
+		return err
+	}
+	solveNs := time.Since(solveStart)
+	fmt.Printf("dist smoke: %d demands (%d items, %d processors)\n", demands, len(items), res.Processors)
+	fmt.Printf("  build %v, solve %v\n", buildNs.Round(time.Millisecond), solveNs.Round(time.Millisecond))
+	fmt.Printf("  schedule %d rounds (%d busy, %d skipped), %d messages, max size %d\n",
+		res.ScheduleRounds, res.Stats.BusyRounds, res.Stats.SkippedRounds, res.Stats.Messages, res.Stats.MaxMessageSize)
+	fmt.Printf("  node state %d bytes/demand, shared context %d bytes\n",
+		res.NodeStateBytes/int64(res.Processors), res.SharedStateBytes)
+	fmt.Printf("  selected %d items, profit %.3f, bound %.3f\n", len(res.Selected), res.Profit, res.Bound)
 	return nil
 }

@@ -2,104 +2,30 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
-	treesched "treesched"
 	"treesched/internal/engine"
 	"treesched/internal/obs"
+	"treesched/internal/workload"
 )
 
-// This file is the bench side of the observability layer: -trace-json
-// attaches an obs.Recorder to the measured runs and embeds the per-phase
-// wall-time breakdown in each report row, and -recorder-gate enforces the
-// seam's overhead budget — the no-op-recorder path must stay within
-// -max-overhead of the nil-recorder path on the headline scenario.
+// This file is -recorder-gate: it enforces the observability seam's
+// overhead budget. A solve with the no-op recorder attached must stay
+// within maxRecorderOverhead of the same solve with none.
 
-// BenchPhase is one phase row of a traced scenario: how many spans the
-// phase completed across the scenario's iterations and their summed wall
-// time.
-type BenchPhase struct {
-	Phase   string `json:"phase"`
-	Spans   int64  `json:"spans"`
-	TotalNs int64  `json:"total_ns"`
-}
+// maxRecorderOverhead is the gate's bound on the no-op recorder's
+// overhead, as a fraction of the bare solve.
+const maxRecorderOverhead = 0.02
 
-// phasesFrom converts a recorder's report into the BenchResult embedding.
-func phasesFrom(rec *obs.Recorder) []BenchPhase {
-	rep := rec.Report()
-	out := make([]BenchPhase, 0, len(rep.Phases))
-	for _, p := range rep.Phases {
-		out = append(out, BenchPhase{Phase: p.Phase, Spans: p.Spans, TotalNs: p.Total.Nanoseconds()})
-	}
-	return out
-}
-
-// benchRecorder returns the recorder to thread through a scenario: a live
-// obs.Recorder when tracing, nil (the production default) otherwise.
-func benchRecorder(trace bool) *obs.Recorder {
-	if trace {
-		return obs.NewRecorder()
-	}
-	return nil
-}
-
-// engineRecorder converts the possibly-nil *obs.Recorder into the engine's
-// interface without smuggling a typed-nil interface value into the nil
-// checks the hot paths rely on.
-func engineRecorder(rec *obs.Recorder) engine.Recorder {
-	if rec == nil {
-		return nil
-	}
-	return rec
-}
-
-// solverOptions is the bench solver configuration with the recorder
-// attached when tracing.
-func solverOptions(seed int64, parallelism int, cold bool, rec *obs.Recorder) treesched.Options {
-	return treesched.Options{
-		Epsilon: 0.1, Seed: seed, Parallelism: parallelism,
-		DisableWarmStart: cold, Recorder: engineRecorder(rec),
-	}
-}
-
-// timeSolvePrepared measures the best-of-iters prepared solve with rec
-// attached (rec may be nil). Unlike timeSolve it prepares once per
-// iteration through the explicit seam — the path a traced run reports
-// PhasePrepare for — so the timed quantity matches timeSolve's (both
-// Prepare, then Solve(cfg, 1)).
-func timeSolvePrepared(items []engine.Item, seed int64, iters int, rec engine.Recorder) (int64, error) {
-	best := int64(0)
-	for i := 0; i < iters; i++ {
-		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed + int64(i)}
-		start := time.Now()
-		var tok int64
-		if rec != nil {
-			tok = rec.StartSpan(engine.PhasePrepare)
-		}
-		prep := engine.Prepare(items)
-		if rec != nil {
-			rec.EndSpan(engine.PhasePrepare, tok)
-			prep.SetRecorder(rec)
-		}
-		if _, err := prep.Solve(cfg, 1); err != nil {
-			return 0, err
-		}
-		ns := time.Since(start).Nanoseconds()
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
-}
-
-// recorderOverheadBudget is the wall time the recorder-noop measurement
-// spends on bare/attached pairs. The gate asserts a 2% bound, and one pair's ratio
-// swings by several percent on a shared host: six -quick runs of a fixed
-// 30 pairs read row medians from −7% to +4%. Pairs over a fixed budget
-// give the median as many pairs as the host allows (about a thousand of
-// the ≈0.35 ms serial solve on 2 vCPUs), and at least
-// recorderOverheadMinPairs on a host too slow for that.
+// recorderOverheadBudget is the wall time the measurement spends on
+// bare/attached pairs. The gate asserts a 2% bound, and one pair's ratio
+// swings by several percent on a shared host: six runs of a fixed 30
+// pairs read medians from −7% to +4%. Pairs over a fixed budget give the
+// median as many pairs as the host allows (about a thousand of the
+// ≈0.35 ms serial solve on 2 vCPUs), and at least recorderOverheadMinPairs
+// on a host too slow for that.
 const (
 	recorderOverheadBudget   = 2 * time.Second
 	recorderOverheadMinPairs = 30
@@ -117,9 +43,8 @@ const (
 // small host when one arm's samples catch an interference spike the
 // other's dodge, while the paired-ratio median is robust to them.
 // Returned as (noopNs, nilNs, pairs) where nilNs is the median bare solve
-// and noopNs is nilNs scaled by the median ratio, so downstream ratio
-// consumers (the report row, runRecorderGate) recover exactly the robust
-// statistic.
+// and noopNs is nilNs scaled by the median ratio, so noopNs/nilNs is
+// exactly the robust statistic.
 func timeRecorderOverhead(items []engine.Item, seed int64) (noopNs, nilNs int64, pairs int, err error) {
 	run := func(rec engine.Recorder, i int) (int64, error) {
 		cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: seed + int64(i)}
@@ -156,38 +81,34 @@ func timeRecorderOverhead(items []engine.Item, seed int64) (noopNs, nilNs int64,
 	return noopNs, nilNs, len(ratios), nil
 }
 
-// recorderNoopScenario is the report row name of the overhead measurement:
-// NsPerOp is the no-op-recorder-attached solve, SerialNsPerOp the
-// nil-recorder baseline of the same interleaved run, so SpeedupVsSerial is
-// baseline/attached — 1.0 means the seam is free, and the CI gate requires
-// it above 1/(1+maxOverhead).
-const recorderNoopScenario = "recorder-noop/m=768"
+// recorderGateItems builds the gate's instance: one contended component
+// of 768 demands over 3 networks of 1024 vertices, drawn from seed+1.
+func recorderGateItems(seed int64) ([]engine.Item, error) {
+	cfg := workload.TreeConfig{Vertices: 1024, Trees: 3, Demands: 768, ProfitRatio: 16}
+	in, err := workload.RandomTreeInstance(cfg, rand.New(rand.NewSource(seed+1)))
+	if err != nil {
+		return nil, err
+	}
+	return engine.BuildTreeItems(in, engine.IdealDecomp)
+}
 
-// runRecorderGate is -recorder-gate: load a -bench-json report and fail if
-// its recorder-noop rows show the attached path more than maxOverhead
-// slower than the nil path.
-func runRecorderGate(reportPath string, maxOverhead float64) error {
-	r, err := loadReport(reportPath)
+// runRecorderGate is -recorder-gate: measure the no-op recorder's overhead
+// on the gate's instance and fail if it exceeds maxRecorderOverhead.
+func runRecorderGate(seed int64) error {
+	items, err := recorderGateItems(seed)
 	if err != nil {
 		return err
 	}
-	found := 0
-	for _, res := range r.Results {
-		if res.Name != recorderNoopScenario {
-			continue
-		}
-		found++
-		overhead := float64(res.NsPerOp)/float64(res.SerialNsPerOp) - 1
-		fmt.Printf("%-24s p=%-3d nil %d ns/op, noop-attached %d ns/op (overhead %+.2f%%)\n",
-			res.Name, res.Parallelism, res.SerialNsPerOp, res.NsPerOp, 100*overhead)
-		if overhead > maxOverhead {
-			return fmt.Errorf("recorder no-op overhead %.2f%% exceeds %.2f%% at p=%d",
-				100*overhead, 100*maxOverhead, res.Parallelism)
-		}
+	noopNs, nilNs, pairs, err := timeRecorderOverhead(items, seed)
+	if err != nil {
+		return err
 	}
-	if found == 0 {
-		return fmt.Errorf("%s: no %s rows to gate", reportPath, recorderNoopScenario)
+	overhead := float64(noopNs)/float64(nilNs) - 1
+	fmt.Printf("recorder gate: %d items, %d pairs: nil %d ns/op, noop-attached %d ns/op (overhead %+.2f%%)\n",
+		len(items), pairs, nilNs, noopNs, 100*overhead)
+	if overhead > maxRecorderOverhead {
+		return fmt.Errorf("recorder no-op overhead %.2f%% exceeds %.0f%%", 100*overhead, 100*maxRecorderOverhead)
 	}
-	fmt.Printf("recorder gate passed: %d row(s) within %.0f%%\n", found, 100*maxOverhead)
+	fmt.Printf("recorder gate passed: within %.0f%%\n", 100*maxRecorderOverhead)
 	return nil
 }

@@ -142,8 +142,7 @@
 // 607-word seeding tables dominated fragmented runs. Engine and simulation
 // switched streams in the same commit and still seed identically per
 // (seed, owner), so they remain bit-identical to each other; absolute
-// outputs for a given seed differ from pre-switch releases, and the perf
-// trajectory re-baselined once at BENCH_dense_state.json.
+// outputs for a given seed differ from pre-switch releases.
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
@@ -310,9 +309,10 @@
 // serial first-phase schedules, merge, greedy, and the dist runtime's
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
 // components, warm replays vs re-solves, granted shard workers, greedy
-// feasibility tests, an intra-lanes count that reads 1 per solve, and the
-// exact work of a warm round: items the component pass visits, items
-// relabeled into shard layouts, member-list groups Apply patches).
+// feasibility tests, an intra-lanes count that reads 1 per solve, the
+// exact work of a warm round — items the component pass visits, items
+// relabeled into shard layouts, member-list groups Apply patches — and of
+// every solve and simulated run; see "Exact work" below).
 // Two rules keep the seam compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
@@ -341,58 +341,44 @@
 // Egress: cmd/schedserve exports Prometheus text exposition on
 // /metrics (validated end-to-end by serve.ValidateExposition, also
 // runnable as `schedserve -validate-metrics URL`), JSON on /debug/vars and
-// net/http/pprof under -pprof; `schedbench -trace-json` attaches recorders
-// to benchmark runs and embeds per-phase breakdowns in the report (for
-// diagnosis, not gating — traced rows carry the recorder's small
-// overhead).
+// net/http/pprof under -pprof; `perfbench/run.sh --trace 1` attaches a
+// recorder to the benchmark's ops and reports per-layer phase times and
+// counters beside the end-to-end metrics (for diagnosis, not gating —
+// traced runs carry the recorder's small overhead).
 //
-// # Benchmark telemetry: the treesched/bench/v1 schema
+// # Exact work: the work golden
 //
-// `schedbench -bench-json FILE` runs the solve performance suite and
-// writes one JSON document (checked-in snapshots are named BENCH_*.json)
-// with fields:
+// CI gates the solve path's work by exact counts, which do not drift with
+// the host the way timings do. TestWorkGolden (work_test.go) attaches a
+// counting recorder to five fixed-seed scenarios at Parallelism 1 and
+// compares every counter, with the Result's schedule counts, exactly
+// against testdata/work.golden:
 //
-//   - schema: "treesched/bench/v1"; timestamp (RFC 3339 UTC); go, goos,
-//     goarch, cpus, gomaxprocs (additive; 0 in older snapshots): the
-//     toolchain and host that produced the numbers; seed, quick: run
-//     parameters;
-//   - results[]: one entry per (scenario, parallelism) with name, items,
-//     components (conflict-graph components of the scenario), mode,
-//     parallelism, iters, ns_per_op (best of iters), solves_per_sec,
-//     items_per_sec, serial_ns_per_op and speedup_vs_serial (the
-//     parallelism-1 run of the same scenario).
+//   - cold-contended: a cold engine solve at perfbench's solve-contended
+//     shape (3 networks of 256 vertices, 384 demands, access 1–3), whose
+//     line must be the same at 1, 2, 4 and 8 workers; cold-fleet: one at
+//     serve-fleet's shape (16 networks of 256 vertices, 768 pinned
+//     demands). Both add Steps, MISIters and Raised;
+//   - warm-fleet and warm-contended: one warm Session round on each shape
+//     (Update, then SolveWithItems), after the Session's first solve;
+//   - simulate-dist-fleet: a Simulate solve at dist-fleet's shape (32
+//     networks of 64 vertices, 2,048 pinned demands), adding Rounds and
+//     Messages.
 //
-// Scenarios cover the contended single-component sizes of
-// BenchmarkEngineUnitTree (unit-tree/m=48..768), a fleet of disjoint
-// networks (unit-tree/fleet; unit-tree/fleet-quick in -quick runs), both
-// solved cold and hence serially at every parallelism, the incremental
-// churn workloads (churn/m=768, churn-fleet/m=1024), whose ns_per_op is the
-// average cost of one Session (Update + Solve) round, the warm-start pair
-// (churn-warm/m=768 and its ablation churn-cold/m=768: the same
-// component-local fleet churn with the warm cache on and off — snapshotted
-// in BENCH_warm_start.json), and the online serving workloads (serve/m=768,
-// serve-warm/m=768): an internal/serve session actor absorbing churn from
-// concurrent submitters, where ns_per_op is the mean coalesced round
-// latency and the additive coalesced_batch field reports the mean
-// submissions absorbed per round. parallel-sweep/m=768 solves one contended
-// single-component instance cold at worker counts 1/2/4/8 (snapshotted in
-// BENCH_intrapar.json); a cold solve runs the serial engine at every count,
-// so every row times the same serial Solve, as do the two rows of each
-// unit-tree scenario. The recorder-noop/m=768 scenario measures the
-// observability seam itself: it interleaves no-op-recorder-attached and
-// bare serial solves in one process, in pairs over a fixed time budget,
-// reporting the attached cost as ns_per_op against the bare cost in
-// serial_ns_per_op (so its speedup column is the overhead ratio, not a
-// parallel speedup); one measurement fills both of its rows. `schedbench
-// -recorder-gate REPORT -max-overhead 0.02` turns those rows into the
-// in-run CI overhead gate.
-//
-// `schedbench -compare OLD.json NEW.json` diffs two reports by
-// (scenario, parallelism) and prints per-size speedups;
-// `-max-regression 0.15 -at unit-tree/m=768` (and `-at churn`) turns it
-// into the CI regression gate, failing when the matched scenarios' ns/op
-// grew beyond the threshold relative to the checked-in snapshot (-at is a
-// substring filter on scenario names).
+// Besides the warm-round counters above, the counters of work are
+// member_entries (member-list entries Prepare writes, and an Apply's
+// filters keep and arrivals append), scan_rows and scan_betas (first-phase
+// rows whose LHS scanLive and retest evaluate, and the β entries they
+// read), mis_iters (Luby iterations), greedy_tests (one per raised item),
+// and in the simulator node_rounds (Round calls on its nodes) and
+// item_tests (the satisfaction tests of NextActiveRound, hasUnsatisfied
+// and beginStep). A change that moves the work regenerates the golden with
+// `go test . -run WorkGolden -update` and says why. Allocations are gated
+// beside it by TestColdSolveAllocs, TestSessionRoundAllocs and
+// internal/serve's TestServeRoundAllocs. Timings come from perfbench
+// (perfbench/run.sh, perfbench/steady.py), as medians with spreads; the one
+// timing gate, `schedbench -recorder-gate`, compares solves within one
+// run.
 //
 // # The Simulate execution path
 //
@@ -455,7 +441,7 @@
 // Results against the in-process engine and pin the simnet Stats of every
 // equivalence case in a checked-in golden. On fleet workloads the runtime
 // solves 100k demands in seconds and a million demands in minutes
-// end-to-end (see BENCH_dist.json and `schedbench -dist-smoke`).
+// end-to-end (see `schedbench -dist-smoke`).
 //
 // # Determinism rules: the schedvet static-analysis suite
 //

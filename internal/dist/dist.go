@@ -155,11 +155,16 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 	res.Selected, res.Profit = prep.SelectGreedy(cfg.Mode, steps)
 	res.Dual, res.Lambda, res.Bound = prep.ReplayDual(cfg.Mode, steps)
 	res.Trace = trace
+	rounds, tests := 0, 0
 	for _, n := range nodes {
 		res.NodeStateBytes += n.stateBytes()
+		rounds += n.rounds
+		tests += n.tests
 	}
 	res.SharedStateBytes = ctx.sharedBytes
 	if rec != nil {
+		rec.Count(engine.CounterNodeRounds, int64(rounds))
+		rec.Count(engine.CounterItemTests, int64(tests))
 		rec.EndSpan(engine.PhaseDistAssemble, tok)
 	}
 	return res, nil

@@ -49,6 +49,11 @@ type node struct {
 
 	raises []raiseRec
 	done   bool
+
+	// rounds and tests count the Round calls the node received and the
+	// satisfaction tests it made to schedule itself and open steps
+	// (engine.CounterNodeRounds, CounterItemTests).
+	rounds, tests int
 }
 
 // newNodes constructs the processor nodes over the shared context. Each
@@ -78,6 +83,7 @@ func (ctx *runContext) newNodes() []*node {
 
 // Round implements simnet.Node.
 func (n *node) Round(round int, inbox []simnet.Message) []simnet.Message {
+	n.rounds++
 	if round == 0 {
 		return n.sendSetup()
 	}
@@ -161,7 +167,11 @@ func (n *node) NextActiveRound(now int) int {
 func (n *node) hasUnsatisfied(epoch int, thresh float64) bool {
 	items := n.ctx.items
 	for i := range n.own {
-		if items[n.own[i]].Group == epoch && n.core.Unsatisfied(&n.views[i], thresh) {
+		if items[n.own[i]].Group != epoch {
+			continue
+		}
+		n.tests++
+		if n.core.Unsatisfied(&n.views[i], thresh) {
 			return true
 		}
 	}
@@ -203,7 +213,11 @@ func (n *node) beginStep(t int) {
 	n.live = n.live[:0]
 	items := n.ctx.items
 	for i := range n.own {
-		if items[n.own[i]].Group == epoch && n.core.Unsatisfied(&n.views[i], thresh) {
+		if items[n.own[i]].Group != epoch {
+			continue
+		}
+		n.tests++
+		if n.core.Unsatisfied(&n.views[i], thresh) {
 			n.live = append(n.live, int32(i))
 		}
 	}
@@ -381,7 +395,7 @@ func (n *node) finalCheck() {
 
 // Per-entry resident sizes for stateBytes (struct sizes on 64-bit).
 const (
-	nodeFixedBytes = 432 // node struct + dual.Assignment headers
+	nodeFixedBytes = 448 // node struct + dual.Assignment headers
 	messageBytes   = 32  // Message: From, To, Payload interface
 	entryBytes     = 16  // drawEntry / raiseEntry / raiseRec
 )

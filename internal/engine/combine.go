@@ -66,22 +66,13 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 }
 
 // SolveArbitrary runs the §6 algorithm in process: SolveHeightClasses over
-// the serial engine. Each class is prepared inside a PhasePrepare span of
-// its own, with rec (nil for none) attached, and solved with Solve(cfg, 1);
-// the class bounds sum to the result's Bound.
+// the serial engine. Each class is prepared with PrepareRecorded, so with
+// rec (nil for none) attached in a PhasePrepare span of its own, and solved
+// with Solve(cfg, 1); the class bounds sum to the result's Bound.
 func SolveArbitrary(items []Item, cfg Config, rec Recorder) (*ArbitraryResult, error) {
 	out := &ArbitraryResult{}
 	selected, profit, err := SolveHeightClasses(items, cfg, func(class []Item, ccfg Config) ([]int, error) {
-		var tok int64
-		if rec != nil {
-			tok = rec.StartSpan(PhasePrepare)
-		}
-		p := Prepare(class)
-		p.SetRecorder(rec)
-		if rec != nil {
-			rec.EndSpan(PhasePrepare, tok)
-		}
-		res, err := p.Solve(ccfg, 1)
+		res, err := PrepareRecorded(class, rec).Solve(ccfg, 1)
 		if err != nil {
 			return nil, err
 		}

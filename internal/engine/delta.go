@@ -279,12 +279,16 @@ func (p *Prepared) Apply(d Delta) error {
 	// grown groups appear empty; every arriving id — mover new ids first
 	// (ascending), then addition ids (ascending, all larger) — appends to
 	// its groups, and one backward merge per appended group folds the
-	// sorted tail back in. No member list is ever sorted.
+	// sorted tail back in. No member list is ever sorted. entries counts
+	// the entries the filters keep and the arrivals append.
+	entries := 0
 	for _, s := range changedD {
 		p.demandMembers[s] = filterDropped(p.demandMembers[s], drop)
+		entries += len(p.demandMembers[s])
 	}
 	for _, e := range changedE {
 		p.edgeMembers[e] = filterDropped(p.edgeMembers[e], drop)
+		entries += len(p.edgeMembers[e])
 	}
 	for len(p.demandMembers) < lay.demands {
 		p.demandMembers = append(p.demandMembers, nil)
@@ -298,6 +302,7 @@ func (p *Prepared) Apply(d Delta) error {
 	arrive := func(id int) {
 		p.stats.add(&p.items[id], id)
 		v := &lay.views[id]
+		entries += 1 + len(v.Edges)
 		if st := dState[v.Slot]; st < 0 {
 			if st == untouched {
 				changedD = append(changedD, v.Slot)
@@ -366,6 +371,7 @@ func (p *Prepared) Apply(d Delta) error {
 	scr.changedD, scr.changedE, scr.appendedD, scr.appendedE, scr.tail = changedD, changedE, appendedD, appendedE, tail
 	if rec != nil {
 		rec.Count(CounterApplyGroups, int64(len(changedD)+len(changedE)))
+		rec.Count(CounterMemberEntries, int64(entries))
 		rec.EndSpan(PhaseApply, tok)
 	}
 	return nil

@@ -147,6 +147,10 @@ type state struct {
 	steps int
 }
 
+// scanWork is a first phase's satisfaction-scan work: the rows whose LHS
+// it evaluated and the β entries they read.
+type scanWork struct{ rows, betas int }
+
 // solveScratch bundles a state's reusable per-run buffers, split out so the
 // serial path and the shard workers can pool them across runs instead of
 // reallocating per solve. Nothing in a scratch outlives the run that used
@@ -266,7 +270,8 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	defer scratchPool.Put(scr)
 	st := newState(p.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
-	if err := st.firstPhase(res); err != nil {
+	scan, err := st.firstPhase(res)
+	if err != nil {
 		return nil, err
 	}
 	if len(p.items) > 0 {
@@ -280,10 +285,19 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
 		rec.Count(CounterIntraLanes, 1)
-		rec.Count(CounterGreedyTests, int64(res.Raised))
+		countWork(rec, scan, res)
 	}
 	res.CommRounds = 2*res.MISIters + 2*res.Steps
 	return res, nil
+}
+
+// countWork emits the work of a finished first phase and its greedy pass,
+// which tests each raised item once.
+func countWork(rec Recorder, scan scanWork, res *Result) {
+	rec.Count(CounterScanRows, int64(scan.rows))
+	rec.Count(CounterScanBetas, int64(scan.betas))
+	rec.Count(CounterMISIters, int64(res.MISIters))
+	rec.Count(CounterGreedyTests, int64(res.Raised))
 }
 
 // planStats is all a plan reads of an item set: the item counts per |π| and
@@ -564,12 +578,13 @@ func MaxCritical(items []Item) int {
 // The verdict on the scanned LHS is dual.Meets, the same comparison
 // Core.Unsatisfied applies in the dist nodes. The step cap is checked
 // ahead of each scan, so it fires at the iteration a full scan would.
-func (st *state) firstPhase(res *Result) error {
+func (st *state) firstPhase(res *Result) (scanWork, error) {
 	plan := st.plan
 	live, groupEnd := st.groupMembers()
 	top := slices.Max(plan.Thresholds)
 	res.Epochs = plan.MaxGroup
 	res.Stages = plan.Stages
+	var scan scanWork
 
 	for k := 1; k <= plan.MaxGroup; k++ {
 		members := live[groupEnd[k-1]:groupEnd[k]]
@@ -581,14 +596,18 @@ func (st *state) firstPhase(res *Result) error {
 			var u []int
 			for iter := 0; ; iter++ {
 				if iter >= plan.StepCap {
-					return fmt.Errorf("engine: epoch %d stage %d exceeded %d steps (pmax/pmin=%v); Lemma 5.1 cap violated",
+					return scan, fmt.Errorf("engine: epoch %d stage %d exceeded %d steps (pmax/pmin=%v); Lemma 5.1 cap violated",
 						k, j+1, plan.StepCap, plan.PMax/plan.PMin)
 				}
+				var b int
 				if iter == 0 {
-					u, members = st.scanLive(members, thresh, top)
+					scan.rows += len(members)
+					u, members, b = st.scanLive(members, thresh, top)
 				} else {
-					u = st.retest(u, thresh)
+					scan.rows += len(u)
+					u, b = st.retest(u, thresh)
 				}
+				scan.betas += b
 				if len(u) == 0 {
 					if iter > res.MaxStageSteps {
 						res.MaxStageSteps = iter
@@ -607,7 +626,7 @@ func (st *state) firstPhase(res *Result) error {
 			}
 		}
 	}
-	return nil
+	return scan, nil
 }
 
 // groupMembers buckets the item ids by their views' groups (a counting
@@ -648,16 +667,17 @@ func (st *state) groupMembers() (live, groupEnd []int) {
 // U, the step's unsatisfied set) and the top threshold (kept in live).
 // A member below the stage threshold is below the top one too, so U ⊆ the
 // compacted live. Both lists come back ascending; live is compacted in
-// place and U lives in the scratch.
+// place and U lives in the scratch. betas is the β entries the LHSs read.
 //
 //schedvet:hot
-func (st *state) scanLive(live []int, thresh, top float64) (u, rest []int) {
+func (st *state) scanLive(live []int, thresh, top float64) (u, rest []int, betas int) {
 	u = st.scr.uBuf[:0]
 	views := st.lay.views
 	core := st.core
 	n := 0
 	for _, id := range live {
 		v := &views[id]
+		betas += len(v.Edges)
 		lhs := core.Dual.LHS(v.Slot, core.Coeff(v), v.Edges)
 		if !dual.Meets(lhs, thresh, v.Profit) {
 			u = append(u, id)
@@ -668,23 +688,26 @@ func (st *state) scanLive(live []int, thresh, top float64) (u, rest []int) {
 		}
 	}
 	st.scr.uBuf = u
-	return u, live[:n]
+	return u, live[:n], betas
 }
 
 // retest is every later step of a stage: the previous step's U, compacted
-// in place to the members still below the stage threshold.
+// in place to the members still below the stage threshold, and the β
+// entries their LHSs read.
 //
 //schedvet:hot
-func (st *state) retest(u []int, thresh float64) []int {
+func (st *state) retest(u []int, thresh float64) ([]int, int) {
 	views := st.lay.views
-	n := 0
+	n, betas := 0, 0
 	for _, id := range u {
-		if st.core.Unsatisfied(&views[id], thresh) {
+		v := &views[id]
+		betas += len(v.Edges)
+		if st.core.Unsatisfied(v, thresh) {
 			u[n] = id
 			n++
 		}
 	}
-	return u[:n]
+	return u[:n], betas
 }
 
 // independentSet computes a maximal independent set within u (item ids) and

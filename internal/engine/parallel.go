@@ -134,11 +134,17 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 
 // runShard executes one component's first phase over (pooled) scratch,
 // pops its stack through the greedy rule, and captures the outcome with
-// its dual's λ minimum and exact partial sum.
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch) (*shardOut, error) {
+// its dual's λ minimum and exact partial sum. With rec attached it runs
+// in a PhaseShardSolve span and counts its work.
+func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Recorder) (*shardOut, error) {
+	var tok int64
+	if rec != nil {
+		tok = rec.StartSpan(PhaseShardSolve)
+	}
 	st := newState(pre.lay, cfg, plan, scr)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
-	if err := st.firstPhase(res); err != nil {
+	scan, err := st.firstPhase(res)
+	if err != nil {
 		return nil, err
 	}
 	out := &shardOut{
@@ -165,6 +171,10 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch) (*shardO
 			picked[i] = pre.comp[picked[i]]
 		}
 		out.sel[pos] = picked[start:len(picked):len(picked)]
+	}
+	if rec != nil {
+		countWork(rec, scan, res)
+		rec.EndSpan(PhaseShardSolve, tok)
 	}
 	return out, nil
 }
@@ -202,15 +212,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
 			for i, s := range todo {
-				var stok int64
-				if rec != nil {
-					stok = rec.StartSpan(PhaseShardSolve)
-				}
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr)
-				if rec != nil && errs[i] == nil {
-					rec.EndSpan(PhaseShardSolve, stok)
-					rec.Count(CounterGreedyTests, int64(outs[s].raised))
-				}
+				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, rec)
 			}
 			scratchPool.Put(scr)
 		} else {
@@ -223,15 +225,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
 					for i := range work {
-						var stok int64
-						if rec != nil {
-							stok = rec.StartSpan(PhaseShardSolve)
-						}
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr)
-						if rec != nil && errs[i] == nil {
-							rec.EndSpan(PhaseShardSolve, stok)
-							rec.Count(CounterGreedyTests, int64(outs[todo[i]].raised))
-						}
+						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, rec)
 					}
 				}()
 			}

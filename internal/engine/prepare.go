@@ -171,6 +171,25 @@ func Prepare(items []Item) *Prepared {
 	return p
 }
 
+// PrepareRecorded is Prepare with rec attached (nil for none), bracketed
+// in a PhasePrepare span that counts the member-list entries Prepare wrote:
+// one per item in its demand's list and one per path edge.
+func PrepareRecorded(items []Item, rec Recorder) *Prepared {
+	if rec == nil {
+		return Prepare(items)
+	}
+	tok := rec.StartSpan(PhasePrepare)
+	p := Prepare(items)
+	p.rec = rec
+	entries := len(p.lay.views)
+	for i := range p.lay.views {
+		entries += len(p.lay.views[i].Edges)
+	}
+	rec.Count(CounterMemberEntries, int64(entries))
+	rec.EndSpan(PhasePrepare, tok)
+	return p
+}
+
 // PrepareWorkers is Prepare; the worker count is ignored.
 //
 // Deprecated: use Prepare.

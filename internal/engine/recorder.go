@@ -26,11 +26,11 @@ const (
 	// solve brackets each non-empty height class separately, so it emits
 	// up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
-	// PhasePrepare brackets preparation, emitted by the callers that
-	// prepare: a root Solver solve brackets its item building and then each
-	// Prepare (layout + member-list construction) in spans of their own —
-	// SolveArbitrary one per non-empty height class — and a Session its
-	// initial build and each compaction.
+	// PhasePrepare brackets preparation: PrepareRecorded brackets each
+	// Prepare (layout + member-list construction) it runs — a root solve's,
+	// one per non-empty height class of SolveArbitrary, and a Session's
+	// initial one and each compaction — and a root Solver or Session
+	// brackets its item building in a span of its own before it.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance
 	// expansion, and the incremental Apply.
@@ -139,6 +139,28 @@ const (
 	// validating the items to name an invalid one. Prepare's own pass is
 	// not counted, so an ordinary warm round reads 0.
 	CounterPlanItems
+	// CounterMemberEntries counts the member-list entries a pass writes,
+	// emitted once per pass: every entry of a Prepare that PrepareRecorded
+	// brackets, and in an Apply the entries kept by the lists it filters
+	// plus those the arrivals append. The backward merge that restores an
+	// appended list's order moves entries these counts already hold.
+	CounterMemberEntries
+	// CounterScanRows counts the first-phase rows whose LHS the
+	// satisfaction scan evaluates (scanLive and retest), and
+	// CounterScanBetas the β entries those rows read, emitted once per
+	// first phase: by the serial engine and by each re-run shard.
+	CounterScanRows
+	CounterScanBetas
+	// CounterMISIters counts the MIS iterations of a first phase, emitted
+	// once per first phase as the scan counters are.
+	CounterMISIters
+	// CounterNodeRounds counts the Round calls the simulator makes on the
+	// distributed runtime's nodes, and CounterItemTests the satisfaction
+	// tests those nodes make to schedule themselves (NextActiveRound and
+	// hasUnsatisfied) and to open a step (beginStep). Each node sums its
+	// own, and the run emits the totals once, at assembly.
+	CounterNodeRounds
+	CounterItemTests
 
 	numCounters
 )
@@ -149,7 +171,8 @@ const NumCounters = int(numCounters)
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
 	"shard_workers", "intra_lanes", "greedy_tests", "component_items",
-	"relabeled_items", "apply_groups", "plan_items",
+	"relabeled_items", "apply_groups", "plan_items", "member_entries",
+	"scan_rows", "scan_betas", "mis_iters", "node_rounds", "item_tests",
 }
 
 func (c Counter) String() string {

@@ -91,7 +91,10 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		return st, res, phase(st, res)
 	}
 	wst, want, werr := run(func(st *state, res *Result) error { return fullScanFirstPhase(items, st, res) }, nil)
-	gst, got, gerr := run((*state).firstPhase, scr)
+	gst, got, gerr := run(func(st *state, res *Result) error {
+		_, err := st.firstPhase(res)
+		return err
+	}, scr)
 	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 		t.Fatalf("%s: error %v, oracle %v", tag, gerr, werr)
 	}

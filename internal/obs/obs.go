@@ -178,8 +178,8 @@ func (r *Recorder) Reset() {
 }
 
 // Nop is a no-op engine.Recorder: the cheapest possible implementation,
-// used to measure the cost of the seam itself (the recorder-noop bench
-// scenario and its CI gate).
+// used to measure the cost of the seam itself (`schedbench
+// -recorder-gate`, run in CI).
 type Nop struct{}
 
 func (Nop) StartSpan(engine.Phase) int64 { return 0 }

@@ -364,23 +364,6 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 	return out, nil
 }
 
-// preparedFor builds the unit-pipeline prepared state with Options.Recorder
-// attached, bracketing the preparation in PhasePrepare. The warm-start
-// cache stays off, so its Solve runs the serial engine.
-func preparedFor(items []engine.Item, opts Options) *engine.Prepared {
-	rec := opts.Recorder
-	var tok int64
-	if rec != nil {
-		tok = rec.StartSpan(engine.PhasePrepare)
-	}
-	prep := engine.Prepare(items)
-	prep.SetRecorder(rec)
-	if rec != nil {
-		rec.EndSpan(engine.PhasePrepare, tok)
-	}
-	return prep
-}
-
 // runPrepared runs the unit-height schedule over prepared state, fills
 // out's Profit, DualBound and Guarantee, and returns the selected item ids.
 // runUnit and Session.Solve share it.
@@ -396,7 +379,8 @@ func runPrepared(p *engine.Prepared, cfg engine.Config, opts Options, out *Resul
 }
 
 func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	selected, err := runPrepared(preparedFor(items, opts), cfg, opts, out)
+	// The warm-start cache stays off, so the solve runs the serial engine.
+	selected, err := runPrepared(engine.PrepareRecorded(items, opts.Recorder), cfg, opts, out)
 	if err != nil {
 		return nil, err
 	}

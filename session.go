@@ -170,11 +170,10 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := engine.Prepare(items)
-	p.SetRecorder(rec)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
+	p := engine.PrepareRecorded(items, rec)
 	sess := &Session{
 		solver:  s,
 		layered: layered,
@@ -302,15 +301,8 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		sess.warmBase.ColdSolves += w.ColdSolves
 		sess.warmBase.ComponentsReplayed += w.ComponentsReplayed
 		sess.warmBase.ComponentsResolved += w.ComponentsResolved
-		var ptok int64
-		if rec != nil {
-			ptok = rec.StartSpan(engine.PhasePrepare)
-		}
-		sess.p = engine.Prepare(sess.p.Items())
-		sess.p.SetRecorder(rec) // the retired Prepared took the attachment with it
-		if rec != nil {
-			rec.EndSpan(engine.PhasePrepare, ptok)
-		}
+		// The retired Prepared took the recorder attachment with it.
+		sess.p = engine.PrepareRecorded(sess.p.Items(), rec)
 		if !sess.solver.opts.DisableWarmStart {
 			sess.p.EnableWarmStart()
 		}
