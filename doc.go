@@ -45,6 +45,19 @@
 //	res1, _ := s.Solve(inst1) // decomposes the networks, caches them
 //	res2, _ := s.Solve(inst2) // same networks: decompositions from cache
 //
+// Preparing one network has two parts, each O(n log n) time and a
+// constant number of allocations at every size: AddTree builds the tree
+// (sorted adjacency in one array, parent and depth, and an O(1) LCA
+// table), and the first solve on the network builds its ideal
+// decomposition (Lemma 4.1) and layered wrapper. On 2 vCPUs the tree takes
+// about 9 µs at 256 vertices and 210 µs at 4,096 (BenchmarkNewTree, 6
+// allocations), the decomposition about 17 µs at 255 vertices and 620 µs
+// at 4,095 (BenchmarkIdealDecomposition, 8 allocations). A Solver, and
+// every Session it opens, decomposes each network structure once; a server
+// that opens a fresh Solver per tenant, as internal/serve's
+// Registry.Create does, pays for the decomposition of every network of
+// every tenant it creates.
+//
 // A Solver is safe for concurrent use. For churn — demands arriving and
 // departing between solves — open a Session (Solver.Session): it applies
 // each Update as an engine delta and replays the conflict components the

@@ -1,10 +1,6 @@
 package decomp
 
-import (
-	"testing"
-
-	"treesched/internal/graph"
-)
+import "testing"
 
 // TestBalancingPivotBlowUp demonstrates the §4.2 worst case: the balancing
 // decomposition's pivot size grows linearly in k = Θ(log n) on the
@@ -28,46 +24,6 @@ func TestBalancingPivotBlowUp(t *testing.T) {
 		if got := ideal.PivotSize(); got > 2 {
 			t.Errorf("k=%d (n=%d): ideal θ = %d, want ≤ 2 (Lemma 4.1)", k, n, got)
 		}
-	}
-}
-
-// TestAdversarialTreeShape sanity-checks the construction itself: u_i is the
-// balancer chosen at level i and the component sizes halve.
-func TestAdversarialTreeShape(t *testing.T) {
-	k := 6
-	tr := AdversarialBalancingTree(k)
-	n := tr.N()
-	ops := graph.NewSubtreeOps(tr)
-	comp := make([]graph.Vertex, n)
-	for i := range comp {
-		comp[i] = i
-	}
-	for i := 1; i <= k; i++ {
-		z := ops.Balancer(comp)
-		if z != i {
-			t.Fatalf("level %d: balancer = %d, want u_%d", i, z, i)
-		}
-		parts := ops.Split(comp, z)
-		// The continuation component is the one containing the hub 0.
-		var rest []graph.Vertex
-		for _, p := range parts {
-			if p[0] == 0 {
-				rest = p
-				break
-			}
-		}
-		if rest == nil {
-			t.Fatalf("level %d: hub component missing", i)
-		}
-		if len(rest) > len(comp)/2 {
-			t.Fatalf("level %d: rest size %d > half of %d", i, len(rest), len(comp))
-		}
-		// Its outside neighbors are exactly u_1..u_i.
-		nbrs := ops.Neighbors(rest)
-		if len(nbrs) != i {
-			t.Fatalf("level %d: |Γ| = %d (%v), want %d", i, len(nbrs), nbrs, i)
-		}
-		comp = rest
 	}
 }
 

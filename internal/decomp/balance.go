@@ -3,33 +3,10 @@ package decomp
 import "treesched/internal/graph"
 
 // Balancing builds the balancing tree decomposition of §4.2 via BuildBalTD:
-// recursively root each component at a balancer (centroid). Depth is at most
-// ⌈log₂ n⌉+1, but the pivot size θ can be as large as the depth.
+// recursively root each component at a balancer (centroid), whose pivot
+// set is the component's Γ. Depth is at most ⌈log₂ n⌉+1, but the pivot
+// size θ can be as large as the depth. It runs Ideal's iterative
+// construction without Case 2(b).
 func Balancing(t *graph.Tree) *TreeDecomposition {
-	n := t.N()
-	h := &TreeDecomposition{
-		T:      t,
-		Parent: make([]graph.Vertex, n),
-		Pivot:  make([][]graph.Vertex, n),
-	}
-	ops := graph.NewSubtreeOps(t)
-	all := make([]graph.Vertex, n)
-	for i := range all {
-		all[i] = i
-	}
-	h.Root = buildBalTD(h, ops, all, -1)
-	h.computeDepths()
-	return h
-}
-
-// buildBalTD implements the paper's BuildBalTD: find a balancer z of comp,
-// split, recurse, and make the sub-roots children of z. Returns z.
-func buildBalTD(h *TreeDecomposition, ops *graph.SubtreeOps, comp []graph.Vertex, parent graph.Vertex) graph.Vertex {
-	z := ops.Balancer(comp)
-	h.Parent[z] = parent
-	h.Pivot[z] = ops.Neighbors(comp)
-	for _, part := range ops.Split(comp, z) {
-		buildBalTD(h, ops, part, z)
-	}
-	return z
+	return centroidDecomposition(t, false)
 }

@@ -1,6 +1,9 @@
-// Package decomptest holds the reference form of the layered
-// decomposition's assignment (Lemma 4.2), against which the one-pass
-// Layered.Walk and the engine's item builder are tested.
+// Package decomptest holds the reference forms the decomposition code is
+// tested against: the recursive §4.2 and §4.3 constructions over explicit
+// component lists (Balancing, Ideal, and the Balancer and Split they
+// need), against which decomp's flat iterative construction is tested,
+// and the layered decomposition's assignment (Lemma 4.2), against which
+// the one-pass Layered.Walk and the engine's item builder are tested.
 package decomptest
 
 import (

@@ -1,132 +1,26 @@
 package decomp
 
-import (
-	"fmt"
-
-	"treesched/internal/graph"
-)
+import "treesched/internal/graph"
 
 // Ideal builds the ideal tree decomposition of §4.3 (Lemma 4.1): depth
-// O(log n) and pivot size θ ≤ 2. Every recursion level adds at most two
-// nodes to H — a balancer z and, in Case 2(b), a junction j — while halving
-// the component size, so the depth is at most 2⌈log₂ n⌉+1.
+// O(log n) and pivot size θ ≤ 2. Every level of BuildIdealTD adds at most
+// two nodes to H — a balancer z and, in Case 2(b), a junction j — while
+// halving the component size, so the depth is at most 2⌈log₂ n⌉+1.
+//
+// The construction is iterative. A stack holds the components still to be
+// split, each as one member, its size, its parent in H and its at most two
+// outside neighbours Γ. Splitting one walks it once: the walk's subtree
+// sizes lead to the balancer z and size every part, and each part's Γ is
+// {z} plus the members of the component's Γ attached inside it. When both
+// outside neighbours attach inside one part (Case 2(b)), the junction
+// j = median(u1, u2, z) takes the component's place above z, and that part
+// is walked once more from j to split it there. It costs O(n log n) time
+// and a constant number of allocations; decomptest.Ideal is the recursion
+// as the paper writes it, and this returns the identical decomposition.
 //
 // The construction is fully deterministic (balancers and junctions are
 // unique or tie-broken by vertex number), so every processor in the
 // distributed algorithm computes the same decomposition locally.
 func Ideal(t *graph.Tree) *TreeDecomposition {
-	n := t.N()
-	h := &TreeDecomposition{
-		T:      t,
-		Parent: make([]graph.Vertex, n),
-		Pivot:  make([][]graph.Vertex, n),
-	}
-	ops := graph.NewSubtreeOps(t)
-	all := make([]graph.Vertex, n)
-	for i := range all {
-		all[i] = i
-	}
-	// Top level: root H at a balancer g of the whole vertex set; the parts
-	// of V - {g} each have Γ = {g} (one neighbor), satisfying BuildIdealTD's
-	// precondition.
-	g := ops.Balancer(all)
-	h.Root = g
-	h.Parent[g] = -1
-	h.Pivot[g] = nil
-	for _, part := range ops.Split(all, g) {
-		buildIdealTD(h, ops, part, ops.Neighbors(part), g)
-	}
-	h.computeDepths()
-	return h
-}
-
-// buildIdealTD implements the paper's BuildIdealTD. comp must be a component
-// with at most two neighbors (gamma). The resulting subtree of H is attached
-// under parent and guarantees |Γ[C(x)]| ≤ 2 for every node x it creates.
-func buildIdealTD(h *TreeDecomposition, ops *graph.SubtreeOps, comp, gamma []graph.Vertex, parent graph.Vertex) {
-	if len(gamma) > 2 {
-		panic(fmt.Sprintf("decomp: BuildIdealTD precondition violated: |Γ|=%d for component %v", len(gamma), comp))
-	}
-	if len(comp) == 1 {
-		v := comp[0]
-		h.Parent[v] = parent
-		h.Pivot[v] = gamma
-		return
-	}
-	z := ops.Balancer(comp)
-	parts := ops.Split(comp, z)
-
-	// Case 2(b) applies when some part would see three neighbors
-	// {u1, u2, z}: both outside neighbors attach through the same part.
-	if len(gamma) == 2 {
-		for pi, part := range parts {
-			nb := ops.Neighbors(part)
-			if len(nb) == 3 {
-				buildIdealCase2b(h, ops, z, parts, pi, gamma, parent)
-				return
-			}
-		}
-	}
-
-	// Case 1 / Case 2(a) / degenerate cases: every part already has at most
-	// two neighbors, so recurse directly with z as the subtree root.
-	h.Parent[z] = parent
-	h.Pivot[z] = gamma
-	for _, part := range parts {
-		buildIdealTD(h, ops, part, ops.Neighbors(part), z)
-	}
-}
-
-// buildIdealCase2b handles §4.3 Case 2(b): the part c1 := parts[c1Index] of
-// comp - {z} is adjacent to both outside neighbors u1, u2 (and to z). The
-// junction j = median(u1, u2, z) splits c1 so that every resulting component
-// has at most two neighbors. H gains two nodes: j (the subtree root, with
-// pivot set gamma) and z (a child of j, with pivot set {j}); the z-side
-// subpart of c1 and the parts other than c1 hang under z, the remaining
-// subparts of c1 hang under j.
-func buildIdealCase2b(h *TreeDecomposition, ops *graph.SubtreeOps, z graph.Vertex,
-	parts [][]graph.Vertex, c1Index int, gamma []graph.Vertex, parent graph.Vertex) {
-
-	u1, u2 := gamma[0], gamma[1]
-	j := h.T.Median(u1, u2, z)
-
-	h.Parent[j] = parent
-	h.Pivot[j] = gamma
-	h.Parent[z] = j
-	h.Pivot[z] = []graph.Vertex{j}
-
-	for pi, part := range parts {
-		if pi == c1Index {
-			continue
-		}
-		// Γ(part) = {z}: u1 and u2 attach through c1 only.
-		buildIdealTD(h, ops, part, ops.Neighbors(part), z)
-	}
-	c1 := parts[c1Index]
-	if len(c1) == 1 {
-		// c1 = {j}: nothing left to split.
-		if c1[0] != j {
-			panic(fmt.Sprintf("decomp: junction %d not the sole member of c1 %v", j, c1))
-		}
-		return
-	}
-	for _, sub := range ops.Split(c1, j) {
-		nb := ops.Neighbors(sub)
-		if containsVertex(nb, z) {
-			// The z-side subpart: Γ = {j, z}; it becomes part of C(z), so
-			// hang it under z. (Γ[C(z)] stays {j}.)
-			buildIdealTD(h, ops, sub, nb, z)
-		} else {
-			buildIdealTD(h, ops, sub, nb, j)
-		}
-	}
-}
-
-func containsVertex(s []graph.Vertex, v graph.Vertex) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return centroidDecomposition(t, true)
 }

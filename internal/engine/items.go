@@ -86,9 +86,10 @@ func BuildTreeItemsLayered(in *model.Instance, layered []*decomp.Layered) ([]Ite
 // item per (demand, accessible network), by demand and then in Access
 // order, with ids counting up from 0 — the order of Instance.Expand. It is
 // the one tree-item builder: BuildTreeItemsLayered builds whole instances
-// through it and the root package's incremental Session builds its
-// arrivals through it, so an arriving demand yields exactly the item a
-// from-scratch build would.
+// through it, the root package's Solver.Solve and Solver.Session build
+// their already-validated instances through it, and the incremental
+// Session builds its arrivals through it, so an arriving demand yields
+// exactly the item a from-scratch build would.
 //
 // A counting pass sizes the arenas — path lengths from depths and the LCA,
 // π(d) by the bound 2(θ+1) — and then one Layered.Walk per item writes its

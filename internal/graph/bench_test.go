@@ -42,37 +42,24 @@ func BenchmarkPathEdges(b *testing.B) {
 	}
 }
 
-func BenchmarkBalancer(b *testing.B) {
-	for _, n := range []int{255, 4095} {
+// BenchmarkNewTree times building a random tree, its adjacency and its
+// LCA table, at 256 vertices (a workload network) and 4,096.
+func BenchmarkNewTree(b *testing.B) {
+	for _, n := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tr := benchTree(b, n)
-			ops := NewSubtreeOps(tr)
-			comp := make([]Vertex, n)
-			for i := range comp {
-				comp[i] = i
+			rng := rand.New(rand.NewSource(4))
+			perm := rng.Perm(n)
+			edges := make([]Edge, 0, n-1)
+			for v := 1; v < n; v++ {
+				edges = append(edges, Edge{U: perm[rng.Intn(v)], V: perm[v]})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ops.Balancer(comp)
+				if _, err := NewTree(n, edges); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-	}
-}
-
-func BenchmarkNewTree(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	n := 4096
-	perm := rng.Perm(n)
-	edges := make([]Edge, 0, n-1)
-	for v := 1; v < n; v++ {
-		edges = append(edges, Edge{U: perm[rng.Intn(v)], V: perm[v]})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewTree(n, edges); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

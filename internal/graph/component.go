@@ -3,17 +3,16 @@ package graph
 import "sort"
 
 // A component is a subset of vertices inducing a connected subtree (§4.1).
-// SubtreeOps provides the component operations the decompositions need:
-// balancers (centroids), splitting a component by a vertex, and component
-// neighborhoods. It owns scratch state sized to the tree, so one SubtreeOps
-// can serve an entire recursive decomposition without reallocating.
+// SubtreeOps checks components given as vertex lists: their neighborhoods
+// Γ and whether a list induces a subtree at all, which is what validating
+// a decomposition needs. It owns scratch state sized to the tree, so one
+// SubtreeOps can check a whole decomposition without reallocating.
 //
 // SubtreeOps is not safe for concurrent use.
 type SubtreeOps struct {
 	t    *Tree
 	in   []bool // membership scratch for the component under operation
-	size []int  // subtree-size scratch for Balancer
-	seen []bool // visited scratch for Split
+	seen []bool // visited scratch for IsComponent
 }
 
 // NewSubtreeOps returns component operations bound to t.
@@ -21,7 +20,6 @@ func NewSubtreeOps(t *Tree) *SubtreeOps {
 	return &SubtreeOps{
 		t:    t,
 		in:   make([]bool, t.N()),
-		size: make([]int, t.N()),
 		seen: make([]bool, t.N()),
 	}
 }
@@ -33,100 +31,6 @@ func (s *SubtreeOps) setAll(comp []Vertex, v bool) {
 	for _, x := range comp {
 		s.in[x] = v
 	}
-}
-
-// Balancer returns a vertex z of comp such that deleting z splits comp into
-// components each of size at most ⌊|comp|/2⌋ (a centroid of the induced
-// subtree). comp must be a non-empty component. Ties are broken toward the
-// lowest-numbered vertex so that all processors compute the same
-// decomposition locally.
-func (s *SubtreeOps) Balancer(comp []Vertex) Vertex {
-	if len(comp) == 1 {
-		return comp[0]
-	}
-	s.mark(comp)
-	defer s.unmark(comp)
-
-	// Iterative post-order DFS from comp[0] restricted to comp, computing
-	// induced-subtree sizes.
-	root := comp[0]
-	parent := map[Vertex]Vertex{root: -1}
-	order := make([]Vertex, 0, len(comp))
-	stack := []Vertex{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		for _, w := range s.t.Adj(v) {
-			if s.in[w] && w != parent[v] {
-				parent[w] = v
-				stack = append(stack, w)
-			}
-		}
-	}
-	for _, v := range order {
-		s.size[v] = 1
-	}
-	for i := len(order) - 1; i >= 1; i-- {
-		v := order[i]
-		s.size[parent[v]] += s.size[v]
-	}
-
-	total := len(comp)
-	best, bestMax := -1, total+1
-	for _, v := range order {
-		// Max component size if v is removed: the largest child subtree, or
-		// the "rest of the component" above v.
-		maxPart := total - s.size[v]
-		for _, w := range s.t.Adj(v) {
-			if s.in[w] && parent[w] == v && s.size[w] > maxPart {
-				maxPart = s.size[w]
-			}
-		}
-		if maxPart < bestMax || (maxPart == bestMax && v < best) {
-			best, bestMax = v, maxPart
-		}
-	}
-	return best
-}
-
-// Split removes z from comp and returns the connected components of the
-// remainder. Components are ordered by their lowest vertex and each
-// component's vertices are sorted, for determinism. comp must contain z.
-func (s *SubtreeOps) Split(comp []Vertex, z Vertex) [][]Vertex {
-	s.mark(comp)
-	defer s.unmark(comp)
-	s.in[z] = false
-
-	var parts [][]Vertex
-	for _, start := range s.t.Adj(z) {
-		if !s.in[start] || s.seen[start] {
-			continue
-		}
-		part := []Vertex{}
-		queue := []Vertex{start}
-		s.seen[start] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			part = append(part, v)
-			for _, w := range s.t.Adj(v) {
-				if s.in[w] && !s.seen[w] {
-					s.seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(part)
-		parts = append(parts, part)
-	}
-	for _, part := range parts {
-		for _, v := range part {
-			s.seen[v] = false
-		}
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i][0] < parts[j][0] })
-	return parts
 }
 
 // Neighbors returns Γ[comp]: the vertices outside comp adjacent to some

@@ -1,6 +1,6 @@
 // Package graph provides the tree-network substrate: rooted trees over a
-// shared vertex set, unique paths, lowest common ancestors, medians,
-// connected components and centroids (the paper's "balancers").
+// shared vertex set, unique paths, lowest common ancestors, medians and
+// connected components.
 //
 // Vertices are integers 0..n-1. Every tree is rooted at its lowest-numbered
 // vertex for edge identification: an edge is named by its deeper endpoint
@@ -11,8 +11,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 )
 
 // Vertex is a node of a tree-network, in 0..n-1.
@@ -31,28 +31,49 @@ type Edge struct {
 // for edge naming and LCA queries. Construct with NewTree; the zero value is
 // not usable.
 type Tree struct {
-	n      int
-	adj    [][]Vertex
+	n int
+	// The neighbours of v, ascending, are adj[off[v]:off[v+1]].
+	off    []int64
+	adj    []Vertex
 	parent []Vertex // parent[v] in the rooting at 0; parent[0] == -1
 	depth  []int    // depth[0] == 0
-	order  []Vertex // vertices in BFS order from the root
 
-	// Euler tour + sparse table for O(1) LCA queries.
-	euler  []Vertex
-	first  []int
-	lookup [][]int32 // sparse table over euler indices, minimizing depth
+	// LCA in O(1): pos[v] is v's place in a DFS preorder from the root.
+	// For u ≠ v with pos[u] < pos[v], the positions pos[u]+1..pos[v] hold
+	// a child of LCA(u, v) and otherwise only its proper descendants, so
+	// among the parents of the vertices there, LCA(u, v) has the least
+	// position. lookup[k][i] is the least of pos[p]<<32 | p over the
+	// parents p of positions i..i+2^k-1, so a minimum names the LCA itself.
+	pos    []int64
+	lookup [][]int64
 }
 
+// maxVertices bounds n so that NewTree's int32 scratch holds every
+// adjacency offset.
+const maxVertices = math.MaxInt32 / 2
+
 // NewTree builds a tree over n vertices from exactly n-1 undirected edges.
-// It validates connectivity and acyclicity.
+// It validates connectivity and acyclicity. It takes O(n log n) time and a
+// constant number of allocations: the adjacency lists come from a two-pass
+// counting sort into one array, and the LCA table's rows from one slab.
 func NewTree(n int, edges []Edge) (*Tree, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: tree must have at least one vertex, got %d", n)
 	}
+	if n > maxVertices {
+		return nil, fmt.Errorf("graph: tree over %d vertices exceeds the limit of %d", n, maxVertices)
+	}
 	if len(edges) != n-1 {
 		return nil, fmt.Errorf("graph: tree over %d vertices needs %d edges, got %d", n, n-1, len(edges))
 	}
-	adj := make([][]Vertex, n)
+	levels := bits.Len(uint(n)) // rows k with 2^k ≤ n
+	cells := levels * (n + 1)
+	for k := range levels {
+		cells -= 1 << k
+	}
+	// off, pos and the lookup rows share one slab.
+	slab := make([]int64, 2*n+1+cells)
+	t := &Tree{n: n, off: slab[:n+1], pos: slab[n+1 : 2*n+1]}
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -60,18 +81,40 @@ func NewTree(n int, edges []Edge) (*Tree, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at vertex %d", e.U)
 		}
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		t.off[e.U+1]++
+		t.off[e.V+1]++
 	}
-	// Sort adjacency lists so traversals are deterministic.
-	for _, nb := range adj {
-		sort.Ints(nb)
+	for v := range n {
+		t.off[v+1] += t.off[v]
 	}
-	t := &Tree{n: n, adj: adj}
-	if err := t.root(); err != nil {
+	// The first pass lists every vertex's neighbours in edge order; the
+	// second visits the vertices w in ascending order and appends w to
+	// each of its neighbours' lists, which leaves every list ascending.
+	scratch := make([]int32, 2*(n-1)+2*n)
+	unsorted, next, pre := scratch[:2*(n-1)], scratch[2*(n-1):2*(n-1)+n], scratch[2*(n-1)+n:]
+	for v := range n {
+		next[v] = int32(t.off[v])
+	}
+	for _, e := range edges {
+		unsorted[next[e.U]] = int32(e.V)
+		next[e.U]++
+		unsorted[next[e.V]] = int32(e.U)
+		next[e.V]++
+	}
+	t.adj = make([]Vertex, 2*(n-1))
+	for v := range n {
+		next[v] = int32(t.off[v])
+	}
+	for w := range n {
+		for _, v := range unsorted[t.off[w]:t.off[w+1]] {
+			t.adj[next[v]] = w
+			next[v]++
+		}
+	}
+	if err := t.root(next, pre); err != nil {
 		return nil, err
 	}
-	t.buildLCA()
+	t.buildLCA(slab[2*n+1:], pre, levels)
 	return t, nil
 }
 
@@ -94,101 +137,56 @@ func NewPath(n int) (*Tree, error) {
 	return NewTree(n, edges)
 }
 
-// root computes parent/depth/order by BFS from vertex 0 and verifies the
-// graph is connected (with n-1 edges, connected implies acyclic).
-func (t *Tree) root() error {
-	t.parent = make([]Vertex, t.n)
-	t.depth = make([]int, t.n)
-	t.order = make([]Vertex, 0, t.n)
+// root computes parent and depth, and the DFS preorder into pre, from
+// vertex 0, with stack (n entries) as scratch, and verifies the graph is
+// connected (with n-1 edges, connected implies acyclic).
+func (t *Tree) root(stack, pre []int32) error {
+	pd := make([]int, 2*t.n)
+	t.parent, t.depth = pd[:t.n], pd[t.n:]
 	for v := range t.parent {
 		t.parent[v] = -2 // unvisited
 	}
 	t.parent[0] = -1
-	queue := []Vertex{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		t.order = append(t.order, v)
-		for _, w := range t.adj[v] {
+	stack = append(stack[:0], 0)
+	k := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		pre[k], t.pos[v] = v, int64(k)
+		k++
+		for _, w := range t.Adj(int(v)) {
 			if t.parent[w] == -2 {
-				t.parent[w] = v
+				t.parent[w] = int(v)
 				t.depth[w] = t.depth[v] + 1
-				queue = append(queue, w)
+				stack = append(stack, int32(w))
 			}
 		}
 	}
-	if len(t.order) != t.n {
+	if k != t.n {
 		return errors.New("graph: tree is not connected")
 	}
 	return nil
 }
 
-func (t *Tree) buildLCA() {
-	t.euler = make([]Vertex, 0, 2*t.n-1)
-	t.first = make([]int, t.n)
-	for i := range t.first {
-		t.first[i] = -1
+// buildLCA fills the lookup rows from cells: row 0 holds the parent of the
+// vertex at each preorder position (the root's is never read), row k the
+// minimum of two overlapping spans of row k-1.
+func (t *Tree) buildLCA(cells []int64, pre []int32, levels int) {
+	t.lookup = make([][]int64, levels)
+	row := cells[:t.n]
+	for i, v := range pre[1:] {
+		p := t.parent[v]
+		row[i+1] = t.pos[p]<<32 | int64(p)
 	}
-	// Iterative Euler tour.
-	type frame struct {
-		v    Vertex
-		next int // index into adj[v]
-	}
-	stack := []frame{{v: 0}}
-	t.visit(0)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		advanced := false
-		for f.next < len(t.adj[f.v]) {
-			w := t.adj[f.v][f.next]
-			f.next++
-			if w != t.parent[f.v] {
-				stack = append(stack, frame{v: w})
-				t.visit(w)
-				advanced = true
-				break
-			}
-		}
-		if !advanced {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				t.visit(stack[len(stack)-1].v)
-			}
-		}
-	}
-	// Sparse table over euler positions minimizing vertex depth.
-	m := len(t.euler)
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	t.lookup = make([][]int32, levels)
-	t.lookup[0] = make([]int32, m)
-	for i, v := range t.euler {
-		t.lookup[0][i] = int32(v)
-	}
+	t.lookup[0], cells = row, cells[t.n:]
 	for k := 1; k < levels; k++ {
-		span := 1 << k
-		row := make([]int32, m-span+1)
-		prev := t.lookup[k-1]
-		half := span / 2
+		prev, half := row, 1<<(k-1)
+		row, cells = cells[:t.n-2*half+1], cells[t.n-2*half+1:]
 		for i := range row {
-			a, b := prev[i], prev[i+half]
-			if t.depth[a] <= t.depth[b] {
-				row[i] = a
-			} else {
-				row[i] = b
-			}
+			row[i] = min(prev[i], prev[i+half])
 		}
 		t.lookup[k] = row
 	}
-}
-
-func (t *Tree) visit(v Vertex) {
-	if t.first[v] < 0 {
-		t.first[v] = len(t.euler)
-	}
-	t.euler = append(t.euler, v)
 }
 
 // N returns the number of vertices.
@@ -202,10 +200,13 @@ func (t *Tree) Depth(v Vertex) int { return t.depth[v] }
 
 // Adj returns the neighbors of v in ascending order. The returned slice is
 // shared; callers must not modify it.
-func (t *Tree) Adj(v Vertex) []Vertex { return t.adj[v] }
+func (t *Tree) Adj(v Vertex) []Vertex {
+	lo, hi := t.off[v], t.off[v+1]
+	return t.adj[lo:hi:hi]
+}
 
 // Degree returns the number of neighbors of v.
-func (t *Tree) Degree(v Vertex) int { return len(t.adj[v]) }
+func (t *Tree) Degree(v Vertex) int { return int(t.off[v+1] - t.off[v]) }
 
 // Edges returns all edges as (parent, child) pairs, ordered by child vertex.
 func (t *Tree) Edges() []Edge {
@@ -236,17 +237,17 @@ func (t *Tree) EdgeBetween(u, v Vertex) (EdgeID, bool) {
 
 // LCA returns the lowest common ancestor of u and v in the rooting at 0.
 func (t *Tree) LCA(u, v Vertex) Vertex {
-	a, b := t.first[u], t.first[v]
+	if u == v {
+		return u
+	}
+	a, b := t.pos[u], t.pos[v]
 	if a > b {
 		a, b = b, a
 	}
-	k := bits.Len(uint(b-a+1)) - 1 // the largest k with 2^k ≤ b-a+1
-	x := t.lookup[k][a]
-	y := t.lookup[k][b-(1<<k)+1]
-	if t.depth[x] <= t.depth[y] {
-		return int(x)
-	}
-	return int(y)
+	a++                                // the span a..b holds a child of the LCA
+	k := bits.Len64(uint64(b-a+1)) - 1 // the largest k with 2^k ≤ b-a+1
+	row := t.lookup[k]
+	return int(uint32(min(row[a], row[b-1<<k+1])))
 }
 
 // Dist returns the number of edges on the unique path between u and v.

@@ -44,23 +44,36 @@ func Fig6Edges() []Edge {
 	}
 }
 
+// TestNewTreeValidation pins the error of every invalid input, the text
+// included.
 func TestNewTreeValidation(t *testing.T) {
 	tests := []struct {
 		name  string
 		n     int
 		edges []Edge
+		want  string
 	}{
-		{"zero vertices", 0, nil},
-		{"wrong edge count", 3, []Edge{{0, 1}}},
-		{"self loop", 2, []Edge{{0, 0}}},
-		{"out of range", 2, []Edge{{0, 5}}},
-		{"disconnected cycle plus isolated", 4, []Edge{{0, 1}, {1, 2}, {2, 0}}},
-		{"two components", 4, []Edge{{0, 1}, {2, 3}, {0, 1}}},
+		{"zero vertices", 0, nil, "graph: tree must have at least one vertex, got 0"},
+		{"negative vertices", -3, nil, "graph: tree must have at least one vertex, got -3"},
+		{"wrong edge count", 3, []Edge{{0, 1}}, "graph: tree over 3 vertices needs 2 edges, got 1"},
+		{"too many edges", 2, []Edge{{0, 1}, {1, 0}}, "graph: tree over 2 vertices needs 1 edges, got 2"},
+		{"self loop", 2, []Edge{{0, 0}}, "graph: self-loop at vertex 0"},
+		{"out of range", 2, []Edge{{0, 5}}, "graph: edge (0,5) out of range [0,2)"},
+		{"negative vertex", 2, []Edge{{-1, 0}}, "graph: edge (-1,0) out of range [0,2)"},
+		{"range before self loop", 3, []Edge{{0, 1}, {3, 3}}, "graph: edge (3,3) out of range [0,3)"},
+		{"first bad edge", 3, []Edge{{2, 2}, {0, 9}}, "graph: self-loop at vertex 2"},
+		{"disconnected cycle plus isolated", 4, []Edge{{0, 1}, {1, 2}, {2, 0}}, "graph: tree is not connected"},
+		{"two components", 4, []Edge{{0, 1}, {2, 3}, {0, 1}}, "graph: tree is not connected"},
+		{"duplicate edge", 3, []Edge{{1, 2}, {2, 1}}, "graph: tree is not connected"},
+		// Past 2^30 vertices NewTree's int32 scratch would overflow; it
+		// refuses before allocating anything.
+		{"vertex limit", maxVertices + 1, nil, "graph: tree over 1073741824 vertices exceeds the limit of 1073741823"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewTree(tc.n, tc.edges); err == nil {
-				t.Fatalf("NewTree(%d, %v) succeeded, want error", tc.n, tc.edges)
+			_, err := NewTree(tc.n, tc.edges)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("NewTree(%d, %v) = %v, want %q", tc.n, tc.edges, err, tc.want)
 			}
 		})
 	}

@@ -166,10 +166,7 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, err := engine.BuildTreeItemsLayered(m, layered)
-	if err != nil {
-		return nil, err
-	}
+	items := engine.DemandItems(m.Demands, layered) // in.build validated m
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
@@ -252,8 +249,8 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		arrivals = append(arrivals, d)
 	}
 	// Items are built by the same function as a from-scratch build
-	// (BuildTreeItemsLayered), so the incremental path cannot drift from
-	// it. Apply assigns the item ids.
+	// (Solver.Session's and Solver.Solve's), so the incremental path
+	// cannot drift from it. Apply assigns the item ids.
 	add := engine.DemandItems(arrivals, sess.layered)
 
 	// Departures: every item (one per accessible network) of each removed

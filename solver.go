@@ -109,10 +109,7 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, err := engine.BuildTreeItemsLayered(m, layered)
-	if err != nil {
-		return nil, err
-	}
+	items := engine.DemandItems(m.Demands, layered) // in.build validated m
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
