@@ -142,9 +142,9 @@ func BenchmarkEngineShardedFleet(b *testing.B) {
 // fleets of 16, 64 and 256 networks (fleetChurn: 256-vertex trees, 48
 // pinned demands per network), at Parallelism 1 and ε 0.1, so that its
 // rows show how a round grows with the fleet at fixed churn. Every round's
-// churn is built, and 50 warm-up rounds run, before the timer starts; the
-// compaction rounds that come every 2·items+64 arrivals are timed too.
-// Besides the mean (ns/op) it reports the median round as p50-ns.
+// churn is built, and 50 warm-up rounds run, before the timer starts, so
+// every timed arrival takes a slot a departure freed. Besides the mean
+// (ns/op) it reports the median round as p50-ns.
 func BenchmarkSessionRoundFleet(b *testing.B) {
 	for _, nets := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("nets=%d", nets), func(b *testing.B) {

@@ -377,7 +377,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			"items":               st.Session.Items,
 			"updates":             st.Session.Updates,
 			"solves":              st.Session.Solves,
-			"accreted":            st.Session.Accreted,
 			"reprepares":          st.Session.Reprepares,
 			"last_removed":        st.Session.LastRemoved,
 			"last_added":          st.Session.LastAdded,

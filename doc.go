@@ -78,10 +78,12 @@
 // decomposition and the relabeling cost only the components the churn
 // reached. A Session whose
 // last decomposition found one component (a contended instance) skips the
-// pass and solves serially at every Parallelism until a re-prepare: one
-// shard would be the serial execution plus a merge, and repeating the pass
-// every round to find one component again made contended rounds at
-// Parallelism 2 take 1.4–2.7 times as long as at Parallelism 1.
+// pass and solves serially at every Parallelism until its Updates have
+// added more than 2·items+64 items since that pass: one shard would be the
+// serial execution plus a merge, and repeating the pass every round to
+// find one component again made contended rounds at Parallelism 2 take
+// 1.4–2.7 times as long as at Parallelism 1. The expiry makes a Session
+// that grew into many components look at them again after O(items) churn.
 //
 // Every other solve is cold: Solver.Solve, the package-level Solve and
 // SolveLine, both §6 height classes, and the engine solve under Simulate. A
@@ -136,19 +138,20 @@
 // together hold at most two int32 cells per path entry they index, the
 // bytes of the entries' own EdgeKeys; a key past that budget (a line slot
 // id is any int the caller picks) converts the interner once to a map,
-// keeping every index. Demand and owner ids go through
-// internal/model.IDInterner: a cold build's ids are 0..m−1 in order, so the
-// slot is the id, and the first other id (a shard's or a compacted
-// Session's sparse ids) converts it once to a map. The invariants that
-// keep the three executions — serial engine, sharded pipeline,
-// message-passing simulation — bitwise equal are unchanged: indices are a
-// pure storage relabeling (each execution owns its own index scope; values
-// merge and compare by external key), the arithmetic applies the same
-// deltas to the same logical variables in the same order as the map-backed
-// representation (asserted by a shadow-replay determinism suite), and the
-// dual objective adds its values exactly and rounds once, so its bits
-// depend on neither slot numbering nor order (pinned against a math/big sum
-// by an oracle test and two fuzz targets).
+// keeping every index. Demand ids go through internal/model.IDInterner,
+// and a demand's slot also names its processor, the paper's one owner per
+// demand, whose priority stream its items draw from: a cold build's ids
+// are 0..m−1 in order, so the slot is the id, and the first other id or
+// the first freed slot (a Session's first departure) converts it once to a
+// map. The invariants that keep the three executions — serial engine,
+// sharded pipeline, message-passing simulation — bitwise equal are
+// unchanged: indices are a pure storage relabeling (each execution owns
+// its own index scope; values merge and compare by external key), the
+// arithmetic applies the same deltas to the same logical variables in the
+// same order as the map-backed representation (asserted by a shadow-replay
+// determinism suite), and the dual objective adds its values exactly and
+// rounds once, so its bits depend on neither slot numbering nor order
+// (pinned against a math/big sum by an oracle test and two fuzz targets).
 //
 // Luby election priorities come from per-owner splitmix64 streams
 // (engine.NewStream), replacing the earlier math/rand sources whose
@@ -183,13 +186,17 @@
 //   - the item slice: survivors stranded past the new length compact down
 //     into freed slots, arrivals fill the remaining slots and append —
 //     every id stays equal to its position;
-//   - the dense layout, monotonically: arrivals intern at the end, and
-//     departures leave stale slots behind. A stale slot holds zero in
-//     every fresh per-run assignment and is referenced by no view, so it
-//     cannot influence a raise, a satisfaction test, or the dual objective
-//     (an exact sum, which skips zeros). Arrivals take the next demand ids
-//     in order, so demand slots stay the identity until a compaction
-//     re-prepares the set;
+//   - the dense layout: a demand whose last item departs frees its slot,
+//     the next arriving demand takes the most recently freed one, and the
+//     rest intern at the end, so a Session holds no more demand slots than
+//     the most live demands a round has seen (those before it plus its
+//     arrivals), however long it runs. Edge indices are never freed, at
+//     most one per tree edge. A slot no view references holds zero in
+//     every fresh per-run assignment, so it cannot influence a raise, a
+//     satisfaction test, or the dual objective (an exact sum, which skips
+//     zeros), and shard layouts are numbered from their items' order, so
+//     no slot numbering reaches a result. Demand slots stay the identity
+//     until the first departure frees one;
 //   - the member lists of exactly the groups the churn reached: they filter
 //     out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is
@@ -209,16 +216,15 @@
 // networks where a round churns one network the gap is about 20x
 // (BenchmarkApplyDeltaFleet vs BenchmarkPrepareColdFleet).
 //
-// Sessions are observable: Session.Stats reports the live set size, the
-// stale-slot accretion since the last full preparation, the compaction
-// re-prepare count, and the last delta's size — the counters an operator
-// watches to confirm a long-lived session's footprint stays proportional
-// to its live set. Update is atomic (a batch with one invalid arrival or
-// removal rejects as a whole, with no partial churn and no burned ids),
-// and Session.SolveWithItems returns the solve result together with an
-// immutable view of the item set it was computed from and a copy of the
-// live demand ids (ascending), captured under one lock acquisition — the
-// epoch-consistency primitive concurrent readers build on. Its second
+// A Session keeps one prepared state for its whole life. Sessions are
+// observable: Session.Stats reports the live set size, its item count, the
+// last delta's size and the warm-cache counters below. Update is atomic
+// (a batch with one invalid arrival or removal rejects as a whole, with no
+// partial churn and no burned ids), and Session.SolveWithItems returns the
+// solve result together with an immutable view of the item set it was
+// computed from and a copy of the live demand ids (ascending), captured
+// under one lock acquisition — the epoch-consistency primitive concurrent
+// readers build on. Its second
 // result is an engine.ItemsView, no longer an item slice: the engine keeps
 // a base copy of the items and a log of the writes each Update makes after
 // it, so a view costs O(1) and copies items only to take a fresh base once
@@ -279,10 +285,11 @@
 //     whose groups changed is still closed, so churn cannot reach it
 //     without touching it);
 //   - a configuration change (different Options, ε, seed, mode, or trace
-//     setting) misses the cache by key and re-solves everything;
-//   - a re-prepare — Session compaction when stale interned slots
-//     outgrow the live set, or any fresh Prepare — discards the cache
-//     wholesale with the Prepared that owned it; the next solve is cold.
+//     setting) misses the cache by key and re-solves everything, which
+//     includes a profit range or ∆ that churn moved (they set the step cap
+//     and ξ);
+//   - a fresh Prepare starts with an empty cache; a Session prepares once,
+//     so its first solve is its only cold one while the key holds.
 //
 // Session.Stats reports the cache's behavior: WarmSolves/ColdSolves count
 // rounds that hit the sharded replay path versus rounds solved from zero

@@ -40,3 +40,11 @@ func EngineInput(in *Instance, opts Options) ([]engine.Item, engine.Config, erro
 	items, err := engine.BuildTreeItemsLayered(m, layered)
 	return items, s.opts.engineConfig(), err
 }
+
+// SessionDemandSlots exposes the number of demand slots of the session's
+// prepared layout, freed ones included, to the external test package.
+func SessionDemandSlots(sess *Session) int {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.p.DemandSlots()
+}

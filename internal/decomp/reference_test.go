@@ -69,6 +69,34 @@ func TestBalancingMatchesReference(t *testing.T) {
 	}
 }
 
+// rootFixingBFS is the plain reference for RootFixing(tr, 0): a BFS from
+// vertex 0 gives each vertex it reaches its parent, a depth one below the
+// parent's, and the pivot set {parent}.
+func rootFixingBFS(tr *graph.Tree) *decomp.TreeDecomposition {
+	n := tr.N()
+	h := &decomp.TreeDecomposition{
+		T: tr, Parent: make([]graph.Vertex, n), Depth: make([]int, n), Pivot: make([][]graph.Vertex, n),
+	}
+	h.Parent[0], h.Depth[0] = -1, 1
+	seen := make([]bool, n)
+	seen[0] = true
+	for queue := []graph.Vertex{0}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		for _, w := range tr.Adj(v) {
+			if !seen[w] {
+				seen[w] = true
+				h.Parent[w], h.Depth[w], h.Pivot[w] = v, h.Depth[v]+1, []graph.Vertex{v}
+				queue = append(queue, w)
+			}
+		}
+	}
+	return h
+}
+
+func TestRootFixingMatchesReference(t *testing.T) {
+	matchesReference(t, func(tr *graph.Tree) *decomp.TreeDecomposition { return decomp.RootFixing(tr, 0) }, rootFixingBFS)
+}
+
 // FuzzIdealMatchesReference compares Ideal, and Balancing, which shares
 // its construction, with the recursive reference on random trees of up to
 // 512 vertices.

@@ -171,20 +171,3 @@ func equalVertexSets(a, b []graph.Vertex) bool {
 	}
 	return reflect.DeepEqual(a, b)
 }
-
-// computeDepths fills Depth from Parent/Root.
-func (h *TreeDecomposition) computeDepths() {
-	n := len(h.Parent)
-	h.Depth = make([]int, n)
-	ch := h.Children()
-	h.Depth[h.Root] = 1
-	stack := []graph.Vertex{h.Root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range ch[v] {
-			h.Depth[w] = h.Depth[v] + 1
-			stack = append(stack, w)
-		}
-	}
-}

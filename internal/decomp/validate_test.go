@@ -115,3 +115,20 @@ func TestComponentAndChildren(t *testing.T) {
 		}
 	}
 }
+
+// computeDepths fills Depth from Parent/Root.
+func (h *TreeDecomposition) computeDepths() {
+	n := len(h.Parent)
+	h.Depth = make([]int, n)
+	ch := h.Children()
+	h.Depth[h.Root] = 1
+	stack := []graph.Vertex{h.Root}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range ch[v] {
+			h.Depth[w] = h.Depth[v] + 1
+			stack = append(stack, w)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"fmt"
-	"maps"
 	"slices"
 
 	"treesched/internal/engine"
@@ -37,10 +35,10 @@ type runContext struct {
 	// is the §2 conflict relation.
 	edgeMembers [][]int32
 
-	itemNode  []int32   // item id -> owning node
-	nodeItems [][]int32 // node -> own item ids, ascending
-	nodeOwner []int     // node -> external owner id (PRNG stream seeding)
-	topology  [][]int   // node -> neighbor node ids, sorted ascending
+	itemNode   []int32   // item id -> owning node
+	nodeItems  [][]int32 // node -> own item ids, ascending
+	nodeDemand []int     // node -> its demand's external id (PRNG stream seeding)
+	topology   [][]int   // node -> neighbor node ids, sorted ascending
 	// targets[x] lists, for item x, the positions (into the owner's sorted
 	// topology row) of the neighbors holding an item conflicting with x —
 	// the recipients of x's draws and raise announcements.
@@ -58,9 +56,9 @@ type runContext struct {
 }
 
 // buildContext projects the prepared global layout onto the processor
-// model: one node per demand owner, validated as a bijection exactly as the
-// paper's model requires.
-func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, budget int) (*runContext, error) {
+// model: one node per demand, as the paper's model has one processor per
+// demand (§2).
+func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, budget int) *runContext {
 	items := prep.Items()
 	ctx := &runContext{
 		mode:       cfg.Mode,
@@ -75,36 +73,23 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 	_, ctx.edgeMembers = prep.Members()
 	ctx.lastRound = ScheduleLength(ctx.totalSteps, budget) - 1
 
-	// Owner/demand bijection (§2: one processor per demand, one demand per
-	// processor); nodes are ordered by ascending owner id.
-	demandOwner := make(map[int]int)
-	ownerDemand := make(map[int]int)
+	// Nodes are ordered by ascending demand id.
+	m := len(items)
+	ctx.nodeDemand = make([]int, m)
 	for i := range items {
-		it := &items[i]
-		if prev, ok := demandOwner[it.Demand]; ok && prev != it.Owner {
-			return nil, fmt.Errorf("dist: demand %d owned by both processor %d and %d", it.Demand, prev, it.Owner)
-		}
-		if prev, ok := ownerDemand[it.Owner]; ok && prev != it.Demand {
-			return nil, fmt.Errorf("dist: processor %d owns both demand %d and %d; the model has one demand per processor", it.Owner, prev, it.Demand)
-		}
-		demandOwner[it.Demand] = it.Owner
-		ownerDemand[it.Owner] = it.Demand
+		ctx.nodeDemand[i] = items[i].Demand
 	}
-	ctx.nodeOwner = slices.Sorted(maps.Keys(ownerDemand))
-	n := len(ctx.nodeOwner)
-	ownerNode := make(map[int]int32, n)
-	for idx, o := range ctx.nodeOwner {
-		ownerNode[o] = int32(idx)
-	}
+	slices.Sort(ctx.nodeDemand)
+	ctx.nodeDemand = slices.Compact(ctx.nodeDemand)
+	n := len(ctx.nodeDemand)
 
 	// Ownership rows: items are scanned in id order, so each node's row is
 	// ascending by construction.
-	m := len(items)
 	ctx.itemNode = make([]int32, m)
 	counts := make([]int32, n)
 	for i := range items {
-		nd := ownerNode[items[i].Owner]
-		ctx.itemNode[i] = nd
+		nd, _ := slices.BinarySearch(ctx.nodeDemand, items[i].Demand)
+		ctx.itemNode[i] = int32(nd)
 		counts[nd]++
 	}
 	ctx.nodeItems = fillRows32(counts, func(emit func(node int32, v int32)) {
@@ -116,7 +101,7 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 	ctx.buildTopology(n)
 	ctx.buildLocalViews(n)
 	ctx.accountShared()
-	return ctx, nil
+	return ctx
 }
 
 // fillRows32 builds [][]int32 rows over a single arena: counts gives each
@@ -145,8 +130,7 @@ func fillRows32(counts []int32, fill func(emit func(node int32, v int32))) [][]i
 // neighbor of the other (the §2 conflict graph projected onto processors):
 // exactly the pairs that ever need to exchange messages. The neighbors are
 // the owners of the other members of the item's edge groups. Its demand
-// group adds none, because the owner/demand bijection puts every item of a
-// demand on one node. Targets are finally stored as positions into the
+// group adds none, because every item of a demand is on its demand's node. Targets are finally stored as positions into the
 // owner's topology row (the per-neighbor outbox bucket); their order is
 // immaterial, since each target receives one entry per item.
 func (ctx *runContext) buildTopology(n int) {
@@ -310,7 +294,7 @@ func (ctx *runContext) conflict(x, w int32) bool {
 // engine-owned items, views and member lists are accounted to the
 // Prepared, not here).
 func (ctx *runContext) accountShared() {
-	b := int64(len(ctx.itemNode))*4 + int64(len(ctx.nodeOwner))*8
+	b := int64(len(ctx.itemNode))*4 + int64(len(ctx.nodeDemand))*8
 	b += rowBytes32(ctx.nodeItems) + rowBytes32(ctx.targets) + rowBytes32(ctx.nodeEdges)
 	for _, r := range ctx.topology {
 		b += int64(sliceHeaderBytes) + int64(len(r))*8

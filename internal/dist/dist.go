@@ -123,10 +123,7 @@ func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, err
 		tok = rec.StartSpan(engine.PhaseDistSetup)
 	}
 	prep := engine.Prepare(items)
-	ctx, err := buildContext(prep, cfg, plan, budget)
-	if err != nil {
-		return nil, err
-	}
+	ctx := buildContext(prep, cfg, plan, budget)
 	nodes := ctx.newNodes()
 	res.Processors = len(nodes)
 

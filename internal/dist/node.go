@@ -59,7 +59,7 @@ type node struct {
 // newNodes constructs the processor nodes over the shared context. Each
 // node's dual is dense over its local edge numbering — no interning maps,
 // no index — and its PRNG stream is seeded from the run seed and its
-// external owner id, exactly as the engine derives per-owner streams, so
+// demand's external id, exactly as the engine derives per-demand streams, so
 // draws coincide.
 func (ctx *runContext) newNodes() []*node {
 	nodes := make([]*node, len(ctx.nodeItems))
@@ -73,7 +73,7 @@ func (ctx *runContext) newNodes() []*node {
 			edges:     ctx.nodeEdges[i],
 			neighbors: ctx.topology[i],
 			core:      engine.Core{Mode: ctx.mode, Dual: dual.NewDense(1, len(ctx.nodeEdges[i]))},
-			rng:       engine.NewStream(ctx.seed, ctx.nodeOwner[i]),
+			rng:       engine.NewStream(ctx.seed, ctx.nodeDemand[i]),
 			drawOut:   make([]drawPayload, deg),
 			raiseOut:  make([]raisePayload, deg),
 		}

@@ -51,8 +51,10 @@ const Tolerance = 1e-9
 // space is dense: demand ids through a model.IDInterner, whose slots are
 // the ids themselves on a cold build, and edge keys through a sized
 // model.EdgeInterner's per-network tables. A side whose keys are sparse —
-// shard layouts, compacted Sessions, edge keys past the tables' budget, or
-// an unsized index's edges — converts to a map and keeps every slot.
+// a Session's demands once the first departure frees a slot, edge keys
+// past the tables' budget, or an unsized index's edges — converts to a map
+// and keeps every slot. A released demand slot goes to the next new
+// demand id; edge indices are never released.
 type Index struct {
 	demands model.IDInterner
 	edges   *model.EdgeInterner
@@ -87,7 +89,17 @@ func (ix *Index) DemandSlot(id int) (int32, bool) { return ix.demands.Lookup(id)
 // DemandID returns the external demand id of a slot.
 func (ix *Index) DemandID(slot int32) int { return ix.demands.ID(slot) }
 
-// NumDemands returns the number of interned demands.
+// DemandIDs returns the demand ids in slot order: the interner's backing
+// array, which a reused slot rewrites in place. Callers must not mutate
+// it.
+func (ix *Index) DemandIDs() []int { return ix.demands.IDs() }
+
+// ReleaseDemand frees a demand slot for the next new demand id. The caller
+// guarantees that no view still addresses it.
+func (ix *Index) ReleaseDemand(slot int32) { ix.demands.Release(slot) }
+
+// NumDemands returns the number of demand slots, freed ones included: the
+// α extent.
 func (ix *Index) NumDemands() int { return ix.demands.Len() }
 
 // Edge returns the dense index of an edge key, interning it when new.
@@ -325,8 +337,9 @@ func (a *Assignment) AddBetaOf(k model.EdgeKey, v float64) {
 // slotMap[s] (resp. edgeMap[i]) is the slot in a's index holding the same
 // external demand (edge) as src's slot s (index i). The sharded engine
 // assembles its global dual this way, on request: each component's tables
-// are built when it is relabeled and stay valid because interning is
-// append-only, replacing the per-entry key lookups of AddAlphaOf/AddBetaOf.
+// are built when it is relabeled and name the same keys until the next
+// Apply, which may give a departed demand's slot to an arrival, replacing
+// the per-entry key lookups of AddAlphaOf/AddBetaOf.
 func (a *Assignment) MergeSlots(src *Assignment, slotMap, edgeMap []int32) {
 	for s, v := range src.alpha {
 		if v != 0 {

@@ -12,11 +12,13 @@ import (
 
 // oracleIndex is the map-backed Index the per-network tables and identity
 // slots replaced, kept as the oracle: demand ids and edge keys intern
-// through maps in first-seen order, and the objective is the math/big sum
-// of every value, exact at 2,200 bits and rounded once.
+// through maps in first-seen order, a new demand id taking the most
+// recently released slot first, and the objective is the math/big sum of
+// every value, exact at 2,200 bits and rounded once.
 type oracleIndex struct {
 	demandSlot map[int]int32
 	demandIDs  []int
+	freed      []int32 // released demand slots, the most recent last
 	edgeSlot   map[model.EdgeKey]int32
 	edgeKeys   []model.EdgeKey
 }
@@ -29,10 +31,22 @@ func (o *oracleIndex) demand(id int) int32 {
 	if s, ok := o.demandSlot[id]; ok {
 		return s
 	}
+	if k := len(o.freed) - 1; k >= 0 {
+		s := o.freed[k]
+		o.freed = o.freed[:k]
+		o.demandSlot[id], o.demandIDs[s] = s, id
+		return s
+	}
 	s := int32(len(o.demandIDs))
 	o.demandSlot[id] = s
 	o.demandIDs = append(o.demandIDs, id)
 	return s
+}
+
+// live reports whether demand slot s holds an interned id.
+func (o *oracleIndex) live(s int32) bool {
+	got, ok := o.demandSlot[o.demandIDs[s]]
+	return ok && got == s
 }
 
 func (o *oracleIndex) edge(k model.EdgeKey) int32 {
@@ -69,7 +83,9 @@ func bigSum(terms []float64) float64 {
 //     stay 0, 1, 2, … with repeats, as on a cold build);
 //   - bits 1–2: edge keys on dense networks with small edge ids, on sparse
 //     networks with edge ids anywhere in 32 bits, a mix of the two, or
-//     dense with the odd negative network id.
+//     dense with the odd negative network id;
+//   - bit 3: demand slots are released at random, as Apply releases a
+//     departed demand's, and later ids take them.
 //
 // pathEntries sizes the index (0 = unsized, so its edge side starts as the
 // map). Assignments are created between internings, so Value runs over
@@ -87,6 +103,7 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
 		breakAt = rng.Intn(64)
 	}
 	edgeShape := (shape >> 1) & 3
+	release := shape&8 != 0
 	randomKey := func() model.EdgeKey {
 		dense := model.MakeEdgeKey(rng.Intn(4), rng.Intn(64))
 		sparse := model.MakeEdgeKey(rng.Intn(1<<16), int(rng.Uint32()))
@@ -120,7 +137,7 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
 	value := func() float64 { return rng.Float64() * math.Pow(10, float64(rng.Intn(24)-12)) }
 	var as []*Assignment
 	for op := 0; op < 400; op++ {
-		switch r := rng.Intn(16); {
+		switch r := rng.Intn(18); {
 		case r < 5: // intern a demand id
 			id := rng.Intn(o.nextID() + 1)
 			if breakAt >= 0 && op >= breakAt && rng.Intn(4) == 0 {
@@ -163,12 +180,27 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
 			if len(a.beta) > 0 {
 				a.beta[rng.Intn(len(a.beta))] += value()
 			}
-		default: // score every assignment, old extents included
+		case r < 16: // score every assignment, old extents included
 			for n, a := range as {
 				got, want := a.Value(), o.value(a.alpha, a.beta)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("op %d: assignment %d (extent %d/%d): Value %v, oracle %v", op, n, len(a.alpha), len(a.beta), got, want)
 				}
+			}
+		default: // release a live demand slot; its id's lookup must miss
+			if !release || len(o.demandIDs) == 0 {
+				continue
+			}
+			s := int32(rng.Intn(len(o.demandIDs)))
+			if !o.live(s) {
+				continue
+			}
+			id := o.demandIDs[s]
+			ix.ReleaseDemand(s)
+			delete(o.demandSlot, id)
+			o.freed = append(o.freed, s)
+			if got, ok := ix.DemandSlot(id); ok {
+				t.Fatalf("op %d: released demand %d still looks up to slot %d", op, id, got)
 			}
 		}
 	}
@@ -176,7 +208,7 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
 		t.Fatalf("extents %d/%d, oracle %d/%d", ix.NumDemands(), ix.NumEdges(), len(o.demandIDs), len(o.edgeKeys))
 	}
 	for s, id := range o.demandIDs {
-		if got := ix.DemandID(int32(s)); got != id {
+		if got := ix.DemandID(int32(s)); o.live(int32(s)) && got != id {
 			t.Fatalf("DemandID(%d) = %d, oracle %d", s, got, id)
 		}
 	}
@@ -193,10 +225,11 @@ func (o *oracleIndex) nextID() int { return len(o.demandIDs) }
 // TestIndexMatchesOracle pins the tabled and identity Index to the
 // map-backed oracle: every slot, every lookup answer and the bits of every
 // Value, over dense, sparse and mixed key spaces, identity broken at random
-// points or never, and indexes sized from far too small (converting early)
-// to roomy (staying tabled) as well as unsized.
+// points or never, demand slots released and reused or never, and indexes
+// sized from far too small (converting early) to roomy (staying tabled) as
+// well as unsized.
 func TestIndexMatchesOracle(t *testing.T) {
-	for shape := 0; shape < 8; shape++ {
+	for shape := 0; shape < 16; shape++ {
 		for _, entries := range []int{0, 1, 8, 64, 4096} {
 			for seed := int64(0); seed < 12; seed++ {
 				indexSequence(t, seed*131+int64(shape)*17+int64(entries), entries, shape)
@@ -210,6 +243,7 @@ func FuzzIndexMatchesOracle(f *testing.F) {
 	f.Add(int64(2), uint16(64), uint8(1))
 	f.Add(int64(3), uint16(4096), uint8(4))
 	f.Add(int64(4), uint16(8), uint8(7))
+	f.Add(int64(5), uint16(64), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, entries uint16, shape uint8) {
 		indexSequence(t, seed, int(entries), int(shape))
 	})

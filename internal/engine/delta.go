@@ -21,14 +21,19 @@ import (
 //     treated exactly like a removal at its old id plus an arrival at its
 //     new one, which keeps every patched member list sorted by
 //     construction (below);
-//   - the dense layout extends monotonically — removed items leave their
-//     interned demand slots and edge indices behind. Stale slots hold zero
-//     in every fresh per-run assignment and are referenced by no view, so
-//     they cannot influence any raise, satisfaction test, or the dual
-//     objective (Value is an exact sum that skips zeros, so no numbering of
-//     the slots reaches its bits). This is what makes incremental solve
-//     results bitwise identical to a from-scratch Prepare over the same item
-//     slice, even though the slot numbering differs;
+//   - the dense layout keeps one demand slot per live demand: a demand
+//     whose last item departs gives its slot back to the index, and the
+//     next new demand takes it, so the slots never outnumber the most
+//     live demands a delta has seen: those before it plus its arrivals.
+//     Removed items leave their edge indices behind, at most one per edge
+//     of the fixed network. A slot or index no view references holds zero
+//     in every fresh per-run assignment, so it cannot influence any raise,
+//     satisfaction test, or the dual objective (Value is an exact sum that
+//     skips zeros, so no numbering of the slots reaches its bits), and a
+//     shard layout is numbered from its items' order. This is what makes
+//     incremental solve results bitwise identical to a from-scratch
+//     Prepare over the same item slice, even though the slot numbering
+//     differs;
 //   - the group member lists — the whole conflict structure — are patched,
 //     not rebuilt. Only the groups of departed (removed or displaced) and
 //     arriving items change: they filter out departed ids (which preserves
@@ -142,8 +147,8 @@ func checkDelta(d Delta, n int, removed []bool) error {
 // Apply updates the prepared state to the post-churn item set. On error the
 // Prepared is unchanged. The resulting state is equivalent to Prepare over
 // the resulting Items() slice: identical member lists (up to the numbering
-// of stale slots), identical components, and bitwise-identical solve
-// results at every worker count.
+// of slots), identical components, and bitwise-identical solve results at
+// every worker count.
 //
 //schedvet:hot
 func (p *Prepared) Apply(d Delta) error {
@@ -223,19 +228,17 @@ func (p *Prepared) Apply(d Delta) error {
 		depart(m)
 	}
 
-	// Compact items, views and owner slots, then intern the additions.
+	// Compact items and views, then intern the additions.
 	for i, m := range movers {
 		h := free[i]
 		p.items[h] = p.items[m]
 		p.items[h].ID = h
 		p.logWrite(h)
 		lay.views[h] = lay.views[m]
-		lay.ownerSlot[h] = lay.ownerSlot[m]
 	}
 	if newN <= n {
 		p.items = p.items[:newN]
 		lay.views = lay.views[:newN]
-		lay.ownerSlot = lay.ownerSlot[:newN]
 	}
 	addSlots := free[len(movers):]
 	total := 0
@@ -252,15 +255,14 @@ func (p *Prepared) Apply(d Delta) error {
 		} else { // addSlots ascend, so appends arrive in position order
 			p.items = append(p.items, it)
 			lay.views = append(lay.views, ItemView{})
-			lay.ownerSlot = append(lay.ownerSlot, 0)
 		}
 		p.logWrite(id)
 		k := len(it.Edges) + len(it.Critical)
 		lay.views[id] = internItem(lay.ix, &p.items[id], slab[:k:k])
 		slab = slab[k:]
-		lay.ownerSlot[id] = lay.owners.Intern(it.Owner)
 	}
 	lay.sync()
+	p.added += len(d.Add)
 	if track {
 		// Every id in free holds an arrival, in no component yet.
 		compOf := p.compOf[:min(n, newN)]
@@ -355,9 +357,16 @@ func (p *Prepared) Apply(d Delta) error {
 		}
 	}
 
-	// Clear the marks for the next Apply.
+	// Clear the marks for the next Apply, and give back every demand slot
+	// whose member list the churn emptied. Only now, with the arrivals
+	// merged: a mover leaves its demand's list before it comes back under
+	// its new id, so an earlier release could give a live demand's slot to
+	// an arrival.
 	for _, s := range changedD {
 		dState[s] = untouched
+		if len(p.demandMembers[s]) == 0 {
+			lay.ix.ReleaseDemand(s)
+		}
 	}
 	for _, e := range changedE {
 		eState[e] = untouched

@@ -16,7 +16,7 @@ import (
 // The incremental-state suite: any sequence of Apply deltas must leave a
 // Prepared indistinguishable from Prepare over the same item slice —
 // identical member lists and components, a layout that maps every
-// item to the same external demand/edge/owner keys, member lists that match
+// item to the same external demand/edge keys, member lists that match
 // a recomputation from the items, and bitwise-identical solve results at
 // every worker count.
 
@@ -52,7 +52,8 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	scratch := Prepare(reindex(p.items))
 
 	// Member lists, group by group, matched through the external keys
-	// (slot numbering may differ from scratch: removals leave stale slots).
+	// (slot numbering may differ from scratch: departed demands' slots go
+	// to later arrivals, and removals leave stale edge indices).
 	for s, want := range scratch.demandMembers {
 		got, ok := p.lay.ix.DemandSlot(scratch.lay.ix.DemandID(int32(s)))
 		if !ok || !slices.Equal(p.demandMembers[got], want) {
@@ -81,17 +82,17 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	}
 	checkShardLayouts(t, p)
 
-	// Layout semantics: every view resolves to the item's external keys.
-	// (Slot numbering may differ from scratch: removals leave stale interned
-	// slots behind, which is invisible to every solve.)
+	// Layout semantics: every view resolves to the item's external keys,
+	// and its demand slot seeds the demand's stream. (Slot numbering may
+	// differ from scratch, which is invisible to every solve.)
 	for i := range p.items {
 		it := &p.items[i]
 		v := &p.lay.views[i]
 		if got := p.lay.ix.DemandID(v.Slot); got != it.Demand {
 			t.Fatalf("item %d: view demand %d, item demand %d", i, got, it.Demand)
 		}
-		if got := p.lay.owners.ID(p.lay.ownerSlot[i]); got != it.Owner {
-			t.Fatalf("item %d: view owner %d, item owner %d", i, got, it.Owner)
+		if got := p.lay.demandIDs[v.Slot]; got != it.Demand {
+			t.Fatalf("item %d: stream demand %d, item demand %d", i, got, it.Demand)
 		}
 		if v.Profit != it.Profit || v.Height != it.Height {
 			t.Fatalf("item %d: view profit/height diverged", i)
@@ -124,6 +125,13 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	for s := range p.demandMembers {
 		if !slices.Equal(p.demandMembers[s], wantD[int32(s)]) {
 			t.Fatalf("demand group %d members %v, want %v", s, p.demandMembers[s], wantD[int32(s)])
+		}
+		// A slot without members is free: its last demand's lookup no
+		// longer leads to it.
+		if len(p.demandMembers[s]) == 0 {
+			if got, ok := p.lay.ix.DemandSlot(p.lay.ix.DemandID(int32(s))); ok && got == int32(s) {
+				t.Fatalf("demand slot %d has no members but still holds demand %d", s, p.lay.ix.DemandID(int32(s)))
+			}
 		}
 	}
 	for e := range p.edgeMembers {
@@ -200,17 +208,17 @@ func shardItems(p *Prepared, sh *preShard) []Item {
 }
 
 // checkShardLayouts checks every shard of p against buildLayout over the
-// shard's items: relabel must number demand slots, edge indices and owner
-// slots exactly as interning would, and its translations must lead each
-// local slot and edge index back to the global one of the same key.
+// shard's items: relabel must number demand slots and edge indices exactly
+// as interning would, read each slot's demand id through its translation,
+// and its translations must lead each local slot and edge index back to
+// the global one of the same key.
 func checkShardLayouts(t *testing.T, p *Prepared) {
 	t.Helper()
 	for s, sh := range p.shards {
 		want := buildLayout(shardItems(p, sh), new(planStats))
 		got := sh.lay
-		if got.demands != want.demands || got.edges != want.edges ||
-			!slices.Equal(got.ownerIDs, want.ownerIDs) || !slices.Equal(got.ownerSlot, want.ownerSlot) {
-			t.Fatalf("shard %d: layout extents or owners diverge from interning", s)
+		if got.demands != want.demands || got.edges != want.edges || !slices.Equal(got.demandIDs, want.demandIDs) {
+			t.Fatalf("shard %d: layout extents or demand ids diverge from interning", s)
 		}
 		for i := range want.views {
 			g, w := &got.views[i], &want.views[i]
@@ -422,7 +430,7 @@ func extremeItems() []Item {
 	for i := range items {
 		a := i + i/4
 		items[i] = Item{
-			ID: i, Demand: i, Owner: i, Group: 1 + i%2, Profit: float64(2 + i%5), Height: 1,
+			ID: i, Demand: i, Group: 1 + i%2, Profit: float64(2 + i%5), Height: 1,
 			Edges: []model.EdgeKey{e(a), e(a + 1)}, Critical: []model.EdgeKey{e(a)},
 		}
 	}
@@ -446,8 +454,8 @@ func TestApplyPlanStatsExtremes(t *testing.T) {
 	e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
 	// Arrivals on the chains' edges, inside every range.
 	arrivals := []Item{
-		{Demand: 100, Owner: 100, Group: 1, Profit: 3.5, Height: 1, Edges: []model.EdgeKey{e(0), e(1)}, Critical: []model.EdgeKey{e(1)}},
-		{Demand: 101, Owner: 101, Group: 2, Profit: 4.5, Height: 1, Edges: []model.EdgeKey{e(11), e(12)}, Critical: []model.EdgeKey{e(11)}},
+		{Demand: 100, Group: 1, Profit: 3.5, Height: 1, Edges: []model.EdgeKey{e(0), e(1)}, Critical: []model.EdgeKey{e(1)}},
+		{Demand: 101, Group: 2, Profit: 4.5, Height: 1, Edges: []model.EdgeKey{e(11), e(12)}, Critical: []model.EdgeKey{e(11)}},
 	}
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 2}
 	for _, tc := range []struct {
@@ -511,7 +519,7 @@ func sameItems(t *testing.T, tag string, got, want []Item) {
 	}
 	for i := range want {
 		g, w := &got[i], &want[i]
-		if g.ID != w.ID || g.Demand != w.Demand || g.Owner != w.Owner || g.Resource != w.Resource || g.Group != w.Group ||
+		if g.ID != w.ID || g.Demand != w.Demand || g.Resource != w.Resource || g.Group != w.Group ||
 			math.Float64bits(g.Profit) != math.Float64bits(w.Profit) || math.Float64bits(g.Height) != math.Float64bits(w.Height) ||
 			!slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Critical, w.Critical) {
 			t.Fatalf("%s: item %d is %+v, want %+v", tag, i, *g, *w)

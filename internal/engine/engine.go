@@ -4,12 +4,12 @@
 // narrow-instance rule (§6.1).
 //
 // The engine is written over abstract Items (demand instance id, demand id,
-// owning processor, resource, edge set, critical set π, group index, profit,
-// height), so tree networks, line networks, and windows all reduce to the
-// same code: the decomposition packages produce Items, the engine schedules
-// them. It runs in-process but follows the distributed schedule exactly —
-// package dist executes the same schedule over a message-passing simulator
-// and produces bit-identical results for identical seeds.
+// resource, edge set, critical set π, group index, profit, height), so tree
+// networks, line networks, and windows all reduce to the same code: the
+// decomposition packages produce Items, the engine schedules them. It runs
+// in-process but follows the distributed schedule exactly — package dist
+// executes the same schedule over a message-passing simulator and produces
+// bit-identical results for identical seeds.
 package engine
 
 import (
@@ -60,8 +60,7 @@ const (
 // Item is one demand instance as seen by the framework.
 type Item struct {
 	ID       int // dense index into the item slice
-	Demand   int // mutual-exclusion group: at most one instance per demand
-	Owner    int // owning processor (= demand id in the paper's model)
+	Demand   int // mutual-exclusion group, and its owning processor: one per demand (§2)
 	Resource int // tree-network / line resource id
 	Group    int // layered-decomposition group, 1-based; group 1 raises first
 	Profit   float64
@@ -107,10 +106,12 @@ type Trace struct {
 type Result struct {
 	Selected []int   // item IDs chosen by the second phase, ascending
 	Profit   float64 // Σ profit of selected items
-	// Dual is the final dual assignment of a serial solve. A sharded solve
-	// (a warm-start Prepared's, parallel.go) scores the dual per component
-	// and leaves Dual nil; the engine's tests assemble it on request
-	// through MergedDual.
+	// Dual is the final dual assignment of a serial solve, over the
+	// Prepared's index: its demand slots name their demands until the next
+	// Apply, which may give a departed demand's slot to an arrival. A
+	// sharded solve (a warm-start Prepared's, parallel.go) scores the dual
+	// per component and leaves Dual nil; the engine's tests assemble it on
+	// request through MergedDual.
 	Dual   *dual.Assignment
 	Lambda float64 // measured slackness min LHS/p over all items
 	Bound  float64 // weak-duality upper bound on Opt: Value/λ
@@ -158,8 +159,9 @@ type scanWork struct{ rows, betas int }
 // traces — is allocated elsewhere, so returning a scratch to the pool while
 // the Result lives is safe.
 type solveScratch struct {
-	// streams holds one splitmix64 priority stream per owner slot, re-seeded
-	// by newState exactly as the dist nodes seed theirs (NewStream).
+	// streams holds one splitmix64 priority stream per demand slot,
+	// re-seeded by newState exactly as the dist nodes seed theirs
+	// (NewStream).
 	streams []Stream
 	// live holds the item ids bucketed by group, ascending within a group;
 	// groupEnd[k] is where group k's bucket ends (group k starts at
@@ -168,7 +170,7 @@ type solveScratch struct {
 	live     []int
 	groupEnd []int
 	// uBuf and slotBuf are per-step scratch for the unsatisfied set and its
-	// owner slots.
+	// demand slots.
 	uBuf    []int
 	slotBuf []int
 	// cover is the step's conflict graph as mis reads it: the unsatisfied
@@ -233,13 +235,13 @@ func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
 		core: lay.newCore(cfg.Mode),
 		scr:  scr,
 	}
-	owners := lay.ownerIDs
-	if cap(scr.streams) < len(owners) {
-		scr.streams = make([]Stream, len(owners))
+	ids := lay.demandIDs
+	if cap(scr.streams) < len(ids) {
+		scr.streams = make([]Stream, len(ids))
 	}
-	scr.streams = scr.streams[:len(owners)]
-	for s, owner := range owners {
-		scr.streams[s] = NewStream(cfg.Seed, owner)
+	scr.streams = scr.streams[:len(ids)]
+	for s, id := range ids {
+		scr.streams[s] = NewStream(cfg.Seed, id)
 	}
 	if cfg.RecordTrace {
 		st.trace = &Trace{}
@@ -727,17 +729,18 @@ func (st *state) independentSet(u []int) ([]int, int) {
 		v := &views[id]
 		c.Demand = append(c.Demand, v.Slot)
 		c.Edges = append(c.Edges, v.Edges)
-		slots = append(slots, int(st.lay.ownerSlot[id]))
+		slots = append(slots, int(v.Slot))
 	}
 	scr.slotBuf = slots
 	c.NumDemands, c.NumEdges = st.lay.demands, st.lay.edges
 	if st.cfg.MIS == GreedyMIS {
 		return pick(u, mis.Greedy(c, &scr.mis)), 1
 	}
-	// Luby receives owner *slots*; st.draw resolves a slot to its stream.
-	// The engine controls both sides of the Drawer contract, so passing
-	// slots instead of external owner ids is invisible to mis — and the
-	// streams themselves are seeded from the external ids, matching dist.
+	// Luby receives demand *slots* as owners (one processor per demand,
+	// §2); st.draw resolves a slot to its stream. The engine controls both
+	// sides of the Drawer contract, so passing slots instead of external
+	// demand ids is invisible to mis — and the streams themselves are
+	// seeded from the external ids, matching dist.
 	in, iters := mis.Luby(c, slots, st.draw, &scr.mis)
 	return pick(u, in), iters
 }
@@ -752,9 +755,9 @@ func pick(u []int, in []bool) []int {
 	return out
 }
 
-// draw returns the next priority from the stream at an owner slot. The
+// draw returns the next priority from the stream at a demand slot. The
 // distributed protocol seeds processor streams identically (NewStream over
-// the external owner id), so draws coincide.
+// the external demand id), so draws coincide.
 //
 //schedvet:hot
 func (st *state) draw(slot int) float64 {

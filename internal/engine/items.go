@@ -120,7 +120,6 @@ func DemandItems(demands []model.Demand, layered []*decomp.Layered) []Item {
 			items[id] = Item{
 				ID:       id,
 				Demand:   d.ID,
-				Owner:    d.ID, // each processor owns exactly one demand (§2)
 				Resource: q,
 				Group:    group,
 				Profit:   d.Profit,
@@ -167,7 +166,6 @@ func BuildLineItems(in *model.LineInstance) ([]Item, error) {
 		items = append(items, Item{
 			ID:       di.ID,
 			Demand:   di.Demand,
-			Owner:    di.Demand,
 			Resource: di.Resource,
 			Group:    group,
 			Profit:   di.Profit,

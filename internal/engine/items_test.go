@@ -22,7 +22,7 @@ func oracleTreeItems(in *model.Instance, layered []*decomp.Layered) []Item {
 			critical[j] = model.MakeEdgeKey(di.Tree, e)
 		}
 		items = append(items, Item{
-			ID: di.ID, Demand: di.Demand, Owner: di.Demand, Resource: di.Tree, Group: group,
+			ID: di.ID, Demand: di.Demand, Resource: di.Tree, Group: group,
 			Profit: di.Profit, Height: di.Height, Edges: di.Path, Critical: critical,
 		})
 	}
@@ -117,8 +117,8 @@ func cloneViews(views []ItemView) []ItemView {
 
 // TestColdLayoutIsUnhashed: a cold build at solve-contended's shape (384
 // demands on three 256-vertex trees, access 1–3) interns through the
-// per-network edge tables and identity demand and owner slots alone — no
-// side of its index or owner interning converts to a map.
+// per-network edge tables and identity demand slots alone — no side of its
+// index converts to a map.
 func TestColdLayoutIsUnhashed(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		in, err := workload.RandomTreeInstance(workload.TreeConfig{
@@ -132,11 +132,11 @@ func TestColdLayoutIsUnhashed(t *testing.T) {
 			t.Fatal(err)
 		}
 		lay := Prepare(items).lay
-		if lay.ix.Hashed() || !lay.owners.Identity() {
-			t.Fatalf("seed %d: cold layout hashed (index %v, owners identity %v)", seed, lay.ix.Hashed(), lay.owners.Identity())
+		if lay.ix.Hashed() {
+			t.Fatalf("seed %d: cold layout hashed", seed)
 		}
-		if lay.ix.NumDemands() != len(in.Demands) || lay.owners.Len() != len(in.Demands) {
-			t.Fatalf("seed %d: %d demand and %d owner slots for %d demands", seed, lay.ix.NumDemands(), lay.owners.Len(), len(in.Demands))
+		if lay.ix.NumDemands() != len(in.Demands) || len(lay.demandIDs) != len(in.Demands) {
+			t.Fatalf("seed %d: %d demand slots and %d stream ids for %d demands", seed, lay.ix.NumDemands(), len(lay.demandIDs), len(in.Demands))
 		}
 	}
 }

@@ -438,7 +438,9 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 // mergedDual returns the solve's dual assignment: Dual, or, for a sharded
 // solve, which builds no global dual, a fresh assignment over the global
 // index holding every shard's α and β, copied through the slot
-// translations relabel recorded. Engine tests read it through MergedDual.
+// translations relabel recorded. It reads the Prepared's live index, so it
+// is valid until the next Apply, which may give a departed demand's slot
+// to an arrival. Engine tests read it through MergedDual.
 func (r *Result) mergedDual() *dual.Assignment {
 	if r.Dual != nil || r.ix == nil {
 		return r.Dual

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"treesched/internal/dual"
-	"treesched/internal/model"
 )
 
 // This file implements run preparation: everything about an item set that
@@ -19,23 +18,24 @@ import (
 // network — Prepared.Apply (delta.go) updates it incrementally.
 
 // layout is the dense dual addressing of one item set: per-item views over
-// demands α slots and edges β slots, plus per-owner stream bookkeeping.
-// Built once; strictly read-only during runs, so any number of concurrent
-// runs may share it. A Prepared's global layout also keeps the interning
-// that numbers it (ix, owners), and Prepared.Apply extends it in place
-// between runs: removed items leave their interned slots behind (stale
-// slots hold zero and are never referenced by a view, so they cannot affect
-// results), and added items intern at the end. A shard layout is relabeled
-// from the global one (relabel) and keeps no interning: its ix is nil.
+// demands α slots and edges β slots. A demand slot also names the
+// processor that owns the demand (§2: one per demand), and so the item's
+// priority stream. Strictly read-only during runs, so any number of
+// concurrent runs may share it. A Prepared's global layout also keeps the
+// interning that numbers it (ix), and Prepared.Apply updates it in place
+// between runs: a departed demand's slot goes back to the index for a
+// later arrival, removed items leave their edge indices behind (stale
+// indices hold zero and are never referenced by a view, so they cannot
+// affect results), and new keys intern at the end. A shard layout is
+// relabeled from the global one (relabel) and keeps no interning: its ix
+// is nil.
 type layout struct {
 	views     []ItemView // dense view per item, aligned with items
-	ownerSlot []int32    // item -> owner slot
-	ownerIDs  []int      // owner slot -> external owner id (stream seeding)
+	demandIDs []int      // demand slot -> external demand id (stream seeding)
 	demands   int        // α extent: demand slots the views address
 	edges     int        // β extent: edge indices the views address
 
-	ix     *dual.Index      // global layout only
-	owners model.IDInterner // global layout only: the numbering of ownerIDs
+	ix *dual.Index // global layout only
 }
 
 // buildLayout interns every item of the set into a fresh index, in item
@@ -54,10 +54,8 @@ func buildLayout(items []Item, st *planStats) *layout {
 		st.add(&items[i], i)
 	}
 	lay := &layout{
-		ix:        dual.NewIndexSized(demands, total),
-		owners:    model.NewIDInterner(demands),
-		views:     make([]ItemView, len(items)),
-		ownerSlot: make([]int32, len(items)),
+		ix:    dual.NewIndexSized(demands, total),
+		views: make([]ItemView, len(items)),
 	}
 	slab := make([]int32, total)
 	for i := range items {
@@ -65,16 +63,15 @@ func buildLayout(items []Item, st *planStats) *layout {
 		n := len(it.Edges) + len(it.Critical)
 		lay.views[i] = internItem(lay.ix, it, slab[:n:n])
 		slab = slab[n:]
-		lay.ownerSlot[i] = lay.owners.Intern(it.Owner)
 	}
 	lay.sync()
 	return lay
 }
 
-// sync refreshes a global layout's extents and owner ids from its
+// sync refreshes a global layout's extents and demand ids from its
 // interning, after interning new items.
 func (lay *layout) sync() {
-	lay.ownerIDs = lay.owners.IDs()
+	lay.demandIDs = lay.ix.DemandIDs()
 	lay.demands, lay.edges = lay.ix.NumDemands(), lay.ix.NumEdges()
 }
 
@@ -124,8 +121,11 @@ type Prepared struct {
 	compOf      []*preShard
 	staleShards []*preShard
 	arrivals    []int32
-	compScr     componentScratch // the component pass's reusable marks
-	relabelScr  relabelScratch   // relabel's reusable translations
+	// added counts the items Apply added since the last component pass;
+	// knownSingleComponent's verdict expires when it outgrows the set.
+	added      int
+	compScr    componentScratch // the component pass's reusable marks
+	relabelScr relabelScratch   // relabel's reusable translations
 
 	// warm is the per-component outcome cache of the sharded pipeline
 	// (warm.go); off unless EnableWarmStart was called.
@@ -149,8 +149,9 @@ type preShard struct {
 	lay  *layout // shard-local dense layout
 	// gslot[s] / gedge[e] is the global demand slot / edge index of local
 	// slot s / edge index e: relabel's numbering, read back when a caller
-	// asks for the merged dual. Valid for the Prepared's lifetime, because
-	// interning is append-only and Apply never renumbers a slot.
+	// asks for the merged dual. Valid until the next Apply: Apply never
+	// renumbers a live demand or an edge, but it gives a departed demand's
+	// slot to an arrival, and a shard whose demand departed is stale.
 	gslot []int32
 	gedge []int32
 	// stale marks a component a delta reached since the last build.
@@ -266,7 +267,7 @@ func (p *Prepared) ensureShards() {
 		visited += len(c)
 	}
 	clear(p.staleShards)
-	p.staleShards, p.arrivals = p.staleShards[:0], p.arrivals[:0]
+	p.staleShards, p.arrivals, p.added = p.staleShards[:0], p.arrivals[:0], 0
 	p.shardsBuilt, p.shardsStale = true, false
 	switch {
 	case len(kept)+len(fresh) > 1:
@@ -309,14 +310,12 @@ func (p *Prepared) ensureShards() {
 	}
 }
 
-// relabelScratch holds relabel's translations from global demand slots,
-// edge indices and owner slots to a shard's local ones, −1 where the shard
-// has not numbered one yet, and the global owner slots a shard numbered.
-// relabel resets every entry it set, so between shards the translations
-// are all −1 and grow only with the global layout.
+// relabelScratch holds relabel's translations from global demand slots
+// and edge indices to a shard's local ones, −1 where the shard has not
+// numbered one yet. relabel resets every entry it set, so between shards
+// the translations are all −1 and grow only with the global layout.
 type relabelScratch struct {
-	slot, edge, owner []int32
-	owners            []int32
+	slot, edge []int32
 }
 
 // extend extends *buf with fill entries to length n, in at most one
@@ -346,33 +345,30 @@ func number(tr []int32, x int32, back *[]int32) int32 {
 
 // relabel builds the shard of one component from the global layout alone,
 // copying no item: a dense layout over the items re-indexed by position in
-// comp, whose demand slots, edge indices and owner slots number the global
-// ones in the order buildLayout would first see their keys over the
-// shard's items (an item's demand, its path, its critical edges, then its
-// owner). So the shard's numbering, and every bit of its runs, equal those
-// of buildLayout over the shard's items, with no key hashed or interned:
-// global slots map to keys one to one, so first-seen slots are first-seen
-// keys.
+// comp, whose demand slots and edge indices number the global ones in the
+// order buildLayout would first see their keys over the shard's items (an
+// item's demand, its path, then its critical edges). So the shard's
+// numbering, and every bit of its runs, equal those of buildLayout over
+// the shard's items, with no key hashed or interned: global slots map to
+// keys one to one, so first-seen slots are first-seen keys.
 func (p *Prepared) relabel(comp []int) *preShard {
 	g, scr := p.lay, &p.relabelScr
 	slot := extend(&scr.slot, g.demands, -1)
 	edge := extend(&scr.edge, g.edges, -1)
-	owner := extend(&scr.owner, len(g.ownerIDs), -1)
 	n, total := len(comp), 0
 	for _, id := range comp {
 		v := &g.views[id]
 		total += len(v.Edges) + len(v.Critical)
 	}
-	// One slab holds the views' index lists, the edge and slot
-	// translations (a shard has at most one edge per path entry and one
-	// demand per item) and the owner slots.
-	slab := make([]int32, 2*total+2*n)
+	// One slab holds the views' index lists and the edge and slot
+	// translations: a shard has at most one edge per path entry and one
+	// demand per item.
+	slab := make([]int32, 2*total+n)
 	idx := slab[:total:total]
 	gedge := slab[total : total : 2*total]
 	gslot := slab[2*total : 2*total : 2*total+n]
-	lay := &layout{views: make([]ItemView, n), ownerSlot: slab[2*total+n:]}
+	lay := &layout{views: make([]ItemView, n)}
 	sh := &preShard{comp: comp, lay: lay}
-	owners := scr.owners[:0]
 	for i, id := range comp {
 		v := &g.views[id]
 		s := number(slot, v.Slot, &gslot)
@@ -386,20 +382,15 @@ func (p *Prepared) relabel(comp []int) *preShard {
 			critical[j] = number(edge, e, &gedge)
 		}
 		lay.views[i] = ItemView{Slot: s, Group: v.Group, Profit: v.Profit, Height: v.Height, Edges: edges, Critical: critical}
-		lay.ownerSlot[i] = number(owner, g.ownerSlot[id], &owners)
 	}
-	lay.ownerIDs = make([]int, len(owners))
-	for o, x := range owners {
-		lay.ownerIDs[o] = g.ownerIDs[x]
-		owner[x] = -1
-	}
-	for _, x := range gslot {
+	lay.demandIDs = make([]int, len(gslot))
+	for l, x := range gslot {
+		lay.demandIDs[l] = g.demandIDs[x]
 		slot[x] = -1
 	}
 	for _, x := range gedge {
 		edge[x] = -1
 	}
-	scr.owners = owners
 	lay.demands, lay.edges = len(gslot), len(gedge)
 	sh.gslot, sh.gedge = gslot, gedge
 	return sh
@@ -412,9 +403,13 @@ func (p *Prepared) relabel(comp []int) *preShard {
 // paying a fresh component decomposition every round just to discover that
 // again would regress the serial hot path. The answer may be stale after an
 // Apply — the cost is only a missed warm opportunity, never a wrong result,
-// because the serial engine is exact on any instance.
+// because the serial engine is exact on any instance. So the verdict
+// expires once Apply has added more than 2·items+64 items since the pass
+// that gave it: a set churned into many components (a Session that grew
+// from one demand into a fleet) is looked at again after O(items) churn,
+// which amortizes the pass to O(1) per added item.
 func (p *Prepared) knownSingleComponent() bool {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
-	return p.shardsBuilt && len(p.comps) <= 1
+	return p.shardsBuilt && len(p.comps) <= 1 && p.added <= 2*len(p.items)+64
 }

@@ -29,7 +29,7 @@ const (
 	// PhasePrepare brackets preparation: PrepareRecorded brackets each
 	// Prepare (layout + member-list construction) it runs — a root solve's,
 	// one per non-empty height class of SolveArbitrary, and a Session's
-	// initial one and each compaction — and a root Solver or Session
+	// one, when it is created — and a root Solver or Session
 	// brackets its item building in a span of its own before it.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance

@@ -143,7 +143,7 @@ func chainItems(n int, height float64) []Item {
 	for i := range items {
 		e := func(k int) model.EdgeKey { return model.MakeEdgeKey(0, graph.EdgeID(k)) }
 		items[i] = Item{
-			ID: i, Demand: i, Owner: i, Resource: 0, Group: 1 + i%2,
+			ID: i, Demand: i, Resource: 0, Group: 1 + i%2,
 			Profit: 1 + float64(i%7), Height: height,
 			Edges:    []model.EdgeKey{e(i), e(i + 1)},
 			Critical: []model.EdgeKey{e(i)},

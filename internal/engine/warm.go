@@ -20,13 +20,14 @@ import "sync"
 // the outcome kept on its preShard, and ensureShards keeps a preShard only
 // for a component no delta reached since the last build. Components a
 // delta touched (or renumbered) get fresh preShard values, which hold no
-// outcome and therefore miss; a full re-preparation (Solver compaction)
-// builds a fresh Prepared and starts cold. Stream positions cannot drift
-// across rounds because streams are not carried across runs at all.
+// outcome and therefore miss. A kept shard's demands all stay live, so
+// Apply never gives one of its global slots to an arrival. A fresh
+// Prepared starts cold. Stream positions cannot drift across rounds
+// because streams are not carried across runs at all.
 
 // WarmStats is a snapshot of a Prepared's warm-start counters. Counters are
-// cumulative since the Prepared was built (a compaction re-prepare starts a
-// fresh Prepared; Session folds the retired counters into its own totals).
+// cumulative since the Prepared was built; a Session keeps one Prepared for
+// its whole life, so they are the Session's own.
 type WarmStats struct {
 	// Enabled reports whether the warm cache is on for this Prepared.
 	Enabled bool

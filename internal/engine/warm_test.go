@@ -263,7 +263,7 @@ func TestWarmWorkCounters(t *testing.T) {
 	}
 	arrivals := slices.Clone(extra[demands:])
 	for i := range arrivals {
-		arrivals[i].Demand, arrivals[i].Owner = 1<<20+i, 1<<20+i
+		arrivals[i].Demand = 1<<20 + i
 	}
 	remove := []int{0, 5, 10} // items of network 0; equal-size churn moves no survivor
 
@@ -420,7 +420,7 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 	for i := range items {
 		own := model.MakeEdgeKey(0, graph.EdgeID(i))
 		items[i] = Item{
-			ID: i, Demand: i, Owner: i, Resource: 0, Group: 1 + i%2,
+			ID: i, Demand: i, Resource: 0, Group: 1 + i%2,
 			Profit: 1 + float64(i%5), Height: 1,
 			Edges:    []model.EdgeKey{shared, own},
 			Critical: []model.EdgeKey{shared},

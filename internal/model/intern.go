@@ -176,23 +176,27 @@ func (in *EdgeInterner) Key(i int32) EdgeKey { return in.keys[i] }
 // backing array; callers must not mutate it.
 func (in *EdgeInterner) Keys() []EdgeKey { return in.keys }
 
-// IDInterner assigns int ids dense int32 slots in first-seen order: the one
-// interning of demand ids (dual.Index) and owner ids (the engine's stream
-// slots). A cold build sees ids 0, 1, 2, … in order, each possibly
-// repeated, and a Session's arrivals take the next ids in order, so while
-// every id so far equals its slot the slot is the id and no map exists. The
-// first other id converts the interner once to a map of the ids seen so
-// far, with the same slots. The zero value is an empty interner.
+// IDInterner assigns int ids dense int32 slots: the one interning of
+// demand ids (dual.Index), whose slots also key the engine's per-demand
+// priority streams. A cold build sees ids 0, 1, 2, … in order, each
+// possibly repeated, and a Session's arrivals take the next ids in order,
+// so while every id so far equals its slot the slot is the id and no map
+// exists. The first other id, or the first Release, converts the interner
+// once to a map of the ids seen so far, with the same slots. Release gives
+// a slot back, and the next new id takes the most recently freed one, so
+// an interner whose ids come and go holds as many slots as it ever held
+// live ids at once. The zero value is an empty interner.
 type IDInterner struct {
-	ids  []int         // slot -> id
+	ids  []int         // slot -> id; a freed slot keeps its last id
 	slot map[int]int32 // id -> slot; nil while ids[s] == s for every slot s
+	free []int32       // freed slots, the next new id's on top
 }
 
 // NewIDInterner returns an empty interner with room for n ids.
 func NewIDInterner(n int) IDInterner { return IDInterner{ids: make([]int, 0, max(n, 0))} }
 
-// Intern returns the slot of id, assigning the next free slot when id is
-// new.
+// Intern returns the slot of id, assigning a free slot when id is new: the
+// most recently released one, or else the next unused one.
 func (in *IDInterner) Intern(id int) int32 {
 	if in.slot == nil && uint(id) < uint(len(in.ids)) {
 		return int32(id)
@@ -207,18 +211,39 @@ func (in *IDInterner) add(id int) int32 {
 			in.ids = append(in.ids, id)
 			return int32(id)
 		}
-		in.slot = make(map[int]int32, len(in.ids)+1)
-		for s, x := range in.ids {
-			in.slot[x] = int32(s)
-		}
+		in.toMap()
 	}
 	if s, ok := in.slot[id]; ok {
 		return s
 	}
-	s := int32(len(in.ids))
+	var s int32
+	if k := len(in.free) - 1; k >= 0 {
+		s, in.free = in.free[k], in.free[:k]
+		in.ids[s] = id
+	} else {
+		s = int32(len(in.ids))
+		in.ids = append(in.ids, id)
+	}
 	in.slot[id] = s
-	in.ids = append(in.ids, id)
 	return s
+}
+
+// toMap converts an identity interner to the map, keeping every slot.
+func (in *IDInterner) toMap() {
+	in.slot = make(map[int]int32, len(in.ids)+1)
+	for s, x := range in.ids {
+		in.slot[x] = int32(s)
+	}
+}
+
+// Release frees slot s, which must hold an interned id: the id's lookups
+// miss from then on, and the next new id takes the slot.
+func (in *IDInterner) Release(s int32) {
+	if in.slot == nil {
+		in.toMap()
+	}
+	delete(in.slot, in.ids[s])
+	in.free = append(in.free, s)
 }
 
 // Lookup returns the slot of id without interning.
@@ -234,15 +259,18 @@ func (in *IDInterner) Lookup(id int) (int32, bool) {
 }
 
 // Identity reports whether every slot still equals its id, so a lookup
-// needs no map. It turns false, for good, at the first other id.
+// needs no map. It turns false, for good, at the first other id or the
+// first Release.
 func (in *IDInterner) Identity() bool { return in.slot == nil }
 
-// ID returns the id at slot s.
+// ID returns the id at slot s: the interned id, or, at a freed slot, the
+// last id it held.
 func (in *IDInterner) ID(s int32) int { return in.ids[s] }
 
-// Len returns the number of interned ids.
+// Len returns the number of slots, freed ones included.
 func (in *IDInterner) Len() int { return len(in.ids) }
 
-// IDs returns the interned ids in slot order. The slice is the interner's
-// backing array; callers must not mutate it.
+// IDs returns the ids in slot order, a freed slot's last id included. The
+// slice is the interner's backing array, which Intern rewrites in place
+// when it reuses a freed slot; callers must not mutate it.
 func (in *IDInterner) IDs() []int { return in.ids }

@@ -153,4 +153,39 @@ func TestIDInternerIdentityThenMap(t *testing.T) {
 	if got := in.IDs(); len(got) != in.Len() || len(got) != 7 {
 		t.Errorf("IDs() = %v, Len() = %d, want 7 ids", got, in.Len())
 	}
+
+	// A release in map mode: the id misses, the next new id takes its
+	// slot, and the one after it the next unused slot.
+	in.Release(4)
+	if s, ok := in.Lookup(9); ok {
+		t.Fatalf("Lookup(9) = %d after its slot was released", s)
+	}
+	if s := in.Intern(11); s != 4 || in.ID(4) != 11 {
+		t.Fatalf("Intern(11) = %d (ID %d), want the freed slot 4", s, in.ID(4))
+	}
+	if s := in.Intern(12); s != 7 || in.Len() != 8 {
+		t.Fatalf("Intern(12) = %d with %d slots, want the next slot 7 of 8", s, in.Len())
+	}
+
+	// A release in identity mode converts the interner, keeping every
+	// other slot, and the next new id takes the freed slot.
+	id := NewIDInterner(4)
+	for x := range 4 {
+		id.Intern(x)
+	}
+	id.Release(1)
+	if id.Identity() {
+		t.Fatal("a release should have converted the interner")
+	}
+	if s, ok := id.Lookup(1); ok {
+		t.Fatalf("Lookup(1) = %d after its slot was released", s)
+	}
+	for _, x := range []int{0, 2, 3} {
+		if s, ok := id.Lookup(x); !ok || s != int32(x) {
+			t.Errorf("Lookup(%d) = (%d, %v) after the release, want (%d, true)", x, s, ok, x)
+		}
+	}
+	if s := id.Intern(4); s != 1 || id.ID(1) != 4 || id.Len() != 4 {
+		t.Fatalf("Intern(4) = %d (ID %d, %d slots), want the freed slot 1 of 4", s, id.ID(1), id.Len())
+	}
 }

@@ -68,7 +68,6 @@ func AppendixA(in *model.Instance) (*AppendixAResult, error) {
 		items[i] = engine.Item{
 			ID:       i,
 			Demand:   di.Demand,
-			Owner:    di.Demand,
 			Resource: di.Tree,
 			Group:    1, // unused by this algorithm
 			Profit:   di.Profit,

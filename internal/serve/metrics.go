@@ -94,7 +94,7 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 		func(r *row) string { return fmt.Sprintf("%d", len(r.snap.Accepted)) })
 	emit("schedserve_profit", "gauge", "scheduled profit at the latest epoch",
 		func(r *row) string { return fmt.Sprintf("%g", r.snap.Result.Profit) })
-	emit("schedserve_session_reprepares_total", "counter", "session compaction re-prepares",
+	emit("schedserve_session_reprepares_total", "counter", "session re-prepares (always 0: a session reuses departed demands' slots)",
 		func(r *row) string { return fmt.Sprintf("%d", r.st.Session.Reprepares) })
 	emit("schedserve_session_warm_solves_total", "counter", "solves that replayed at least one cached component",
 		func(r *row) string { return fmt.Sprintf("%d", r.st.Session.WarmSolves) })

@@ -19,7 +19,7 @@ func mkItem(id, demand int, edges []int, critical []int, h float64) engine.Item 
 		return out
 	}
 	return engine.Item{
-		ID: id, Demand: demand, Owner: demand, Resource: 0, Group: 1,
+		ID: id, Demand: demand, Resource: 0, Group: 1,
 		Profit: 1, Height: h, Edges: toKeys(edges), Critical: toKeys(critical),
 	}
 }

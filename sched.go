@@ -169,28 +169,18 @@ type Options struct {
 	// decomposition (tree instances only); default is the paper's ideal
 	// decomposition.
 	Decomposition engine.DecompKind
-	// Parallelism bounds the shard goroutines of a Session's solves: with
-	// the warm-start cache on, a round runs the schedule of each conflict
-	// component churn touched on min(Parallelism, runnable components)
-	// goroutines and replays the rest. Values below 1 resolve to
-	// runtime.GOMAXPROCS(0). Every other solve is cold — Solve, SolveLine,
-	// Solver.Solve, a Session under DisableWarmStart, and the engine solve
-	// that runs first under Simulate — and runs the serial engine whatever
-	// the value: a cold solve has no component outcomes to replay, and
-	// splitting one has cost more than it saved at every size measured
-	// (doc.go, "Component shards for replay"). The simulator's stepping pool
-	// always takes runtime.GOMAXPROCS(0). Results are bit-identical at every
-	// setting.
+	// Parallelism bounds the shard goroutines of a Session's solves: a
+	// Session keeps the warm-start cache, and a round runs the schedule of
+	// each conflict component churn touched on min(Parallelism, runnable
+	// components) goroutines and replays the rest. Values below 1 resolve
+	// to runtime.GOMAXPROCS(0). Every other solve is cold — Solve,
+	// SolveLine, Solver.Solve, and the engine solve that runs first under
+	// Simulate — and runs the serial engine whatever the value: a cold
+	// solve has no component outcomes to replay, and splitting one has cost
+	// more than it saved at every size measured (doc.go, "Component shards
+	// for replay"). The simulator's stepping pool always takes
+	// runtime.GOMAXPROCS(0). Results are bit-identical at every setting.
 	Parallelism int
-	// DisableWarmStart turns off the Session warm-start cache. By default a
-	// Session records per-component solve outcomes and replays them for
-	// components untouched by intervening Updates; results are bitwise
-	// identical either way (see doc.go, "Warm-started incremental duals"),
-	// so the switch exists for benchmarking cold baselines and for capping
-	// memory on sessions whose solves are rare relative to churn. Without
-	// the cache a Session's solves are cold: they run the serial engine, and
-	// Parallelism has no effect.
-	DisableWarmStart bool
 	// Recorder observes solve-path phases (prepare, apply, component
 	// decomposition, per-shard schedules, merge, greedy) and counters (warm
 	// replays, granted shard workers); see doc.go, "Observability". Nil —

@@ -40,31 +40,16 @@ type Session struct {
 	// arrivals append and departures filter in place.
 	live []int
 	next int // next demand id to assign
-	// arrived counts the items interned since the last full preparation.
-	// Departed demands leave stale interned slots behind (see delta.go), so
-	// a session churning forever would accrete layout state proportional to
-	// its history; once the accretion passes a multiple of the live set,
-	// Update re-prepares from the current items — amortized O(1) rebuilds
-	// per O(live) churn — and the session's footprint stays proportional to
-	// the live set, not the total churn.
-	arrived int
 	// Observability counters behind Stats; all guarded by mu.
 	updates     int
 	solves      int
-	reprepares  int
 	lastRemoved int
 	lastAdded   int
-	// warmBase accumulates the warm-start counters of Prepared values the
-	// session has retired (compaction re-prepares start a fresh Prepared with
-	// zeroed counters); Stats adds the live Prepared's counters on top.
-	warmBase engine.WarmStats
 }
 
 // SessionStats is a snapshot of a session's incremental-state health, for
-// operators and the serve layer: how large the live set is, how much stale
-// interned layout state has accreted since the last full preparation, how
-// often the compaction threshold forced a re-prepare, and how big the last
-// applied delta was.
+// operators and the serve layer: how large the live set is, how big the
+// last applied delta was, and how often solves replayed the warm cache.
 type SessionStats struct {
 	// Live is the number of live demands; Items counts their demand
 	// instances (one per accessible network), the unit the engine works in.
@@ -74,21 +59,20 @@ type SessionStats struct {
 	// created. Failed updates change no state and are not counted.
 	Updates int
 	Solves  int
-	// Accreted is the number of items interned since the last full
-	// preparation — the stale-slot growth the compaction threshold watches.
-	// Reprepares counts the compactions triggered so far; each resets
-	// Accreted to zero.
-	Accreted   int
+	// Reprepares is always 0: a Session keeps one prepared state for its
+	// whole life, because a departed demand's slot goes to a later arrival
+	// instead of accreting. The field stays only while the benchmark and
+	// the serve metrics still read it.
 	Reprepares int
 	// LastRemoved / LastAdded are the item delta sizes of the most recent
 	// successful Update (zero before the first).
 	LastRemoved int
 	LastAdded   int
-	// Warm-start accounting (always zero with Options.DisableWarmStart):
-	// WarmSolves counts solves that replayed at least one cached component,
-	// ColdSolves the rest, so WarmSolves+ColdSolves == Solves. Components-
-	// Replayed/ComponentsResolved break sharded solves down by component:
-	// replayed from the warm cache versus re-run through the schedule.
+	// Warm-start accounting: WarmSolves counts solves that replayed at
+	// least one cached component, ColdSolves the rest, so
+	// WarmSolves+ColdSolves == Solves. ComponentsReplayed/
+	// ComponentsResolved break sharded solves down by component: replayed
+	// from the warm cache versus re-run through the schedule.
 	WarmSolves         int
 	ColdSolves         int
 	ComponentsReplayed int
@@ -105,14 +89,12 @@ func (sess *Session) Stats() SessionStats {
 		Items:              len(sess.p.Items()),
 		Updates:            sess.updates,
 		Solves:             sess.solves,
-		Accreted:           sess.arrived,
-		Reprepares:         sess.reprepares,
 		LastRemoved:        sess.lastRemoved,
 		LastAdded:          sess.lastAdded,
-		WarmSolves:         sess.warmBase.WarmSolves + w.WarmSolves,
-		ColdSolves:         sess.warmBase.ColdSolves + w.ColdSolves,
-		ComponentsReplayed: sess.warmBase.ComponentsReplayed + w.ComponentsReplayed,
-		ComponentsResolved: sess.warmBase.ComponentsResolved + w.ComponentsResolved,
+		WarmSolves:         w.WarmSolves,
+		ColdSolves:         w.ColdSolves,
+		ComponentsReplayed: w.ComponentsReplayed,
+		ComponentsResolved: w.ComponentsResolved,
 	}
 }
 
@@ -182,15 +164,13 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	for i := range sess.live {
 		sess.live[i] = i // Instance ids are the demands' positions
 	}
-	if !s.opts.DisableWarmStart {
-		// Sessions re-solve a churning instance, the workload the warm-start
-		// cache exists for: record per-component outcomes and replay them for
-		// components later Updates leave untouched. The cache is also what
-		// makes the session's solves shard, on Options.Parallelism workers.
-		// Solve results are bitwise unaffected (warm.go documents the
-		// invariant).
-		sess.p.EnableWarmStart()
-	}
+	// Sessions re-solve a churning instance, the workload the warm-start
+	// cache exists for: record per-component outcomes and replay them for
+	// components later Updates leave untouched. The cache is also what
+	// makes the session's solves shard, on Options.Parallelism workers.
+	// Solve results are bitwise unaffected (warm.go documents the
+	// invariant).
+	sess.p.EnableWarmStart()
 	return sess, nil
 }
 
@@ -279,33 +259,9 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	}
 	sess.live = append(sess.live, ids...)
 	sess.next += len(ids)
-	sess.arrived += len(add)
 	sess.updates++
 	sess.lastRemoved = len(remove)
 	sess.lastAdded = len(add)
-	if sess.arrived > 2*len(sess.p.Items())+64 {
-		// Compact the accreted stale layout state: re-prepare over the
-		// current (already densely-indexed) items. Solve results are
-		// unaffected — they are a pure function of the item slice. The warm
-		// cache dies with the retired Prepared: the components and the shard
-		// layouts would carry over unchanged, but the shards' translations
-		// to global slots and edges (gslot, gedge) would not, and nothing
-		// rebuilds them, so the next solve runs cold. Views taken of the
-		// retired Prepared stay valid. Fold the retired counters into the
-		// session totals first.
-		w := sess.p.WarmStats()
-		sess.warmBase.WarmSolves += w.WarmSolves
-		sess.warmBase.ColdSolves += w.ColdSolves
-		sess.warmBase.ComponentsReplayed += w.ComponentsReplayed
-		sess.warmBase.ComponentsResolved += w.ComponentsResolved
-		// The retired Prepared took the recorder attachment with it.
-		sess.p = engine.PrepareRecorded(sess.p.Items(), rec)
-		if !sess.solver.opts.DisableWarmStart {
-			sess.p.EnableWarmStart()
-		}
-		sess.arrived = 0
-		sess.reprepares++
-	}
 	if rec != nil {
 		rec.EndSpan(engine.PhaseUpdate, utok)
 	}

@@ -17,11 +17,14 @@ import (
 // demands come and go. The networks share one 48-vertex tree and every
 // demand spans at most 3 of its edges, so the conflict graph splits into
 // many components and the session's solves shard and replay. Each byte of
-// steps sets one round's mix of departures and arrivals; rounds go on past
-// the session's first compaction. After every Update, SolveWithItems must
-// equal a solve of the engine over the session's items prepared from
-// scratch, in the bits of Profit and DualBound and in the assignments, and
-// its item view must hold exactly the session's items.
+// steps sets one round's mix of departures and arrivals; rounds go on until
+// the arrivals pass three times the peak live set, so departed demands'
+// slots go to arrivals many times over. After every Update, the session's
+// demand slots must not outnumber the most live demands a round has seen —
+// those before it plus its arrivals — and SolveWithItems must equal a solve
+// of the engine over the session's items prepared from scratch, in the
+// bits of Profit and DualBound and in the assignments, and its item view
+// must hold exactly the session's items.
 func FuzzSessionChurn(f *testing.F) {
 	f.Add(int64(1), byte(0), []byte{0x31, 0x07, 0xf0})
 	f.Add(int64(5), byte(7), []byte{0xff, 0x10})
@@ -57,17 +60,17 @@ func FuzzSessionChurn(f *testing.F) {
 		for i := range live {
 			live[i] = i
 		}
-		round := 0
-		for ; round < len(steps) || sess.Stats().Reprepares == 0; round++ {
+		peakLive, peak, arrived := len(live), len(live), 0
+		for round := 0; round < len(steps) || arrived <= 3*peakLive; round++ {
 			if round == maxRounds {
-				t.Fatalf("no compaction in %d rounds", round)
+				t.Fatalf("arrivals reached only %d in %d rounds", arrived, round)
 			}
 			b := byte(0x2b)
 			if len(steps) > 0 {
 				b = steps[round%len(steps)]
 			}
-			// At least one arrival a round, so a compaction comes; the
-			// live set stays small, so that it comes soon.
+			// At least one arrival a round, so the arrivals soon pass the
+			// live set, which stays small.
 			arrivals := 1 + int(b>>3&7)
 			departures := max(int(b&7), len(live)+arrivals-maxLive)
 			departures = min(departures, len(live))
@@ -91,6 +94,7 @@ func FuzzSessionChurn(f *testing.F) {
 				access := rng.Perm(nets)[:1+rng.Intn(min(3, nets))]
 				c.Add = append(c.Add, treesched.NewDemand{U: u, V: v, Profit: 1 + 7*rng.Float64(), Access: access})
 			}
+			peak = max(peak, len(live)+arrivals)
 			ids, err := sess.Update(c)
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
@@ -102,6 +106,11 @@ func FuzzSessionChurn(f *testing.F) {
 				}
 			}
 			live = append(kept, ids...)
+			arrived += arrivals
+			peakLive = max(peakLive, len(live))
+			if slots := treesched.SessionDemandSlots(sess); slots > peak {
+				t.Fatalf("round %d: %d demand slots, bound %d", round, slots, peak)
+			}
 
 			got, view, _, err := sess.SolveWithItems()
 			if err != nil {

@@ -165,11 +165,13 @@ func TestSessionEligibility(t *testing.T) {
 	}
 }
 
-// TestSessionLongChurnCompacts drives enough churn through a small session
-// to cross the stale-layout compaction threshold several times; solves must
-// stay bitwise equal to a scratch engine run over the session's items
-// across every rebuild boundary.
-func TestSessionLongChurnCompacts(t *testing.T) {
+// TestSessionLongChurnReusesSlots churns 16 times the live set through a
+// small session: solves must stay bitwise equal to a scratch engine run
+// over the session's items, and departed demands' slots must go to later
+// arrivals, so that after every round the layout holds no more demand
+// slots than the most live demands a round has seen: those before it plus
+// its arrivals.
+func TestSessionLongChurnReusesSlots(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.1, Seed: 8}
 	s := treesched.NewSolver(opts)
 	inst := buildInstance(t, workload.TreeConfig{
@@ -184,6 +186,7 @@ func TestSessionLongChurnCompacts(t *testing.T) {
 	for i := range live {
 		live[i] = i
 	}
+	peak := len(live)
 	for round := 0; round < 40; round++ {
 		c := treesched.Churn{Remove: live[:4]}
 		for i := 0; i < 4; i++ {
@@ -193,11 +196,15 @@ func TestSessionLongChurnCompacts(t *testing.T) {
 			}
 			c.Add = append(c.Add, treesched.NewDemand{U: u, V: v, Profit: 1 + rng.Float64()*3})
 		}
+		peak = max(peak, len(live)+len(c.Add))
 		ids, err := sess.Update(c)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		live = append(live[4:], ids...)
+		if slots := treesched.SessionDemandSlots(sess); slots > peak {
+			t.Fatalf("round %d: %d demand slots, bound %d", round, slots, peak)
+		}
 
 		got, err := sess.Solve()
 		if err != nil {
@@ -215,10 +222,90 @@ func TestSessionLongChurnCompacts(t *testing.T) {
 	if sess.Demands() != 10 {
 		t.Fatalf("live set drifted to %d", sess.Demands())
 	}
+	if st := sess.Stats(); st.Reprepares != 0 {
+		t.Fatalf("a session re-prepared: %+v", st)
+	}
 }
 
-// TestSessionStatsCounters drives a churn sequence across the 2x stale-slot
-// compaction threshold and checks every Stats counter along the way.
+// TestSessionGrowsIntoFleetReplays grows a session from one demand into a
+// fleet of 64 demands on 8 disjoint networks, then churns it. Its first
+// solve finds one component, so its solves stay serial; the verdict
+// expires, and the next solve looks at the components again, at the first
+// round after which the items added since that solve outnumber 2·items+64.
+// That solve runs every component, and every later one replays.
+func TestSessionGrowsIntoFleetReplays(t *testing.T) {
+	const nets, vertices, fleet, churn = 8, 32, 64, 4
+	in, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: vertices, Trees: nets, Demands: 1, ProfitRatio: 4, AccessMin: 1, AccessMax: 1,
+	}, rand.New(rand.NewSource(53)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := treesched.Options{Epsilon: 0.1, Seed: 9, Parallelism: 1}
+	sess, err := treesched.NewSolver(opts).Session(publicInstance(t, in, in.Demands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	live := []int{0}
+	added, pass := 0, -1
+	for round := 0; pass < 0 || round <= pass+1; round++ {
+		if round == 200 {
+			t.Fatal("the single-component verdict never expired")
+		}
+		var c treesched.Churn
+		if len(live) >= fleet {
+			c.Remove = live[:churn]
+		}
+		for range churn {
+			u, v := rng.Intn(vertices), rng.Intn(vertices)
+			if u == v {
+				v = (v + 1) % vertices
+			}
+			c.Add = append(c.Add, treesched.NewDemand{U: u, V: v, Profit: 1 + 3*rng.Float64(), Access: []int{rng.Intn(nets)}})
+		}
+		ids, err := sess.Update(c)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		live = append(live[len(c.Remove):], ids...)
+		added += len(c.Add)
+		if pass < 0 && added > 2*len(live)+64 {
+			pass = round
+		}
+		got, err := sess.Solve()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		items := treesched.SessionItems(sess)
+		want, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: opts.Epsilon, Seed: opts.Seed}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Profit != want.Profit || got.DualBound != want.Bound {
+			t.Fatalf("round %d: session (%v,%v), scratch (%v,%v)", round, got.Profit, got.DualBound, want.Profit, want.Bound)
+		}
+		st := sess.Stats()
+		switch {
+		case pass < 0:
+			if st.ComponentsResolved != 0 {
+				t.Fatalf("round %d: solved by components before the verdict expired: %+v", round, st)
+			}
+		case round == pass:
+			if st.WarmSolves != 0 || st.ComponentsResolved < 2 {
+				t.Fatalf("round %d: the expired verdict's solve did not run every component: %+v", round, st)
+			}
+		case st.WarmSolves != 1:
+			t.Fatalf("round %d: the solve after the component pass did not replay: %+v", round, st)
+		}
+	}
+}
+
+// TestSessionStatsCounters drives a churn sequence of 18 times the live set
+// and checks every Stats counter along the way.
 func TestSessionStatsCounters(t *testing.T) {
 	s := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Seed: 8})
 	inst := buildInstance(t, workload.TreeConfig{
@@ -229,7 +316,7 @@ func TestSessionStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sess.Stats()
-	if st.Live != 10 || st.Updates != 0 || st.Solves != 0 || st.Reprepares != 0 || st.Accreted != 0 {
+	if st.Live != 10 || st.Updates != 0 || st.Solves != 0 || st.Reprepares != 0 {
 		t.Fatalf("fresh session stats %+v", st)
 	}
 	if st.Items < st.Live {
@@ -241,7 +328,6 @@ func TestSessionStatsCounters(t *testing.T) {
 	for i := range live {
 		live[i] = i
 	}
-	accreted, reprepares := 0, 0
 	for round := 0; round < 60; round++ {
 		c := treesched.Churn{Remove: live[:3]}
 		for i := 0; i < 3; i++ {
@@ -258,13 +344,6 @@ func TestSessionStatsCounters(t *testing.T) {
 		live = append(live[3:], ids...)
 
 		st = sess.Stats()
-		// Model the accretion/compaction bookkeeping: each arrival interns
-		// len(access)=2 items; crossing 2*items+64 resets and counts.
-		accreted += st.LastAdded
-		if accreted > 2*st.Items+64 {
-			accreted = 0
-			reprepares++
-		}
 		if st.Updates != round+1 {
 			t.Fatalf("round %d: Updates = %d", round, st.Updates)
 		}
@@ -274,15 +353,9 @@ func TestSessionStatsCounters(t *testing.T) {
 		if st.LastAdded == 0 || st.LastRemoved == 0 {
 			t.Fatalf("round %d: last delta (%d,%d)", round, st.LastRemoved, st.LastAdded)
 		}
-		if st.Accreted != accreted {
-			t.Fatalf("round %d: Accreted = %d, want %d", round, st.Accreted, accreted)
+		if st.Reprepares != 0 {
+			t.Fatalf("round %d: Reprepares = %d, want 0", round, st.Reprepares)
 		}
-		if st.Reprepares != reprepares {
-			t.Fatalf("round %d: Reprepares = %d, want %d", round, st.Reprepares, reprepares)
-		}
-	}
-	if reprepares < 1 {
-		t.Fatalf("churn sequence never crossed the compaction threshold (accreted %d)", accreted)
 	}
 	if _, err := sess.Solve(); err != nil {
 		t.Fatal(err)
@@ -382,7 +455,8 @@ func distinctDemands(items []engine.Item) []int {
 }
 
 // TestSessionLiveIDs drives removals of initial and arrived ids, batches
-// rejected as a whole, and churn past a compaction re-prepare. After every
+// rejected as a whole, and churn of 10 times the live set, whose arrivals
+// take departed demands' slots. After every
 // step the live ids SolveWithItems returns must ascend strictly, equal the
 // distinct demands of its items and the test's own model of the live set,
 // and agree with Demands and Stats().Live.
@@ -464,13 +538,8 @@ func TestSessionLiveIDs(t *testing.T) {
 		check(fmt.Sprintf("rejected %v", tc.remove))
 	}
 
-	// Churn the oldest live ids until the accreted layout state has forced
-	// two compaction re-prepares, so rounds run before, between and right
-	// after them.
-	for round := 0; sess.Stats().Reprepares < 2; round++ {
-		if round == 200 {
-			t.Fatalf("no second compaction after %d rounds: %+v", round, sess.Stats())
-		}
+	// Churn the oldest live ids through 10 times the live set.
+	for round := 0; 3*round < 10*len(expect); round++ {
 		churn(fmt.Sprintf("churn round %d", round), slices.Clone(expect[:3]), 3)
 	}
 }
@@ -681,8 +750,7 @@ func TestSessionMatchesEngineScratch(t *testing.T) {
 // TestSessionWarmStats pins the session-level warm-start accounting
 // exactly: a cold first solve resolving every component, a steady-state
 // repeat replaying all of them, and a component-local churn round re-running
-// only the touched component. A DisableWarmStart session must report all
-// zeroes for the same sequence.
+// only the touched component.
 func TestSessionWarmStats(t *testing.T) {
 	cfg := workload.TreeConfig{
 		Vertices: 64, Trees: 8, Demands: 48, ProfitRatio: 8,
@@ -744,22 +812,6 @@ func TestSessionWarmStats(t *testing.T) {
 	}
 	if st.WarmSolves+st.ColdSolves != st.Solves {
 		t.Fatalf("solves unaccounted: %+v", st)
-	}
-
-	// The cold control: same sequence, warm start disabled.
-	sOff := treesched.NewSolver(treesched.Options{Epsilon: 0.1, Seed: 11, Parallelism: 4, DisableWarmStart: true})
-	sessOff, err := sOff.Session(buildInstance(t, cfg, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := sessOff.Solve(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st = sessOff.Stats()
-	if st.WarmSolves != 0 || st.ColdSolves != 0 || st.ComponentsReplayed != 0 || st.ComponentsResolved != 0 {
-		t.Fatalf("DisableWarmStart session accounted warm state: %+v", st)
 	}
 }
 
