@@ -13,22 +13,26 @@ import (
 // maxSessionRoundAllocs and maxSessionRoundBytes bound the allocations and
 // the bytes allocated by one warm Session round at serve-fleet's shape
 // (TestSessionRoundAllocs). They are what was measured when the bounds
-// were set, 74 and 33,782 or 34,151 B, the bytes rounded up to the next
+// were set, 53 and 31,334 or 31,704 B, the bytes rounded up to the next
 // 100: the runtime's own allocations in the measured region vary from run
 // to run by a few bytes per round. A change that allocates more per round
 // must say why, and one that allocates less lowers them.
 const (
-	maxSessionRoundAllocs = 74
-	maxSessionRoundBytes  = 34200
+	maxSessionRoundAllocs = 53
+	maxSessionRoundBytes  = 31800
 )
 
 // maxColdSolveAllocs and maxColdSolveBytes bound the allocations and the
 // bytes allocated by one cold Solver.Solve at solve-contended's shape
-// (TestColdSolveAllocs). They are what was measured when the bounds were
-// set, 151 and 425,856 B, the bytes rounded up to the next 100, as above.
+// (TestColdSolveAllocs), in either of its cases. They are what was
+// measured when the bounds were set, 6 and 2,408 B with the generated
+// access and 7 and 2,960 B with the default, the bytes rounded up to the
+// next 100, as above: the root and engine Results with their Assignments
+// and Selected, the model instance, the decomposition list, and the
+// shared default access.
 const (
-	maxColdSolveAllocs = 151
-	maxColdSolveBytes  = 425900
+	maxColdSolveAllocs = 7
+	maxColdSolveBytes  = 3000
 )
 
 // fleetChurn returns a Session over a fleet of nets networks of 256
@@ -158,30 +162,56 @@ func perRun(runs int, f func()) (allocs, bytes uint64) {
 }
 
 // TestColdSolveAllocs gates the allocations and the bytes allocated per
-// cold Solver.Solve of a fixed-seed instance at solve-contended's shape
-// (workContended: 3 networks of 256 vertices, 384 demands, access 1–3), at
-// Parallelism 1. A first solve fills the Solver's decomposition cache
-// before the measured region, as perfbench's warm-up does.
+// cold Solver.Solve at solve-contended's shape (workContended: 3 networks of
+// 256 vertices, 384 demands, access 1–3), at Parallelism 1, and again with
+// every demand left to the default access, all three networks. Each case
+// solves 8 fresh instances round-robin, which differ in size as
+// perfbench's fresh instances do, so the pooled arena's buffers resize
+// between solves; a first pass over them fills the Solver's decomposition
+// cache, as perfbench's warm-up does, before the measured region.
 func TestColdSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 100
-	inst := buildInstance(t, workContended, 1)
-	s := treesched.NewSolver(treesched.Options{Parallelism: 1})
-	solve := func() {
-		if _, err := s.Solve(inst); err != nil {
-			t.Fatal(err)
-		}
+	const fresh, runs = 8, 96
+	for _, tc := range []struct {
+		name          string
+		defaultAccess bool
+	}{{"access", false}, {"default-access", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			insts := make([]*treesched.Instance, fresh)
+			for i := range insts {
+				in, err := workload.RandomTreeInstance(workContended, rand.New(rand.NewSource(int64(i+1))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.defaultAccess {
+					for j := range in.Demands {
+						in.Demands[j].Access = nil
+					}
+				}
+				insts[i] = publicInstance(t, in, in.Demands)
+			}
+			s := treesched.NewSolver(treesched.Options{Parallelism: 1})
+			k := 0
+			solve := func() {
+				if _, err := s.Solve(insts[k%fresh]); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			}
+			for range fresh {
+				solve()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			allocs, bytes := perRun(runs, solve)
+			if allocs > maxColdSolveAllocs || bytes > maxColdSolveBytes {
+				t.Fatalf("a cold solve allocates %d times and %d bytes, bounds %d and %d",
+					allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
+			}
+			t.Logf("a cold solve allocates %d times and %d bytes (bounds %d and %d)",
+				allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
+		})
 	}
-	solve()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs, bytes := perRun(runs, solve)
-	if allocs > maxColdSolveAllocs || bytes > maxColdSolveBytes {
-		t.Fatalf("a cold solve allocates %d times and %d bytes, bounds %d and %d",
-			allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
-	}
-	t.Logf("a cold solve allocates %d times and %d bytes (bounds %d and %d)",
-		allocs, bytes, maxColdSolveAllocs, maxColdSolveBytes)
 }

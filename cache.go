@@ -32,9 +32,10 @@ func newLRU[V any](capacity int) *lru[V] {
 
 func (c *lru[V]) len() int { return len(c.entries) }
 
-// get returns the cached value and refreshes its recency.
-func (c *lru[V]) get(key string) (V, bool) {
-	e, ok := c.entries[key]
+// get returns the cached value and refreshes its recency. It takes the key
+// as bytes, which the lookup reads without copying.
+func (c *lru[V]) get(key []byte) (V, bool) {
+	e, ok := c.entries[string(key)]
 	if !ok {
 		c.misses++
 		var zero V

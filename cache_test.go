@@ -17,7 +17,7 @@ func TestLRUHotKeySurvivesPressure(t *testing.T) {
 	c.put("hot", 1)
 	for i := 0; i < 100; i++ {
 		c.put(fmt.Sprintf("cold-%d", i), i)
-		if _, ok := c.get("hot"); !ok {
+		if _, ok := c.get([]byte("hot")); !ok {
 			t.Fatalf("hot key evicted after %d cold inserts", i+1)
 		}
 		if c.len() > 4 {
@@ -25,10 +25,10 @@ func TestLRUHotKeySurvivesPressure(t *testing.T) {
 		}
 	}
 	// The most recent cold keys are still here, older ones evicted singly.
-	if _, ok := c.get("cold-99"); !ok {
+	if _, ok := c.get([]byte("cold-99")); !ok {
 		t.Fatal("most recent cold key evicted")
 	}
-	if _, ok := c.get("cold-0"); ok {
+	if _, ok := c.get([]byte("cold-0")); ok {
 		t.Fatal("oldest cold key survived a full cache of newer entries")
 	}
 }
@@ -39,10 +39,10 @@ func TestLRUUpdateRefreshes(t *testing.T) {
 	c.put("b", "2")
 	c.put("a", "3") // refresh: b becomes the eviction candidate
 	c.put("c", "4")
-	if v, ok := c.get("a"); !ok || v != "3" {
+	if v, ok := c.get([]byte("a")); !ok || v != "3" {
 		t.Fatalf("a = %q, %v; want refreshed value", v, ok)
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get([]byte("b")); ok {
 		t.Fatal("b survived eviction despite being least recently used")
 	}
 	if c.len() != 2 {
@@ -139,10 +139,10 @@ func TestSolverCacheStatsCounters(t *testing.T) {
 	check("sub-unit heights, known network", build(3, Height(0.5)), CacheCounters{Len: 1, Hits: 3, Misses: 1})
 }
 
-// TestInstanceSignatureExact pins the decomposition cache's key, treeKey,
-// which is what remains of the instance signature: a structurally
-// identical tree shares its key however its edges are listed, and every
-// other tree does not (a shared key would serve one network's
+// TestInstanceSignatureExact pins the decomposition cache's key
+// (appendTreeKey), which is what remains of the instance signature: a
+// structurally identical tree shares its key however its edges are listed,
+// and every other tree does not (a shared key would serve one network's
 // decomposition to the other). It checks every labelled tree on 4 and 5
 // vertices, enumerated by Prüfer sequence.
 func TestInstanceSignatureExact(t *testing.T) {
@@ -160,7 +160,7 @@ func TestInstanceSignatureExact(t *testing.T) {
 			}
 			edges := pruferEdges(n, seq)
 			name := fmt.Sprintf("n=%d %v", n, edges)
-			key := treeKey(graph.MustTree(n, edges))
+			key := string(appendTreeKey(nil, graph.MustTree(n, edges)))
 			if prev, ok := owner[key]; ok {
 				t.Fatalf("%s shares its key with %s", name, prev)
 			}
@@ -170,7 +170,7 @@ func TestInstanceSignatureExact(t *testing.T) {
 			for i, e := range edges {
 				flipped[len(edges)-1-i] = graph.Edge{U: e.V, V: e.U}
 			}
-			if treeKey(graph.MustTree(n, flipped)) != key {
+			if string(appendTreeKey(nil, graph.MustTree(n, flipped))) != key {
 				t.Fatalf("%s: relisting its edges changed the key", name)
 			}
 		}

@@ -32,9 +32,11 @@
 //
 // # The Solver batch API
 //
-// Solve is NewSolver(opts).Solve(in): every solve builds its items,
-// interns them into the dense dual layout and groups them into the member
-// lists that encode the §2 conflict graph. For batch use — many demand
+// Solve is NewSolver(opts).Solve(in): every solve builds its items and
+// interns them into the dense dual layout, in storage pooled across solves
+// (engine.Arena), and its serial engine run reads no other structure: the
+// member lists that encode the §2 conflict graph are built only by their
+// first reader, which a cold solve never is. For batch use — many demand
 // sets on fixed networks — keep one Solver: it carries one Options and
 // caches the one part of preparation that recurs, each network's layered
 // decomposition, keyed by network structure. Whole instances are not
@@ -163,21 +165,26 @@
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
-// Preparation is three linear passes. Item building walks each demand
-// instance's path once (decomp.Layered.Walk, Lemma 4.2): one LCA, the
-// climbs from both endpoints writing the path's edge keys, µ(d) tracked on
-// the way and π(d)'s wings found by depth arithmetic, all into two arenas
-// shared by the item set (engine.DemandItems). Layout interning then
-// translates every item into its dense view, all views' index lists in one
-// slab. Grouping finally lists, per interned demand slot and per edge
-// index, the ascending items it holds, by array indexing over the views
-// (no second hashing of the same keys). By §2 two items conflict
-// iff they share a demand or an edge, so these member lists are a clique
-// cover of the conflict graph, and the engine stores nothing else: the
-// Luby and greedy elections compare priorities per group, and the
-// component decomposition walks from item to item through shared groups.
-// Preparation thus costs O(Σ |path|) rather than the O(Σ deg) of an
-// adjacency, which on a contended instance is an order of magnitude more.
+// Preparation is two linear passes, and a third on first read. Item
+// building walks each demand instance's path once (decomp.Layered.Walk,
+// Lemma 4.2): one LCA, the climbs from both endpoints writing the path's
+// edge keys, µ(d) tracked on the way and π(d)'s wings found by depth
+// arithmetic, all into two slabs shared by the item set
+// (engine.DemandItems). Layout interning then translates every item into
+// its dense view, all views' index lists in one slab. Grouping lists, per
+// interned demand slot and per edge index, the ascending items it holds,
+// by array indexing over the views (no second hashing of the same keys).
+// By §2 two items conflict iff they share a demand or an edge, so these
+// member lists are a clique cover of the conflict graph, and the engine
+// stores nothing else: the Luby and greedy elections compare priorities
+// per group, and the component decomposition walks from item to item
+// through shared groups. Preparation thus costs O(Σ |path|) rather than
+// the O(Σ deg) of an adjacency, which on a contended instance is an order
+// of magnitude more. A serial solve reads each item's groups off its view
+// and never the lists, so they are built by their first reader — the
+// component pass, Apply, a Session's departure lookup or the simulator —
+// and a cold solve skips the pass. A Session builds them once, at its
+// first solve.
 //
 // For churning workloads the prepared state is a value to update, not to
 // rebuild. Solver.Session pins a solver to one instance whose networks are
@@ -393,8 +400,9 @@
 //     Messages.
 //
 // Besides the warm-round counters above, the counters of work are
-// member_entries (member-list entries Prepare writes, and an Apply's
-// filters keep and arrivals append), scan_rows and scan_betas (first-phase
+// member_entries (member-list entries written when the lists are built on
+// first read, and an Apply's filters keep and arrivals append; 0 on a cold
+// solve, which builds none), scan_rows and scan_betas (first-phase
 // rows whose LHS scanLive and retest evaluate, and the β entries they
 // read), mis_iters (Luby iterations), greedy_tests (one per raised item),
 // and in the simulator node_rounds (Round calls on its nodes) and

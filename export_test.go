@@ -29,11 +29,11 @@ func DemandHeights(in *Instance) []float64 {
 // the pipeline themselves.
 func EngineInput(in *Instance, opts Options) ([]engine.Item, engine.Config, error) {
 	s := NewSolver(opts)
-	m, err := in.build()
+	m, err := in.build(nil)
 	if err != nil {
 		return nil, engine.Config{}, err
 	}
-	layered, err := s.layeredFor(m)
+	layered, err := s.layeredFor(m, new([]byte))
 	if err != nil {
 		return nil, engine.Config{}, err
 	}

@@ -57,7 +57,7 @@ const Tolerance = 1e-9
 // demand id; edge indices are never released.
 type Index struct {
 	demands model.IDInterner
-	edges   *model.EdgeInterner
+	edges   model.EdgeInterner
 }
 
 // NewIndex returns an empty, unsized index. Its edge side keeps a map from
@@ -70,10 +70,16 @@ func NewIndex() *Index { return NewIndexSized(0, 0) }
 // total length of the index lists it will serve; see
 // model.NewEdgeInternerSized).
 func NewIndexSized(demands, pathEntries int) *Index {
-	return &Index{
-		demands: model.NewIDInterner(demands),
-		edges:   model.NewEdgeInternerSized(pathEntries),
-	}
+	ix := new(Index)
+	ix.Reset(demands, pathEntries)
+	return ix
+}
+
+// Reset empties the index for reuse, sized as NewIndexSized(demands,
+// pathEntries) sizes a new one, and keeps the storage of both sides.
+func (ix *Index) Reset(demands, pathEntries int) {
+	ix.demands.Reset(demands)
+	ix.edges.Reset(pathEntries)
 }
 
 // Hashed reports whether either side of the index converted to a map, so
@@ -136,11 +142,29 @@ func New() *Assignment { return NewWithIndex(NewIndex()) }
 // NewWithIndex returns an empty assignment over ix, pre-sized to the index's
 // current extent.
 func NewWithIndex(ix *Index) *Assignment {
-	return &Assignment{
-		ix:    ix,
-		alpha: make([]float64, ix.NumDemands()),
-		beta:  make([]float64, ix.NumEdges()),
+	a := new(Assignment)
+	a.Reset(ix)
+	return a
+}
+
+// Reset empties the assignment for reuse over ix, as NewWithIndex(ix)
+// returns one — every α and β zero over the index's current extent — and
+// keeps its storage.
+func (a *Assignment) Reset(ix *Index) {
+	a.ix = ix
+	a.alpha = zeroed(a.alpha, ix.NumDemands())
+	a.beta = zeroed(a.beta, ix.NumEdges())
+}
+
+// zeroed returns s's storage at length n, all zero, or a new slice when s
+// is nil or too short.
+func zeroed(s []float64, n int) []float64 {
+	if s == nil || cap(s) < n {
+		return make([]float64, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewDense returns an assignment over pre-sized dense storage and no index:

@@ -88,14 +88,21 @@ func bigSum(terms []float64) float64 {
 //     departed demand's, and later ids take them.
 //
 // pathEntries sizes the index (0 = unsized, so its edge side starts as the
-// map). Assignments are created between internings, so Value runs over
-// every extent the index ever had — growth after a first Value, as Apply
-// does — and most slots stay zero, as a Session's stale slots do.
-func indexSequence(t testing.TB, seed int64, pathEntries, shape int) {
+// map). A non-nil reused index runs the sequence in place of a new one,
+// after a Reset to the same sizes, which must leave nothing of its earlier
+// sequences behind. Assignments are created between internings, so Value
+// runs over every extent the index ever had — growth after a first Value,
+// as Apply does — and most slots stay zero, as a Session's stale slots do.
+func indexSequence(t testing.TB, seed int64, pathEntries, shape int, reused *Index) {
 	rng := rand.New(rand.NewSource(seed))
-	ix := NewIndexSized(rng.Intn(8), pathEntries)
+	demands := rng.Intn(8)
+	ix := NewIndexSized(demands, pathEntries)
 	if pathEntries == 0 {
 		ix = NewIndex()
+	}
+	if reused != nil {
+		reused.Reset(demands, pathEntries)
+		ix = reused
 	}
 	o := newOracleIndex()
 	breakAt := -1
@@ -227,12 +234,15 @@ func (o *oracleIndex) nextID() int { return len(o.demandIDs) }
 // Value, over dense, sparse and mixed key spaces, identity broken at random
 // points or never, demand slots released and reused or never, and indexes
 // sized from far too small (converting early) to roomy (staying tabled) as
-// well as unsized.
+// well as unsized. Every sequence runs twice: in a new index, and in one
+// index Reset after each earlier sequence, as an arena reuses its index.
 func TestIndexMatchesOracle(t *testing.T) {
+	reused := NewIndex()
 	for shape := 0; shape < 16; shape++ {
 		for _, entries := range []int{0, 1, 8, 64, 4096} {
 			for seed := int64(0); seed < 12; seed++ {
-				indexSequence(t, seed*131+int64(shape)*17+int64(entries), entries, shape)
+				indexSequence(t, seed*131+int64(shape)*17+int64(entries), entries, shape, nil)
+				indexSequence(t, seed*131+int64(shape)*17+int64(entries), entries, shape, reused)
 			}
 		}
 	}
@@ -245,6 +255,6 @@ func FuzzIndexMatchesOracle(f *testing.F) {
 	f.Add(int64(4), uint16(8), uint8(7))
 	f.Add(int64(5), uint16(64), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, entries uint16, shape uint8) {
-		indexSequence(t, seed, int(entries), int(shape))
+		indexSequence(t, seed, int(entries), int(shape), nil)
 	})
 }

@@ -73,7 +73,7 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 func SolveArbitrary(items []Item, cfg Config, rec Recorder) (*ArbitraryResult, error) {
 	out := &ArbitraryResult{}
 	selected, profit, err := SolveHeightClasses(items, cfg, func(class []Item, ccfg Config) ([]int, error) {
-		res, err := PrepareRecorded(class, rec).Solve(ccfg, 1)
+		res, err := PrepareRecorded(class, rec, nil).Solve(ccfg, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -13,15 +13,18 @@ import "slices"
 // compare priorities per group, components traverse from item to item
 // through shared groups, and Prepared.Apply patches the lists in place.
 //
-// The lists come straight from the dense layout: buildLayout has already
+// The lists come straight from the dense layout: layout.build has already
 // interned every demand to a slot and every path edge to an int32 index, so
 // grouping is pure array indexing over the precomputed ItemViews — no
-// hashing and no second traversal of items[i].Edges.
+// hashing and no second traversal of items[i].Edges. They are built by
+// their first reader (Prepared.ensureMembers): a serial solve reads an
+// item's groups off its view, so a cold solve never builds them.
 
 // buildMembers groups items by demand slot and by edge index: members[g] is
 // the ascending list of item ids in dense group g. Exact-sized in two passes
-// over the views (count, then fill) so the backing arrays never regrow.
-func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, edgeMembers [][]int32) {
+// over the views (count, then fill) so the backing arrays never regrow;
+// entries is their total, one per item and one per path edge.
+func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, edgeMembers [][]int32, entries int) {
 	dCounts := make([]int32, numDemands)
 	eCounts := make([]int32, numEdges)
 	total := 0
@@ -52,7 +55,7 @@ func buildMembers(views []ItemView, numDemands, numEdges int) (demandMembers, ed
 			edgeMembers[e] = append(edgeMembers[e], int32(i))
 		}
 	}
-	return demandMembers, edgeMembers
+	return demandMembers, edgeMembers, total
 }
 
 // componentScratch is the component pass's reusable state, kept on the

@@ -171,24 +171,27 @@ func (c *Core) lambdaOnly(views []ItemView) float64 {
 	return lambda
 }
 
-// selectGreedyViews is the shared second phase: pop the phase-1 raise
-// history (last step first, item ids ascending within a step) and greedily
-// build the feasible solution — an item is added if its demand is unused
-// and every path edge retains capacity (edge-disjointness under the unit
-// rule, height sums ≤ 1 under the narrow rule). steps lists the raised item
-// ids of each phase-1 step in execution order; the selection comes back
-// ascending, and its profit is SumProfit's, which no order can change. The
-// serial engine calls it directly and the dist coordinator through
-// Prepared.SelectGreedy, and each shard of the sharded pipeline pops its
-// own stack through the same greedy.take, so identical raise histories
-// yield identical selections.
+// selectGreedyViews is the shared second phase over a raise history held
+// as item lists: pop it (last step first, item ids ascending within a
+// step) and greedily build the feasible solution — an item is added if its
+// demand is unused and every path edge retains capacity (edge-disjointness
+// under the unit rule, height sums ≤ 1 under the narrow rule). steps lists
+// the raised item ids of each phase-1 step in execution order; the
+// selection comes back ascending, and its profit is SumProfit's, which no
+// order can change. The dist coordinator calls it through
+// Prepared.SelectGreedy, and the serial engine and each shard of the
+// sharded pipeline pop their own stacks through the same greedy.take
+// (popGreedy), so identical raise histories yield identical selections.
 //
 //schedvet:hot
 func selectGreedyViews(views []ItemView, mode Mode, steps [][]int, numSlots, numEdges int) (selected []int) {
-	g := newGreedy(views, mode, numSlots, numEdges)
+	scr := scratchPool.Get().(*solveScratch)
+	g := newGreedy(views, mode, numSlots, numEdges, scr)
 	for s := len(steps) - 1; s >= 0; s-- {
 		selected = g.take(steps[s], selected)
 	}
+	//schedvet:ok hotpath boxing a pointer allocates nothing; one Put per pass, not per item
+	scratchPool.Put(scr)
 	slices.Sort(selected)
 	return selected
 }
@@ -215,13 +218,18 @@ type greedy struct {
 	usage      []float64
 }
 
-func newGreedy(views []ItemView, mode Mode, numSlots, numEdges int) greedy {
-	return greedy{
+// newGreedy returns the greedy state over views, its marks, all clear,
+// taken from scr.
+func newGreedy(views []ItemView, mode Mode, numSlots, numEdges int, scr *solveScratch) greedy {
+	g := greedy{
 		views:      views,
 		unit:       mode == Unit,
-		usedDemand: make([]bool, numSlots),
-		usage:      make([]float64, numEdges),
+		usedDemand: resize(&scr.usedDemand, numSlots),
+		usage:      resize(&scr.usage, numEdges),
 	}
+	clear(g.usedDemand)
+	clear(g.usage)
+	return g
 }
 
 // take pops one step: it tests ids in order and appends to sel each one the

@@ -167,6 +167,7 @@ func (p *Prepared) Apply(d Delta) error {
 		tok = rec.StartSpan(PhaseApply)
 	}
 	p.shardMu.Lock()
+	p.ensureMembers() // of the item set before the delta
 	// Keep the component bookkeeping while the last shard build sharded.
 	track := p.shards != nil
 	newN := n - len(d.Remove) + len(d.Add)

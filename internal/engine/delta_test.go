@@ -54,15 +54,17 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	// Member lists, group by group, matched through the external keys
 	// (slot numbering may differ from scratch: departed demands' slots go
 	// to later arrivals, and removals leave stale edge indices).
-	for s, want := range scratch.demandMembers {
+	demandMembers, edgeMembers := p.Members()
+	scratchDemands, scratchEdges := scratch.Members()
+	for s, want := range scratchDemands {
 		got, ok := p.lay.ix.DemandSlot(scratch.lay.ix.DemandID(int32(s)))
-		if !ok || !slices.Equal(p.demandMembers[got], want) {
+		if !ok || !slices.Equal(demandMembers[got], want) {
 			t.Fatalf("demand group %d: members diverge from scratch %v", s, want)
 		}
 	}
-	for e, want := range scratch.edgeMembers {
+	for e, want := range scratchEdges {
 		got, ok := p.lay.ix.EdgeSlot(scratch.lay.ix.EdgeKey(int32(e)))
-		if !ok || !slices.Equal(p.edgeMembers[got], want) {
+		if !ok || !slices.Equal(edgeMembers[got], want) {
 			t.Fatalf("edge group %d: members diverge from scratch %v", e, want)
 		}
 	}
@@ -122,21 +124,21 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 			wantE[e] = append(wantE[e], int32(i))
 		}
 	}
-	for s := range p.demandMembers {
-		if !slices.Equal(p.demandMembers[s], wantD[int32(s)]) {
-			t.Fatalf("demand group %d members %v, want %v", s, p.demandMembers[s], wantD[int32(s)])
+	for s := range demandMembers {
+		if !slices.Equal(demandMembers[s], wantD[int32(s)]) {
+			t.Fatalf("demand group %d members %v, want %v", s, demandMembers[s], wantD[int32(s)])
 		}
 		// A slot without members is free: its last demand's lookup no
 		// longer leads to it.
-		if len(p.demandMembers[s]) == 0 {
+		if len(demandMembers[s]) == 0 {
 			if got, ok := p.lay.ix.DemandSlot(p.lay.ix.DemandID(int32(s))); ok && got == int32(s) {
 				t.Fatalf("demand slot %d has no members but still holds demand %d", s, p.lay.ix.DemandID(int32(s)))
 			}
 		}
 	}
-	for e := range p.edgeMembers {
-		if !slices.Equal(p.edgeMembers[e], wantE[int32(e)]) {
-			t.Fatalf("edge group %d members %v, want %v", e, p.edgeMembers[e], wantE[int32(e)])
+	for e := range edgeMembers {
+		if !slices.Equal(edgeMembers[e], wantE[int32(e)]) {
+			t.Fatalf("edge group %d members %v, want %v", e, edgeMembers[e], wantE[int32(e)])
 		}
 	}
 
@@ -189,7 +191,11 @@ func checkPlanStats(t *testing.T, p *Prepared) {
 	for _, mode := range []Mode{Unit, Narrow} {
 		gcfg := Config{Mode: mode, Epsilon: 0.1}
 		wcfg := gcfg
-		gplan, gerr := p.plan(&gcfg)
+		gplan := new(Plan)
+		gerr := p.plan(&gcfg, gplan)
+		if gerr != nil {
+			gplan = nil
+		}
 		wplan, werr := PlanFor(p.Items(), &wcfg)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(gplan, wplan) || gcfg != wcfg {
 			t.Fatalf("%v: plan %+v (%v) under %+v, PlanFor %+v (%v) under %+v", mode, gplan, gerr, gcfg, wplan, werr, wcfg)
@@ -208,7 +214,7 @@ func shardItems(p *Prepared, sh *preShard) []Item {
 	return items
 }
 
-// checkShardLayouts checks every shard of p against buildLayout over the
+// checkShardLayouts checks every shard of p against a layout built over the
 // shard's items: relabel must number demand slots and edge indices exactly
 // as interning would, read each slot's demand id through its translation,
 // and its translations must lead each local slot and edge index back to
@@ -216,7 +222,7 @@ func shardItems(p *Prepared, sh *preShard) []Item {
 func checkShardLayouts(t *testing.T, p *Prepared) {
 	t.Helper()
 	for s, sh := range p.shards {
-		want := buildLayout(shardItems(p, sh), new(planStats))
+		want := Prepare(shardItems(p, sh)).lay
 		got := sh.lay
 		if got.demands != want.demands || got.edges != want.edges || !slices.Equal(got.demandIDs, want.demandIDs) {
 			t.Fatalf("shard %d: layout extents or demand ids diverge from interning", s)
@@ -477,8 +483,8 @@ func TestApplyPlanStatsExtremes(t *testing.T) {
 				tally := &counterTally{}
 				p.SetRecorder(tally)
 				before := cfg
-				bplan, err := p.plan(&before)
-				if err != nil {
+				bplan := new(Plan)
+				if err := p.plan(&before, bplan); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := p.Solve(cfg, 2); err != nil { // shards, so the next solve replays
@@ -495,8 +501,8 @@ func TestApplyPlanStatsExtremes(t *testing.T) {
 					t.Fatalf("Apply read %d items to plan, want %d", got, want)
 				}
 				after := cfg
-				aplan, err := p.plan(&after)
-				if err != nil {
+				aplan := new(Plan)
+				if err := p.plan(&after, aplan); err != nil {
 					t.Fatal(err)
 				}
 				if !tc.moved(bplan, aplan) {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -151,8 +152,12 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 // three executions of the protocol — serial engine, sharded pipeline, and
 // the message-passing simulation — return bitwise-identical selections and
 // profit under the splitmix64 priority streams. The fleet shape must
-// really shard.
+// really shard. The serial engine prepared in one arena, reused across the
+// sweep's instances of different sizes, must return the Result of fresh
+// storage, bit for bit, its dual included.
 func TestThreeExecutionsAgree(t *testing.T) {
+	arena := engine.TakeArena()
+	defer arena.Release()
 	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
 		heights := workload.UnitHeights
 		if mode == engine.Narrow {
@@ -171,6 +176,15 @@ func TestThreeExecutionsAgree(t *testing.T) {
 				serial, err := engine.Prepare(items).Solve(cfg, 1)
 				if err != nil {
 					t.Fatalf("%v/%s seed %d: serial: %v", mode, shape.name, seed, err)
+				}
+				pooled, err := engine.PrepareRecorded(items, nil, arena).Solve(cfg, 1)
+				if err != nil {
+					t.Fatalf("%v/%s seed %d: in an arena: %v", mode, shape.name, seed, err)
+				}
+				if !reflect.DeepEqual(pooled.Selected, serial.Selected) || math.Float64bits(pooled.Profit) != math.Float64bits(serial.Profit) ||
+					math.Float64bits(pooled.Bound) != math.Float64bits(serial.Bound) || math.Float64bits(pooled.Lambda) != math.Float64bits(serial.Lambda) ||
+					!reflect.DeepEqual(pooled.Dual.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(pooled.Dual.BetaMap(), serial.Dual.BetaMap()) {
+					t.Errorf("%v/%s seed %d: the solve in an arena diverged", mode, shape.name, seed)
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
 					rec := newCountingRecorder()

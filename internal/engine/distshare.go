@@ -5,23 +5,27 @@ import "treesched/internal/dual"
 // This file is the read-only surface package dist shares with the engine.
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
-// engine already builds once per item set (views, group member lists, dual
-// extents), and the dist coordinator reconstructs the global selection,
-// dual, λ and trace by replaying the collected raise history through the
-// very same prepared layout. Everything exported here is immutable during
-// runs, so any number of nodes — goroutines or batched worker lanes — may
-// read it concurrently without synchronization.
+// engine already builds once per item set (views, dual extents, and the
+// group member lists, which the run's setup builds on its first read),
+// and the dist coordinator reconstructs the global selection, dual, λ and
+// trace by replaying the collected raise history through the very same
+// prepared layout. Everything exported here is immutable during runs, so
+// any number of nodes — goroutines or batched worker lanes — may read it
+// concurrently without synchronization.
 
 // Views returns the prepared per-item dense views, aligned with Items().
 // Strictly read-only: the dist nodes alias these slices directly instead of
 // copying path/critical sets per processor.
 func (p *Prepared) Views() []ItemView { return p.lay.views }
 
-// Members returns the prepared conflict structure: demandMembers[s] and
-// edgeMembers[e] list, ascending, the items whose demand interned to slot s
-// and whose path contains edge index e. Two items conflict iff they share
-// a list. Strictly read-only.
+// Members returns the prepared conflict structure, built on the first
+// read: demandMembers[s] and edgeMembers[e] list, ascending, the items
+// whose demand interned to slot s and whose path contains edge index e.
+// Two items conflict iff they share a list. Strictly read-only.
 func (p *Prepared) Members() (demandMembers, edgeMembers [][]int32) {
+	p.shardMu.Lock()
+	defer p.shardMu.Unlock()
+	p.ensureMembers()
 	return p.demandMembers, p.edgeMembers
 }
 
@@ -49,7 +53,7 @@ func (p *Prepared) SelectGreedy(mode Mode, steps [][]int) (selected []int, profi
 // order would report. The dist runtime uses this to recover the global dual
 // from per-node raise logs without any node ever holding global state.
 func (p *Prepared) ReplayDual(mode Mode, steps [][]int) (d *dual.Assignment, lambda, bound float64) {
-	core := p.lay.newCore(mode)
+	core := NewCoreWithIndex(mode, p.lay.ix)
 	for _, ids := range steps {
 		for _, id := range ids {
 			core.Raise(&p.lay.views[id])

@@ -144,14 +144,14 @@ type Result struct {
 // state is the mutable run state shared by the phases. The dual raises,
 // coefficient handling and threshold checks live in the shared Core so the
 // in-process run and the dist protocol cannot drift; all dual addressing
-// goes through the layout's precomputed dense views.
+// goes through the layout's precomputed dense views. The raise stack is
+// the scratch's (solveScratch.stack).
 type state struct {
 	lay   *layout
 	cfg   Config
 	plan  *Plan
 	core  *Core
 	scr   *solveScratch
-	stack []step
 	trace *Trace
 	steps int
 }
@@ -163,10 +163,23 @@ type scanWork struct{ rows, betas int }
 // solveScratch bundles a state's reusable per-run buffers, split out so the
 // serial path and the shard workers can pool them across runs instead of
 // reallocating per solve. Nothing in a scratch outlives the run that used
-// it: everything a Result (or the warm cache) retains — duals, stacks,
-// traces — is allocated elsewhere, so returning a scratch to the pool while
-// the Result lives is safe.
+// it: everything a Result (or the warm cache) retains — duals, selections,
+// traces, and a shard's copy of its stack (ownStack) — is allocated
+// elsewhere, so returning a scratch to the pool while the Result lives is
+// safe.
 type solveScratch struct {
+	// st and core are the run's state and core (newState), and plan a
+	// serial run's plan.
+	st   state
+	core Core
+	plan Plan
+	// stack is the run's raise stack. Its steps' item lists are subslices
+	// of picks, which holds every step's raised ids in stack order.
+	stack []step
+	picks []int
+	// usedDemand and usage are the greedy pass's marks (newGreedy).
+	usedDemand []bool
+	usage      []float64
 	// streams holds one splitmix64 priority stream per demand slot,
 	// re-seeded by newState exactly as the dist nodes seed theirs
 	// (NewStream).
@@ -220,29 +233,30 @@ type Plan struct {
 func PlanFor(items []Item, cfg *Config) (*Plan, error) {
 	var st planStats
 	st.gather(items)
-	plan, _, err := st.plan(items, cfg)
-	return plan, err
+	plan := new(Plan)
+	if _, err := st.plan(items, cfg, plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
-// newState assembles run state over a prepared plan and dense layout. The
-// layout is read-only: concurrent states (runs over one Prepared,
-// shard workers) may share one. Its views are the whole item set a run
-// reads, and also the conflict graph: an item's demand slot and edge
-// indices are the groups it belongs to. scr may be a pooled scratch (nil
-// allocates a private one); its streams are re-seeded here, so a recycled
-// scratch starts every run from the same stream positions a fresh one
-// would.
-func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch) *state {
+// newState assembles run state over a prepared plan and dense layout, with
+// d, all zero, as its dual. The layout is read-only: concurrent states
+// (runs over one Prepared, shard workers) may share one. Its views are the
+// whole item set a run reads, and also the conflict graph: an item's
+// demand slot and edge indices are the groups it belongs to. scr may be a
+// pooled scratch (nil allocates a private one); the state lives in it, its
+// raise stack is emptied, and its streams are re-seeded here, so a
+// recycled scratch starts every run from the same stream positions a fresh
+// one would.
+func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch, d *dual.Assignment) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
-	st := &state{
-		lay:  lay,
-		cfg:  cfg,
-		plan: plan,
-		core: lay.newCore(cfg.Mode),
-		scr:  scr,
-	}
+	scr.core = Core{Mode: cfg.Mode, Dual: d}
+	scr.st = state{lay: lay, cfg: cfg, plan: plan, core: &scr.core, scr: scr}
+	scr.stack, scr.picks = scr.stack[:0], scr.picks[:0]
+	st := &scr.st
 	ids := lay.demandIDs
 	if cap(scr.streams) < len(ids) {
 		scr.streams = make([]Stream, len(ids))
@@ -272,13 +286,13 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseSerialSolve)
 	}
-	plan, err := p.plan(&cfg) // resolves ξ and defaults
-	if err != nil {
-		return nil, err
-	}
 	scr := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(scr)
-	st := newState(p.lay, cfg, plan, scr)
+	plan := &scr.plan
+	if err := p.plan(&cfg, plan); err != nil { // resolves ξ and defaults
+		return nil, err
+	}
+	st := newState(p.lay, cfg, plan, scr, p.runDual())
 	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
 	scan, err := st.firstPhase(res)
 	if err != nil {
@@ -291,7 +305,8 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 		rec.EndSpan(PhaseSerialSolve, tok)
 		tok = rec.StartSpan(PhaseGreedy)
 	}
-	res.Selected = st.secondPhase()
+	res.Selected = st.popGreedy(res.Raised)
+	slices.Sort(res.Selected)
 	res.Profit = SumProfit(p.items, res.Selected)
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, tok)
@@ -336,12 +351,15 @@ type planStats struct {
 // gather recomputes the statistics from every item, reusing the count
 // slices.
 func (s *planStats) gather(items []Item) {
-	clear(s.byCritical)
-	clear(s.byGroup)
-	s.n, s.invalid = 0, 0
+	s.reset()
 	for i := range items {
 		s.add(&items[i], i)
 	}
+}
+
+// reset empties the statistics, keeping the count slices' storage.
+func (s *planStats) reset() {
+	*s = planStats{byCritical: s.byCritical[:0], byGroup: s.byGroup[:0]}
 }
 
 // add counts the item at position pos.
@@ -416,26 +434,26 @@ func (s *planStats) stale() bool {
 }
 
 // plan checks the configuration and builds the schedule from the
-// statistics of items, resolving a zero ξ to the paper's default in place.
-// A set with an item that fails the checks, or a height over 1/2 in narrow
-// mode, goes to validate, which reads the items to name the first
-// offence; read is the number of items it read. Every error and its order
-// are those of a check of the configuration, then of the items in order,
-// then of ξ.
-func (s *planStats) plan(items []Item, cfg *Config) (p *Plan, read int, err error) {
+// statistics of items into p, whose threshold storage it reuses, resolving
+// a zero ξ to the paper's default in place. A set with an item that fails
+// the checks, or a height over 1/2 in narrow mode, goes to validate, which
+// reads the items to name the first offence; read is the number of items
+// it read. Every error and its order are those of a check of the
+// configuration, then of the items in order, then of ξ.
+func (s *planStats) plan(items []Item, cfg *Config, p *Plan) (read int, err error) {
 	// Range checks are negated so that NaN, which fails every comparison,
 	// is rejected too.
 	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
-		return nil, 0, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
+		return 0, fmt.Errorf("engine: epsilon must be in (0,1), got %v", cfg.Epsilon)
 	}
 	if s.invalid > 0 || cfg.Mode == Narrow && s.n > 0 && s.hmax > 0.5+dual.Tolerance {
 		read, err := validate(items, cfg.Mode)
 		if err == nil {
 			panic("engine: plan statistics disagree with the items")
 		}
-		return nil, read, err
+		return read, err
 	}
-	p = &Plan{PMin: 1, PMax: 1, Delta: lastNonzero(s.byCritical), MaxGroup: lastNonzero(s.byGroup)}
+	*p = Plan{PMin: 1, PMax: 1, Delta: lastNonzero(s.byCritical), MaxGroup: lastNonzero(s.byGroup), Thresholds: p.Thresholds[:0]}
 	hmin := 1.0
 	if s.n > 0 {
 		p.PMin, p.PMax, hmin = s.pmin, s.pmax, s.hmin
@@ -447,27 +465,27 @@ func (s *planStats) plan(items []Item, cfg *Config) (p *Plan, read int, err erro
 		cfg.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
 	}
 	if !(cfg.Xi > 0 && cfg.Xi < 1) {
-		return nil, 0, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
+		return 0, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
 	}
 	p.Xi = cfg.Xi
 	p.StepCap = stepCap(p.PMin, p.PMax)
 	if cfg.SingleStage {
 		p.Stages = 1
-		p.Thresholds = []float64{1 / (5 + cfg.Epsilon)}
-		return p, 0, nil
+		p.Thresholds = append(p.Thresholds, 1/(5+cfg.Epsilon))
+		return 0, nil
 	}
 	b := 1
 	for x := p.Xi; x > cfg.Epsilon; x *= p.Xi {
 		b++
 	}
 	p.Stages = b
-	p.Thresholds = make([]float64, b)
+	p.Thresholds = resize(&p.Thresholds, b)
 	x := 1.0
 	for j := 0; j < b; j++ {
 		x *= p.Xi
 		p.Thresholds[j] = 1 - x
 	}
-	return p, 0, nil
+	return 0, nil
 }
 
 // lastNonzero returns the largest index of a nonzero count, or 0.
@@ -480,14 +498,14 @@ func lastNonzero(counts []int) int {
 	return 0
 }
 
-// plan is planStats.plan over the Prepared's statistics, counting the
-// items a validate fallback reads.
-func (p *Prepared) plan(cfg *Config) (*Plan, error) {
-	plan, read, err := p.stats.plan(p.items, cfg)
+// plan is planStats.plan over the Prepared's statistics, into dst,
+// counting the items a validate fallback reads.
+func (p *Prepared) plan(cfg *Config, dst *Plan) error {
+	read, err := p.stats.plan(p.items, cfg, dst)
 	if read > 0 && p.rec != nil {
 		p.rec.Count(CounterPlanItems, int64(read))
 	}
-	return plan, err
+	return err
 }
 
 // validate reports the first item, in item order, that fails the item
@@ -632,7 +650,7 @@ func (st *state) firstPhase(res *Result) (scanWork, error) {
 					st.raise(id)
 				}
 				res.Raised += len(chosen)
-				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
+				st.scr.stack = append(st.scr.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
 	}
@@ -721,7 +739,8 @@ func (st *state) retest(u []int, thresh float64) ([]int, int) {
 }
 
 // independentSet computes a maximal independent set within u (item ids) and
-// returns the selected ids ascending plus the number of Luby iterations.
+// returns the selected ids ascending, appended to the scratch's picks, plus
+// the number of Luby iterations.
 // mis reads the conflict graph among u as its clique cover: each item's
 // demand slot and path edge indices, the groups whose shared membership is
 // the §2 conflict relation.
@@ -742,7 +761,7 @@ func (st *state) independentSet(u []int) ([]int, int) {
 	scr.slotBuf = slots
 	c.NumDemands, c.NumEdges = st.lay.demands, st.lay.edges
 	if st.cfg.MIS == GreedyMIS {
-		return pick(u, mis.Greedy(c, &scr.mis)), 1
+		return scr.pick(u, mis.Greedy(c, &scr.mis)), 1
 	}
 	// Luby receives demand *slots* as owners (one processor per demand,
 	// §2); st.draw resolves a slot to its stream. The engine controls both
@@ -750,17 +769,20 @@ func (st *state) independentSet(u []int) ([]int, int) {
 	// demand ids is invisible to mis — and the streams themselves are
 	// seeded from the external ids, matching dist.
 	in, iters := mis.Luby(c, slots, st.draw, &scr.mis)
-	return pick(u, in), iters
+	return scr.pick(u, in), iters
 }
 
-func pick(u []int, in []bool) []int {
-	var out []int
+// pick appends the ids of u that in marks to picks and returns them, capped
+// at their own length. A regrown picks keeps every earlier step's ids, in
+// order, while the earlier steps keep the array they were picked into.
+func (scr *solveScratch) pick(u []int, in []bool) []int {
+	start := len(scr.picks)
 	for i, id := range u {
 		if in[i] {
-			out = append(out, id)
+			scr.picks = append(scr.picks, id)
 		}
 	}
-	return out
+	return scr.picks[start:len(scr.picks):len(scr.picks)]
 }
 
 // draw returns the next priority from the stream at a demand slot. The
@@ -781,14 +803,20 @@ func (st *state) raise(id int) {
 	}
 }
 
-// secondPhase pops the stack through the shared greedy rule (dense form)
-// and returns the selection, ascending.
-func (st *state) secondPhase() []int {
-	steps := make([][]int, len(st.stack))
-	for i := range st.stack {
-		steps[i] = st.stack[i].items
+// popGreedy is the second phase: it pops the raise stack through the
+// shared greedy rule (greedy.take) — last step first, ids ascending within
+// a step — and returns the ids it selects, in pop order, in a fresh slice
+// with room for every raised item, or nil when none was raised.
+func (st *state) popGreedy(raised int) []int {
+	if raised == 0 {
+		return nil
 	}
-	return selectGreedyViews(st.lay.views, st.cfg.Mode, steps, st.lay.demands, st.lay.edges)
+	g := newGreedy(st.lay.views, st.cfg.Mode, st.lay.demands, st.lay.edges, st.scr)
+	sel := make([]int, 0, raised)
+	for s := len(st.scr.stack) - 1; s >= 0; s-- {
+		sel = g.take(st.scr.stack[s].items, sel)
+	}
+	return sel
 }
 
 // stepCap bounds the steps per stage: Lemma 5.1 proves at most

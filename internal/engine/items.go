@@ -78,7 +78,7 @@ func BuildTreeItemsLayered(in *model.Instance, layered []*decomp.Layered) ([]Ite
 	if len(layered) != len(in.Trees) {
 		return nil, fmt.Errorf("engine: %d layered decompositions for %d trees", len(layered), len(in.Trees))
 	}
-	return DemandItems(in.Demands, layered), nil
+	return DemandItems(in.Demands, layered, nil), nil
 }
 
 // DemandItems builds the items of already-validated demands under the
@@ -91,15 +91,19 @@ func BuildTreeItemsLayered(in *model.Instance, layered []*decomp.Layered) ([]Ite
 // Session builds its arrivals through it, so an arriving demand yields
 // exactly the item a from-scratch build would.
 //
-// A counting pass sizes the arenas — path lengths from depths and the LCA,
+// A counting pass sizes the slabs — path lengths from depths and the LCA,
 // π(d) by the bound 2(θ+1) — and then one Layered.Walk per item writes its
-// path and π(d) in place. The items of one call share one path arena and
-// one exact-size π arena (so any surviving item keeps its call's arenas
-// alive); every item's slices are capped at their own length, so
-// appending to one never reaches its neighbour.
+// path and π(d) in place. The items of one call share one path slab and
+// one packed π slab (so any surviving item keeps its call's slabs alive);
+// every item's slices are capped at their own length, so appending to one
+// never reaches its neighbour. The items and slabs are a's (Arena), valid
+// until it is released, or fresh when a is nil.
 //
 //schedvet:hot
-func DemandItems(demands []model.Demand, layered []*decomp.Layered) []Item {
+func DemandItems(demands []model.Demand, layered []*decomp.Layered, a *Arena) []Item {
+	if a == nil {
+		a = new(Arena) // fresh storage, which only the items keep
+	}
 	n, pathTotal, critBound := 0, 0, 0
 	for i := range demands {
 		d := &demands[i]
@@ -109,9 +113,9 @@ func DemandItems(demands []model.Demand, layered []*decomp.Layered) []Item {
 			n++
 		}
 	}
-	items := make([]Item, n)
-	edges := make([]model.EdgeKey, pathTotal)
-	crit := make([]model.EdgeKey, critBound)
+	items := resize(&a.items, n)
+	edges := resize(&a.path, pathTotal)
+	crit := resize(&a.walk, critBound)
 	id, eo, co := 0, 0, 0
 	for i := range demands {
 		d := &demands[i]
@@ -131,8 +135,8 @@ func DemandItems(demands []model.Demand, layered []*decomp.Layered) []Item {
 		}
 	}
 	// π(d)'s size is known only after its walk; move the packed sets into
-	// an exact-size arena so the items hold no slack.
-	exact := make([]model.EdgeKey, co)
+	// a slab of just their length, so surviving items keep no slack alive.
+	exact := resize(&a.crit, co)
 	copy(exact, crit)
 	co = 0
 	for i := range items {

@@ -78,7 +78,7 @@ func TestArenaSlicesDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := buildLayout(items, new(planStats))
+	lay := Prepare(items).lay
 	want := cloneItems(items)
 	wantViews := cloneViews(lay.views)
 	for i := range items {
@@ -118,8 +118,10 @@ func cloneViews(views []ItemView) []ItemView {
 // TestColdLayoutIsUnhashed: a cold build at solve-contended's shape (384
 // demands on three 256-vertex trees, access 1–3) interns through the
 // per-network edge tables and identity demand slots alone — no side of its
-// index converts to a map.
+// index converts to a map — in fresh storage and in one arena reused
+// across the seeds, as a Solver's pooled arenas are.
 func TestColdLayoutIsUnhashed(t *testing.T) {
+	a := new(Arena)
 	for seed := int64(1); seed <= 5; seed++ {
 		in, err := workload.RandomTreeInstance(workload.TreeConfig{
 			Vertices: 256, Trees: 3, Demands: 384, ProfitRatio: 16, AccessMin: 1, AccessMax: 3,
@@ -131,12 +133,13 @@ func TestColdLayoutIsUnhashed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay := Prepare(items).lay
-		if lay.ix.Hashed() {
-			t.Fatalf("seed %d: cold layout hashed", seed)
-		}
-		if lay.ix.NumDemands() != len(in.Demands) || len(lay.demandIDs) != len(in.Demands) {
-			t.Fatalf("seed %d: %d demand slots and %d stream ids for %d demands", seed, lay.ix.NumDemands(), len(lay.demandIDs), len(in.Demands))
+		for _, lay := range []*layout{Prepare(items).lay, PrepareRecorded(items, nil, a).lay} {
+			if lay.ix.Hashed() {
+				t.Fatalf("seed %d: cold layout hashed", seed)
+			}
+			if lay.ix.NumDemands() != len(in.Demands) || len(lay.demandIDs) != len(in.Demands) {
+				t.Fatalf("seed %d: %d demand slots and %d stream ids for %d demands", seed, lay.ix.NumDemands(), len(lay.demandIDs), len(in.Demands))
+			}
 		}
 	}
 }

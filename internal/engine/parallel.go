@@ -109,8 +109,8 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 		}
 		return res, err
 	}
-	plan, err := p.plan(&cfg) // resolves ξ and defaults globally
-	if err != nil {
+	plan := new(Plan)
+	if err := p.plan(&cfg, plan); err != nil { // resolves ξ and defaults globally
 		return nil, err
 	}
 	if workers < 1 {
@@ -132,14 +132,15 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 
 // runShard executes one component's first phase over (pooled) scratch,
 // pops its stack through the greedy rule, and captures the outcome with
-// its dual's λ minimum and exact partial sum. With rec attached it runs
-// in a PhaseShardSolve span and counts its work.
+// its dual's λ minimum and exact partial sum, and its stack copied out of
+// the scratch. With rec attached it runs in a PhaseShardSolve span and
+// counts its work.
 func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Recorder) (*shardOut, error) {
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(PhaseShardSolve)
 	}
-	st := newState(pre.lay, cfg, plan, scr)
+	st := newState(pre.lay, cfg, plan, scr, dual.NewDense(pre.lay.demands, pre.lay.edges))
 	res := &Result{Dual: st.core.Dual, Trace: st.trace}
 	scan, err := st.firstPhase(res)
 	if err != nil {
@@ -147,7 +148,7 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Reco
 	}
 	out := &shardOut{
 		pre:           pre,
-		stack:         st.stack,
+		stack:         scr.ownStack(),
 		dual:          st.core.Dual,
 		trace:         st.trace,
 		lambda:        st.core.lambdaOnly(pre.lay.views),
@@ -158,11 +159,7 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Reco
 	out.sum.Carry() // every merge of the cached partial then adds it as is
 	// The serial pop order restricted to this shard: steps last to first,
 	// local ids ascending within a step.
-	g := newGreedy(pre.lay.views, cfg.Mode, pre.lay.demands, pre.lay.edges)
-	sel := make([]int, 0, out.raised)
-	for pos := len(out.stack) - 1; pos >= 0; pos-- {
-		sel = g.take(out.stack[pos].items, sel)
-	}
+	sel := st.popGreedy(out.raised)
 	for i, id := range sel {
 		sel[i] = pre.comp[id]
 	}
@@ -172,6 +169,22 @@ func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Reco
 		rec.EndSpan(PhaseShardSolve, tok)
 	}
 	return out, nil
+}
+
+// ownStack copies the raise stack out of the scratch, for an outcome that
+// outlives the run: the steps into one exact-size slab, and their item
+// lists into another. picks holds every step's ids in stack order, so it
+// is copied whole.
+func (scr *solveScratch) ownStack() []step {
+	stack := make([]step, len(scr.stack))
+	ids := make([]int, len(scr.picks))
+	copy(ids, scr.picks)
+	for i, s := range scr.stack {
+		n := len(s.items)
+		s.items, ids = ids[:n:n], ids[n:]
+		stack[i] = s
+	}
+	return stack
 }
 
 // runShards produces every shard's first-phase outcome: cached outcomes are

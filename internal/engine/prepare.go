@@ -10,12 +10,14 @@ import (
 // This file implements run preparation: everything about an item set that
 // is independent of the Config and can therefore be built once and reused
 // across solves — the dense dual layout (interned demand slots and edge
-// indices plus per-item views), the demand and edge member lists that are
-// the whole conflict structure of §2 (conflicts.go), and, for the sharded
-// pipeline, the per-component relabelings. The root Solver prepares every
-// solve afresh; a root Session keeps one Prepared across its solves, and
-// for churning workloads — demands arriving and departing on an unchanged
-// network — Prepared.Apply (delta.go) updates it incrementally.
+// indices plus per-item views), and, built on first read, the demand and
+// edge member lists that are the whole conflict structure of §2
+// (conflicts.go) and, for the sharded pipeline, the per-component
+// relabelings. The root Solver prepares every solve afresh, in a pooled
+// Arena, and its serial solve reads neither; a root Session keeps one
+// Prepared across its solves, and for churning workloads — demands
+// arriving and departing on an unchanged network — Prepared.Apply
+// (delta.go) updates it incrementally.
 
 // layout is the dense dual addressing of one item set: per-item views over
 // demands α slots and edges β slots. A demand slot also names the
@@ -38,13 +40,18 @@ type layout struct {
 	ix *dual.Index // global layout only
 }
 
-// buildLayout interns every item of the set into a fresh index, in item
-// order. All views' index lists share one slab. The index is sized by what
+// build interns every item of the set into the layout's index, emptied
+// first, in item order. All views' index lists share one slab; the views
+// and the slab are a's, or fresh when a is nil. The index is sized by what
 // it interns: demand ids by the runs of equal demand ids (the demand count
 // when, as on every build, a demand's instances are adjacent), its edge
 // tables by the slab's path entries. The sizing pass also gathers the
-// set's plan statistics into st.
-func buildLayout(items []Item, st *planStats) *layout {
+// set's plan statistics into st, emptied first.
+func (lay *layout) build(items []Item, st *planStats, a *Arena) {
+	if a == nil {
+		a = new(Arena) // fresh storage, which only the layout keeps
+	}
+	st.reset()
 	total, demands := 0, 0
 	for i := range items {
 		total += len(items[i].Edges) + len(items[i].Critical)
@@ -53,11 +60,9 @@ func buildLayout(items []Item, st *planStats) *layout {
 		}
 		st.add(&items[i], i)
 	}
-	lay := &layout{
-		ix:    dual.NewIndexSized(demands, total),
-		views: make([]ItemView, len(items)),
-	}
-	slab := make([]int32, total)
+	lay.ix.Reset(demands, total)
+	lay.views = resize(&a.views, len(items))
+	slab := resize(&a.idx, total)
 	for i := range items {
 		it := &items[i]
 		n := len(it.Edges) + len(it.Critical)
@@ -65,7 +70,6 @@ func buildLayout(items []Item, st *planStats) *layout {
 		slab = slab[n:]
 	}
 	lay.sync()
-	return lay
 }
 
 // sync refreshes a global layout's extents and demand ids from its
@@ -75,22 +79,14 @@ func (lay *layout) sync() {
 	lay.demands, lay.edges = lay.ix.NumDemands(), lay.ix.NumEdges()
 }
 
-// newCore returns a fresh per-run core over the layout: addressed through
-// the global layout's frozen index, or plain dense storage for a shard.
-func (lay *layout) newCore(mode Mode) *Core {
-	if lay.ix == nil {
-		return &Core{Mode: mode, Dual: dual.NewDense(lay.demands, lay.edges)}
-	}
-	return NewCoreWithIndex(mode, lay.ix)
-}
-
 // Prepared is an item set with its Config-independent run state: dense
-// layout, dense group member lists, plan statistics, and (lazily) the
-// connected components and per-shard relabelings of the sharded pipeline.
-// Solve is its one solve entry. A Prepared is immutable during runs apart
-// from the lazily-built shard structures (guarded by shardMu), so it is
-// safe for concurrent Solve calls. Apply (delta.go) mutates the state
-// between runs; it must never overlap a run, another Apply or an
+// layout, plan statistics, and, built on first read, the dense group
+// member lists and the connected components and per-shard relabelings of
+// the sharded pipeline. Solve is its one solve entry. A Prepared is
+// immutable during runs apart from the lazily-built structures (guarded by
+// shardMu), so it is safe for concurrent Solve calls — but for one built
+// in an Arena, which serves one serial solve. Apply (delta.go) mutates the
+// state between runs; it must never overlap a run, another Apply or an
 // ItemsView on the same Prepared.
 type Prepared struct {
 	items []Item
@@ -101,13 +97,19 @@ type Prepared struct {
 	// published is what ItemsView shares with the views it returns
 	// (itemsview.go): off until the first call.
 	published itemLog
+	// arena is the Arena the Prepared was built in, nil for fresh storage:
+	// its serial run's α/β are the arena's too (runDual).
+	arena *Arena
+
+	shardMu sync.Mutex
 	// demandMembers[s] / edgeMembers[e] list the item ids (ascending) whose
 	// demand interned to slot s / whose path contains edge index e. Each
 	// list is a clique of the conflict graph, and the graph is their union.
+	// Built by the first reader (ensureMembers), and patched by Apply.
 	demandMembers [][]int32
 	edgeMembers   [][]int32
+	membersBuilt  bool
 
-	shardMu     sync.Mutex
 	shardsBuilt bool
 	shardsStale bool // an Apply ran since the last shard build
 	comps       [][]int
@@ -162,33 +164,62 @@ type preShard struct {
 	out *shardOut
 }
 
-// Prepare builds the Config-independent run state of an item set: one pass
-// interns the dense layout and gathers the plan statistics, and one pass
-// over its views groups the items into member lists.
-func Prepare(items []Item) *Prepared {
-	p := &Prepared{items: items}
-	p.lay = buildLayout(items, &p.stats)
-	p.demandMembers, p.edgeMembers = buildMembers(p.lay.views, p.lay.demands, p.lay.edges)
+// Prepare builds the Config-independent run state of an item set, in
+// fresh storage: one pass interns the dense layout and gathers the plan
+// statistics. The member lists wait for their first reader
+// (ensureMembers), which a serial solve never is.
+func Prepare(items []Item) *Prepared { return PrepareRecorded(items, nil, nil) }
+
+// PrepareRecorded is Prepare with rec attached (nil for none), bracketed
+// in a PhasePrepare span, and built in a (nil for fresh storage): the
+// Prepared, its layout, views and index are the arena's, and so are the
+// α/β of its serial run, so it serves one serial solve, whose Result's
+// Dual is valid until the arena is released.
+func PrepareRecorded(items []Item, rec Recorder, a *Arena) *Prepared {
+	var tok int64
+	if rec != nil {
+		tok = rec.StartSpan(PhasePrepare)
+	}
+	var p *Prepared
+	if a != nil {
+		a.lay = layout{ix: &a.ix}
+		a.prep = Prepared{lay: &a.lay, arena: a, stats: a.prep.stats} // build empties the stats
+		p = &a.prep
+	} else {
+		p = &Prepared{lay: &layout{ix: new(dual.Index)}}
+	}
+	p.items, p.rec = items, rec
+	p.lay.build(items, &p.stats, a)
+	if rec != nil {
+		rec.EndSpan(PhasePrepare, tok)
+	}
 	return p
 }
 
-// PrepareRecorded is Prepare with rec attached (nil for none), bracketed
-// in a PhasePrepare span that counts the member-list entries Prepare wrote:
-// one per item in its demand's list and one per path edge.
-func PrepareRecorded(items []Item, rec Recorder) *Prepared {
-	if rec == nil {
-		return Prepare(items)
+// runDual returns a fresh dual assignment over the global index for one
+// serial run: in the arena's storage when the Prepared was built in one,
+// else new.
+func (p *Prepared) runDual() *dual.Assignment {
+	if p.arena == nil {
+		return dual.NewWithIndex(p.lay.ix)
 	}
-	tok := rec.StartSpan(PhasePrepare)
-	p := Prepare(items)
-	p.rec = rec
-	entries := len(p.lay.views)
-	for i := range p.lay.views {
-		entries += len(p.lay.views[i].Edges)
+	p.arena.dual.Reset(p.lay.ix)
+	return &p.arena.dual
+}
+
+// ensureMembers builds the member lists on their first read — by the
+// component pass, Apply, ItemsOfDemand or Members — and counts their
+// entries with the recorder. Callers hold shardMu.
+func (p *Prepared) ensureMembers() {
+	if p.membersBuilt {
+		return
 	}
-	rec.Count(CounterMemberEntries, int64(entries))
-	rec.EndSpan(PhasePrepare, tok)
-	return p
+	var entries int
+	p.demandMembers, p.edgeMembers, entries = buildMembers(p.lay.views, p.lay.demands, p.lay.edges)
+	p.membersBuilt = true
+	if p.rec != nil {
+		p.rec.Count(CounterMemberEntries, int64(entries))
+	}
 }
 
 // PrepareWorkers is Prepare; the worker count is ignored.
@@ -203,10 +234,14 @@ func (p *Prepared) Items() []Item { return p.items }
 // member list, or nil for a demand the set does not hold. Callers must not
 // mutate it, and it is valid until the next Apply.
 func (p *Prepared) ItemsOfDemand(id int) []int32 {
-	if s, ok := p.lay.ix.DemandSlot(id); ok {
-		return p.demandMembers[s]
+	s, ok := p.lay.ix.DemandSlot(id)
+	if !ok {
+		return nil
 	}
-	return nil
+	p.shardMu.Lock()
+	defer p.shardMu.Unlock()
+	p.ensureMembers()
+	return p.demandMembers[s]
 }
 
 // Components returns the connected components of the prepared item set's
@@ -237,6 +272,7 @@ func (p *Prepared) ensureShards() {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseComponents)
 	}
+	p.ensureMembers()
 	// Traverse from the arrivals and the stale shards' members, beside the
 	// kept shards, or, on a first build, from every item.
 	scr := &p.compScr
@@ -346,9 +382,9 @@ func number(tr []int32, x int32, back *[]int32) int32 {
 // relabel builds the shard of one component from the global layout alone,
 // copying no item: a dense layout over the items re-indexed by position in
 // comp, whose demand slots and edge indices number the global ones in the
-// order buildLayout would first see their keys over the shard's items (an
+// order layout.build would first see their keys over the shard's items (an
 // item's demand, its path, then its critical edges). So the shard's
-// numbering, and every bit of its runs, equal those of buildLayout over
+// numbering, and every bit of its runs, equal those of layout.build over
 // the shard's items, with no key hashed or interned: global slots map to
 // keys one to one, so first-seen slots are first-seen keys.
 func (p *Prepared) relabel(comp []int) *preShard {

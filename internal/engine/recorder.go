@@ -27,10 +27,11 @@ const (
 	// up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
 	// PhasePrepare brackets preparation: PrepareRecorded brackets each
-	// Prepare (layout + member-list construction) it runs — a root solve's,
+	// Prepare (the layout and plan statistics) it runs — a root solve's,
 	// one per non-empty height class of SolveArbitrary, and a Session's
 	// one, when it is created — and a root Solver or Session
-	// brackets its item building in a span of its own before it.
+	// brackets its item building in a span of its own before it. The
+	// member lists are built later, by their first reader, inside its span.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance
 	// expansion, and the incremental Apply.
@@ -141,10 +142,12 @@ const (
 	// not counted, so an ordinary warm round reads 0.
 	CounterPlanItems
 	// CounterMemberEntries counts the member-list entries a pass writes,
-	// emitted once per pass: every entry of a Prepare that PrepareRecorded
-	// brackets, and in an Apply the entries kept by the lists it filters
-	// plus those the arrivals append. The backward merge that restores an
-	// appended list's order moves entries these counts already hold.
+	// emitted once per pass: every entry of the lists' build on their
+	// first read, on a Prepared with a recorder attached, and in an Apply
+	// the entries kept by the lists it filters plus those the arrivals
+	// append. A cold serial solve builds no lists and counts none. The
+	// backward merge that restores an appended list's order moves entries
+	// these counts already hold.
 	CounterMemberEntries
 	// CounterScanRows counts the first-phase rows whose LHS the
 	// satisfaction scan evaluates (scanLive and retest), and

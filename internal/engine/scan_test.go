@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"treesched/internal/dual"
 	"treesched/internal/graph"
 	"treesched/internal/model"
 	"treesched/internal/workload"
@@ -62,7 +63,7 @@ func fullScanFirstPhase(items []Item, st *state, res *Result) error {
 					st.raise(id)
 				}
 				res.Raised += len(chosen)
-				st.stack = append(st.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
+				st.scr.stack = append(st.scr.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
 		}
 	}
@@ -86,7 +87,11 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		plan.StepCap = stepCap
 	}
 	run := func(phase func(*state, *Result) error, scr *solveScratch) (*state, *Result, error) {
-		st := newState(lay, cfg, plan, scr)
+		d := dual.NewDense(lay.demands, lay.edges) // a shard layout's
+		if lay.ix != nil {
+			d = dual.NewWithIndex(lay.ix)
+		}
+		st := newState(lay, cfg, plan, scr, d)
 		res := &Result{Dual: st.core.Dual, Trace: st.trace}
 		return st, res, phase(st, res)
 	}
@@ -101,11 +106,11 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 	if werr != nil {
 		return true
 	}
-	if len(gst.stack) != len(wst.stack) {
-		t.Fatalf("%s: %d stack entries, oracle %d", tag, len(gst.stack), len(wst.stack))
+	if len(gst.scr.stack) != len(wst.scr.stack) {
+		t.Fatalf("%s: %d stack entries, oracle %d", tag, len(gst.scr.stack), len(wst.scr.stack))
 	}
-	for i := range wst.stack {
-		g, w := &gst.stack[i], &wst.stack[i]
+	for i := range wst.scr.stack {
+		g, w := &gst.scr.stack[i], &wst.scr.stack[i]
 		if g.epoch != w.epoch || g.stage != w.stage || g.iter != w.iter || g.misIters != w.misIters ||
 			!slices.Equal(g.items, w.items) {
 			t.Fatalf("%s: stack[%d] = %+v, oracle %+v", tag, i, *g, *w)

@@ -277,8 +277,8 @@ func TestWarmReplayAcrossStepCap(t *testing.T) {
 	planOf := func() *Plan {
 		t.Helper()
 		c := cfg
-		plan, err := p.plan(&c)
-		if err != nil {
+		plan := new(Plan)
+		if err := p.plan(&c, plan); err != nil {
 			t.Fatal(err)
 		}
 		return plan

@@ -1,5 +1,7 @@
 package model
 
+import "slices"
+
 // EdgeInterner maps EdgeKeys to contiguous int32 indices, assigned in first-
 // seen order. The hot path of the two-phase framework tests ξ-satisfaction by
 // summing β over an item's path; with interned indices that sum is a tight
@@ -51,10 +53,26 @@ func NewEdgeInterner() *EdgeInterner { return NewEdgeInternerSized(0) }
 // total length of the index lists the interner will serve. pathEntries ≤ 0
 // starts it as the map.
 func NewEdgeInternerSized(pathEntries int) *EdgeInterner {
-	if pathEntries <= 0 {
-		return &EdgeInterner{idx: make(map[EdgeKey]int32)}
+	in := new(EdgeInterner)
+	in.Reset(pathEntries)
+	return in
+}
+
+// Reset empties the interner for reuse, sized for pathEntries as
+// NewEdgeInternerSized sizes a new one, and keeps its storage: the key
+// slice, and the tables' arrays, cleared, for the tables to grow back into.
+// Every cell past a table's length is zero, since cells are written only
+// below it and Reset clears them before it shortens the table.
+func (in *EdgeInterner) Reset(pathEntries int) {
+	for n, t := range in.tables {
+		clear(t)
+		in.tables[n] = t[:0]
 	}
-	return &EdgeInterner{budget: tableCellsPerEntry * pathEntries}
+	in.keys, in.tables, in.cells, in.idx = in.keys[:0], in.tables[:0], 0, nil
+	in.budget = tableCellsPerEntry * max(pathEntries, 0)
+	if pathEntries <= 0 {
+		in.idx = make(map[EdgeKey]int32)
+	}
 }
 
 // Intern returns the dense index of k, assigning the next free index when k
@@ -110,9 +128,8 @@ func (in *EdgeInterner) growTable(k EdgeKey) bool {
 		if extra > in.budget-in.cells {
 			return false
 		}
-		tables := make([][]int32, n+1)
-		copy(tables, in.tables)
-		in.tables = tables
+		// Slots past the length hold empty tables a Reset left, or nil.
+		in.tables = slices.Grow(in.tables, n+1-len(in.tables))[:n+1]
 		in.cells += extra
 	}
 	old := in.tables[n]
@@ -126,9 +143,13 @@ func (in *EdgeInterner) growTable(k EdgeKey) bool {
 			return false
 		}
 	}
-	t := make([]int32, size)
-	copy(t, old)
-	in.tables[n] = t
+	if cap(old) >= size {
+		in.tables[n] = old[:size] // cells past a table's length are zero
+	} else {
+		t := make([]int32, size)
+		copy(t, old)
+		in.tables[n] = t
+	}
 	in.cells += size - len(old)
 	return true
 }
@@ -193,7 +214,18 @@ type IDInterner struct {
 }
 
 // NewIDInterner returns an empty interner with room for n ids.
-func NewIDInterner(n int) IDInterner { return IDInterner{ids: make([]int, 0, max(n, 0))} }
+func NewIDInterner(n int) IDInterner {
+	var in IDInterner
+	in.Reset(n)
+	return in
+}
+
+// Reset empties the interner for reuse with room for n ids, as
+// NewIDInterner(n) returns one, and keeps its storage.
+func (in *IDInterner) Reset(n int) {
+	in.ids = slices.Grow(in.ids[:0], max(n, 0))
+	in.slot, in.free = nil, in.free[:0]
+}
 
 // Intern returns the slot of id, assigning a free slot when id is new: the
 // most recently released one, or else the next unused one.

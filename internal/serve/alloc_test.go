@@ -13,14 +13,14 @@ import (
 // maxServeRoundAllocs and maxServeRoundBytes bound the allocations and
 // the bytes allocated by one serve round at serve-fleet's shape
 // (TestServeRoundAllocs). They are what was measured when the bounds were
-// set, 86 and 41,086 or 41,459 B, the bytes rounded up to the next 100: the
+// set, 64 and 38,610 or 38,979 B, the bytes rounded up to the next 100: the
 // runtime's own allocations in the measured region (a channel waiter, a
 // goroutine descriptor) vary from run to run by a few bytes per round. A
 // change that allocates more per round must say why, and one that
 // allocates less lowers them.
 const (
-	maxServeRoundAllocs = 86
-	maxServeRoundBytes  = 41500
+	maxServeRoundAllocs = 64
+	maxServeRoundBytes  = 39000
 )
 
 // raceEnabled reports whether the race detector is on (race_test.go).

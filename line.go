@@ -60,9 +60,13 @@ func (in *LineInstance) build() (*model.LineInstance, error) {
 		return nil, in.err
 	}
 	m := &model.LineInstance{NumSlots: in.slots, NumResources: in.resources}
+	var all []int // one list of all resources, shared, which nothing writes
 	for _, d := range in.demands {
 		if len(d.Access) == 0 {
-			d.Access = allTrees(in.resources)
+			if all == nil {
+				all = allTrees(in.resources)
+			}
+			d.Access = all
 		}
 		m.Demands = append(m.Demands, d)
 	}
@@ -94,7 +98,7 @@ func SolveLine(in *LineInstance, opts Options) (*Result, error) {
 	toAssignment := func(id int) Assignment {
 		return Assignment{Demand: dis[id].Demand, Network: dis[id].Resource, Start: dis[id].Start}
 	}
-	return solveItems(items, opts, unitHeights(items), toAssignment)
+	return solveItems(items, opts, unitHeights(items), toAssignment, nil)
 }
 
 // SolveLine runs the solver's configured algorithm on a line-network

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"treesched/internal/dist"
 	"treesched/internal/engine"
@@ -77,15 +78,21 @@ func (in *Instance) AddDemand(u, v int, profit float64, opts ...DemandOption) in
 	return d.ID
 }
 
-// build finalizes and validates the model instance.
-func (in *Instance) build() (*model.Instance, error) {
+// build finalizes and validates the model instance, copying the demands
+// into buf's storage (nil for a fresh copy). Every demand without an
+// Access list shares one list of all networks, which nothing writes.
+func (in *Instance) build(buf []model.Demand) (*model.Instance, error) {
 	if in.err != nil {
 		return nil, in.err
 	}
-	m := &model.Instance{NumVertices: in.numVertices, Trees: in.trees, Demands: make([]model.Demand, 0, len(in.demands))}
+	m := &model.Instance{NumVertices: in.numVertices, Trees: in.trees, Demands: slices.Grow(buf[:0], len(in.demands))}
+	var all []int
 	for _, d := range in.demands {
 		if len(d.Access) == 0 {
-			d.Access = allTrees(len(in.trees))
+			if all == nil {
+				all = allTrees(len(in.trees))
+			}
+			d.Access = all
 		}
 		m.Demands = append(m.Demands, d)
 	}
@@ -272,14 +279,15 @@ func Solve(in *Instance, opts Options) (*Result, error) {
 	return NewSolver(opts).Solve(in)
 }
 
-// solveTreeItems runs the framework algorithms over tree items; the tree
-// path of every Solve. An item carries its demand and network, so selected
-// ids map to assignments directly.
-func solveTreeItems(items []engine.Item, opts Options) (*Result, error) {
+// solveTreeItems runs the framework algorithms over tree items, preparing
+// in a (nil for fresh storage); the tree path of every Solve. An item
+// carries its demand and network, so selected ids map to assignments
+// directly.
+func solveTreeItems(items []engine.Item, opts Options, a *engine.Arena) (*Result, error) {
 	toAssignment := func(id int) Assignment {
 		return Assignment{Demand: items[id].Demand, Network: items[id].Resource}
 	}
-	return solveItems(items, opts, unitHeights(items), toAssignment)
+	return solveItems(items, opts, unitHeights(items), toAssignment, a)
 }
 
 func unitHeights(items []engine.Item) bool {
@@ -312,8 +320,10 @@ func solveSequential(m *model.Instance) (*Result, error) {
 	return out, nil
 }
 
-// solveItems dispatches the framework algorithms over prepared items.
-func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(int) Assignment) (*Result, error) {
+// solveItems dispatches the framework algorithms over prepared items. The
+// unit-height engine solve prepares in a (nil for fresh storage); the other
+// algorithms, and a simulated run, keep state of their own.
+func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(int) Assignment, a *engine.Arena) (*Result, error) {
 	algo := opts.Algorithm
 	if algo == Auto {
 		if unit {
@@ -328,7 +338,7 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 	switch algo {
 	case DistributedUnit:
 		var err error
-		selected, err = runUnit(items, cfg, opts, out)
+		selected, err = runUnit(items, cfg, opts, out, a)
 		if err != nil {
 			return nil, err
 		}
@@ -351,8 +361,11 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 	default:
 		return nil, fmt.Errorf("treesched: unsupported algorithm %v", algo)
 	}
-	for _, id := range selected {
-		out.Assignments = append(out.Assignments, toAssignment(id))
+	if len(selected) > 0 {
+		out.Assignments = make([]Assignment, len(selected))
+		for i, id := range selected {
+			out.Assignments[i] = toAssignment(id)
+		}
 	}
 	return out, nil
 }
@@ -371,9 +384,10 @@ func runPrepared(p *engine.Prepared, cfg engine.Config, opts Options, out *Resul
 	return eres.Selected, nil
 }
 
-func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result) ([]int, error) {
-	// The warm-start cache stays off, so the solve runs the serial engine.
-	selected, err := runPrepared(engine.PrepareRecorded(items, opts.Recorder), cfg, opts, out)
+func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result, a *engine.Arena) ([]int, error) {
+	// The warm-start cache stays off, so the solve runs the serial engine,
+	// the one solve a Prepared built in an arena serves.
+	selected, err := runPrepared(engine.PrepareRecorded(items, opts.Recorder, a), cfg, opts, out)
 	if err != nil {
 		return nil, err
 	}

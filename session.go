@@ -124,7 +124,7 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if s.opts.Simulate {
 		return nil, fmt.Errorf("treesched: sessions do not support Simulate")
 	}
-	m, err := in.build()
+	m, err := in.build(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +144,15 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	layered, err := s.layeredFor(m)
+	layered, err := s.layeredFor(m, new([]byte))
 	if err != nil {
 		return nil, err
 	}
-	items := engine.DemandItems(m.Demands, layered) // in.build validated m
+	items := engine.DemandItems(m.Demands, layered, nil) // in.build validated m
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
-	p := engine.PrepareRecorded(items, rec)
+	p := engine.PrepareRecorded(items, rec, nil)
 	sess := &Session{
 		solver:  s,
 		layered: layered,
@@ -231,7 +231,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	// Items are built by the same function as a from-scratch build
 	// (Solver.Session's and Solver.Solve's), so the incremental path
 	// cannot drift from it. Apply assigns the item ids.
-	add := engine.DemandItems(arrivals, sess.layered)
+	add := engine.DemandItems(arrivals, sess.layered, nil)
 
 	// Departures: every item (one per accessible network) of each removed
 	// demand, read off that demand's member list.

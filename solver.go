@@ -18,18 +18,21 @@ import (
 //
 // Every solve is otherwise prepared from scratch: it validates the
 // instance, walks each demand instance's path once to build its item over
-// the cached decompositions, interns the items into the dense layout and
-// groups them into member lists — each pass linear in the total path
-// length — and then runs the configured algorithm, the distributed ones on
-// the serial engine at every Options.Parallelism. For churning demand sets
-// on fixed networks, Session offers the incremental path: Update applies
-// demand arrivals/departures as an engine delta instead of re-preparing.
+// the cached decompositions and interns the items into the dense layout —
+// each pass linear in the total path length — and then runs the configured
+// algorithm, the distributed ones on the serial engine at every
+// Options.Parallelism. The serial engine reads no member lists, so a cold
+// solve builds none. A Solve prepares in a pooled engine.Arena and returns
+// it once the Result is built, so a cold solve allocates little beyond its
+// Result. For churning demand sets on fixed networks, Session offers the
+// incremental path: Update applies demand arrivals/departures as an engine
+// delta instead of re-preparing.
 //
-// A Solver is safe for concurrent use; each Solve call runs independently
-// and only the decomposition cache is shared. The cache holds a bounded
-// number of entries with LRU eviction — overflow drops only the
-// least-recently used entry, so hot networks survive any burst of one-off
-// ones.
+// A Solver is safe for concurrent use; each Solve call runs independently,
+// in an arena of its own, and only the decomposition cache is shared. The
+// cache holds a bounded number of entries with LRU eviction — overflow
+// drops only the least-recently used entry, so hot networks survive any
+// burst of one-off ones.
 type Solver struct {
 	opts Options
 
@@ -89,11 +92,19 @@ func (s *Solver) CacheStats() CacheStats {
 // cached layered decompositions for networks decomposed before. The
 // package-level Solve is NewSolver(opts).Solve(in), so results are
 // identical to it with the same options.
+//
+// The solve's demand copy, tree keys, items and engine preparation live in
+// an arena taken for the call. It goes back to the pool only on return,
+// after the Result and its fresh Assignments are built, since the
+// assignments are read off the arena's items.
 func (s *Solver) Solve(in *Instance) (*Result, error) {
-	m, err := in.build()
+	a := engine.TakeArena()
+	defer a.Release()
+	m, err := in.build(a.Demands)
 	if err != nil {
 		return nil, err
 	}
+	a.Demands = m.Demands
 	if err := s.opts.checkSimulate(); err != nil {
 		return nil, err
 	}
@@ -105,22 +116,24 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 	if rec != nil {
 		tok = rec.StartSpan(engine.PhasePrepare)
 	}
-	layered, err := s.layeredFor(m)
+	layered, err := s.layeredFor(m, &a.Key)
 	if err != nil {
 		return nil, err
 	}
-	items := engine.DemandItems(m.Demands, layered) // in.build validated m
+	items := engine.DemandItems(m.Demands, layered, a) // in.build validated m
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
-	return solveTreeItems(items, s.opts)
+	return solveTreeItems(items, s.opts, a)
 }
 
-// layeredFor returns the cached layered decomposition of every tree.
-func (s *Solver) layeredFor(m *model.Instance) ([]*decomp.Layered, error) {
+// layeredFor returns the cached layered decomposition of every tree,
+// building each tree's cache key in *key.
+func (s *Solver) layeredFor(m *model.Instance, key *[]byte) ([]*decomp.Layered, error) {
 	layered := make([]*decomp.Layered, len(m.Trees))
 	for q, t := range m.Trees {
-		l, err := s.layout(t)
+		*key = appendTreeKey((*key)[:0], t)
+		l, err := s.layout(t, *key)
 		if err != nil {
 			return nil, err
 		}
@@ -129,12 +142,11 @@ func (s *Solver) layeredFor(m *model.Instance) ([]*decomp.Layered, error) {
 	return layered, nil
 }
 
-// layout returns the layered decomposition of t under the solver's
-// decomposition kind, from cache when the same network structure was
-// decomposed before. Two racing builders of one structure do redundant
-// work but converge on one cached value.
-func (s *Solver) layout(t *graph.Tree) (*decomp.Layered, error) {
-	key := treeKey(t)
+// layout returns the layered decomposition of t, whose tree key is key,
+// under the solver's decomposition kind, from cache when the same network
+// structure was decomposed before. Two racing builders of one structure do
+// redundant work but converge on one cached value.
+func (s *Solver) layout(t *graph.Tree, key []byte) (*decomp.Layered, error) {
 	s.mu.Lock()
 	l, ok := s.layouts.get(key)
 	s.mu.Unlock()
@@ -146,22 +158,21 @@ func (s *Solver) layout(t *graph.Tree) (*decomp.Layered, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.layouts.put(key, l)
+	s.layouts.put(string(key), l)
 	s.mu.Unlock()
 	return l, nil
 }
 
-// treeKey is the decomposition cache's exact key for t: its vertex count,
-// then the parent of every vertex but the root, as varints. That is the
-// tree's whole structure, since edge ids and every decomposition are
-// functions of it, and the encoding decodes uniquely, so distinct
-// structures never share a key. The key omits the decomposition kind,
-// which is fixed for a Solver.
-func treeKey(t *graph.Tree) string {
-	b := make([]byte, 0, 2*t.N()+binary.MaxVarintLen64)
+// appendTreeKey appends to b the decomposition cache's exact key for t: its
+// vertex count, then the parent of every vertex but the root, as varints.
+// That is the tree's whole structure, since edge ids and every
+// decomposition are functions of it, and the encoding decodes uniquely, so
+// distinct structures never share a key. The key omits the decomposition
+// kind, which is fixed for a Solver.
+func appendTreeKey(b []byte, t *graph.Tree) []byte {
 	b = binary.AppendVarint(b, int64(t.N()))
 	for v := 1; v < t.N(); v++ {
 		b = binary.AppendVarint(b, int64(t.Parent(v)))
 	}
-	return string(b)
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -242,11 +243,17 @@ func TestSolverPreparedCache(t *testing.T) {
 	}
 }
 
-// TestSolverPreparedCacheConcurrent hammers one Solver from several
-// goroutines over two instances on different networks, which share only
-// the decomposition cache: every result must equal a one-shot Solve, the
-// cache must hold one entry per distinct network structure and count one
-// lookup per network solved, and the prepared counters must stay zero.
+// TestSolverPreparedCacheConcurrent hammers Solvers from several
+// goroutines, each solving its instance several times. The instances
+// differ in size, so an arena two in-flight solves shared would be
+// overwritten mid-solve, and they run every algorithm that prepares in an
+// arena or reads its items: the unit engine solve, §6 (heights < 1),
+// ExactSmall and Simulate. Every result must equal a one-shot Solve bit
+// for bit. The main Solver's two instances lie on different networks and
+// share only its decomposition cache, which must hold one entry per
+// distinct network structure and count one lookup per network solved,
+// with the prepared counters at zero. Then a held Result must stay
+// deep-equal to its copy after later solves, larger and smaller.
 func TestSolverPreparedCacheConcurrent(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.1, Seed: 11, Parallelism: 2}
 	// batchInstance's three networks share one structure; this instance's
@@ -268,36 +275,57 @@ func TestSolverPreparedCacheConcurrent(t *testing.T) {
 		}
 		return inst
 	}
-	instances := []struct {
+	generated := func(cfg workload.TreeConfig, seed int64) func() *treesched.Instance {
+		return func() *treesched.Instance { return buildInstance(t, cfg, seed) }
+	}
+	contended := workContended
+	contended.Demands = 96
+	mixed := workload.TreeConfig{Vertices: 64, Trees: 2, Demands: 48, ProfitRatio: 8, Heights: workload.MixedHeights}
+	small := workload.TreeConfig{Vertices: 16, Trees: 2, Demands: 10, ProfitRatio: 4, AccessMax: 1}
+	cases := []struct {
 		build func() *treesched.Instance
-		trees int
+		opts  treesched.Options
+		trees int // networks per solve, counted on the main Solver
 	}{
-		{func() *treesched.Instance { return batchInstance(t) }, 3},
-		{other, 2},
+		{func() *treesched.Instance { return batchInstance(t) }, opts, 3},
+		{other, opts, 2},
+		{generated(contended, 2), treesched.Options{Seed: 3, Parallelism: 1}, 0},
+		{generated(mixed, 4), treesched.Options{Algorithm: treesched.DistributedArbitrary, Seed: 5}, 0},
+		{generated(small, 6), treesched.Options{Algorithm: treesched.ExactSmall}, 0},
+		{generated(workFleet, 8), treesched.Options{Simulate: true, Seed: 7, Parallelism: 1}, 0},
 	}
 	const structures = 3
-	want := make([]*treesched.Result, len(instances))
-	for i, in := range instances {
+	want := make([]*treesched.Result, len(cases))
+	solvers := make([]*treesched.Solver, len(cases))
+	for i, c := range cases {
 		var err error
-		if want[i], err = treesched.Solve(in.build(), opts); err != nil {
+		if want[i], err = treesched.Solve(c.build(), c.opts); err != nil {
 			t.Fatal(err)
 		}
+		solvers[i] = treesched.NewSolver(c.opts)
 	}
+	solvers[1] = solvers[0] // the main Solver
 
-	s := treesched.NewSolver(opts)
-	const workers = 8
-	results := make([]*treesched.Result, workers)
+	const workers, rounds = 12, 8
+	results := make([][]*treesched.Result, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	lookups := uint64(0)
 	for w := 0; w < workers; w++ {
-		in := instances[w%len(instances)]
-		lookups += uint64(in.trees)
-		inst := in.build() // builders may t.Fatal: keep them on this goroutine
+		c := w % len(cases)
+		lookups += rounds * uint64(cases[c].trees)
+		inst := cases[c].build() // builders may t.Fatal: keep them on this goroutine
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = s.Solve(inst)
+			for range rounds {
+				res, err := solvers[c].Solve(inst)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				results[w] = append(results[w], res)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -305,16 +333,38 @@ func TestSolverPreparedCacheConcurrent(t *testing.T) {
 		if errs[w] != nil {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
-		if !reflect.DeepEqual(results[w], want[w%len(instances)]) {
-			t.Errorf("worker %d diverged from one-shot Solve: %+v vs %+v", w, results[w], want[w%len(instances)])
+		for r, res := range results[w] {
+			if !reflect.DeepEqual(res, want[w%len(cases)]) || math.Float64bits(res.Profit) != math.Float64bits(want[w%len(cases)].Profit) {
+				t.Errorf("worker %d round %d diverged from one-shot Solve: %+v vs %+v", w, r, res, want[w%len(cases)])
+			}
 		}
 	}
-	st := s.CacheStats()
+	st := solvers[0].CacheStats()
 	if st.Layouts.Len != structures || st.Layouts.Hits+st.Layouts.Misses != lookups {
 		t.Errorf("layouts %+v: want %d entries and %d lookups", st.Layouts, structures, lookups)
 	}
 	if st.Prepared != (treesched.CacheCounters{}) || st.Arbitrary != (treesched.CacheCounters{}) {
 		t.Errorf("prepared counters moved: %+v", st)
+	}
+
+	// A held Result owns its storage: solves after it, larger and smaller,
+	// reuse the arena its solve prepared in, and must not reach it.
+	s := treesched.NewSolver(treesched.Options{Seed: 3, Parallelism: 1})
+	held, err := s.Solve(buildInstance(t, contended, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldCopy := *held
+	heldCopy.Assignments = slices.Clone(held.Assignments)
+	for _, demands := range []int{384, 24} {
+		shape := workContended
+		shape.Demands = demands
+		if _, err := s.Solve(buildInstance(t, shape, int64(demands))); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*held, heldCopy) {
+			t.Fatalf("a solve of %d demands changed a held Result", demands)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // rounded once, as every algorithm reports it. It returns nil for such
 // results.
 func Verify(in *Instance, res *Result) error {
-	m, err := in.build()
+	m, err := in.build(nil)
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,7 @@ func TestWorkGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		tally := &workTally{}
-		res, err := engine.PrepareRecorded(items, tally).Solve(cfg, workers)
+		res, err := engine.PrepareRecorded(items, tally, nil).Solve(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
