@@ -215,3 +215,70 @@ func TestColdSolveAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateDefaultAccessAllocs checks that arrivals left to the default
+// access, every network, share one access list: an Update whose 8 arrivals
+// name no network allocates as often as one whose arrivals all name one
+// list of every network, built before the measured region. Two sessions
+// over one instance of 3 networks run the same churn (the 8 oldest live
+// demands depart, 8 arrive), one with each form of access.
+func TestUpdateDefaultAccessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nets, vertices, demands, churn, warmup, runs = 3, 64, 48, 8, 8, 40
+	rng := rand.New(rand.NewSource(31))
+	in, err := workload.RandomTreeInstance(workload.TreeConfig{
+		Vertices: vertices, Trees: nets, Demands: demands, ProfitRatio: 8,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rounds[r] departs the 8 oldest live demands; its arrivals name no
+	// network in implicit and every network in explicit.
+	implicit, explicit := make([]treesched.Churn, warmup+runs), make([]treesched.Churn, warmup+runs)
+	all := []int{0, 1, 2}
+	live := make([]int, demands)
+	for i := range live {
+		live[i] = i
+	}
+	for r := range implicit {
+		implicit[r].Remove, explicit[r].Remove, live = live[:churn], live[:churn], live[churn:]
+		for range churn {
+			u, v := rng.Intn(vertices), rng.Intn(vertices)
+			if u == v {
+				v = (v + 1) % vertices
+			}
+			d := treesched.NewDemand{U: u, V: v, Profit: 1 + 7*rng.Float64()}
+			implicit[r].Add = append(implicit[r].Add, d)
+			d.Access = all
+			explicit[r].Add = append(explicit[r].Add, d)
+			live = append(live, demands+r*churn+len(implicit[r].Add)-1)
+		}
+	}
+	measure := func(rounds []treesched.Churn) uint64 {
+		sess, err := treesched.NewSolver(treesched.Options{Parallelism: 1}).Session(publicInstance(t, in, in.Demands))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		update := func() {
+			if _, err := sess.Update(rounds[k]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		for k < warmup {
+			update()
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		allocs, _ := perRun(runs, update)
+		return allocs
+	}
+	byDefault, named := measure(implicit), measure(explicit)
+	if byDefault != named {
+		t.Fatalf("an Update with default access allocates %d times, with one explicit list of every network %d", byDefault, named)
+	}
+	t.Logf("an Update allocates %d times with either access", byDefault)
+}

@@ -17,8 +17,8 @@
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error. CI runs
 // `go run ./cmd/schedvet ./...` on every PR, so a nondeterministic map
-// iteration of the combinePerResource shape (PR 3's last-ulp drift bug)
-// is now a build break, not a fuzz-lottery ticket.
+// iteration of the shape of the last-ulp drift bug the §6 per-resource
+// combine once had is a build break, not a fuzz-lottery ticket.
 package main
 
 import (

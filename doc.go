@@ -128,13 +128,17 @@
 // ones that are), and every later step re-tests only the previous step's
 // unsatisfied set. That selects exactly the sets a scan of every instance
 // at every step would (pinned against that full scan by a test oracle and
-// a fuzz target). The dual state backing the test is dense: every demand
-// id and every EdgeKey is interned once per item set into contiguous int32
-// slots in first-seen order (internal/dual.Index), α and β live in flat
-// []float64 slices, and each item carries precomputed index lists for its
+// a fuzz target). Every dual assignment is dense over a complete index:
+// every demand id and every EdgeKey of an item set is interned once, before
+// any assignment over it exists, into contiguous int32 slots in first-seen
+// order (internal/dual.Index), α and β live in flat []float64 slices with
+// a slot for each, and each item carries precomputed index lists for its
 // path and critical set, so satisfaction scans, raises, the β-replay of
 // announced raises, and the greedy second phase are tight loops over int
-// slices with no map hashing. Interning itself hashes only where the key
+// slices with no map hashing. The distributed algorithms and the
+// sequential Appendix-A algorithm share this state: Appendix A runs on the
+// engine's prepared views, its greedy second phase and its scoring rule.
+// Interning itself hashes only where the key
 // space is sparse. Edge keys go through one table per network, indexed by
 // edge id (internal/model.EdgeInterner): tree edge ids are below the
 // network's vertex count, so a lookup is two slice loads. The tables
@@ -149,10 +153,12 @@
 // map. The invariants that keep the three executions — serial engine,
 // sharded pipeline, message-passing simulation — bitwise equal are
 // unchanged: indices are a pure storage relabeling (each execution owns
-// its own index scope; values merge and compare by external key), the
-// arithmetic applies the same deltas to the same logical variables in the
-// same order as the map-backed representation (asserted by a shadow-replay
-// determinism suite), and the dual objective adds its values exactly and
+// its own index scope; values merge through slot translations and compare
+// by external key through AlphaMap/BetaMap, the one key-addressed view),
+// the arithmetic applies the same deltas to the same logical variables in
+// the same order as a map-backed representation (asserted by replays
+// through map-backed state, of the engine's traces and of Appendix A's),
+// and the dual objective adds its values exactly and
 // rounds once, so its bits depend on neither slot numbering nor order
 // (pinned against a math/big sum by an oracle test and two fuzz targets).
 //
@@ -491,8 +497,8 @@
 //
 //   - maprange: no `range` over a map. Go randomizes map iteration
 //     per run, so any order-observing loop (summing float64s, appending
-//     to a slice) silently breaks reproducibility — the PR 3
-//     combinePerResource last-ulp bug. Iterate
+//     to a slice) silently breaks reproducibility — the last-ulp bug the
+//     §6 per-resource combine once had. Iterate
 //     slices.Sorted(maps.Keys(m)) instead, or waive a genuinely
 //     commutative loop.
 //   - detsource: no math/rand (v1 or v2), time.Now, time.Since,

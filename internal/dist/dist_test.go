@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treesched/internal/dist"
+	"treesched/internal/dual"
 	"treesched/internal/engine"
 	"treesched/internal/model"
 	"treesched/internal/workload"
@@ -304,25 +305,26 @@ func TestCompactNodeState(t *testing.T) {
 }
 
 // TestSharedCoreBetaGain pins the β-replay rule against the dual raise
-// rules, the invariant that keeps remote β copies bit-identical.
+// rules, the invariant that keeps remote β copies bit-identical: a node
+// absorbing a raise adds BetaGain to each critical β, as absorbRaises does.
 func TestSharedCoreBetaGain(t *testing.T) {
 	e1 := model.MakeEdgeKey(0, 1)
 	e2 := model.MakeEdgeKey(0, 2)
-	it := engine.Item{Demand: 0, Profit: 3, Height: 0.4,
-		Edges: []model.EdgeKey{e1, e2}, Critical: []model.EdgeKey{e1, e2}}
+	p := engine.Prepare([]engine.Item{{Demand: 0, Group: 1, Profit: 3, Height: 0.4,
+		Edges: []model.EdgeKey{e1, e2}, Critical: []model.EdgeKey{e1, e2}}})
+	v := &p.Views()[0]
 
 	for _, mode := range []engine.Mode{engine.Unit, engine.Narrow} {
-		raiser := engine.NewCore(mode)
-		observer := engine.NewCore(mode)
-		v := raiser.Intern(&it)
-		delta := raiser.Raise(&v)
+		raiser := engine.Core{Mode: mode, Dual: dual.NewDense(p.DemandSlots(), p.EdgeSlots())}
+		observer := engine.Core{Mode: mode, Dual: dual.NewDense(p.DemandSlots(), p.EdgeSlots())}
+		delta := raiser.Raise(v)
 		if delta <= 0 {
 			t.Fatalf("%v: delta = %v", mode, delta)
 		}
-		observer.ApplyRaise(observer.Dual.Index().Path(it.Critical), delta)
-		for _, e := range it.Critical {
-			if raiser.Dual.BetaOf(e) != observer.Dual.BetaOf(e) {
-				t.Errorf("%v: β(%v) raiser %v observer %v", mode, e, raiser.Dual.BetaOf(e), observer.Dual.BetaOf(e))
+		observer.Dual.AddBeta(v.Critical, engine.BetaGain(mode, len(v.Critical), delta))
+		for _, e := range v.Critical {
+			if raiser.Dual.Beta(e) != observer.Dual.Beta(e) {
+				t.Errorf("%v: β(%d) raiser %v observer %v", mode, e, raiser.Dual.Beta(e), observer.Dual.Beta(e))
 			}
 		}
 	}

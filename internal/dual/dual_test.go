@@ -3,6 +3,7 @@ package dual
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -10,39 +11,31 @@ import (
 	"treesched/internal/model"
 )
 
-func keyPath(tree int, edges ...int) []model.EdgeKey {
-	out := make([]model.EdgeKey, len(edges))
-	for i, e := range edges {
-		out[i] = model.MakeEdgeKey(tree, e)
-	}
-	return out
-}
-
 func TestRaiseUnitTightensConstraint(t *testing.T) {
-	a := New()
-	path := keyPath(0, 1, 2, 3, 4)
-	crit := keyPath(0, 1, 3)
-	delta := a.RaiseUnitKeys(7, 10, path, crit)
+	a := NewDense(8, 5)
+	path := []int32{1, 2, 3, 4}
+	crit := []int32{1, 3}
+	delta := a.RaiseUnit(7, 10, path, crit)
 	if want := 10.0 / 3.0; math.Abs(delta-want) > 1e-12 {
 		t.Fatalf("delta = %v, want %v", delta, want)
 	}
-	if lhs := a.LHSKeys(7, 1, path); math.Abs(lhs-10) > 1e-9 {
+	if lhs := a.LHS(7, 1, path); math.Abs(lhs-10) > 1e-9 {
 		t.Fatalf("LHS after raise = %v, want 10 (tight)", lhs)
 	}
 	// α got δ, each critical edge got δ, non-critical edges got nothing.
-	if a.AlphaOf(7) != delta {
-		t.Errorf("alpha = %v, want %v", a.AlphaOf(7), delta)
+	if a.Alpha(7) != delta {
+		t.Errorf("alpha = %v, want %v", a.Alpha(7), delta)
 	}
-	if a.BetaOf(model.MakeEdgeKey(0, 2)) != 0 {
+	if a.Beta(2) != 0 {
 		t.Errorf("non-critical edge was raised")
 	}
 }
 
 func TestRaiseUnitAlreadyTight(t *testing.T) {
-	a := New()
-	path := keyPath(0, 1)
-	a.RaiseUnitKeys(0, 5, path, path)
-	if d := a.RaiseUnitKeys(0, 5, path, path); d != 0 {
+	a := NewDense(1, 2)
+	path := []int32{1}
+	a.RaiseUnit(0, 5, path, path)
+	if d := a.RaiseUnit(0, 5, path, path); d != 0 {
 		t.Errorf("second raise returned %v, want 0", d)
 	}
 }
@@ -52,29 +45,29 @@ func TestRaiseNarrowTightensConstraint(t *testing.T) {
 	// for any h ∈ (0,1], any |π| ≥ 1 and any prior state.
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := New()
+		a := NewDense(4, 8)
 		h := 0.05 + 0.95*r.Float64()
 		profit := 0.5 + 10*r.Float64()
 		n := 1 + r.Intn(8)
-		path := make([]model.EdgeKey, n)
+		path := make([]int32, n)
 		for i := range path {
-			path[i] = model.MakeEdgeKey(0, i)
+			path[i] = int32(i)
 		}
 		k := 1 + r.Intn(n)
 		crit := path[:k]
 		// Random prior state.
-		a.AddAlphaOf(3, r.Float64()*profit/4)
-		for _, e := range path {
-			a.AddBetaOf(e, r.Float64()/10)
+		a.alpha[3] += r.Float64() * profit / 4
+		for j := range path {
+			a.AddBeta(path[j:j+1], r.Float64()/10)
 		}
-		if a.LHSKeys(3, h, path) >= profit {
+		if a.LHS(3, h, path) >= profit {
 			return true // already satisfied; raise is a no-op
 		}
-		delta := a.RaiseNarrowKeys(3, profit, h, path, crit)
+		delta := a.RaiseNarrow(3, profit, h, path, crit)
 		if delta <= 0 {
 			return false
 		}
-		return math.Abs(a.LHSKeys(3, h, path)-profit) < 1e-9*profit
+		return math.Abs(a.LHS(3, h, path)-profit) < 1e-9*profit
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -85,9 +78,9 @@ func TestValueAccountsRaises(t *testing.T) {
 	// Each unit raise with |π| critical edges adds exactly (|π|+1)·δ to the
 	// dual objective (inequality (1) in Lemma 3.1 holds with equality when
 	// no edges are shared).
-	a := New()
-	d1 := a.RaiseUnitKeys(0, 6, keyPath(0, 1, 2), keyPath(0, 1, 2))
-	d2 := a.RaiseUnitKeys(1, 9, keyPath(0, 5, 6, 7), keyPath(0, 5))
+	a := NewDense(2, 8)
+	d1 := a.RaiseUnit(0, 6, []int32{1, 2}, []int32{1, 2})
+	d2 := a.RaiseUnit(1, 9, []int32{5, 6, 7}, []int32{5})
 	want := 3*d1 + 2*d2
 	if v := a.Value(); math.Abs(v-want) > 1e-9 {
 		t.Errorf("Value = %v, want %v", v, want)
@@ -95,171 +88,148 @@ func TestValueAccountsRaises(t *testing.T) {
 }
 
 func TestSatisfiedThreshold(t *testing.T) {
-	a := New()
-	path := keyPath(0, 1)
-	a.AddAlphaOf(0, 4)
-	if !a.SatisfiedKeys(0, 1, path, 0.5, 8) {
+	a := NewDense(1, 2)
+	path := []int32{1}
+	a.alpha[0] += 4
+	if !a.Satisfied(0, 1, path, 0.5, 8) {
 		t.Error("exactly ξ·p should satisfy")
 	}
-	if a.SatisfiedKeys(0, 1, path, 0.6, 8) {
+	if a.Satisfied(0, 1, path, 0.6, 8) {
 		t.Error("4 < 0.6·8 should not satisfy")
 	}
 	// Height coefficient scales the β contribution only.
-	a.AddBetaOf(path[0], 10)
-	if !a.SatisfiedKeys(0, 0.3, path, 0.8, 8) { // 4 + 0.3·10 = 7 ≥ 6.4
+	a.AddBeta(path, 10)
+	if !a.Satisfied(0, 0.3, path, 0.8, 8) { // 4 + 0.3·10 = 7 ≥ 6.4
 		t.Error("height-weighted LHS should satisfy")
 	}
 }
 
-// TestDenseMatchesKeys pins the dense hot-path methods to the key-addressed
-// compatibility layer: the same logical operations through either surface
-// must read and write the exact same state.
+// keyDual is the map-backed α/β the dense state replaced: α keyed by demand
+// id and β by edge key, raised by the same rules in key space.
+type keyDual struct {
+	alpha map[int]float64
+	beta  map[model.EdgeKey]float64
+}
+
+func (m *keyDual) lhs(demand int, coeff float64, path []model.EdgeKey) float64 {
+	s := 0.0
+	for _, k := range path {
+		s += m.beta[k]
+	}
+	return m.alpha[demand] + coeff*s
+}
+
+// raise is RaiseUnit (narrow false) or RaiseNarrow over keys, returning δ.
+func (m *keyDual) raise(narrow bool, demand int, profit, height float64, path, critical []model.EdgeKey) float64 {
+	coeff, gain := 1.0, 1.0
+	k := float64(len(critical))
+	if narrow {
+		coeff, gain = height, 2*k
+	}
+	s := profit - m.lhs(demand, coeff, path)
+	if s <= 0 {
+		return 0
+	}
+	delta := s / (k + 1)
+	if narrow {
+		delta = s / (1 + 2*height*k*k)
+	}
+	m.alpha[demand] += delta
+	for _, e := range critical {
+		m.beta[e] += gain * delta
+	}
+	return delta
+}
+
+// TestDenseMatchesKeys pins the dense methods to the key-addressed
+// arithmetic they replaced: random sequences of RaiseUnit, RaiseNarrow and
+// AddBeta over an index's slots, mirrored in a map keyed by demand id and
+// edge key, give the same δ and LHS bits at every step, the same α and β
+// read back through AlphaMap and BetaMap, and the same Value.
 func TestDenseMatchesKeys(t *testing.T) {
-	ix := NewIndex()
-	a := NewWithIndex(ix)
-	path := keyPath(0, 1, 2, 3)
-	crit := keyPath(0, 2)
-	slot := ix.Demand(5)
-	pathIdx := ix.Path(path)
-	critIdx := ix.Path(crit)
-
-	d1 := a.RaiseUnit(slot, 8, pathIdx, critIdx)
-	b := New()
-	d2 := b.RaiseUnitKeys(5, 8, path, crit)
-	if d1 != d2 {
-		t.Fatalf("dense delta %v != keys delta %v", d1, d2)
-	}
-	if a.LHS(slot, 1, pathIdx) != b.LHSKeys(5, 1, path) {
-		t.Errorf("LHS diverged: %v vs %v", a.LHS(slot, 1, pathIdx), b.LHSKeys(5, 1, path))
-	}
-	if a.BetaSum(pathIdx) != b.BetaSumKeys(path) {
-		t.Errorf("BetaSum diverged")
-	}
-	if a.Value() != b.Value() {
-		t.Errorf("Value diverged: %v vs %v", a.Value(), b.Value())
-	}
-}
-
-func TestLambdaAndBound(t *testing.T) {
-	a := New()
-	p1 := keyPath(0, 1)
-	p2 := keyPath(0, 2)
-	a.AddAlphaOf(0, 5) // constraint 0: LHS 5, p 10 -> ratio 0.5
-	a.AddAlphaOf(1, 9) // constraint 1: LHS 9, p 9  -> ratio 1
-	cons := []ConstraintView{
-		{Demand: 0, Coeff: 1, Profit: 10, Path: p1},
-		{Demand: 1, Coeff: 1, Profit: 9, Path: p2},
-	}
-	if l := a.Lambda(cons); math.Abs(l-0.5) > 1e-12 {
-		t.Fatalf("Lambda = %v, want 0.5", l)
-	}
-	if b := a.Bound(cons); math.Abs(b-28) > 1e-9 { // (5+9)/0.5
-		t.Fatalf("Bound = %v, want 28", b)
-	}
-	if l := a.Lambda(nil); l != 0 {
-		t.Errorf("Lambda(nil) = %v, want 0", l)
-	}
-	if b := New().Bound(cons); !math.IsInf(b, 1) {
-		t.Errorf("Bound of empty assignment = %v, want +Inf", b)
-	}
-}
-
-// TestLambdaZeroProfitGuard is the regression test for the NaN/±Inf poison:
-// a constraint with p(d) ≤ 0 used to contribute LHS/0 (or LHS/negative) to
-// the minimum, turning Lambda and hence Bound into NaN or ±Inf. Profitless
-// constraints must be skipped.
-func TestLambdaZeroProfitGuard(t *testing.T) {
-	a := New()
-	p1 := keyPath(0, 1)
-	a.AddAlphaOf(0, 5)
-	cons := []ConstraintView{
-		{Demand: 0, Coeff: 1, Profit: 10, Path: p1}, // ratio 0.5
-		{Demand: 1, Coeff: 1, Profit: 0, Path: keyPath(0, 2)},
-		{Demand: 2, Coeff: 1, Profit: -3, Path: keyPath(0, 3)},
-	}
-	l := a.Lambda(cons)
-	if math.IsNaN(l) || math.IsInf(l, 0) {
-		t.Fatalf("Lambda = %v; zero-profit constraint poisoned it", l)
-	}
-	if math.Abs(l-0.5) > 1e-12 {
-		t.Fatalf("Lambda = %v, want 0.5 (profitless constraints skipped)", l)
-	}
-	b := a.Bound(cons)
-	if math.IsNaN(b) || b < 0 {
-		t.Fatalf("Bound = %v; want a finite nonnegative bound", b)
-	}
-	// All constraints profitless: no profit to certify against.
-	onlyZero := []ConstraintView{{Demand: 0, Coeff: 1, Profit: 0, Path: p1}}
-	if l := a.Lambda(onlyZero); l != 0 {
-		t.Errorf("Lambda over profitless set = %v, want 0", l)
-	}
-	if b := a.Bound(onlyZero); !math.IsInf(b, 1) {
-		t.Errorf("Bound over profitless set = %v, want +Inf", b)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := New()
-	a.RaiseUnitKeys(0, 5, keyPath(0, 1), keyPath(0, 1))
-	c := a.Clone()
-	c.RaiseUnitKeys(1, 7, keyPath(0, 2), keyPath(0, 2))
-	if a.AlphaOf(1) != 0 {
-		t.Error("clone mutated the original")
-	}
-	if a.Value() == c.Value() {
-		t.Error("clone should have diverged")
+	for seed := int64(0); seed < 32; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type constraint struct {
+			demand         int
+			path, critical []model.EdgeKey
+			slot           int32
+			pathIx, critIx []int32
+		}
+		cons := make([]constraint, 12)
+		ix := NewIndexSized(4, 64)
+		for i := range cons {
+			c := &cons[i]
+			c.demand = rng.Intn(6)
+			tree := rng.Intn(3)
+			for _, e := range rng.Perm(10)[:1+rng.Intn(6)] {
+				c.path = append(c.path, model.MakeEdgeKey(tree, e))
+			}
+			c.critical = c.path[:1+rng.Intn(min(2, len(c.path)))]
+			c.slot = ix.Demand(c.demand)
+			for _, k := range c.path {
+				c.pathIx = append(c.pathIx, ix.Edge(k))
+			}
+			c.critIx = c.pathIx[:len(c.critical)]
+		}
+		a := NewWithIndex(ix)
+		m := &keyDual{alpha: map[int]float64{}, beta: map[model.EdgeKey]float64{}}
+		for step := 0; step < 200; step++ {
+			c := &cons[rng.Intn(len(cons))]
+			profit, height := 10*rng.Float64(), 0.5*(1-rng.Float64())
+			var got, want float64
+			switch rng.Intn(3) {
+			case 0:
+				got, want = a.RaiseUnit(c.slot, profit, c.pathIx, c.critIx), m.raise(false, c.demand, profit, 1, c.path, c.critical)
+			case 1:
+				got, want = a.RaiseNarrow(c.slot, profit, height, c.pathIx, c.critIx), m.raise(true, c.demand, profit, height, c.path, c.critical)
+			default:
+				g := rng.Float64()
+				a.AddBeta(c.critIx, g)
+				for _, e := range c.critical {
+					m.beta[e] += g
+				}
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: dense δ %v, keyed δ %v", seed, step, got, want)
+			}
+			if got, want := a.LHS(c.slot, height, c.pathIx), m.lhs(c.demand, height, c.path); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: dense LHS %v, keyed LHS %v", seed, step, got, want)
+			}
+		}
+		if !reflect.DeepEqual(a.AlphaMap(), m.alpha) || !reflect.DeepEqual(a.BetaMap(), m.beta) {
+			t.Fatalf("seed %d: AlphaMap/BetaMap differ from the keyed state", seed)
+		}
+		var terms []float64
+		for _, v := range m.alpha {
+			terms = append(terms, v)
+		}
+		for _, v := range m.beta {
+			terms = append(terms, v)
+		}
+		if got, want := a.Value(), bigSum(terms); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: Value %v, exact sum of the keyed state %v", seed, got, want)
+		}
 	}
 }
 
 func TestWeakDualityOnToyInstance(t *testing.T) {
 	// Two instances fighting over one edge, profits 3 and 5. Raise both via
-	// the framework order; the bound must dominate the true optimum (5).
-	a := New()
-	shared := keyPath(0, 9)
-	a.RaiseUnitKeys(0, 3, shared, shared) // δ=1.5, α0=1.5, β=1.5
-	a.RaiseUnitKeys(1, 5, shared, shared) // LHS=1.5, s=3.5, δ=1.75
-	cons := []ConstraintView{
-		{Demand: 0, Coeff: 1, Profit: 3, Path: shared},
-		{Demand: 1, Coeff: 1, Profit: 5, Path: shared},
+	// the framework order: both constraints end satisfied, so λ =
+	// min(1, min LHS/p) = 1 and the bound Value/λ must dominate the true
+	// optimum (5).
+	a := NewDense(2, 1)
+	shared := []int32{0}
+	a.RaiseUnit(0, 3, shared, shared) // δ=1.5, α0=1.5, β=1.5
+	a.RaiseUnit(1, 5, shared, shared) // LHS=1.5, s=3.5, δ=1.75
+	lambda := 1.0
+	for d, p := range []float64{3, 5} {
+		lambda = min(lambda, a.LHS(int32(d), 1, shared)/p)
 	}
-	if l := a.Lambda(cons); math.Abs(l-1) > 1e-9 {
-		t.Fatalf("both constraints tight, Lambda = %v, want 1", l)
+	if math.Abs(lambda-1) > 1e-9 {
+		t.Fatalf("both constraints satisfied, λ = %v, want 1", lambda)
 	}
-	if b := a.Bound(cons); b < 5 {
+	if b := a.Value() / lambda; b < 5 {
 		t.Errorf("Bound %v below optimum 5", b)
-	}
-}
-
-// BenchmarkAssignmentClone measures the cost of snapshotting the dual state
-// — the operation a per-step trace of dual evolution would pay once per
-// step. With dense slices it is two slice copies; the sizes mirror the
-// m=768 engine workload (~1.5k demands, ~3k interned edges).
-func BenchmarkAssignmentClone(b *testing.B) {
-	for _, size := range []struct {
-		name           string
-		demands, edges int
-	}{
-		{"m=48", 70, 200},
-		{"m=768", 1510, 3072},
-	} {
-		b.Run(size.name, func(b *testing.B) {
-			ix := NewIndex()
-			a := NewWithIndex(ix)
-			for d := 0; d < size.demands; d++ {
-				a.AddAlphaOf(d, float64(d)+0.5)
-			}
-			for e := 0; e < size.edges; e++ {
-				a.AddBetaOf(model.MakeEdgeKey(0, e), float64(e)+0.25)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := a.Clone()
-				if c.AlphaOf(0) != a.AlphaOf(0) {
-					b.Fatal("clone diverged")
-				}
-			}
-		})
 	}
 }
 

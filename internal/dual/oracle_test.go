@@ -87,8 +87,8 @@ func bigSum(terms []float64) float64 {
 //   - bit 3: demand slots are released at random, as Apply releases a
 //     departed demand's, and later ids take them.
 //
-// pathEntries sizes the index (0 = unsized, so its edge side starts as the
-// map). A non-nil reused index runs the sequence in place of a new one,
+// pathEntries sizes the index (0 = no path entries, so its edge side starts
+// as the map). A non-nil reused index runs the sequence in place of a new one,
 // after a Reset to the same sizes, which must leave nothing of its earlier
 // sequences behind. Assignments are created between internings, so Value
 // runs over every extent the index ever had — growth after a first Value,
@@ -97,9 +97,6 @@ func indexSequence(t testing.TB, seed int64, pathEntries, shape int, reused *Ind
 	rng := rand.New(rand.NewSource(seed))
 	demands := rng.Intn(8)
 	ix := NewIndexSized(demands, pathEntries)
-	if pathEntries == 0 {
-		ix = NewIndex()
-	}
 	if reused != nil {
 		reused.Reset(demands, pathEntries)
 		ix = reused
@@ -233,11 +230,12 @@ func (o *oracleIndex) nextID() int { return len(o.demandIDs) }
 // map-backed oracle: every slot, every lookup answer and the bits of every
 // Value, over dense, sparse and mixed key spaces, identity broken at random
 // points or never, demand slots released and reused or never, and indexes
-// sized from far too small (converting early) to roomy (staying tabled) as
-// well as unsized. Every sequence runs twice: in a new index, and in one
-// index Reset after each earlier sequence, as an arena reuses its index.
+// sized for no path entries (a map from the start), far too few
+// (converting early) or plenty (staying tabled). Every sequence runs
+// twice: in a new index, and in one index Reset after each earlier
+// sequence, as an arena reuses its index.
 func TestIndexMatchesOracle(t *testing.T) {
-	reused := NewIndex()
+	reused := new(Index)
 	for shape := 0; shape < 16; shape++ {
 		for _, entries := range []int{0, 1, 8, 64, 4096} {
 			for seed := int64(0); seed < 12; seed++ {

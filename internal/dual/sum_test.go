@@ -143,25 +143,40 @@ func TestValueIgnoresNumbering(t *testing.T) {
 		betas[j], keys[j] = value(), model.MakeEdgeKey(j/30, j%30)
 	}
 
-	dense := NewWithIndex(NewIndexSized(len(alphas), len(betas)))
+	denseIx := NewIndexSized(len(alphas), len(betas))
+	for i := range alphas {
+		denseIx.Demand(i)
+	}
+	for j := range betas {
+		denseIx.Edge(keys[j])
+	}
+	dense := NewWithIndex(denseIx)
 	for i, x := range alphas {
-		dense.AddAlphaOf(i, x)
+		dense.alpha[denseIx.Demand(i)] += x
 	}
 	for j, x := range betas {
-		dense.AddBetaOf(keys[j], x)
+		dense.beta[denseIx.Edge(keys[j])] += x
 	}
 
-	hashed := New()
+	hashedIx := NewIndexSized(0, 0)
+	alphaSlot, betaSlot := make([]int32, len(alphas)), make([]int32, len(betas))
 	for n, i := range rng.Perm(len(alphas)) {
-		hashed.Index().Demand(-1 - n) // a stale slot
-		hashed.AddAlphaOf(1000+7*i, alphas[i])
+		hashedIx.Demand(-1 - n) // a stale slot
+		alphaSlot[i] = hashedIx.Demand(1000 + 7*i)
 	}
 	for _, j := range rng.Perm(len(betas)) {
-		hashed.Index().Edge(model.MakeEdgeKey(9, j)) // a stale index
-		hashed.AddBetaOf(keys[j], betas[j])
+		hashedIx.Edge(model.MakeEdgeKey(9, j)) // a stale index
+		betaSlot[j] = hashedIx.Edge(keys[j])
 	}
-	if dense.Index().Hashed() || !hashed.Index().Hashed() {
-		t.Fatalf("hashed: dense index %v, shuffled index %v", dense.Index().Hashed(), hashed.Index().Hashed())
+	hashed := NewWithIndex(hashedIx)
+	for i, x := range alphas {
+		hashed.alpha[alphaSlot[i]] += x
+	}
+	for j, x := range betas {
+		hashed.beta[betaSlot[j]] += x
+	}
+	if denseIx.Hashed() || !hashedIx.Hashed() {
+		t.Fatalf("hashed: dense index %v, shuffled index %v", denseIx.Hashed(), hashedIx.Hashed())
 	}
 
 	fold := func(a *Assignment) float64 {
@@ -183,16 +198,17 @@ func TestValueIgnoresNumbering(t *testing.T) {
 }
 
 // TestValueAllocatesNothing calls Value on assignments over a hashed index
-// whose demand side grew since the previous call, as it does on every round
-// of a compacted Session that interns arrivals.
+// whose demand side grew between their constructions, as a Session's index
+// grows between rounds that intern arrivals.
 func TestValueAllocatesNothing(t *testing.T) {
 	const runs = 50
 	ix := NewIndexSized(0, 64)
 	as := make([]*Assignment, runs+1) // AllocsPerRun calls once more to warm up
 	for k := range as {
+		slot, e := ix.Demand(1000+3*k), ix.Edge(model.MakeEdgeKey(0, k%8))
 		a := NewWithIndex(ix)
-		a.AddAlphaOf(1000+3*k, float64(k+1))
-		a.AddBetaOf(model.MakeEdgeKey(0, k%8), 0.5)
+		a.alpha[slot] += float64(k + 1)
+		a.beta[e] += 0.5
 		as[k] = a
 	}
 	if !ix.Hashed() {

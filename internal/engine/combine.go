@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // ArbitraryResult is the outcome of the §6 arbitrary-height algorithm run
 // in process.
@@ -24,7 +21,7 @@ type ArbitraryResult struct {
 // or entirely narrow, so the combination selects at most one instance per
 // demand, and per-resource selection preserves the bandwidth constraints.
 // The combined profit is SumProfit's over the combined selection, so
-// items[i].ID must be i.
+// items[i].ID must be i; every Resource must be non-negative.
 //
 // The in-process engine (SolveArbitrary) and the simulator executions
 // both run §6 through here, so the two cannot split or combine differently.
@@ -32,6 +29,7 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 	// Index 0 is the wide class, 1 the narrow one.
 	var classes [2][]Item
 	var ids [2][]int // class-local id -> original id
+	resources := 0
 	for _, it := range items {
 		k := 1
 		if it.Height > 0.5 {
@@ -40,11 +38,14 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 		ids[k] = append(ids[k], it.ID)
 		it.ID = len(classes[k])
 		classes[k] = append(classes[k], it)
+		resources = max(resources, it.Resource+1)
 	}
-	var byRes [2]map[int][]int
-	var profitByRes [2]map[int]float64
+	// picks[k] is class k's selection as original ids, and profitByRes[k][r]
+	// its profit on resource r, added in selection order.
+	var picks [2][]int
+	var profitByRes [2][]float64
 	for k, mode := range [2]Mode{Unit, Narrow} {
-		byRes[k], profitByRes[k] = make(map[int][]int), make(map[int]float64)
+		profitByRes[k] = make([]float64, resources)
 		class := classes[k]
 		if len(class) == 0 {
 			continue
@@ -57,12 +58,22 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 			return nil, 0, err
 		}
 		for _, id := range sel {
-			r := class[id].Resource
-			byRes[k][r] = append(byRes[k][r], ids[k][id])
-			profitByRes[k][r] += class[id].Profit
+			picks[k] = append(picks[k], ids[k][id])
+			profitByRes[k][class[id].Resource] += class[id].Profit
 		}
 	}
-	selected = combinePerResource(byRes[0], byRes[1], profitByRes[0], profitByRes[1])
+	// On each resource the class that earns more there wins it, the wide
+	// one on a tie; a selected item is kept when its class wins its
+	// resource.
+	for k, pick := range picks {
+		for _, id := range pick {
+			r := items[id].Resource
+			if wideWins := profitByRes[0][r] >= profitByRes[1][r]; wideWins == (k == 0) {
+				selected = append(selected, id)
+			}
+		}
+	}
+	slices.Sort(selected)
 	return selected, SumProfit(items, selected), nil
 }
 
@@ -85,30 +96,4 @@ func SolveArbitrary(items []Item, cfg Config, rec Recorder) (*ArbitraryResult, e
 	}
 	out.Selected, out.Profit = selected, profit
 	return out, nil
-}
-
-// combinePerResource applies the §6 rule: on each resource keep whichever
-// sub-solution earns more profit there, and return the kept ids, ascending.
-// Resources are visited in ascending id order, so nothing here depends on
-// map order.
-func combinePerResource(wideByRes, narrowByRes map[int][]int, profitW, profitN map[int]float64) []int {
-	resources := make(map[int]bool)
-	//schedvet:ok maprange set-insert commutes; the union is iterated sorted below
-	for r := range wideByRes {
-		resources[r] = true
-	}
-	//schedvet:ok maprange set-insert commutes; the union is iterated sorted below
-	for r := range narrowByRes {
-		resources[r] = true
-	}
-	var selected []int
-	for _, r := range slices.Sorted(maps.Keys(resources)) {
-		if profitW[r] >= profitN[r] {
-			selected = append(selected, wideByRes[r]...)
-		} else {
-			selected = append(selected, narrowByRes[r]...)
-		}
-	}
-	slices.Sort(selected)
-	return selected
 }

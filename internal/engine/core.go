@@ -11,43 +11,29 @@ import (
 // two-phase framework factored out of the run loop so that the in-process
 // engine and the message-passing nodes of package dist execute the exact
 // same floating-point operations. A Core holds a dual assignment scoped to
-// whatever its owner can see — the engine owns a single global Core, while
-// each dist node owns a Core tracking its own α-variables plus local copies
-// of the β-variables on its items' paths — and exposes:
+// whatever its owner can see — an engine run owns one over the prepared
+// layout's index (or a shard's), while each dist node owns one over its
+// own α-variable and local copies of the β-variables on its items' paths —
+// and exposes:
 //
-//   - Intern: the one-time translation of an Item into a dense ItemView
-//     over the core's dual index;
 //   - Unsatisfied: the stage-threshold test driving step participation;
 //   - Raise: the mode-dispatched raise rule (§3.2 unit / §6.1 narrow),
-//     updating α and β locally;
-//   - ApplyRaise: the β-only replay of a raise announced by another
-//     processor, using BetaGain so remote copies stay bit-identical to the
-//     raiser's own update.
+//     updating α and β locally.
 //
-// Because both executions funnel every dual mutation through these entry
-// points, they cannot drift: equality of the inputs (items, Config, seed)
-// implies bitwise equality of every dual variable, every satisfaction test,
-// and hence every selection.
+// A β-only replay of a raise announced by another processor adds
+// BetaGain to each critical β (dual.AddBeta), so remote copies stay
+// bit-identical to the raiser's own update. Because both executions funnel
+// every dual mutation through these entry points, they cannot drift:
+// equality of the inputs (items, Config, seed) implies bitwise equality of
+// every dual variable, every satisfaction test, and hence every selection.
 //
-// The hot-path methods address the dual state through dense int32 indices
-// (see dual.Index): interning happens once per item at setup, and the
-// per-step satisfaction scans run as tight loops over int slices with no
-// map hashing.
+// The methods address the dual state through the dense int32 indices of
+// ItemViews (see dual.Index), translated once per item at preparation, so
+// the per-step satisfaction scans run as tight loops over int slices with
+// no map hashing.
 type Core struct {
 	Mode Mode
 	Dual *dual.Assignment
-}
-
-// NewCore returns a core with an empty dual assignment over a fresh index.
-func NewCore(mode Mode) *Core {
-	return &Core{Mode: mode, Dual: dual.New()}
-}
-
-// NewCoreWithIndex returns a core whose assignment is addressed through a
-// prepared (frozen) index — the engine's prepared-run path, where the index
-// and views are built once per item set and shared across solves.
-func NewCoreWithIndex(mode Mode, ix *dual.Index) *Core {
-	return &Core{Mode: mode, Dual: dual.NewWithIndex(ix)}
 }
 
 // ItemView is one item's dual constraint in dense form: the demand slot and
@@ -62,13 +48,6 @@ type ItemView struct {
 	Height   float64
 	Edges    []int32 // β indices of the full path
 	Critical []int32 // β indices of π(d) ⊆ Edges
-}
-
-// Intern translates an item into its dense view, interning the demand and
-// path edges into the core's dual index. Call once per item at setup; the
-// index must not be mutated while a run is in flight.
-func (c *Core) Intern(it *Item) ItemView {
-	return internItem(c.Dual.Index(), it, make([]int32, len(it.Edges)+len(it.Critical)))
 }
 
 // internItem is the one translation from Item to dense ItemView; the
@@ -119,15 +98,6 @@ func (c *Core) Raise(v *ItemView) float64 {
 	return c.Dual.RaiseUnit(v.Slot, v.Profit, v.Edges, v.Critical)
 }
 
-// ApplyRaise replays a raise of δ announced by another processor whose
-// item has the given (interned) critical set: β(e) += BetaGain for each
-// critical edge. The raiser's α is private to its owner and is not tracked.
-//
-//schedvet:hot
-func (c *Core) ApplyRaise(critical []int32, delta float64) {
-	c.Dual.AddBeta(critical, BetaGain(c.Mode, len(critical), delta))
-}
-
 // BetaGain returns the per-critical-edge β increment of a raise of δ: δ
 // under the unit rule, 2|π|δ under the narrow rule. It mirrors the
 // increments of dual.RaiseUnit and dual.RaiseNarrow exactly so that remote
@@ -143,9 +113,8 @@ func BetaGain(mode Mode, criticalLen int, delta float64) float64 {
 
 // lambdaBound scores the assignment against every item's dual constraint in
 // item order: λ = min(1, min LHS/p) and the weak-duality bound Value/λ
-// (Lemma 3.1). Dense counterpart of dual.Lambda/Bound over ConstraintViews;
-// items are validated to have positive profit, so no zero-profit guard is
-// needed here beyond the λ ≤ 0 check.
+// (Lemma 3.1). Items are validated to have positive profit, so no
+// zero-profit guard is needed here beyond the λ ≤ 0 check.
 func (c *Core) lambdaBound(views []ItemView) (lambda, bound float64) {
 	lambda = c.lambdaOnly(views)
 	if lambda <= 0 {

@@ -53,7 +53,7 @@ func (p *Prepared) SelectGreedy(mode Mode, steps [][]int) (selected []int, profi
 // order would report. The dist runtime uses this to recover the global dual
 // from per-node raise logs without any node ever holding global state.
 func (p *Prepared) ReplayDual(mode Mode, steps [][]int) (d *dual.Assignment, lambda, bound float64) {
-	core := NewCoreWithIndex(mode, p.lay.ix)
+	core := Core{Mode: mode, Dual: dual.NewWithIndex(p.lay.ix)}
 	for _, ids := range steps {
 		for _, id := range ids {
 			core.Raise(&p.lay.views[id])

@@ -216,6 +216,36 @@ func TestArbitraryHeightCombined(t *testing.T) {
 	}
 }
 
+// TestHeightClassesPerResource pins §6's combination with a stub class
+// solver that selects every item of its class: on each resource the class
+// earning more there keeps its items, the wide class on a tie.
+func TestHeightClassesPerResource(t *testing.T) {
+	e := []model.EdgeKey{model.MakeEdgeKey(0, 1)}
+	item := func(id, resource int, height, profit float64) engine.Item {
+		return engine.Item{ID: id, Demand: id, Resource: resource, Group: 1, Profit: profit, Height: height, Edges: e, Critical: e}
+	}
+	items := []engine.Item{
+		item(0, 0, 1, 2), item(1, 0, 0.3, 1), item(2, 0, 0.4, 1), // resource 0: wide 2, narrow 2
+		item(3, 1, 0.9, 1), item(4, 1, 0.2, 3), // resource 1: wide 1, narrow 3
+		item(5, 2, 0.5, 4), // resource 2: narrow only
+		item(6, 4, 0.6, 5), // resource 4: wide only
+	}
+	all := func(class []engine.Item, _ engine.Config) ([]int, error) {
+		ids := make([]int, len(class))
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids, nil
+	}
+	selected, profit, err := engine.SolveHeightClasses(items, engine.Config{Epsilon: 0.1}, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 4, 5, 6}; !reflect.DeepEqual(selected, want) || profit != 14 {
+		t.Fatalf("selected %v with profit %v, want %v with profit 14", selected, profit, want)
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{
 		Vertices: 20, Trees: 3, Demands: 15, ProfitRatio: 10,
@@ -353,6 +383,32 @@ func TestEmptyItems(t *testing.T) {
 	}
 	if len(res.Selected) != 0 || res.Profit != 0 {
 		t.Fatalf("empty run produced %+v", res)
+	}
+}
+
+// TestLambdaAndBound pins the engine's scoring rule, through ReplayDual:
+// λ = min(1, min LHS/p) over every item's constraint and the bound
+// Value/λ, +Inf when some constraint has LHS 0, and 0 for no items.
+func TestLambdaAndBound(t *testing.T) {
+	e1, e2 := model.MakeEdgeKey(0, 1), model.MakeEdgeKey(0, 2)
+	p := engine.Prepare([]engine.Item{
+		{ID: 0, Demand: 0, Group: 1, Profit: 10, Height: 1, Edges: []model.EdgeKey{e1, e2}, Critical: []model.EdgeKey{e1}},
+		{ID: 1, Demand: 1, Group: 1, Profit: 9, Height: 1, Edges: []model.EdgeKey{e2}, Critical: []model.EdgeKey{e2}},
+	})
+	// Raising item 1 gives α1 = β(e2) = 4.5: item 1 is tight (ratio 1),
+	// item 0 reads β(e1) + β(e2) = 4.5 of 10.
+	d, lambda, bound := p.ReplayDual(engine.Unit, [][]int{{1}})
+	if d.Value() != 9 || math.Abs(lambda-0.45) > 1e-12 {
+		t.Fatalf("Value %v, λ %v; want 9 and 0.45", d.Value(), lambda)
+	}
+	if math.Abs(bound-20) > 1e-9 { // 9/0.45
+		t.Fatalf("bound %v, want 20", bound)
+	}
+	if _, lambda, bound := p.ReplayDual(engine.Unit, nil); lambda != 0 || !math.IsInf(bound, 1) {
+		t.Errorf("no raises: λ %v, bound %v; want 0 and +Inf", lambda, bound)
+	}
+	if _, lambda, bound := engine.Prepare(nil).ReplayDual(engine.Unit, nil); lambda != 0 || bound != 0 {
+		t.Errorf("no items: λ %v, bound %v; want 0 and 0", lambda, bound)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 // Maprange flags `range` statements over map-typed operands in
 // deterministic packages. Go randomizes map iteration order per run, so
 // any map-order-dependent computation on the solve path breaks the
-// bitwise guarantee — PR 3's combinePerResource bug (last-ulp profit
-// drift from summing per-resource profits in map order) is exactly this
-// shape, and survived until a fuzz seed tripped it.
+// bitwise guarantee — the §6 per-resource combine once had exactly this
+// bug (last-ulp profit drift from summing per-resource profits in map
+// order), and it survived until a fuzz seed tripped it.
 //
 // The fix is to iterate a sorted key slice instead:
 //

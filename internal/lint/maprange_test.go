@@ -13,10 +13,11 @@ func TestMaprangeGolden(t *testing.T) {
 }
 
 // TestMaprangeCatchesCombinePerResourceShape pins the acceptance
-// criterion: deleting the slices.Sorted(maps.Keys(...)) iteration from
-// engine.combinePerResource — the exact PR 3 last-ulp drift bug — must
-// be a maprange finding. testdata/src/regression holds that mutated
-// copy; the live engine package must stay clean (TestLiveTreeClean).
+// criterion: the §6 per-resource combine as once written over maps, its
+// slices.Sorted(maps.Keys(...)) iteration replaced by a raw map range —
+// the last-ulp drift bug it once had — must be a maprange finding.
+// testdata/src/regression holds that copy; the live engine package must
+// stay clean (TestLiveTreeClean).
 func TestMaprangeCatchesCombinePerResourceShape(t *testing.T) {
 	linttest.Run(t, "regression", lint.Maprange)
 }

@@ -1,6 +1,7 @@
 // Package maprange is the golden suite for the maprange analyzer. It
-// mirrors the PR 3 combinePerResource bug shape: summing float64 in map
-// iteration order drifts in the last ulp between runs.
+// mirrors the shape of the bug the §6 per-resource combine once had:
+// summing float64 in map iteration order drifts in the last ulp between
+// runs.
 package maprange
 
 import (

@@ -1,15 +1,16 @@
-// Package regression replays the PR 3 combinePerResource bug with the
-// fix deleted: iterating the resource set in map order instead of
+// Package regression replays the last-ulp drift bug the §6 per-resource
+// combine once had: iterating the resource set in map order instead of
 // through slices.Sorted(maps.Keys(...)) accumulates the profit sum in a
 // run-dependent order, drifting in the last ulp between identical
 // solves. maprange must catch this shape (acceptance criterion for the
 // schedvet suite).
 package regression
 
-// combinePerResource is engine.combinePerResource with the
-// slices.Sorted(maps.Keys(resources)) iteration replaced by a raw map
-// range — the exact regression the analyzer exists to stop.
-func combinePerResource(wideByRes, narrowByRes map[int][]int, profitW, profitN map[int]float64) ([]int, float64) {
+// combineByResource is the §6 per-resource combine as it was once
+// written over maps, with the slices.Sorted(maps.Keys(resources))
+// iteration replaced by a raw map range — the exact regression the
+// analyzer exists to stop.
+func combineByResource(wideByRes, narrowByRes map[int][]int, profitW, profitN map[int]float64) ([]int, float64) {
 	resources := make(map[int]bool)
 	//schedvet:ok maprange set-insert commutes; order never observed
 	for r := range wideByRes {

@@ -22,8 +22,8 @@ import "slices"
 // items, so the index never outweighs the paths it indexes. A key the budget
 // cannot table, or one with a negative network id, converts the interner
 // once, in place, to a map built from the key slice, so every index stays.
-// An unsized interner starts as the map. The map is a memory-safety
-// fallback for sparse key spaces, not a second fast path.
+// An interner sized for no path entries starts as the map. The map is a
+// memory-safety fallback for sparse key spaces, not a second fast path.
 type EdgeInterner struct {
 	keys []EdgeKey
 	// tables[n][e] is 1 + the index of MakeEdgeKey(n, e), 0 if absent. nil
@@ -43,10 +43,6 @@ const (
 	// against the budget: a slice header is three words, six int32 cells.
 	headerCells = 6
 )
-
-// NewEdgeInterner returns an empty, unsized interner. It keeps its keys in
-// a map from the start.
-func NewEdgeInterner() *EdgeInterner { return NewEdgeInternerSized(0) }
 
 // NewEdgeInternerSized returns an empty interner whose tables may hold up
 // to tableCellsPerEntry cells for each of pathEntries path entries — the
@@ -161,16 +157,6 @@ func (in *EdgeInterner) toMap() {
 		in.idx[k] = int32(i)
 	}
 	in.tables, in.cells = nil, 0
-}
-
-// InternPath interns every key of path and returns the index list, aligned
-// with path.
-func (in *EdgeInterner) InternPath(path []EdgeKey) []int32 {
-	out := make([]int32, len(path))
-	for j, k := range path {
-		out[j] = in.Intern(k)
-	}
-	return out
 }
 
 // Lookup returns the index of k without interning.

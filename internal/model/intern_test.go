@@ -6,7 +6,7 @@ import (
 )
 
 func TestEdgeInternerAssignsDenseIndices(t *testing.T) {
-	in := NewEdgeInterner()
+	in := NewEdgeInternerSized(0)
 	a := MakeEdgeKey(2, 7)
 	b := MakeEdgeKey(0, 7)
 	c := MakeEdgeKey(2, 9)
@@ -30,26 +30,6 @@ func TestEdgeInternerAssignsDenseIndices(t *testing.T) {
 	}
 	if keys := in.Keys(); len(keys) != 2 || keys[0] != a || keys[1] != b {
 		t.Errorf("Keys() = %v, want [%v %v]", keys, a, b)
-	}
-}
-
-func TestEdgeInternerInternPath(t *testing.T) {
-	in := NewEdgeInterner()
-	path := []EdgeKey{MakeEdgeKey(1, 3), MakeEdgeKey(1, 4), MakeEdgeKey(1, 3)}
-	idx := in.InternPath(path)
-	if len(idx) != 3 {
-		t.Fatalf("index list length %d, want 3", len(idx))
-	}
-	if idx[0] != idx[2] {
-		t.Errorf("repeated key got distinct indices %d and %d", idx[0], idx[2])
-	}
-	if idx[0] == idx[1] {
-		t.Errorf("distinct keys share index %d", idx[0])
-	}
-	for j, k := range path {
-		if in.Key(idx[j]) != k {
-			t.Errorf("position %d: Key(%d) = %v, want %v", j, idx[j], in.Key(idx[j]), k)
-		}
 	}
 }
 

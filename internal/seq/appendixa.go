@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"treesched/internal/decomp"
@@ -14,7 +15,6 @@ import (
 type AppendixAResult struct {
 	Selected []int // demand-instance ids (model.Instance.Expand order)
 	Profit   float64
-	Dual     *dual.Assignment
 	Bound    float64 // weak-duality upper bound on Opt
 	Delta    int     // max |π| (≤ 2)
 	Items    []engine.Item
@@ -28,6 +28,13 @@ type AppendixAResult struct {
 // π(d) = the wings of µ(d) on path(d). Its parameters are ∆ = 2, λ = 1, so
 // Lemma 3.1 gives a 3-approximation (2-approximation for a single tree,
 // where the α variables are not needed and δ = s/|π| raises only β).
+//
+// It runs the two-phase framework on the engine's machinery: the items
+// are prepared once (engine.Prepare), the satisfaction tests and raises go
+// through the prepared views into a dense dual, the second phase is the
+// engine's greedy (Prepared.SelectGreedy) over the raise history with each
+// raise its own step, and the bound is scored as the engine scores its
+// runs.
 func AppendixA(in *model.Instance) (*AppendixAResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -93,61 +100,49 @@ func AppendixA(in *model.Instance) (*AppendixAResult, error) {
 		return ia < ib
 	})
 
-	res := &AppendixAResult{Dual: dual.New(), Items: items, Trace: &engine.Trace{}}
+	prep := engine.Prepare(items)
+	views := prep.Views()
+	d := dual.NewDense(prep.DemandSlots(), prep.EdgeSlots())
+	res := &AppendixAResult{Items: items, Trace: &engine.Trace{}}
 	res.Delta = engine.MaxCritical(items)
-	var stack []int
-	for _, id := range order {
-		it := &items[id]
-		if res.Dual.SatisfiedKeys(it.Demand, 1, it.Edges, 1, it.Profit) {
+	var steps [][]int // the raise history, one raise per step
+	for k, id := range order {
+		v := &views[id]
+		if d.Satisfied(v.Slot, 1, v.Edges, 1, v.Profit) {
 			continue
 		}
 		var delta float64
 		if singleTree {
 			// Single-tree refinement: skip α, δ = s/|π|.
-			s := it.Profit - res.Dual.BetaSumKeys(it.Edges)
-			delta = s / float64(len(it.Critical))
-			for _, e := range it.Critical {
-				res.Dual.AddBetaOf(e, delta)
-			}
+			delta = (v.Profit - d.BetaSum(v.Edges)) / float64(len(v.Critical))
+			d.AddBeta(v.Critical, delta)
 		} else {
-			delta = res.Dual.RaiseUnitKeys(it.Demand, it.Profit, it.Edges, it.Critical)
+			delta = d.RaiseUnit(v.Slot, v.Profit, v.Edges, v.Critical)
 		}
 		res.Trace.Events = append(res.Trace.Events, engine.RaiseEvent{Step: len(res.Trace.Events), Item: id, Delta: delta})
-		stack = append(stack, id)
+		steps = append(steps, order[k:k+1])
 	}
 
-	// Second phase: pop and greedily add.
-	usedDemand := make(map[int]bool)
-	usedEdge := make(map[model.EdgeKey]bool)
-	for s := len(stack) - 1; s >= 0; s-- {
-		id := stack[s]
-		it := &items[id]
-		if usedDemand[it.Demand] {
-			continue
-		}
-		ok := true
-		for _, e := range it.Edges {
-			if usedEdge[e] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		usedDemand[it.Demand] = true
-		for _, e := range it.Edges {
-			usedEdge[e] = true
-		}
-		res.Selected = append(res.Selected, id)
-	}
-	sort.Ints(res.Selected)
-	res.Profit = engine.SumProfit(items, res.Selected)
-
-	cons := make([]dual.ConstraintView, len(items))
-	for i := range items {
-		cons[i] = dual.ConstraintView{Demand: items[i].Demand, Coeff: 1, Profit: items[i].Profit, Path: items[i].Edges}
-	}
-	res.Bound = res.Dual.Bound(cons)
+	// Second phase: pop the raises, last first, and greedily add.
+	res.Selected, res.Profit = prep.SelectGreedy(engine.Unit, steps)
+	res.Bound = bound(d, views)
 	return res, nil
+}
+
+// bound is Lemma 3.1's weak-duality bound on Opt, by the rule the engine
+// scores its runs with: λ = min(1, min LHS/p) over every item's unit-LP
+// constraint, in item order, and then Value/λ, which is 0 when there are
+// no items.
+func bound(d *dual.Assignment, views []engine.ItemView) float64 {
+	lambda := 1.0
+	for i := range views {
+		v := &views[i]
+		if r := d.LHS(v.Slot, 1, v.Edges) / v.Profit; r < lambda {
+			lambda = r
+		}
+	}
+	if lambda <= 0 {
+		return math.Inf(1)
+	}
+	return d.Value() / lambda
 }

@@ -2,9 +2,13 @@ package seq_test
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"treesched/internal/dual"
 	"treesched/internal/engine"
 	"treesched/internal/model"
 	"treesched/internal/seq"
@@ -232,6 +236,148 @@ func TestLineExactMatchesBruteOnTightWindows(t *testing.T) {
 		brute, _ := seq.Brute(items, true)
 		if math.Abs(exact-brute) > 1e-9 {
 			t.Fatalf("seed %d: DP = %v, brute = %v", seed, exact, brute)
+		}
+	}
+}
+
+// mapDual is the map-backed α/β that AppendixA kept before it ran on the
+// engine's dense views, with its key arithmetic: α keyed by demand id, β by
+// edge key, an absent key reading 0, and the objective the math/big sum of
+// every value, exact at 2,200 bits and rounded once.
+type mapDual struct {
+	alpha map[int]float64
+	beta  map[model.EdgeKey]float64
+}
+
+func (m *mapDual) lhs(it *engine.Item) float64 {
+	s := 0.0
+	for _, e := range it.Edges {
+		s += m.beta[e]
+	}
+	return m.alpha[it.Demand] + 1*s
+}
+
+// raise is Appendix A's raise of it: on a single tree δ = s/|π| on β
+// alone, else the unit rule δ = s/(|π|+1) on α and β.
+func (m *mapDual) raise(it *engine.Item, singleTree bool) float64 {
+	if singleTree {
+		s := 0.0
+		for _, e := range it.Edges {
+			s += m.beta[e]
+		}
+		delta := (it.Profit - s) / float64(len(it.Critical))
+		for _, e := range it.Critical {
+			m.beta[e] += delta
+		}
+		return delta
+	}
+	s := it.Profit - m.lhs(it)
+	if s <= 0 {
+		return 0
+	}
+	delta := s / float64(len(it.Critical)+1)
+	m.alpha[it.Demand] += delta
+	for _, e := range it.Critical {
+		m.beta[e] += delta
+	}
+	return delta
+}
+
+func (m *mapDual) value() float64 {
+	sum := new(big.Float).SetPrec(2200)
+	for _, v := range m.alpha {
+		sum.Add(sum, new(big.Float).SetFloat64(v))
+	}
+	for _, v := range m.beta {
+		sum.Add(sum, new(big.Float).SetFloat64(v))
+	}
+	v, _ := sum.Float64()
+	return v
+}
+
+// bound is Lemma 3.1's Value/λ with λ = min(1, min LHS/p), 0 for no items.
+func (m *mapDual) bound(items []engine.Item) float64 {
+	if len(items) == 0 {
+		return 0
+	}
+	lambda := 1.0
+	for i := range items {
+		lambda = math.Min(lambda, m.lhs(&items[i])/items[i].Profit)
+	}
+	if lambda <= 0 {
+		return math.Inf(1)
+	}
+	return m.value() / lambda
+}
+
+// TestAppendixAMatchesMapReplay pins AppendixA to the map arithmetic it
+// replaced: its trace replayed through mapDual raises only items the map
+// state holds unsatisfied, with every δ bit for bit the traced one;
+// Selected is the map greedy's pop of the trace (last raise first, an item
+// taken when its demand and its path's edges are unused); and Bound has
+// the bits of mapDual's bound. Single-tree and multi-tree instances, 40
+// seeds each, and the instance with no demands.
+func TestAppendixAMatchesMapReplay(t *testing.T) {
+	in, err := workload.RandomTreeInstance(workload.TreeConfig{Vertices: 8, Trees: 2, Demands: 1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Demands = nil
+	empty, err := seq.AppendixA(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.Selected) != 0 || empty.Profit != 0 || empty.Bound != 0 {
+		t.Fatalf("no demands: selected %v, profit %v, bound %v; want none, 0, 0", empty.Selected, empty.Profit, empty.Bound)
+	}
+	for _, trees := range []int{1, 3} {
+		for seed := int64(0); seed < 40; seed++ {
+			in, err := workload.RandomTreeInstance(workload.TreeConfig{
+				Vertices: 20, Trees: trees, Demands: 12, ProfitRatio: 8,
+			}, rand.New(rand.NewSource(1300+seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := seq.AppendixA(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &mapDual{alpha: map[int]float64{}, beta: map[model.EdgeKey]float64{}}
+			for i, ev := range res.Trace.Events {
+				it := &res.Items[ev.Item]
+				if dual.Meets(m.lhs(it), 1, it.Profit) {
+					t.Fatalf("trees %d seed %d: event %d raises item %d, which the map state holds satisfied", trees, seed, i, ev.Item)
+				}
+				if delta := m.raise(it, trees == 1); math.Float64bits(delta) != math.Float64bits(ev.Delta) {
+					t.Fatalf("trees %d seed %d: event %d (item %d): δ %v, map δ %v", trees, seed, i, ev.Item, ev.Delta, delta)
+				}
+			}
+			var want []int
+			usedDemand, usedEdge := map[int]bool{}, map[model.EdgeKey]bool{}
+		pop:
+			for i := len(res.Trace.Events) - 1; i >= 0; i-- {
+				it := &res.Items[res.Trace.Events[i].Item]
+				if usedDemand[it.Demand] {
+					continue
+				}
+				for _, e := range it.Edges {
+					if usedEdge[e] {
+						continue pop
+					}
+				}
+				usedDemand[it.Demand] = true
+				for _, e := range it.Edges {
+					usedEdge[e] = true
+				}
+				want = append(want, it.ID)
+			}
+			sort.Ints(want)
+			if !slices.Equal(res.Selected, want) {
+				t.Fatalf("trees %d seed %d: selected %v, map greedy %v", trees, seed, res.Selected, want)
+			}
+			if got, want := res.Bound, m.bound(res.Items); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trees %d seed %d: bound %v, map bound %v", trees, seed, got, want)
+			}
 		}
 	}
 }

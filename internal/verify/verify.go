@@ -119,14 +119,22 @@ func sharesEdge(set map[model.EdgeKey]bool, edges []model.EdgeKey) bool {
 }
 
 // LambdaAtLeast checks that every item's dual constraint is λ-satisfied.
+// It reads the assignment by demand id and edge key (AlphaMap, BetaMap),
+// not through the engine's slots, and sums each LHS as the raise rules do:
+// α + coeff·Σβ, the β over the path in order.
 func LambdaAtLeast(items []engine.Item, a *dual.Assignment, mode engine.Mode, lambda float64) error {
+	alpha, beta := a.AlphaMap(), a.BetaMap()
 	for i := range items {
 		it := &items[i]
 		coeff := 1.0
 		if mode == engine.Narrow {
 			coeff = it.Height
 		}
-		lhs := a.LHSKeys(it.Demand, coeff, it.Edges)
+		betas := 0.0
+		for _, e := range it.Edges {
+			betas += beta[e]
+		}
+		lhs := alpha[it.Demand] + coeff*betas
 		if lhs < lambda*it.Profit-dual.Tolerance*it.Profit {
 			return fmt.Errorf("verify: item %d only %.6f-satisfied, want ≥ %.6f", i, lhs/it.Profit, lambda)
 		}

@@ -156,7 +156,9 @@ func TestLambdaAtLeast(t *testing.T) {
 // the given fraction via α.
 func dualWith(t *testing.T, items []engine.Item, frac float64) *dual.Assignment {
 	t.Helper()
-	a := dual.New()
-	a.AddAlphaOf(items[0].Demand, frac*items[0].Profit)
+	ix := dual.NewIndexSized(1, 0)
+	slot := ix.Demand(items[0].Demand)
+	a := dual.NewWithIndex(ix)
+	a.RaiseUnit(slot, frac*items[0].Profit, nil, nil) // α = δ = frac·p
 	return a
 }

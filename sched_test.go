@@ -127,6 +127,48 @@ func TestSolveSequentialTree(t *testing.T) {
 	}
 }
 
+// TestEmptyInstanceBounds solves a tree instance with no demands under
+// every algorithm, and a line instance with no jobs under every algorithm
+// that takes lines, in process and, where the algorithm has one, over the
+// simulator: each reports Profit 0 and DualBound 0, the optimum of an
+// empty instance, and passes Verify or VerifyLine.
+func TestEmptyInstanceBounds(t *testing.T) {
+	tree, _ := paperTree(t)
+	line := treesched.NewLineInstance(8, 2)
+	for _, algo := range []treesched.Algorithm{treesched.Auto, treesched.DistributedUnit,
+		treesched.DistributedArbitrary, treesched.SequentialTree, treesched.ExactSmall} {
+		for _, simulate := range []bool{false, true} {
+			if simulate && (algo == treesched.SequentialTree || algo == treesched.ExactSmall) {
+				continue
+			}
+			opts := treesched.Options{Algorithm: algo, Simulate: simulate}
+			res, err := treesched.Solve(tree, opts)
+			if err != nil {
+				t.Fatalf("%v simulate=%v: %v", algo, simulate, err)
+			}
+			if res.Profit != 0 || res.DualBound != 0 {
+				t.Errorf("%v simulate=%v on no demands: profit %v, dual bound %v; want 0 and 0", algo, simulate, res.Profit, res.DualBound)
+			}
+			if err := treesched.Verify(tree, res); err != nil {
+				t.Errorf("%v simulate=%v: %v", algo, simulate, err)
+			}
+			if algo == treesched.SequentialTree {
+				continue // trees only
+			}
+			res, err = treesched.SolveLine(line, opts)
+			if err != nil {
+				t.Fatalf("%v simulate=%v, line: %v", algo, simulate, err)
+			}
+			if res.Profit != 0 || res.DualBound != 0 {
+				t.Errorf("%v simulate=%v on no jobs: profit %v, dual bound %v; want 0 and 0", algo, simulate, res.Profit, res.DualBound)
+			}
+			if err := treesched.VerifyLine(line, res); err != nil {
+				t.Errorf("%v simulate=%v, line: %v", algo, simulate, err)
+			}
+		}
+	}
+}
+
 func TestSolveLineWindows(t *testing.T) {
 	// Figure 1's scenario through the public API: A and B overlap, C is
 	// disjoint; heights 0.5/0.7/0.4.

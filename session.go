@@ -34,6 +34,9 @@ type Session struct {
 	mu      sync.Mutex
 	layered []*decomp.Layered // per network; len is the network count
 	nv      int               // vertex count
+	// allNets lists every network, the access of each arrival that names
+	// none. All such arrivals share it; nothing writes it.
+	allNets []int
 	p       *engine.Prepared
 	// live lists the live demand ids, ascending: the initial ids are
 	// 0..n−1 and every arrival takes an id above all earlier ones, so
@@ -157,6 +160,7 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 		solver:  s,
 		layered: layered,
 		nv:      m.NumVertices,
+		allNets: allTrees(len(layered)),
 		p:       p,
 		live:    make([]int, len(m.Demands)),
 		next:    len(m.Demands),
@@ -213,7 +217,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		}
 		access := nd.Access
 		if len(access) == 0 {
-			access = allTrees(len(sess.layered))
+			access = sess.allNets
 		}
 		id := sess.next + len(ids)
 		// The acceptance rules are the model's own, so an arrival a
