@@ -282,3 +282,45 @@ func TestUpdateDefaultAccessAllocs(t *testing.T) {
 	}
 	t.Logf("an Update allocates %d times with either access", byDefault)
 }
+
+// maxBuildAllocs bounds the allocations of building solve-contended's
+// instance through the public builder (TestBuildInstanceAllocs): 3 trees
+// of 256 vertices and 384 demands, each with its access list. It is what
+// was measured when the bound was set: the trees' own allocations, and
+// the demand list and the access slab each growing by appending, so a
+// demand costs none of its own.
+const maxBuildAllocs = 45
+
+// TestBuildInstanceAllocs gates the allocations of building
+// solve-contended's instance with NewInstance, AddTree and AddDemand with
+// Access, as perfbench's solve-contended does for every op.
+func TestBuildInstanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	in, err := workload.RandomTreeInstance(workContended, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([][][2]int, len(in.Trees))
+	for q, tr := range in.Trees {
+		for _, e := range tr.Edges() {
+			edges[q] = append(edges[q], [2]int{e.U, e.V})
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		inst := treesched.NewInstance(in.NumVertices)
+		for _, es := range edges {
+			if _, err := inst.AddTree(es); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range in.Demands {
+			inst.AddDemand(d.U, d.V, d.Profit, treesched.Access(d.Access...))
+		}
+	})
+	if allocs > maxBuildAllocs {
+		t.Fatalf("building the instance allocates %v times, bound %d", allocs, maxBuildAllocs)
+	}
+	t.Logf("building the instance allocates %v times (bound %d)", allocs, maxBuildAllocs)
+}

@@ -33,7 +33,8 @@
 // # The Solver batch API
 //
 // Solve is NewSolver(opts).Solve(in): every solve builds its items and
-// interns them into the dense dual layout, in storage pooled across solves
+// interns them into the dense dual layout — in the same walk, when the
+// algorithm resolves to DistributedUnit — in storage pooled across solves
 // (engine.Arena), and its serial engine run reads no other structure: the
 // member lists that encode the §2 conflict graph are built only by their
 // first reader, which a cold solve never is. For batch use — many demand
@@ -171,13 +172,22 @@
 //
 // # Incremental state: Sessions, deltas, and their invariants
 //
-// Preparation is two linear passes, and a third on first read. Item
-// building walks each demand instance's path once (decomp.Layered.Walk,
-// Lemma 4.2): one LCA, the climbs from both endpoints writing the path's
-// edge keys, µ(d) tracked on the way and π(d)'s wings found by depth
-// arithmetic, all into two slabs shared by the item set
-// (engine.DemandItems). Layout interning then translates every item into
-// its dense view, all views' index lists in one slab. Grouping lists, per
+// Preparation of a tree instance is one walk per demand instance, after a
+// sizing pass, and one more pass on first read. The sizing pass computes
+// each instance's LCA, once, and its path length. The walk
+// (decomp.Layered.Walk, Lemma 4.2) climbs from both endpoints to that LCA
+// writing the path's edge keys, tracks µ(d) on the way and finds π(d)'s
+// wings by depth arithmetic, as positions on the path (every edge of π(d)
+// is a wing of a path vertex). Right after it, the same loop interns the path
+// in path order through its network's edge table, reads π(d)'s keys and
+// indices off the path's by position, and writes the item, its dense view
+// and its plan statistics, every kind into one slab shared by the item set
+// (engine.PrepareDemands, which Solver.Solve and Solver.Session call when
+// the algorithm resolves to DistributedUnit). Items that arrive already
+// built — a Session's arrivals (engine.DemandItems, the same loop without
+// the interning), line items, §6 height classes — are interned by a
+// second pass over them (engine.PrepareRecorded) into the same numbering:
+// first-seen order over the items' paths. Grouping lists, per
 // interned demand slot and per edge index, the ascending items it holds,
 // by array indexing over the views (no second hashing of the same keys).
 // By §2 two items conflict iff they share a demand or an edge, so these
@@ -511,8 +521,10 @@
 //   - hotpath: a function whose doc comment carries //schedvet:hot may
 //     not allocate maps, call fmt, defer, or box concrete values into
 //     interfaces — locking in the allocation-free shape of the
-//     solve/merge/Apply loops (PRs 4–6). The item builder's walk
-//     (decomp.Layered.Walk and engine.DemandItems), the raise primitives
+//     solve/merge/Apply loops (PRs 4–6). The item builder's walk and
+//     the fused preparation around it (decomp.Layered.Walk and the engine
+//     loop behind DemandItems and PrepareDemands, with
+//     model.EdgeInterner.InternPath), the raise primitives
 //     (dual.RaiseUnit/RaiseNarrow/AddBeta), the exact sum (dual.Sum.Add
 //     and Merge, Assignment.Value and AddTo), the satisfaction
 //     verdict (dual.Meets), the compacted per-step scan (state.scanLive,

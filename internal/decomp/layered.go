@@ -29,34 +29,37 @@ func NewLayered(h *TreeDecomposition) *Layered {
 // respect to that neighbor. |π(d)| ≤ 2(θ+1). It is Walk with its own
 // buffers.
 func (l *Layered) Assign(u, v graph.Vertex) (group int, critical []graph.EdgeID) {
-	path := make([]model.EdgeKey, l.H.T.Dist(u, v))
-	crit := make([]model.EdgeKey, l.maxCritical)
-	group, _, n := l.Walk(u, v, 0, path, crit)
-	for _, k := range crit[:n] {
-		critical = append(critical, k.Edge())
+	t := l.H.T
+	path := make([]model.EdgeKey, t.Dist(u, v))
+	crit := make([]int32, l.maxCritical)
+	group, _, n := l.Walk(u, v, t.LCA(u, v), 0, path, crit)
+	for _, i := range crit[:n] {
+		critical = append(critical, path[i].Edge())
 	}
 	return group, critical
 }
 
 // Walk computes Assign's result and the path itself in one pass over
-// path(d), as EdgeKeys of network q: the path's edges, ordered from u's
-// side to v's side, go to path and π(d) to crit, and it returns the group
-// and the number of entries written to each. path needs room for
-// Dist(u, v) keys and crit for MaxCriticalSize.
+// path(d). lca must be the LCA of u and v, which a caller sizing the path
+// has already computed. The path's edges, as EdgeKeys of network q ordered
+// from u's side to v's side, go to path, and π(d) goes to crit as positions
+// on the path: crit[j] = i names the edge path[i]. It returns the group and
+// the number of entries written to each. path needs room for Dist(u, v)
+// keys and crit for MaxCriticalSize positions.
 //
-// Everything Lemma 4.2 needs is a position on the path. With lca the LCA
-// of u and v and du = depth(u) − depth(lca), the path's vertices in
-// u-to-v order are u's ancestors up to lca (position i at depth
-// depth(u) − i), then v's side (position i at depth depth(lca) + i − du).
-// A wing of the vertex at position i is the path edge before it and the
-// one after it, so µ(d) — tracked during the walk — and each bending
-// point need no vertex-to-position lookup, and π(d), at most 2(θ+1)
-// entries, is deduplicated by scanning what it already holds.
+// Everything Lemma 4.2 needs is a position on the path. With du =
+// depth(u) − depth(lca), the path's vertices in u-to-v order are u's
+// ancestors up to lca (position i at depth depth(u) − i), then v's side
+// (position i at depth depth(lca) + i − du). A wing of the vertex at
+// position i is the path edge before it and the one after it, so µ(d) —
+// tracked during the walk — and each bending point need no
+// vertex-to-position lookup, and π(d), at most 2(θ+1) positions, is
+// deduplicated by scanning what it already holds. A caller that numbers
+// the path's edges reads π(d)'s numbers off the same positions.
 //
 //schedvet:hot
-func (l *Layered) Walk(u, v graph.Vertex, q model.TreeID, path, crit []model.EdgeKey) (group, pathLen, critLen int) {
+func (l *Layered) Walk(u, v, lca graph.Vertex, q model.TreeID, path []model.EdgeKey, crit []int32) (group, pathLen, critLen int) {
 	t, h := l.H.T, l.H
-	lca := t.LCA(u, v)
 	du := t.Depth(u) - t.Depth(lca)
 	n := du + t.Depth(v) - t.Depth(lca)
 	path = path[:n]
@@ -83,7 +86,7 @@ func (l *Layered) Walk(u, v graph.Vertex, q model.TreeID, path, crit []model.Edg
 		x = t.Parent(x)
 	}
 
-	c := addWings(path, crit, 0, zPos)
+	c := addWings(crit, 0, zPos, n)
 	for _, nb := range h.Pivot[z] {
 		// The bending point of d with respect to nb is the path vertex
 		// closest to nb: the median of u, v and nb, which is the deepest of
@@ -95,33 +98,33 @@ func (l *Layered) Walk(u, v graph.Vertex, q model.TreeID, path, crit []model.Edg
 		} else if b := t.LCA(v, nb); t.Depth(b) > t.Depth(lca) {
 			pos = du + t.Depth(b) - t.Depth(lca)
 		}
-		c = addWings(path, crit, c, pos)
+		c = addWings(crit, c, pos, n)
 	}
 	return l.Length - h.Depth[z] + 1, n, c
 }
 
-// addWings appends to crit[:c] the wings of the path vertex at position i
-// — the path edge before it, then the one after it — skipping any already
-// present, and returns the new count.
+// addWings appends to crit[:c] the wings of the vertex at position i of a
+// path of n edges — the position of the edge before it, then of the one
+// after it — skipping any already present, and returns the new count.
 //
 //schedvet:hot
-func addWings(path, crit []model.EdgeKey, c, i int) int {
+func addWings(crit []int32, c, i, n int) int {
 	if i > 0 {
-		c = addCritical(crit, c, path[i-1])
+		c = addCritical(crit, c, int32(i-1))
 	}
-	if i < len(path) {
-		c = addCritical(crit, c, path[i])
+	if i < n {
+		c = addCritical(crit, c, int32(i))
 	}
 	return c
 }
 
-func addCritical(crit []model.EdgeKey, c int, k model.EdgeKey) int {
-	for _, e := range crit[:c] {
-		if e == k {
+func addCritical(crit []int32, c int, pos int32) int {
+	for _, p := range crit[:c] {
+		if p == pos {
 			return c
 		}
 	}
-	crit[c] = k
+	crit[c] = pos
 	return c + 1
 }
 

@@ -24,7 +24,8 @@ var kinds = []struct {
 
 // checkWalk pins Walk (and Assign, its wrapper) for one pair against the
 // map-based oracle: same group, the path in graph.Tree.PathEdges order, and
-// π(d) in the oracle's order, all as keys of network q.
+// π(d) in the oracle's order, the path as keys of network q and π(d) as
+// positions on it.
 func checkWalk(t *testing.T, l *decomp.Layered, q model.TreeID, u, v graph.Vertex) {
 	t.Helper()
 	wantGroup, wantCrit := decomptest.Assign(l, u, v)
@@ -33,8 +34,8 @@ func checkWalk(t *testing.T, l *decomp.Layered, q model.TreeID, u, v graph.Verte
 
 	// Oversized buffers: Walk must report how much it wrote.
 	path := make([]model.EdgeKey, tr.N())
-	crit := make([]model.EdgeKey, l.MaxCriticalSize())
-	group, np, nc := l.Walk(u, v, q, path, crit)
+	crit := make([]int32, l.MaxCriticalSize()+1)
+	group, np, nc := l.Walk(u, v, tr.LCA(u, v), q, path, crit)
 	if group != wantGroup {
 		t.Fatalf("(%d,%d): group %d, oracle %d", u, v, group, wantGroup)
 	}
@@ -50,8 +51,8 @@ func checkWalk(t *testing.T, l *decomp.Layered, q model.TreeID, u, v graph.Verte
 		t.Fatalf("(%d,%d): |π| = %d, oracle %d (%v)", u, v, nc, len(wantCrit), wantCrit)
 	}
 	for i, e := range wantCrit {
-		if crit[i] != model.MakeEdgeKey(q, e) {
-			t.Fatalf("(%d,%d): π[%d] = %v, oracle %v", u, v, i, crit[i], model.MakeEdgeKey(q, e))
+		if p := crit[i]; p < 0 || int(p) >= np || path[p] != model.MakeEdgeKey(q, e) {
+			t.Fatalf("(%d,%d): π[%d] at position %d, oracle %v", u, v, i, p, model.MakeEdgeKey(q, e))
 		}
 	}
 	if g, c := l.Assign(u, v); g != wantGroup || !slices.Equal(c, wantCrit) || (c == nil) != (wantCrit == nil) {
@@ -77,9 +78,10 @@ func TestWalkMatchesOracle(t *testing.T) {
 
 func TestWalkWritesEdgeKeys(t *testing.T) {
 	l := decomp.NewLayered(decomp.Ideal(graphtest.Fig6Tree()))
+	tr := l.H.T
 	path := make([]model.EdgeKey, 15)
-	crit := make([]model.EdgeKey, l.MaxCriticalSize())
-	group, np, nc := l.Walk(3, 12, 3, path, crit)
+	crit := make([]int32, l.MaxCriticalSize())
+	group, np, nc := l.Walk(3, 12, tr.LCA(3, 12), 3, path, crit)
 	rawGroup, rawCrit := l.Assign(3, 12)
 	if group != rawGroup || nc != len(rawCrit) || nc == 0 || nc > 6 {
 		t.Fatalf("Walk = group %d |π| %d, Assign = group %d π %v", group, nc, rawGroup, rawCrit)
@@ -89,9 +91,9 @@ func TestWalkWritesEdgeKeys(t *testing.T) {
 			t.Errorf("path[%d] on tree %d, want 3", i, k.Tree())
 		}
 	}
-	for i, k := range crit[:nc] {
-		if k.Tree() != 3 || k.Edge() != rawCrit[i] {
-			t.Errorf("π[%d] = %v, want T3/e%d", i, k, rawCrit[i])
+	for i, p := range crit[:nc] {
+		if k := path[p]; k.Tree() != 3 || k.Edge() != rawCrit[i] {
+			t.Errorf("π[%d] at position %d = %v, want T3/e%d", i, p, k, rawCrit[i])
 		}
 	}
 }

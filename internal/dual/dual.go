@@ -106,6 +106,11 @@ func (ix *Index) NumDemands() int { return ix.demands.Len() }
 // Edge returns the dense index of an edge key, interning it when new.
 func (ix *Index) Edge(k model.EdgeKey) int32 { return ix.edges.Intern(k) }
 
+// EdgePath interns the edge keys of one network's path, in order, writing
+// their indices to idx (len(path) entries): Edge over each key, with the
+// network's table looked up once.
+func (ix *Index) EdgePath(path []model.EdgeKey, idx []int32) { ix.edges.InternPath(path, idx) }
+
 // EdgeSlot returns the index of an edge key without interning.
 func (ix *Index) EdgeSlot(k model.EdgeKey) (int32, bool) { return ix.edges.Lookup(k) }
 

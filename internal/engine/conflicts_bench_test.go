@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
+	"treesched/internal/decomp"
 	"treesched/internal/engine"
+	"treesched/internal/model"
 	"treesched/internal/workload"
 )
 
@@ -26,14 +29,76 @@ func conflictsBenchItems(b *testing.B) []engine.Item {
 	return items
 }
 
-// BenchmarkPrepareCold measures the full preparation — interning and member
-// lists — the fixed cost the delta path avoids.
+// BenchmarkPrepareCold measures Prepare over built items in fresh storage —
+// interning the dense layout and gathering the plan statistics — the fixed
+// cost the delta path avoids. It builds no member lists: their first
+// reader does.
 func BenchmarkPrepareCold(b *testing.B) {
 	items := conflictsBenchItems(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine.Prepare(items)
+	}
+}
+
+// BenchmarkPrepareDemands is the preparation layer of a cold
+// Solver.Solve at solve-contended's shape: demand sets of 384 demands
+// (access 1–3) on 3 fixed 256-vertex trees, a fresh one of 200 per op,
+// round-robin, prepared in one pooled arena. fused times PrepareDemands,
+// which interns each path as it walks it; items-then-prepare times
+// DemandItems followed by PrepareRecorded over its items, the two passes
+// the same preparation takes for item sets that arrive already built.
+// Besides the mean (ns/op), it reports the median op as p50-ns.
+func BenchmarkPrepareDemands(b *testing.B) {
+	const sets = 200
+	shape := workload.TreeConfig{Vertices: 256, Trees: 3, Demands: 384, ProfitRatio: 16, AccessMin: 1, AccessMax: 3}
+	rng := rand.New(rand.NewSource(7))
+	nets, err := workload.RandomTreeInstance(shape, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layered := make([]*decomp.Layered, len(nets.Trees))
+	for q, t := range nets.Trees {
+		if layered[q], err = engine.LayeredForTree(t, engine.IdealDecomp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	demands := make([][]model.Demand, sets)
+	for k := range demands {
+		in, err := workload.RandomTreeInstance(shape, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		demands[k] = in.Demands
+	}
+	for _, tc := range []struct {
+		name    string
+		prepare func(ds []model.Demand, a *engine.Arena) *engine.Prepared
+	}{
+		{"fused", func(ds []model.Demand, a *engine.Arena) *engine.Prepared {
+			return engine.PrepareDemands(ds, layered, nil, a)
+		}},
+		{"items-then-prepare", func(ds []model.Demand, a *engine.Arena) *engine.Prepared {
+			return engine.PrepareRecorded(engine.DemandItems(ds, layered, a), nil, a)
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a := engine.TakeArena()
+			defer a.Release()
+			tc.prepare(demands[0], a)
+			lat := make([]time.Duration, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				start := time.Now()
+				tc.prepare(demands[i%sets], a)
+				lat[i] = time.Since(start)
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
+		})
 	}
 }
 

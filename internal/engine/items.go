@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"treesched/internal/decomp"
+	"treesched/internal/dual"
 	"treesched/internal/graph"
 	"treesched/internal/model"
 )
@@ -86,41 +87,93 @@ func BuildTreeItemsLayered(in *model.Instance, layered []*decomp.Layered) ([]Ite
 // item per (demand, accessible network), by demand and then in Access
 // order, with ids counting up from 0 — the order of Instance.Expand. It is
 // the one tree-item builder: BuildTreeItemsLayered builds whole instances
-// through it, the root package's Solver.Solve and Solver.Session build
-// their already-validated instances through it, and the incremental
-// Session builds its arrivals through it, so an arriving demand yields
-// exactly the item a from-scratch build would.
+// through it, the root Solver builds the items of a §6 solve through it,
+// and the incremental Session builds its arrivals through it, so an
+// arriving demand yields exactly the item a from-scratch build would.
+// PrepareDemands is the same loop with the interning fused in.
 //
-// A counting pass sizes the slabs — path lengths from depths and the LCA,
-// π(d) by the bound 2(θ+1) — and then one Layered.Walk per item writes its
-// path and π(d) in place. The items of one call share one path slab and
-// one packed π slab (so any surviving item keeps its call's slabs alive);
+// A sizing pass computes each item's LCA, once, and from it the path's
+// length; then one Layered.Walk per item writes its path in place and π(d)
+// as positions on it, from which the item's π(d) keys are copied. The
+// items of one call share one path slab and one π slab, sized by the bound
+// 2(θ+1) per item, so any surviving item keeps its call's slabs alive, and
+// each item's π(d) leaves at most 2(θ+1) − |π(d)| keys of the slab unused;
 // every item's slices are capped at their own length, so appending to one
 // never reaches its neighbour. The items and slabs are a's (Arena), valid
 // until it is released, or fresh when a is nil.
-//
-//schedvet:hot
 func DemandItems(demands []model.Demand, layered []*decomp.Layered, a *Arena) []Item {
 	if a == nil {
 		a = new(Arena) // fresh storage, which only the items keep
 	}
-	n, pathTotal, critBound := 0, 0, 0
+	return demandItems(demands, layered, a, nil, nil)
+}
+
+// demandItems builds the items of DemandItems in a's storage and, when lay
+// is non-nil, prepares them in the same loop, as layout.build over the
+// items would: right after an item's walk it interns the item's demand and
+// path, in path order, copies π(d)'s indices off the path's by position,
+// writes the item's view into lay and counts the item into st. The view
+// index lists share one slab, each item's path list followed by its π(d)
+// list. Since π(d) ⊆ path(d), interning the path interns every key of the
+// item, so the numbering is layout.build's first-seen order. lay's index
+// is sized as layout.build sizes it.
+//
+//schedvet:hot
+func demandItems(demands []model.Demand, layered []*decomp.Layered, a *Arena, lay *layout, st *planStats) []Item {
+	n, critBound, critMax := 0, 0, 0
+	for i := range demands {
+		for _, q := range demands[i].Access {
+			c := layered[q].MaxCriticalSize()
+			n, critBound, critMax = n+1, critBound+c, max(critMax, c)
+		}
+	}
+	// The sizing pass: each item's LCA, kept for its walk, and its path
+	// length, and the demand count layout.build sizes by.
+	walk := resize(&a.walk, n+critMax)
+	lcas, pos := walk[:n], walk[n:]
+	pathTotal, nd, prev := 0, 0, 0
+	id := 0
 	for i := range demands {
 		d := &demands[i]
+		if len(d.Access) > 0 {
+			if nd == 0 || d.ID != prev {
+				nd++ // a run of items of one demand, as layout.build counts
+			}
+			prev = d.ID
+		}
 		for _, q := range d.Access {
-			pathTotal += layered[q].H.T.Dist(d.U, d.V)
-			critBound += layered[q].MaxCriticalSize()
-			n++
+			t := layered[q].H.T
+			lca := t.LCA(d.U, d.V)
+			lcas[id] = int32(lca)
+			pathTotal += t.Depth(d.U) + t.Depth(d.V) - 2*t.Depth(lca)
+			id++
 		}
 	}
 	items := resize(&a.items, n)
 	edges := resize(&a.path, pathTotal)
-	crit := resize(&a.walk, critBound)
+	crit := resize(&a.crit, critBound)
+	var ix *dual.Index
+	var idx []int32
+	if lay != nil {
+		ix = lay.ix
+		ix.Reset(nd, pathTotal)
+		lay.views = resize(&a.views, n)
+		idx = resize(&a.idx, pathTotal+critBound)
+		st.reset()
+	}
 	id, eo, co := 0, 0, 0
 	for i := range demands {
 		d := &demands[i]
+		var slot int32
+		if ix != nil && len(d.Access) > 0 {
+			slot = ix.Demand(d.ID)
+		}
 		for _, q := range d.Access {
-			group, ne, nc := layered[q].Walk(d.U, d.V, q, edges[eo:], crit[co:])
+			group, ne, nc := layered[q].Walk(d.U, d.V, int(lcas[id]), q, edges[eo:], pos)
+			path, critical := edges[eo:eo+ne:eo+ne], crit[co:co+nc:co+nc]
+			for j, p := range pos[:nc] {
+				critical[j] = path[p]
+			}
 			items[id] = Item{
 				ID:       id,
 				Demand:   d.ID,
@@ -128,21 +181,22 @@ func DemandItems(demands []model.Demand, layered []*decomp.Layered, a *Arena) []
 				Group:    group,
 				Profit:   d.Profit,
 				Height:   d.Height,
-				Edges:    edges[eo : eo+ne : eo+ne],
-				Critical: crit[co : co+nc : co+nc],
+				Edges:    path,
+				Critical: critical,
+			}
+			if ix != nil {
+				m := ne + nc
+				ve, vc := idx[:ne:ne], idx[ne:m:m]
+				idx = idx[m:]
+				ix.EdgePath(path, ve)
+				for j, p := range pos[:nc] {
+					vc[j] = ve[p]
+				}
+				lay.views[id] = ItemView{Slot: slot, Group: int32(group), Profit: d.Profit, Height: d.Height, Edges: ve, Critical: vc}
+				st.add(&items[id], id)
 			}
 			id, eo, co = id+1, eo+ne, co+nc
 		}
-	}
-	// π(d)'s size is known only after its walk; move the packed sets into
-	// a slab of just their length, so surviving items keep no slack alive.
-	exact := resize(&a.crit, co)
-	copy(exact, crit)
-	co = 0
-	for i := range items {
-		nc := len(items[i].Critical)
-		items[i].Critical = exact[co : co+nc : co+nc]
-		co += nc
 	}
 	return items
 }

@@ -4,7 +4,9 @@ import (
 	"slices"
 	"sync"
 
+	"treesched/internal/decomp"
 	"treesched/internal/dual"
+	"treesched/internal/model"
 )
 
 // This file implements run preparation: everything about an item set that
@@ -45,22 +47,23 @@ type layout struct {
 // and the slab are a's, or fresh when a is nil. The index is sized by what
 // it interns: demand ids by the runs of equal demand ids (the demand count
 // when, as on every build, a demand's instances are adjacent), its edge
-// tables by the slab's path entries. The sizing pass also gathers the
+// tables by the items' path entries. The sizing pass also gathers the
 // set's plan statistics into st, emptied first.
 func (lay *layout) build(items []Item, st *planStats, a *Arena) {
 	if a == nil {
 		a = new(Arena) // fresh storage, which only the layout keeps
 	}
 	st.reset()
-	total, demands := 0, 0
+	paths, total, demands := 0, 0, 0
 	for i := range items {
+		paths += len(items[i].Edges)
 		total += len(items[i].Edges) + len(items[i].Critical)
 		if i == 0 || items[i].Demand != items[i-1].Demand {
 			demands++
 		}
 		st.add(&items[i], i)
 	}
-	lay.ix.Reset(demands, total)
+	lay.ix.Reset(demands, paths)
 	lay.views = resize(&a.views, len(items))
 	slab := resize(&a.idx, total)
 	for i := range items {
@@ -174,26 +177,56 @@ func Prepare(items []Item) *Prepared { return PrepareRecorded(items, nil, nil) }
 // in a PhasePrepare span, and built in a (nil for fresh storage): the
 // Prepared, its layout, views and index are the arena's, and so are the
 // α/β of its serial run, so it serves one serial solve, whose Result's
-// Dual is valid until the arena is released.
+// Dual is valid until the arena is released. It serves item sets that
+// arrive already built: line items, §6 height classes, the sequential
+// algorithm's and tests'; tree demands prepare through PrepareDemands.
 func PrepareRecorded(items []Item, rec Recorder, a *Arena) *Prepared {
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(PhasePrepare)
 	}
-	var p *Prepared
-	if a != nil {
-		a.lay = layout{ix: &a.ix}
-		a.prep = Prepared{lay: &a.lay, arena: a, stats: a.prep.stats} // build empties the stats
-		p = &a.prep
-	} else {
-		p = &Prepared{lay: &layout{ix: new(dual.Index)}}
-	}
-	p.items, p.rec = items, rec
+	p := newPrepared(a, rec)
+	p.items = items
 	p.lay.build(items, &p.stats, a)
 	if rec != nil {
 		rec.EndSpan(PhasePrepare, tok)
 	}
 	return p
+}
+
+// PrepareDemands is Prepare(DemandItems(demands, layered, a)) in one walk
+// per item — the same items, views, index numbering, demand slots and plan
+// statistics — with rec attached and bracketed as PrepareRecorded is: each
+// item's path is interned as it is walked, and π(d)'s indices are read off
+// the path's by position (demandItems). The demands must be validated.
+// The items and the preparation are a's, as DemandItems' and
+// PrepareRecorded's are, or fresh when a is nil.
+func PrepareDemands(demands []model.Demand, layered []*decomp.Layered, rec Recorder, a *Arena) *Prepared {
+	var tok int64
+	if rec != nil {
+		tok = rec.StartSpan(PhasePrepare)
+	}
+	p := newPrepared(a, rec)
+	if a == nil {
+		a = new(Arena) // fresh storage, which only the Prepared keeps
+	}
+	p.items = demandItems(demands, layered, a, p.lay, &p.stats)
+	p.lay.sync()
+	if rec != nil {
+		rec.EndSpan(PhasePrepare, tok)
+	}
+	return p
+}
+
+// newPrepared returns an empty Prepared with rec attached, over a's
+// layout and index when a is non-nil, or else fresh ones.
+func newPrepared(a *Arena, rec Recorder) *Prepared {
+	if a == nil {
+		return &Prepared{lay: &layout{ix: new(dual.Index)}, rec: rec}
+	}
+	a.lay = layout{ix: &a.ix}
+	a.prep = Prepared{lay: &a.lay, arena: a, rec: rec, stats: a.prep.stats} // the build empties the stats
+	return &a.prep
 }
 
 // runDual returns a fresh dual assignment over the global index for one

@@ -26,11 +26,14 @@ const (
 	// solve brackets each non-empty height class separately, so it emits
 	// up to two PhaseSolve spans.
 	PhaseSolve Phase = iota
-	// PhasePrepare brackets preparation: PrepareRecorded brackets each
-	// Prepare (the layout and plan statistics) it runs — a root solve's,
-	// one per non-empty height class of SolveArbitrary, and a Session's
-	// one, when it is created — and a root Solver or Session
-	// brackets its item building in a span of its own before it. The
+	// PhasePrepare brackets preparation: PrepareDemands brackets the
+	// fused item building and preparation of a root solve that resolves
+	// to DistributedUnit and of a Session, when it is created;
+	// PrepareRecorded brackets each Prepare (the layout and plan
+	// statistics) it runs — a line solve's and one per non-empty height
+	// class of SolveArbitrary; and a root Solver or Session brackets its
+	// decomposition lookups, and a root solve that builds items without
+	// preparing them that building, in a span of its own before them. The
 	// member lists are built later, by their first reader, inside its span.
 	PhasePrepare
 	// PhaseUpdate brackets one Session.Update: delta validation, instance

@@ -80,13 +80,41 @@ func (in *EdgeInterner) Intern(k EdgeKey) int32 {
 	return in.add(k)
 }
 
+// InternPath interns the keys of one path, in order, and writes their
+// indices to idx, which holds len(path) entries: Intern over each key, with
+// the network's table looked up once for the whole path. Every key must be
+// on one network.
+//
+//schedvet:hot
+func (in *EdgeInterner) InternPath(path []EdgeKey, idx []int32) {
+	if len(path) == 0 {
+		return
+	}
+	n := path[0].Tree()
+	t := in.table(n)
+	for j, k := range path {
+		if e := k.Edge(); e < len(t) && t[e] != 0 {
+			idx[j] = t[e] - 1
+			continue
+		}
+		idx[j] = in.add(k)
+		t = in.table(n) // add may have grown the table, or dropped them all
+	}
+}
+
+// table returns network n's table, nil when there is none.
+func (in *EdgeInterner) table(n TreeID) []int32 {
+	if uint(n) < uint(len(in.tables)) {
+		return in.tables[n]
+	}
+	return nil
+}
+
 // probe returns k's index from the tables, if they hold it. A converted
 // interner has no tables, so every probe misses.
 func (in *EdgeInterner) probe(k EdgeKey) (int32, bool) {
-	if n := k.Tree(); uint(n) < uint(len(in.tables)) {
-		if t, e := in.tables[n], k.Edge(); e < len(t) && t[e] != 0 {
-			return t[e] - 1, true
-		}
+	if t, e := in.table(k.Tree()), k.Edge(); e < len(t) && t[e] != 0 {
+		return t[e] - 1, true
 	}
 	return 0, false
 }

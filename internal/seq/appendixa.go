@@ -1,9 +1,9 @@
 package seq
 
 import (
-	"fmt"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"treesched/internal/decomp"
 	"treesched/internal/dual"
@@ -30,7 +30,8 @@ type AppendixAResult struct {
 // where the α variables are not needed and δ = s/|π| raises only β).
 //
 // It runs the two-phase framework on the engine's machinery: the items
-// are prepared once (engine.Prepare), the satisfaction tests and raises go
+// are built by one walk per demand instance (engine.DemandItems) and
+// prepared once (engine.Prepare), the satisfaction tests and raises go
 // through the prepared views into a dense dual, the second phase is the
 // engine's greedy (Prepared.SelectGreedy) over the raise history with each
 // raise its own step, and the bound is scored as the engine scores its
@@ -40,65 +41,37 @@ func AppendixA(in *model.Instance) (*AppendixAResult, error) {
 		return nil, err
 	}
 	singleTree := len(in.Trees) == 1
-	dis := in.Expand()
-	items := make([]engine.Item, len(dis))
-	captureDepth := make([]int, len(dis))
-
-	hs := make([]*decomp.TreeDecomposition, len(in.Trees))
+	// One walk per demand instance lists path(d) and reads µ(d) and its
+	// wings off it: the layered decomposition's walk over the root-fixing
+	// decomposition, whose group orders the instances of a tree by the
+	// capture depth, deepest first. Its π(d) is the wings of µ(d) alone:
+	// µ(d) is the LCA of d's endpoints and its pivot set its parent, with
+	// respect to which d bends at µ(d) itself.
+	layered := make([]*decomp.Layered, len(in.Trees))
 	for q, t := range in.Trees {
-		hs[q] = decomp.RootFixing(t, 0)
+		layered[q] = decomp.NewLayered(decomp.RootFixing(t, 0))
 	}
-	for i := range dis {
-		di := &dis[i]
-		h := hs[di.Tree]
-		t := in.Trees[di.Tree]
-		pathV := t.PathVertices(di.U, di.V)
-		pathE := t.PathEdges(di.U, di.V)
-		z := h.Capture(pathV)
-		captureDepth[i] = h.Depth[z]
-		// π(d): the wing(s) of µ(d) on path(d).
-		var critical []model.EdgeKey
-		for idx, x := range pathV {
-			if x != z {
-				continue
-			}
-			if idx > 0 {
-				critical = append(critical, model.MakeEdgeKey(di.Tree, pathE[idx-1]))
-			}
-			if idx < len(pathE) {
-				critical = append(critical, model.MakeEdgeKey(di.Tree, pathE[idx]))
-			}
-		}
-		if len(critical) == 0 {
-			return nil, fmt.Errorf("seq: instance %d has empty wing set", i)
-		}
-		items[i] = engine.Item{
-			ID:       i,
-			Demand:   di.Demand,
-			Resource: di.Tree,
-			Group:    1, // unused by this algorithm
-			Profit:   di.Profit,
-			Height:   1,
-			Edges:    di.Path,
-			Critical: critical,
-		}
-	}
+	items := engine.DemandItems(in.Demands, layered, nil)
 
-	// Ordering σ(T_q): per tree, descending capture depth; ties by id.
+	// Ordering σ(T_q): per tree, descending capture depth (ascending
+	// group); ties by id.
 	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if items[ia].Resource != items[ib].Resource {
-			return items[ia].Resource < items[ib].Resource
+	slices.SortFunc(order, func(a, b int) int {
+		ia, ib := &items[a], &items[b]
+		if c := cmp.Compare(ia.Resource, ib.Resource); c != 0 {
+			return c
 		}
-		if captureDepth[ia] != captureDepth[ib] {
-			return captureDepth[ia] > captureDepth[ib]
+		if c := cmp.Compare(ia.Group, ib.Group); c != 0 {
+			return c
 		}
-		return ia < ib
+		return cmp.Compare(a, b)
 	})
+	for i := range items {
+		items[i].Group, items[i].Height = 1, 1 // unused by this algorithm
+	}
 
 	prep := engine.Prepare(items)
 	views := prep.Views()

@@ -15,6 +15,7 @@ type LineInstance struct {
 	slots     int
 	resources int
 	demands   []model.LineDemand
+	access    []int // the jobs' access lists, copied in by AddJob
 	err       error
 }
 
@@ -36,23 +37,27 @@ func JobHeight(h float64) JobOption {
 	return func(d *model.LineDemand) { d.Height = h }
 }
 
-// JobAccess restricts the job to the given resources; default all.
+// JobAccess restricts the job to the given resources; default all. The
+// list is read when AddJob applies the option, and AddJob keeps a copy, so
+// changing the list after AddJob returns does not change the job.
 func JobAccess(resources ...int) JobOption {
-	return func(d *model.LineDemand) { d.Access = append([]int(nil), resources...) }
+	return func(d *model.LineDemand) { d.Access = resources }
 }
 
 // AddJob registers a job that needs proc consecutive slots within
 // [release, deadline] and returns its id.
 func (in *LineInstance) AddJob(release, deadline, proc int, profit float64, opts ...JobOption) int {
-	d := model.LineDemand{
-		ID: len(in.demands), Release: release, Deadline: deadline, Proc: proc,
+	id := len(in.demands)
+	in.demands = append(in.demands, model.LineDemand{
+		ID: id, Release: release, Deadline: deadline, Proc: proc,
 		Profit: profit, Height: 1,
-	}
+	})
+	d := &in.demands[id]
 	for _, opt := range opts {
-		opt(&d)
+		opt(d)
 	}
-	in.demands = append(in.demands, d)
-	return d.ID
+	d.Access = ownAccess(&in.access, d.Access)
+	return id
 }
 
 func (in *LineInstance) build() (*model.LineInstance, error) {
@@ -98,7 +103,7 @@ func SolveLine(in *LineInstance, opts Options) (*Result, error) {
 	toAssignment := func(id int) Assignment {
 		return Assignment{Demand: dis[id].Demand, Network: dis[id].Resource, Start: dis[id].Start}
 	}
-	return solveItems(items, opts, unitHeights(items), toAssignment, nil)
+	return solveItems(items, nil, opts, unitHeights(items), toAssignment)
 }
 
 // SolveLine runs the solver's configured algorithm on a line-network

@@ -21,6 +21,7 @@ type Instance struct {
 	numVertices int
 	trees       []*graph.Tree
 	demands     []model.Demand
+	access      []int // the demands' access lists, copied in by AddDemand
 	err         error
 }
 
@@ -61,21 +62,38 @@ func Height(h float64) DemandOption {
 }
 
 // Access restricts the demand to the given networks; the default is all
-// networks registered at Solve time.
+// networks registered at Solve time. The list is read when AddDemand
+// applies the option, and AddDemand keeps a copy, so changing the list
+// after AddDemand returns does not change the demand.
 func Access(trees ...int) DemandOption {
-	return func(d *model.Demand) { d.Access = append([]int(nil), trees...) }
+	return func(d *model.Demand) { d.Access = trees }
 }
 
 // AddDemand registers a demand between vertices u and v with the given
 // profit and returns its demand id. Each demand corresponds to one processor
 // in the distributed algorithm.
 func (in *Instance) AddDemand(u, v int, profit float64, opts ...DemandOption) int {
-	d := model.Demand{ID: len(in.demands), U: u, V: v, Profit: profit, Height: 1}
+	id := len(in.demands)
+	in.demands = append(in.demands, model.Demand{ID: id, U: u, V: v, Profit: profit, Height: 1})
+	d := &in.demands[id]
 	for _, opt := range opts {
-		opt(&d)
+		opt(d)
 	}
-	in.demands = append(in.demands, d)
-	return d.ID
+	d.Access = ownAccess(&in.access, d.Access)
+	return id
+}
+
+// ownAccess copies an access list into *slab, the one array an instance
+// keeps its demands' lists in, and returns the copy, capped at its length;
+// an empty list stays nil. A copy made before the slab grows keeps the
+// array it was made in, so it never moves.
+func ownAccess(slab *[]int, list []int) []int {
+	if len(list) == 0 {
+		return nil
+	}
+	start := len(*slab)
+	*slab = append(*slab, list...)
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 // build finalizes and validates the model instance, copying the demands
@@ -279,15 +297,14 @@ func Solve(in *Instance, opts Options) (*Result, error) {
 	return NewSolver(opts).Solve(in)
 }
 
-// solveTreeItems runs the framework algorithms over tree items, preparing
-// in a (nil for fresh storage); the tree path of every Solve. An item
-// carries its demand and network, so selected ids map to assignments
-// directly.
-func solveTreeItems(items []engine.Item, opts Options, a *engine.Arena) (*Result, error) {
+// solveTreeItems runs the framework algorithms over tree items, the tree
+// path of every Solve, as solveItems does. An item carries its demand and
+// network, so selected ids map to assignments directly.
+func solveTreeItems(items []engine.Item, p *engine.Prepared, opts Options, unit bool) (*Result, error) {
 	toAssignment := func(id int) Assignment {
 		return Assignment{Demand: items[id].Demand, Network: items[id].Resource}
 	}
-	return solveItems(items, opts, unitHeights(items), toAssignment, a)
+	return solveItems(items, p, opts, unit, toAssignment)
 }
 
 func unitHeights(items []engine.Item) bool {
@@ -299,55 +316,67 @@ func unitHeights(items []engine.Item) bool {
 	return true
 }
 
-func solveSequential(m *model.Instance) (*Result, error) {
-	for _, d := range m.Demands {
-		if d.Height < 1 {
-			return nil, fmt.Errorf("treesched: SequentialTree handles the unit-height case only")
+// unitDemands reports whether every demand has height 1, the fact Auto
+// resolves by on trees.
+func unitDemands(demands []model.Demand) bool {
+	for i := range demands {
+		if demands[i].Height < 1 {
+			return false
 		}
+	}
+	return true
+}
+
+func solveSequential(m *model.Instance) (*Result, error) {
+	if !unitDemands(m.Demands) {
+		return nil, fmt.Errorf("treesched: SequentialTree handles the unit-height case only")
 	}
 	res, err := seq.AppendixA(m)
 	if err != nil {
 		return nil, err
 	}
-	dis := m.Expand()
 	out := &Result{Profit: res.Profit, DualBound: res.Bound, Guarantee: 3}
 	if len(m.Trees) == 1 {
 		out.Guarantee = 2
 	}
 	for _, id := range res.Selected {
-		out.Assignments = append(out.Assignments, Assignment{Demand: dis[id].Demand, Network: dis[id].Tree})
+		it := &res.Items[id]
+		out.Assignments = append(out.Assignments, Assignment{Demand: it.Demand, Network: it.Resource})
 	}
 	return out, nil
 }
 
-// solveItems dispatches the framework algorithms over prepared items. The
-// unit-height engine solve prepares in a (nil for fresh storage); the other
-// algorithms, and a simulated run, keep state of their own.
-func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(int) Assignment, a *engine.Arena) (*Result, error) {
-	algo := opts.Algorithm
-	if algo == Auto {
-		if unit {
-			algo = DistributedUnit
-		} else {
-			algo = DistributedArbitrary
-		}
+// resolve returns the algorithm a solve runs: Auto resolves to
+// DistributedUnit when every height is 1 (unit) and to
+// DistributedArbitrary otherwise.
+func (o Options) resolve(unit bool) Algorithm {
+	switch {
+	case o.Algorithm != Auto:
+		return o.Algorithm
+	case unit:
+		return DistributedUnit
+	default:
+		return DistributedArbitrary
 	}
+}
+
+// solveItems dispatches the framework algorithms over built items, unit
+// reporting whether every height is 1. The unit-height engine solve runs
+// over p, the items' preparation, or prepares them afresh when p is nil;
+// the other algorithms, and a simulated run, keep state of their own.
+func solveItems(items []engine.Item, p *engine.Prepared, opts Options, unit bool, toAssignment func(int) Assignment) (*Result, error) {
 	cfg := opts.engineConfig()
 	out := &Result{}
 	var selected []int
-	switch algo {
+	var err error
+	switch algo := opts.resolve(unit); algo {
 	case DistributedUnit:
-		var err error
-		selected, err = runUnit(items, cfg, opts, out, a)
-		if err != nil {
-			return nil, err
+		if p == nil {
+			p = engine.PrepareRecorded(items, opts.Recorder, nil)
 		}
+		selected, err = runUnit(p, cfg, opts, out)
 	case DistributedArbitrary:
-		var err error
 		selected, err = runArbitrary(items, cfg, opts, out)
-		if err != nil {
-			return nil, err
-		}
 	case ExactSmall:
 		if len(items) > seq.BruteForceLimit {
 			return nil, fmt.Errorf("treesched: ExactSmall handles at most %d demand instances, got %d",
@@ -360,6 +389,9 @@ func solveItems(items []engine.Item, opts Options, unit bool, toAssignment func(
 		selected = sel
 	default:
 		return nil, fmt.Errorf("treesched: unsupported algorithm %v", algo)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(selected) > 0 {
 		out.Assignments = make([]Assignment, len(selected))
@@ -384,17 +416,18 @@ func runPrepared(p *engine.Prepared, cfg engine.Config, opts Options, out *Resul
 	return eres.Selected, nil
 }
 
-func runUnit(items []engine.Item, cfg engine.Config, opts Options, out *Result, a *engine.Arena) ([]int, error) {
-	// The warm-start cache stays off, so the solve runs the serial engine,
-	// the one solve a Prepared built in an arena serves.
-	selected, err := runPrepared(engine.PrepareRecorded(items, opts.Recorder, a), cfg, opts, out)
+// runUnit runs the unit-height schedule over p and, under Simulate, over
+// the simulator. The warm-start cache stays off, so the engine solve runs
+// the serial engine, the one solve a Prepared built in an arena serves.
+func runUnit(p *engine.Prepared, cfg engine.Config, opts Options, out *Result) ([]int, error) {
+	selected, err := runPrepared(p, cfg, opts, out)
 	if err != nil {
 		return nil, err
 	}
 	if !opts.Simulate {
 		return selected, nil
 	}
-	dres, err := dist.RunOpts(items, cfg, dist.Options{Recorder: opts.Recorder})
+	dres, err := dist.RunOpts(p.Items(), cfg, dist.Options{Recorder: opts.Recorder})
 	if err != nil {
 		return nil, err
 	}

@@ -359,3 +359,47 @@ func TestSolveLineSparseSlotsAllocateLittle(t *testing.T) {
 		t.Errorf("profit %v, bound %v, assignments %+v; want 8, %v, %+v", res.Profit, res.DualBound, res.Assignments, 32.0/3, want)
 	}
 }
+
+// TestAccessListsAreCopied: AddDemand and AddJob keep their own copy of an
+// access list, so reusing the caller's slice for the next demand or job
+// changes none already added.
+func TestAccessListsAreCopied(t *testing.T) {
+	inst, t0 := paperTree(t)
+	t1, err := inst.AddTree([][2]int{
+		{0, 1}, {1, 3}, {1, 4}, {4, 7}, {4, 8}, {7, 12}, {8, 11},
+		{0, 5}, {5, 9}, {5, 10}, {0, 13}, {13, 2}, {2, 6}, {13, 14},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []int{t0}
+	inst.AddDemand(3, 12, 5, treesched.Access(nets...))
+	nets[0] = t1
+	inst.AddDemand(3, 12, 4, treesched.Access(nets...))
+	nets[0] = t0
+	res, err := treesched.Solve(inst, treesched.Options{Algorithm: treesched.ExactSmall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On their own networks the two demands do not conflict.
+	want := []treesched.Assignment{{Demand: 0, Network: t0}, {Demand: 1, Network: t1}}
+	if !reflect.DeepEqual(res.Assignments, want) {
+		t.Errorf("tree assignments %+v, want %+v", res.Assignments, want)
+	}
+
+	line := treesched.NewLineInstance(4, 2)
+	resources := []int{0}
+	line.AddJob(1, 4, 4, 6, treesched.JobAccess(resources...))
+	resources[0] = 1
+	line.AddJob(1, 4, 4, 5, treesched.JobAccess(resources...))
+	resources[0] = 0
+	lres, err := treesched.SolveLine(line, treesched.Options{Algorithm: treesched.ExactSmall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each job fills the whole line, so both fit only on different resources.
+	lwant := []treesched.Assignment{{Demand: 0, Network: 0, Start: 1}, {Demand: 1, Network: 1, Start: 1}}
+	if !reflect.DeepEqual(lres.Assignments, lwant) {
+		t.Errorf("line assignments %+v, want %+v", lres.Assignments, lwant)
+	}
+}

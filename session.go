@@ -131,15 +131,10 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s.opts.Algorithm {
-	case DistributedUnit:
-	case Auto:
-		for _, d := range m.Demands {
-			if d.Height < 1 {
-				return nil, fmt.Errorf("treesched: Auto sessions need unit heights; demand %d has height %v (pin DistributedUnit)", d.ID, d.Height)
-			}
+	if s.opts.resolve(unitDemands(m.Demands)) != DistributedUnit {
+		if s.opts.Algorithm == Auto {
+			return nil, fmt.Errorf("treesched: Auto sessions need unit heights (pin DistributedUnit)")
 		}
-	default:
 		return nil, fmt.Errorf("treesched: sessions support DistributedUnit or unit-height Auto, not %v", s.opts.Algorithm)
 	}
 	rec := s.opts.Recorder
@@ -151,11 +146,12 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := engine.DemandItems(m.Demands, layered, nil) // in.build validated m
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
-	p := engine.PrepareRecorded(items, rec, nil)
+	// A session's algorithm resolves to DistributedUnit, so its items are
+	// prepared as they are built, in storage of its own.
+	p := engine.PrepareDemands(m.Demands, layered, rec, nil) // in.build validated m
 	sess := &Session{
 		solver:  s,
 		layered: layered,
@@ -232,9 +228,9 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		ids = append(ids, id)
 		arrivals = append(arrivals, d)
 	}
-	// Items are built by the same function as a from-scratch build
-	// (Solver.Session's and Solver.Solve's), so the incremental path
-	// cannot drift from it. Apply assigns the item ids.
+	// Items are built by the loop a from-scratch build runs
+	// (Solver.Session's and Solver.Solve's engine.PrepareDemands), so the
+	// incremental path cannot drift from it. Apply assigns the item ids.
 	add := engine.DemandItems(arrivals, sess.layered, nil)
 
 	// Departures: every item (one per accessible network) of each removed

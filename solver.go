@@ -17,11 +17,13 @@ import (
 // entry, within an instance and across solves.
 //
 // Every solve is otherwise prepared from scratch: it validates the
-// instance, walks each demand instance's path once to build its item over
-// the cached decompositions and interns the items into the dense layout —
-// each pass linear in the total path length — and then runs the configured
-// algorithm, the distributed ones on the serial engine at every
-// Options.Parallelism. The serial engine reads no member lists, so a cold
+// instance, computes each demand instance's LCA and walks its path once
+// over the cached decompositions, and, when the algorithm resolves to
+// DistributedUnit, interns the path into the dense layout in the same
+// loop (engine.PrepareDemands; the other algorithms build the items
+// alone) — linear in the total path length — and then runs the
+// configured algorithm, the distributed ones on the serial engine at
+// every Options.Parallelism. The serial engine reads no member lists, so a cold
 // solve builds none. A Solve prepares in a pooled engine.Arena and returns
 // it once the Result is built, so a cold solve allocates little beyond its
 // Result. For churning demand sets on fixed networks, Session offers the
@@ -96,7 +98,9 @@ func (s *Solver) CacheStats() CacheStats {
 // The solve's demand copy, tree keys, items and engine preparation live in
 // an arena taken for the call. It goes back to the pool only on return,
 // after the Result and its fresh Assignments are built, since the
-// assignments are read off the arena's items.
+// assignments are read off the arena's items. When the algorithm resolves
+// to DistributedUnit, the items are prepared as they are built
+// (engine.PrepareDemands); the other algorithms build them alone.
 func (s *Solver) Solve(in *Instance) (*Result, error) {
 	a := engine.TakeArena()
 	defer a.Release()
@@ -120,11 +124,19 @@ func (s *Solver) Solve(in *Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := engine.DemandItems(m.Demands, layered, a) // in.build validated m
+	unit := unitDemands(m.Demands) // in.build validated m
+	if s.opts.resolve(unit) == DistributedUnit {
+		if rec != nil {
+			rec.EndSpan(engine.PhasePrepare, tok)
+		}
+		p := engine.PrepareDemands(m.Demands, layered, rec, a)
+		return solveTreeItems(p.Items(), p, s.opts, unit)
+	}
+	items := engine.DemandItems(m.Demands, layered, a)
 	if rec != nil {
 		rec.EndSpan(engine.PhasePrepare, tok)
 	}
-	return solveTreeItems(items, s.opts, a)
+	return solveTreeItems(items, nil, s.opts, unit)
 }
 
 // layeredFor returns the cached layered decomposition of every tree,
