@@ -339,7 +339,7 @@ func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 		Guarantee: snap.Result.Guarantee,
 		Live:      snap.Live,
 		Accepted:  snap.Accepted,
-		Rejected:  snap.Rejected,
+		Rejected:  snap.Rejected(),
 		Batch:     snap.Batch,
 		LatencyMS: float64(snap.Latency) / float64(time.Millisecond),
 		At:        snap.At,

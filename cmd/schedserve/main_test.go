@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,10 +132,21 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if snap["profit"].(float64) <= 0 {
 		t.Fatalf("profit %v", snap["profit"])
 	}
-	for _, a := range snap["accepted"].([]any) {
-		if a.(float64) == 0 {
-			t.Fatal("removed demand 0 still accepted")
+	// accepted and rejected partition the live demands, 1 and the arrival
+	// 2, each list ascending; neither names the removed demand 0.
+	var split []int
+	for _, key := range []string{"accepted", "rejected"} {
+		list := snap[key].([]any)
+		for i, a := range list {
+			if i > 0 && a.(float64) <= list[i-1].(float64) {
+				t.Fatalf("%s %v not strictly ascending", key, list)
+			}
+			split = append(split, int(a.(float64)))
 		}
+	}
+	slices.Sort(split)
+	if !slices.Equal(split, []int{1, 2}) {
+		t.Fatalf("accepted %v and rejected %v do not partition the live demands [1 2]", snap["accepted"], snap["rejected"])
 	}
 
 	status, stats := do(t, "GET", srv.URL+"/v1/instances/e2e/stats", nil)

@@ -246,18 +246,20 @@
 // (a batch with one invalid arrival or removal rejects as a whole, with no
 // partial churn and no burned ids), and Session.SolveWithItems returns the
 // solve result together with an immutable view of the item set it was
-// computed from and a copy of the live demand ids (ascending), captured
-// under one lock acquisition — the epoch-consistency primitive concurrent
-// readers build on. Its second
-// result is an engine.ItemsView, no longer an item slice: the engine keeps
-// a base copy of the items and a log of the writes each Update makes after
-// it, so a view costs O(1) and copies items only to take a fresh base once
-// the log outgrows the set (O(1) amortized per written item), and it
-// materializes the items when asked (ItemsView.Items). The session
-// keeps its live ids as that ascending list: initial ids are 0..n−1 and
-// every arrival takes an id above all earlier ones, so arrivals append,
-// departures filter against the batch's sorted removal ids, and a reader
-// splits the live set into admitted and rejected demands in one pass.
+// computed from and the live demand count, captured under one lock
+// acquisition — the epoch-consistency primitive concurrent readers build
+// on. Its second result is an engine.ItemsView, no longer an item slice:
+// the engine keeps a base copy of the items and a log of the writes each
+// Update makes after it, so a view costs O(1) and copies items only to
+// take a fresh base once the log outgrows the set (O(1) amortized per
+// written item), and it materializes the items when asked
+// (ItemsView.Items). The prepared state is the one record of the live
+// demand set: a demand is live while it has items, so Update checks each
+// departure and collects its items with one lookup
+// (engine.Prepared.ItemsOfDemand), and the session keeps only a count. The
+// live ids are the distinct demands of the items; a reader that wants the
+// admitted and rejected demands derives them from the items and the
+// assignments (internal/serve's Snapshot.Rejected).
 //
 // # Warm-started solves: replaying untouched components across churn
 //
@@ -339,13 +341,14 @@
 // submitters — coalesces into one batch, applied with a single
 // Session.Update and solved with a single Session.Solve, so N submitters
 // cost one delta+solve per round. Each round publishes an immutable
-// snapshot (result, epoch, accepted/rejected demand ids, and the item set
-// the result was computed from) by an atomic pointer swap: readers are
-// lock-free, writers never block on readers, and every published result is
-// bitwise reproducible from the items it claims. Submitted churn is
-// visible by the submission's returned epoch: every snapshot at that epoch
-// or later reflects it. A registry manages a fleet of named instances over
-// one bounded worker pool — an actor runs one round per dequeue and
+// snapshot (result, epoch, accepted demand ids, live count, and the item
+// set the result was computed from, which yields the rejected ids on
+// request) by an atomic pointer swap: readers are lock-free, writers never
+// block on readers, and every published result is bitwise reproducible
+// from the items it claims. Submitted churn is visible by the
+// submission's returned epoch: every snapshot at that epoch or later
+// reflects it. A registry manages a fleet of named instances over one
+// bounded worker pool — an actor runs one round per dequeue and
 // re-queues behind its peers, so solve concurrency is capped fleet-wide
 // and hot instances cannot starve the rest. See cmd/schedserve/README.md
 // for the HTTP API and curl walkthrough.

@@ -25,14 +25,15 @@
 // A Snapshot is immutable once published and handed to readers through an
 // atomic pointer swap: Actor.Snapshot never takes a lock and never blocks a
 // writer, and a reader's view is always a complete, epoch-consistent round
-// — the Result, the set of accepted (scheduled) and rejected (live but
-// unscheduled) demand ids, and the engine item set the Result was computed
-// from, captured atomically by Session.SolveWithItems together with the
-// ascending live demand ids. The item set is kept as an immutable view
-// that shares its items with later rounds, so publication copies no item;
-// Items() materializes it on first use. Publication sorts the assigned
-// demand ids, which are the accepted ones, and one merge pass with the
-// live ids leaves the rejected ones. The item set makes the published
+// — the Result, the accepted (scheduled) demand ids, the live demand
+// count, and the engine item set the Result was computed from, captured
+// atomically by Session.SolveWithItems. The item set is kept as an
+// immutable view that shares its items with later rounds, so publication
+// copies no item; Items() materializes it on first use. Publication sorts
+// the assigned demand ids, which are the accepted ones, and makes no pass
+// over the live set: the rejected (live but unscheduled) ids are the
+// distinct demands of Items() that Accepted does not name, and Rejected()
+// derives them on its first call. The item set makes the published
 // contract checkable: every snapshot's Result is bitwise reproducible by a
 // from-scratch solve over Items(), and its accepted and rejected ids match
 // a direct derivation from Items() and the assignments (both asserted by
@@ -84,10 +85,8 @@ type Snapshot struct {
 	// Submit-assigned arrival ids).
 	Result *treesched.Result
 	// Live counts the live demands; Accepted lists the demand ids the
-	// solve scheduled and Rejected the live-but-unscheduled ones, both
-	// ascending. len(Accepted) + len(Rejected) == Live.
+	// solve scheduled, ascending. len(Accepted) + len(Rejected()) == Live.
 	Accepted []int
-	Rejected []int
 	Live     int
 	// Batch is the number of submissions coalesced into this round (0 for
 	// the initial snapshot); Latency is the round's wall time (update +
@@ -96,9 +95,11 @@ type Snapshot struct {
 	Latency time.Duration
 	At      time.Time
 
-	view      engine.ItemsView
-	itemsOnce sync.Once
-	items     []engine.Item
+	view         engine.ItemsView
+	itemsOnce    sync.Once
+	items        []engine.Item
+	rejectedOnce sync.Once
+	rejected     []int
 }
 
 // Items returns the engine item set Result was computed from, captured in
@@ -111,6 +112,34 @@ type Snapshot struct {
 func (s *Snapshot) Items() []engine.Item {
 	s.itemsOnce.Do(func() { s.items = s.view.Items() })
 	return s.items
+}
+
+// Rejected returns the live demand ids the solve left unscheduled,
+// ascending: the distinct demands of Items() that Accepted does not name.
+// Callers must not mutate it. The first call derives them, in
+// O(items·log items), and every call returns that slice; like Items, it
+// is safe from any goroutine.
+func (s *Snapshot) Rejected() []int {
+	s.rejectedOnce.Do(func() {
+		items := s.Items()
+		live := make([]int, len(items))
+		for i := range items {
+			live[i] = items[i].Demand
+		}
+		slices.Sort(live)
+		live = slices.Compact(live)
+		// Accepted ascends within live, so one merge pass drops it.
+		rejected, k := live[:0], 0
+		for _, d := range live {
+			if k < len(s.Accepted) && s.Accepted[k] == d {
+				k++
+			} else {
+				rejected = append(rejected, d)
+			}
+		}
+		s.rejected = rejected
+	})
+	return s.rejected
 }
 
 // reply is what one submission's waiter receives.
@@ -436,38 +465,20 @@ func (a *Actor) round(batch []*submission) {
 	}
 }
 
-// buildSnapshot derives the published admission view from one solve: which
-// live demands the round accepted (scheduled) and which it rejected. The
-// accepted ids are the assigned demands, sorted; live is the session's
-// ascending live id list, so one merge pass with them leaves the rejected.
-func buildSnapshot(epoch uint64, res *treesched.Result, items engine.ItemsView, live []int, batch int, lat time.Duration) *Snapshot {
+// buildSnapshot publishes one solve: the accepted (scheduled) demand ids
+// are the assigned demands, sorted; live is the session's live demand
+// count. The rejected ids are left to Snapshot.Rejected.
+func buildSnapshot(epoch uint64, res *treesched.Result, items engine.ItemsView, live, batch int, lat time.Duration) *Snapshot {
 	accepted := make([]int, len(res.Assignments))
 	for i, asg := range res.Assignments {
 		accepted[i] = asg.Demand
 	}
 	slices.Sort(accepted)
-	accepted = slices.Compact(accepted)
-	var rejected []int
-	if n := len(live) - len(accepted); n > 0 {
-		rejected = make([]int, 0, n)
-	}
-	k := 0
-	for _, d := range live {
-		if k < len(accepted) && accepted[k] == d {
-			k++
-		} else {
-			rejected = append(rejected, d)
-		}
-	}
-	if k < len(accepted) {
-		panic(fmt.Sprintf("serve: assigned demand %d is not live", accepted[k]))
-	}
 	return &Snapshot{
 		Epoch:    epoch,
 		Result:   res,
-		Accepted: accepted,
-		Rejected: rejected,
-		Live:     len(live),
+		Accepted: slices.Compact(accepted),
+		Live:     live,
 		Batch:    batch,
 		Latency:  lat,
 		At:       time.Now(),

@@ -123,8 +123,8 @@ func TestActorCoalescesBatch(t *testing.T) {
 	if snap.Live != smallCfg.Demands+n {
 		t.Fatalf("snapshot live=%d, want %d", snap.Live, smallCfg.Demands+n)
 	}
-	if len(snap.Accepted)+len(snap.Rejected) != snap.Live {
-		t.Fatalf("accepted %d + rejected %d != live %d", len(snap.Accepted), len(snap.Rejected), snap.Live)
+	if len(snap.Accepted)+len(snap.Rejected()) != snap.Live {
+		t.Fatalf("accepted %d + rejected %d != live %d", len(snap.Accepted), len(snap.Rejected()), snap.Live)
 	}
 	if got := sess.Stats().Updates; got != 1 {
 		t.Fatalf("session saw %d updates, want 1 (one coalesced delta)", got)
@@ -214,18 +214,19 @@ func checkSnapshot(t *testing.T, snap *Snapshot, opts treesched.Options) {
 		}
 	}
 	accepted, rejected, live := admissionOracle(snap.Result, snap.Items())
-	if !slices.Equal(snap.Accepted, accepted) || !slices.Equal(snap.Rejected, rejected) || snap.Live != live {
+	if !slices.Equal(snap.Accepted, accepted) || !slices.Equal(snap.Rejected(), rejected) || snap.Live != live {
 		t.Fatalf("epoch %d: published accepted %v rejected %v live %d, oracle %v %v %d",
-			snap.Epoch, snap.Accepted, snap.Rejected, snap.Live, accepted, rejected, live)
+			snap.Epoch, snap.Accepted, snap.Rejected(), snap.Live, accepted, rejected, live)
 	}
 }
 
 // TestSnapshotItemsConcurrentReaders materializes published snapshots'
-// item sets from reader goroutines while the actor goes on applying churn
-// (raced at GOMAXPROCS=4 in CI): the first Items call of a snapshot reads
-// its item view while the next rounds' Applies write the log it shares.
-// The rounds outgrow the log several times, so old views outlive their
-// base. Afterwards every snapshot must still reproduce from its items.
+// item sets and rejected ids from reader goroutines while the actor goes
+// on applying churn (raced at GOMAXPROCS=4 in CI): the first Items or
+// Rejected call of a snapshot reads its item view while the next rounds'
+// Applies write the log it shares. The rounds outgrow the log several
+// times, so old views outlive their base. Afterwards every snapshot must
+// still reproduce from its items.
 func TestSnapshotItemsConcurrentReaders(t *testing.T) {
 	opts := treesched.Options{Epsilon: 0.1, Seed: 8}
 	sess := testSession(t, opts, smallCfg, 17)
@@ -260,6 +261,9 @@ func TestSnapshotItemsConcurrentReaders(t *testing.T) {
 				for _, s := range published {
 					if items := s.Items(); len(items) == 0 {
 						t.Errorf("epoch %d: no items", s.Epoch)
+					}
+					if n := len(s.Accepted) + len(s.Rejected()); n != s.Live {
+						t.Errorf("epoch %d: %d accepted and rejected, %d live", s.Epoch, n, s.Live)
 					}
 				}
 				seen += len(published)

@@ -99,11 +99,13 @@ func SolveLine(in *LineInstance, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dis := m.Expand()
+	// A line item's path is its occupied slots in order, so its first edge
+	// is its start slot.
 	toAssignment := func(id int) Assignment {
-		return Assignment{Demand: dis[id].Demand, Network: dis[id].Resource, Start: dis[id].Start}
+		it := &items[id]
+		return Assignment{Demand: it.Demand, Network: it.Resource, Start: int(it.Edges[0].Edge())}
 	}
-	return solveItems(items, nil, opts, unitHeights(items), toAssignment)
+	return solveItems(items, nil, opts, m.MinHeight() >= 1, toAssignment)
 }
 
 // SolveLine runs the solver's configured algorithm on a line-network

@@ -307,15 +307,6 @@ func solveTreeItems(items []engine.Item, p *engine.Prepared, opts Options, unit 
 	return solveItems(items, p, opts, unit, toAssignment)
 }
 
-func unitHeights(items []engine.Item) bool {
-	for i := range items {
-		if items[i].Height < 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // unitDemands reports whether every demand has height 1, the fact Auto
 // resolves by on trees.
 func unitDemands(demands []model.Demand) bool {

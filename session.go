@@ -14,7 +14,7 @@ import (
 // evolving instance whose networks are fixed while demands arrive and
 // depart. Where Solver.Solve prepares a complete instance from scratch on
 // every call, Session.Update applies the churn as an engine delta — only the
-// conflict rows, layout slots and shard components the arrivals and
+// member lists, layout slots and shard components the arrivals and
 // departures actually touch are rebuilt — and Session.Solve runs the
 // pipeline over the incrementally maintained state. Solve results are
 // bitwise identical to preparing the session's current item set from
@@ -37,11 +37,10 @@ type Session struct {
 	// allNets lists every network, the access of each arrival that names
 	// none. All such arrivals share it; nothing writes it.
 	allNets []int
-	p       *engine.Prepared
-	// live lists the live demand ids, ascending: the initial ids are
-	// 0..n−1 and every arrival takes an id above all earlier ones, so
-	// arrivals append and departures filter in place.
-	live []int
+	// p records the live demand set: a demand is live while it has items
+	// (ItemsOfDemand), and a departed demand's id stops resolving.
+	p    *engine.Prepared
+	live int // live demand count
 	next int // next demand id to assign
 	// Observability counters behind Stats; all guarded by mu.
 	updates     int
@@ -88,7 +87,7 @@ func (sess *Session) Stats() SessionStats {
 	defer sess.mu.Unlock()
 	w := sess.p.WarmStats()
 	return SessionStats{
-		Live:               len(sess.live),
+		Live:               sess.live,
 		Items:              len(sess.p.Items()),
 		Updates:            sess.updates,
 		Solves:             sess.solves,
@@ -158,11 +157,8 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 		nv:      m.NumVertices,
 		allNets: allTrees(len(layered)),
 		p:       p,
-		live:    make([]int, len(m.Demands)),
-		next:    len(m.Demands),
-	}
-	for i := range sess.live {
-		sess.live[i] = i // Instance ids are the demands' positions
+		live:    len(m.Demands),
+		next:    len(m.Demands), // Instance ids are the demands' positions
 	}
 	// Sessions re-solve a churning instance, the workload the warm-start
 	// cache exists for: record per-component outcomes and replay them for
@@ -178,7 +174,7 @@ func (s *Solver) Session(in *Instance) (*Session, error) {
 func (sess *Session) Demands() int {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return len(sess.live)
+	return sess.live
 }
 
 // Update applies one round of churn and returns the demand ids assigned to
@@ -193,13 +189,20 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		utok = rec.StartSpan(engine.PhaseUpdate)
 	}
 
-	// Departures are checked as one sorted batch; on a fault removalError
+	// Departures are checked as one sorted batch, and every item (one per
+	// accessible network) of each removed demand is read off its member
+	// list; a departed or unknown id has none. On a fault removalError
 	// names the first offending id in batch order.
 	removing := slices.Clone(c.Remove)
 	slices.Sort(removing)
+	var remove []int
 	for i, id := range removing {
-		if _, ok := slices.BinarySearch(sess.live, id); !ok || i > 0 && removing[i-1] == id {
-			return nil, removalError(c.Remove, sess.live)
+		items := sess.p.ItemsOfDemand(id)
+		if len(items) == 0 || i > 0 && removing[i-1] == id {
+			return nil, sess.removalError(c.Remove)
+		}
+		for _, it := range items {
+			remove = append(remove, int(it))
 		}
 	}
 
@@ -233,31 +236,10 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	// incremental path cannot drift from it. Apply assigns the item ids.
 	add := engine.DemandItems(arrivals, sess.layered, nil)
 
-	// Departures: every item (one per accessible network) of each removed
-	// demand, read off that demand's member list.
-	var remove []int
-	for _, id := range removing {
-		for _, i := range sess.p.ItemsOfDemand(id) {
-			remove = append(remove, int(i))
-		}
-	}
-
 	if err := sess.p.Apply(engine.Delta{Remove: remove, Add: add}); err != nil {
 		return nil, err
 	}
-	if len(removing) > 0 {
-		// Both lists ascend, so one merge pass drops the departures.
-		kept, k := sess.live[:0], 0
-		for _, id := range sess.live {
-			if k < len(removing) && removing[k] == id {
-				k++
-				continue
-			}
-			kept = append(kept, id)
-		}
-		sess.live = kept
-	}
-	sess.live = append(sess.live, ids...)
+	sess.live += len(ids) - len(removing)
 	sess.next += len(ids)
 	sess.updates++
 	sess.lastRemoved = len(remove)
@@ -277,28 +259,27 @@ func (sess *Session) Solve() (*Result, error) {
 
 // SolveWithItems is Solve plus two captures under the same lock
 // acquisition: an immutable view of the engine item set the result was
-// computed from, and a copy of the live demand ids, ascending — so the
-// triple is epoch-consistent even when other goroutines interleave
-// Updates. This is the primitive the internal/serve snapshot publisher
-// builds on: a published Result can always be re-derived, bitwise, from
-// the items it claims, and its admission split needs no pass over the
-// items. The live ids are the distinct Demand fields of the items. The
-// view shares its items with the session's later rounds and costs O(1)
-// amortized per written item (engine.ItemsView); its Items method
+// computed from, and the live demand count — so the triple is
+// epoch-consistent even when other goroutines interleave Updates. This is
+// the primitive the internal/serve snapshot publisher builds on: a
+// published Result can always be re-derived, bitwise, from the items it
+// claims. The live demands are the distinct Demand fields of the items.
+// The view shares its items with the session's later rounds and costs
+// O(1) amortized per written item (engine.ItemsView); its Items method
 // materializes them on request. The view type lives in an internal
 // package; external modules should treat it as opaque.
-func (sess *Session) SolveWithItems() (*Result, engine.ItemsView, []int, error) {
+func (sess *Session) SolveWithItems() (*Result, engine.ItemsView, int, error) {
 	return sess.solveLocked(true)
 }
 
-func (sess *Session) solveLocked(withItems bool) (*Result, engine.ItemsView, []int, error) {
+func (sess *Session) solveLocked(withItems bool) (*Result, engine.ItemsView, int, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	opts := sess.solver.opts
 	res := &Result{}
 	selected, err := runPrepared(sess.p, opts.engineConfig(), opts, res)
 	if err != nil {
-		return nil, engine.ItemsView{}, nil, err
+		return nil, engine.ItemsView{}, 0, err
 	}
 	items := sess.p.Items()
 	res.Assignments = make([]Assignment, 0, len(selected))
@@ -307,18 +288,17 @@ func (sess *Session) solveLocked(withItems bool) (*Result, engine.ItemsView, []i
 	}
 	sess.solves++
 	if !withItems {
-		return res, engine.ItemsView{}, nil, nil
+		return res, engine.ItemsView{}, 0, nil
 	}
-	// Update filters sess.live in place, so it is copied.
-	return res, sess.p.ItemsView(), slices.Clone(sess.live), nil
+	return res, sess.p.ItemsView(), sess.live, nil
 }
 
 // removalError names the first id of remove, in batch order, that is not
-// live or repeats an earlier one. live is ascending.
-func removalError(remove, live []int) error {
+// live or repeats an earlier one. A live demand is one with items.
+func (sess *Session) removalError(remove []int) error {
 	seen := make(map[int]bool, len(remove))
 	for _, id := range remove {
-		if _, ok := slices.BinarySearch(live, id); !ok {
+		if len(sess.p.ItemsOfDemand(id)) == 0 {
 			return fmt.Errorf("treesched: session has no live demand %d", id)
 		}
 		if seen[id] {
