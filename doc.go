@@ -192,8 +192,8 @@
 // by array indexing over the views (no second hashing of the same keys).
 // By §2 two items conflict iff they share a demand or an edge, so these
 // member lists are a clique cover of the conflict graph, and the engine
-// stores nothing else: the Luby and greedy elections compare priorities
-// per group, and the component decomposition walks from item to item
+// stores nothing else: the Luby election compares priorities per group,
+// and the component decomposition walks from item to item
 // through shared groups. Preparation thus costs O(Σ |path|) rather than
 // the O(Σ deg) of an adjacency, which on a contended instance is an order
 // of magnitude more. A serial solve reads each item's groups off its view
@@ -271,7 +271,7 @@
 // solve configuration, and the seed. Sessions therefore enable the
 // engine's warm-start cache: after every sharded solve, each component's
 // outcome is recorded keyed by its prepared shard and the configuration
-// (mode, MIS budget, seed, ε, ξ, single-stage ladder, trace recording);
+// (mode, seed, ε, the plan's ξ, single-stage ladder, trace recording);
 // the next solve replays cached outcomes for components the churn never
 // reached and re-runs the schedule only where the item set changed, with
 // the shared deterministic merge reassembling the global Result. The
@@ -531,8 +531,8 @@
 //     (dual.RaiseUnit/RaiseNarrow/AddBeta), the exact sum (dual.Sum.Add
 //     and Merge, Assignment.Value and AddTo), the satisfaction
 //     verdict (dual.Meets), the compacted per-step scan (state.scanLive,
-//     state.retest), the group-form elections
-//     (state.independentSet, mis.Luby, mis.Greedy), the greedy second
+//     state.retest), the group-form election
+//     (state.independentSet, mis.Luby), the greedy second
 //     phase, the shard merge and Prepared.Apply are annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is

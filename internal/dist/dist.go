@@ -51,7 +51,6 @@
 package dist
 
 import (
-	"fmt"
 	"slices"
 
 	"treesched/internal/dual"
@@ -103,12 +102,9 @@ func Run(items []engine.Item, cfg engine.Config) (*Result, error) {
 
 // RunOpts is Run with a worker budget and a recorder.
 func RunOpts(items []engine.Item, cfg engine.Config, opts Options) (*Result, error) {
-	plan, err := engine.PlanFor(items, &cfg)
+	plan, err := engine.PlanFor(items, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MIS != engine.LubyMIS {
-		return nil, fmt.Errorf("dist: only the Luby MIS subroutine has a distributed implementation")
 	}
 	budget := LubyBudgetFor(len(items))
 	res := &Result{Plan: plan, LubyBudget: budget, ScheduleRounds: ScheduleLength(plan.TotalSteps(), budget)}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"treesched/internal/dist"
@@ -209,15 +208,6 @@ func TestEmptyItems(t *testing.T) {
 	}
 	if !reflect.DeepEqual(eres.Selected, dres.Selected) || dres.Profit != 0 {
 		t.Errorf("empty run: engine %v vs dist %v (profit %v)", eres.Selected, dres.Selected, dres.Profit)
-	}
-}
-
-// TestGreedyMISRejected: the deterministic MIS is an engine-only ablation.
-func TestGreedyMISRejected(t *testing.T) {
-	items := treeItems(t, workload.TreeConfig{Vertices: 8, Trees: 1, Demands: 4, ProfitRatio: 2}, 1, engine.IdealDecomp)
-	_, err := dist.Run(items, engine.Config{Mode: engine.Unit, Epsilon: 0.3, MIS: engine.GreedyMIS})
-	if err == nil || !strings.Contains(err.Error(), "Luby") {
-		t.Fatalf("want Luby-only error, got %v", err)
 	}
 }
 

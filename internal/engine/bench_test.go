@@ -24,30 +24,23 @@ func benchItems(b *testing.B, m int) []engine.Item {
 	return items
 }
 
-func BenchmarkRunByMISKind(b *testing.B) {
+// BenchmarkRunCold measures a cold solve: Prepare and Solve over one item
+// set every op.
+func BenchmarkRunCold(b *testing.B) {
 	items := benchItems(b, 256)
-	for _, tc := range []struct {
-		name string
-		kind engine.MISKind
-	}{{"luby", engine.LubyMIS}, {"greedy", engine.GreedyMIS}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Prepare(items).Solve(engine.Config{
-					Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i), MIS: tc.kind,
-				}, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Seed: int64(i)}, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkRunPrepared measures the schedule alone: repeated solves over
 // one prepared item set, where the member lists and the dense dual layout
-// are built once outside the loop. Compare against
-// BenchmarkRunByMISKind/luby (same workload, cold prepare every op) for
-// preparation's share of a cold solve.
+// are built once outside the loop. Compare against BenchmarkRunCold (same
+// workload, cold prepare every op) for preparation's share of a cold
+// solve.
 func BenchmarkRunPrepared(b *testing.B) {
 	items := benchItems(b, 256)
 	p := engine.Prepare(items)

@@ -15,8 +15,8 @@ type ArbitraryResult struct {
 // splits the items into the wide class (h > 1/2, scheduled under the unit
 // rule) and the narrow class (h ≤ 1/2, under the narrow rule), re-indexes
 // each class densely, and hands each non-empty class to solve, wide first,
-// with the class's Mode set and ξ re-derived from the class. solve returns
-// the selected class-local ids. Then, on each resource, it keeps whichever
+// with the class's Mode set, so its plan derives ξ from the class's own
+// items. solve returns the selected class-local ids. Then, on each resource, it keeps whichever
 // class's selection earns more profit there. Every demand is entirely wide
 // or entirely narrow, so the combination selects at most one instance per
 // demand, and per-resource selection preserves the bandwidth constraints.
@@ -52,7 +52,6 @@ func SolveHeightClasses(items []Item, cfg Config, solve func(class []Item, cfg C
 		}
 		ccfg := cfg
 		ccfg.Mode = mode
-		ccfg.Xi = 0 // re-derive from the class's items
 		sel, err := solve(class, ccfg)
 		if err != nil {
 			return nil, 0, err

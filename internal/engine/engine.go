@@ -46,17 +46,6 @@ func (m Mode) String() string {
 	}
 }
 
-// MISKind selects the maximal-independent-set subroutine.
-type MISKind int
-
-const (
-	// LubyMIS is the randomized O(log N)-round algorithm the paper cites.
-	LubyMIS MISKind = iota
-	// GreedyMIS is the deterministic lexicographically-first MIS; it is not
-	// a polylog-round distributed algorithm and exists for ablations.
-	GreedyMIS
-)
-
 // Item is one demand instance as seen by the framework.
 type Item struct {
 	ID       int // dense index into the item slice
@@ -69,18 +58,12 @@ type Item struct {
 	Critical []model.EdgeKey // π(d) ⊆ Edges
 }
 
-// Config controls a run. Zero values select paper defaults.
+// Config controls a run. Every step elects with Luby's MIS, and the stage
+// decay ξ is the paper's, derived from the items by the plan (DefaultXi).
 type Config struct {
 	Mode    Mode
 	Epsilon float64 // ε > 0; slackness target λ = 1-ε
-	// Xi overrides the stage decay ξ. 0 selects the paper's value:
-	// 2∆′/(2∆′+1) with ∆′ = ∆+1 for Unit mode (14/15 for trees with ∆ = 6,
-	// 8/9 for lines with ∆ = 3), and C/(C+hmin) with C = 1+∆² for Narrow.
-	Xi float64
-	// HMin is the minimum height (narrow mode); 0 means derive from items.
-	HMin float64
-	Seed int64
-	MIS  MISKind
+	Seed    int64
 	// SingleStage reproduces the Panconesi–Sozio-style schedule for
 	// ablation A2: one stage per epoch with a fixed satisfaction threshold
 	// of 1/(5+ε) instead of the (1-ξ^j) ladder, giving λ = 1/(5+ε).
@@ -190,10 +173,8 @@ type solveScratch struct {
 	// place to the members not yet satisfied at the plan's top threshold.
 	live     []int
 	groupEnd []int
-	// uBuf and slotBuf are per-step scratch for the unsatisfied set and its
-	// demand slots.
-	uBuf    []int
-	slotBuf []int
+	// uBuf is per-step scratch for the unsatisfied set.
+	uBuf []int
 	// cover is the step's conflict graph as mis reads it: the unsatisfied
 	// items' demand slots and edge-index lists, by position in u. mis holds
 	// the election's per-vertex and per-group buffers.
@@ -218,7 +199,7 @@ type step struct {
 // in-process engine and the simnet protocol execute the same Plan, which is
 // what makes their outputs bit-identical.
 type Plan struct {
-	Xi         float64   // stage decay ξ
+	Xi         float64   // stage decay ξ = DefaultXi(mode, Delta, least item height)
 	Stages     int       // b = number of stages per epoch
 	Thresholds []float64 // stage j targets (1-ξ^j)-satisfaction; len = Stages
 	StepCap    int       // fixed steps per stage (Lemma 5.1 bound + slack)
@@ -229,8 +210,7 @@ type Plan struct {
 
 // PlanFor validates the items and configuration and computes the schedule:
 // one statistics pass over the items, then the plan built from it.
-// cfg's zero-valued fields are resolved to paper defaults in place.
-func PlanFor(items []Item, cfg *Config) (*Plan, error) {
+func PlanFor(items []Item, cfg Config) (*Plan, error) {
 	var st planStats
 	st.gather(items)
 	plan := new(Plan)
@@ -289,7 +269,7 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	scr := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(scr)
 	plan := &scr.plan
-	if err := p.plan(&cfg, plan); err != nil { // resolves ξ and defaults
+	if err := p.plan(cfg, plan); err != nil {
 		return nil, err
 	}
 	st := newState(p.lay, cfg, plan, scr, p.runDual())
@@ -434,13 +414,12 @@ func (s *planStats) stale() bool {
 }
 
 // plan checks the configuration and builds the schedule from the
-// statistics of items into p, whose threshold storage it reuses, resolving
-// a zero ξ to the paper's default in place. A set with an item that fails
-// the checks, or a height over 1/2 in narrow mode, goes to validate, which
-// reads the items to name the first offence; read is the number of items
-// it read. Every error and its order are those of a check of the
-// configuration, then of the items in order, then of ξ.
-func (s *planStats) plan(items []Item, cfg *Config, p *Plan) (read int, err error) {
+// statistics of items into p, whose threshold storage it reuses. A set
+// with an item that fails the checks, or a height over 1/2 in narrow mode,
+// goes to validate, which reads the items to name the first offence; read
+// is the number of items it read. Every error and its order are those of a
+// check of the configuration, then of the items in order, then of ξ.
+func (s *planStats) plan(items []Item, cfg Config, p *Plan) (read int, err error) {
 	// Range checks are negated so that NaN, which fails every comparison,
 	// is rejected too.
 	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
@@ -458,16 +437,12 @@ func (s *planStats) plan(items []Item, cfg *Config, p *Plan) (read int, err erro
 	if s.n > 0 {
 		p.PMin, p.PMax, hmin = s.pmin, s.pmax, s.hmin
 	}
-	if cfg.Xi == 0 {
-		if cfg.HMin > 0 {
-			hmin = cfg.HMin
-		}
-		cfg.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
+	p.Xi = DefaultXi(cfg.Mode, p.Delta, hmin)
+	// C/(C+hmin) rounds to 1 when hmin is below C's last bit, and a ladder
+	// at ξ = 1 never reaches 1-ε.
+	if !(p.Xi < 1) {
+		return 0, fmt.Errorf("engine: stage decay ξ = %v (∆ = %d, least height %v) is not below 1", p.Xi, p.Delta, hmin)
 	}
-	if !(cfg.Xi > 0 && cfg.Xi < 1) {
-		return 0, fmt.Errorf("engine: xi must be in (0,1), got %v", cfg.Xi)
-	}
-	p.Xi = cfg.Xi
 	p.StepCap = stepCap(p.PMin, p.PMax)
 	if cfg.SingleStage {
 		p.Stages = 1
@@ -500,7 +475,7 @@ func lastNonzero(counts []int) int {
 
 // plan is planStats.plan over the Prepared's statistics, into dst,
 // counting the items a validate fallback reads.
-func (p *Prepared) plan(cfg *Config, dst *Plan) error {
+func (p *Prepared) plan(cfg Config, dst *Plan) error {
 	read, err := p.stats.plan(p.items, cfg, dst)
 	if read > 0 && p.rec != nil {
 		p.rec.Count(CounterPlanItems, int64(read))
@@ -738,9 +713,9 @@ func (st *state) retest(u []int, thresh float64) ([]int, int) {
 	return u[:n], betas
 }
 
-// independentSet computes a maximal independent set within u (item ids) and
-// returns the selected ids ascending, appended to the scratch's picks, plus
-// the number of Luby iterations.
+// independentSet computes a maximal independent set within u (item ids)
+// with Luby's algorithm and returns the selected ids ascending, appended to
+// the scratch's picks, plus the number of Luby iterations.
 // mis reads the conflict graph among u as its clique cover: each item's
 // demand slot and path edge indices, the groups whose shared membership is
 // the §2 conflict relation.
@@ -750,25 +725,17 @@ func (st *state) independentSet(u []int) ([]int, int) {
 	scr := st.scr
 	c := &scr.cover
 	c.Demand, c.Edges = c.Demand[:0], c.Edges[:0]
-	slots := scr.slotBuf[:0]
 	views := st.lay.views
 	for _, id := range u {
 		v := &views[id]
 		c.Demand = append(c.Demand, v.Slot)
 		c.Edges = append(c.Edges, v.Edges)
-		slots = append(slots, int(v.Slot))
 	}
-	scr.slotBuf = slots
 	c.NumDemands, c.NumEdges = st.lay.demands, st.lay.edges
-	if st.cfg.MIS == GreedyMIS {
-		return scr.pick(u, mis.Greedy(c, &scr.mis)), 1
-	}
-	// Luby receives demand *slots* as owners (one processor per demand,
-	// §2); st.draw resolves a slot to its stream. The engine controls both
-	// sides of the Drawer contract, so passing slots instead of external
-	// demand ids is invisible to mis — and the streams themselves are
-	// seeded from the external ids, matching dist.
-	in, iters := mis.Luby(c, slots, st.draw, &scr.mis)
+	// A vertex draws from its demand group's stream (one processor per
+	// demand, §2): st.draw resolves a demand slot to the stream seeded
+	// from the slot's external demand id, as dist seeds its nodes'.
+	in, iters := mis.Luby(c, st.draw, &scr.mis)
 	return scr.pick(u, in), iters
 }
 

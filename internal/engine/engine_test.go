@@ -273,25 +273,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestGreedyMISMode(t *testing.T) {
-	items := treeItems(t, workload.TreeConfig{
-		Vertices: 15, Trees: 2, Demands: 10, ProfitRatio: 4,
-	}, 11)
-	res, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, MIS: engine.GreedyMIS, RecordTrace: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.Feasible(items, res.Selected, engine.Unit); err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.Interference(items, res.Trace); err != nil {
-		t.Fatal(err)
-	}
-	if res.MISIters != res.Steps {
-		t.Errorf("greedy MIS should cost one iteration per step: %d vs %d", res.MISIters, res.Steps)
-	}
-}
-
 func TestSingleStageAblation(t *testing.T) {
 	// The PS-style single-stage schedule must still produce feasible
 	// solutions satisfying the interference property, with λ ≈ 1/(5+ε).
@@ -345,11 +326,17 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"epsilon zero", good, engine.Config{Epsilon: 0}},
 		{"epsilon one", good, engine.Config{Epsilon: 1}},
-		{"bad xi", good, engine.Config{Epsilon: 0.1, Xi: 1.5}},
+		// A least height below the last bit of C = 1+∆² rounds the narrow
+		// ξ = C/(C+hmin) to 1, whose ladder would never reach 1-ε.
+		{"bad xi", func() []engine.Item {
+			bad := append([]engine.Item(nil), good...)
+			for i := range bad {
+				bad[i].Height = 0.25
+			}
+			bad[0].Height = 1e-300
+			return bad
+		}(), engine.Config{Epsilon: 0.1, Mode: engine.Narrow}},
 		{"epsilon NaN", good, engine.Config{Epsilon: math.NaN()}},
-		// No items: with items, NaN ξ used to fail only later, by accident,
-		// at the step cap.
-		{"xi NaN", nil, engine.Config{Epsilon: 0.1, Xi: math.NaN()}},
 		{"bad id", func() []engine.Item {
 			bad := append([]engine.Item(nil), good...)
 			bad[0].ID = 5

@@ -110,7 +110,7 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 		return res, err
 	}
 	plan := new(Plan)
-	if err := p.plan(&cfg, plan); err != nil { // resolves ξ and defaults globally
+	if err := p.plan(cfg, plan); err != nil {
 		return nil, err
 	}
 	if workers < 1 {
@@ -193,7 +193,7 @@ func (scr *solveScratch) ownStack() []step {
 // the rest run on min(workers, runnable) goroutines with per-worker pooled
 // scratch. The full outcome set is recorded for the next round.
 func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, error) {
-	key := warmKeyFor(&cfg)
+	key := warmKeyFor(cfg, plan)
 	outs := make([]*shardOut, len(p.shards))
 	todo := make([]int, 0, len(p.shards)-p.warm.replay(key, plan.StepCap, p.shards, outs))
 	for s, out := range outs {

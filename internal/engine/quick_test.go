@@ -53,9 +53,6 @@ func TestEngineInvariantsQuick(t *testing.T) {
 			Seed:        r.Int63(),
 			RecordTrace: true,
 		}
-		if r.Intn(4) == 0 {
-			cfg.MIS = engine.GreedyMIS
-		}
 		if r.Intn(5) == 0 {
 			cfg.SingleStage = true
 		}
@@ -153,44 +150,5 @@ func TestEngineLineInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: maxCount}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestXiOverride checks that a custom ξ still yields a valid run and more
-// stages for ξ closer to 1.
-func TestXiOverride(t *testing.T) {
-	items := treeItems(t, workload.TreeConfig{Vertices: 12, Trees: 1, Demands: 6}, 31)
-	lo, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := engine.Prepare(items).Solve(engine.Config{Mode: engine.Unit, Epsilon: 0.1, Xi: 0.97}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi.Stages <= lo.Stages {
-		t.Errorf("ξ=0.97 gave %d stages, ξ=0.5 gave %d; want more stages for larger ξ", hi.Stages, lo.Stages)
-	}
-	if lo.Lambda < 0.9-1e-9 || hi.Lambda < 0.9-1e-9 {
-		t.Errorf("λ targets missed: %v, %v", lo.Lambda, hi.Lambda)
-	}
-}
-
-// TestHMinOverride checks the narrow-mode hmin override shapes ξ.
-func TestHMinOverride(t *testing.T) {
-	items := treeItems(t, workload.TreeConfig{
-		Vertices: 12, Trees: 1, Demands: 6, Heights: workload.NarrowHeights, HMin: 0.3,
-	}, 37)
-	def := engine.Config{Mode: engine.Narrow, Epsilon: 0.2}
-	if _, err := engine.PlanFor(items, &def); err != nil {
-		t.Fatal(err)
-	}
-	small := engine.Config{Mode: engine.Narrow, Epsilon: 0.2, HMin: 0.01}
-	if _, err := engine.PlanFor(items, &small); err != nil {
-		t.Fatal(err)
-	}
-	// Smaller hmin ⇒ ξ closer to 1 ⇒ more stages needed.
-	if small.Xi <= def.Xi {
-		t.Errorf("hmin=0.01 gave ξ=%v, derived hmin gave ξ=%v; want larger", small.Xi, def.Xi)
 	}
 }

@@ -79,7 +79,7 @@ func fullScanFirstPhase(items []Item, st *state, res *Result) error {
 // (with the same error).
 func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg Config, stepCap int, scr *solveScratch) (failed bool) {
 	t.Helper()
-	plan, err := PlanFor(items, &cfg)
+	plan, err := PlanFor(items, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -190,7 +190,7 @@ func scanShapes(t testing.TB, seed int64, narrow bool) []scanShape {
 }
 
 // TestFirstPhaseMatchesFullScan pins the compacted scan to the full-scan
-// oracle across modes, SingleStage, GreedyMIS, several ε and seeds, on the
+// oracle across modes, SingleStage, several ε and seeds, on the
 // global layout and on every conflict component's shard layout (the path
 // runShard takes), and with forced tiny step caps where both must fail
 // identically.
@@ -206,12 +206,9 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 				p := Prepare(shape.items)
 				p.ensureShards()
 				for _, eps := range []float64{0.5, 0.2, 0.05} {
-					for _, v := range []struct {
-						single bool
-						mis    MISKind
-					}{{false, LubyMIS}, {true, LubyMIS}, {false, GreedyMIS}} {
-						cfg := Config{Mode: mode, Epsilon: eps, Seed: seed, MIS: v.mis, SingleStage: v.single, RecordTrace: seed == 1}
-						tag := fmt.Sprintf("%v/%s/seed=%d/ε=%v/single=%v/mis=%d", mode, shape.name, seed, eps, v.single, v.mis)
+					for _, single := range []bool{false, true} {
+						cfg := Config{Mode: mode, Epsilon: eps, Seed: seed, SingleStage: single, RecordTrace: seed == 1}
+						tag := fmt.Sprintf("%v/%s/seed=%d/ε=%v/single=%v", mode, shape.name, seed, eps, single)
 						if firstPhasesAgree(t, tag, p.items, p.lay, cfg, -1, scr) {
 							t.Fatalf("%s: first phase failed at the default step cap", tag)
 						}
@@ -233,14 +230,16 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 
 // FuzzFirstPhaseCompaction explores the same oracle comparison over fuzzed
 // shapes: network count and size, demand count, access breadth (fleet
-// versus contended), mode, SingleStage, GreedyMIS, ε and the step cap.
+// versus contended), mode, SingleStage, ε and the step cap. flags bit 2
+// (value 4) selects nothing; the other bits keep their meaning in
+// recorded inputs.
 func FuzzFirstPhaseCompaction(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(30), uint8(2), uint8(0), uint8(20), int8(-1))
 	f.Add(int64(7), uint8(20), uint8(50), uint8(3), uint8(1), uint8(5), int8(-1))
 	f.Add(int64(3), uint8(60), uint8(12), uint8(1), uint8(6), uint8(50), int8(1))
 	f.Add(int64(5), uint8(30), uint8(40), uint8(3), uint8(8), uint8(10), int8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nv, nd, nt, flags, eps uint8, stepCap int8) {
-		narrow, single, greedy, fleet := flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+		narrow, single, fleet := flags&1 != 0, flags&2 != 0, flags&8 != 0
 		cfg := workload.TreeConfig{
 			Vertices: int(nv)%60 + 4, Trees: int(nt)%3 + 1, Demands: int(nd)%60 + 1, ProfitRatio: 16,
 		}
@@ -260,9 +259,6 @@ func FuzzFirstPhaseCompaction(f *testing.F) {
 			t.Fatal(err)
 		}
 		rc := Config{Mode: mode, Epsilon: 0.02 + float64(eps%90)/100, Seed: seed, SingleStage: single, RecordTrace: true}
-		if greedy {
-			rc.MIS = GreedyMIS
-		}
 		c := -1
 		if stepCap >= 0 {
 			c = int(stepCap) % 4

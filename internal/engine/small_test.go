@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -63,8 +64,7 @@ func TestBuildLineItemsErrors(t *testing.T) {
 
 func TestPlanSingleStage(t *testing.T) {
 	items := treeItems(t, workload.TreeConfig{Vertices: 8, Trees: 1, Demands: 3}, 3)
-	cfg := engine.Config{Epsilon: 0.2, SingleStage: true}
-	plan, err := engine.PlanFor(items, &cfg)
+	plan, err := engine.PlanFor(items, engine.Config{Epsilon: 0.2, SingleStage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,35 +76,43 @@ func TestPlanSingleStage(t *testing.T) {
 	}
 }
 
-// TestPlanThresholdsReachEpsilon pins the stage ladder in unit and narrow
-// mode, at the paper's ξ and under an Xi override: the final threshold
-// reaches 1-ε and the thresholds strictly increase, so the last one is the
-// largest — the top threshold at which the engine's compacted scan retires
-// an item for the rest of its epoch.
+// TestPlanThresholdsReachEpsilon pins the stage ladder in unit mode on a
+// tree and a line and in narrow mode, one set of whose heights reaches down
+// to 0.01, which puts ξ within 0.01 of 1: the plan's ξ is the paper's for
+// the mode, ∆ and least height, the final threshold reaches 1-ε and the
+// thresholds strictly increase, so the last one is the largest — the top
+// threshold at which the engine's compacted scan retires an item for the
+// rest of its epoch.
 func TestPlanThresholdsReachEpsilon(t *testing.T) {
 	unit := treeItems(t, workload.TreeConfig{Vertices: 8, Trees: 1, Demands: 3}, 5)
+	line := lineItems(t, workload.LineConfig{Slots: 16, Resources: 1, Demands: 4}, 5)
 	narrow := treeItems(t, workload.TreeConfig{
 		Vertices: 8, Trees: 1, Demands: 3, Heights: workload.NarrowHeights, HMin: 0.1,
 	}, 5)
+	shallow := slices.Clone(narrow)
+	shallow[0].Height = 0.01
 	for _, tc := range []struct {
-		name  string
-		items []engine.Item
-		mode  engine.Mode
-		xi    float64
+		name    string
+		items   []engine.Item
+		mode    engine.Mode
+		nearOne bool // ξ within 0.01 of 1
 	}{
-		{"unit", unit, engine.Unit, 0},
-		{"narrow", narrow, engine.Narrow, 0},
-		{"unit/xi=0.5", unit, engine.Unit, 0.5},
-		{"narrow/xi=0.99", narrow, engine.Narrow, 0.99},
+		{"unit", unit, engine.Unit, false},
+		{"unit/line", line, engine.Unit, false},
+		{"narrow", narrow, engine.Narrow, false},
+		{"narrow/hmin=0.01", shallow, engine.Narrow, true},
 	} {
+		hmin := slices.MinFunc(tc.items, func(a, b engine.Item) int { return cmp.Compare(a.Height, b.Height) }).Height
 		for _, eps := range []float64{0.5, 0.2, 0.05} {
-			cfg := engine.Config{Mode: tc.mode, Epsilon: eps, Xi: tc.xi}
-			plan, err := engine.PlanFor(tc.items, &cfg)
+			plan, err := engine.PlanFor(tc.items, engine.Config{Mode: tc.mode, Epsilon: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.xi != 0 && plan.Xi != tc.xi {
-				t.Errorf("%s ε=%v: plan ξ %v ignores the override", tc.name, eps, plan.Xi)
+			if want := engine.DefaultXi(tc.mode, plan.Delta, hmin); plan.Xi != want {
+				t.Errorf("%s ε=%v: plan ξ %v, want DefaultXi(∆ = %d, least height %v) = %v", tc.name, eps, plan.Xi, plan.Delta, hmin, want)
+			}
+			if tc.nearOne && !(1-plan.Xi < 0.01) {
+				t.Errorf("%s ε=%v: ξ %v is not within 0.01 of 1", tc.name, eps, plan.Xi)
 			}
 			last := plan.Thresholds[len(plan.Thresholds)-1]
 			if last < 1-eps {

@@ -46,33 +46,30 @@ type WarmStats struct {
 
 // warmKey is the run-configuration fingerprint a cached shard outcome is
 // valid under. Shard execution is a pure function of the preShard and these
-// fields: the raise rule (mode), election kind and seed, the ξ-ladder
-// (epsilon, resolved xi and singleStage, which fix the stages and their
-// thresholds), and whether a trace was recorded. Plan fields not listed
-// cannot change a shard's execution: epochs without members skip with
-// zero side effects, ∆ and the profit extremes reach a shard only through
+// fields: the raise rule (mode) and seed, the ξ-ladder (epsilon, the plan's
+// ξ and singleStage, which fix the stages and their thresholds), and
+// whether a trace was recorded. Plan fields not listed cannot change a
+// shard's execution: epochs without members skip with zero side effects,
+// ∆, the least height and the profit extremes reach a shard only through
 // ξ and the Lemma 5.1 step cap, and the cap only stops a run. A shard
 // whose stages all ended below the new cap runs identically under it, so
 // replay checks the cap per outcome (maxStageSteps) instead of keying it.
 type warmKey struct {
 	mode        Mode
-	mis         MISKind
 	seed        int64
 	epsilon     float64
-	xi          float64 // resolved by PlanFor, so HMin is folded in
+	xi          float64
 	singleStage bool
 	recordTrace bool
 }
 
-// warmKeyFor fingerprints a resolved configuration. cfg must already be
-// resolved by PlanFor (Xi defaulted), which Solve guarantees.
-func warmKeyFor(cfg *Config) warmKey {
+// warmKeyFor fingerprints a solve's configuration and the ξ of its plan.
+func warmKeyFor(cfg Config, plan *Plan) warmKey {
 	return warmKey{
 		mode:        cfg.Mode,
-		mis:         cfg.MIS,
 		seed:        cfg.Seed,
 		epsilon:     cfg.Epsilon,
-		xi:          cfg.Xi,
+		xi:          plan.Xi,
 		singleStage: cfg.SingleStage,
 		recordTrace: cfg.RecordTrace,
 	}

@@ -276,9 +276,8 @@ func TestWarmReplayAcrossStepCap(t *testing.T) {
 	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 5}
 	planOf := func() *Plan {
 		t.Helper()
-		c := cfg
 		plan := new(Plan)
-		if err := p.plan(&c, plan); err != nil {
+		if err := p.plan(cfg, plan); err != nil {
 			t.Fatal(err)
 		}
 		return plan
@@ -366,7 +365,7 @@ func TestWarmReplayAcrossStepCap(t *testing.T) {
 	}
 
 	// A cap at a kept outcome's stage length leaves it to re-run.
-	key := warmKeyFor(&Config{Mode: Unit, Epsilon: 0.1, Seed: 5, Xi: plan0.Xi})
+	key := warmKeyFor(cfg, plan0)
 	outs := make([]*shardOut, len(p.shards))
 	full := p.warm.replay(key, plan0.StepCap, p.shards, outs)
 	if full != len(p.shards) {

@@ -88,7 +88,7 @@ func runE12(cfg Config) ([]*stats.Table, error) {
 			return nil, err
 		}
 		ecfg := engine.Config{Mode: engine.Unit, Epsilon: r.eps}
-		plan, err := engine.PlanFor(items, &ecfg)
+		plan, err := engine.PlanFor(items, ecfg)
 		if err != nil {
 			return nil, err
 		}

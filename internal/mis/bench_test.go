@@ -11,25 +11,12 @@ func BenchmarkLuby(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			c := randomCover(coverShape{n: n, demands: n, edges: n, maxPath: 4}, rng)
-			o := owners(n, n)
 			var s Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Luby(c, o, singleStream(int64(i)), &s)
+				Luby(c, singleStream(int64(i)), &s)
 			}
 		})
-	}
-}
-
-func BenchmarkGreedy(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	n := 5000
-	c := randomCover(coverShape{n: n, demands: n, edges: n, maxPath: 4}, rng)
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Greedy(c, &s)
 	}
 }

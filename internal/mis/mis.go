@@ -1,26 +1,27 @@
-// Package mis computes maximal independent sets on conflict graphs. It
-// provides Luby's randomized algorithm (the paper's Time(MIS) = O(log N)
-// choice [14]) in a form shared verbatim between the in-process engine and
-// the message-passing protocol, plus a deterministic greedy fallback.
+// Package mis computes maximal independent sets on conflict graphs with
+// Luby's randomized algorithm (the paper's Time(MIS) = O(log N) choice
+// [14]), in a form shared verbatim between the in-process engine and the
+// message-passing protocol.
 //
-// The graph is never materialized: both algorithms read it as the clique
+// The graph is never materialized: the algorithm reads it as the clique
 // cover it comes from. By §2 two demand instances conflict iff they share a
 // demand or an edge, so every demand and every edge is a clique of the
 // conflict graph and the graph is exactly the union of those cliques. An
 // adjacency list costs Σ deg; the cover costs Σ (1 + |path|).
 //
 // The decisive design point is the draw schedule: priorities are drawn from
-// per-owner PRNG streams in increasing item order, exactly the order in
-// which a distributed processor draws for its own items. This makes the
-// centralized simulation and the simnet protocol produce bit-identical
-// independent sets for identical seeds.
+// per-demand PRNG streams (one processor per demand, §2) in increasing
+// item order, exactly the order in which a distributed processor draws for
+// its own items. This makes the centralized simulation and the simnet
+// protocol produce bit-identical independent sets for identical seeds.
 package mis
 
 import "math"
 
-// Drawer supplies random priorities; the engine passes per-owner PRNG
-// streams so distributed and local runs agree.
-type Drawer func(owner int) float64
+// Drawer supplies random priorities for a vertex of a demand group; the
+// engine passes per-demand PRNG streams so distributed and local runs
+// agree.
+type Drawer func(demand int) float64
 
 // Cover is a conflict graph on the vertices 0..len(Demand)-1, given as a
 // clique cover in the shape of §2: vertex v lies in the demand group
@@ -34,13 +35,12 @@ type Cover struct {
 	NumEdges   int
 }
 
-// Scratch holds the buffers of Luby and Greedy: per-vertex state, and per
-// group the current minimum and a stamp of the pass that last wrote it.
-// Stamps make the per-group arrays reusable without clearing them, so one
-// election per step costs O(Σ group memberships), not O(groups). A zero
-// Scratch is ready to use. Slices returned by Luby and Greedy alias the
-// scratch and are valid until its next use; a Scratch must not be used by
-// two calls at once.
+// Scratch holds Luby's buffers: per-vertex state, and per group the
+// current minimum and a stamp of the pass that last wrote it. Stamps make
+// the per-group arrays reusable without clearing them, so one election per
+// step costs O(Σ group memberships), not O(groups). A zero Scratch is
+// ready to use. The slice Luby returns aliases the scratch and is valid
+// until its next use; a Scratch must not be used by two calls at once.
 type Scratch struct {
 	inMIS, live  []bool
 	priority     []float64
@@ -86,11 +86,12 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // Luby computes a maximal independent set of the cover's conflict graph.
-// Vertices draw in increasing index order, per the contract above. It
-// returns the membership vector and the number of Luby iterations (each
-// iteration costs two communication rounds in the distributed
-// implementation: one to exchange draws, one to announce winners). s may
-// be nil. Priorities must not be NaN.
+// Vertices draw in increasing index order, each from its demand group's
+// stream (draw(Demand[v])), per the contract above. It returns the
+// membership vector and the number of Luby iterations (each iteration
+// costs two communication rounds in the distributed implementation: one
+// to exchange draws, one to announce winners). s may be nil. Priorities
+// must not be NaN.
 //
 // A live vertex wins an iteration iff its (priority, index) is the minimum
 // over the live members of every group it belongs to. That is the same
@@ -101,7 +102,7 @@ func grow[T any](buf []T, n int) []T {
 // lists, for the same draws.
 //
 //schedvet:hot
-func Luby(c *Cover, owners []int, draw Drawer, s *Scratch) (inMIS []bool, iterations int) {
+func Luby(c *Cover, draw Drawer, s *Scratch) (inMIS []bool, iterations int) {
 	if s == nil {
 		s = new(Scratch)
 	}
@@ -120,7 +121,7 @@ func Luby(c *Cover, owners []int, draw Drawer, s *Scratch) (inMIS []bool, iterat
 		iterations++
 		for v := 0; v < n; v++ {
 			if live[v] {
-				priority[v] = draw(owners[v])
+				priority[v] = draw(int(c.Demand[v]))
 			}
 		}
 		// Each group's minimum live vertex. The scan is ascending and
@@ -199,30 +200,4 @@ func inGroupMarked(c *Cover, v int, stamp uint32, dMark, eMark []uint32) bool {
 		}
 	}
 	return false
-}
-
-// Greedy computes the lexicographically-first maximal independent set:
-// scan vertices in increasing index order, adding each vertex that shares
-// no group with a vertex already added. Each group keeps one blocked flag
-// (a stamp), set when a member joins. Deterministic; used for ablations.
-// s may be nil.
-//
-//schedvet:hot
-func Greedy(c *Cover, s *Scratch) []bool {
-	if s == nil {
-		s = new(Scratch)
-	}
-	inMIS := s.prepare(c)
-	blocked := s.stamp()
-	for v := range c.Demand {
-		if inGroupMarked(c, v, blocked, s.dMark, s.eMark) {
-			continue
-		}
-		inMIS[v] = true
-		s.dMark[c.Demand[v]] = blocked
-		for _, g := range c.Edges[v] {
-			s.eMark[g] = blocked
-		}
-	}
-	return inMIS
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // coverShape tunes randomCover.
@@ -62,34 +61,26 @@ func singleStream(seed int64) Drawer {
 	return func(int) float64 { return rng.Float64() }
 }
 
-// coarseStreams gives every owner its own stream of priorities from a
-// small set, so equal priorities are common and the index tie-break
+// coarseStreams gives every demand group its own stream of priorities from
+// a small set, so equal priorities are common and the index tie-break
 // decides.
 func coarseStreams(seed int64, levels int) Drawer {
 	streams := map[int]*rand.Rand{}
-	return func(owner int) float64 {
-		s, ok := streams[owner]
+	return func(demand int) float64 {
+		s, ok := streams[demand]
 		if !ok {
-			s = rand.New(rand.NewSource(seed*1000 + int64(owner)))
-			streams[owner] = s
+			s = rand.New(rand.NewSource(seed*1000 + int64(demand)))
+			streams[demand] = s
 		}
 		return float64(s.Intn(levels)) / float64(levels)
 	}
-}
-
-func owners(n, k int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i % k
-	}
-	return out
 }
 
 func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		c := randomCover(randomShape(rng), rng)
-		got, iters := Luby(c, owners(len(c.Demand), 7), singleStream(int64(trial)), nil)
+		got, iters := Luby(c, singleStream(int64(trial)), nil)
 		ind, max := Verify(coverAdjacency(c), got)
 		if !ind || !max {
 			t.Fatalf("trial=%d: independent=%v maximal=%v", trial, ind, max)
@@ -101,7 +92,7 @@ func TestLubyProducesMaximalIndependentSet(t *testing.T) {
 }
 
 func TestLubyEmptyGraph(t *testing.T) {
-	got, iters := Luby(&Cover{}, nil, singleStream(1), nil)
+	got, iters := Luby(&Cover{}, singleStream(1), nil)
 	if len(got) != 0 || iters != 0 {
 		t.Errorf("empty graph: got %v, %d iterations", got, iters)
 	}
@@ -110,7 +101,7 @@ func TestLubyEmptyGraph(t *testing.T) {
 func TestLubyCompleteGraphPicksOne(t *testing.T) {
 	n := 10
 	c := &Cover{Demand: make([]int32, n), Edges: make([][]int32, n), NumDemands: 1}
-	got, _ := Luby(c, make([]int, n), singleStream(3), nil)
+	got, _ := Luby(c, singleStream(3), nil)
 	count := 0
 	for _, in := range got {
 		if in {
@@ -128,7 +119,7 @@ func TestLubyIsolatedVerticesAllIn(t *testing.T) {
 	for v := range c.Demand {
 		c.Demand[v] = int32(v) // singleton groups only
 	}
-	got, iters := Luby(c, make([]int, n), singleStream(5), nil)
+	got, iters := Luby(c, singleStream(5), nil)
 	for v, in := range got {
 		if !in {
 			t.Errorf("isolated vertex %d not in MIS", v)
@@ -140,75 +131,45 @@ func TestLubyIsolatedVerticesAllIn(t *testing.T) {
 }
 
 func TestLubyDeterministicPerOwnerStreams(t *testing.T) {
-	// The same per-owner streams must yield the same MIS regardless of how
+	// The same per-demand streams must yield the same MIS regardless of how
 	// many times we run (this is what lets the local engine mirror the
 	// distributed protocol).
 	rng := rand.New(rand.NewSource(9))
 	c := randomCover(coverShape{n: 40, demands: 8, edges: 30, maxPath: 4}, rng)
-	o := make([]int, 40)
-	for i := range o {
-		o[i] = i / 5
-	}
-	a, _ := Luby(c, o, coarseStreams(1, 1<<20), nil)
+	a, _ := Luby(c, coarseStreams(1, 1<<20), nil)
 	a = slices.Clone(a)
-	b, _ := Luby(c, o, coarseStreams(1, 1<<20), nil)
+	b, _ := Luby(c, coarseStreams(1, 1<<20), nil)
 	if !slices.Equal(a, b) {
 		t.Fatalf("identical runs differ: %v vs %v", a, b)
 	}
 }
 
-func TestGreedyIsMaximalIndependent(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCover(randomShape(rng), rng)
-		ind, max := Verify(coverAdjacency(c), Greedy(c, nil))
-		return ind && max
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGreedyLexicographicallyFirst(t *testing.T) {
-	// Path 0-1-2-3 as a cover: singleton demands, edge groups {0,1}, {1,2},
-	// {2,3}. 0 joins and blocks 1; 2 joins and blocks 3.
-	c := &Cover{
-		Demand:     []int32{0, 1, 2, 3},
-		Edges:      [][]int32{{0}, {0, 1}, {1, 2}, {2}},
-		NumDemands: 4, NumEdges: 3,
-	}
-	got := Greedy(c, nil)
-	want := []bool{true, false, true, false}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Greedy path graph = %v, want %v", got, want)
-	}
-}
-
-// checkMatchesAdjacency pins the group forms to the adjacency oracle on one
+// checkMatchesAdjacency pins the group form to the adjacency oracle on one
 // cover: identical Luby membership and iteration count for the same draws,
-// identical greedy membership, and both results maximal independent sets.
-func checkMatchesAdjacency(t *testing.T, c *Cover, own []int, draw func() Drawer, s *Scratch) {
+// each vertex drawing from its demand group's stream, and the result a
+// maximal independent set.
+func checkMatchesAdjacency(t *testing.T, c *Cover, draw func() Drawer, s *Scratch) {
 	t.Helper()
 	adj := coverAdjacency(c)
+	own := make([]int, len(c.Demand))
+	for v, g := range c.Demand {
+		own[v] = int(g)
+	}
 	want, wantIters := lubyAdj(own, adj, draw())
-	got, iters := Luby(c, own, draw(), s)
+	got, iters := Luby(c, draw(), s)
 	if !slices.Equal(got, want) || iters != wantIters {
 		t.Fatalf("Luby: groups %v in %d iterations, adjacency %v in %d", got, iters, want, wantIters)
 	}
 	if ind, max := Verify(adj, got); !ind || !max {
 		t.Fatalf("Luby: independent=%v maximal=%v", ind, max)
 	}
-	if got, want := Greedy(c, s), greedyAdj(len(own), adj); !slices.Equal(got, want) {
-		t.Fatalf("Greedy: groups %v, adjacency %v", got, want)
-	}
 }
 
 // TestLubyGroupsMatchesAdjacency is the property behind the engine's group
 // form: on random clique covers — singleton groups, twin groups with
 // identical member lists, and coarse priorities that force the index
-// tie-break — group Luby and group Greedy equal their adjacency forms.
-// One Scratch serves every trial, so stale stamps and regrown group arrays
-// are exercised too.
+// tie-break — group Luby equals its adjacency form. One Scratch serves
+// every trial, so stale stamps and regrown group arrays are exercised too.
 func TestLubyGroupsMatchesAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var s Scratch
@@ -216,8 +177,7 @@ func TestLubyGroupsMatchesAdjacency(t *testing.T) {
 		c := randomCover(randomShape(rng), rng)
 		levels := []int{2, 4, 1 << 30}[trial%3]
 		seed := int64(trial)
-		own := owners(len(c.Demand), 1+rng.Intn(len(c.Demand)))
-		checkMatchesAdjacency(t, c, own, func() Drawer { return coarseStreams(seed, levels) }, &s)
+		checkMatchesAdjacency(t, c, func() Drawer { return coarseStreams(seed, levels) }, &s)
 	}
 }
 
@@ -230,17 +190,18 @@ func TestScratchStampWrap(t *testing.T) {
 		s.tick = ^uint32(0) - uint32(trial%4)
 		c := randomCover(coverShape{n: 30, demands: 10, edges: 20, maxPath: 3, twinChance: 0.3}, rng)
 		seed := int64(trial)
-		checkMatchesAdjacency(t, c, owners(30, 6), func() Drawer { return coarseStreams(seed, 3) }, &s)
+		checkMatchesAdjacency(t, c, func() Drawer { return coarseStreams(seed, 3) }, &s)
 	}
 }
 
-// FuzzLubyGroups fuzzes the group ≡ adjacency property over cover shapes,
-// owner mappings and priority granularity.
+// FuzzLubyGroups fuzzes the group ≡ adjacency property over cover shapes
+// and priority granularity. Vertices draw from their demand groups'
+// streams; the last argument is unused and keeps recorded inputs' shape.
 func FuzzLubyGroups(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(5), uint8(12), uint8(3), uint8(2), uint8(4))
 	f.Add(int64(2), uint8(64), uint8(64), uint8(1), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(3), uint8(40), uint8(1), uint8(60), uint8(5), uint8(5), uint8(40))
-	f.Fuzz(func(t *testing.T, seed int64, n, demands, edges, maxPath, twins, ownerMod uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n, demands, edges, maxPath, twins, _ uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCover(coverShape{
 			n:          int(n % 96),
@@ -250,8 +211,7 @@ func FuzzLubyGroups(f *testing.F) {
 			twinChance: float64(twins%6) / 5,
 		}, rng)
 		levels := 1 + int(seed&7)
-		own := owners(len(c.Demand), 1+int(ownerMod))
-		checkMatchesAdjacency(t, c, own, func() Drawer { return coarseStreams(seed, levels) }, nil)
+		checkMatchesAdjacency(t, c, func() Drawer { return coarseStreams(seed, levels) }, nil)
 	})
 }
 

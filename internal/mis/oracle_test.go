@@ -5,9 +5,9 @@ import (
 	"slices"
 )
 
-// The adjacency forms of Luby and Greedy, kept as the oracle the group
-// forms are pinned against: same draw schedule, same (priority, index)
-// tie-break, but over explicit adjacency lists.
+// The adjacency form of Luby, kept as the oracle the group form is pinned
+// against: same draw schedule, same (priority, index) tie-break, but over
+// explicit adjacency lists.
 
 // lubyAdj computes a maximal independent set of the graph whose vertices
 // are 0..len(owners)-1 and whose adjacency is adj (symmetric, no
@@ -63,23 +63,6 @@ func lubyAdj(owners []int, adj [][]int, draw Drawer) (inMIS []bool, iterations i
 		}
 	}
 	return inMIS, iterations
-}
-
-// greedyAdj is the lexicographically-first maximal independent set over
-// adjacency lists.
-func greedyAdj(n int, adj [][]int) []bool {
-	inMIS := make([]bool, n)
-	blocked := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if blocked[v] {
-			continue
-		}
-		inMIS[v] = true
-		for _, w := range adj[v] {
-			blocked[w] = true
-		}
-	}
-	return inMIS
 }
 
 // coverAdjacency materializes the conflict graph of a cover: every pair of

@@ -13,14 +13,14 @@ import (
 // maxServeRoundAllocs and maxServeRoundBytes bound the allocations and
 // the bytes allocated by one serve round at serve-fleet's shape
 // (TestServeRoundAllocs). They are what was measured when the bounds were
-// set, 62 and 27,028 or 27,398 B, the bytes rounded up to the next 100: the
+// set, 60 and 26,900 or 27,270 B, the bytes rounded up to the next 100: the
 // runtime's own allocations in the measured region (a channel waiter, a
 // goroutine descriptor) vary from run to run by a few bytes per round. A
 // change that allocates more per round must say why, and one that
 // allocates less lowers them.
 const (
-	maxServeRoundAllocs = 62
-	maxServeRoundBytes  = 27400
+	maxServeRoundAllocs = 60
+	maxServeRoundBytes  = 27300
 )
 
 // raceEnabled reports whether the race detector is on (race_test.go).

@@ -189,20 +189,25 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 		utok = rec.StartSpan(engine.PhaseUpdate)
 	}
 
-	// Departures are checked as one sorted batch, and every item (one per
-	// accessible network) of each removed demand is read off its member
-	// list; a departed or unknown id has none. On a fault removalError
-	// names the first offending id in batch order.
-	removing := slices.Clone(c.Remove)
-	slices.Sort(removing)
+	// Every item (one per accessible network) of each removed demand is
+	// read off its member list; a departed or unknown id has none. A
+	// demand's items are its own, so a demand removed twice leaves an
+	// equal pair among the sorted items. On a fault removalError names the
+	// first offending id in batch order.
 	var remove []int
-	for i, id := range removing {
+	for _, id := range c.Remove {
 		items := sess.p.ItemsOfDemand(id)
-		if len(items) == 0 || i > 0 && removing[i-1] == id {
+		if len(items) == 0 {
 			return nil, sess.removalError(c.Remove)
 		}
 		for _, it := range items {
 			remove = append(remove, int(it))
+		}
+	}
+	slices.Sort(remove)
+	for i := 1; i < len(remove); i++ {
+		if remove[i] == remove[i-1] {
+			return nil, sess.removalError(c.Remove)
 		}
 	}
 
@@ -239,7 +244,7 @@ func (sess *Session) Update(c Churn) ([]int, error) {
 	if err := sess.p.Apply(engine.Delta{Remove: remove, Add: add}); err != nil {
 		return nil, err
 	}
-	sess.live += len(ids) - len(removing)
+	sess.live += len(ids) - len(c.Remove)
 	sess.next += len(ids)
 	sess.updates++
 	sess.lastRemoved = len(remove)
