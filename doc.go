@@ -73,13 +73,13 @@
 // component and merge back into the serial execution exactly. The engine
 // uses that locality for one thing: replay. A Session keeps the warm-start
 // cache on (see "Warm-started solves" below), and its solves run the
-// sharded pipeline — the component decomposition, one layout per
-// component relabeled from the global one through translation arrays (no
-// key is hashed), the schedule of each component churn touched on
+// sharded pipeline — the component decomposition (a union–find over the
+// items' views), the schedule of each component churn touched, run in
+// place over the global views and one dual the prepared state keeps, on
 // min(Options.Parallelism, runnable components) goroutines, the cached
-// outcome of every other, and the deterministic merge. After churn, the
-// decomposition and the relabeling cost only the components the churn
-// reached. A Session whose
+// outcome of every other, and the deterministic merge, which keeps
+// running totals. After churn, the decomposition, the runs and the merge
+// cost only the components the churn reached. A Session whose
 // last decomposition found one component (a contended instance) skips the
 // pass and solves serially at every Parallelism until its Updates have
 // added more than 2·items+64 items since that pass: one shard would be the
@@ -100,7 +100,7 @@
 // fleets): contended instances of 736, 3,085, 12,202 and 49,222 items took
 // 0.42 vs 0.94, 2.5 vs 3.1, 8.8 vs 12.2 and 41 vs 66 ms, and fleets of
 // 768–32,768 items in 14–610 components took 2.9–3.3 times as long. The
-// component pass, the relabeled layouts and the merge cost more than the
+// component pass, the per-shard state and the merge cost more than the
 // first phase they parallelize, and a lane handoff more than the raises
 // and tests it splits. So a component runs whole on one goroutine, and
 // shards serve replay only.
@@ -154,8 +154,8 @@
 // map. The invariants that keep the three executions — serial engine,
 // sharded pipeline, message-passing simulation — bitwise equal are
 // unchanged: indices are a pure storage relabeling (each execution owns
-// its own index scope; values merge through slot translations and compare
-// by external key through AlphaMap/BetaMap, the one key-addressed view),
+// its own index scope, and values compare by external key through
+// AlphaMap/BetaMap, the one key-addressed view),
 // the arithmetic applies the same deltas to the same logical variables in
 // the same order as a map-backed representation (asserted by replays
 // through map-backed state, of the engine's traces and of Appendix A's),
@@ -216,25 +216,29 @@
 //     the most live demands a round has seen (those before it plus its
 //     arrivals), however long it runs. Edge indices are never freed, at
 //     most one per tree edge. A slot no view references holds zero in
-//     every fresh per-run assignment, so it cannot influence a raise, a
-//     satisfaction test, or the dual objective (an exact sum, which skips
-//     zeros), and shard layouts are numbered from their items' order, so
-//     no slot numbering reaches a result. Demand slots stay the identity
-//     until the first departure frees one;
-//   - the member lists of exactly the groups the churn reached: they filter
-//     out departed items (preserving their sort order) and merge in
+//     every fresh per-run assignment and is never read by a component's
+//     run, so it cannot influence a raise, a satisfaction test, or the
+//     dual objective (an exact sum, which skips zeros), and no slot
+//     numbering reaches a result. Demand slots stay the identity until
+//     the first departure frees one;
+//   - the demand member lists of exactly the slots the churn reached: they
+//     filter out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is
-//     re-sorted;
+//     re-sorted. The edge member lists, which only the simulator reads,
+//     are not kept: they are built again on their next read;
 //   - the lazy shard decomposition, which refreshes on the next sharded
-//     run reusing every component the churn never touched.
+//     run reusing every component the churn never touched. Each demand
+//     slot and edge index records the component that owns it, so the
+//     churn finds the components it reached through the groups its items
+//     leave and join.
 //
 // Determinism is unchanged: a Session's solve is bitwise identical to
 // preparing its current item set from scratch, at every worker count — the
 // incremental-state suite (internal/engine delta tests and fuzz target)
 // asserts member lists, components, layout semantics, and solve results after
-// arbitrary delta sequences. An update costs the total size of the member
-// lists the churned items belong to, so it pays off even without
-// locality: measured on a 2-vCPU host, BenchmarkApplyDelta (5% of a
+// arbitrary delta sequences. An update costs the size of the delta and of
+// the demand member lists the churned items belong to, so it pays off
+// even without locality: measured on a 2-vCPU host, BenchmarkApplyDelta (5% of a
 // 768-demand, single-component instance churned) runs about 10x faster
 // than BenchmarkPrepareCold rebuilding it, and on a fleet of disjoint
 // networks where a round churns one network the gap is about 20x
@@ -266,9 +270,9 @@
 // Churn is usually local: a round's delta reaches a few conflict
 // components and leaves the rest identical. Because a component shares no
 // demand and no edge with any other, its first-phase execution — the raise
-// stack with schedule stamps, the shard-local dense α/β, its λ
-// contribution, and its trace — is a pure function of its own items, the
-// solve configuration, and the seed. Sessions therefore enable the
+// stack with schedule stamps, its own α and β, its λ contribution, and
+// its trace — is a pure function of its own items, the solve
+// configuration, and the seed. Sessions therefore enable the
 // engine's warm-start cache: after every sharded solve, each component's
 // outcome is recorded keyed by its prepared shard and the configuration
 // (mode, seed, ε, the plan's ξ, single-stage ladder, trace recording);
@@ -278,10 +282,15 @@
 // greedy second phase is component-local too — an item's feasibility reads
 // only its own demand's and path edges' usage — so each re-run component
 // also pops its own stack through the greedy rule and its selection is
-// cached and replayed with the rest. The merge takes the union of the
-// components' selections through one bitset, and the profit is the exact
-// sum of the selected profits, rounded once, as in every execution, so no
-// order of the steps or of the selection is rebuilt. The schedule
+// cached and replayed with the rest. The merge keeps running totals
+// across solves — the exact sums of the components' partial dual sums and
+// of their selected profits, and a bitset of the selected items — and
+// folds in the outcomes of the re-run components and out those they
+// replace (the subtraction is exact too), so a round's merge costs the
+// components the churn reached, not the fleet. Selected is one scan of the
+// bitset, and the profit, as in every execution, the exact sum of the
+// selected profits, rounded once, so no order of the steps or of the
+// selection is rebuilt. The schedule
 // statistics (Steps, MISIters) and the trace, which a Session never
 // reads, are rebuilt from the cached stacks only for a traced solve. A
 // warm solve reads no item to plan: the plan's item statistics (∆, ℓmax,
@@ -296,9 +305,10 @@
 // arithmetic), the dual objective is the exact sum of the components'
 // exact partial sums, kept with each component's outcome, and the profit
 // is the exact sum of the selected profits, both of which round to the
-// same bits in any grouping and whichever components were replayed. No
-// global dual is assembled on this path; the engine's tests assemble it
-// on request and compare every α and β. Stream drift cannot occur:
+// same bits in any grouping and whichever components were replayed. The
+// components run in one dual, each in its own entries, which it zeroes
+// before it runs, so a replayed component's entries stay its recorded
+// run's; the engine's tests read that dual and compare every α and β. Stream drift cannot occur:
 // per-owner PRNG streams are re-seeded per run from (seed, owner), so a
 // replayed component's recorded draws are exactly the draws a re-run would
 // make. The warm≡cold property is pinned by the incremental-state suite
@@ -307,12 +317,13 @@
 //
 // Cached component state invalidates exactly when its inputs change:
 //
-//   - a touched component — Apply marks stale the component of every
-//     departed item and of every member of a group an arrival joined — is
-//     traversed again from its members and the arrivals, relabeled and
-//     re-solved (the others are not even visited: a component none of
-//     whose groups changed is still closed, so churn cannot reach it
-//     without touching it);
+//   - a touched component — Apply marks stale, through the owners its
+//     groups record, the component of every departed item and every
+//     component that owns a group an arrival joined — is joined up again
+//     with the arrivals (a union–find over their views) and re-solved
+//     (the others are not even visited: a component none of whose groups
+//     changed is still closed, so churn cannot reach it without touching
+//     it);
 //   - a configuration change (different Options, ε, seed, mode, or trace
 //     setting) misses the cache by key and re-solves everything, which
 //     includes a ∆ or a height range that churn moved so far as to move ξ;
@@ -363,9 +374,10 @@
 // setup/sim/assemble — and Count accumulates solve-path counters (items,
 // components, warm replays vs re-solves, granted shard workers, greedy
 // feasibility tests, an intra-lanes count that reads 1 per solve, the
-// exact work of a warm round — items the component pass visits, items
-// relabeled into shard layouts, member-list groups Apply patches — and of
-// every solve and simulated run; see "Exact work" below).
+// exact work of a warm round — items the component pass visits, items of
+// the new shards it makes, demand lists Apply patches, outcomes the merge
+// folds in or out — and of every solve and simulated run; see "Exact
+// work" below).
 // Two rules keep the seam compatible with the determinism contract:
 //
 //   - Recorders observe, never steer. No engine branch reads recorder
@@ -419,9 +431,10 @@
 //     Messages.
 //
 // Besides the warm-round counters above, the counters of work are
-// member_entries (member-list entries written when the lists are built on
-// first read, and an Apply's filters keep and arrivals append; 0 on a cold
-// solve, which builds none), scan_rows and scan_betas (first-phase
+// member_entries (member-list entries written when the demand lists are
+// built on first read or the edge lists on the simulator's read, and an
+// Apply's filters keep and arrivals append; 0 on a cold solve, which
+// builds none), scan_rows and scan_betas (first-phase
 // rows whose LHS scanLive and retest evaluate, and the β entries they
 // read), mis_iters (Luby iterations), greedy_tests (one per raised item),
 // and in the simulator node_rounds (Round calls on its nodes) and
@@ -528,12 +541,13 @@
 //     the fused preparation around it (decomp.Layered.Walk and the engine
 //     loop behind DemandItems and PrepareDemands, with
 //     model.EdgeInterner.InternPath), the raise primitives
-//     (dual.RaiseUnit/RaiseNarrow/AddBeta), the exact sum (dual.Sum.Add
-//     and Merge, Assignment.Value and AddTo), the satisfaction
-//     verdict (dual.Meets), the compacted per-step scan (state.scanLive,
-//     state.retest), the group-form election
-//     (state.independentSet, mis.Luby), the greedy second
-//     phase, the shard merge and Prepared.Apply are annotated.
+//     (dual.RaiseUnit/RaiseNarrow/AddBeta), the exact sum (dual.Sum.Add,
+//     Merge and Sub, Assignment.Value, AddTo and AddEntriesTo), the
+//     satisfaction verdict (dual.Meets), the compacted per-step scan
+//     (state.scanLive, state.retest), the group-form election
+//     (state.independentSet, mis.Luby), the greedy second phase, the
+//     component pass's union–find, a shard's run in place and its
+//     bucketing, the merge's folds, and Prepared.Apply are annotated.
 //   - waiverhygiene: every //schedvet: directive must parse, bind, and
 //     pull its weight. The waiver grammar is
 //     `//schedvet:ok <analyzer> <reason>` on the flagged line or the

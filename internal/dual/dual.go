@@ -125,9 +125,9 @@ func (ix *Index) NumEdges() int { return ix.edges.Len() }
 // from construction. NewWithIndex sizes it to an index that has interned
 // the whole item set, so every slot a view of that set addresses is in
 // range; an index that interns more afterwards (Prepared.Apply between
-// runs) needs a new assignment for the next run. NewDense sizes it to a
-// numbering of the caller's own. The zero value holds no slots until
-// Reset sizes it.
+// runs) needs a new assignment for the next run, or Grow, which keeps the
+// values. NewDense sizes it to a numbering of the caller's own. The zero
+// value holds no slots until Reset sizes it.
 type Assignment struct {
 	ix    *Index
 	alpha []float64
@@ -151,6 +151,35 @@ func (a *Assignment) Reset(ix *Index) {
 	a.beta = zeroed(a.beta, ix.NumEdges())
 }
 
+// Grow extends the assignment to ix's current extent, keeping every α
+// and β it holds, with the new slots zero: the one assignment a
+// warm-start engine keeps across Applies, which intern more, grows this
+// way. Storage grows as append grows it, with room for later growth.
+func (a *Assignment) Grow(ix *Index) {
+	a.ix = ix
+	if n := ix.NumDemands(); n > len(a.alpha) {
+		a.alpha = append(a.alpha, make([]float64, n-len(a.alpha))...)
+	}
+	if n := ix.NumEdges(); n > len(a.beta) {
+		a.beta = append(a.beta, make([]float64, n-len(a.beta))...)
+	}
+}
+
+// Zero sets α at every demand slot of slots and β at every edge index of
+// edges to zero: a component of the warm-start engine clears its own
+// entries of the assignment it shares with the other components before
+// it runs again.
+//
+//schedvet:hot
+func (a *Assignment) Zero(slots, edges []int32) {
+	for _, s := range slots {
+		a.alpha[s] = 0
+	}
+	for _, i := range edges {
+		a.beta[i] = 0
+	}
+}
+
 // zeroed returns s's storage at length n, all zero, or a new slice when s
 // is nil or too short.
 func zeroed(s []float64, n int) []float64 {
@@ -166,9 +195,8 @@ func zeroed(s []float64, n int) []float64 {
 // `demands` α slots and `edges` β slots, all zero. It serves callers that do
 // their own slot addressing — a dist node keeps one node-local assignment
 // over its node-local edge numbering, so a million-processor run carries no
-// per-node interning maps at all, and a shard of the engine and the
-// sequential Appendix-A algorithm address theirs through a prepared
-// layout. Having no index, it must not be read through AlphaMap or
+// per-node interning maps at all, and the sequential Appendix-A
+// algorithm addresses its own through a prepared layout. Having no index, it must not be read through AlphaMap or
 // BetaMap.
 func NewDense(demands, edges int) *Assignment {
 	return &Assignment{alpha: make([]float64, demands), beta: make([]float64, edges)}
@@ -281,25 +309,6 @@ func (a *Assignment) AddBeta(critical []int32, g float64) {
 	}
 }
 
-// MergeSlots adds src's α/β into a through precomputed slot translations:
-// slotMap[s] (resp. edgeMap[i]) is the slot in a's index holding the same
-// external demand (edge) as src's slot s (index i). The sharded engine
-// assembles its global dual this way, on request: each component's tables
-// are built when it is relabeled and name the same keys until the next
-// Apply, which may give a departed demand's slot to an arrival.
-func (a *Assignment) MergeSlots(src *Assignment, slotMap, edgeMap []int32) {
-	for s, v := range src.alpha {
-		if v != 0 {
-			a.alpha[slotMap[s]] += v
-		}
-	}
-	for i, v := range src.beta {
-		if v != 0 {
-			a.beta[edgeMap[i]] += v
-		}
-	}
-}
-
 // AlphaMap returns the nonzero α values keyed by demand id: the
 // key-addressed view by which tests compare executions (raises only ever
 // add nonzero values, so zero slots correspond to absent keys).
@@ -327,9 +336,9 @@ func (a *Assignment) BetaMap() map[model.EdgeKey]float64 {
 // Value returns the dual objective Σα + Σβ: the exact sum of the nonzero
 // values, rounded once to nearest. So the bits depend on the multiset of
 // values alone, not on slot numbering, order or grouping — the sharded
-// engine merges per-component partial sums (AddTo) and reproduces the
-// serial run's Bound exactly. Every α and β is finite and non-negative,
-// since raises and merges only add non-negative amounts.
+// engine keeps per-component partial sums (AddEntriesTo) and reproduces
+// the serial run's Bound exactly. Every α and β is finite and
+// non-negative, since raises only add non-negative amounts.
 //
 //schedvet:hot
 func (a *Assignment) Value() float64 {
@@ -347,6 +356,24 @@ func (a *Assignment) AddTo(s *Sum) {
 			if x != 0 {
 				s.Add(x)
 			}
+		}
+	}
+}
+
+// AddEntriesTo adds to s, exactly, every nonzero α at a demand slot of
+// slots and β at an edge index of edges, each listed once: the partial
+// sum of one component's entries of a shared assignment.
+//
+//schedvet:hot
+func (a *Assignment) AddEntriesTo(s *Sum, slots, edges []int32) {
+	for _, i := range slots {
+		if x := a.alpha[i]; x != 0 {
+			s.Add(x)
+		}
+	}
+	for _, i := range edges {
+		if x := a.beta[i]; x != 0 {
+			s.Add(x)
 		}
 	}
 }

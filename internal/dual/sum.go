@@ -20,9 +20,10 @@ type Sum struct {
 	n int32 // terms and merged sums added since the last carry
 }
 
-// carryEvery keeps every word below 2^63: after a carry each word is below
-// 2^32, and each term adds less than 2^32 to at most three of them, each
-// merged (carried) sum less than 2^32 to every one.
+// carryEvery keeps every word's magnitude below 2^63: after a carry each
+// word is in [0, 2^32), and each term adds less than 2^32 to at most three
+// of them, each merged or subtracted (carried) sum less than 2^32 to or
+// from every one.
 const carryEvery = 1<<31 - 2
 
 // Add adds x, which must be finite and non-negative.
@@ -63,6 +64,25 @@ func (s *Sum) Merge(t *Sum) {
 	s.count()
 }
 
+// Sub removes every term of t from s: t's terms, or a sum that holds
+// them, must have been added to s, so that s stays non-negative. A word
+// may then go negative, and carry's arithmetic shift floors it, borrowing
+// from the next word, so s holds the exact sum of the terms it kept. Like
+// Merge, Sub does not modify t.
+//
+//schedvet:hot
+func (s *Sum) Sub(t *Sum) {
+	if t.n != 0 {
+		u := *t
+		u.carry()
+		t = &u
+	}
+	for i, x := range t.w {
+		s.w[i] -= x
+	}
+	s.count()
+}
+
 // Carry normalizes the sum, leaving its value unchanged. A partial sum
 // that will be merged many times is carried once, when it is complete.
 func (s *Sum) Carry() {
@@ -78,7 +98,10 @@ func (s *Sum) count() {
 	}
 }
 
-// carry propagates every word's excess over 32 bits into the next word.
+// carry propagates every word's excess over 32 bits into the next word,
+// and a negative word's borrow too: x>>32 floors, and x&(2^32-1) is then
+// the non-negative remainder. Below the top, every word ends in
+// [0, 2^32); the top word holds the rest, non-negative while the sum is.
 func (s *Sum) carry() {
 	for i := 0; i < len(s.w)-1; i++ {
 		s.w[i+1] += s.w[i] >> 32

@@ -88,9 +88,76 @@ func grouped(terms []float64, groups []byte, perm []int) float64 {
 // numGroups is the number of partial sums grouped splits terms into.
 const numGroups = 8
 
+// removeReadd sums terms as the warm merge keeps its running totals: term
+// i goes to the partial sum groups[i%len(groups)] % numGroups, every
+// partial merges into one Sum, each group whose bit is set in out is
+// subtracted and then merged back, in the order perm gives, and the sum
+// must round to the bits math/big gives the terms it holds after the
+// removals and at the end. Partials are carried before they merge or
+// not, and the sum is rounded (which carries it) after a step or not, as
+// the bits of carries say, so a Sub or Merge meets carried and uncarried
+// operands alike.
+func removeReadd(t *testing.T, terms []float64, groups []byte, perm []int, out uint8, carries uint64) {
+	t.Helper()
+	var parts [numGroups]Sum
+	var members [numGroups][]float64
+	for i, x := range terms {
+		g := 0
+		if len(groups) > 0 {
+			g = int(groups[i%len(groups)]) % numGroups
+		}
+		parts[g].Add(x)
+		members[g] = append(members[g], x)
+	}
+	var s Sum
+	for k, g := range perm {
+		if carries>>k&1 != 0 {
+			parts[g].Carry()
+		}
+		s.Merge(&parts[g])
+	}
+	var kept [numGroups]bool
+	for g := range kept {
+		kept[g] = true
+	}
+	check := func(step string) {
+		t.Helper()
+		var left []float64
+		for g, in := range kept {
+			if in {
+				left = append(left, members[g]...)
+			}
+		}
+		if got, want := s.Round(), bigSum(left); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: sum of the groups kept %v = %v, math/big %v", step, kept, got, want)
+		}
+	}
+	for k, g := range perm {
+		if out>>g&1 != 0 {
+			s.Sub(&parts[g])
+			kept[g] = false
+			if carries>>(8+k)&1 != 0 {
+				check("remove")
+			}
+		}
+	}
+	check("removed")
+	for k, g := range perm {
+		if !kept[g] {
+			s.Merge(&parts[g])
+			kept[g] = true
+			if carries>>(16+k)&1 != 0 {
+				check("re-add")
+			}
+		}
+	}
+	check("all")
+}
+
 // FuzzExactSum pins the accumulator to the math/big reference, bit for bit,
 // in the given order, reversed and shuffled, and split into fuzz-chosen
-// groups whose partial sums merge in shuffled order.
+// groups whose partial sums merge in shuffled order, and then leave
+// (Sub) and come back (removeReadd).
 func FuzzExactSum(f *testing.F) {
 	pow2 := func(e int) []byte { return encodeTerm(2, uint64(e+1074)) }
 	bits := func(x float64) []byte { return encodeTerm(0, math.Float64bits(x)) }
@@ -123,7 +190,36 @@ func FuzzExactSum(f *testing.F) {
 		if got := grouped(terms, groups, rng.Perm(numGroups)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("sum of %v in groups %v = %v, math/big %v", terms, groups, got, want)
 		}
+		removeReadd(t, terms, groups, rng.Perm(numGroups), uint8(seed>>8), carries)
 	})
+}
+
+// TestSumSubMatchesOracle removes and re-adds random groups of random
+// terms — among them ones whose removal leaves every word of the sum to
+// borrow, and sums that empty out — and checks every step against
+// math/big, bit for bit.
+func TestSumSubMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		terms := make([]float64, rng.Intn(40))
+		for i := range terms {
+			switch rng.Intn(4) {
+			case 0:
+				terms[i] = math.Ldexp(1, rng.Intn(2098)-1074)
+			case 1:
+				terms[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal
+			case 2:
+				terms[i] = rng.Float64() * math.Pow(10, float64(rng.Intn(600)-300))
+			default:
+				terms[i] = rng.Float64()
+			}
+		}
+		groups := make([]byte, 1+rng.Intn(len(terms)+1))
+		for i := range groups {
+			groups[i] = byte(rng.Intn(numGroups))
+		}
+		removeReadd(t, terms, groups, rng.Perm(numGroups), uint8(rng.Intn(256)), rng.Uint64())
+	}
 }
 
 // TestValueIgnoresNumbering puts one multiset of dual values into two

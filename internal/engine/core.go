@@ -12,7 +12,8 @@ import (
 // engine and the message-passing nodes of package dist execute the exact
 // same floating-point operations. A Core holds a dual assignment scoped to
 // whatever its owner can see — an engine run owns one over the prepared
-// layout's index (or a shard's), while each dist node owns one over its
+// layout's index (a shard's run, its own entries of one), while each dist
+// node owns one over its
 // own α-variable and local copies of the β-variables on its items' paths —
 // and exposes:
 //
@@ -116,28 +117,37 @@ func BetaGain(mode Mode, criticalLen int, delta float64) float64 {
 // (Lemma 3.1). Items are validated to have positive profit, so no
 // zero-profit guard is needed here beyond the λ ≤ 0 check.
 func (c *Core) lambdaBound(views []ItemView) (lambda, bound float64) {
-	lambda = c.lambdaOnly(views)
+	lambda = 1.0
+	for i := range views {
+		if r := c.ratio(&views[i]); r < lambda {
+			lambda = r
+		}
+	}
 	if lambda <= 0 {
 		return lambda, math.Inf(1)
 	}
 	return lambda, c.Dual.Value() / lambda
 }
 
-// lambdaOnly is the λ half of lambdaBound: min(1, min LHS/p) over views.
-// Split out so the sharded engine can score each component against its own
-// shard-local dual — the constraints of disjoint components read disjoint
-// dual variables, and min is order-independent and performs no arithmetic,
-// so the min over per-shard minima is bitwise the global λ. Warm replays
-// then reuse the cached per-shard value without touching the views at all.
-func (c *Core) lambdaOnly(views []ItemView) float64 {
+// lambdaOver is the λ half of lambdaBound over the views at ids: min(1,
+// min LHS/p). The sharded engine scores each component on its own — the
+// constraints of disjoint components read disjoint dual variables, and
+// min is order-independent and performs no arithmetic, so the min over
+// per-shard minima is bitwise the global λ. Warm replays then reuse the
+// cached per-shard value without touching the views at all.
+func (c *Core) lambdaOver(views []ItemView, ids []int) float64 {
 	lambda := 1.0
-	for i := range views {
-		v := &views[i]
-		if r := c.Dual.LHS(v.Slot, c.Coeff(v), v.Edges) / v.Profit; r < lambda {
+	for _, id := range ids {
+		if r := c.ratio(&views[id]); r < lambda {
 			lambda = r
 		}
 	}
 	return lambda
+}
+
+// ratio is the view's LHS over its profit.
+func (c *Core) ratio(v *ItemView) float64 {
+	return c.Dual.LHS(v.Slot, c.Coeff(v), v.Edges) / v.Profit
 }
 
 // selectGreedyViews is the shared second phase over a raise history held
@@ -155,7 +165,7 @@ func (c *Core) lambdaOnly(views []ItemView) float64 {
 //schedvet:hot
 func selectGreedyViews(views []ItemView, mode Mode, steps [][]int, numSlots, numEdges int) (selected []int) {
 	scr := scratchPool.Get().(*solveScratch)
-	g := newGreedy(views, mode, numSlots, numEdges, scr)
+	g := newGreedy(views, mode, numSlots, numEdges, scr, nil)
 	for s := len(steps) - 1; s >= 0; s-- {
 		selected = g.take(steps[s], selected)
 	}
@@ -187,17 +197,27 @@ type greedy struct {
 	usage      []float64
 }
 
-// newGreedy returns the greedy state over views, its marks, all clear,
-// taken from scr.
-func newGreedy(views []ItemView, mode Mode, numSlots, numEdges int, scr *solveScratch) greedy {
+// newGreedy returns the greedy state over views, its marks taken from scr
+// and clear: every mark, or, for a shard's pass (sh non-nil), the marks of
+// its own demand slots and edge indices, the only ones its pass reads.
+func newGreedy(views []ItemView, mode Mode, numSlots, numEdges int, scr *solveScratch, sh *preShard) greedy {
 	g := greedy{
 		views:      views,
 		unit:       mode == Unit,
 		usedDemand: resize(&scr.usedDemand, numSlots),
 		usage:      resize(&scr.usage, numEdges),
 	}
-	clear(g.usedDemand)
-	clear(g.usage)
+	if sh == nil {
+		clear(g.usedDemand)
+		clear(g.usage)
+		return g
+	}
+	for _, s := range sh.slots {
+		g.usedDemand[s] = false
+	}
+	for _, e := range sh.edges {
+		g.usage[e] = 0
+	}
 	return g
 }
 

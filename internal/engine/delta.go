@@ -27,27 +27,29 @@ import (
 //     live demands a delta has seen: those before it plus its arrivals.
 //     Removed items leave their edge indices behind, at most one per edge
 //     of the fixed network. A slot or index no view references holds zero
-//     in every fresh per-run assignment, so it cannot influence any raise,
-//     satisfaction test, or the dual objective (Value is an exact sum that
-//     skips zeros, so no numbering of the slots reaches its bits), and a
-//     shard layout is numbered from its items' order. This is what makes
+//     in every fresh per-run assignment and is never read by a shard's
+//     run, so it cannot influence any raise, satisfaction test, or the
+//     dual objective (Value is an exact sum that skips zeros, so no
+//     numbering of the slots reaches its bits). This is what makes
 //     incremental solve results bitwise identical to a from-scratch
 //     Prepare over the same item slice, even though the slot numbering
 //     differs;
-//   - the group member lists — the whole conflict structure — are patched,
-//     not rebuilt. Only the groups of departed (removed or displaced) and
-//     arriving items change: they filter out departed ids (which preserves
-//     their sort order) and merge in the arrivals (whose new ids are
-//     assigned in ascending order), so no list is ever re-sorted. Untouched
-//     groups are reused verbatim;
+//   - the demand member lists are patched, not rebuilt. Only the slots of
+//     departed (removed or displaced) and arriving items change: they
+//     filter out departed ids (which preserves their sort order) and merge
+//     in the arrivals (whose new ids are assigned in ascending order), so
+//     no list is ever re-sorted. Untouched lists are reused verbatim. The
+//     edge member lists are not kept: Members builds them again on its
+//     next read;
 //   - the lazily-built shard decomposition is marked stale, together with
-//     the components the churn reached: the shard of every departed item,
-//     and of every member of a group an arrival joined. The members of a
-//     group a departure left shared a component with the departed item,
-//     so these are exactly the components whose conflict structure
-//     changed. The next ensureShards re-traverses from their members and
-//     the arrivals only, and reuses the relabeled shard of every component
-//     the churn never reached;
+//     the components the churn reached, found through the groups' owners:
+//     the shard that owns a departed item's demand slot, and every shard
+//     that owns a group an arrival joined. The members of a group a
+//     departure left shared a component with the departed item, so these
+//     are exactly the components whose conflict structure changed. The
+//     next ensureShards finds components among their members and the
+//     arrivals only, and keeps the shard of every component the churn
+//     never reached;
 //   - the plan statistics (planStats, engine.go) count every departed item
 //     out and every arriving one in. When the departures took the last
 //     holder of a profit or height extreme, no count can tell the new
@@ -56,7 +58,7 @@ import (
 //     writes is logged for the views to come.
 //
 // Apply keeps the groups and items it touches as lists, so its work is
-// the size of the delta and of the member lists it patches, never the
+// the size of the delta and of the demand lists it patches, never the
 // number of items or groups, but for that one gather after an extreme's
 // departure.
 //
@@ -77,25 +79,22 @@ type Delta struct {
 
 // applyScratch holds Apply's bookkeeping, kept on the Prepared and reused
 // across Applies (which never overlap, per the contract above). Its marks
-// are all clear between Applies — drop all false, the group states all
+// are all clear between Applies — drop all false, the slot states all
 // untouched — because Apply resets exactly the entries it set, from its
 // lists. Steady churn rounds then allocate only what the post-churn state
 // retains (member-list growth, the arrivals' views) and touch no entry the
 // delta did not reach.
 type applyScratch struct {
-	drop      []bool  // ids leaving the member lists: removals, movers' old ids
-	dState    []int32 // per demand slot: untouched, filtered, or the arrivals' bound
-	eState    []int32 // per edge index, likewise
-	changedD  []int32 // demand slots whose member lists change
-	changedE  []int32 // edge indices whose member lists change
-	appendedD []int32 // demand slots arrivals joined, a subset of changedD
-	appendedE []int32
-	movers    []int
-	free      []int
-	tail      []int32
+	drop     []bool  // ids leaving the member lists: removals, movers' old ids
+	state    []int32 // per demand slot: untouched, filtered, or the arrivals' bound
+	changed  []int32 // demand slots whose member lists change
+	appended []int32 // demand slots arrivals joined, a subset of changed
+	movers   []int
+	free     []int
+	tail     []int32
 }
 
-// Group states during an Apply; a state ≥ 0 is the length of the group's
+// Slot states during an Apply; a state ≥ 0 is the length of the slot's
 // filtered list, where its arrivals start.
 const (
 	untouched = -1 // the list does not change
@@ -167,7 +166,7 @@ func (p *Prepared) Apply(d Delta) error {
 		tok = rec.StartSpan(PhaseApply)
 	}
 	p.shardMu.Lock()
-	p.ensureMembers() // of the item set before the delta
+	p.ensureDemandMembers() // of the item set before the delta
 	// Keep the component bookkeeping while the last shard build sharded.
 	track := p.shards != nil
 	newN := n - len(d.Remove) + len(d.Add)
@@ -200,26 +199,19 @@ func (p *Prepared) Apply(d Delta) error {
 		drop[m] = true
 	}
 
-	// Mark the groups whose member lists lose members — those of the
-	// removed and displaced items — and the components those items leave.
-	dState := extend(&scr.dState, lay.demands, untouched)
-	eState := extend(&scr.eState, lay.edges, untouched)
-	changedD, changedE := scr.changedD[:0], scr.changedE[:0]
+	// Mark the slots whose member lists lose members — those of the
+	// removed and displaced items — and the shards that own them.
+	state := extend(&scr.state, lay.demands, untouched)
+	changed := scr.changed[:0]
 	depart := func(id int) {
 		p.stats.remove(&p.items[id], id)
-		v := &lay.views[id]
-		if dState[v.Slot] == untouched {
-			dState[v.Slot] = filtered
-			changedD = append(changedD, v.Slot)
-		}
-		for _, e := range v.Edges {
-			if eState[e] == untouched {
-				eState[e] = filtered
-				changedE = append(changedE, e)
-			}
+		slot := lay.views[id].Slot
+		if state[slot] == untouched {
+			state[slot] = filtered
+			changed = append(changed, slot)
 		}
 		if track {
-			p.markStale(p.compOf[id])
+			p.markStale(p.slotOwner[slot])
 		}
 	}
 	for _, r := range d.Remove {
@@ -265,88 +257,63 @@ func (p *Prepared) Apply(d Delta) error {
 	lay.sync()
 	p.added += len(d.Add)
 	if track {
-		// Every id in free holds an arrival, in no component yet.
-		compOf := p.compOf[:min(n, newN)]
-		for len(compOf) < newN {
-			compOf = append(compOf, nil)
-		}
+		// Every id in free holds an arrival, in no component yet; the
+		// groups the additions interned have no owner yet.
 		for _, id := range free {
-			compOf[id] = nil
 			p.arrivals = append(p.arrivals, int32(id))
 		}
-		p.compOf = compOf
+		extend(&p.slotOwner, lay.demands, nil)
+		extend(&p.edgeOwner, lay.edges, nil)
 	}
 
-	// Patch the member lists in three steps, none of which disturbs their
-	// ascending order: changed groups filter out departed ids in place;
-	// grown groups appear empty; every arriving id — mover new ids first
-	// (ascending), then addition ids (ascending, all larger) — appends to
-	// its groups, and one backward merge per appended group folds the
-	// sorted tail back in. No member list is ever sorted. entries counts
-	// the entries the filters keep and the arrivals append.
+	// Patch the demand member lists in three steps, none of which disturbs
+	// their ascending order: changed lists filter out departed ids in
+	// place; grown slots appear empty; every arriving id — mover new ids
+	// first (ascending), then addition ids (ascending, all larger) —
+	// appends to its slot's list, and one backward merge per appended list
+	// folds the sorted tail back in. No member list is ever sorted.
+	// entries counts the entries the filters keep and the arrivals append.
+	// The components an arrival joins are stale: those of the owners of
+	// its slot and its path edges. (The other members of a list that only
+	// lost members shared a component with the departed item, which is
+	// marked already.)
 	entries := 0
-	for _, s := range changedD {
+	for _, s := range changed {
 		p.demandMembers[s] = filterDropped(p.demandMembers[s], drop)
 		entries += len(p.demandMembers[s])
-	}
-	for _, e := range changedE {
-		p.edgeMembers[e] = filterDropped(p.edgeMembers[e], drop)
-		entries += len(p.edgeMembers[e])
 	}
 	for len(p.demandMembers) < lay.demands {
 		p.demandMembers = append(p.demandMembers, nil)
 	}
-	for len(p.edgeMembers) < lay.edges {
-		p.edgeMembers = append(p.edgeMembers, nil)
-	}
-	dState = extend(&scr.dState, lay.demands, untouched)
-	eState = extend(&scr.eState, lay.edges, untouched)
-	appendedD, appendedE := scr.appendedD[:0], scr.appendedE[:0]
+	state = extend(&scr.state, lay.demands, untouched)
+	appended := scr.appended[:0]
 	arrive := func(id int) {
 		p.stats.add(&p.items[id], id)
 		v := &lay.views[id]
-		entries += 1 + len(v.Edges)
-		if st := dState[v.Slot]; st < 0 {
+		entries++
+		if st := state[v.Slot]; st < 0 {
 			if st == untouched {
-				changedD = append(changedD, v.Slot)
+				changed = append(changed, v.Slot)
 			}
-			dState[v.Slot] = int32(len(p.demandMembers[v.Slot]))
-			appendedD = append(appendedD, v.Slot)
+			state[v.Slot] = int32(len(p.demandMembers[v.Slot]))
+			appended = append(appended, v.Slot)
 		}
 		p.demandMembers[v.Slot] = append(p.demandMembers[v.Slot], int32(id))
-		for _, e := range v.Edges {
-			if st := eState[e]; st < 0 {
-				if st == untouched {
-					changedE = append(changedE, e)
-				}
-				eState[e] = int32(len(p.edgeMembers[e]))
-				appendedE = append(appendedE, e)
+		if track {
+			p.markStale(p.slotOwner[v.Slot])
+			for _, e := range v.Edges {
+				p.markStale(p.edgeOwner[e])
 			}
-			p.edgeMembers[e] = append(p.edgeMembers[e], int32(id))
 		}
 	}
 	for _, id := range free {
 		arrive(id)
 	}
 	tail := scr.tail // scratch right run for the backward merges
-	for _, s := range appendedD {
-		tail = mergeTail(p.demandMembers[s], int(dState[s]), tail)
+	for _, s := range appended {
+		tail = mergeTail(p.demandMembers[s], int(state[s]), tail)
 	}
-	for _, e := range appendedE {
-		tail = mergeTail(p.edgeMembers[e], int(eState[e]), tail)
-	}
-
-	// The components a group's arrivals join are stale too. (The other
-	// members of a group that only lost members shared a component with
-	// the departed item, which is marked already.)
-	if track {
-		for _, s := range appendedD {
-			p.markStaleMembers(p.demandMembers[s])
-		}
-		for _, e := range appendedE {
-			p.markStaleMembers(p.edgeMembers[e])
-		}
-	}
+	p.edgesBuilt = false
 	if p.shardsBuilt {
 		p.shardsStale = true
 	}
@@ -363,14 +330,11 @@ func (p *Prepared) Apply(d Delta) error {
 	// merged: a mover leaves its demand's list before it comes back under
 	// its new id, so an earlier release could give a live demand's slot to
 	// an arrival.
-	for _, s := range changedD {
-		dState[s] = untouched
+	for _, s := range changed {
+		state[s] = untouched
 		if len(p.demandMembers[s]) == 0 {
 			lay.ix.ReleaseDemand(s)
 		}
-	}
-	for _, e := range changedE {
-		eState[e] = untouched
 	}
 	for _, r := range d.Remove {
 		drop[r] = false
@@ -378,29 +342,22 @@ func (p *Prepared) Apply(d Delta) error {
 	for _, m := range movers {
 		drop[m] = false
 	}
-	scr.changedD, scr.changedE, scr.appendedD, scr.appendedE, scr.tail = changedD, changedE, appendedD, appendedE, tail
+	scr.changed, scr.appended, scr.tail = changed, appended, tail
 	if rec != nil {
-		rec.Count(CounterApplyGroups, int64(len(changedD)+len(changedE)))
+		rec.Count(CounterApplyGroups, int64(len(changed)))
 		rec.Count(CounterMemberEntries, int64(entries))
 		rec.EndSpan(PhaseApply, tok)
 	}
 	return nil
 }
 
-// markStale marks sh, the shard of a component a delta reached; nil (an
-// item that arrived since the last build) marks nothing. Callers hold
+// markStale marks sh, the shard that owns a group a delta reached; nil (a
+// group no shard owns: one only arrivals use) marks nothing. Callers hold
 // shardMu.
 func (p *Prepared) markStale(sh *preShard) {
 	if sh != nil && !sh.stale {
 		sh.stale = true
 		p.staleShards = append(p.staleShards, sh)
-	}
-}
-
-// markStaleMembers marks the shards of the members of one group.
-func (p *Prepared) markStaleMembers(members []int32) {
-	for _, m := range members {
-		p.markStale(p.compOf[m])
 	}
 }
 

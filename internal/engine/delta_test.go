@@ -213,37 +213,78 @@ func shardItems(p *Prepared, sh *preShard) []Item {
 	return items
 }
 
-// checkShardLayouts checks every shard of p against a layout built over the
-// shard's items: relabel must number demand slots and edge indices exactly
-// as interning would, read each slot's demand id through its translation,
-// and its translations must lead each local slot and edge index back to
-// the global one of the same key.
+// checkShardLayouts checks every shard of p against its items prepared
+// afresh: its demand slots and edge indices must be the global ones of
+// exactly the keys interning the shard's items gives, each once, and the
+// shard must own each of them. Then checkOwners.
 func checkShardLayouts(t *testing.T, p *Prepared) {
 	t.Helper()
 	for s, sh := range p.shards {
 		want := Prepare(shardItems(p, sh)).lay
-		got := sh.lay
-		if got.demands != want.demands || got.edges != want.edges || !slices.Equal(got.demandIDs, want.demandIDs) {
-			t.Fatalf("shard %d: layout extents or demand ids diverge from interning", s)
-		}
-		for i := range want.views {
-			g, w := &got.views[i], &want.views[i]
-			if g.Slot != w.Slot || g.Group != w.Group || g.Profit != w.Profit || g.Height != w.Height ||
-				!slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Critical, w.Critical) {
-				t.Fatalf("shard %d item %d: view %+v, interned %+v", s, i, *g, *w)
+		var gotD, wantD []int
+		for _, g := range sh.slots {
+			gotD = append(gotD, p.lay.ix.DemandID(g))
+			if p.slotOwner[g] != sh {
+				t.Fatalf("shard %d does not own its demand slot %d", s, g)
 			}
 		}
-		for l, gs := range sh.gslot {
-			if p.lay.ix.DemandID(gs) != want.ix.DemandID(int32(l)) {
-				t.Fatalf("shard %d: demand slot %d translates to the wrong global slot", s, l)
+		for l := 0; l < want.demands; l++ {
+			wantD = append(wantD, want.ix.DemandID(int32(l)))
+		}
+		slices.Sort(gotD)
+		slices.Sort(wantD)
+		if !slices.Equal(gotD, wantD) {
+			t.Fatalf("shard %d: demands %v, interning its items gives %v", s, gotD, wantD)
+		}
+		var gotE, wantE []model.EdgeKey
+		for _, g := range sh.edges {
+			gotE = append(gotE, p.lay.ix.EdgeKey(g))
+			if p.edgeOwner[g] != sh {
+				t.Fatalf("shard %d does not own its edge index %d", s, g)
 			}
 		}
-		for l, ge := range sh.gedge {
-			if p.lay.ix.EdgeKey(ge) != want.ix.EdgeKey(int32(l)) {
-				t.Fatalf("shard %d: edge index %d translates to the wrong global index", s, l)
-			}
+		for l := 0; l < want.edges; l++ {
+			wantE = append(wantE, want.ix.EdgeKey(int32(l)))
+		}
+		slices.Sort(gotE)
+		slices.Sort(wantE)
+		if !slices.Equal(gotE, wantE) {
+			t.Fatalf("shard %d: edges %v, interning its items gives %v", s, gotE, wantE)
 		}
 	}
+	checkOwners(t, p)
+}
+
+// checkOwners checks that every owner entry of p names a live shard or
+// none, and that the entries naming a shard are exactly its groups: a
+// shard a build replaced gave its entries up, and holds no memory through
+// them.
+func checkOwners(t testing.TB, p *Prepared) {
+	t.Helper()
+	live := make(map[*preShard]bool, len(p.shards))
+	slots, edges := 0, 0
+	for _, sh := range p.shards {
+		live[sh] = true
+		slots += len(sh.slots)
+		edges += len(sh.edges)
+	}
+	count := func(side string, owners []*preShard, want int) {
+		n := 0
+		for g, sh := range owners {
+			if sh == nil {
+				continue
+			}
+			if !live[sh] {
+				t.Fatalf("%s %d is owned by a shard that is not live", side, g)
+			}
+			n++
+		}
+		if n != want {
+			t.Fatalf("%d %s entries name a shard, the live shards use %d", n, side, want)
+		}
+	}
+	count("demand slot", p.slotOwner, slots)
+	count("edge index", p.edgeOwner, edges)
 }
 
 // applyRandomDelta churns the prepared set against the pool: inSet marks

@@ -6,7 +6,7 @@ import "treesched/internal/dual"
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
 // engine already builds once per item set (views, dual extents, and the
-// group member lists, which the run's setup builds on its first read),
+// group member lists, which the run's setup builds on its read),
 // and the dist coordinator reconstructs the global selection, dual, λ and
 // trace by replaying the collected raise history through the very same
 // prepared layout. Everything exported here is immutable during runs, so
@@ -18,14 +18,25 @@ import "treesched/internal/dual"
 // copying path/critical sets per processor.
 func (p *Prepared) Views() []ItemView { return p.lay.views }
 
-// Members returns the prepared conflict structure, built on the first
-// read: demandMembers[s] and edgeMembers[e] list, ascending, the items
-// whose demand interned to slot s and whose path contains edge index e.
-// Two items conflict iff they share a list. Strictly read-only.
+// Members returns the prepared conflict structure as member lists:
+// demandMembers[s] and edgeMembers[e] list, ascending, the items whose
+// demand interned to slot s and whose path contains edge index e. Two
+// items conflict iff they share a list. The edge lists are built on this
+// read — and again on the first read after an Apply — and their entries
+// counted with the recorder. Strictly read-only, and valid until the next
+// Apply.
 func (p *Prepared) Members() (demandMembers, edgeMembers [][]int32) {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
-	p.ensureMembers()
+	p.ensureDemandMembers()
+	if !p.edgesBuilt {
+		var entries int
+		p.edgeMembers, entries = buildMembers(p.lay.views, p.lay.edges, true)
+		p.edgesBuilt = true
+		if p.rec != nil {
+			p.rec.Count(CounterMemberEntries, int64(entries))
+		}
+	}
 	return p.demandMembers, p.edgeMembers
 }
 

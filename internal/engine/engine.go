@@ -95,8 +95,8 @@ type Result struct {
 	// Prepared's index: its demand slots name their demands until the next
 	// Apply, which may give a departed demand's slot to an arrival. A
 	// sharded solve (a warm-start Prepared's, parallel.go) scores the dual
-	// per component and leaves Dual nil; the engine's tests assemble it on
-	// request through MergedDual.
+	// per component and leaves Dual nil; the engine's tests read the dual
+	// its components ran in through MergedDual.
 	Dual   *dual.Assignment
 	Lambda float64 // measured slackness min LHS/p over all items
 	Bound  float64 // weak-duality upper bound on Opt: Value/λ
@@ -117,24 +117,26 @@ type Result struct {
 	MISIters int
 	Trace    *Trace
 
-	// A sharded solve's component outcomes and the global index they
-	// translate into, from which mergedDual assembles the dual and
-	// mergedSchedule the schedule statistics.
+	// A sharded solve's component outcomes, from which mergedSchedule
+	// rebuilds the schedule statistics, and the assignment they ran in,
+	// which mergedDual returns.
 	shards []*shardOut
-	ix     *dual.Index
+	shared *dual.Assignment
 }
 
 // state is the mutable run state shared by the phases. The dual raises,
 // coefficient handling and threshold checks live in the shared Core so the
 // in-process run and the dist protocol cannot drift; all dual addressing
 // goes through the layout's precomputed dense views. The raise stack is
-// the scratch's (solveScratch.stack).
+// the scratch's (solveScratch.stack). A shard's run covers its
+// component's items only (shard), over the same global views.
 type state struct {
 	lay   *layout
 	cfg   Config
 	plan  *Plan
 	core  *Core
 	scr   *solveScratch
+	shard *preShard // nil: every item
 	trace *Trace
 	steps int
 }
@@ -165,7 +167,8 @@ type solveScratch struct {
 	usage      []float64
 	// streams holds one splitmix64 priority stream per demand slot,
 	// re-seeded by newState exactly as the dist nodes seed theirs
-	// (NewStream).
+	// (NewStream): every slot for a serial run, a shard's own for a
+	// shard's.
 	streams []Stream
 	// live holds the item ids bucketed by group, ascending within a group;
 	// groupEnd[k] is where group k's bucket ends (group k starts at
@@ -221,29 +224,35 @@ func PlanFor(items []Item, cfg Config) (*Plan, error) {
 }
 
 // newState assembles run state over a prepared plan and dense layout, with
-// d, all zero, as its dual. The layout is read-only: concurrent states
-// (runs over one Prepared, shard workers) may share one. Its views are the
-// whole item set a run reads, and also the conflict graph: an item's
-// demand slot and edge indices are the groups it belongs to. scr may be a
-// pooled scratch (nil allocates a private one); the state lives in it, its
-// raise stack is emptied, and its streams are re-seeded here, so a
-// recycled scratch starts every run from the same stream positions a fresh
-// one would.
-func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch, d *dual.Assignment) *state {
+// d as its dual: all zero, or, for a shard (sh non-nil), zero at the
+// shard's entries, the only ones its run reads or writes. The layout is
+// read-only: concurrent states (runs over one Prepared, shard workers) may
+// share one, and concurrent shards share d, each writing only its own
+// entries. Its views are the whole item set a run reads, and also the
+// conflict graph: an item's demand slot and edge indices are the groups it
+// belongs to. scr may be a pooled scratch (nil allocates a private one);
+// the state lives in it, its raise stack is emptied, and its streams are
+// re-seeded here (a shard's own slots only, which are all its draws
+// read), so a recycled scratch starts every run from the same stream
+// positions a fresh one would.
+func newState(lay *layout, cfg Config, plan *Plan, scr *solveScratch, d *dual.Assignment, sh *preShard) *state {
 	if scr == nil {
 		scr = &solveScratch{}
 	}
 	scr.core = Core{Mode: cfg.Mode, Dual: d}
-	scr.st = state{lay: lay, cfg: cfg, plan: plan, core: &scr.core, scr: scr}
+	scr.st = state{lay: lay, cfg: cfg, plan: plan, core: &scr.core, scr: scr, shard: sh}
 	scr.stack, scr.picks = scr.stack[:0], scr.picks[:0]
 	st := &scr.st
 	ids := lay.demandIDs
-	if cap(scr.streams) < len(ids) {
-		scr.streams = make([]Stream, len(ids))
-	}
-	scr.streams = scr.streams[:len(ids)]
-	for s, id := range ids {
-		scr.streams[s] = NewStream(cfg.Seed, id)
+	streams := resize(&scr.streams, len(ids))
+	if sh == nil {
+		for s, id := range ids {
+			streams[s] = NewStream(cfg.Seed, id)
+		}
+	} else {
+		for _, s := range sh.slots {
+			streams[s] = NewStream(cfg.Seed, ids[s])
+		}
 	}
 	if cfg.RecordTrace {
 		st.trace = &Trace{}
@@ -272,7 +281,7 @@ func (p *Prepared) runSerial(cfg Config) (*Result, error) {
 	if err := p.plan(cfg, plan); err != nil {
 		return nil, err
 	}
-	st := newState(p.lay, cfg, plan, scr, p.runDual())
+	st := newState(p.lay, cfg, plan, scr, p.runDual(), nil)
 	res := &Result{Dual: st.core.Dual, Trace: st.trace, Delta: plan.Delta}
 	scan, err := st.firstPhase(res)
 	if err != nil {
@@ -449,6 +458,12 @@ func (s *planStats) plan(items []Item, cfg Config, p *Plan) (read int, err error
 		p.Thresholds = append(p.Thresholds, 1/(5+cfg.Epsilon))
 		return 0, nil
 	}
+	// The ladder has b = ⌈ln ε / ln ξ⌉ stages, and under the narrow rule,
+	// where ln ξ ≈ −hmin/C, that grows as C/hmin: bound it before counting.
+	if b := math.Ceil(math.Log(cfg.Epsilon) / math.Log(p.Xi)); !(b <= maxStages) {
+		return 0, fmt.Errorf("engine: the stage ladder needs about %v stages (ξ = %v, ε = %v, least height %v), more than %d",
+			b, p.Xi, cfg.Epsilon, hmin, maxStages)
+	}
 	b := 1
 	for x := p.Xi; x > cfg.Epsilon; x *= p.Xi {
 		b++
@@ -462,6 +477,17 @@ func (s *planStats) plan(items []Item, cfg Config, p *Plan) (read int, err error
 	}
 	return 0, nil
 }
+
+// maxStages bounds a plan's stages per epoch. Every epoch scans its live
+// items once per stage, and the plan keeps a threshold per stage, so a
+// ladder of b stages costs up to b scans and 8b bytes before it raises
+// anything. 1<<16 stages (512 KiB of thresholds) hold the narrow rule's
+// ladder, about (C/hmin)·ln(1/ε) stages with C = 1+∆², down to least
+// heights of 3e-3 at ∆ = 6 and ε = 0.01; the narrow sets of the tests and
+// experiments, whose least heights are 0.01 and up, need at most 1,500.
+// The unit rule's ladder stays under a thousand stages for ∆ ≤ 20 at any
+// ε above 1e-9.
+const maxStages = 1 << 16
 
 // lastNonzero returns the largest index of a nonzero count, or 0.
 func lastNonzero(counts []int) int {
@@ -627,25 +653,43 @@ func (st *state) firstPhase(res *Result) (scanWork, error) {
 				res.Raised += len(chosen)
 				st.scr.stack = append(st.scr.stack, step{epoch: k, stage: j + 1, iter: iter, items: chosen, misIters: iters})
 			}
+			// Every member is satisfied at the top threshold: each later
+			// stage would scan nothing and raise nothing.
+			if len(members) == 0 {
+				break
+			}
 		}
 	}
 	return scan, nil
 }
 
-// groupMembers buckets the item ids by their views' groups (a counting
-// sort into the scratch, ascending within each group) and returns the
-// buckets with their end offsets: group k is live[groupEnd[k-1]:groupEnd[k]]
-// for 1 ≤ k ≤ plan.MaxGroup. Groups are validated ≥ 1, so bucket 0 is
-// empty.
+// groupMembers buckets the run's item ids — a shard's component, or every
+// item — by their views' groups (a counting sort into the scratch,
+// ascending within each group) and returns the buckets with their end
+// offsets: group k is live[groupEnd[k-1]:groupEnd[k]] for
+// 1 ≤ k ≤ plan.MaxGroup. Groups are validated ≥ 1, so bucket 0 is empty.
+//
+//schedvet:hot
 func (st *state) groupMembers() (live, groupEnd []int) {
 	scr := st.scr
 	views := st.lay.views
 	g := st.plan.MaxGroup
+	// ids lists the run's items; a serial run's are 0..n-1, listed in
+	// the scratch once per run.
+	var ids []int
+	if st.shard != nil {
+		ids = st.shard.comp
+	} else {
+		ids = resize(&scr.uBuf, len(views))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
 	// pos[k] counts group k-1, then holds bucket k's start, and after the
 	// fill has advanced it past every member, bucket k's end.
 	pos := slices.Grow(scr.groupEnd[:0], g+2)[:g+2]
 	clear(pos)
-	for i := range views {
+	for _, i := range ids {
 		if k := int(views[i].Group); k <= g {
 			pos[k+1]++
 		}
@@ -655,7 +699,7 @@ func (st *state) groupMembers() (live, groupEnd []int) {
 	}
 	n := pos[g+1]
 	live = slices.Grow(scr.live[:0], n)[:n]
-	for i := range views {
+	for _, i := range ids {
 		if k := int(views[i].Group); k <= g {
 			live[pos[k]] = i
 			pos[k]++
@@ -778,7 +822,7 @@ func (st *state) popGreedy(raised int) []int {
 	if raised == 0 {
 		return nil
 	}
-	g := newGreedy(st.lay.views, st.cfg.Mode, st.lay.demands, st.lay.edges, st.scr)
+	g := newGreedy(st.lay.views, st.cfg.Mode, st.lay.demands, st.lay.edges, st.scr, st.shard)
 	sel := make([]int, 0, raised)
 	for s := len(st.scr.stack) - 1; s >= 0; s-- {
 		sel = g.take(st.scr.stack[s].items, sel)

@@ -22,17 +22,20 @@ import (
 // full epoch/stage/step schedule per component on a worker pool and
 // reassembles the global serial result exactly:
 //
+//   - every shard runs in place, over the global views and one dual
+//     assignment the Prepared keeps: it zeroes its own entries (its demand
+//     slots and edge indices), and its run reads and writes no other, so
+//     concurrent shards share the assignment without touching each
+//     other's entries, and it ends holding every shard's last run;
 //   - the greedy second phase decides an item by its own demand's and path
 //     edges' usage, all inside its component, so each shard's greedy pass
 //     over its own stack selects the serial selection restricted to the
 //     shard: the union of the shards' selections is the serial selection,
-//     and its profit is one exact sum (SumProfit), which no order changes;
-//   - the shards' duals are disjoint and together hold every nonzero α and
-//     β of the serial dual, so the min of their λ minima is the serial λ,
-//     and the exact sum of their partial sums (dual.Sum, kept with each
-//     shard's outcome) rounds to the serial dual value: the same bound,
-//     with no global α/β built. A caller that wants the dual itself asks
-//     for it (Result.mergedDual), and only then is it assembled;
+//     and its profit is one exact sum, which no order or grouping changes;
+//   - the shards' entries together hold every nonzero α and β of the
+//     serial dual, so the min of their λ minima is the serial λ, and the
+//     exact sum of their partial sums (dual.Sum, kept with each shard's
+//     outcome) rounds to the serial dual value: the same bound;
 //   - a serial step at schedule position (epoch, stage, iter) raises the
 //     union over components of the items each component raises at that
 //     same position, and its Luby election runs until every active
@@ -42,6 +45,12 @@ import (
 //     position, which only a caller that asks for them pays for
 //     (Result.mergedSchedule; the merge asks under RecordTrace).
 //
+// The merge keeps running totals across solves — the exact dual and
+// profit sums and a bitset of the selected items — and updates them only
+// for the outcomes that change: it folds a re-run shard's outcome in, and
+// the outcome it replaces, or a retired shard's, out (dual.Sum.Sub is
+// exact), so a warm round's merge costs the shards churn touched.
+//
 // The result is bit-identical to the serial engine's for every worker
 // count. Because each shard's execution is self-contained, it is also
 // replayable: with the warm-start cache enabled (warm.go), shards
@@ -50,24 +59,25 @@ import (
 //
 // Replay is the only reason to shard. A cold solve has nothing to replay,
 // and splitting one has not paid at any size measured on 2 vCPUs: the
-// component pass, a relabeled layout per shard and the merge cost more
-// than the first phase the shards run in parallel (doc.go, "Component
-// shards"). Without the cache, Solve runs the serial engine.
+// component pass, the per-shard outcomes and the merge cost more than the
+// first phase the shards run in parallel (doc.go, "Component shards").
+// Without the cache, Solve runs the serial engine.
 
 // shardOut is one conflict component's completed execution: exactly what
 // mergeShards and mergedSchedule consume and nothing transient — the raise
-// stack with schedule stamps, the greedy selection, the shard-local dense
-// dual assignment with its exact partial sum, the trace (when recorded),
-// and the per-shard counters. The warm-start cache retains these across
-// solves and replays them verbatim for untouched components, so a shardOut
-// must never alias pooled scratch, and nothing reads it mutably once
-// recorded.
+// stack with schedule stamps, the greedy selection, the exact partial sums
+// of the shard's dual entries and of its selection's profits, the trace
+// (when recorded), and the per-shard counters. The warm-start cache
+// retains these across solves and replays them verbatim for untouched
+// components, so a shardOut must never alias pooled scratch, and nothing
+// reads it mutably once recorded. Its item ids are those of the run that
+// made it: the merge folds its selection out before Apply's reuse of an
+// id reaches the totals.
 type shardOut struct {
-	pre           *preShard
 	stack         []step
-	sel           []int // the global ids the shard's greedy pass selected, in pop order
-	dual          *dual.Assignment
-	sum           dual.Sum // every nonzero α and β of dual, added exactly
+	sel           []int    // the global ids the shard's greedy pass selected, in pop order
+	sum           dual.Sum // every nonzero α and β of the shard's entries, added exactly
+	profit        dual.Sum // the profits of sel, added exactly
 	trace         *Trace
 	lambda        float64 // min(1, min LHS/p) over this shard's items
 	raised        int
@@ -83,7 +93,8 @@ type shardOut struct {
 // runtime.GOMAXPROCS(0), matching Options.Parallelism at the root. It
 // still runs the serial engine when the instance is one component, or the
 // last decomposition found one: a single shard would be the serial
-// execution plus a merge. Every path returns the serial Result bit for bit.
+// execution plus a merge. Concurrent sharded solves serialize on the dual
+// they share. Every path returns the serial Result bit for bit.
 func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 	if rec := p.rec; rec != nil {
 		tok := rec.StartSpan(PhaseSolve)
@@ -116,11 +127,13 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	outs, err := p.runShards(cfg, plan, workers)
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	outs, todo, err := p.runShards(cfg, plan, workers)
 	if err != nil {
 		return nil, err
 	}
-	return p.mergeShards(cfg, plan, outs)
+	return p.mergeShards(cfg, plan, outs, todo), nil
 }
 
 // RunParallel is Solve.
@@ -130,42 +143,47 @@ func (p *Prepared) RunParallel(cfg Config, workers int) (*Result, error) {
 	return p.Solve(cfg, workers)
 }
 
-// runShard executes one component's first phase over (pooled) scratch,
-// pops its stack through the greedy rule, and captures the outcome with
-// its dual's λ minimum and exact partial sum, and its stack copied out of
-// the scratch. With rec attached it runs in a PhaseShardSolve span and
-// counts its work.
-func runShard(pre *preShard, cfg Config, plan *Plan, scr *solveScratch, rec Recorder) (*shardOut, error) {
+// runShard executes one component's first phase in place, over (pooled)
+// scratch and the shared dual, whose entries of the shard it zeroes
+// first; pops its stack through the greedy rule; and captures the outcome
+// with its λ minimum and the exact partial sums of its dual entries and
+// its selection's profits, and its stack copied out of the scratch. With a
+// recorder attached it runs in a PhaseShardSolve span and counts its work.
+//
+//schedvet:hot
+func (p *Prepared) runShard(sh *preShard, cfg Config, plan *Plan, scr *solveScratch) (*shardOut, error) {
+	rec := p.rec
 	var tok int64
 	if rec != nil {
 		tok = rec.StartSpan(PhaseShardSolve)
 	}
-	st := newState(pre.lay, cfg, plan, scr, dual.NewDense(pre.lay.demands, pre.lay.edges))
-	res := &Result{Dual: st.core.Dual, Trace: st.trace}
-	scan, err := st.firstPhase(res)
+	p.dual.Zero(sh.slots, sh.edges)
+	st := newState(p.lay, cfg, plan, scr, p.dual, sh)
+	var res Result
+	scan, err := st.firstPhase(&res)
 	if err != nil {
 		return nil, err
 	}
 	out := &shardOut{
-		pre:           pre,
 		stack:         scr.ownStack(),
-		dual:          st.core.Dual,
 		trace:         st.trace,
-		lambda:        st.core.lambdaOnly(pre.lay.views),
+		lambda:        st.core.lambdaOver(p.lay.views, sh.comp),
 		raised:        res.Raised,
 		maxStageSteps: res.MaxStageSteps,
 	}
-	out.dual.AddTo(&out.sum)
-	out.sum.Carry() // every merge of the cached partial then adds it as is
+	// Both partials are carried once, complete, so every fold of them
+	// adds or subtracts them as they are.
+	p.dual.AddEntriesTo(&out.sum, sh.slots, sh.edges)
+	out.sum.Carry()
 	// The serial pop order restricted to this shard: steps last to first,
-	// local ids ascending within a step.
-	sel := st.popGreedy(out.raised)
-	for i, id := range sel {
-		sel[i] = pre.comp[id]
+	// ids ascending within a step.
+	out.sel = st.popGreedy(out.raised)
+	for _, id := range out.sel {
+		out.profit.Add(p.items[id].Profit)
 	}
-	out.sel = sel
+	out.profit.Carry()
 	if rec != nil {
-		countWork(rec, scan, res)
+		countWork(rec, scan, &res)
 		rec.EndSpan(PhaseShardSolve, tok)
 	}
 	return out, nil
@@ -187,24 +205,53 @@ func (scr *solveScratch) ownStack() []step {
 	return stack
 }
 
-// runShards produces every shard's first-phase outcome: cached outcomes are
-// replayed for shards whose preShard survived since the last solve under
-// the same configuration and whose stages ended below the plan's step cap,
-// the rest run on min(workers, runnable) goroutines with per-worker pooled
-// scratch. The full outcome set is recorded for the next round.
-func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, error) {
+// runShards produces every shard's first-phase outcome, and the indices of
+// the shards it re-ran: cached outcomes are replayed for shards whose
+// preShard survived since the last solve under the same configuration and
+// whose stages ended below the plan's step cap, the rest run on
+// min(workers, runnable) goroutines with per-worker pooled scratch. First
+// it readies the shared dual: grown to the index, with the entries of the
+// shards builds retired since zeroed, or, after a full build, a new one. It
+// leaves the outcomes the merge must fold out — those of the retired
+// shards and those the re-run ones replace — in the totals, and records
+// the full outcome set for the next round. Callers hold runMu.
+func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, []int, error) {
+	t := &p.totals
+	if p.dual == nil || p.rebuilt {
+		p.dual = dual.NewWithIndex(p.lay.ix)
+		t.valid = false
+	} else {
+		p.dual.Grow(p.lay.ix)
+	}
+	t.unfold = t.unfold[:0]
+	for _, sh := range p.retired {
+		p.dual.Zero(sh.slots, sh.edges)
+		if sh.out != nil {
+			t.unfold = append(t.unfold, sh.out)
+		}
+	}
+	clear(p.retired)
+	p.retired, p.rebuilt = p.retired[:0], false
+
 	key := warmKeyFor(cfg, plan)
 	outs := make([]*shardOut, len(p.shards))
-	todo := make([]int, 0, len(p.shards)-p.warm.replay(key, plan.StepCap, p.shards, outs))
+	replayed := p.warm.replay(key, plan.StepCap, p.shards, outs)
+	todo := make([]int, 0, len(p.shards)-replayed)
 	for s, out := range outs {
 		if out == nil {
 			todo = append(todo, s)
+			if old := p.shards[s].out; old != nil {
+				t.unfold = append(t.unfold, old)
+			}
 		}
+	}
+	if replayed == 0 {
+		t.valid = false // every outcome is new: the merge starts afresh
 	}
 	rec := p.rec
 	if rec != nil {
 		rec.Count(CounterComponents, int64(len(p.shards)))
-		rec.Count(CounterComponentsReplayed, int64(len(p.shards)-len(todo)))
+		rec.Count(CounterComponentsReplayed, int64(replayed))
 		rec.Count(CounterComponentsResolved, int64(len(todo)))
 		rec.Count(CounterIntraLanes, 1)
 	}
@@ -220,7 +267,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 		if compWorkers <= 1 {
 			scr := scratchPool.Get().(*solveScratch)
 			for i, s := range todo {
-				outs[s], errs[i] = runShard(p.shards[s], cfg, plan, scr, rec)
+				outs[s], errs[i] = p.runShard(p.shards[s], cfg, plan, scr)
 			}
 			scratchPool.Put(scr)
 		} else {
@@ -233,7 +280,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 					scr := scratchPool.Get().(*solveScratch)
 					defer scratchPool.Put(scr)
 					for i := range work {
-						outs[todo[i]], errs[i] = runShard(p.shards[todo[i]], cfg, plan, scr, rec)
+						outs[todo[i]], errs[i] = p.runShard(p.shards[todo[i]], cfg, plan, scr)
 					}
 				}()
 			}
@@ -245,34 +292,77 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 		}
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				// The shards that ran hold entries no recorded outcome
+				// matches: every shard runs again next time.
+				p.warm.forget()
+				t.valid = false
+				return nil, nil, err
 			}
 		}
 	}
-	p.warm.record(key, p.shards, outs, len(p.shards)-len(todo))
-	return outs, nil
+	p.warm.record(key, p.shards, outs, replayed)
+	return outs, todo, nil
 }
 
-// selMarks pools the bitset mergeShards collects the selection in: one bit
-// per item, all clear between merges.
-var selMarks = sync.Pool{New: func() any { return new([]uint64) }}
+// mergeTotals are mergeShards' running aggregates, kept across warm
+// solves under runMu: over the outcomes folded in — when valid, exactly
+// the outcomes the last merge returned — the exact sums of their partial
+// dual sums and of their selections' profits, and their selections as a
+// bitset over item ids with its population. unfold lists the outcomes the
+// next merge folds out.
+type mergeTotals struct {
+	valid    bool
+	dual     dual.Sum
+	profit   dual.Sum
+	sel      []uint64
+	selected int
+	unfold   []*shardOut
+}
 
-// mergeShards assembles the Result from per-shard outcomes: the shards' λ
-// minima and exact partial sums score the dual, and the union of their
-// selections, ascending, is Selected, whose profit is one exact sum. It
-// reads no shard stack, builds no global dual and sorts nothing: the
-// Result keeps the outcomes, for mergedDual and mergedSchedule, and only
-// under RecordTrace does it ask mergedSchedule for the schedule
-// statistics and the trace.
+// fold folds an outcome into the totals.
 //
 //schedvet:hot
-func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Result, error) {
+func (t *mergeTotals) fold(out *shardOut) {
+	t.dual.Merge(&out.sum)
+	t.profit.Merge(&out.profit)
+	for _, id := range out.sel {
+		t.sel[id>>6] |= 1 << (id & 63)
+	}
+	t.selected += len(out.sel)
+}
+
+// unfoldOut folds a folded-in outcome out of the totals. Subtraction is
+// exact, so the sums are those of the outcomes left, bit for bit.
+//
+//schedvet:hot
+func (t *mergeTotals) unfoldOut(out *shardOut) {
+	t.dual.Sub(&out.sum)
+	t.profit.Sub(&out.profit)
+	for _, id := range out.sel {
+		t.sel[id>>6] &^= 1 << (id & 63)
+	}
+	t.selected -= len(out.sel)
+}
+
+// mergeShards assembles the Result from per-shard outcomes. The running
+// totals fold in the outcomes of the shards listed in todo, which re-ran,
+// after folding out those the run left to unfold — or, when they are not
+// valid, start afresh from every outcome — so the exact dual sum over λ,
+// the min of the shards' λ minima, scores the dual, the bitset's one scan
+// writes Selected, ascending, and the profit sum rounds once. It reads no
+// shard stack, builds no dual and sorts nothing: the Result keeps the
+// outcomes, for mergedSchedule, and the shared dual, for mergedDual, and
+// only under RecordTrace does it ask mergedSchedule for the schedule
+// statistics and the trace. Callers hold runMu.
+//
+//schedvet:hot
+func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut, todo []int) *Result {
 	res := &Result{
 		Delta:  plan.Delta,
 		Epochs: plan.MaxGroup,
 		Stages: plan.Stages,
 		shards: outs,
-		ix:     p.lay.ix,
+		shared: p.dual,
 	}
 
 	// PhaseMerge is one segment, before PhaseGreedy, so the per-phase
@@ -282,90 +372,87 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut) (*Resul
 	if rec != nil {
 		mtok = rec.StartSpan(PhaseMerge)
 	}
-	selected := 0
+	t := &p.totals
+	words := (len(p.items) + 63) / 64
+	folds := 0
+	if t.valid {
+		extend(&t.sel, words, 0)
+		for _, out := range t.unfold {
+			t.unfoldOut(out)
+		}
+		for _, s := range todo {
+			t.fold(outs[s])
+		}
+		folds = len(t.unfold) + len(todo)
+	} else {
+		t.dual, t.profit = dual.Sum{}, dual.Sum{}
+		clear(extend(&t.sel, words, 0))
+		t.selected = 0
+		for _, out := range outs {
+			t.fold(out)
+		}
+		folds, t.valid = len(outs), true
+	}
+	clear(t.unfold)
+	t.unfold = t.unfold[:0]
+
+	// Score the dual. The components partition the dual variables, so λ
+	// is the min of the shards' cached minima (order-independent and
+	// arithmetic-free), and the dual value is the exact sum of their
+	// cached partial sums, which rounds to the bits of the serial dual's
+	// Value in any grouping.
+	lambda := 1.0
 	for _, out := range outs {
+		if out.lambda < lambda {
+			lambda = out.lambda
+		}
 		res.Raised += out.raised
 		res.MaxStageSteps = max(res.MaxStageSteps, out.maxStageSteps)
-		selected += len(out.sel)
 	}
-
-	// Score the dual. The components partition the dual variables, so
-	// λ is the min of the shards' cached minima (order-independent and
-	// arithmetic-free), and the dual value is the exact sum of their
-	// cached partial sums, which rounds to the bits of the merged dual's
-	// Value in any grouping. Replayed shards cost one min and one merge.
-	if len(p.items) > 0 {
-		lambda := 1.0
-		for _, out := range outs {
-			if out.lambda < lambda {
-				lambda = out.lambda
-			}
-		}
-		res.Lambda = lambda
-		if lambda <= 0 {
-			res.Bound = math.Inf(1)
-		} else {
-			var sum dual.Sum
-			for _, out := range outs {
-				sum.Merge(&out.sum)
-			}
-			res.Bound = sum.Round() / lambda
-		}
+	res.Lambda = lambda
+	if lambda <= 0 {
+		res.Bound = math.Inf(1)
+	} else {
+		res.Bound = t.dual.Round() / lambda
 	}
 	if cfg.RecordTrace {
 		res.Steps, res.MISIters, res.Trace = res.mergedSchedule()
 	}
 
-	// The shards ran the greedy pass: each selected id sets its bit, and
-	// one scan of the bitset writes Selected, ascending.
+	// The shards ran the greedy pass: one scan of the bitset writes the
+	// union of their selections, ascending.
 	var gtok int64
 	if rec != nil {
 		rec.EndSpan(PhaseMerge, mtok)
+		rec.Count(CounterMergeOutcomes, int64(folds))
 		gtok = rec.StartSpan(PhaseGreedy)
 	}
-	if selected > 0 {
-		res.Selected = make([]int, 0, selected)
-		buf := selMarks.Get().(*[]uint64)
-		words := (len(p.items) + 63) / 64
-		marks := extend(buf, words, 0)[:words]
-		for _, out := range outs {
-			for _, id := range out.sel {
-				marks[id>>6] |= 1 << (id & 63)
-			}
-		}
-		for w, word := range marks {
+	if t.selected > 0 {
+		res.Selected = make([]int, 0, t.selected)
+		for w, word := range t.sel[:words] {
 			for ; word != 0; word &= word - 1 {
 				res.Selected = append(res.Selected, w<<6|bits.TrailingZeros64(word))
 			}
-			marks[w] = 0
 		}
-		// The bitset goes back only from here: a merge that panics leaves
-		// bits set, and its bitset must not be reused.
-		//schedvet:ok hotpath boxing a pointer allocates nothing; one Put per merge, not per item
-		selMarks.Put(buf)
 	}
-	res.Profit = SumProfit(p.items, res.Selected)
+	res.Profit = t.profit.Round()
 	if rec != nil {
 		rec.EndSpan(PhaseGreedy, gtok)
 	}
-	return res, nil
+	return res
 }
 
 // mergedDual returns the solve's dual assignment: Dual, or, for a sharded
-// solve, which builds no global dual, a fresh assignment over the global
-// index holding every shard's α and β, copied through the slot
-// translations relabel recorded. It reads the Prepared's live index, so it
-// is valid until the next Apply, which may give a departed demand's slot
-// to an arrival. Engine tests read it through MergedDual.
+// solve, which scores its dual without assembling one, the assignment its
+// shards ran in, which holds every shard's α and β over the global index.
+// It is the Prepared's own, so it is valid until the next solve or Apply:
+// a solve re-runs shards in it, and an Apply may give a departed demand's
+// slot to an arrival. Engine tests read it through MergedDual.
 func (r *Result) mergedDual() *dual.Assignment {
-	if r.Dual != nil || r.ix == nil {
+	if r.Dual != nil {
 		return r.Dual
 	}
-	d := dual.NewWithIndex(r.ix)
-	for _, out := range r.shards {
-		d.MergeSlots(out.dual, out.pre.gslot, out.pre.gedge)
-	}
-	return d
+	return r.shared
 }
 
 // mergedSchedule returns the solve's schedule statistics, Steps and
@@ -411,7 +498,7 @@ func (r *Result) mergedSchedule() (steps, misIters int, trace *Trace) {
 				out := r.shards[x.shard]
 				n := len(out.stack[x.pos].items)
 				for _, ev := range out.trace.Events[next[x.shard] : next[x.shard]+n] {
-					trace.Events = append(trace.Events, RaiseEvent{Step: steps, Item: out.pre.comp[ev.Item], Delta: ev.Delta})
+					trace.Events = append(trace.Events, RaiseEvent{Step: steps, Item: ev.Item, Delta: ev.Delta})
 				}
 				next[x.shard] += n
 			}

@@ -12,14 +12,14 @@ import (
 // This file implements run preparation: everything about an item set that
 // is independent of the Config and can therefore be built once and reused
 // across solves — the dense dual layout (interned demand slots and edge
-// indices plus per-item views), and, built on first read, the demand and
-// edge member lists that are the whole conflict structure of §2
-// (conflicts.go) and, for the sharded pipeline, the per-component
-// relabelings. The root Solver prepares every solve afresh, in a pooled
-// Arena, and its serial solve reads neither; a root Session keeps one
-// Prepared across its solves, and for churning workloads — demands
-// arriving and departing on an unchanged network — Prepared.Apply
-// (delta.go) updates it incrementally.
+// indices plus per-item views, which also name each item's conflict
+// groups, conflicts.go), and, built on first read, the demand and edge
+// member lists and, for the sharded pipeline, the conflict components with
+// the demand slots and edge indices each uses. The root Solver prepares
+// every solve afresh, in a pooled Arena, and its serial solve reads none
+// of the latter; a root Session keeps one Prepared across its solves, and
+// for churning workloads — demands arriving and departing on an unchanged
+// network — Prepared.Apply (delta.go) updates it incrementally.
 
 // layout is the dense dual addressing of one item set: per-item views over
 // demands α slots and edges β slots. A demand slot also names the
@@ -30,16 +30,15 @@ import (
 // between runs: a departed demand's slot goes back to the index for a
 // later arrival, removed items leave their edge indices behind (stale
 // indices hold zero and are never referenced by a view, so they cannot
-// affect results), and new keys intern at the end. A shard layout is
-// relabeled from the global one (relabel) and keeps no interning: its ix
-// is nil.
+// affect results), and new keys intern at the end. A shard of the sharded
+// pipeline runs over the same layout, confined to its own items.
 type layout struct {
 	views     []ItemView // dense view per item, aligned with items
 	demandIDs []int      // demand slot -> external demand id (stream seeding)
 	demands   int        // α extent: demand slots the views address
 	edges     int        // β extent: edge indices the views address
 
-	ix *dual.Index // global layout only
+	ix *dual.Index
 }
 
 // build interns every item of the set into the layout's index, emptied
@@ -83,14 +82,14 @@ func (lay *layout) sync() {
 }
 
 // Prepared is an item set with its Config-independent run state: dense
-// layout, plan statistics, and, built on first read, the dense group
-// member lists and the connected components and per-shard relabelings of
-// the sharded pipeline. Solve is its one solve entry. A Prepared is
-// immutable during runs apart from the lazily-built structures (guarded by
-// shardMu), so it is safe for concurrent Solve calls — but for one built
-// in an Arena, which serves one serial solve. Apply (delta.go) mutates the
-// state between runs; it must never overlap a run, another Apply or an
-// ItemsView on the same Prepared.
+// layout, plan statistics, and, built on first read, the member lists and
+// the connected components of the sharded pipeline. Solve is its one solve
+// entry. A Prepared is immutable during runs apart from the lazily-built
+// structures (guarded by shardMu) and the sharded pipeline's shared dual
+// and merge totals (guarded by runMu), so it is safe for concurrent Solve
+// calls — but for one built in an Arena, which serves one serial solve.
+// Apply (delta.go) mutates the state between runs; it must never overlap a
+// run, another Apply or an ItemsView on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
@@ -105,36 +104,53 @@ type Prepared struct {
 	arena *Arena
 
 	shardMu sync.Mutex
-	// demandMembers[s] / edgeMembers[e] list the item ids (ascending) whose
-	// demand interned to slot s / whose path contains edge index e. Each
-	// list is a clique of the conflict graph, and the graph is their union.
-	// Built by the first reader (ensureMembers), and patched by Apply.
+	// demandMembers[s] lists the item ids (ascending) whose demand
+	// interned to slot s: built by its first reader (ensureDemandMembers)
+	// and patched by Apply. edgeMembers[e] lists those whose path contains
+	// edge index e: built only when Members reads it, and again on the
+	// first read after an Apply (edgesBuilt).
 	demandMembers [][]int32
 	edgeMembers   [][]int32
-	membersBuilt  bool
+	demandsBuilt  bool
+	edgesBuilt    bool
 
 	shardsBuilt bool
 	shardsStale bool // an Apply ran since the last shard build
 	comps       [][]int
 	shards      []*preShard
-	// compOf[i] is the shard of item i's component at the last build, or
-	// nil for an item that arrived since. Kept only while the last build
-	// sharded (shards != nil); Apply maintains it and, since the last
-	// build, collects the shards whose components a delta reached and the
-	// ids it gave arrivals (delta.go), so the next build re-traverses from
-	// those alone (conflicts.go).
-	compOf      []*preShard
+	// slotOwner[s] / edgeOwner[e] is the shard whose items use demand slot
+	// s / edge index e, or nil for none. Kept only while the last build
+	// sharded (shards != nil); Apply marks stale through them the shards
+	// its departures leave and its arrivals join, and collects those and
+	// the ids it gave arrivals (delta.go), so the next build finds the
+	// components among those alone (conflicts.go). A shard the build
+	// replaces gives its entries up (retired).
+	slotOwner   []*preShard
+	edgeOwner   []*preShard
 	staleShards []*preShard
 	arrivals    []int32
+	// retired lists the shards builds replaced since the last sharded
+	// run, which zeroes their entries of dual and folds their outcomes out
+	// of the merge totals; rebuilt reports a full build since then, after
+	// which the run starts dual and the totals afresh.
+	retired []*preShard
+	rebuilt bool
 	// added counts the items Apply added since the last component pass;
 	// knownSingleComponent's verdict expires when it outgrows the set.
-	added      int
-	compScr    componentScratch // the component pass's reusable marks
-	relabelScr relabelScratch   // relabel's reusable translations
+	added   int
+	compScr componentScratch // the component pass's reusable marks
 
 	// warm is the per-component outcome cache of the sharded pipeline
 	// (warm.go); off unless EnableWarmStart was called.
 	warm warmState
+
+	// runMu serializes the sharded runs and merges (parallel.go): dual is
+	// the one assignment every shard runs in, over the global index, each
+	// shard's entries its last run's; totals are the merge's running
+	// aggregates over the outcomes it folded in.
+	runMu  sync.Mutex
+	dual   *dual.Assignment
+	totals mergeTotals
 
 	// applyScr is Apply's pooled bookkeeping (delta.go); lazily allocated on
 	// the first Apply and reused since Applies never overlap.
@@ -145,32 +161,27 @@ type Prepared struct {
 	rec Recorder
 }
 
-// preShard is one conflict component relabeled to dense shard-local ids:
-// the item at position i of comp is the shard's item i. Its layout's views
-// carry the component's conflict structure as they do globally: each
-// view's slot and edge indices are its groups.
+// preShard is one conflict component of the sharded pipeline: its items'
+// global ids, ascending, and the demand slots and edge indices they use,
+// each once. Those are the groups the shard owns, the entries of the
+// shared dual its runs write, and all its run reads besides the views: a
+// shard runs in place, over the global layout.
 type preShard struct {
-	comp []int   // global item ids, ascending
-	lay  *layout // shard-local dense layout
-	// gslot[s] / gedge[e] is the global demand slot / edge index of local
-	// slot s / edge index e: relabel's numbering, read back when a caller
-	// asks for the merged dual. Valid until the next Apply: Apply never
-	// renumbers a live demand or an edge, but it gives a departed demand's
-	// slot to an arrival, and a shard whose demand departed is stale.
-	gslot []int32
-	gedge []int32
+	comp  []int
+	slots []int32
+	edges []int32
 	// stale marks a component a delta reached since the last build.
 	stale bool
 	// out is the warm-start cache's entry: the outcome of the shard's last
 	// run, under the configuration warmState records (warm.go). Guarded by
-	// the Prepared's warm.mu.
+	// the Prepared's runMu.
 	out *shardOut
 }
 
 // Prepare builds the Config-independent run state of an item set, in
 // fresh storage: one pass interns the dense layout and gathers the plan
 // statistics. The member lists wait for their first reader
-// (ensureMembers), which a serial solve never is.
+// (ensureDemandMembers, Members), which a serial solve never is.
 func Prepare(items []Item) *Prepared { return PrepareRecorded(items, nil, nil) }
 
 // PrepareRecorded is Prepare with rec attached (nil for none), bracketed
@@ -240,16 +251,16 @@ func (p *Prepared) runDual() *dual.Assignment {
 	return &p.arena.dual
 }
 
-// ensureMembers builds the member lists on their first read — by the
-// component pass, Apply, ItemsOfDemand or Members — and counts their
-// entries with the recorder. Callers hold shardMu.
-func (p *Prepared) ensureMembers() {
-	if p.membersBuilt {
+// ensureDemandMembers builds the demand member lists on their first read
+// — by Apply or ItemsOfDemand — and counts their entries with the
+// recorder. Callers hold shardMu.
+func (p *Prepared) ensureDemandMembers() {
+	if p.demandsBuilt {
 		return
 	}
 	var entries int
-	p.demandMembers, p.edgeMembers, entries = buildMembers(p.lay.views, p.lay.demands, p.lay.edges)
-	p.membersBuilt = true
+	p.demandMembers, entries = buildMembers(p.lay.views, p.lay.demands, false)
+	p.demandsBuilt = true
 	if p.rec != nil {
 		p.rec.Count(CounterMemberEntries, int64(entries))
 	}
@@ -273,7 +284,7 @@ func (p *Prepared) ItemsOfDemand(id int) []int32 {
 	}
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
-	p.ensureMembers()
+	p.ensureDemandMembers()
 	return p.demandMembers[s]
 }
 
@@ -288,12 +299,13 @@ func (p *Prepared) Components() [][]int {
 	return p.comps
 }
 
-// ensureShards builds the component decomposition and per-shard
-// relabelings, reusing both across runs. After an Apply it refreshes them
-// from what the deltas reached: the components of the shards Apply marked
-// stale and of the arrivals are traversed again and relabeled, and every
-// other component keeps its shard — layout and warm-cache entry —
-// untouched, without a pass over its members.
+// ensureShards builds the component decomposition and its shards, reusing
+// both across runs. After an Apply it refreshes them from what the deltas
+// reached: the components among the items of the shards Apply marked
+// stale and the arrivals are found again, each a fresh shard that owns its
+// groups, the stale shards are retired, and every other component keeps
+// its shard — and warm-cache entry — untouched, without a pass over its
+// members.
 func (p *Prepared) ensureShards() {
 	p.shardMu.Lock()
 	defer p.shardMu.Unlock()
@@ -305,91 +317,112 @@ func (p *Prepared) ensureShards() {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseComponents)
 	}
-	p.ensureMembers()
-	// Traverse from the arrivals and the stale shards' members, beside the
-	// kept shards, or, on a first build, from every item.
+	// Find components among the arrivals and the stale shards' members,
+	// beside the kept shards, or, on a first build, among every item.
 	scr := &p.compScr
-	from, kept, outside := scr.from[:0], scr.kept[:0], 0
+	from, kept := scr.from[:0], scr.kept[:0]
 	incremental := p.shardsStale && p.shards != nil
 	if incremental {
 		from = append(from, p.arrivals...)
+		warm := p.warm.on()
 		for _, sh := range p.staleShards {
 			for _, id := range sh.comp {
 				from = append(from, int32(id))
 			}
+			p.retire(sh, warm)
 		}
 		for _, sh := range p.shards {
 			if !sh.stale {
 				kept = append(kept, sh)
-				outside += len(sh.comp)
 			}
 		}
 	} else {
-		for id := range p.items {
-			from = append(from, int32(id))
-		}
+		clear(p.slotOwner)
+		clear(p.edgeOwner)
+		clear(p.retired)
+		p.retired, p.rebuilt = p.retired[:0], true
 	}
 	scr.from = from
-	fresh := scr.components(p.lay.views, p.demandMembers, p.edgeMembers, from, outside)
-	visited, relabeled := 0, 0
-	for _, c := range fresh {
-		visited += len(c)
-	}
+	fresh := scr.components(p.lay.views, from, !incremental, p.lay.demands, p.lay.edges)
+	visited := len(scr.region)
 	clear(p.staleShards)
 	p.staleShards, p.arrivals, p.added = p.staleShards[:0], p.arrivals[:0], 0
 	p.shardsBuilt, p.shardsStale = true, false
-	switch {
-	case len(kept)+len(fresh) > 1:
-		if !incremental {
-			p.compOf = make([]*preShard, len(p.items))
+	sharded := len(kept)+len(fresh) > 1
+	if sharded {
+		slotOwner := extend(&p.slotOwner, p.lay.demands, nil)
+		edgeOwner := extend(&p.edgeOwner, p.lay.edges, nil)
+		for _, sh := range fresh {
+			for _, s := range sh.slots {
+				slotOwner[s] = sh
+			}
+			for _, e := range sh.edges {
+				edgeOwner[e] = sh
+			}
 		}
-		// Merge the kept shards, in order, with the fresh components by
-		// smallest member, relabeling each fresh one.
+		// Merge the kept shards, in order, with the fresh ones by smallest
+		// member.
 		comps := make([][]int, 0, len(kept)+len(fresh))
 		shards := make([]*preShard, 0, len(kept)+len(fresh))
 		k, f := 0, 0
 		for k < len(kept) || f < len(fresh) {
 			var sh *preShard
-			if f == len(fresh) || k < len(kept) && kept[k].comp[0] < fresh[f][0] {
+			if f == len(fresh) || k < len(kept) && kept[k].comp[0] < fresh[f].comp[0] {
 				sh = kept[k]
 				k++
 			} else {
-				sh = p.relabel(fresh[f])
+				sh = fresh[f]
 				f++
-				for _, id := range sh.comp {
-					p.compOf[id] = sh
-				}
-				relabeled += len(sh.comp)
 			}
 			shards = append(shards, sh)
 			comps = append(comps, sh.comp)
 		}
 		p.comps, p.shards = comps, shards
-	case len(kept) == 1:
-		p.comps, p.shards, p.compOf = [][]int{kept[0].comp}, nil, nil
-	default:
-		p.comps, p.shards, p.compOf = fresh, nil, nil
+	} else {
+		// One component or none: Solve runs serially, and the next build
+		// is a first build again.
+		comps := make([][]int, 0, len(kept)+len(fresh))
+		for _, sh := range kept {
+			comps = append(comps, sh.comp)
+		}
+		for _, sh := range fresh {
+			comps = append(comps, sh.comp)
+		}
+		p.comps, p.shards = comps, nil
+		clear(p.slotOwner)
+		clear(p.edgeOwner)
 	}
 	clear(kept)
-	scr.kept = kept[:0]
+	clear(fresh)
+	scr.kept, scr.fresh = kept[:0], fresh[:0]
 	if rec != nil {
 		rec.Count(CounterComponentItems, int64(visited))
-		rec.Count(CounterRelabeledItems, int64(relabeled))
+		if sharded {
+			rec.Count(CounterRelabeledItems, int64(visited))
+		}
 		rec.EndSpan(PhaseComponents, tok)
 	}
 }
 
-// relabelScratch holds relabel's translations from global demand slots
-// and edge indices to a shard's local ones, −1 where the shard has not
-// numbered one yet. relabel resets every entry it set, so between shards
-// the translations are all −1 and grow only with the global layout.
-type relabelScratch struct {
-	slot, edge []int32
+// retire drops a stale shard from the owner entries and, on a Prepared
+// whose warm cache is on (warm), leaves it to the next sharded run, which
+// zeroes its entries of the shared dual and folds its outcome out of the
+// merge totals. Callers hold shardMu.
+func (p *Prepared) retire(sh *preShard, warm bool) {
+	for _, s := range sh.slots {
+		p.slotOwner[s] = nil
+	}
+	for _, e := range sh.edges {
+		p.edgeOwner[e] = nil
+	}
+	if warm {
+		p.retired = append(p.retired, sh)
+	}
 }
 
 // extend extends *buf with fill entries to length n, in at most one
-// allocation, and returns it: the scratch marks and translations that stay
-// valid between uses and grow only with the item set or the layout.
+// allocation, and returns it: the scratch marks that stay valid between
+// uses and grow only with the item set or the layout.
 func extend[T any](buf *[]T, n int, fill T) []T {
 	if len(*buf) < n {
 		*buf = slices.Grow(*buf, n-len(*buf))
@@ -398,71 +431,6 @@ func extend[T any](buf *[]T, n int, fill T) []T {
 		*buf = append(*buf, fill)
 	}
 	return *buf
-}
-
-// number returns the local number of global index x under the translation
-// tr, giving x the next local number, recorded in *back, when it has none.
-func number(tr []int32, x int32, back *[]int32) int32 {
-	l := tr[x]
-	if l < 0 {
-		l = int32(len(*back))
-		tr[x] = l
-		*back = append(*back, x)
-	}
-	return l
-}
-
-// relabel builds the shard of one component from the global layout alone,
-// copying no item: a dense layout over the items re-indexed by position in
-// comp, whose demand slots and edge indices number the global ones in the
-// order layout.build would first see their keys over the shard's items (an
-// item's demand, its path, then its critical edges). So the shard's
-// numbering, and every bit of its runs, equal those of layout.build over
-// the shard's items, with no key hashed or interned: global slots map to
-// keys one to one, so first-seen slots are first-seen keys.
-func (p *Prepared) relabel(comp []int) *preShard {
-	g, scr := p.lay, &p.relabelScr
-	slot := extend(&scr.slot, g.demands, -1)
-	edge := extend(&scr.edge, g.edges, -1)
-	n, total := len(comp), 0
-	for _, id := range comp {
-		v := &g.views[id]
-		total += len(v.Edges) + len(v.Critical)
-	}
-	// One slab holds the views' index lists and the edge and slot
-	// translations: a shard has at most one edge per path entry and one
-	// demand per item.
-	slab := make([]int32, 2*total+n)
-	idx := slab[:total:total]
-	gedge := slab[total : total : 2*total]
-	gslot := slab[2*total : 2*total : 2*total+n]
-	lay := &layout{views: make([]ItemView, n)}
-	sh := &preShard{comp: comp, lay: lay}
-	for i, id := range comp {
-		v := &g.views[id]
-		s := number(slot, v.Slot, &gslot)
-		ne, m := len(v.Edges), len(v.Edges)+len(v.Critical)
-		edges, critical := idx[:ne:ne], idx[ne:m:m]
-		idx = idx[m:]
-		for j, e := range v.Edges {
-			edges[j] = number(edge, e, &gedge)
-		}
-		for j, e := range v.Critical {
-			critical[j] = number(edge, e, &gedge)
-		}
-		lay.views[i] = ItemView{Slot: s, Group: v.Group, Profit: v.Profit, Height: v.Height, Edges: edges, Critical: critical}
-	}
-	lay.demandIDs = make([]int, len(gslot))
-	for l, x := range gslot {
-		lay.demandIDs[l] = g.demandIDs[x]
-		slot[x] = -1
-	}
-	for _, x := range gedge {
-		edge[x] = -1
-	}
-	lay.demands, lay.edges = len(gslot), len(gedge)
-	sh.gslot, sh.gedge = gslot, gedge
-	return sh
 }
 
 // knownSingleComponent reports whether the last shard build found at most

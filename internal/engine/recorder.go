@@ -42,14 +42,14 @@ const (
 	// PhaseApply brackets Prepared.Apply — the in-place delta patch.
 	PhaseApply
 	// PhaseComponents brackets ensureShards when it actually (re)builds
-	// the component decomposition and shard relabelings — after churn,
-	// those of the components the churn reached; cached calls emit
-	// nothing.
+	// the component decomposition and its shards — after churn, those of
+	// the components the churn reached; cached calls emit nothing.
 	PhaseComponents
-	// PhaseShardSolve brackets one conflict component's first-phase
-	// schedule execution (runShard). Replayed components emit nothing —
-	// the gap between CounterComponents and PhaseShardSolve's span count
-	// is the warm-replay saving.
+	// PhaseShardSolve brackets one conflict component's run in place
+	// (runShard): its first-phase schedule, its greedy pass and its
+	// partial sums. Replayed components emit nothing — the gap between
+	// CounterComponents and PhaseShardSolve's span count is the
+	// warm-replay saving.
 	PhaseShardSolve
 	// PhaseSerialSolve brackets the serial engine's planning (the stage
 	// thresholds, from the plan statistics Prepare gathered), first phase
@@ -59,17 +59,17 @@ const (
 	// sits in PhaseMerge.
 	PhaseSerialSolve
 	// PhaseMerge brackets mergeShards' deterministic reassembly, one
-	// segment before PhaseGreedy: the λ fold, the sum of the shards'
-	// partial dual sums and, when a trace is recorded, the schedule
-	// statistics and trace rebuilt from the shard stacks. No global dual
-	// is merged.
+	// segment before PhaseGreedy: the running totals' folds of the
+	// outcomes that changed, the λ fold, the dual sum and, when a trace
+	// is recorded, the schedule statistics and trace rebuilt from the
+	// shard stacks. No dual is merged.
 	PhaseMerge
 	// PhaseGreedy brackets the second phase. On the serial path it is the
 	// greedy selection over the raise stack and its profit sum. On the
 	// sharded path the greedy pass runs per re-run shard inside
 	// PhaseShardSolve (replayed shards replay their selection), and
-	// PhaseGreedy brackets the merge's union of the shards' selections and
-	// its profit sum.
+	// PhaseGreedy brackets the merge's scan of its selection bitset and
+	// the rounding of its profit sum.
 	PhaseGreedy
 	// PhaseDistSetup brackets the distributed runtime's preparation:
 	// shared context build and node construction.
@@ -130,12 +130,13 @@ const (
 	// emitted once per pass: every item on a first build, and after churn
 	// the items of the components the churn reached.
 	CounterComponentItems
-	// CounterRelabeledItems counts the items relabeled into shard layouts,
-	// emitted once per component pass: the items of its new shards.
+	// CounterRelabeledItems counts the items of the new shards a
+	// component pass makes, emitted once per pass that shards: the items
+	// the re-run shards of a warm round then run over. (The name is from
+	// the shard-local layouts those items were once relabeled into.)
 	CounterRelabeledItems
-	// CounterApplyGroups counts the member-list groups an Apply patches
-	// (demand slots and edge indices whose lists lose or gain members),
-	// emitted once per Apply.
+	// CounterApplyGroups counts the member lists an Apply patches (demand
+	// slots whose lists lose or gain members), emitted once per Apply.
 	CounterApplyGroups
 	// CounterPlanItems counts the items read to plan a Prepared's solves,
 	// emitted once per pass: by an Apply whose departures took the last
@@ -145,12 +146,13 @@ const (
 	// not counted, so an ordinary warm round reads 0.
 	CounterPlanItems
 	// CounterMemberEntries counts the member-list entries a pass writes,
-	// emitted once per pass: every entry of the lists' build on their
-	// first read, on a Prepared with a recorder attached, and in an Apply
-	// the entries kept by the lists it filters plus those the arrivals
-	// append. A cold serial solve builds no lists and counts none. The
-	// backward merge that restores an appended list's order moves entries
-	// these counts already hold.
+	// emitted once per pass: every entry of a build of the demand lists
+	// (on their first read) or of the edge lists (on Members' read), on a
+	// Prepared with a recorder attached, and in an Apply the entries kept
+	// by the demand lists it filters plus those the arrivals append. A
+	// cold serial solve builds no lists and counts none. The backward
+	// merge that restores an appended list's order moves entries these
+	// counts already hold.
 	CounterMemberEntries
 	// CounterScanRows counts the first-phase rows whose LHS the
 	// satisfaction scan evaluates (scanLive and retest), and
@@ -168,6 +170,13 @@ const (
 	// own, and the run emits the totals once, at assembly.
 	CounterNodeRounds
 	CounterItemTests
+	// CounterMergeOutcomes counts the shard outcomes a sharded merge folds
+	// into or out of its running totals, emitted once per merge: a warm
+	// round folds in the outcomes of the shards it re-ran, and folds out
+	// those they replace and those of the shards its component pass
+	// retired. A merge that starts the totals afresh — the first, or one
+	// whose every shard re-ran — folds in every outcome and out none.
+	CounterMergeOutcomes
 
 	numCounters
 )
@@ -180,6 +189,7 @@ var counterNames = [NumCounters]string{
 	"shard_workers", "intra_lanes", "greedy_tests", "component_items",
 	"relabeled_items", "apply_groups", "plan_items", "member_entries",
 	"scan_rows", "scan_betas", "mis_iters", "node_rounds", "item_tests",
+	"merge_outcomes",
 }
 
 func (c Counter) String() string {

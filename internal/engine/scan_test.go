@@ -87,11 +87,7 @@ func firstPhasesAgree(t testing.TB, tag string, items []Item, lay *layout, cfg C
 		plan.StepCap = stepCap
 	}
 	run := func(phase func(*state, *Result) error, scr *solveScratch) (*state, *Result, error) {
-		d := dual.NewDense(lay.demands, lay.edges) // a shard layout's
-		if lay.ix != nil {
-			d = dual.NewWithIndex(lay.ix)
-		}
-		st := newState(lay, cfg, plan, scr, d)
+		st := newState(lay, cfg, plan, scr, dual.NewWithIndex(lay.ix), nil)
 		res := &Result{Dual: st.core.Dual, Trace: st.trace}
 		return st, res, phase(st, res)
 	}
@@ -190,10 +186,10 @@ func scanShapes(t testing.TB, seed int64, narrow bool) []scanShape {
 }
 
 // TestFirstPhaseMatchesFullScan pins the compacted scan to the full-scan
-// oracle across modes, SingleStage, several ε and seeds, on the
-// global layout and on every conflict component's shard layout (the path
-// runShard takes), and with forced tiny step caps where both must fail
-// identically.
+// oracle across modes, SingleStage, several ε and seeds, on the whole
+// item set and on every conflict component's items prepared afresh (the
+// item sets runShard runs in place), and with forced tiny step caps where
+// both must fail identically.
 func TestFirstPhaseMatchesFullScan(t *testing.T) {
 	scr := &solveScratch{}
 	for _, narrow := range []bool{false, true} {
@@ -213,7 +209,8 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 							t.Fatalf("%s: first phase failed at the default step cap", tag)
 						}
 						for s, sh := range p.shards {
-							firstPhasesAgree(t, fmt.Sprintf("%s/shard=%d", tag, s), shardItems(p, sh), sh.lay, cfg, -1, scr)
+							sp := Prepare(shardItems(p, sh))
+							firstPhasesAgree(t, fmt.Sprintf("%s/shard=%d", tag, s), sp.items, sp.lay, cfg, -1, scr)
 						}
 						for _, stepCap := range []int{0, 1, 2} {
 							failed := firstPhasesAgree(t, fmt.Sprintf("%s/cap=%d", tag, stepCap), p.items, p.lay, cfg, stepCap, scr)
@@ -268,7 +265,8 @@ func FuzzFirstPhaseCompaction(f *testing.F) {
 		firstPhasesAgree(t, "global", p.items, p.lay, rc, c, scr)
 		p.ensureShards()
 		for s, sh := range p.shards {
-			firstPhasesAgree(t, fmt.Sprintf("shard=%d", s), shardItems(p, sh), sh.lay, rc, c, scr)
+			sp := Prepare(shardItems(p, sh))
+			firstPhasesAgree(t, fmt.Sprintf("shard=%d", s), sp.items, sp.lay, rc, c, scr)
 		}
 	})
 }

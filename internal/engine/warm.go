@@ -4,28 +4,32 @@ import "sync"
 
 // This file implements the warm-started incremental dual cache of the
 // sharded pipeline. The epoch/stage/step schedule is component-local: a
-// shard's execution reads nothing outside its preShard (its shard-local
-// layout) and the run configuration, and its per-owner priority
-// streams are re-seeded from scratch every run (NewStream over the external
-// owner id) — so two runs of the same preShard under the same configuration
-// are the same computation, bit for bit. The cache exploits that: after a
-// sharded solve it records every shard's outcome (final dense α/β
-// assignment, raise stack, greedy selection, trace, step counters), and
-// the next solve replays those outcomes verbatim for every shard whose
-// preShard pointer survived and whose stages ended below the plan's step
-// cap — re-running the schedule only where Apply actually changed the item
-// set, or where a shrunken profit range lowered the cap to a stage's
-// length. The merged Result is built by the same deterministic shard merge
-// either way, so warm solves are bitwise identical to cold solves.
+// shard's run reads only its own items' views and its own entries of the
+// shared dual, which it zeroes first, besides the run configuration, and
+// its per-demand priority streams are re-seeded from scratch every run
+// (NewStream over the external demand id) — so two runs of the same
+// preShard under the same configuration are the same computation, bit for
+// bit. The cache exploits that: after a sharded solve it records every
+// shard's outcome (raise stack, greedy selection, exact partial sums,
+// trace, step counters), and the next solve replays those outcomes
+// verbatim for every shard whose preShard pointer survived and whose
+// stages ended below the plan's step cap — re-running the schedule only
+// where Apply actually changed the item set, or where a shrunken profit
+// range lowered the cap to a stage's length. A replayed shard's entries of
+// the shared dual are still its recorded run's: no other shard writes
+// them, and no Apply does. The merged Result is built by the same
+// deterministic shard merge either way, so warm solves are bitwise
+// identical to cold solves.
 //
 // Invalidation rides on ensureShards' reuse discipline: a cache entry is
 // the outcome kept on its preShard, and ensureShards keeps a preShard only
 // for a component no delta reached since the last build. Components a
 // delta touched (or renumbered) get fresh preShard values, which hold no
 // outcome and therefore miss. A kept shard's demands all stay live, so
-// Apply never gives one of its global slots to an arrival. A fresh
-// Prepared starts cold. Stream positions cannot drift across rounds
-// because streams are not carried across runs at all.
+// Apply never gives one of its global slots to an arrival, and a kept
+// shard's items keep their ids. A fresh Prepared starts cold. Stream
+// positions cannot drift across rounds because streams are not carried
+// across runs at all.
 
 // WarmStats is a snapshot of a Prepared's warm-start counters. Counters are
 // cumulative since the Prepared was built; a Session keeps one Prepared for
@@ -77,8 +81,8 @@ func warmKeyFor(cfg Config, plan *Plan) warmKey {
 
 // warmState is the cache attachment on a Prepared: the configuration the
 // outcomes kept on the shards (preShard.out) were recorded under, and the
-// counters. mu guards it and every preShard.out, so concurrent solves may
-// replay and record.
+// counters. mu guards it, so WarmStats may read it during a solve; the
+// outcomes are replayed and recorded under the Prepared's runMu.
 type warmState struct {
 	mu       sync.Mutex
 	enabled  bool
@@ -155,6 +159,15 @@ func (w *warmState) record(key warmKey, shards []*preShard, outs []*shardOut, re
 	} else {
 		w.stats.ColdSolves++
 	}
+}
+
+// forget drops every recorded outcome from replay, after a sharded solve
+// that failed part-way: its shards that ran left entries of the shared
+// dual that no recorded outcome matches.
+func (w *warmState) forget() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.recorded = false
 }
 
 // noteCold counts a solve that bypassed the sharded pipeline (serial path:

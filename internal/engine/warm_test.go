@@ -138,6 +138,7 @@ func TestWarmSolveMatchesCold(t *testing.T) {
 					}
 					sameResult(t, mode.mode.String(), got, want)
 				}
+				checkOwners(t, warm)
 			}
 			ws := warm.WarmStats()
 			if !ws.Enabled {
@@ -389,7 +390,10 @@ func TestWarmReplayAcrossStepCap(t *testing.T) {
 // items of the churned components, those of the new decomposition that
 // hold an arrival or are not components of the old one. Planning reads no
 // item (plan_items) but on a round that departs the last holder of the
-// highest profit, whose Apply reads every item once.
+// highest profit, whose Apply reads every item once. The merge folds
+// every outcome into its totals on the first solve, none with no churn,
+// and after the churn the outcomes of the re-run shards in and those of
+// the shards they replaced out (merge_outcomes).
 func TestWarmWorkCounters(t *testing.T) {
 	const vertices, demands = 128, 24
 	// Each network holds demands[:24]; three of the rest arrive on
@@ -410,7 +414,7 @@ func TestWarmWorkCounters(t *testing.T) {
 	}
 	remove := []int{0, 5, 10} // items of network 0; equal-size churn moves no survivor
 
-	type work struct{ visited, relabeled, groups int64 }
+	type work struct{ visited, relabeled, groups, folds int64 }
 	run := func(nets int) work {
 		in := &model.Instance{NumVertices: vertices}
 		for q := 0; q < nets; q++ {
@@ -450,11 +454,14 @@ func TestWarmWorkCounters(t *testing.T) {
 		check("first solve", CounterComponentItems, int64(len(items)))
 		check("first solve", CounterRelabeledItems, int64(len(items)))
 		check("first solve", CounterPlanItems, 0)
+		check("first solve", CounterMergeOutcomes, int64(len(p.shards)))
 		solve()
 		check("no churn", CounterComponentItems, 0)
 		check("no churn", CounterRelabeledItems, 0)
+		check("no churn", CounterMergeOutcomes, 0)
 
 		before := Prepare(reindex(p.items)).Components()
+		shardsBefore := slices.Clone(p.shards)
 		if err := p.Apply(Delta{Remove: remove, Add: slices.Clone(arrivals)}); err != nil {
 			t.Fatal(err)
 		}
@@ -462,6 +469,7 @@ func TestWarmWorkCounters(t *testing.T) {
 		if groups == 0 {
 			t.Fatalf("%d networks: Apply patched no group", nets)
 		}
+		tally.take(CounterComponentsResolved)
 		solve()
 		after := Prepare(reindex(p.items)).Components()
 		old := make(map[string]bool, len(before))
@@ -477,10 +485,21 @@ func TestWarmWorkCounters(t *testing.T) {
 		if churned == 0 || churned >= demands {
 			t.Fatalf("%d networks: churned components hold %d of network 0's %d items", nets, churned, demands)
 		}
+		replaced := 0
+		for _, sh := range shardsBefore {
+			if !slices.Contains(p.shards, sh) {
+				replaced++
+			}
+		}
+		rerun := tally.take(CounterComponentsResolved)
+		if rerun == 0 || replaced == 0 {
+			t.Fatalf("%d networks: the churn re-ran %d shards and replaced %d", nets, rerun, replaced)
+		}
 		w := work{
 			visited:   check("churn", CounterComponentItems, churned),
 			relabeled: check("churn", CounterRelabeledItems, churned),
 			groups:    groups,
+			folds:     check("churn", CounterMergeOutcomes, rerun+int64(replaced)),
 		}
 		// The churn left every extreme a holder, so planning read no item.
 		check("churn", CounterPlanItems, 0)
@@ -702,4 +721,50 @@ func FuzzWarmChurn(f *testing.F) {
 			t.Fatalf("solves unaccounted: %+v after %d solves", ws, len(steps)+len(workerAxis))
 		}
 	})
+}
+
+// TestWarmRecoversFromFailedRun fails a sharded run part-way — a step cap
+// of 1, which the first shard that needs a second step in a stage
+// exceeds — after churn, and then solves normally. The shards that ran
+// before the failure zeroed and wrote their entries of the shared dual,
+// which no recorded outcome matches any more, so the next solve must
+// re-run every shard, and its result, dual included, equal a cold solve.
+func TestWarmRecoversFromFailedRun(t *testing.T) {
+	pool := warmPoolItems(t, 4, 48, workload.UnitHeights)
+	p := Prepare(reindex(pool[:40]))
+	p.EnableWarmStart()
+	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 3}
+	if _, err := p.Solve(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, 40)
+	for i := range order {
+		order[i] = i
+	}
+	applyRandomDelta(t, p, pool, order, rand.New(rand.NewSource(6)))
+	p.ensureShards()
+	plan := new(Plan)
+	if err := p.plan(cfg, plan); err != nil {
+		t.Fatal(err)
+	}
+	plan.StepCap = 1
+	p.runMu.Lock()
+	_, _, err := p.runShards(cfg, plan, 1)
+	p.runMu.Unlock()
+	if err == nil {
+		t.Fatal("a step cap of 1 did not fail the sharded run")
+	}
+	before := p.WarmStats()
+	got, err := p.Solve(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Prepare(reindex(p.items)).Solve(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "after a failed run", got, want)
+	if after := p.WarmStats(); after.ComponentsReplayed != before.ComponentsReplayed {
+		t.Fatalf("the solve after a failed run replayed %d outcomes", after.ComponentsReplayed-before.ComponentsReplayed)
+	}
 }

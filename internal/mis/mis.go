@@ -50,20 +50,29 @@ type Scratch struct {
 }
 
 // prepare sizes the scratch for n vertices over the cover's groups and
-// resets the per-vertex membership.
+// resets the per-vertex membership. The per-group arrays grow with
+// headroom, as append grows a slice, so a group space that grows a little
+// at a time (a Session's, between rounds) reallocates them rarely.
 func (s *Scratch) prepare(c *Cover) []bool {
 	n := len(c.Demand)
 	s.inMIS = grow(s.inMIS, n)
 	clear(s.inMIS)
 	if len(s.dMark) < c.NumDemands {
-		s.dBest = make([]int32, c.NumDemands)
-		s.dMark = make([]uint32, c.NumDemands)
+		s.dBest = groupArray(s.dBest, c.NumDemands)
+		s.dMark = groupArray(s.dMark, c.NumDemands)
 	}
 	if len(s.eMark) < c.NumEdges {
-		s.eBest = make([]int32, c.NumEdges)
-		s.eMark = make([]uint32, c.NumEdges)
+		s.eBest = groupArray(s.eBest, c.NumEdges)
+		s.eMark = groupArray(s.eMark, c.NumEdges)
 	}
 	return s.inMIS
+}
+
+// groupArray returns a per-group array of length n, buf's storage
+// extended as append extends it: the entries past buf's length are zero,
+// a mark no stamp equals, and the entries before it keep their marks.
+func groupArray[T int32 | uint32](buf []T, n int) []T {
+	return append(buf, make([]T, n-len(buf))...)
 }
 
 // stamp returns a stamp no group carries yet. On wrap-around every mark is

@@ -13,14 +13,15 @@ import (
 // maxServeRoundAllocs and maxServeRoundBytes bound the allocations and
 // the bytes allocated by one serve round at serve-fleet's shape
 // (TestServeRoundAllocs). They are what was measured when the bounds were
-// set, 60 and 26,900 or 27,270 B, the bytes rounded up to the next 100: the
-// runtime's own allocations in the measured region (a channel waiter, a
-// goroutine descriptor) vary from run to run by a few bytes per round. A
-// change that allocates more per round must say why, and one that
-// allocates less lowers them.
+// set, 40 and 17,819, 18,147 or 18,189 B, plus the 697 B by which the
+// root's TestSessionRoundAllocs varies (under load from other processes),
+// rounded up to the next 100: the runtime's own allocations in the
+// measured region (a channel waiter, a goroutine descriptor) vary from run
+// to run by a few bytes per round. A change that allocates more per round
+// must say why, and one that allocates less lowers them.
 const (
-	maxServeRoundAllocs = 60
-	maxServeRoundBytes  = 27300
+	maxServeRoundAllocs = 40
+	maxServeRoundBytes  = 18900
 )
 
 // raceEnabled reports whether the race detector is on (race_test.go).

@@ -5,8 +5,10 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	treesched "treesched"
 	"treesched/internal/engine"
@@ -424,4 +426,23 @@ func TestSingleStageGuarantee(t *testing.T) {
 	if single.Profit*single.Guarantee < exact.Profit-1e-9 {
 		t.Errorf("single-stage guarantee violated: %v * %v < %v", single.Profit, single.Guarantee, exact.Profit)
 	}
+}
+
+// TestNarrowLadderBounded solves one demand of height 1e-9, which Auto
+// resolves to §6's narrow rule. Its stage ladder would be about 2.3e10
+// stages long (ξ = C/(C+1e-9)), which the plan used to count one by one
+// before allocating a threshold for each; now it refuses the plan with an
+// error at once.
+func TestNarrowLadderBounded(t *testing.T) {
+	inst, tid := paperTree(t)
+	inst.AddDemand(3, 12, 5, treesched.Access(tid), treesched.Height(1e-9))
+	start := time.Now()
+	_, err := treesched.NewSolver(treesched.Options{Seed: 1}).Solve(inst)
+	if err == nil || !strings.Contains(err.Error(), "stage ladder") {
+		t.Fatalf("solve of a 1e-9 height: err = %v, want the stage ladder's bound", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("the refusal took %v", d)
+	}
+	t.Log(err)
 }
