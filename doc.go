@@ -78,15 +78,22 @@
 // place over the global views and one dual the prepared state keeps, on
 // min(Options.Parallelism, runnable components) goroutines, the cached
 // outcome of every other, and the deterministic merge, which keeps
-// running totals. After churn, the decomposition, the runs and the merge
-// cost only the components the churn reached. A Session whose
-// last decomposition found one component (a contended instance) skips the
-// pass and solves serially at every Parallelism until its Updates have
-// added more than 2·items+64 items since that pass: one shard would be the
-// serial execution plus a merge, and repeating the pass every round to
-// find one component again made contended rounds at Parallelism 2 take
-// 1.4–2.7 times as long as at Parallelism 1. The expiry makes a Session
-// that grew into many components look at them again after O(items) churn.
+// running totals. The components live in one table of shards, in no
+// order: the first pass builds it over every item, and every later pass
+// drops the shards churn reached and appends the components it finds
+// among their items and the arrivals. After churn, the pass, the runs and
+// the merge cost only the components the churn reached. A single
+// component is a table of one, which owns its groups as any shard does,
+// so the pass after churn is incremental whatever the table holds, and a
+// component a departure leaves alone keeps its shard, and its cached
+// outcome, until arrivals split the set again. A Session whose table
+// holds one component (a contended instance) skips the pass and solves
+// serially at every Parallelism until its Updates have added more than
+// 2·items+64 items since that pass: one shard would be the serial
+// execution plus a merge, and repeating the pass every round to find one
+// component again made contended rounds at Parallelism 2 take 1.4–2.7
+// times as long as at Parallelism 1. The expiry makes a Session that grew
+// into many components look at them again after O(items) churn.
 //
 // Every other solve is cold: Solver.Solve, the package-level Solve and
 // SolveLine, both §6 height classes, and the engine solve under Simulate. A
@@ -197,10 +204,11 @@
 // through shared groups. Preparation thus costs O(Σ |path|) rather than
 // the O(Σ deg) of an adjacency, which on a contended instance is an order
 // of magnitude more. A serial solve reads each item's groups off its view
-// and never the lists, so they are built by their first reader — the
-// component pass, Apply, a Session's departure lookup or the simulator —
-// and a cold solve skips the pass. A Session builds them once, at its
-// first solve.
+// and never the lists, and neither does the component pass, a union–find
+// over the views. So the demand lists are built by their first reader —
+// Apply or a Session's departure lookup, once, at its first Update — and
+// the edge lists by the simulator, for each run; a cold solve builds
+// neither.
 //
 // For churning workloads the prepared state is a value to update, not to
 // rebuild. Solver.Session pins a solver to one instance whose networks are
@@ -225,12 +233,12 @@
 //     filter out departed items (preserving their sort order) and merge in
 //     arriving ones (assigned in ascending id order), so nothing is
 //     re-sorted. The edge member lists, which only the simulator reads,
-//     are not kept: they are built again on their next read;
-//   - the lazy shard decomposition, which refreshes on the next sharded
-//     run reusing every component the churn never touched. Each demand
-//     slot and edge index records the component that owns it, so the
-//     churn finds the components it reached through the groups its items
-//     leave and join.
+//     are not kept: it builds them for each run;
+//   - the lazily-built shard table, which the next component pass
+//     refreshes in place, keeping the shard of every component the churn
+//     never touched. Each demand slot and edge index records the shard
+//     that owns it, a table of one's too, so the churn finds the
+//     components it reached through the groups its items leave and join.
 //
 // Determinism is unchanged: a Session's solve is bitwise identical to
 // preparing its current item set from scratch, at every worker count — the

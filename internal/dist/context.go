@@ -31,8 +31,8 @@ type runContext struct {
 	items []engine.Item     // shared with the Prepared; read-only
 	views []engine.ItemView // global dense views, aligned with items
 	// edgeMembers[e] lists, ascending, the items whose path contains edge
-	// index e (shared with the Prepared). With the views' demand slots it
-	// is the §2 conflict relation.
+	// index e (engine.Prepared.EdgeMembers). With the views' demand slots
+	// it is the §2 conflict relation.
 	edgeMembers [][]int32
 
 	itemNode   []int32   // item id -> owning node
@@ -70,7 +70,7 @@ func buildContext(prep *engine.Prepared, cfg engine.Config, plan *engine.Plan, b
 		items:      items,
 		views:      prep.Views(),
 	}
-	_, ctx.edgeMembers = prep.Members()
+	ctx.edgeMembers = prep.EdgeMembers()
 	ctx.lastRound = ScheduleLength(ctx.totalSteps, budget) - 1
 
 	// Nodes are ordered by ascending demand id.

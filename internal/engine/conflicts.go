@@ -15,8 +15,8 @@ import "slices"
 // Member lists — per demand slot or edge index, the ascending ids of the
 // items in it — are built only where a reader needs a group's members.
 // The demand lists serve ItemsOfDemand and Apply, which patches them in
-// place; the edge lists serve dist, through Members, and are built on
-// that read alone. Both come straight from the dense layout: layout.build
+// place; the edge lists serve dist alone, which EdgeMembers builds them
+// for on each call. Both come straight from the dense layout: layout.build
 // has already interned every demand to a slot and every path edge to an
 // int32 index, so grouping is pure array indexing over the views — no
 // hashing and no second traversal of items[i].Edges. A serial solve reads
@@ -64,13 +64,12 @@ func buildMembers(views []ItemView, groups int, edges bool) (members [][]int32, 
 }
 
 // componentScratch is the component pass's reusable state, kept on the
-// Prepared and used under its shardMu: per item the stamp of the last
-// pass whose region held it, its union–find parent and its component
-// label; per group the stamp of the last pass that reached it and the
-// first region item it reached there; the region, the groups reached in
-// order, and ensureShards' start, kept-shard and fresh-shard lists. Each
-// pass starts with every mark clear by taking a new stamp instead of
-// clearing arrays.
+// Prepared and used under its mu: per item the stamp of the last pass
+// whose region held it, its union–find parent and its component label;
+// per group the stamp of the last pass that reached it and the first
+// region item it reached there; the region, the groups reached in order,
+// and ensureShards' start and fresh-shard lists. Each pass starts with
+// every mark clear by taking a new stamp instead of clearing arrays.
 type componentScratch struct {
 	stamp         uint32
 	item          []uint32
@@ -81,7 +80,7 @@ type componentScratch struct {
 	reachedE      []int32
 	counts        []int32
 	from          []int32
-	kept, fresh   []*preShard
+	fresh         []*preShard
 }
 
 // groupMark is a group's entry in a component pass: the stamp of the last

@@ -39,17 +39,17 @@ import (
 //     filter out departed ids (which preserves their sort order) and merge
 //     in the arrivals (whose new ids are assigned in ascending order), so
 //     no list is ever re-sorted. Untouched lists are reused verbatim. The
-//     edge member lists are not kept: Members builds them again on its
-//     next read;
-//   - the lazily-built shard decomposition is marked stale, together with
-//     the components the churn reached, found through the groups' owners:
-//     the shard that owns a departed item's demand slot, and every shard
-//     that owns a group an arrival joined. The members of a group a
-//     departure left shared a component with the departed item, so these
-//     are exactly the components whose conflict structure changed. The
-//     next ensureShards finds components among their members and the
-//     arrivals only, and keeps the shard of every component the churn
-//     never reached;
+//     edge member lists are not kept: EdgeMembers builds them on each
+//     call;
+//   - once the lazily-built shard table exists, the shards of the
+//     components the churn reached are marked stale, found through the
+//     groups' owners: the shard that owns a departed item's demand slot,
+//     and every shard that owns a group an arrival joined. The members of
+//     a group a departure left shared a component with the departed item,
+//     so these are exactly the components whose conflict structure
+//     changed. The next ensureShards finds components among their members
+//     and the arrivals only, and keeps the shard of every component the
+//     churn never reached;
 //   - the plan statistics (planStats, engine.go) count every departed item
 //     out and every arriving one in. When the departures took the last
 //     holder of a profit or height extreme, no count can tell the new
@@ -165,10 +165,8 @@ func (p *Prepared) Apply(d Delta) error {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseApply)
 	}
-	p.shardMu.Lock()
+	p.mu.Lock()
 	p.ensureDemandMembers() // of the item set before the delta
-	// Keep the component bookkeeping while the last shard build sharded.
-	track := p.shards != nil
 	newN := n - len(d.Remove) + len(d.Add)
 	lay := p.lay
 
@@ -210,7 +208,7 @@ func (p *Prepared) Apply(d Delta) error {
 			state[slot] = filtered
 			changed = append(changed, slot)
 		}
-		if track {
+		if p.shardsBuilt { // before the first pass no group has an owner
 			p.markStale(p.slotOwner[slot])
 		}
 	}
@@ -256,7 +254,7 @@ func (p *Prepared) Apply(d Delta) error {
 	}
 	lay.sync()
 	p.added += len(d.Add)
-	if track {
+	if p.shardsBuilt {
 		// Every id in free holds an arrival, in no component yet; the
 		// groups the additions interned have no owner yet.
 		for _, id := range free {
@@ -299,7 +297,7 @@ func (p *Prepared) Apply(d Delta) error {
 			appended = append(appended, v.Slot)
 		}
 		p.demandMembers[v.Slot] = append(p.demandMembers[v.Slot], int32(id))
-		if track {
+		if p.shardsBuilt {
 			p.markStale(p.slotOwner[v.Slot])
 			for _, e := range v.Edges {
 				p.markStale(p.edgeOwner[e])
@@ -313,11 +311,7 @@ func (p *Prepared) Apply(d Delta) error {
 	for _, s := range appended {
 		tail = mergeTail(p.demandMembers[s], int(state[s]), tail)
 	}
-	p.edgesBuilt = false
-	if p.shardsBuilt {
-		p.shardsStale = true
-	}
-	p.shardMu.Unlock()
+	p.mu.Unlock()
 	if p.stats.stale() {
 		p.stats.gather(p.items)
 		if rec != nil {
@@ -353,7 +347,7 @@ func (p *Prepared) Apply(d Delta) error {
 
 // markStale marks sh, the shard that owns a group a delta reached; nil (a
 // group no shard owns: one only arrivals use) marks nothing. Callers hold
-// shardMu.
+// mu.
 func (p *Prepared) markStale(sh *preShard) {
 	if sh != nil && !sh.stale {
 		sh.stale = true

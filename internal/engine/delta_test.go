@@ -54,8 +54,8 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	// Member lists, group by group, matched through the external keys
 	// (slot numbering may differ from scratch: departed demands' slots go
 	// to later arrivals, and removals leave stale edge indices).
-	demandMembers, edgeMembers := p.Members()
-	scratchDemands, scratchEdges := scratch.Members()
+	demandMembers, edgeMembers := p.demandLists(), p.EdgeMembers()
+	scratchDemands, scratchEdges := scratch.demandLists(), scratch.EdgeMembers()
 	for s, want := range scratchDemands {
 		got, ok := p.lay.ix.DemandSlot(scratch.lay.ix.DemandID(int32(s)))
 		if !ok || !slices.Equal(demandMembers[got], want) {
@@ -72,15 +72,8 @@ func checkAgainstScratch(t *testing.T, p *Prepared, seed int64, workers []int) {
 	checkPlanStats(t, p)
 
 	// Component decompositions (forces both lazy builds).
-	p.ensureShards()
-	scratch.ensureShards()
-	if len(p.comps) != len(scratch.comps) {
-		t.Fatalf("%d components, scratch %d", len(p.comps), len(scratch.comps))
-	}
-	for c := range p.comps {
-		if !slices.Equal(p.comps[c], scratch.comps[c]) {
-			t.Fatalf("component %d: %v, scratch %v", c, p.comps[c], scratch.comps[c])
-		}
+	if got, want := p.Components(), scratch.Components(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("components %v, scratch %v", got, want)
 	}
 	checkShardLayouts(t, p)
 
@@ -202,11 +195,20 @@ func checkPlanStats(t *testing.T, p *Prepared) {
 	}
 }
 
-// shardItems rebuilds a shard's items from its component: the items of
-// comp, re-indexed by position.
-func shardItems(p *Prepared, sh *preShard) []Item {
-	items := make([]Item, len(sh.comp))
-	for i, id := range sh.comp {
+// demandLists returns p's demand member lists, building them on the
+// first read as ItemsOfDemand does.
+func (p *Prepared) demandLists() [][]int32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ensureDemandMembers()
+	return p.demandMembers
+}
+
+// componentItems rebuilds a component's items: the items of comp,
+// re-indexed by position.
+func componentItems(p *Prepared, comp []int) []Item {
+	items := make([]Item, len(comp))
+	for i, id := range comp {
 		items[i] = p.items[id]
 		items[i].ID = i
 	}
@@ -220,7 +222,7 @@ func shardItems(p *Prepared, sh *preShard) []Item {
 func checkShardLayouts(t *testing.T, p *Prepared) {
 	t.Helper()
 	for s, sh := range p.shards {
-		want := Prepare(shardItems(p, sh)).lay
+		want := Prepare(componentItems(p, sh.comp)).lay
 		var gotD, wantD []int
 		for _, g := range sh.slots {
 			gotD = append(gotD, p.lay.ix.DemandID(g))
@@ -382,8 +384,9 @@ func TestApplyDeltaMatchesScratch(t *testing.T) {
 
 // TestApplyDeltaShardReuse exercises the stale-shard path: solve through
 // the sharded pipeline (building shards), churn, and solve again — the
-// refreshed decomposition must match scratch even when untouched shards
-// are reused, and the sharded solves must match scratch's serial ones.
+// refreshed table must match scratch's components even when untouched
+// shards are reused, and the sharded solves must match scratch's serial
+// ones.
 func TestApplyDeltaShardReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in, err := workload.RandomTreeInstance(workload.TreeConfig{

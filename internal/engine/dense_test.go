@@ -132,7 +132,7 @@ func TestDenseMatchesMapGoldens(t *testing.T) {
 								tag, i, ev.Item, ev.Delta, delta)
 						}
 					}
-					d := engine.MergedDual(res)
+					d := res.Dual
 					if !reflect.DeepEqual(d.AlphaMap(), shadow.alpha) {
 						t.Errorf("%s: α diverged from map-state golden", tag)
 					}

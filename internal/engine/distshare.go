@@ -5,9 +5,9 @@ import "treesched/internal/dual"
 // This file is the read-only surface package dist shares with the engine.
 // A million-demand dist run cannot afford a private copy of every node's
 // critical sets: instead the nodes borrow the interned dense layout the
-// engine already builds once per item set (views, dual extents, and the
-// group member lists, which the run's setup builds on its read),
-// and the dist coordinator reconstructs the global selection, dual, λ and
+// engine already builds once per item set (views and dual extents), with
+// the edge member lists the run's setup builds from it (EdgeMembers), and
+// the dist coordinator reconstructs the global selection, dual, λ and
 // trace by replaying the collected raise history through the very same
 // prepared layout. Everything exported here is immutable during runs, so
 // any number of nodes — goroutines or batched worker lanes — may read it
@@ -18,26 +18,18 @@ import "treesched/internal/dual"
 // copying path/critical sets per processor.
 func (p *Prepared) Views() []ItemView { return p.lay.views }
 
-// Members returns the prepared conflict structure as member lists:
-// demandMembers[s] and edgeMembers[e] list, ascending, the items whose
-// demand interned to slot s and whose path contains edge index e. Two
-// items conflict iff they share a list. The edge lists are built on this
-// read — and again on the first read after an Apply — and their entries
-// counted with the recorder. Strictly read-only, and valid until the next
-// Apply.
-func (p *Prepared) Members() (demandMembers, edgeMembers [][]int32) {
-	p.shardMu.Lock()
-	defer p.shardMu.Unlock()
-	p.ensureDemandMembers()
-	if !p.edgesBuilt {
-		var entries int
-		p.edgeMembers, entries = buildMembers(p.lay.views, p.lay.edges, true)
-		p.edgesBuilt = true
-		if p.rec != nil {
-			p.rec.Count(CounterMemberEntries, int64(entries))
-		}
+// EdgeMembers returns the edge groups of the prepared conflict structure
+// as member lists: edgeMembers[e] lists, ascending, the items whose path
+// contains edge index e. With the views' demand slots they are the §2
+// conflict relation: two items conflict iff they share a demand slot or a
+// list. Each call builds the lists afresh, for its caller alone, and
+// counts their entries with the recorder.
+func (p *Prepared) EdgeMembers() [][]int32 {
+	members, entries := buildMembers(p.lay.views, p.lay.edges, true)
+	if p.rec != nil {
+		p.rec.Count(CounterMemberEntries, int64(entries))
 	}
-	return p.demandMembers, p.edgeMembers
+	return members
 }
 
 // DemandSlots returns the number of interned demand slots (α extent) of the

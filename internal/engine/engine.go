@@ -91,12 +91,12 @@ type Result struct {
 	// Profit is Σ profit of Selected: the exact sum, rounded once
 	// (SumProfit), so every execution reports the same bits.
 	Profit float64
-	// Dual is the final dual assignment of a serial solve, over the
-	// Prepared's index: its demand slots name their demands until the next
-	// Apply, which may give a departed demand's slot to an arrival. A
-	// sharded solve (a warm-start Prepared's, parallel.go) scores the dual
-	// per component and leaves Dual nil; the engine's tests read the dual
-	// its components ran in through MergedDual.
+	// Dual is the final dual assignment, over the Prepared's index: its
+	// demand slots name their demands until the next Apply, which may give
+	// a departed demand's slot to an arrival. A sharded solve's (a
+	// warm-start Prepared's, parallel.go) is the Prepared's own, the one
+	// its components ran in, so it is valid until the Prepared's next
+	// solve or Apply.
 	Dual   *dual.Assignment
 	Lambda float64 // measured slackness min LHS/p over all items
 	Bound  float64 // weak-duality upper bound on Opt: Value/λ
@@ -118,10 +118,8 @@ type Result struct {
 	Trace    *Trace
 
 	// A sharded solve's component outcomes, from which mergedSchedule
-	// rebuilds the schedule statistics, and the assignment they ran in,
-	// which mergedDual returns.
+	// rebuilds the schedule statistics.
 	shards []*shardOut
-	shared *dual.Assignment
 }
 
 // state is the mutable run state shared by the phases. The dual raises,

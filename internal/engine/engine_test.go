@@ -401,9 +401,9 @@ func TestLambdaAndBound(t *testing.T) {
 
 // TestBuildConflictsMatchesDefinition checks the engine's conflict
 // structure against the model's definition of conflicting demand
-// instances: two items share a member list iff model.Conflicting holds,
-// and the components the engine derives from its lists are those of the
-// definitional adjacency.
+// instances: two items share a member list — an edge list or a demand's
+// items — iff model.Conflicting holds, and the engine's components are
+// those of the definitional adjacency.
 func TestBuildConflictsMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	in, err := workload.RandomTreeInstance(workload.TreeConfig{
@@ -421,13 +421,14 @@ func TestBuildConflictsMatchesDefinition(t *testing.T) {
 	for i := range shared {
 		shared[i] = make([]bool, len(items))
 	}
-	dm, em := prep.Members()
-	for _, lists := range [][][]int32{dm, em} {
-		for _, list := range lists {
-			for _, a := range list {
-				for _, b := range list {
-					shared[a][b] = a != b
-				}
+	lists := prep.EdgeMembers()
+	for _, it := range items {
+		lists = append(lists, prep.ItemsOfDemand(it.Demand))
+	}
+	for _, list := range lists {
+		for _, a := range list {
+			for _, b := range list {
+				shared[a][b] = a != b
 			}
 		}
 	}

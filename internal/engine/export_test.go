@@ -1,11 +1,5 @@
 package engine
 
-import "treesched/internal/dual"
-
-// MergedDual exposes Result.mergedDual to the external test package: the
-// dual assignment of any solve, serial or sharded.
-func MergedDual(r *Result) *dual.Assignment { return r.mergedDual() }
-
 // MergedSchedule exposes Result.mergedSchedule to the external test
 // package: the Steps, MISIters and Trace of any solve, serial or sharded.
 func MergedSchedule(r *Result) (steps, misIters int, trace *Trace) { return r.mergedSchedule() }

@@ -49,7 +49,11 @@ import (
 // profit sums and a bitset of the selected items — and updates them only
 // for the outcomes that change: it folds a re-run shard's outcome in, and
 // the outcome it replaces, or a retired shard's, out (dual.Sum.Sub is
-// exact), so a warm round's merge costs the shards churn touched.
+// exact), so a warm round's merge costs the shards churn touched. The
+// shard table is in no order, and nothing here reads one: the folds and
+// the λ min are order-free, and mergedSchedule sorts the shards' steps.
+// Solve holds the Prepared's mu across the run and the merge, so the
+// shared dual, the totals and the table change under no one.
 //
 // The result is bit-identical to the serial engine's for every worker
 // count. Because each shard's execution is self-contained, it is also
@@ -91,10 +95,11 @@ type shardOut struct {
 // components churn did not touch and re-running the rest on
 // min(workers, runnable components) goroutines; workers < 1 resolves to
 // runtime.GOMAXPROCS(0), matching Options.Parallelism at the root. It
-// still runs the serial engine when the instance is one component, or the
-// last decomposition found one: a single shard would be the serial
-// execution plus a merge. Concurrent sharded solves serialize on the dual
-// they share. Every path returns the serial Result bit for bit.
+// still runs the serial engine, outside mu, when the table holds one
+// component, or held one at the last pass: a single shard would be the
+// serial execution plus a merge. Concurrent sharded solves serialize on
+// mu, and so on the dual they share. Every path returns the serial Result
+// bit for bit.
 func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 	if rec := p.rec; rec != nil {
 		tok := rec.StartSpan(PhaseSolve)
@@ -105,21 +110,26 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 			}
 		}()
 	}
-	if !p.warm.on() {
+	if !p.warm.enabled {
 		return p.runSerial(cfg)
 	}
-	shard := false
+	p.mu.Lock()
 	if !p.knownSingleComponent() {
 		p.ensureShards()
-		shard = len(p.comps) > 1
 	}
-	if !shard {
+	if len(p.shards) <= 1 {
+		p.mu.Unlock()
 		res, err = p.runSerial(cfg)
 		if err == nil {
-			p.warm.noteCold()
+			// A solve that bypassed the sharded pipeline is a cold one, so
+			// WarmSolves+ColdSolves counts every warm-enabled solve.
+			p.mu.Lock()
+			p.warm.stats.ColdSolves++
+			p.mu.Unlock()
 		}
 		return res, err
 	}
+	defer p.mu.Unlock()
 	plan := new(Plan)
 	if err := p.plan(cfg, plan); err != nil {
 		return nil, err
@@ -127,8 +137,6 @@ func (p *Prepared) Solve(cfg Config, workers int) (res *Result, err error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
 	outs, todo, err := p.runShards(cfg, plan, workers)
 	if err != nil {
 		return nil, err
@@ -211,13 +219,14 @@ func (scr *solveScratch) ownStack() []step {
 // whose stages ended below the plan's step cap, the rest run on
 // min(workers, runnable) goroutines with per-worker pooled scratch. First
 // it readies the shared dual: grown to the index, with the entries of the
-// shards builds retired since zeroed, or, after a full build, a new one. It
-// leaves the outcomes the merge must fold out — those of the retired
-// shards and those the re-run ones replace — in the totals, and records
-// the full outcome set for the next round. Callers hold runMu.
+// shards passes retired since zeroed, or, on the first run and after a
+// failed one, a new one. It leaves the outcomes the merge must fold out —
+// those of the retired shards and those the re-run ones replace — in the
+// totals, and records the full outcome set for the next round. Callers
+// hold mu.
 func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, []int, error) {
 	t := &p.totals
-	if p.dual == nil || p.rebuilt {
+	if p.dual == nil {
 		p.dual = dual.NewWithIndex(p.lay.ix)
 		t.valid = false
 	} else {
@@ -226,12 +235,10 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 	t.unfold = t.unfold[:0]
 	for _, sh := range p.retired {
 		p.dual.Zero(sh.slots, sh.edges)
-		if sh.out != nil {
-			t.unfold = append(t.unfold, sh.out)
-		}
+		t.unfold = append(t.unfold, sh.out)
 	}
 	clear(p.retired)
-	p.retired, p.rebuilt = p.retired[:0], false
+	p.retired = p.retired[:0]
 
 	key := warmKeyFor(cfg, plan)
 	outs := make([]*shardOut, len(p.shards))
@@ -293,9 +300,9 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 		for _, err := range errs {
 			if err != nil {
 				// The shards that ran hold entries no recorded outcome
-				// matches: every shard runs again next time.
+				// matches: every shard runs again next time, in a new dual.
 				p.warm.forget()
-				t.valid = false
+				p.dual = nil
 				return nil, nil, err
 			}
 		}
@@ -305,7 +312,7 @@ func (p *Prepared) runShards(cfg Config, plan *Plan, workers int) ([]*shardOut, 
 }
 
 // mergeTotals are mergeShards' running aggregates, kept across warm
-// solves under runMu: over the outcomes folded in — when valid, exactly
+// solves under mu: over the outcomes folded in — when valid, exactly
 // the outcomes the last merge returned — the exact sums of their partial
 // dual sums and of their selections' profits, and their selections as a
 // bitset over item ids with its population. unfold lists the outcomes the
@@ -351,9 +358,9 @@ func (t *mergeTotals) unfoldOut(out *shardOut) {
 // the min of the shards' λ minima, scores the dual, the bitset's one scan
 // writes Selected, ascending, and the profit sum rounds once. It reads no
 // shard stack, builds no dual and sorts nothing: the Result keeps the
-// outcomes, for mergedSchedule, and the shared dual, for mergedDual, and
-// only under RecordTrace does it ask mergedSchedule for the schedule
-// statistics and the trace. Callers hold runMu.
+// outcomes, for mergedSchedule, and carries the shared dual as its Dual,
+// and only under RecordTrace does it ask mergedSchedule for the schedule
+// statistics and the trace. Callers hold mu.
 //
 //schedvet:hot
 func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut, todo []int) *Result {
@@ -361,8 +368,8 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut, todo []
 		Delta:  plan.Delta,
 		Epochs: plan.MaxGroup,
 		Stages: plan.Stages,
+		Dual:   p.dual,
 		shards: outs,
-		shared: p.dual,
 	}
 
 	// PhaseMerge is one segment, before PhaseGreedy, so the per-phase
@@ -440,19 +447,6 @@ func (p *Prepared) mergeShards(cfg Config, plan *Plan, outs []*shardOut, todo []
 		rec.EndSpan(PhaseGreedy, gtok)
 	}
 	return res
-}
-
-// mergedDual returns the solve's dual assignment: Dual, or, for a sharded
-// solve, which scores its dual without assembling one, the assignment its
-// shards ran in, which holds every shard's α and β over the global index.
-// It is the Prepared's own, so it is valid until the next solve or Apply:
-// a solve re-runs shards in it, and an Apply may give a departed demand's
-// slot to an arrival. Engine tests read it through MergedDual.
-func (r *Result) mergedDual() *dual.Assignment {
-	if r.Dual != nil {
-		return r.Dual
-	}
-	return r.shared
 }
 
 // mergedSchedule returns the solve's schedule statistics, Steps and

@@ -82,7 +82,7 @@ func TestRunParallelBitIdentical(t *testing.T) {
 					if par.Lambda != serial.Lambda {
 						t.Errorf("%s: lambda %v != serial %v", tag, par.Lambda, serial.Lambda)
 					}
-					if pd := engine.MergedDual(par); !reflect.DeepEqual(pd.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(pd.BetaMap(), serial.Dual.BetaMap()) {
+					if pd := par.Dual; !reflect.DeepEqual(pd.AlphaMap(), serial.Dual.AlphaMap()) || !reflect.DeepEqual(pd.BetaMap(), serial.Dual.BetaMap()) {
 						t.Errorf("%s: dual assignment diverged", tag)
 					}
 					steps, iters, trace := engine.MergedSchedule(par)

@@ -13,8 +13,8 @@ import (
 // is independent of the Config and can therefore be built once and reused
 // across solves — the dense dual layout (interned demand slots and edge
 // indices plus per-item views, which also name each item's conflict
-// groups, conflicts.go), and, built on first read, the demand and edge
-// member lists and, for the sharded pipeline, the conflict components with
+// groups, conflicts.go), and, built on first read, the demand member lists
+// and, for the sharded pipeline, the table of conflict components with
 // the demand slots and edge indices each uses. The root Solver prepares
 // every solve afresh, in a pooled Arena, and its serial solve reads none
 // of the latter; a root Session keeps one Prepared across its solves, and
@@ -82,14 +82,15 @@ func (lay *layout) sync() {
 }
 
 // Prepared is an item set with its Config-independent run state: dense
-// layout, plan statistics, and, built on first read, the member lists and
-// the connected components of the sharded pipeline. Solve is its one solve
-// entry. A Prepared is immutable during runs apart from the lazily-built
-// structures (guarded by shardMu) and the sharded pipeline's shared dual
-// and merge totals (guarded by runMu), so it is safe for concurrent Solve
-// calls — but for one built in an Arena, which serves one serial solve.
-// Apply (delta.go) mutates the state between runs; it must never overlap a
-// run, another Apply or an ItemsView on the same Prepared.
+// layout, plan statistics, and, built on first read, the demand member
+// lists and the table of conflict components the sharded pipeline runs.
+// Solve is its one solve entry. One lock, mu, guards all of its mutable
+// run state: the member lists, the shard table and its owners, and the
+// sharded pipeline's shared dual, merge totals and warm cache. Runs change
+// nothing else, so a Prepared is safe for concurrent Solve calls — but for
+// one built in an Arena, which serves one serial solve. Apply (delta.go)
+// mutates the state between runs; it must never overlap a run, another
+// Apply or an ItemsView on the same Prepared.
 type Prepared struct {
 	items []Item
 	lay   *layout
@@ -103,38 +104,37 @@ type Prepared struct {
 	// its serial run's α/β are the arena's too (runDual).
 	arena *Arena
 
-	shardMu sync.Mutex
+	// mu guards every field below but applyScr and rec. A warm Prepared's
+	// sharded solve holds it throughout, so concurrent sharded solves
+	// serialize on the dual they share; its serial solve runs outside it.
+	mu sync.Mutex
 	// demandMembers[s] lists the item ids (ascending) whose demand
 	// interned to slot s: built by its first reader (ensureDemandMembers)
-	// and patched by Apply. edgeMembers[e] lists those whose path contains
-	// edge index e: built only when Members reads it, and again on the
-	// first read after an Apply (edgesBuilt).
+	// and patched by Apply.
 	demandMembers [][]int32
-	edgeMembers   [][]int32
 	demandsBuilt  bool
-	edgesBuilt    bool
 
+	// shards is the table of the conflict components, one shard each, in
+	// no order: built by the first component pass (ensureShards), over
+	// every item, and refreshed in place by every later one. A single
+	// component is a table of one.
 	shardsBuilt bool
-	shardsStale bool // an Apply ran since the last shard build
-	comps       [][]int
 	shards      []*preShard
 	// slotOwner[s] / edgeOwner[e] is the shard whose items use demand slot
-	// s / edge index e, or nil for none. Kept only while the last build
-	// sharded (shards != nil); Apply marks stale through them the shards
-	// its departures leave and its arrivals join, and collects those and
-	// the ids it gave arrivals (delta.go), so the next build finds the
-	// components among those alone (conflicts.go). A shard the build
-	// replaces gives its entries up (retired).
+	// s / edge index e, or nil for none. Once the table is built, Apply
+	// marks stale through them the shards its departures leave and its
+	// arrivals join, and collects those and the ids it gave arrivals
+	// (delta.go), so the next pass finds the components among those alone
+	// (conflicts.go): the table is stale exactly while either list is not
+	// empty. A shard the pass replaces gives its entries up (retire).
 	slotOwner   []*preShard
 	edgeOwner   []*preShard
 	staleShards []*preShard
 	arrivals    []int32
-	// retired lists the shards builds replaced since the last sharded
-	// run, which zeroes their entries of dual and folds their outcomes out
-	// of the merge totals; rebuilt reports a full build since then, after
-	// which the run starts dual and the totals afresh.
+	// retired lists the replaced shards that hold a recorded outcome, for
+	// the next sharded run, which zeroes their entries of dual and folds
+	// their outcomes out of the merge totals.
 	retired []*preShard
-	rebuilt bool
 	// added counts the items Apply added since the last component pass;
 	// knownSingleComponent's verdict expires when it outgrows the set.
 	added   int
@@ -144,11 +144,9 @@ type Prepared struct {
 	// (warm.go); off unless EnableWarmStart was called.
 	warm warmState
 
-	// runMu serializes the sharded runs and merges (parallel.go): dual is
-	// the one assignment every shard runs in, over the global index, each
-	// shard's entries its last run's; totals are the merge's running
-	// aggregates over the outcomes it folded in.
-	runMu  sync.Mutex
+	// dual is the one assignment every shard runs in, over the global
+	// index, each shard's entries its last run's; totals are the merge's
+	// running aggregates over the outcomes it folded in (parallel.go).
 	dual   *dual.Assignment
 	totals mergeTotals
 
@@ -170,18 +168,17 @@ type preShard struct {
 	comp  []int
 	slots []int32
 	edges []int32
-	// stale marks a component a delta reached since the last build.
+	// stale marks a component a delta reached since the last pass.
 	stale bool
 	// out is the warm-start cache's entry: the outcome of the shard's last
-	// run, under the configuration warmState records (warm.go). Guarded by
-	// the Prepared's runMu.
+	// run, under the configuration warmState records (warm.go).
 	out *shardOut
 }
 
 // Prepare builds the Config-independent run state of an item set, in
 // fresh storage: one pass interns the dense layout and gathers the plan
 // statistics. The member lists wait for their first reader
-// (ensureDemandMembers, Members), which a serial solve never is.
+// (ensureDemandMembers), which a serial solve never is.
 func Prepare(items []Item) *Prepared { return PrepareRecorded(items, nil, nil) }
 
 // PrepareRecorded is Prepare with rec attached (nil for none), bracketed
@@ -253,7 +250,7 @@ func (p *Prepared) runDual() *dual.Assignment {
 
 // ensureDemandMembers builds the demand member lists on their first read
 // — by Apply or ItemsOfDemand — and counts their entries with the
-// recorder. Callers hold shardMu.
+// recorder. Callers hold mu.
 func (p *Prepared) ensureDemandMembers() {
 	if p.demandsBuilt {
 		return
@@ -282,34 +279,37 @@ func (p *Prepared) ItemsOfDemand(id int) []int32 {
 	if !ok {
 		return nil
 	}
-	p.shardMu.Lock()
-	defer p.shardMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.ensureDemandMembers()
 	return p.demandMembers[s]
 }
 
 // Components returns the connected components of the prepared item set's
 // conflict graph: each an ascending slice of item ids, ordered by smallest
-// member. It is the decomposition the sharded pipeline runs on, built on
-// first use. Callers must not mutate it.
+// member. It refreshes the shard table the sharded pipeline runs on, and
+// lists its shards' items. Callers must not mutate the lists.
 func (p *Prepared) Components() [][]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.ensureShards()
-	p.shardMu.Lock()
-	defer p.shardMu.Unlock()
-	return p.comps
+	comps := make([][]int, len(p.shards))
+	for i, sh := range p.shards {
+		comps[i] = sh.comp
+	}
+	slices.SortFunc(comps, func(a, b []int) int { return a[0] - b[0] })
+	return comps
 }
 
-// ensureShards builds the component decomposition and its shards, reusing
-// both across runs. After an Apply it refreshes them from what the deltas
-// reached: the components among the items of the shards Apply marked
-// stale and the arrivals are found again, each a fresh shard that owns its
-// groups, the stale shards are retired, and every other component keeps
-// its shard — and warm-cache entry — untouched, without a pass over its
-// members.
+// ensureShards brings the shard table up to date. The first pass finds
+// the components among every item. Every later one finds them among the
+// arrivals and the members of the shards Apply marked stale since, drops
+// those shards from the table in place and appends the fresh ones, each
+// of which owns its groups; every other component keeps its shard — and
+// warm-cache entry — untouched, without a pass over its members. Callers
+// hold mu.
 func (p *Prepared) ensureShards() {
-	p.shardMu.Lock()
-	defer p.shardMu.Unlock()
-	if p.shardsBuilt && !p.shardsStale {
+	if p.shardsBuilt && len(p.staleShards) == 0 && len(p.arrivals) == 0 {
 		return
 	}
 	rec := p.rec
@@ -317,105 +317,56 @@ func (p *Prepared) ensureShards() {
 	if rec != nil {
 		tok = rec.StartSpan(PhaseComponents)
 	}
-	// Find components among the arrivals and the stale shards' members,
-	// beside the kept shards, or, on a first build, among every item.
 	scr := &p.compScr
-	from, kept := scr.from[:0], scr.kept[:0]
-	incremental := p.shardsStale && p.shards != nil
-	if incremental {
+	from := scr.from[:0]
+	if p.shardsBuilt {
 		from = append(from, p.arrivals...)
-		warm := p.warm.on()
 		for _, sh := range p.staleShards {
 			for _, id := range sh.comp {
 				from = append(from, int32(id))
 			}
-			p.retire(sh, warm)
+			p.retire(sh)
 		}
-		for _, sh := range p.shards {
-			if !sh.stale {
-				kept = append(kept, sh)
-			}
-		}
-	} else {
-		clear(p.slotOwner)
-		clear(p.edgeOwner)
-		clear(p.retired)
-		p.retired, p.rebuilt = p.retired[:0], true
+		p.shards = slices.DeleteFunc(p.shards, func(sh *preShard) bool { return sh.stale })
 	}
 	scr.from = from
-	fresh := scr.components(p.lay.views, from, !incremental, p.lay.demands, p.lay.edges)
-	visited := len(scr.region)
+	fresh := scr.components(p.lay.views, from, !p.shardsBuilt, p.lay.demands, p.lay.edges)
+	slotOwner := extend(&p.slotOwner, p.lay.demands, nil)
+	edgeOwner := extend(&p.edgeOwner, p.lay.edges, nil)
+	for _, sh := range fresh {
+		for _, s := range sh.slots {
+			slotOwner[s] = sh
+		}
+		for _, e := range sh.edges {
+			edgeOwner[e] = sh
+		}
+	}
+	p.shards = append(p.shards, fresh...)
+	clear(fresh)
+	scr.fresh = fresh[:0]
 	clear(p.staleShards)
 	p.staleShards, p.arrivals, p.added = p.staleShards[:0], p.arrivals[:0], 0
-	p.shardsBuilt, p.shardsStale = true, false
-	sharded := len(kept)+len(fresh) > 1
-	if sharded {
-		slotOwner := extend(&p.slotOwner, p.lay.demands, nil)
-		edgeOwner := extend(&p.edgeOwner, p.lay.edges, nil)
-		for _, sh := range fresh {
-			for _, s := range sh.slots {
-				slotOwner[s] = sh
-			}
-			for _, e := range sh.edges {
-				edgeOwner[e] = sh
-			}
-		}
-		// Merge the kept shards, in order, with the fresh ones by smallest
-		// member.
-		comps := make([][]int, 0, len(kept)+len(fresh))
-		shards := make([]*preShard, 0, len(kept)+len(fresh))
-		k, f := 0, 0
-		for k < len(kept) || f < len(fresh) {
-			var sh *preShard
-			if f == len(fresh) || k < len(kept) && kept[k].comp[0] < fresh[f].comp[0] {
-				sh = kept[k]
-				k++
-			} else {
-				sh = fresh[f]
-				f++
-			}
-			shards = append(shards, sh)
-			comps = append(comps, sh.comp)
-		}
-		p.comps, p.shards = comps, shards
-	} else {
-		// One component or none: Solve runs serially, and the next build
-		// is a first build again.
-		comps := make([][]int, 0, len(kept)+len(fresh))
-		for _, sh := range kept {
-			comps = append(comps, sh.comp)
-		}
-		for _, sh := range fresh {
-			comps = append(comps, sh.comp)
-		}
-		p.comps, p.shards = comps, nil
-		clear(p.slotOwner)
-		clear(p.edgeOwner)
-	}
-	clear(kept)
-	clear(fresh)
-	scr.kept, scr.fresh = kept[:0], fresh[:0]
+	p.shardsBuilt = true
 	if rec != nil {
-		rec.Count(CounterComponentItems, int64(visited))
-		if sharded {
-			rec.Count(CounterRelabeledItems, int64(visited))
-		}
+		rec.Count(CounterComponentItems, int64(len(scr.region)))
 		rec.EndSpan(PhaseComponents, tok)
 	}
 }
 
-// retire drops a stale shard from the owner entries and, on a Prepared
-// whose warm cache is on (warm), leaves it to the next sharded run, which
+// retire drops a stale shard from the owner entries and, when a sharded
+// run recorded an outcome for it, leaves it to the next sharded run, which
 // zeroes its entries of the shared dual and folds its outcome out of the
-// merge totals. Callers hold shardMu.
-func (p *Prepared) retire(sh *preShard, warm bool) {
+// merge totals. A shard without one wrote no entry of the dual: a run
+// records every shard's outcome, and a run that fails discards the dual.
+// Callers hold mu.
+func (p *Prepared) retire(sh *preShard) {
 	for _, s := range sh.slots {
 		p.slotOwner[s] = nil
 	}
 	for _, e := range sh.edges {
 		p.edgeOwner[e] = nil
 	}
-	if warm {
+	if sh.out != nil {
 		p.retired = append(p.retired, sh)
 	}
 }
@@ -433,8 +384,9 @@ func extend[T any](buf *[]T, n int, fill T) []T {
 	return *buf
 }
 
-// knownSingleComponent reports whether the last shard build found at most
-// one conflict component, without refreshing a stale decomposition. It is a
+// knownSingleComponent reports whether the shard table held at most one
+// conflict component after the last pass, without refreshing a stale
+// table. It is a
 // heuristic gate for the warm path at every worker count: a contended
 // instance whose items all conflict stays one component across churn, and
 // paying a fresh component decomposition every round just to discover that
@@ -444,9 +396,7 @@ func extend[T any](buf *[]T, n int, fill T) []T {
 // expires once Apply has added more than 2·items+64 items since the pass
 // that gave it: a set churned into many components (a Session that grew
 // from one demand into a fleet) is looked at again after O(items) churn,
-// which amortizes the pass to O(1) per added item.
+// which amortizes the pass to O(1) per added item. Callers hold mu.
 func (p *Prepared) knownSingleComponent() bool {
-	p.shardMu.Lock()
-	defer p.shardMu.Unlock()
-	return p.shardsBuilt && len(p.comps) <= 1 && p.added <= 2*len(p.items)+64
+	return p.shardsBuilt && len(p.shards) <= 1 && p.added <= 2*len(p.items)+64
 }

@@ -41,9 +41,9 @@ const (
 	PhaseUpdate
 	// PhaseApply brackets Prepared.Apply — the in-place delta patch.
 	PhaseApply
-	// PhaseComponents brackets ensureShards when it actually (re)builds
-	// the component decomposition and its shards — after churn, those of
-	// the components the churn reached; cached calls emit nothing.
+	// PhaseComponents brackets ensureShards when it actually builds or
+	// refreshes the shard table — after churn, the shards of the
+	// components the churn reached; calls with nothing to do emit nothing.
 	PhaseComponents
 	// PhaseShardSolve brackets one conflict component's run in place
 	// (runShard): its first-phase schedule, its greedy pass and its
@@ -130,11 +130,6 @@ const (
 	// emitted once per pass: every item on a first build, and after churn
 	// the items of the components the churn reached.
 	CounterComponentItems
-	// CounterRelabeledItems counts the items of the new shards a
-	// component pass makes, emitted once per pass that shards: the items
-	// the re-run shards of a warm round then run over. (The name is from
-	// the shard-local layouts those items were once relabeled into.)
-	CounterRelabeledItems
 	// CounterApplyGroups counts the member lists an Apply patches (demand
 	// slots whose lists lose or gain members), emitted once per Apply.
 	CounterApplyGroups
@@ -147,12 +142,12 @@ const (
 	CounterPlanItems
 	// CounterMemberEntries counts the member-list entries a pass writes,
 	// emitted once per pass: every entry of a build of the demand lists
-	// (on their first read) or of the edge lists (on Members' read), on a
-	// Prepared with a recorder attached, and in an Apply the entries kept
-	// by the demand lists it filters plus those the arrivals append. A
-	// cold serial solve builds no lists and counts none. The backward
-	// merge that restores an appended list's order moves entries these
-	// counts already hold.
+	// (on their first read) or of the edge lists (on each EdgeMembers
+	// call), on a Prepared with a recorder attached, and in an Apply the
+	// entries kept by the demand lists it filters plus those the arrivals
+	// append. A cold serial solve builds no lists and counts none. The
+	// backward merge that restores an appended list's order moves entries
+	// these counts already hold.
 	CounterMemberEntries
 	// CounterScanRows counts the first-phase rows whose LHS the
 	// satisfaction scan evaluates (scanLive and retest), and
@@ -187,8 +182,8 @@ const NumCounters = int(numCounters)
 var counterNames = [NumCounters]string{
 	"items", "components", "components_replayed", "components_resolved",
 	"shard_workers", "intra_lanes", "greedy_tests", "component_items",
-	"relabeled_items", "apply_groups", "plan_items", "member_entries",
-	"scan_rows", "scan_betas", "mis_iters", "node_rounds", "item_tests",
+	"apply_groups", "plan_items", "member_entries", "scan_rows",
+	"scan_betas", "mis_iters", "node_rounds", "item_tests",
 	"merge_outcomes",
 }
 

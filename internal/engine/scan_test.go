@@ -200,7 +200,7 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, shape := range scanShapes(t, seed, narrow) {
 				p := Prepare(shape.items)
-				p.ensureShards()
+				comps := p.Components()
 				for _, eps := range []float64{0.5, 0.2, 0.05} {
 					for _, single := range []bool{false, true} {
 						cfg := Config{Mode: mode, Epsilon: eps, Seed: seed, SingleStage: single, RecordTrace: seed == 1}
@@ -208,9 +208,9 @@ func TestFirstPhaseMatchesFullScan(t *testing.T) {
 						if firstPhasesAgree(t, tag, p.items, p.lay, cfg, -1, scr) {
 							t.Fatalf("%s: first phase failed at the default step cap", tag)
 						}
-						for s, sh := range p.shards {
-							sp := Prepare(shardItems(p, sh))
-							firstPhasesAgree(t, fmt.Sprintf("%s/shard=%d", tag, s), sp.items, sp.lay, cfg, -1, scr)
+						for c, comp := range comps {
+							sp := Prepare(componentItems(p, comp))
+							firstPhasesAgree(t, fmt.Sprintf("%s/component=%d", tag, c), sp.items, sp.lay, cfg, -1, scr)
 						}
 						for _, stepCap := range []int{0, 1, 2} {
 							failed := firstPhasesAgree(t, fmt.Sprintf("%s/cap=%d", tag, stepCap), p.items, p.lay, cfg, stepCap, scr)
@@ -263,10 +263,9 @@ func FuzzFirstPhaseCompaction(f *testing.F) {
 		p := Prepare(items)
 		scr := &solveScratch{}
 		firstPhasesAgree(t, "global", p.items, p.lay, rc, c, scr)
-		p.ensureShards()
-		for s, sh := range p.shards {
-			sp := Prepare(shardItems(p, sh))
-			firstPhasesAgree(t, fmt.Sprintf("shard=%d", s), sp.items, sp.lay, rc, c, scr)
+		for i, comp := range p.Components() {
+			sp := Prepare(componentItems(p, comp))
+			firstPhasesAgree(t, fmt.Sprintf("component=%d", i), sp.items, sp.lay, rc, c, scr)
 		}
 	})
 }

@@ -1,7 +1,5 @@
 package engine
 
-import "sync"
-
 // This file implements the warm-started incremental dual cache of the
 // sharded pipeline. The epoch/stage/step schedule is component-local: a
 // shard's run reads only its own items' views and its own entries of the
@@ -22,14 +20,15 @@ import "sync"
 // identical to cold solves.
 //
 // Invalidation rides on ensureShards' reuse discipline: a cache entry is
-// the outcome kept on its preShard, and ensureShards keeps a preShard only
-// for a component no delta reached since the last build. Components a
-// delta touched (or renumbered) get fresh preShard values, which hold no
-// outcome and therefore miss. A kept shard's demands all stay live, so
-// Apply never gives one of its global slots to an arrival, and a kept
-// shard's items keep their ids. A fresh Prepared starts cold. Stream
-// positions cannot drift across rounds because streams are not carried
-// across runs at all.
+// the outcome kept on its preShard, and ensureShards keeps a preShard in
+// the table only for a component no delta reached since the last pass.
+// Components a delta touched (or renumbered) get fresh preShard values,
+// which hold no outcome and therefore miss. A kept shard's demands all
+// stay live, so Apply never gives one of its global slots to an arrival,
+// and a kept shard's items keep their ids. A table of one keeps its shard
+// across the serial solves it serves, so the shard still replays once
+// arrivals form components beside it. A fresh Prepared starts cold. Stream positions cannot drift across rounds because streams are
+// not carried across runs at all.
 
 // WarmStats is a snapshot of a Prepared's warm-start counters. Counters are
 // cumulative since the Prepared was built; a Session keeps one Prepared for
@@ -81,10 +80,9 @@ func warmKeyFor(cfg Config, plan *Plan) warmKey {
 
 // warmState is the cache attachment on a Prepared: the configuration the
 // outcomes kept on the shards (preShard.out) were recorded under, and the
-// counters. mu guards it, so WarmStats may read it during a solve; the
-// outcomes are replayed and recorded under the Prepared's runMu.
+// counters. The Prepared's mu guards it but enabled, which EnableWarmStart
+// sets before the Prepared is shared.
 type warmState struct {
-	mu       sync.Mutex
 	enabled  bool
 	recorded bool // a sharded solve has recorded outcomes under key
 	key      warmKey
@@ -97,36 +95,26 @@ type warmState struct {
 // intervening Applies. Results are unaffected — warm solves are bitwise
 // identical to cold ones — only latency changes. The cache retains the
 // last solve's per-component state (duals, stacks, traces), so enable it
-// on long-lived session state, not on one-shot solves.
-func (p *Prepared) EnableWarmStart() {
-	p.warm.mu.Lock()
-	p.warm.enabled = true
-	p.warm.mu.Unlock()
-}
+// on long-lived session state, not on one-shot solves. Like SetRecorder,
+// call it before the Prepared is shared.
+func (p *Prepared) EnableWarmStart() { p.warm.enabled = true }
 
 // WarmStats reports the Prepared's cumulative warm-start counters.
 func (p *Prepared) WarmStats() WarmStats {
-	p.warm.mu.Lock()
-	defer p.warm.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	st := p.warm.stats
 	st.Enabled = p.warm.enabled
 	return st
 }
 
-func (w *warmState) on() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.enabled
-}
-
 // replay fills outs[s] with the outcome recorded on shards[s], for every
 // shard that holds one recorded under key whose stages all ended below
 // stepCap, and returns how many it filled. An outcome that reached the cap
-// re-runs, and fails as a cold run would.
+// re-runs, and fails as a cold run would. Callers hold the Prepared's mu,
+// as they do for record and forget.
 func (w *warmState) replay(key warmKey, stepCap int, shards []*preShard, outs []*shardOut) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.enabled || !w.recorded || w.key != key {
+	if !w.recorded || w.key != key {
 		return 0
 	}
 	n := 0
@@ -143,11 +131,6 @@ func (w *warmState) replay(key warmKey, stepCap int, shards []*preShard, outs []
 // on the shard (shards ensureShards dropped go with theirs), plus the
 // solve's replay accounting.
 func (w *warmState) record(key warmKey, shards []*preShard, outs []*shardOut, replayed int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.enabled {
-		return
-	}
 	w.key, w.recorded = key, true
 	for s, pre := range shards {
 		pre.out = outs[s]
@@ -163,21 +146,6 @@ func (w *warmState) record(key warmKey, shards []*preShard, outs []*shardOut, re
 
 // forget drops every recorded outcome from replay, after a sharded solve
 // that failed part-way: its shards that ran left entries of the shared
-// dual that no recorded outcome matches.
-func (w *warmState) forget() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.recorded = false
-}
-
-// noteCold counts a solve that bypassed the sharded pipeline (serial path:
-// one component, or a known-single-component instance), so
-// WarmSolves+ColdSolves always equals the number of solves run while the
-// cache was enabled.
-func (w *warmState) noteCold() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.enabled {
-		w.stats.ColdSolves++
-	}
-}
+// dual that no recorded outcome matches, and the run discards that dual,
+// with the replayed shards' entries in it.
+func (w *warmState) forget() { w.recorded = false }

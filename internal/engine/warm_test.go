@@ -95,7 +95,7 @@ func checkExactProfit(t *testing.T, tag string, items []Item, res *Result) {
 // bit. Value alone cannot see which slot a value landed in.
 func sameDual(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
-	gd, wd := got.mergedDual(), want.mergedDual()
+	gd, wd := got.Dual, want.Dual
 	if !maps.Equal(gd.AlphaMap(), wd.AlphaMap()) {
 		t.Fatalf("%s: α diverged", tag)
 	}
@@ -205,7 +205,7 @@ func TestWarmReplayCounters(t *testing.T) {
 	}
 
 	res := solve()
-	total := len(p.comps)
+	total := len(p.shards)
 	if total < 2 {
 		t.Fatalf("fleet instance decomposed into %d components; test needs several", total)
 	}
@@ -243,8 +243,8 @@ func TestWarmReplayCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = solve()
-	if len(p.comps) != total {
-		t.Fatalf("re-submitting an item changed the decomposition: %d components, want %d", len(p.comps), total)
+	if len(p.shards) != total {
+		t.Fatalf("re-submitting an item changed the decomposition: %d components, want %d", len(p.shards), total)
 	}
 	want.WarmSolves++
 	want.ComponentsReplayed += total - 1
@@ -385,10 +385,10 @@ func TestWarmReplayAcrossStepCap(t *testing.T) {
 // counters exactly, and shows that they grow with the churn, not with the
 // fleet: the same one-network churn on a 4-network and a 16-network fleet
 // whose networks all hold the same content gives the same counts. The
-// first sharded solve visits and relabels every item; a solve with no
-// churn visits and relabels none; after the churn both count exactly the
-// items of the churned components, those of the new decomposition that
-// hold an arrival or are not components of the old one. Planning reads no
+// first sharded solve's component pass visits every item; a solve with no
+// churn visits none; after the churn it visits exactly the items of the
+// churned components, those of the new decomposition that hold an arrival
+// or are not components of the old one. Planning reads no
 // item (plan_items) but on a round that departs the last holder of the
 // highest profit, whose Apply reads every item once. The merge folds
 // every outcome into its totals on the first solve, none with no churn,
@@ -414,7 +414,7 @@ func TestWarmWorkCounters(t *testing.T) {
 	}
 	remove := []int{0, 5, 10} // items of network 0; equal-size churn moves no survivor
 
-	type work struct{ visited, relabeled, groups, folds int64 }
+	type work struct{ visited, groups, folds int64 }
 	run := func(nets int) work {
 		in := &model.Instance{NumVertices: vertices}
 		for q := 0; q < nets; q++ {
@@ -452,12 +452,10 @@ func TestWarmWorkCounters(t *testing.T) {
 			t.Fatalf("%d networks: %d shards", nets, len(p.shards))
 		}
 		check("first solve", CounterComponentItems, int64(len(items)))
-		check("first solve", CounterRelabeledItems, int64(len(items)))
 		check("first solve", CounterPlanItems, 0)
 		check("first solve", CounterMergeOutcomes, int64(len(p.shards)))
 		solve()
 		check("no churn", CounterComponentItems, 0)
-		check("no churn", CounterRelabeledItems, 0)
 		check("no churn", CounterMergeOutcomes, 0)
 
 		before := Prepare(reindex(p.items)).Components()
@@ -496,10 +494,9 @@ func TestWarmWorkCounters(t *testing.T) {
 			t.Fatalf("%d networks: the churn re-ran %d shards and replaced %d", nets, rerun, replaced)
 		}
 		w := work{
-			visited:   check("churn", CounterComponentItems, churned),
-			relabeled: check("churn", CounterRelabeledItems, churned),
-			groups:    groups,
-			folds:     check("churn", CounterMergeOutcomes, rerun+int64(replaced)),
+			visited: check("churn", CounterComponentItems, churned),
+			groups:  groups,
+			folds:   check("churn", CounterMergeOutcomes, rerun+int64(replaced)),
 		}
 		// The churn left every extreme a holder, so planning read no item.
 		check("churn", CounterPlanItems, 0)
@@ -530,9 +527,10 @@ func TestWarmWorkCounters(t *testing.T) {
 }
 
 // TestWarmConcurrentSolves runs warm solves of one Prepared from several
-// goroutines at once, after churn, so that they rebuild the shards, replay
-// and record outcomes concurrently (run under -race in CI); every result
-// must equal the cold one.
+// goroutines at once, after churn, so that they refresh the shard table,
+// replay and record outcomes concurrently, with WarmStats, Components and
+// ItemsOfDemand read beside them (run under -race in CI); every result
+// must equal the cold one, and every read what the Prepared holds.
 func TestWarmConcurrentSolves(t *testing.T) {
 	pool := warmPoolItems(t, 2, 48, workload.UnitHeights)
 	p := Prepare(reindex(pool[:40]))
@@ -546,10 +544,12 @@ func TestWarmConcurrentSolves(t *testing.T) {
 		order[i] = i
 	}
 	applyRandomDelta(t, p, pool, order, rand.New(rand.NewSource(4)))
-	want, err := Prepare(reindex(p.items)).Solve(cfg, 1)
+	cold := Prepare(reindex(p.items))
+	want, err := cold.Solve(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantComps := cold.Components()
 	results := make([]*Result, 8)
 	var wg sync.WaitGroup
 	for g := range results {
@@ -563,11 +563,31 @@ func TestWarmConcurrentSolves(t *testing.T) {
 			results[g] = res
 		}()
 	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if ws := p.WarmStats(); ws.WarmSolves+ws.ColdSolves > 1+len(results) {
+				t.Errorf("reader %d: %+v counts more solves than ran", g, ws)
+			}
+			if got := p.Components(); !slices.EqualFunc(got, wantComps, slices.Equal) {
+				t.Errorf("reader %d: components %v, want %v", g, got, wantComps)
+			}
+			for i := range p.items {
+				if !slices.Contains(p.ItemsOfDemand(p.items[i].Demand), int32(i)) {
+					t.Errorf("reader %d: item %d is not among its demand's items", g, i)
+				}
+			}
+		}()
+	}
 	wg.Wait()
 	for g, res := range results {
 		if res != nil {
 			sameResult(t, fmt.Sprintf("solve %d", g), res, want)
 		}
+	}
+	if ws := p.WarmStats(); ws.WarmSolves+ws.ColdSolves != 1+len(results) {
+		t.Fatalf("solves unaccounted: %+v after %d solves", ws, 1+len(results))
 	}
 }
 
@@ -576,18 +596,7 @@ func TestWarmConcurrentSolves(t *testing.T) {
 // must keep running the serial engine (sharding cannot help), count those
 // solves as cold, and stay bitwise identical to a cold Prepared.
 func TestWarmSingleComponentSerial(t *testing.T) {
-	// Synthetic single component: every item crosses one shared edge.
-	shared := model.MakeEdgeKey(0, graph.EdgeID(1000))
-	items := make([]Item, 16)
-	for i := range items {
-		own := model.MakeEdgeKey(0, graph.EdgeID(i))
-		items[i] = Item{
-			ID: i, Demand: i, Resource: 0, Group: 1 + i%2,
-			Profit: 1 + float64(i%5), Height: 1,
-			Edges:    []model.EdgeKey{shared, own},
-			Critical: []model.EdgeKey{shared},
-		}
-	}
+	items := reindex(clusterItems(0, 0, 16))
 	warm := Prepare(slices.Clone(items))
 	warm.EnableWarmStart()
 	cold := Prepare(slices.Clone(items))
@@ -606,6 +615,92 @@ func TestWarmSingleComponentSerial(t *testing.T) {
 	want := WarmStats{Enabled: true, ColdSolves: 3}
 	if ws := warm.WarmStats(); ws != want {
 		t.Fatalf("serial bypass accounting: %+v, want %+v", ws, want)
+	}
+}
+
+// clusterItems returns n items on network net, of demands first to
+// first+n-1, which all cross the network's edge 0 and so make one
+// conflict component.
+func clusterItems(net, first, n int) []Item {
+	shared := model.MakeEdgeKey(model.TreeID(net), 0)
+	items := make([]Item, n)
+	for i := range items {
+		own := model.MakeEdgeKey(model.TreeID(net), graph.EdgeID(1+i))
+		items[i] = Item{
+			Demand: first + i, Resource: net, Group: 1 + i%2,
+			Profit: 1 + float64((first+i)%5), Height: 1,
+			Edges:    []model.EdgeKey{shared, own},
+			Critical: []model.EdgeKey{shared},
+		}
+	}
+	return items
+}
+
+// TestWarmTableOfOne moves a warm Prepared's shard table from two shards
+// to one and back to two: two clusters on separate networks solve
+// sharded; the second cluster's departure leaves one component, which
+// solves serially and keeps its shard, owner of its groups; a third
+// cluster's arrival, on a third network and in the departed demands'
+// slots, makes a second component again. The last solve replays the kept
+// shard and re-runs only the new one, and every solve, dual included (no
+// entry of the departed cluster may stay behind), equals a cold solve.
+func TestWarmTableOfOne(t *testing.T) {
+	const n = 8
+	p := Prepare(reindex(append(clusterItems(0, 0, n), clusterItems(1, n, n)...)))
+	p.EnableWarmStart()
+	cfg := Config{Mode: Unit, Epsilon: 0.1, Seed: 6, RecordTrace: true}
+	solve := func(step string, shards int) {
+		t.Helper()
+		got, err := p.Solve(cfg, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, err := Prepare(reindex(p.items)).Solve(cfg, 1)
+		if err != nil {
+			t.Fatalf("%s cold: %v", step, err)
+		}
+		sameResult(t, step, got, want)
+		if len(p.shards) != shards {
+			t.Fatalf("%s: %d shards, want %d", step, len(p.shards), shards)
+		}
+		checkOwners(t, p)
+	}
+	solve("two clusters", 2)
+	kept := slices.IndexFunc(p.shards, func(sh *preShard) bool { return sh.comp[0] == 0 })
+	if kept < 0 {
+		t.Fatal("no shard holds the first cluster")
+	}
+	keep := p.shards[kept]
+
+	gone := make([]int, n)
+	for i := range gone {
+		gone[i] = n + i
+	}
+	if err := p.Apply(Delta{Remove: gone}); err != nil {
+		t.Fatal(err)
+	}
+	solve("one cluster", 1)
+	if p.shards[0] != keep {
+		t.Fatal("the departure replaced the untouched cluster's shard")
+	}
+	want := WarmStats{Enabled: true, ColdSolves: 2, ComponentsResolved: 2}
+	if ws := p.WarmStats(); ws != want {
+		t.Fatalf("one cluster: %+v, want %+v", ws, want)
+	}
+
+	if err := p.Apply(Delta{Add: clusterItems(2, 2*n, n)}); err != nil {
+		t.Fatal(err)
+	}
+	if comps := p.Components(); len(comps) != 2 {
+		t.Fatalf("a third cluster left %d components", len(comps))
+	}
+	solve("third cluster", 2)
+	if !slices.Contains(p.shards, keep) {
+		t.Fatal("the arrival replaced the untouched cluster's shard")
+	}
+	want = WarmStats{Enabled: true, WarmSolves: 1, ColdSolves: 2, ComponentsReplayed: 1, ComponentsResolved: 3}
+	if ws := p.WarmStats(); ws != want {
+		t.Fatalf("third cluster: %+v, want %+v", ws, want)
 	}
 }
 
@@ -658,7 +753,7 @@ func TestIntraParallelMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s sharded: %v", tag, err)
 						}
-						if name == "fleet" && len(warm.comps) <= 1 {
+						if name == "fleet" && len(warm.shards) <= 1 {
 							t.Fatalf("%s: the fleet did not shard", tag)
 						}
 						sameResult(t, tag+" sharded", shard, want)
@@ -723,13 +818,29 @@ func FuzzWarmChurn(f *testing.F) {
 	})
 }
 
-// TestWarmRecoversFromFailedRun fails a sharded run part-way — a step cap
-// of 1, which the first shard that needs a second step in a stage
-// exceeds — after churn, and then solves normally. The shards that ran
-// before the failure zeroed and wrote their entries of the shared dual,
-// which no recorded outcome matches any more, so the next solve must
-// re-run every shard, and its result, dual included, equal a cold solve.
-func TestWarmRecoversFromFailedRun(t *testing.T) {
+// failRun runs p's sharded pipeline, after a component pass, under a
+// step cap of 1, which the first shard that needs a second step in a
+// stage exceeds, and fails the test unless the run fails.
+func failRun(t *testing.T, p *Prepared, cfg Config) {
+	t.Helper()
+	plan := new(Plan)
+	if err := p.plan(cfg, plan); err != nil {
+		t.Fatal(err)
+	}
+	plan.StepCap = 1
+	p.mu.Lock()
+	p.ensureShards()
+	_, _, err := p.runShards(cfg, plan, 1)
+	p.mu.Unlock()
+	if err == nil {
+		t.Fatal("a step cap of 1 did not fail the sharded run")
+	}
+}
+
+// churnedWarm returns a warm Prepared of a fleet that solved once and
+// then churned, and its configuration.
+func churnedWarm(t *testing.T) (*Prepared, Config) {
+	t.Helper()
 	pool := warmPoolItems(t, 4, 48, workload.UnitHeights)
 	p := Prepare(reindex(pool[:40]))
 	p.EnableWarmStart()
@@ -742,18 +853,17 @@ func TestWarmRecoversFromFailedRun(t *testing.T) {
 		order[i] = i
 	}
 	applyRandomDelta(t, p, pool, order, rand.New(rand.NewSource(6)))
-	p.ensureShards()
-	plan := new(Plan)
-	if err := p.plan(cfg, plan); err != nil {
-		t.Fatal(err)
-	}
-	plan.StepCap = 1
-	p.runMu.Lock()
-	_, _, err := p.runShards(cfg, plan, 1)
-	p.runMu.Unlock()
-	if err == nil {
-		t.Fatal("a step cap of 1 did not fail the sharded run")
-	}
+	return p, cfg
+}
+
+// TestWarmRecoversFromFailedRun fails a sharded run part-way after
+// churn (failRun), and then solves normally. The shards that ran before
+// the failure zeroed and wrote their entries of the shared dual, which no
+// recorded outcome matches any more, so the next solve must re-run every
+// shard, and its result, dual included, equal a cold solve.
+func TestWarmRecoversFromFailedRun(t *testing.T) {
+	p, cfg := churnedWarm(t)
+	failRun(t, p, cfg)
 	before := p.WarmStats()
 	got, err := p.Solve(cfg, 2)
 	if err != nil {
@@ -767,4 +877,40 @@ func TestWarmRecoversFromFailedRun(t *testing.T) {
 	if after := p.WarmStats(); after.ComponentsReplayed != before.ComponentsReplayed {
 		t.Fatalf("the solve after a failed run replayed %d outcomes", after.ComponentsReplayed-before.ComponentsReplayed)
 	}
+}
+
+// TestWarmFailedRunDiscardsDual fails a sharded run after churn, as
+// TestWarmRecoversFromFailedRun does, and then departs every item of the
+// shards that hold no outcome — the ones the failed run ran, or was to
+// run — before the next solve. The failed run wrote entries of the
+// shared dual for them that no outcome records, and their departure
+// leaves them to no later run, so the failed run must discard that dual:
+// the next sharded solve's must equal a cold solve's.
+func TestWarmFailedRunDiscardsDual(t *testing.T) {
+	p, cfg := churnedWarm(t)
+	failRun(t, p, cfg)
+	var gone []int
+	for _, sh := range p.shards {
+		if sh.out == nil {
+			gone = append(gone, sh.comp...)
+		}
+	}
+	if len(gone) == 0 {
+		t.Fatal("the churn left no shard to re-run")
+	}
+	if err := p.Apply(Delta{Remove: gone}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Solve(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.shards) < 2 {
+		t.Fatalf("%d shards left: the solve did not shard", len(p.shards))
+	}
+	want, err := Prepare(reindex(p.items)).Solve(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "departures after a failed run", got, want)
 }

@@ -25,11 +25,16 @@ import (
 // of the engine over the session's items prepared from scratch, in the
 // bits of Profit and DualBound and in the assignments, its Profit must be
 // the exact sum of its selection's profits, rounded once, and its item
-// view must hold exactly the session's items.
+// view must hold exactly the session's items. The last three seeds, at
+// Parallelism 3, 2 and 1, each take the session's shard table from
+// several shards to one, whose rounds solve serially, and back to several.
 func FuzzSessionChurn(f *testing.F) {
 	f.Add(int64(1), byte(0), []byte{0x31, 0x07, 0xf0})
 	f.Add(int64(5), byte(7), []byte{0xff, 0x10})
 	f.Add(int64(9), byte(14), []byte{})
+	f.Add(int64(169), byte(14), []byte{0xdf, 0xbf, 0x93, 0x94, 0x4b, 0x26, 0xc6, 0x6b, 0xdf, 0xcf, 0x9b, 0x64, 0xf4, 0x5f, 0x9d, 0x57, 0x9a})
+	f.Add(int64(204), byte(7), []byte{0x50, 0xeb, 0xc6, 0x28, 0xa2, 0x39, 0x1d, 0x4e, 0x87, 0x3a, 0xbb, 0xcb, 0x91, 0x69, 0x77, 0x70, 0x08, 0x8d, 0x12, 0xaf, 0x4c, 0x08, 0xcc})
+	f.Add(int64(305), byte(2), []byte{0x42, 0x15, 0x8d, 0xa5, 0x86, 0x5e, 0x68, 0x1a, 0xd2, 0x68, 0x73, 0x34, 0x62, 0xbb, 0xcd, 0x13, 0x17, 0x81, 0x8e, 0x85, 0x7f, 0x2a, 0x8b, 0x20, 0x5b})
 	f.Fuzz(func(t *testing.T, seed int64, shape byte, steps []byte) {
 		const vertices, span, maxLive, maxRounds = 48, 3, 12, 400
 		if len(steps) > 64 {
